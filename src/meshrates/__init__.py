@@ -20,7 +20,6 @@ from .regions import (
     vertices_bc,
 )
 from .polytope import LPSolution, contains, max_sum_rate, vertices
-from .quadrature import QuadratureError, QuadratureResult, integrate_unit
 from .schemes import (
     OptimizerConfig,
     SchemeResult,
@@ -43,8 +42,6 @@ __all__ = [
     "LPSolution",
     "NetworkParams",
     "OptimizerConfig",
-    "QuadratureError",
-    "QuadratureResult",
     "RatePair",
     "RateRegion",
     "SchemeResult",
@@ -58,7 +55,6 @@ __all__ = [
     "hop2_coop_region",
     "hop2_mcp_region",
     "hop2_rs_region",
-    "integrate_unit",
     "linear_to_db",
     "max_sum_rate",
     "mcp",

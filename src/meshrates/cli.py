@@ -8,8 +8,7 @@ optimal power fractions), and ``verify`` (oracle suite).
 Every flag can also come from a ``key=value`` config file (``--config``);
 explicit flags win. Powers accept linear values or a trailing ``dB``.
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 verification
-failure.
+Exit codes: 0 success, 1 usage error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from . import oracle, schemes
 from .model import HopSplit, NetworkParams, db_to_linear
 from .polytope import vertices
 from .regions import hop1_region, hop2_coop_region, hop2_mcp_region, hop2_rs_region
-from .quadrature import DEFAULT_TOL, QuadratureError
 
 _SCHEME_ALIASES = {
     "single": schemes.SCHEME_SINGLE,
@@ -131,8 +129,6 @@ def _resolve_optimizer(flags: dict, config: dict[str, str]) -> schemes.Optimizer
                                    default=schemes.OptimizerConfig.coarse_points),
             refine_iters=_resolve(flags, config, "refine_iters", int,
                                   default=schemes.OptimizerConfig.refine_iters),
-            rate_tol=_resolve(flags, config, "rate_tol", float,
-                              default=schemes.OptimizerConfig.rate_tol),
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -189,7 +185,6 @@ def _network_options(fn):
 def _optimizer_options(fn):
     fn = click.option("--coarse-points", type=int, default=None)(fn)
     fn = click.option("--refine-iters", type=int, default=None)(fn)
-    fn = click.option("--rate-tol", type=float, default=None)(fn)
     return fn
 
 
@@ -463,10 +458,8 @@ _REGION_BUILDERS = {
 @click.option("--hop", "hop_flag", type=click.Choice(sorted(_REGION_BUILDERS)), default=None)
 @click.option("--f", "f_flag", type=float, default=None,
               help="private power fraction of the selected hop (default 0.5)")
-@click.option("--tol", "tol_flag", type=float, default=None,
-              help="quadrature tolerance (2mcp only)")
 @click.option("--json", "as_json", is_flag=True)
-def cmd_region(config_path, hop_flag, f_flag, tol_flag, as_json, **flags) -> None:
+def cmd_region(config_path, hop_flag, f_flag, as_json, **flags) -> None:
     """Print the halfspaces and vertices of one hop's rate region."""
     config = _load_config(config_path)
     params = _resolve_network(flags, config)
@@ -479,11 +472,7 @@ def cmd_region(config_path, hop_flag, f_flag, tol_flag, as_json, **flags) -> Non
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    if hop == "2mcp":
-        tol = _resolve({"tol": tol_flag}, config, "tol", float, default=DEFAULT_TOL)
-        region = hop2_mcp_region(params, split, tol=tol)
-    else:
-        region = _REGION_BUILDERS[hop](params, split)
+    region = _REGION_BUILDERS[hop](params, split)
     verts = vertices(region)
 
     if as_json:
@@ -609,9 +598,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except click.exceptions.Abort:
         return 1
-    except QuadratureError as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        return 2
     except VerificationFailure:
         return 3
     except ValueError as exc:

@@ -7,19 +7,18 @@ labeled halfspaces ``coef_private*R_p + coef_common*R_c <= bound``.
 
 The two-message min-type common bounds are emitted as two separate halfspaces
 (2-user and 3-user) so linear programs over the raw polytope can report
-binding constraints faithfully.
+binding constraints faithfully. The joint-decoding (MCP) bounds are spectral
+integrals, evaluated in closed form by Jensen's formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .model import HopSplit, NetworkParams, RatePair, capacity
-from .quadrature import integrate_unit
 
 LABEL_PRIVATE = "private-single"
 LABEL_COMMON2 = "common-2user"
@@ -140,30 +139,65 @@ def coop_bounds(gamma2, eta2, p_private, p_common):
     }
 
 
-def mcp_integrands(params: NetworkParams, split: HopSplit) -> dict[str, Callable]:
-    """Spectral-domain integrands of the three joint-decoding bounds.
+_DROP_TOL = 1e-17  # see _log2_mahler
 
-    Each maps a frequency in [0, 1] (scalar or ndarray) to bits/channel use.
+
+def _log2_mahler(coefs: np.ndarray) -> np.ndarray:
+    """Integral over f in [0, 1] of log2 P(2cos 2*pi*f), for polynomials P
+    of degree <= 4 given by five ascending coefficients along the last axis,
+    with P >= 1 on [-2, 2].
+
+    Jensen's formula: with w = z + 1/z, each root w_k of P contributes
+    log2|J_k|, J_k the root of z^2 - w_k z + 1 with |J_k| >= 1, so the
+    integral is log2|a_d| + sum_k log2|J_k|. Leading terms are dropped while
+    their tail is below _DROP_TOL: on [-2, 2] that moves P >= 1 by less than
+    1e-17, the value by less than 2e-17 bits, and it keeps a tiny but positive
+    coefficient from sending a root towards overflow. The roots of each degree
+    come from one batched eigenvalue call on stacked companion matrices.
     """
-    taps = filter_taps(params)
-    e, g, _ = taps.private_taps
-    pw = split.powers(params.p2)
-    p_private, per_code = pw.p_private, pw.p_common / 3.0
+    a = coefs.reshape(-1, coefs.shape[-1])
+    scaled = np.abs(a) * [1.0, 2.0, 4.0, 8.0, 16.0]  # |a_j| 2^j
+    tails = np.cumsum(scaled[:, ::-1], axis=1)[:, ::-1]
+    degree = (tails[:, 1:] > _DROP_TOL).sum(axis=1)
+    lead = a[np.arange(len(a)), degree]
+    total = np.log2(np.abs(lead))
+    for d in range(1, 5):
+        rows = degree == d
+        if not rows.any():
+            continue
+        companion = np.zeros((rows.sum(), d, d))
+        companion[:, 0, :] = -a[rows, d - 1::-1] / lead[rows, None]
+        companion[:, 1:, :-1] = np.eye(d - 1)
+        w = np.linalg.eigvals(companion).astype(complex)
+        s = np.sqrt(w * w - 4.0)
+        total[rows] += np.log2(np.maximum(np.abs(w + s), np.abs(w - s))).sum(axis=1) - d
+    return total.reshape(coefs.shape[:-1])
 
-    def private_response(f):
-        return g + 2.0 * e * np.cos(2.0 * np.pi * f)
 
-    def common_response(f):
-        return (g + 2.0 * e
-                + 2.0 * (g + e) * np.cos(2.0 * np.pi * f)
-                + 2.0 * e * np.cos(4.0 * np.pi * f))
+def mcp_bounds(gamma2, eta2, p_private, p_common):
+    """Second-hop bounds under joint decoding across all base stations.
 
-    return {
-        "private": lambda f: _log1p_rate(p_private * private_response(f) ** 2),
-        "common": lambda f: _log1p_rate(per_code * common_response(f) ** 2),
-        "sum": lambda f: _log1p_rate(p_private * private_response(f) ** 2
-                                     + per_code * common_response(f) ** 2),
-    }
+    The cell index acts as the tap axis of an inter-symbol-interference MAC,
+    so each bound is a unit-interval spectral integral. With w = 2cos 2*pi*f,
+    the private and per-codeword common responses are g + e*w and
+    (1 + w)(g + e*w) (g, e the amplitude gains), and each common codeword
+    carries a third of the common power. Scalar gains; the power pair may be
+    scalars or arrays. Returns the bounds keyed by (coef_private, coef_common).
+    """
+    g = math.sqrt(gamma2)
+    e = math.sqrt(eta2)
+    # Ascending coefficients in w of (g + e*w)^2 and of (1 + w)^2 (g + e*w)^2;
+    # the rows are the private, common and sum polynomials.
+    private = [g * g, 2.0 * g * e, e * e, 0.0, 0.0]
+    common = [g * g, 2.0 * g * (g + e), g * g + 4.0 * g * e + e * e, 2.0 * e * (g + e), e * e]
+    zero = [0.0] * 5
+    p_private = np.asarray(p_private, dtype=float)[..., None, None]
+    per_code = np.asarray(p_common, dtype=float)[..., None, None] / 3.0
+    coefs = (np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+             + p_private * np.array([private, zero, private])
+             + per_code * np.array([zero, common, common]))
+    bounds = _log2_mahler(coefs)
+    return {(1, 0): bounds[..., 0], (0, 1): bounds[..., 1], (1, 1): bounds[..., 2]}
 
 
 def _mac_region(cross2, intra2, p_private, p_common, provenance: str) -> RateRegion:
@@ -218,25 +252,18 @@ def hop2_coop_region(params: NetworkParams, split: HopSplit) -> RateRegion:
     )
 
 
-def hop2_mcp_region(params: NetworkParams, split: HopSplit, tol: float = 1e-9) -> RateRegion:
-    """Relay-to-base hop region with joint decoding across all base stations.
-
-    The three bounds are unit-interval integrals of spectral rate densities,
-    evaluated adaptively to absolute tolerance ``tol``.
-    """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"quadrature tolerance must be positive, got {tol!r}")
-    integrands = mcp_integrands(params, split)
+def hop2_mcp_region(params: NetworkParams, split: HopSplit) -> RateRegion:
+    """Relay-to-base hop region with joint decoding across all base stations."""
     pw = split.powers(params.p2)
-    bounds = {name: integrate_unit(fn, tol=tol).value for name, fn in integrands.items()}
+    b = mcp_bounds(params.gamma2, params.eta2, pw.p_private, pw.p_common)
     return RateRegion(
         halfspaces=(
-            Halfspace(1, 0, max(bounds["private"], 0.0), LABEL_PRIVATE),
-            Halfspace(0, 1, max(bounds["common"], 0.0), LABEL_COMMON),
-            Halfspace(1, 1, max(bounds["sum"], 0.0), LABEL_SUM),
+            Halfspace(1, 0, max(float(b[(1, 0)]), 0.0), LABEL_PRIVATE),
+            Halfspace(0, 1, max(float(b[(0, 1)]), 0.0), LABEL_COMMON),
+            Halfspace(1, 1, max(float(b[(1, 1)]), 0.0), LABEL_SUM),
         ),
         provenance=f"hop2-mcp(eta2={params.eta2:g}, gamma2={params.gamma2:g}, "
-                   f"p_private={pw.p_private:g}, p_common={pw.p_common:g}, tol={tol:g})",
+                   f"p_private={pw.p_private:g}, p_common={pw.p_common:g})",
     )
 
 

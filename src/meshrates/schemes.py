@@ -4,7 +4,9 @@ Every scheme maps a network instance to the best rate its coding strategy
 supports, optimizing the private/common power split of each hop. The split
 searches run on a coarse grid first (the objectives are minima of concave
 pieces, hence not concave) and then refine locally; the returned rates are
-re-evaluated through the exact region/LP path at the winning splits.
+re-evaluated through the exact region/LP path at the winning splits. The
+joint-decoding (mcp) search and its final region read the same closed-form
+bounds.
 
 Half duplex scales every final rate by 1/2; the optional power boost doubles
 both transmit powers first.
@@ -20,7 +22,6 @@ import numpy as np
 
 from .model import HopSplit, NetworkParams, RatePair, capacity
 from .polytope import LPSolution, max_sum_rate
-from .quadrature import DEFAULT_TOL
 from .regions import (
     LABEL_COMMON2,
     LABEL_COMMON3,
@@ -30,6 +31,7 @@ from .regions import (
     hop2_coop_region,
     hop2_mcp_region,
     mac_bounds,
+    mcp_bounds,
     vertex_a,
 )
 
@@ -43,7 +45,6 @@ ALL_SCHEMES = (SCHEME_SINGLE, SCHEME_RS, SCHEME_COOP, SCHEME_MCP, SCHEME_BOUND)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Five golden-section steps shrink a bracket by 0.618^5 < 1/10.
 _GOLDEN_ITERS_PER_PASS = 5
-_MCP_SEARCH_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -51,21 +52,17 @@ class OptimizerConfig:
     """Knobs of the power-split search.
 
     coarse_points grid values per split dimension, then refine_iters local
-    passes each shrinking the search window by 10x. rate_tol documents the
-    accuracy target of the returned rate for smooth objectives.
+    passes each shrinking the search window by 10x.
     """
 
     coarse_points: int = 101
     refine_iters: int = 3
-    rate_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.coarse_points < 11:
             raise ValueError(f"coarse_points must be >= 11, got {self.coarse_points}")
         if self.refine_iters < 0:
             raise ValueError(f"refine_iters must be >= 0, got {self.refine_iters}")
-        if not (math.isfinite(self.rate_tol) and self.rate_tol > 0.0):
-            raise ValueError(f"rate_tol must be positive, got {self.rate_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -327,32 +324,10 @@ def _coop2_lines(work: NetworkParams, f2: np.ndarray) -> list[tuple[float, float
     return [(float(a), float(b), np.asarray(c)[None, :]) for (a, b), c in bounds.items()]
 
 
-def _mcp2_lines(work: NetworkParams, f2: np.ndarray,
-                nodes: int = _MCP_SEARCH_NODES) -> list[tuple[float, float, np.ndarray]]:
-    """Joint-decoding bounds on an f2 grid via a dense midpoint rule.
-
-    Only used to steer the split search (the periodic analytic integrands
-    make the fixed rule accurate far beyond the search's needs); the final
-    region at the winning split goes through the adaptive quadrature path.
-    """
-    g = math.sqrt(work.gamma2)
-    e = math.sqrt(work.eta2)
-    x = (np.arange(nodes) + 0.5) / nodes
-    hp2 = (g + 2.0 * e * np.cos(2.0 * np.pi * x)) ** 2
-    hc2 = (g + 2.0 * e
-           + 2.0 * (g + e) * np.cos(2.0 * np.pi * x)
-           + 2.0 * e * np.cos(4.0 * np.pi * x)) ** 2
+def _mcp2_lines(work: NetworkParams, f2: np.ndarray) -> list[tuple[float, float, np.ndarray]]:
     p_private = f2 * work.p2
-    per_code = (work.p2 - p_private) / 3.0
-    i_private = np.log2(1.0 + p_private[None, :] * hp2[:, None]).mean(axis=0)
-    i_common = np.log2(1.0 + per_code[None, :] * hc2[:, None]).mean(axis=0)
-    i_sum = np.log2(1.0 + p_private[None, :] * hp2[:, None]
-                    + per_code[None, :] * hc2[:, None]).mean(axis=0)
-    return [
-        (1.0, 0.0, i_private[None, :]),
-        (0.0, 1.0, i_common[None, :]),
-        (1.0, 1.0, i_sum[None, :]),
-    ]
+    bounds = mcp_bounds(work.gamma2, work.eta2, p_private, work.p2 - p_private)
+    return [(float(a), float(b), np.asarray(c)[None, :]) for (a, b), c in bounds.items()]
 
 
 def _search_joint_splits(work: NetworkParams, hop2_lines_fn,
@@ -408,14 +383,13 @@ def coop(params: NetworkParams, cfg: OptimizerConfig | None = None) -> SchemeRes
     return _joint_result(SCHEME_COOP, params, (f1, f2), lp)
 
 
-def mcp(params: NetworkParams, cfg: OptimizerConfig | None = None,
-        quad_tol: float = DEFAULT_TOL) -> SchemeResult:
+def mcp(params: NetworkParams, cfg: OptimizerConfig | None = None) -> SchemeResult:
     """Cooperative second hop decoded jointly across all base stations."""
     cfg = cfg or OptimizerConfig()
     work = params.effective()
     f1, f2 = _search_joint_splits(work, _mcp2_lines, cfg)
     lp = max_sum_rate(hop1_region(work, HopSplit(f1)),
-                      hop2_mcp_region(work, HopSplit(f2), tol=quad_tol))
+                      hop2_mcp_region(work, HopSplit(f2)))
     return _joint_result(SCHEME_MCP, params, (f1, f2), lp)
 
 
@@ -424,12 +398,12 @@ def mcp(params: NetworkParams, cfg: OptimizerConfig | None = None,
 # ---------------------------------------------------------------------------
 
 _VSI_PATTERNS = (
-    # (own codewords, cross codewords, count of such subsets, label)
-    (1, 0, 1, "common-1user-own"),
-    (0, 1, 2, "common-1user-cross"),
-    (1, 1, 2, "common-2user-mixed"),
-    (0, 2, 1, "common-2user-cross"),
-    (1, 2, 1, "common-3user"),
+    # (own codewords, cross codewords, label)
+    (1, 0, "common-1user-own"),
+    (0, 1, "common-1user-cross"),
+    (1, 1, "common-2user-mixed"),
+    (0, 2, "common-2user-cross"),
+    (1, 2, "common-3user"),
 )
 
 
@@ -474,7 +448,7 @@ def vsi_check(params: NetworkParams) -> tuple[bool, str]:
     ok = True
     binding = ""
     worst = math.inf
-    for n_own, n_cross, _, label in _VSI_PATTERNS:
+    for n_own, n_cross, label in _VSI_PATTERNS:
         users = n_own + n_cross
         power = (n_own * work.beta2 + n_cross * work.alpha2) * work.p1
         slack = capacity(power) / users - target

@@ -145,17 +145,17 @@ def test_criterion_04_quadrature_vs_midpoint_oracle():
                                                                    math.log(20.0)))))
         split = HopSplit(float(rng.uniform(0.0, 1.0)))
         bounds = {h.label: h.bound
-                  for h in hop2_mcp_region(params, split, tol=1e-9).halfspaces}
+                  for h in hop2_mcp_region(params, split).halfspaces}
         pw = split.powers(params.p2)
         reference_fns = oracle.mcp_reference_integrands(params.gamma2, params.eta2,
                                                         pw.p_private, pw.p_common)
         for name, label in labels.items():
             reference = riemann_integral(reference_fns[name], 1_000_000)
             worst = max(worst, abs(bounds[label] - reference))
-    ok = worst <= 1e-8
-    report(4, "adaptive quadrature vs 1e6-node midpoint (50 draws)", ok,
+    ok = worst <= 1e-12
+    report(4, "closed-form MCP bounds vs 1e6-node midpoint (50 draws)", ok,
            f"max gap {worst:.2e}")
-    assert worst <= 1e-8
+    assert worst <= 1e-12
 
 
 def test_criterion_05_scheme_orderings(fig_sweeps):

@@ -7,7 +7,6 @@ import pytest
 from meshrates import oracle
 from meshrates.cli import main, parse_power
 from meshrates.oracle import OracleReport
-from meshrates.quadrature import QuadratureError, QuadratureResult
 
 CLEAN = ["--alpha2", "0", "--beta2", "1", "--gamma2", "1", "--eta2", "0",
          "--p1", "0dB", "--p2", "0dB"]
@@ -232,17 +231,5 @@ class TestVerify:
 
 
 class TestExitCodes:
-    def test_numeric_failure_exits_2(self, capsys, monkeypatch):
-        def explode(params, split, tol=1e-9):
-            raise QuadratureError("cap", QuadratureResult(0.0, float("inf"), 2000))
-
-        import meshrates.cli as cli_module
-        monkeypatch.setattr(cli_module, "hop2_mcp_region", explode)
-        code, _, err = run(capsys, "region", "--hop", "2mcp", "--alpha2", "0.4",
-                           "--beta2", "1", "--gamma2", "1", "--eta2", "0.5",
-                           "--p1", "2", "--p2", "1")
-        assert code == 2
-        assert "numeric failure" in err
-
     def test_help_exits_0(self, capsys):
         assert run(capsys, "--help")[0] == 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meshrates import schemes
+from meshrates import oracle, schemes
 from meshrates.model import HopSplit, NetworkParams
 from meshrates.oracle import (
     dense_split_scan,
@@ -148,11 +148,24 @@ class TestSuite:
         reports = run_suite(seed=0)
         failing = [r.name for r in reports if not r.passed]
         assert not failing, f"failing checks: {failing}"
+        assert tuple(r.name for r in reports) == oracle._CHECK_NAMES
 
     def test_deterministic_for_fixed_seed(self):
         lines_a = [r.line() for r in run_suite(seed=7)]
         lines_b = [r.line() for r in run_suite(seed=7)]
         assert lines_a == lines_b
+
+    def test_filter_runs_only_matching_checks(self, monkeypatch):
+        ran = []
+
+        def stub(name):
+            return lambda seed: ran.append(name)
+
+        monkeypatch.setattr(oracle, "_CHECKS",
+                            tuple(stub(name) for name in oracle._CHECK_NAMES))
+        run_suite(seed=0, name_filter="vsi")
+        assert ran and all("vsi" in name for name in ran)
+        assert len(ran) == sum("vsi" in name for name in oracle._CHECK_NAMES)
 
     def test_filter_subsets_without_changing_draws(self):
         full = {r.name: r.line() for r in run_suite(seed=1)}

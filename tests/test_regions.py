@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meshrates import oracle
 from meshrates.model import HopSplit, NetworkParams
 from meshrates.polytope import contains, max_sum_rate, vertices
 from meshrates.regions import (
@@ -11,6 +13,7 @@ from meshrates.regions import (
     hop2_coop_region,
     hop2_mcp_region,
     hop2_rs_region,
+    mcp_bounds,
     vertex_a,
     vertices_bc,
 )
@@ -155,7 +158,7 @@ class TestHop2McpRegion:
         # gamma2=1, eta2=0.25, P_2p=1, P_2c=0; value pinned by the
         # 1e6-node midpoint oracle before the build
         params = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.25, p1=2.0, p2=1.0)
-        bounds = region_bounds(hop2_mcp_region(params, HopSplit(1.0), tol=1e-9))
+        bounds = region_bounds(hop2_mcp_region(params, HopSplit(1.0)))
         assert bounds["private-single"] == pytest.approx(1.0621925376590453, abs=1e-8)
 
     @given(networks(paper_regime=False), fractions)
@@ -165,9 +168,34 @@ class TestHop2McpRegion:
         assert bounds["sum-joint"] >= max(bounds["private-single"],
                                           bounds["common-joint"]) - 1e-12
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            hop2_mcp_region(FIG2, HALF, tol=0.0)
+
+
+class TestMcpBounds:
+    @pytest.mark.parametrize("eta2,p_private,p_common", [
+        (1e-12, 2.0, 3.0), (1e-20, 2.0, 3.0), (1e-100, 2.0, 3.0),
+        (1e-300, 2.0, 3.0), (5e-324, 2.0, 3.0), (0.0, 2.0, 3.0),
+        (0.4, 1e-300, 3.0),
+    ])
+    def test_tiny_gains_and_powers_match_midpoint(self, eta2, p_private, p_common):
+        # A root-finding route that keeps tiny leading coefficients sends a
+        # root towards overflow here and returns wrong or non-finite bounds.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bounds = mcp_bounds(1.0, eta2, p_private, p_common)
+        reference = oracle.mcp_reference_integrands(1.0, eta2, p_private, p_common)
+        for key, name in (((1, 0), "private"), ((0, 1), "common"), ((1, 1), "sum")):
+            value = float(bounds[key])
+            assert math.isfinite(value)
+            assert value == pytest.approx(
+                oracle.riemann_integral(reference[name], 2 ** 16), abs=1e-10)
+
+    def test_array_powers_match_scalar_calls(self):
+        p_private = [0.0, 0.5, 1.0, 3.0]
+        p_common = [3.0, 2.5, 2.0, 0.0]
+        batched = mcp_bounds(1.0, 0.4, p_private, p_common)
+        for i, (pp, pc) in enumerate(zip(p_private, p_common)):
+            for key, value in mcp_bounds(1.0, 0.4, pp, pc).items():
+                assert batched[key][i] == pytest.approx(float(value), abs=1e-14)
 
 
 class TestFilterTaps:

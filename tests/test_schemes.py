@@ -42,11 +42,9 @@ def networks(draw):
 class TestOptimizerConfig:
     def test_defaults(self):
         cfg = OptimizerConfig()
-        assert cfg.coarse_points == 101 and cfg.refine_iters == 3 and cfg.rate_tol == 1e-6
+        assert cfg.coarse_points == 101 and cfg.refine_iters == 3
 
-    @pytest.mark.parametrize("kwargs", [
-        {"coarse_points": 10}, {"rate_tol": 0.0}, {"refine_iters": -1},
-    ])
+    @pytest.mark.parametrize("kwargs", [{"coarse_points": 10}, {"refine_iters": -1}])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
