@@ -44,7 +44,9 @@ class TestOptimizerConfig:
         cfg = OptimizerConfig()
         assert cfg.coarse_points == 101 and cfg.refine_iters == 3
 
-    @pytest.mark.parametrize("kwargs", [{"coarse_points": 10}, {"refine_iters": -1}])
+    @pytest.mark.parametrize("kwargs", [
+        {"coarse_points": 10}, {"coarse_points": 0}, {"refine_iters": -1},
+    ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
