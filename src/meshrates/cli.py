@@ -6,7 +6,8 @@ dumps), ``threshold`` / ``optsplit`` (very-strong-interference thresholds and
 optimal power fractions), and ``verify`` (oracle suite).
 
 Every flag can also come from a ``key=value`` config file (``--config``);
-explicit flags win. Powers accept linear values or a trailing ``dB``.
+explicit flags win, and a key that names no subcommand's option is a usage
+error. Powers accept linear values or a trailing ``dB``.
 
 Exit codes: 0 success, 1 usage error, 3 verification failure.
 """
@@ -62,9 +63,19 @@ def _fmt(x: float) -> str:
 # Config file + flag resolution
 # ---------------------------------------------------------------------------
 
+def _config_keys() -> set[str]:
+    """Keys a config file may set: every subcommand's option names, so one
+    file can be shared between subcommands."""
+    return {opt.lstrip("-").replace("-", "_")
+            for command in cli.commands.values()
+            for param in command.params
+            for opt in param.opts}
+
+
 def _load_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
+    allowed = _config_keys()
     config: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -76,6 +87,8 @@ def _load_config(path: str | None) -> dict[str, str]:
                     raise click.UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, value = line.split("=", 1)
                 key = key.strip().replace("-", "_")
+                if key not in allowed:
+                    raise click.UsageError(f"{path}:{lineno}: unknown config key {key!r}")
                 if key in config:
                     config[key] = config[key] + "," + value.strip()
                 else:

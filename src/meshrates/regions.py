@@ -140,6 +140,39 @@ def coop_bounds(gamma2, eta2, p_private, p_common):
 
 
 _DROP_TOL = 1e-17  # see _log2_mahler
+_EVAL_ROUNDING = 16.0 * np.finfo(float).eps  # see _newton_step
+
+
+def _newton_step(coefs: np.ndarray, w: np.ndarray, is_root: np.ndarray) -> np.ndarray:
+    """One Newton step for every root ``w[i, k]`` (where ``is_root[i, k]``) of
+    the polynomial with ascending coefficients ``coefs[i]``.
+
+    Eigenvalues of a companion matrix with a tiny leading coefficient come
+    back ~1e-11 off for the small roots; one step on the truncated polynomial
+    brings them to rounding level. A root where |P| is already within the
+    rounding error of evaluating P is left alone (near a double root the
+    step would only move it by noise), and so is one where the step does not
+    lower |P|.
+    """
+    descending = coefs[:, ::-1, None].transpose(1, 0, 2)
+    value = np.zeros_like(w)
+    slope = np.zeros_like(w)
+    scale = np.zeros(w.shape)
+    radius = np.abs(w)
+    stepped_value = np.zeros_like(w)
+    # Where P overflows at w or at the stepped point the comparisons below
+    # see inf or nan and the step is not taken.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in descending:
+            slope = slope * w + value
+            value = value * w + c
+            scale = scale * radius + np.abs(c)
+        step = is_root & (np.abs(value) > _EVAL_ROUNDING * scale) & (slope != 0.0)
+        stepped = w - np.where(step, value, 0.0) / np.where(step, slope, 1.0)
+        for c in descending:
+            stepped_value = stepped_value * stepped + c
+        step &= np.abs(stepped_value) < np.abs(value)
+    return np.where(step, stepped, w)
 
 
 def _log2_mahler(coefs: np.ndarray) -> np.ndarray:
@@ -153,14 +186,15 @@ def _log2_mahler(coefs: np.ndarray) -> np.ndarray:
     their tail is below _DROP_TOL: on [-2, 2] that moves P >= 1 by less than
     1e-17, the value by less than 2e-17 bits, and it keeps a tiny but positive
     coefficient from sending a root towards overflow. The roots of each degree
-    come from one batched eigenvalue call on stacked companion matrices.
+    come from one batched eigenvalue call on stacked companion matrices, and
+    are then polished by one Newton step on the truncated polynomials.
     """
     a = coefs.reshape(-1, coefs.shape[-1])
     scaled = np.abs(a) * [1.0, 2.0, 4.0, 8.0, 16.0]  # |a_j| 2^j
     tails = np.cumsum(scaled[:, ::-1], axis=1)[:, ::-1]
     degree = (tails[:, 1:] > _DROP_TOL).sum(axis=1)
     lead = a[np.arange(len(a)), degree]
-    total = np.log2(np.abs(lead))
+    w = np.zeros((len(a), 4), dtype=complex)
     for d in range(1, 5):
         rows = degree == d
         if not rows.any():
@@ -168,9 +202,12 @@ def _log2_mahler(coefs: np.ndarray) -> np.ndarray:
         companion = np.zeros((rows.sum(), d, d))
         companion[:, 0, :] = -a[rows, d - 1::-1] / lead[rows, None]
         companion[:, 1:, :-1] = np.eye(d - 1)
-        w = np.linalg.eigvals(companion).astype(complex)
-        s = np.sqrt(w * w - 4.0)
-        total[rows] += np.log2(np.maximum(np.abs(w + s), np.abs(w - s))).sum(axis=1) - d
+        w[rows, :d] = np.linalg.eigvals(companion)
+    is_root = np.arange(4) < degree[:, None]
+    w = _newton_step(np.where(np.arange(5) <= degree[:, None], a, 0.0), w, is_root)
+    s = np.sqrt(w * w - 4.0)
+    log_j = np.where(is_root, np.log2(np.maximum(np.abs(w + s), np.abs(w - s))), 0.0)
+    total = np.log2(np.abs(lead)) + (log_j.sum(axis=1) - degree)
     return total.reshape(coefs.shape[:-1])
 
 
@@ -271,19 +308,38 @@ def hop2_mcp_region(params: NetworkParams, split: HopSplit) -> RateRegion:
 # Analytic corner points
 # ---------------------------------------------------------------------------
 
-def corner_sum_rate(cross2, intra2, p_private, p_common):
-    """Maximum R_p + R_c over the reduced MAC region (vectorized).
+def corner_rates(cross2, intra2, p_private, p_common, log1p_rate=_log1p_rate):
+    """Private rate and the two-user and three-user per-codeword common-rate
+    bounds at the hop's sum-rate-maximizing corner.
 
-    Achieved by jointly decoding the three common codewords first (all
-    private signals still on air), cancelling them, then decoding the
-    private codeword interference-free from same-cell common signals.
+    The three common codewords are decoded jointly first (all private
+    signals still on air) and cancelled; the private codeword is then
+    decoded free of same-cell common signals. ``log1p_rate`` maps an SINR to
+    a rate: the default is vectorized, ``capacity`` keeps scalars on
+    ``math.log2``.
     """
     noise0 = 1.0 + 2.0 * cross2 * p_private
     noise_first = 1.0 + (2.0 * cross2 + intra2) * p_private
-    r_private = _log1p_rate(intra2 * p_private / noise0)
-    rc_two = 0.5 * _log1p_rate(2.0 * cross2 * p_common / noise_first)
-    rc_three = _log1p_rate((2.0 * cross2 + intra2) * p_common / noise_first) / 3.0
+    r_private = log1p_rate(intra2 * p_private / noise0)
+    rc_two = 0.5 * log1p_rate(2.0 * cross2 * p_common / noise_first)
+    rc_three = log1p_rate((2.0 * cross2 + intra2) * p_common / noise_first) / 3.0
+    return r_private, rc_two, rc_three
+
+
+def corner_sum_rate(cross2, intra2, p_private, p_common):
+    """Maximum R_p + R_c over the reduced MAC region (vectorized)."""
+    r_private, rc_two, rc_three = corner_rates(cross2, intra2, p_private, p_common)
     return r_private + np.minimum(rc_two, rc_three)
+
+
+def hop_terms(params: NetworkParams, hop: int) -> tuple[float, float, float]:
+    """(cross2, intra2, total power) of one hop; hop 2 follows the plain
+    substitution rule."""
+    if hop == 1:
+        return params.alpha2, params.beta2, params.p1
+    if hop == 2:
+        return params.eta2, params.gamma2, params.p2
+    raise ValueError(f"hop must be 1 or 2, got {hop!r}")
 
 
 def vertex_a(params: NetworkParams, split: HopSplit, hop: int = 1) -> tuple[RatePair, float]:
@@ -292,20 +348,11 @@ def vertex_a(params: NetworkParams, split: HopSplit, hop: int = 1) -> tuple[Rate
     Returns the corner itself and its sum rate. ``hop`` selects which hop's
     gains and power are used (hop 2 follows the plain substitution rule).
     """
-    if hop == 1:
-        cross2, intra2, total = params.alpha2, params.beta2, params.p1
-    elif hop == 2:
-        cross2, intra2, total = params.eta2, params.gamma2, params.p2
-    else:
-        raise ValueError(f"hop must be 1 or 2, got {hop!r}")
+    cross2, intra2, total = hop_terms(params, hop)
     pw = split.powers(total)
-    noise0 = 1.0 + 2.0 * cross2 * pw.p_private
-    noise_first = 1.0 + (2.0 * cross2 + intra2) * pw.p_private
-    r_private = capacity(intra2 * pw.p_private / noise0)
-    rc_two = 0.5 * capacity(2.0 * cross2 * pw.p_common / noise_first)
-    rc_three = capacity((2.0 * cross2 + intra2) * pw.p_common / noise_first) / 3.0
-    r_common = min(rc_two, rc_three)
-    point = RatePair(r_private, r_common)
+    r_private, rc_two, rc_three = corner_rates(cross2, intra2, pw.p_private, pw.p_common,
+                                               capacity)
+    point = RatePair(r_private, min(rc_two, rc_three))
     return point, point.total
 
 

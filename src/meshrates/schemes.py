@@ -5,8 +5,9 @@ supports, optimizing the private/common power split of each hop. The split
 searches run on a coarse grid first (the objectives are minima of concave
 pieces, hence not concave) and then refine locally; the returned rates are
 re-evaluated through the exact region/LP path at the winning splits. The
-joint-decoding (mcp) search and its final region read the same closed-form
-bounds.
+joint (f1, f2) searches of coop and mcp evaluate the same greedy max-sum LP
+as ``polytope.max_sum_rate``, on broadcast grids of constraint bounds, and
+the mcp search and its final region read the same closed-form bounds.
 
 Half duplex scales every final rate by 1/2; the optional power boost doubles
 both transmit powers first.
@@ -16,20 +17,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .model import HopSplit, NetworkParams, RatePair, capacity
-from .polytope import LPSolution, max_sum_rate
+from .polytope import LPSolution, greedy_max_sum, max_sum_rate
 from .regions import (
     LABEL_COMMON2,
     LABEL_COMMON3,
     coop_bounds,
+    corner_rates,
     corner_sum_rate,
     hop1_region,
     hop2_coop_region,
     hop2_mcp_region,
+    hop_terms,
     mac_bounds,
     mcp_bounds,
     vertex_a,
@@ -155,14 +157,15 @@ def _common_bound_crossings(cross2: float, intra2: float, total: float,
 
     def diff(f: float) -> float:
         pw = HopSplit(f).powers(total)
-        noise_first = 1.0 + (2.0 * cross2 + intra2) * pw.p_private
-        return (0.5 * math.log2(1.0 + 2.0 * cross2 * pw.p_common / noise_first)
-                - math.log2(1.0 + (2.0 * cross2 + intra2) * pw.p_common / noise_first) / 3.0)
+        _, rc_two, rc_three = corner_rates(cross2, intra2, pw.p_private, pw.p_common, capacity)
+        return rc_two - rc_three
 
-    signs = [diff(float(f)) for f in fs]
+    p_common = total - fs * total  # exactly as HopSplit.powers splits
+    _, rc_two, rc_three = corner_rates(cross2, intra2, total - p_common, p_common)
+    signs = rc_two - rc_three
     crossings = []
     for k in range(len(fs) - 1):
-        lo_val, hi_val = signs[k], signs[k + 1]
+        lo_val, hi_val = float(signs[k]), float(signs[k + 1])
         if lo_val == 0.0:
             crossings.append(float(fs[k]))
             continue
@@ -212,14 +215,9 @@ def _optimize_hop_split(cross2: float, intra2: float, total: float,
 
 def _corner_binding(params: NetworkParams, split: HopSplit, hop: int) -> tuple[str, ...]:
     """Which common-rate bound attains the min at the hop's corner point."""
-    if hop == 1:
-        cross2, intra2, total = params.alpha2, params.beta2, params.p1
-    else:
-        cross2, intra2, total = params.eta2, params.gamma2, params.p2
+    cross2, intra2, total = hop_terms(params, hop)
     pw = split.powers(total)
-    noise_first = 1.0 + (2.0 * cross2 + intra2) * pw.p_private
-    rc_two = 0.5 * capacity(2.0 * cross2 * pw.p_common / noise_first)
-    rc_three = capacity((2.0 * cross2 + intra2) * pw.p_common / noise_first) / 3.0
+    _, rc_two, rc_three = corner_rates(cross2, intra2, pw.p_private, pw.p_common, capacity)
     if abs(rc_two - rc_three) <= 1e-12:
         return (LABEL_COMMON2, LABEL_COMMON3)
     return (LABEL_COMMON2,) if rc_two < rc_three else (LABEL_COMMON3,)
@@ -288,30 +286,6 @@ def optimal_private_fraction(params: NetworkParams,
 # Joint (f1, f2) optimization for cooperative / joint-decoding second hops
 # ---------------------------------------------------------------------------
 
-def _lp_values_grid(lines: list[tuple[float, float, np.ndarray]]) -> np.ndarray:
-    """Max of R_p + R_c over broadcast grids of constraint bounds.
-
-    ``lines`` holds (coef_private, coef_common, bound_array); bound arrays
-    broadcast against each other to the grid shape. Enumerates pairwise line
-    intersections exactly like the scalar LP, vectorized over the grid.
-    """
-    shape = np.broadcast_shapes(*(np.shape(c) for _, _, c in lines))
-    all_lines = lines + [(1.0, 0.0, np.float64(0.0)), (0.0, 1.0, np.float64(0.0))]
-    best = np.zeros(shape)
-    for (a1, b1, c1), (a2, b2, c2) in combinations(all_lines, 2):
-        det = a1 * b2 - a2 * b1
-        if abs(det) < 1e-15:
-            continue
-        x = (c1 * b2 - c2 * b1) / det
-        y = (a1 * c2 - a2 * c1) / det
-        feas = (x >= -1e-12) & (y >= -1e-12)
-        for a, b, c in lines:
-            feas = feas & (a * x + b * y <= c + 1e-12)
-        value = np.where(feas, x + y, -np.inf)
-        best = np.maximum(best, np.broadcast_to(value, shape))
-    return best
-
-
 def _hop1_lines(work: NetworkParams, f1: np.ndarray) -> list[tuple[float, float, np.ndarray]]:
     p_private = f1 * work.p1
     bounds = mac_bounds(work.alpha2, work.beta2, p_private, work.p1 - p_private)
@@ -330,16 +304,19 @@ def _mcp2_lines(work: NetworkParams, f2: np.ndarray) -> list[tuple[float, float,
     return [(float(a), float(b), np.asarray(c)[None, :]) for (a, b), c in bounds.items()]
 
 
+def _joint_values(work: NetworkParams, hop2_lines_fn, f1: np.ndarray,
+                  f2: np.ndarray) -> np.ndarray:
+    """Max-sum LP value of hop 1 at f1[i] intersected with hop 2 at f2[j]."""
+    r_private, r_common = greedy_max_sum(_hop1_lines(work, f1) + hop2_lines_fn(work, f2))
+    return r_private + r_common
+
+
 def _search_joint_splits(work: NetworkParams, hop2_lines_fn,
                          cfg: OptimizerConfig) -> tuple[float, float]:
     """Coarse 2-D grid over (f1, f2) plus shrinking local grid refinement."""
     f1 = np.linspace(0.0, 1.0, cfg.coarse_points)
     f2 = np.linspace(0.0, 1.0, cfg.coarse_points)
-
-    def evaluate(f1_vals: np.ndarray, f2_vals: np.ndarray) -> np.ndarray:
-        return _lp_values_grid(_hop1_lines(work, f1_vals) + hop2_lines_fn(work, f2_vals))
-
-    values = evaluate(f1, f2)
+    values = _joint_values(work, hop2_lines_fn, f1, f2)
     flat = _pick_last_max(values.ravel())
     i, j = divmod(flat, values.shape[1])
     best_f1, best_f2 = float(f1[i]), float(f2[j])
@@ -348,7 +325,7 @@ def _search_joint_splits(work: NetworkParams, hop2_lines_fn,
     for _ in range(cfg.refine_iters):
         f1_local = np.clip(np.linspace(best_f1 - window, best_f1 + window, 11), 0.0, 1.0)
         f2_local = np.clip(np.linspace(best_f2 - window, best_f2 + window, 11), 0.0, 1.0)
-        local = evaluate(f1_local, f2_local)
+        local = _joint_values(work, hop2_lines_fn, f1_local, f2_local)
         flat = _pick_last_max(local.ravel())
         i, j = divmod(flat, local.shape[1])
         best_f1, best_f2 = float(f1_local[i]), float(f2_local[j])

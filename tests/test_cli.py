@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -8,6 +9,7 @@ from meshrates import oracle
 from meshrates.cli import main, parse_power
 from meshrates.oracle import OracleReport
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 CLEAN = ["--alpha2", "0", "--beta2", "1", "--gamma2", "1", "--eta2", "0",
          "--p1", "0dB", "--p2", "0dB"]
 
@@ -138,6 +140,26 @@ class TestSweep:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("line", ["bogus_key=1", "tol=1e-3", "rate_tol=5"])
+    def test_unknown_key_is_usage_error(self, capsys, tmp_path, line):
+        config = tmp_path / "point.cfg"
+        config.write_text(f"beta2=1\n{line}\n")
+        code, out, err = run(capsys, "point", "--config", str(config), *CLEAN,
+                             "--schemes", "single")
+        assert code == 1 and out == ""
+        assert f"{config}:2" in err
+        assert repr(line.split("=")[0]) in err
+
+    @pytest.mark.parametrize("name", ["fig3_p0db", "fig3_p10db", "fig4_p3db", "fig5_p10db"])
+    def test_figure_configs_still_sweep(self, capsys, name):
+        code, out, _ = run(capsys, "sweep", "--config", str(ROOT / "configs" / f"{name}.cfg"),
+                           "--range", "0.5:0.5:1", "--schemes", "single")
+        assert code == 0
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["0.5"]
 
 
 class TestRegion:

@@ -1,10 +1,18 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meshrates.model import HopSplit, NetworkParams, RatePair
 from meshrates.oracle import grid_max_sum
-from meshrates.polytope import contains, max_sum_rate, vertices
-from meshrates.regions import Halfspace, RateRegion, hop1_region, vertex_a
+from meshrates.polytope import _DEDUP_TOL, contains, max_sum_rate, vertices
+from meshrates.regions import (
+    Halfspace,
+    RateRegion,
+    hop1_region,
+    hop2_coop_region,
+    hop2_mcp_region,
+    hop2_rs_region,
+    vertex_a,
+)
 
 FIG2 = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=2.0)
 HALF = HopSplit(0.5)
@@ -38,6 +46,24 @@ def regions(draw):
     )
 
 
+BUILDERS = (hop1_region, hop2_rs_region, hop2_coop_region, hop2_mcp_region)
+
+
+@st.composite
+def builder_regions(draw):
+    """A region from one of the four builders; inter-cell gains up to twice
+    the intra-cell ones, so each hop is out of regime in half the draws."""
+    beta2 = draw(st.floats(min_value=0.2, max_value=2.5))
+    gamma2 = draw(st.floats(min_value=0.2, max_value=2.5))
+    params = NetworkParams(
+        alpha2=draw(st.floats(min_value=0.0, max_value=2.0 * beta2)), beta2=beta2,
+        gamma2=gamma2, eta2=draw(st.floats(min_value=0.0, max_value=2.0 * gamma2)),
+        p1=draw(st.floats(min_value=0.05, max_value=20.0)),
+        p2=draw(st.floats(min_value=0.05, max_value=20.0)))
+    split = HopSplit(draw(st.floats(min_value=0.0, max_value=1.0)))
+    return draw(st.sampled_from(BUILDERS))(params, split)
+
+
 class TestMaxSumRate:
     def test_hand_enumerated_example(self):
         lp = max_sum_rate(HAND_LP)
@@ -64,6 +90,34 @@ class TestMaxSumRate:
         lp = max_sum_rate(region)
         assert lp.degenerate
         assert (lp.point.r_private, lp.point.r_common) == (1.0, 0.0)
+
+    def test_zero_length_face_is_not_degenerate(self):
+        # sum-joint binds, but the common bound pins the optimum to one point
+        region = make_region((1, 0, 1.0, "private-single"), (0, 2, 1.0, "common-2user"),
+                             (1, 1, 1.5, "sum-joint"), (1, 2, 2.0, "sum-2"))
+        lp = max_sum_rate(region)
+        assert (lp.point.r_private, lp.point.r_common) == (1.0, 0.5)
+        assert set(lp.binding) == {"private-single", "common-2user", "sum-joint", "sum-2"}
+        assert not lp.degenerate
+
+    def test_common_coefficient_below_private_is_refused(self):
+        # with 0 < coef_common < coef_private the greedy answer is not the optimum
+        region = make_region((1, 0, 1.0, "private-single"), (0, 1, 1.0, "common-single"),
+                             (2, 1, 1.5, "skewed"))
+        with pytest.raises(ValueError, match="coef_common >= coef_private"):
+            max_sum_rate(region)
+
+    @given(st.one_of(regions(), builder_regions()))
+    @example(make_region((1, 0, 1e-305, "private-single"), (0, 2, 3.0, "common-2user"),
+                         (1, 2, 1.0, "sum-2"), (1, 3, 1.0, "sum-3")))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_best_vertex(self, region):
+        # vertices() enumerates pairwise intersections: an independent route.
+        # It merges points closer than 1e-10, so in a region smaller than
+        # that its best vertex may sit up to 2e-10 below the optimum.
+        lp = max_sum_rate(region)
+        gap = lp.value - max(v.total for v in vertices(region))
+        assert -1e-12 <= gap <= 1e-12 + 2 * _DEDUP_TOL
 
     def test_multi_region_labels_qualified(self):
         lp = max_sum_rate(hop1_region(FIG2, HALF), BOX)

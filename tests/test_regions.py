@@ -178,16 +178,19 @@ class TestMcpBounds:
     ])
     def test_tiny_gains_and_powers_match_midpoint(self, eta2, p_private, p_common):
         # A root-finding route that keeps tiny leading coefficients sends a
-        # root towards overflow here and returns wrong or non-finite bounds.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            bounds = mcp_bounds(1.0, eta2, p_private, p_common)
-        reference = oracle.mcp_reference_integrands(1.0, eta2, p_private, p_common)
-        for key, name in (((1, 0), "private"), ((0, 1), "common"), ((1, 1), "sum")):
-            value = float(bounds[key])
-            assert math.isfinite(value)
-            assert value == pytest.approx(
-                oracle.riemann_integral(reference[name], 2 ** 16), abs=1e-10)
+        # root towards overflow here and returns wrong or non-finite bounds;
+        # unpolished companion-matrix roots are ~1e-11 off at eta2 = 1e-20.
+        for gamma2 in (0.2, 1.0, 2.5):
+            for pp, pc in ((p_private, p_common), (0.0, 1.0), (1.0, 1.0), (5.0, 20.0)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    bounds = mcp_bounds(gamma2, eta2, pp, pc)
+                reference = oracle.mcp_reference_integrands(gamma2, eta2, pp, pc)
+                for key, name in (((1, 0), "private"), ((0, 1), "common"), ((1, 1), "sum")):
+                    value = float(bounds[key])
+                    assert math.isfinite(value)
+                    assert value == pytest.approx(
+                        oracle.riemann_integral(reference[name], 2 ** 16), abs=1e-13)
 
     def test_array_powers_match_scalar_calls(self):
         p_private = [0.0, 0.5, 1.0, 3.0]

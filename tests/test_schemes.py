@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshrates.model import NetworkParams, db_to_linear
+from meshrates.model import HopSplit, NetworkParams, db_to_linear
+from meshrates.polytope import max_sum_rate
+from meshrates.regions import hop1_region, hop2_coop_region, hop2_mcp_region
 from meshrates.schemes import (
     OptimizerConfig,
+    _coop2_lines,
+    _joint_values,
+    _mcp2_lines,
     coop,
     first_hop_upper_bound,
     mcp,
@@ -143,6 +148,24 @@ class TestCoop:
                         tol=1e-9)
         assert contains(hop2_coop_region(params, result.split_hop2), result.operating_point,
                         tol=1e-9)
+
+
+class TestJointValues:
+    @pytest.mark.parametrize("lines_fn,builder", [
+        (_coop2_lines, hop2_coop_region), (_mcp2_lines, hop2_mcp_region),
+    ])
+    def test_grid_matches_scalar_lp(self, lines_fn, builder):
+        # the split search reads the same greedy LP as max_sum_rate, on arrays
+        fs = np.array([0.0, 0.13, 0.5, 0.87, 1.0])
+        for work in (symmetric(0.4, 2.0, 1.0),
+                     NetworkParams(alpha2=1.5, beta2=1.0, gamma2=0.7, eta2=1.2,
+                                   p1=5.0, p2=0.3)):
+            values = _joint_values(work, lines_fn, fs, fs)
+            for i, f1 in enumerate(fs):
+                for j, f2 in enumerate(fs):
+                    lp = max_sum_rate(hop1_region(work, HopSplit(float(f1))),
+                                      builder(work, HopSplit(float(f2))))
+                    assert abs(values[i, j] - lp.value) <= 1e-12
 
 
 class TestMcp:
