@@ -21,7 +21,6 @@ from .regions import (
 )
 from .polytope import LPSolution, contains, max_sum_rate, vertices
 from .schemes import (
-    OptimizerConfig,
     SchemeResult,
     coop,
     first_hop_upper_bound,
@@ -41,7 +40,6 @@ __all__ = [
     "HopSplit",
     "LPSolution",
     "NetworkParams",
-    "OptimizerConfig",
     "RatePair",
     "RateRegion",
     "SchemeResult",

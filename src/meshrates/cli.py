@@ -5,9 +5,10 @@ e.g. the bundled figure-reproduction configs), ``region`` (halfspace/vertex
 dumps), ``threshold`` / ``optsplit`` (very-strong-interference thresholds and
 optimal power fractions), and ``verify`` (oracle suite).
 
-Every flag can also come from a ``key=value`` config file (``--config``);
-explicit flags win, and a key that names no subcommand's option is a usage
-error. Powers accept linear values or a trailing ``dB``.
+The network parameters and the sweep, region and scheme options can also
+come from a ``key=value`` config file (``--config``); explicit flags win, and
+a key no subcommand reads from a file is a usage error. Powers accept linear
+values or a trailing ``dB``.
 
 Exit codes: 0 success, 1 usage error, 3 verification failure.
 """
@@ -19,7 +20,7 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import click
 
@@ -63,19 +64,17 @@ def _fmt(x: float) -> str:
 # Config file + flag resolution
 # ---------------------------------------------------------------------------
 
-def _config_keys() -> set[str]:
-    """Keys a config file may set: every subcommand's option names, so one
-    file can be shared between subcommands."""
-    return {opt.lstrip("-").replace("-", "_")
-            for command in cli.commands.values()
-            for param in command.params
-            for opt in param.opts}
+# Keys some subcommand reads from a config file, so one file can be shared
+# between subcommands. Options read only from the command line (config, json,
+# method, seed, filter) are not among them.
+_CONFIG_KEYS = frozenset(_PARAM_NAMES) | {
+    "duplex", "power_boost", "schemes", "param", "range", "link", "output", "hop", "f",
+}
 
 
 def _load_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
-    allowed = _config_keys()
     config: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -87,7 +86,7 @@ def _load_config(path: str | None) -> dict[str, str]:
                     raise click.UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, value = line.split("=", 1)
                 key = key.strip().replace("-", "_")
-                if key not in allowed:
+                if key not in _CONFIG_KEYS:
                     raise click.UsageError(f"{path}:{lineno}: unknown config key {key!r}")
                 if key in config:
                     config[key] = config[key] + "," + value.strip()
@@ -135,18 +134,6 @@ def _resolve_network(flags: dict, config: dict[str, str]) -> NetworkParams:
         raise click.UsageError(str(exc))
 
 
-def _resolve_optimizer(flags: dict, config: dict[str, str]) -> schemes.OptimizerConfig:
-    try:
-        return schemes.OptimizerConfig(
-            coarse_points=_resolve(flags, config, "coarse_points", int,
-                                   default=schemes.OptimizerConfig.coarse_points),
-            refine_iters=_resolve(flags, config, "refine_iters", int,
-                                  default=schemes.OptimizerConfig.refine_iters),
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
 def _resolve_schemes(flags: dict, config: dict[str, str]) -> list[str]:
     raw = _resolve(flags, config, "schemes", str, default="all")
     tokens = [t.strip() for t in raw.split(",") if t.strip()]
@@ -163,18 +150,17 @@ def _resolve_schemes(flags: dict, config: dict[str, str]) -> list[str]:
     return [s for s in schemes.ALL_SCHEMES if s in requested]
 
 
-def _evaluate(name: str, params: NetworkParams,
-              cfg: schemes.OptimizerConfig) -> schemes.SchemeResult:
+def _evaluate(name: str, params: NetworkParams) -> schemes.SchemeResult:
     if name == schemes.SCHEME_SINGLE:
         return schemes.single_rate(params)
     if name == schemes.SCHEME_RS:
-        return schemes.rate_splitting(params, cfg)
+        return schemes.rate_splitting(params)
     if name == schemes.SCHEME_COOP:
-        return schemes.coop(params, cfg)
+        return schemes.coop(params)
     if name == schemes.SCHEME_MCP:
-        return schemes.mcp(params, cfg)
+        return schemes.mcp(params)
     if name == schemes.SCHEME_BOUND:
-        return schemes.first_hop_upper_bound(params, cfg)
+        return schemes.first_hop_upper_bound(params)
     raise ValueError(f"unknown scheme {name!r}")
 
 
@@ -192,12 +178,6 @@ def _network_options(fn):
     fn = click.option("--duplex", type=click.Choice(["full", "half"]), default=None)(fn)
     fn = click.option("--power-boost", "power_boost", is_flag=True, default=None,
                       help="half duplex only: double powers before halving rates")(fn)
-    return fn
-
-
-def _optimizer_options(fn):
-    fn = click.option("--coarse-points", type=int, default=None)(fn)
-    fn = click.option("--refine-iters", type=int, default=None)(fn)
     return fn
 
 
@@ -234,7 +214,6 @@ def _result_row(result: schemes.SchemeResult) -> dict:
 @cli.command("point")
 @_config_option
 @_network_options
-@_optimizer_options
 @click.option("--schemes", "schemes_flag", default=None,
               help="comma list: single,rs,coop,mcp,bound or 'all'")
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
@@ -243,9 +222,8 @@ def cmd_point(config_path, schemes_flag, as_json, **flags) -> None:
     config = _load_config(config_path)
     flags["schemes"] = schemes_flag
     params = _resolve_network(flags, config)
-    cfg = _resolve_optimizer(flags, config)
     names = _resolve_schemes(flags, config)
-    results = [_evaluate(name, params, cfg) for name in names]
+    results = [_evaluate(name, params) for name in names]
 
     if as_json:
         payload = {
@@ -300,7 +278,6 @@ class SweepSpec:
     scheme_names: list[str]
     duplex: str = "full"
     power_boost: bool = False
-    optimizer: schemes.OptimizerConfig = field(default_factory=schemes.OptimizerConfig)
 
     def params_at(self, value: float) -> NetworkParams:
         values = dict(self.fixed)
@@ -379,7 +356,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[str]]]:
         params = spec.params_at(value)
         cells = {spec.param: _fmt(value)}
         for name in spec.scheme_names:
-            result = _evaluate(name, params, spec.optimizer)
+            result = _evaluate(name, params)
             cells[name] = _fmt(result.rate)
             if result.split_hop1 is not None:
                 cells[f"{name}_f1"] = _fmt(result.split_hop1.f_private)
@@ -394,7 +371,6 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[str]]]:
 @cli.command("sweep")
 @_config_option
 @_network_options
-@_optimizer_options
 @click.option("--param", "param_flag", default=None, help="swept parameter name")
 @click.option("--range", "range_flag", default=None, help="start:stop:step (inclusive)")
 @click.option("--link", "link_flag", multiple=True,
@@ -433,7 +409,6 @@ def cmd_sweep(config_path, param_flag, range_flag, link_flag, schemes_flag,
         duplex=_resolve(flags, config, "duplex", str, default="full"),
         power_boost=_resolve(flags, config, "power_boost",
                              lambda s: s.lower() in ("1", "true", "yes"), default=False),
-        optimizer=_resolve_optimizer(flags, config),
     )
     header, rows = run_sweep(spec)
 
@@ -557,14 +532,12 @@ def cmd_threshold(config_path, beta2, p1, method, alpha2, as_json) -> None:
 @cli.command("optsplit")
 @_config_option
 @_network_options
-@_optimizer_options
 @click.option("--json", "as_json", is_flag=True)
 def cmd_optsplit(config_path, as_json, **flags) -> None:
     """Optimal private power fraction per hop under rate splitting."""
     config = _load_config(config_path)
     params = _resolve_network(flags, config)
-    cfg = _resolve_optimizer(flags, config)
-    f1, f2 = schemes.optimal_private_fraction(params, cfg)
+    f1, f2 = schemes.optimal_private_fraction(params)
     if as_json:
         click.echo(json.dumps({"f1": f1, "f2": f2}, indent=2))
     else:

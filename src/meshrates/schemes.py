@@ -1,13 +1,15 @@
 """End-to-end achievable rates per transmission scheme.
 
 Every scheme maps a network instance to the best rate its coding strategy
-supports, optimizing the private/common power split of each hop. The split
-searches run on a coarse grid first (the objectives are minima of concave
-pieces, hence not concave) and then refine locally; the returned rates are
-re-evaluated through the exact region/LP path at the winning splits. The
-joint (f1, f2) searches of coop and mcp evaluate the same greedy max-sum LP
-as ``polytope.max_sum_rate``, on broadcast grids of constraint bounds, and
-the mcp search and its final region read the same closed-form bounds.
+supports, optimizing the private/common power split of each hop. A hop's own
+split (rate splitting, the first-hop bound) is optimized in closed form: the
+corner sum rate peaks at one of five candidate fractions, evaluated exactly.
+Only the joint (f1, f2) searches of coop and mcp are grids: a coarse grid,
+then local refinement, over the same greedy max-sum LP as
+``polytope.max_sum_rate`` on broadcast grids of constraint bounds; the
+returned rates are re-evaluated through the exact region/LP path at the
+winning splits, and the mcp search and its final region read the same
+closed-form bounds.
 
 Half duplex scales every final rate by 1/2; the optional power boost doubles
 both transmit powers first.
@@ -43,29 +45,6 @@ SCHEME_COOP = "coop"
 SCHEME_MCP = "mcp"
 SCHEME_BOUND = "first_hop_bound"
 ALL_SCHEMES = (SCHEME_SINGLE, SCHEME_RS, SCHEME_COOP, SCHEME_MCP, SCHEME_BOUND)
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Five golden-section steps shrink a bracket by 0.618^5 < 1/10.
-_GOLDEN_ITERS_PER_PASS = 5
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs of the power-split search.
-
-    coarse_points grid values per split dimension, then refine_iters local
-    passes each shrinking the search window by 10x.
-    """
-
-    coarse_points: int = 101
-    refine_iters: int = 3
-
-    def __post_init__(self) -> None:
-        if self.coarse_points < 11:
-            raise ValueError(f"coarse_points must be >= 11, got {self.coarse_points}")
-        if self.refine_iters < 0:
-            raise ValueError(f"refine_iters must be >= 0, got {self.refine_iters}")
-
 
 @dataclass(frozen=True)
 class SchemeResult:
@@ -123,94 +102,53 @@ def _pick_last_max(values: np.ndarray, tie_tol: float = 1e-12) -> int:
     return int(np.nonzero(values >= top - tie_tol)[0][-1])
 
 
-def _golden_refine(objective, lo: float, hi: float, iters: int,
-                   best_f: float, best_v: float) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    for f, v in ((c, fc), (d, fd)):
-        if v > best_v + 1e-15:
-            best_f, best_v = f, v
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(c)
-            f_new, v_new = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(d)
-            f_new, v_new = d, fd
-        if v_new > best_v + 1e-15:
-            best_f, best_v = f_new, v_new
-    return best_f, best_v
+def _hop_split_candidates(cross2: float, intra2: float, total: float) -> np.ndarray:
+    """Private power fractions, ascending, among which the hop's corner sum
+    rate attains its maximum.
+
+    With a = cross2, b = intra2, c = 2a + b, x the private power, D0 = 1 + 2aP
+    and K = 1 + cP, the corner sum rate is min(S2, S3) with
+        S2 = log2(1 + cx)/2 - log2(1 + 2ax) + log2(D0 + bx)/2,
+        S3 = 2 log2(1 + cx)/3 - log2(1 + 2ax) + log2(K)/3.
+    Over common denominators the numerator of each derivative is linear in x
+    (for S2 the x^2 terms cancel), so each branch has at most one stationary
+    point, and the maximum over [0, P] sits at an endpoint, at one of these
+    two points, or where the branches cross: (D0 + bx)^3 = K^2 (1 + cx), a
+    cubic with the root x = P whose quotient quadratic has exactly one
+    positive root in D0 + bx. Interior candidates that are not finite
+    (degenerate gains) or fall outside (0, P) are dropped: clipped, they
+    would repeat an endpoint.
+    """
+    # numpy scalars: a zero divisor gives inf or nan here, not ZeroDivisionError
+    a, b, p = np.float64(cross2), np.float64(intra2), np.float64(total)
+    with np.errstate(all="ignore"):
+        c = 2.0 * a + b
+        d0 = 1.0 + 2.0 * a * p
+        k = 1.0 + c * p
+        stationary3 = (b - a) / (a * c)
+        stationary2 = ((b - 2.0 * a) * d0 + b) / (2.0 * (a * c * d0 + a * b - b * c))
+        # (D0 + bx)/K at the crossing, (sqrt(1 + 8a/b) - 1)/2, written
+        # without the cancellation at small a/b
+        ratio = 4.0 * a / (b * (np.sqrt(1.0 + 8.0 * a / b) + 1.0))
+        crossing = (k * ratio - d0) / b
+        fs = np.array([stationary3, stationary2, crossing]) / p
+    interior = fs[(fs > 0.0) & (fs < 1.0)]
+    return np.concatenate(([0.0], np.sort(interior), [1.0]))
 
 
-def _common_bound_crossings(cross2: float, intra2: float, total: float,
-                            fs: np.ndarray) -> list[float]:
-    """Fractions where the 2-user and 3-user common bounds of the corner
-    objective cross. The corner sum rate is smooth except at these kinks,
-    and its maximum often sits exactly on one, where golden-section search
-    is only first-order accurate; they are found by bisection instead."""
-
-    def diff(f: float) -> float:
-        pw = HopSplit(f).powers(total)
-        _, rc_two, rc_three = corner_rates(cross2, intra2, pw.p_private, pw.p_common, capacity)
-        return rc_two - rc_three
-
-    p_common = total - fs * total  # exactly as HopSplit.powers splits
-    _, rc_two, rc_three = corner_rates(cross2, intra2, total - p_common, p_common)
-    signs = rc_two - rc_three
-    crossings = []
-    for k in range(len(fs) - 1):
-        lo_val, hi_val = float(signs[k]), float(signs[k + 1])
-        if lo_val == 0.0:
-            crossings.append(float(fs[k]))
-            continue
-        if lo_val * hi_val >= 0.0:
-            continue
-        lo, hi = float(fs[k]), float(fs[k + 1])
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if diff(mid) * lo_val > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        crossings.append(0.5 * (lo + hi))
-    return crossings
-
-
-def _optimize_hop_split(cross2: float, intra2: float, total: float,
-                        cfg: OptimizerConfig) -> tuple[float, float]:
+def _optimize_hop_split(cross2: float, intra2: float, total: float) -> tuple[float, float]:
     """Maximize the hop's corner sum rate over the private power fraction.
 
-    Coarse grid, golden-section refinement around the winner, plus the
-    common-bound crossing points as explicit candidates. Returns
-    (f_hat, rate); boundary ties resolve toward f_hat = 1.
+    Returns (f_hat, rate); near-ties resolve toward the largest fraction, so
+    f_hat = 1 stays exact where all-private transmission is optimal.
     """
-    fs = np.linspace(0.0, 1.0, cfg.coarse_points)
-    p_private = fs * total
-    values = corner_sum_rate(cross2, intra2, p_private, total - p_private)
-    idx = _pick_last_max(values)
-    best_f, best_v = float(fs[idx]), float(values[idx])
-
-    def objective(f: float) -> float:
-        pw = HopSplit(f).powers(total)
-        return float(corner_sum_rate(cross2, intra2, pw.p_private, pw.p_common))
-
-    if cfg.refine_iters > 0:
-        step = 1.0 / (cfg.coarse_points - 1)
-        lo = max(0.0, best_f - step)
-        hi = min(1.0, best_f + step)
-        iters = _GOLDEN_ITERS_PER_PASS * cfg.refine_iters
-        best_f, best_v = _golden_refine(objective, lo, hi, iters, best_f, best_v)
-    for f in _common_bound_crossings(cross2, intra2, total, fs):
-        v = objective(f)
-        if v > best_v + 1e-15:
-            best_f, best_v = f, v
-    return best_f, best_v
+    fs = _hop_split_candidates(cross2, intra2, total)
+    p_common = total - fs * total  # exactly as HopSplit.powers splits
+    values = corner_sum_rate(cross2, intra2, total - p_common, p_common)
+    # Ties only at rounding level, so an interior optimum a few ulps above the
+    # endpoint still wins.
+    idx = _pick_last_max(values, tie_tol=1e-15)
+    return float(fs[idx]), float(values[idx])
 
 
 def _corner_binding(params: NetworkParams, split: HopSplit, hop: int) -> tuple[str, ...]:
@@ -223,7 +161,7 @@ def _corner_binding(params: NetworkParams, split: HopSplit, hop: int) -> tuple[s
     return (LABEL_COMMON2,) if rc_two < rc_three else (LABEL_COMMON3,)
 
 
-def rate_splitting(params: NetworkParams, cfg: OptimizerConfig | None = None) -> SchemeResult:
+def rate_splitting(params: NetworkParams) -> SchemeResult:
     """Rate splitting in both hops, each hop optimized independently.
 
     The end-to-end rate is the smaller of the two per-hop corner optima. The
@@ -231,11 +169,10 @@ def rate_splitting(params: NetworkParams, cfg: OptimizerConfig | None = None) ->
     binding names the common-rate bound attaining the corner minimum on the
     bottleneck hop.
     """
-    cfg = cfg or OptimizerConfig()
     work = params.effective()
     scale = params.rate_scale()
-    f1, rate1 = _optimize_hop_split(work.alpha2, work.beta2, work.p1, cfg)
-    f2, rate2 = _optimize_hop_split(work.eta2, work.gamma2, work.p2, cfg)
+    f1, rate1 = _optimize_hop_split(work.alpha2, work.beta2, work.p1)
+    f2, rate2 = _optimize_hop_split(work.eta2, work.gamma2, work.p2)
     split1, split2 = HopSplit(f1), HopSplit(f2)
     point1, _ = vertex_a(work, split1, hop=1)
     return SchemeResult(
@@ -250,13 +187,11 @@ def rate_splitting(params: NetworkParams, cfg: OptimizerConfig | None = None) ->
     )
 
 
-def first_hop_upper_bound(params: NetworkParams,
-                          cfg: OptimizerConfig | None = None) -> SchemeResult:
+def first_hop_upper_bound(params: NetworkParams) -> SchemeResult:
     """Best first-hop rate over splits; caps every two-hop scheme here."""
-    cfg = cfg or OptimizerConfig()
     work = params.effective()
     scale = params.rate_scale()
-    f1, rate1 = _optimize_hop_split(work.alpha2, work.beta2, work.p1, cfg)
+    f1, rate1 = _optimize_hop_split(work.alpha2, work.beta2, work.p1)
     split1 = HopSplit(f1)
     point1, _ = vertex_a(work, split1, hop=1)
     return SchemeResult(
@@ -268,17 +203,15 @@ def first_hop_upper_bound(params: NetworkParams,
     )
 
 
-def optimal_private_fraction(params: NetworkParams,
-                             cfg: OptimizerConfig | None = None) -> tuple[float, float]:
+def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
     """Optimal private power fraction of each hop under rate splitting.
 
     For matched gains and equal powers both fractions coincide. Boundary
     ties resolve toward all-private (fraction 1).
     """
-    cfg = cfg or OptimizerConfig()
     work = params.effective()
-    f1, _ = _optimize_hop_split(work.alpha2, work.beta2, work.p1, cfg)
-    f2, _ = _optimize_hop_split(work.eta2, work.gamma2, work.p2, cfg)
+    f1, _ = _optimize_hop_split(work.alpha2, work.beta2, work.p1)
+    f2, _ = _optimize_hop_split(work.eta2, work.gamma2, work.p2)
     return f1, f2
 
 
@@ -311,18 +244,23 @@ def _joint_values(work: NetworkParams, hop2_lines_fn, f1: np.ndarray,
     return r_private + r_common
 
 
-def _search_joint_splits(work: NetworkParams, hop2_lines_fn,
-                         cfg: OptimizerConfig) -> tuple[float, float]:
+# Unlike the per-hop split, the joint (f1, f2) optimum has no closed form:
+# a 101-point grid per split, then three 11-point passes, each 10x narrower.
+_JOINT_GRID_POINTS = 101
+_JOINT_REFINE_PASSES = 3
+
+
+def _search_joint_splits(work: NetworkParams, hop2_lines_fn) -> tuple[float, float]:
     """Coarse 2-D grid over (f1, f2) plus shrinking local grid refinement."""
-    f1 = np.linspace(0.0, 1.0, cfg.coarse_points)
-    f2 = np.linspace(0.0, 1.0, cfg.coarse_points)
+    f1 = np.linspace(0.0, 1.0, _JOINT_GRID_POINTS)
+    f2 = np.linspace(0.0, 1.0, _JOINT_GRID_POINTS)
     values = _joint_values(work, hop2_lines_fn, f1, f2)
     flat = _pick_last_max(values.ravel())
     i, j = divmod(flat, values.shape[1])
     best_f1, best_f2 = float(f1[i]), float(f2[j])
 
-    window = 1.0 / (cfg.coarse_points - 1)
-    for _ in range(cfg.refine_iters):
+    window = 1.0 / (_JOINT_GRID_POINTS - 1)
+    for _ in range(_JOINT_REFINE_PASSES):
         f1_local = np.clip(np.linspace(best_f1 - window, best_f1 + window, 11), 0.0, 1.0)
         f2_local = np.clip(np.linspace(best_f2 - window, best_f2 + window, 11), 0.0, 1.0)
         local = _joint_values(work, hop2_lines_fn, f1_local, f2_local)
@@ -346,25 +284,23 @@ def _joint_result(scheme: str, params: NetworkParams, splits: tuple[float, float
     )
 
 
-def coop(params: NetworkParams, cfg: OptimizerConfig | None = None) -> SchemeResult:
+def coop(params: NetworkParams) -> SchemeResult:
     """Rate splitting in hop 1 with cooperative common relaying in hop 2.
 
     The inner problem for fixed splits is the exact LP over the intersection
     of the two hop regions; the outer search sweeps both split fractions.
     """
-    cfg = cfg or OptimizerConfig()
     work = params.effective()
-    f1, f2 = _search_joint_splits(work, _coop2_lines, cfg)
+    f1, f2 = _search_joint_splits(work, _coop2_lines)
     lp = max_sum_rate(hop1_region(work, HopSplit(f1)),
                       hop2_coop_region(work, HopSplit(f2)))
     return _joint_result(SCHEME_COOP, params, (f1, f2), lp)
 
 
-def mcp(params: NetworkParams, cfg: OptimizerConfig | None = None) -> SchemeResult:
+def mcp(params: NetworkParams) -> SchemeResult:
     """Cooperative second hop decoded jointly across all base stations."""
-    cfg = cfg or OptimizerConfig()
     work = params.effective()
-    f1, f2 = _search_joint_splits(work, _mcp2_lines, cfg)
+    f1, f2 = _search_joint_splits(work, _mcp2_lines)
     lp = max_sum_rate(hop1_region(work, HopSplit(f1)),
                       hop2_mcp_region(work, HopSplit(f2)))
     return _joint_result(SCHEME_MCP, params, (f1, f2), lp)

@@ -197,11 +197,11 @@ def test_criterion_06_optimal_fraction_shape(fig3_fractions):
         assert all_one_before[db]
     assert thresholds[10.0] < thresholds[0.0]
     for db in (0.0, 10.0):
-        # Known honest failure at 0 dB: the true optimal fraction rises by
-        # ~0.043 in one grid step near alpha2=0.66 (the corner optimum rides
-        # the moving kink between the 2- and 3-user common bounds), which is
-        # a genuine non-monotonicity of the model, not grid jitter. See the
-        # decisions ledger.
+        # Known honest failure at 0 dB: the exact optimal fraction rises by
+        # 0.0428 in one grid step, from 0.1371 at alpha2=0.64 to 0.1799 at
+        # alpha2=0.66 (the corner optimum rides the moving kink between the
+        # 2- and 3-user common bounds), which is a genuine non-monotonicity
+        # of the model, not grid jitter. See the decisions ledger.
         assert rise[db] <= 0.02, f"f-hat rises by {rise[db]:.4f} at P={db}dB"
 
 

@@ -143,7 +143,7 @@ class TestSweep:
 
 
 class TestConfigKeys:
-    @pytest.mark.parametrize("line", ["bogus_key=1", "tol=1e-3", "rate_tol=5"])
+    @pytest.mark.parametrize("line", ["bogus_key=1", "tol=1e-3", "rate_tol=5", "json=1"])
     def test_unknown_key_is_usage_error(self, capsys, tmp_path, line):
         config = tmp_path / "point.cfg"
         config.write_text(f"beta2=1\n{line}\n")
@@ -152,6 +152,14 @@ class TestConfigKeys:
         assert code == 1 and out == ""
         assert f"{config}:2" in err
         assert repr(line.split("=")[0]) in err
+
+    def test_flag_only_option_is_usage_error(self, capsys, tmp_path):
+        # threshold has a --method flag, but no subcommand reads it from a file
+        config = tmp_path / "threshold.cfg"
+        config.write_text("beta2=1\nmethod=paper\n")
+        code, out, err = run(capsys, "threshold", "--config", str(config), "--p1", "1")
+        assert code == 1 and out == ""
+        assert f"{config}:2" in err and "'method'" in err
 
     @pytest.mark.parametrize("name", ["fig3_p0db", "fig3_p10db", "fig4_p3db", "fig5_p10db"])
     def test_figure_configs_still_sweep(self, capsys, name):

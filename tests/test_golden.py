@@ -1,9 +1,10 @@
 """The figure sweeps regenerate the checked-in CSVs under out/.
 
-Headers and bottleneck labels must match exactly and every rate column
-within 1e-9. Split fractions are not compared: a better split optimizer may
-move them without changing any rate. Fresh CSVs go to a temporary directory,
-never into out/.
+Headers and bottleneck labels must match exactly, and every rate column and
+every closed-form per-hop split fraction (the f-hat curves of Fig. 3) within
+1e-9. The coop/mcp split fractions come from a grid search and are not
+compared: a better search may move them without changing any rate. Fresh CSVs
+go to a temporary directory, never into out/.
 """
 
 import csv
@@ -15,6 +16,7 @@ from meshrates.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RATE_COLUMNS = {"single_rate", "rate_splitting", "coop", "mcp", "first_hop_bound"}
+SPLIT_COLUMNS = {"rate_splitting_f1", "rate_splitting_f2", "first_hop_bound_f1"}
 
 
 def read_csv(path):
@@ -37,5 +39,5 @@ def test_sweep_reproduces_checked_in_csv(name, tmp_path):
         for column, w, g in zip(header[1:], want[1:], got[1:]):
             if column.endswith("_bottleneck"):
                 assert g == w, (column, want[0])
-            elif column in RATE_COLUMNS:
+            elif column in RATE_COLUMNS | SPLIT_COLUMNS:
                 assert float(g) == pytest.approx(float(w), abs=1e-9), (column, want[0])

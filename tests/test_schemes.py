@@ -1,17 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meshrates.cli import main
 from meshrates.model import HopSplit, NetworkParams, db_to_linear
+from meshrates.oracle import dense_split_scan
 from meshrates.polytope import max_sum_rate
-from meshrates.regions import hop1_region, hop2_coop_region, hop2_mcp_region
+from meshrates.regions import hop1_region, hop2_coop_region, hop2_mcp_region, hop_terms
 from meshrates.schemes import (
-    OptimizerConfig,
     _coop2_lines,
     _joint_values,
     _mcp2_lines,
+    _optimize_hop_split,
     coop,
     first_hop_upper_bound,
     mcp,
@@ -44,17 +47,20 @@ def networks(draw):
     )
 
 
-class TestOptimizerConfig:
-    def test_defaults(self):
-        cfg = OptimizerConfig()
-        assert cfg.coarse_points == 101 and cfg.refine_iters == 3
+class TestNoOptimizerKnobs:
+    """The per-hop split is exact and the joint grid fixed, so the optimizer
+    options are gone from the command line and from config files."""
 
-    @pytest.mark.parametrize("kwargs", [
-        {"coarse_points": 10}, {"coarse_points": 0}, {"refine_iters": -1},
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            OptimizerConfig(**kwargs)
+    ARGS = ["optsplit", "--alpha2", "0.5", "--beta2", "1", "--gamma2", "1",
+            "--eta2", "0.5", "--p1", "2", "--p2", "2"]
+
+    def test_flag_is_usage_error(self):
+        assert main(self.ARGS + ["--coarse-points", "51"]) == 1
+
+    def test_config_key_is_usage_error(self, tmp_path):
+        config = tmp_path / "optsplit.cfg"
+        config.write_text("coarse_points=51\n")
+        assert main(self.ARGS + ["--config", str(config)]) == 1
 
 
 class TestSingleRate:
@@ -103,6 +109,51 @@ class TestRateSplitting:
     @settings(max_examples=25, deadline=None)
     def test_single_user_cap(self, params):
         assert rate_splitting(params).rate <= math.log2(1.0 + params.beta2 * params.p1) + 1e-9
+
+
+class TestHopSplitOptimum:
+    def test_beats_dense_scan_in_and_out_of_regime(self):
+        rng = np.random.default_rng(7)
+        for k in range(24):
+            beta2 = float(rng.uniform(0.2, 2.5))
+            alpha2 = float(rng.uniform(0.0, beta2 if k % 2 else 2.0 * beta2))
+            p1 = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
+            params = NetworkParams(alpha2=alpha2, beta2=beta2, gamma2=beta2, eta2=alpha2,
+                                   p1=p1, p2=p1 / 2.0)
+            for hop in (1, 2):
+                _, rate = _optimize_hop_split(*hop_terms(params, hop))
+                _, reference = dense_split_scan(params, hop=hop, step=1e-3)
+                assert rate >= reference - 1e-12, (params, hop)
+
+    # (alpha2, beta2, P) -> (f_hat, rate) of the grid/golden/bisection optimizer
+    # this closed form replaced. alpha2 = 1e300 with P = 1e300 is left out:
+    # alpha2*P overflows a float there, and that optimizer failed too.
+    EXTREMES = {
+        (5e-324, 0.0, 1e-300): (1.0, 0.0),
+        (5e-324, 0.0, 1.0): (1.0, 0.0),
+        (5e-324, 0.0, 1e300): (1.0, 0.0),
+        (5e-324, 5e-324, 1e-300): (1.0, 0.0),
+        (5e-324, 5e-324, 1.0): (1.0, 0.0),
+        (5e-324, 5e-324, 1e300): (1.0, 0.0),
+        (5e-324, 1.0, 1e-300): (1.0, 0.0),
+        (5e-324, 1.0, 1.0): (1.0, 1.0),
+        (5e-324, 1.0, 1e300): (1.0, 996.5784284662087),
+        (1e300, 0.0, 1e-300): (0.0, 0.5283208335737187),
+        (1e300, 0.0, 1.0): (0.0, 332.5261428220696),
+        (1e300, 5e-324, 1e-300): (0.0, 0.5283208335737187),
+        (1e300, 5e-324, 1.0): (0.0, 332.5261428220696),
+        (1e300, 1.0, 1e-300): (0.0, 0.5283208335737187),
+        (1e300, 1.0, 1.0): (0.0, 332.5261428220696),
+    }
+
+    @pytest.mark.parametrize("terms", sorted(EXTREMES))
+    def test_extreme_gains_and_powers(self, terms):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f_hat, rate = _optimize_hop_split(*terms)
+        want_f, want_rate = self.EXTREMES[terms]
+        assert rate == pytest.approx(want_rate, rel=1e-15, abs=0.0)
+        assert f_hat == want_f and math.copysign(1.0, f_hat) == 1.0
 
 
 class TestFirstHopUpperBound:
@@ -187,6 +238,13 @@ class TestMcp:
 class TestOptimalPrivateFraction:
     def test_no_cross_gain_all_private(self):
         assert optimal_private_fraction(CLEAN) == (1.0, 1.0)
+
+    def test_two_user_branch_stationary_point(self):
+        # a = 0.5, b = 1, c = 2, P = 2, D0 = 3: the 2-user branch peaks
+        # at x = ((b - 2a) D0 + b) / (2 (a c D0 + a b - b c)) = 1/3, f = 1/6.
+        f1, f2 = optimal_private_fraction(symmetric(0.5, 2.0))
+        assert f1 == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert f2 == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_symmetric_case_matches_both_hops(self):
         for a2 in (0.2, 0.6, 0.9):
