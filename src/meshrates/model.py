@@ -72,6 +72,17 @@ class NetworkParams:
                 raise ValueError(f"{name} must be finite and strictly positive, got {p!r}")
         if self.duplex not in DUPLEX_MODES:
             raise ValueError(f"duplex must be one of {DUPLEX_MODES}, got {self.duplex!r}")
+        # The largest gain x power terms the rate formulas form: the
+        # three-user common sum (2*alpha2 + beta2)*P1 on hop 1, and on hop 2
+        # the joint decoder's peak response 3*(gamma + 2*eta)^2 * P2, which
+        # also bounds the rs and coop sums. Past a float they give inf rates.
+        boost = 2.0 if self.duplex == "half" and self.power_boost else 1.0
+        peak2 = (math.sqrt(self.gamma2) + 2.0 * math.sqrt(self.eta2)) ** 2
+        for hop, received in ((1, (2.0 * self.alpha2 + self.beta2) * (boost * self.p1)),
+                              (2, 3.0 * peak2 * (boost * self.p2))):
+            if not math.isfinite(received):
+                raise ValueError(f"hop {hop} gains times power overflow a float; "
+                                 f"scale the gains or powers down")
 
     def validate_paper_regime(self) -> bool:
         """True iff the inter-cell gains do not exceed the intra-cell ones

@@ -14,7 +14,7 @@ import pytest
 from meshrates import oracle, schemes
 from meshrates.cli import main
 from meshrates.model import HopSplit, NetworkParams, db_to_linear
-from meshrates.oracle import full_mac_region_hop1, grid_max_sum, riemann_integral
+from meshrates.oracle import certified_midpoint, full_mac_region_hop1, grid_max_sum
 from meshrates.polytope import contains, max_sum_rate, vertices
 from meshrates.regions import hop1_region, hop2_mcp_region, vertex_a
 
@@ -135,14 +135,16 @@ def test_criterion_03_lp_vs_grid():
 
 def test_criterion_04_quadrature_vs_midpoint_oracle():
     rng = np.random.default_rng(4)
-    worst = 0.0
+    worst = ref_err = 0.0
     labels = {"private": "private-single", "common": "common-joint", "sum": "sum-joint"}
-    for _ in range(50):
+    # 50 draws in the paper's regime, then 12 at high inter-cell gain
+    # (eta2 up to 5) and powers from 1e-3 to 1e3
+    for i in range(62):
         gamma2 = float(rng.uniform(0.2, 2.5))
-        params = NetworkParams(alpha2=0.0, beta2=1.0, gamma2=gamma2,
-                               eta2=float(rng.uniform(0.0, gamma2)),
-                               p1=1.0, p2=float(np.exp(rng.uniform(math.log(0.05),
-                                                                   math.log(20.0)))))
+        eta2 = float(rng.uniform(0.0, gamma2 if i < 50 else 5.0))
+        lo, hi = (0.05, 20.0) if i < 50 else (1e-3, 1e3)
+        params = NetworkParams(alpha2=0.0, beta2=1.0, gamma2=gamma2, eta2=eta2, p1=1.0,
+                               p2=float(np.exp(rng.uniform(math.log(lo), math.log(hi)))))
         split = HopSplit(float(rng.uniform(0.0, 1.0)))
         bounds = {h.label: h.bound
                   for h in hop2_mcp_region(params, split).halfspaces}
@@ -150,12 +152,13 @@ def test_criterion_04_quadrature_vs_midpoint_oracle():
         reference_fns = oracle.mcp_reference_integrands(params.gamma2, params.eta2,
                                                         pw.p_private, pw.p_common)
         for name, label in labels.items():
-            reference = riemann_integral(reference_fns[name], 1_000_000)
+            reference, err, _ = certified_midpoint(reference_fns[name])
+            ref_err = max(ref_err, err)
             worst = max(worst, abs(bounds[label] - reference))
-    ok = worst <= 1e-12
-    report(4, "closed-form MCP bounds vs 1e6-node midpoint (50 draws)", ok,
-           f"max gap {worst:.2e}")
-    assert worst <= 1e-12
+    ok = worst + ref_err <= 1e-12
+    report(4, "closed-form MCP bounds vs certified midpoint (62 draws)", ok,
+           f"max gap {worst:.2e}, reference error {ref_err:.2e}")
+    assert worst + ref_err <= 1e-12
 
 
 def test_criterion_05_scheme_orderings(fig_sweeps):
@@ -288,10 +291,10 @@ def test_criterion_10_verify_determinism(capsys):
     first_duration = time.perf_counter() - start
     code_b = main(["verify", "--seed", "7"])
     out_b = capsys.readouterr().out
-    ok = code_a == 0 and code_b == 0 and out_a == out_b and first_duration < 60.0
+    ok = code_a == 0 and code_b == 0 and out_a == out_b and first_duration < 10.0
     report(10, "verify suite deterministic and timely", ok,
            f"exit codes ({code_a}, {code_b}), identical: {out_a == out_b}, "
            f"{first_duration:.1f}s")
     assert code_a == 0 and code_b == 0
     assert out_a == out_b
-    assert first_duration < 60.0
+    assert first_duration < 10.0

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -12,6 +13,9 @@ from meshrates.oracle import OracleReport
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CLEAN = ["--alpha2", "0", "--beta2", "1", "--gamma2", "1", "--eta2", "0",
          "--p1", "0dB", "--p2", "0dB"]
+# alpha2 * p1 = 1e400 overflows a float
+OVERFLOW = ["--alpha2", "1e200", "--beta2", "1", "--gamma2", "1", "--eta2", "0",
+            "--p1", "1e200", "--p2", "1"]
 
 
 def run(capsys, *args):
@@ -78,6 +82,17 @@ class TestPoint:
         assert code == 0
         assert "single_rate" in out and "1.000000" in out
 
+    @pytest.mark.parametrize("scheme", ["single", "rs", "coop", "mcp", "bound"])
+    def test_overflowing_input_is_refused(self, capsys, scheme):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "point", *OVERFLOW, "--schemes", scheme)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 class TestSweep:
     def test_fig3_style_f_hat_column(self, capsys, tmp_path):
@@ -132,6 +147,13 @@ class TestSweep:
         assert len(rows) == 3
         # p2 = 8 and eta2 swept: bottleneck flips to hop 2 once eta2 grows
         assert rows[0][2] == "1" and rows[-1][2] == "2"
+
+    def test_overflowing_point_is_refused(self, capsys):
+        code, out, err = run(capsys, "sweep", *OVERFLOW[2:], "--param", "alpha2",
+                             "--range", "0:1e200:5e199")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_deterministic_output(self, capsys):
         args = ("sweep", "--beta2", "1", "--gamma2", "1", "--p1", "2", "--p2", "1",

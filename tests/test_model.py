@@ -75,6 +75,21 @@ class TestNetworkParams:
         with pytest.raises(ValueError):
             NetworkParams(**kwargs)
 
+    @pytest.mark.parametrize("fields", [
+        dict(alpha2=1e200, p1=1e200), dict(eta2=1e200, p2=1e200),
+        dict(beta2=1e155, p1=1e155), dict(gamma2=1e154, p2=1e154),
+    ])
+    def test_overflowing_products_rejected(self, fields):
+        kwargs = dict(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=1.0)
+        with pytest.raises(ValueError, match="overflow"):
+            NetworkParams(**{**kwargs, **fields})
+
+    def test_power_boost_doubling_counts_towards_overflow(self):
+        kwargs = dict(alpha2=0.0, beta2=1.0, gamma2=1.0, eta2=0.0, p1=1e308, p2=1.0)
+        NetworkParams(**kwargs, duplex="half")
+        with pytest.raises(ValueError, match="overflow"):
+            NetworkParams(**kwargs, duplex="half", power_boost=True)
+
     def test_bad_duplex(self):
         with pytest.raises(ValueError):
             NetworkParams(alpha2=0.0, beta2=1.0, gamma2=1.0, eta2=0.0,

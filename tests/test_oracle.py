@@ -6,6 +6,7 @@ import pytest
 from meshrates import oracle, schemes
 from meshrates.model import HopSplit, NetworkParams
 from meshrates.oracle import (
+    certified_midpoint,
     dense_split_scan,
     full_mac_region_hop1,
     grid_max_sum,
@@ -96,12 +97,39 @@ class TestRiemannIntegral:
 
     def test_reference_integrand_value(self):
         fns = mcp_reference_integrands(1.0, 0.25, 1.0, 0.0)
-        assert riemann_integral(fns["private"], 1_000_000) == \
-               pytest.approx(1.0621925376590453, abs=1e-10)
+        value, ref_err, _ = certified_midpoint(fns["private"])
+        assert ref_err <= 1e-14
+        assert value == pytest.approx(1.0621925376590453, abs=1e-10)
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
             riemann_integral(lambda f: f, 1)
+
+
+class TestCertifiedMidpoint:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_low_cosine_stops_at_first_doubling(self, k):
+        value, ref_err, n_nodes = certified_midpoint(lambda f: np.cos(2 * np.pi * k * f))
+        assert n_nodes == 2 * oracle.MIDPOINT_FIRST_NODES
+        assert abs(value) <= 1e-16
+        assert ref_err <= oracle.MIDPOINT_AGREEMENT
+
+    def test_non_smooth_integrand_hits_cap_and_reports_error(self):
+        _, ref_err, n_nodes = certified_midpoint(lambda f: np.abs(f - 0.3) ** 0.5)
+        assert n_nodes == oracle.MIDPOINT_MAX_NODES
+        assert ref_err > oracle.MIDPOINT_AGREEMENT
+
+    def test_matches_million_node_rule_on_mcp_draws(self):
+        rng = np.random.default_rng(41)
+        for _ in range(2):
+            params = oracle._draw_params(rng)
+            pw = HopSplit(float(rng.uniform(0.0, 1.0))).powers(params.p2)
+            fns = mcp_reference_integrands(params.gamma2, params.eta2,
+                                           pw.p_private, pw.p_common)
+            for fn in fns.values():
+                value, ref_err, _ = certified_midpoint(fn)
+                assert ref_err <= oracle.MIDPOINT_AGREEMENT
+                assert abs(value - riemann_integral(fn, 1_000_000)) <= 1e-15
 
 
 class TestDenseSplitScan:
@@ -144,6 +172,12 @@ class TestVsiExactSolve:
 
 
 class TestSuite:
+    def test_ref_err_appended_only_when_reported(self):
+        plain = oracle.OracleReport("x", 1.0, 1.0, 0.0, 1e-12, True)
+        certified = oracle.OracleReport("x", 1.0, 1.0, 0.0, 1e-12, True, ref_err=1.8e-15)
+        assert "ref_err" not in plain.line()
+        assert certified.line() == plain.line() + " ref_err=1.8e-15"
+
     def test_all_checks_pass(self):
         reports = run_suite(seed=0)
         failing = [r.name for r in reports if not r.passed]
