@@ -8,10 +8,8 @@ cooperation on common messages, and multi-cell processing.
 
 from .model import HopSplit, NetworkParams, RatePair, capacity, db_to_linear, linear_to_db
 from .regions import (
-    FilterTaps,
     Halfspace,
     RateRegion,
-    filter_taps,
     hop1_region,
     hop2_coop_region,
     hop2_mcp_region,
@@ -35,7 +33,6 @@ from .schemes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FilterTaps",
     "Halfspace",
     "HopSplit",
     "LPSolution",
@@ -47,7 +44,6 @@ __all__ = [
     "contains",
     "coop",
     "db_to_linear",
-    "filter_taps",
     "first_hop_upper_bound",
     "hop1_region",
     "hop2_coop_region",

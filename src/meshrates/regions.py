@@ -8,7 +8,10 @@ labeled halfspaces ``coef_private*R_p + coef_common*R_c <= bound``.
 The two-message min-type common bounds are emitted as two separate halfspaces
 (2-user and 3-user) so linear programs over the raw polytope can report
 binding constraints faithfully. The joint-decoding (MCP) bounds are spectral
-integrals, evaluated in closed form by Jensen's formula.
+integrals, evaluated by Jensen's formula: the private and common integrands
+factor into conjugate pairs of linear or quadratic polynomials with closed-form
+roots, and the sum bound takes the roots of one reversed quartic from a
+batched companion-matrix eigenvalue call.
 """
 
 from __future__ import annotations
@@ -72,24 +75,6 @@ class RateRegion:
         return self.provenance.split("(", 1)[0]
 
 
-@dataclass(frozen=True)
-class FilterTaps:
-    """Amplitude taps of the equivalent inter-cell impulse responses seen by
-    a joint decoder in the second hop (square roots of power gains)."""
-
-    private_taps: tuple[float, float, float]
-    common_taps: tuple[float, float, float, float, float]
-
-
-def filter_taps(params: NetworkParams) -> FilterTaps:
-    g = math.sqrt(params.gamma2)
-    e = math.sqrt(params.eta2)
-    return FilterTaps(
-        private_taps=(e, g, e),
-        common_taps=(e, g + e, g + 2 * e, g + e, e),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Bound formulas. The *_bounds helpers accept scalars or numpy arrays for the
 # power pair so the split optimizers can sweep many splits in one call; the
@@ -139,102 +124,103 @@ def coop_bounds(gamma2, eta2, p_private, p_common):
     }
 
 
-_DROP_TOL = 1e-17  # see _log2_mahler
-_EVAL_ROUNDING = 16.0 * np.finfo(float).eps  # see _newton_step
+_LN2 = math.log(2.0)
 
 
-def _newton_step(coefs: np.ndarray, w: np.ndarray, is_root: np.ndarray) -> np.ndarray:
-    """One Newton step for every root ``w[i, k]`` (where ``is_root[i, k]``) of
-    the polynomial with ascending coefficients ``coefs[i]``.
+def _phi(v):
+    """log2|J/w| at v = 1/w, where J is the root of z^2 - w*z + 1 with |J| >= 1.
 
-    Eigenvalues of a companion matrix with a tiny leading coefficient come
-    back ~1e-11 off for the small roots; one step on the truncated polynomial
-    brings them to rounding level. A root where |P| is already within the
-    rounding error of evaluating P is left alone (near a double root the
-    step would only move it by noise), and so is one where the step does not
-    lower |P|.
+    J/w = (1 +- sqrt(1 - 4v^2))/2, and the principal square root has a
+    non-negative real part, so the + sign has the larger modulus. phi(0) = 0,
+    and a tiny v only brings its own tiny absolute error.
     """
-    descending = coefs[:, ::-1, None].transpose(1, 0, 2)
-    value = np.zeros_like(w)
-    slope = np.zeros_like(w)
-    scale = np.zeros(w.shape)
-    radius = np.abs(w)
-    stepped_value = np.zeros_like(w)
-    # Where P overflows at w or at the stepped point the comparisons below
-    # see inf or nan and the step is not taken.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c in descending:
-            slope = slope * w + value
-            value = value * w + c
-            scale = scale * radius + np.abs(c)
-        step = is_root & (np.abs(value) > _EVAL_ROUNDING * scale) & (slope != 0.0)
-        stepped = w - np.where(step, value, 0.0) / np.where(step, slope, 1.0)
-        for c in descending:
-            stepped_value = stepped_value * stepped + c
-        step &= np.abs(stepped_value) < np.abs(value)
-    return np.where(step, stepped, w)
+    return np.log2(np.abs(1.0 + np.sqrt(1.0 - 4.0 * v * v))) - 1.0
 
 
-def _log2_mahler(coefs: np.ndarray) -> np.ndarray:
-    """Integral over f in [0, 1] of log2 P(2cos 2*pi*f), for polynomials P
-    of degree <= 4 given by five ascending coefficients along the last axis,
-    with P >= 1 on [-2, 2].
+def _conjugate_pair_bound(power, response):
+    """Integral over f in [0, 1] of log2(1 + power*r(w)^2), w = 2cos 2*pi*f,
+    for the real response r(w) = r0 + r1*w + r2*w^2 given as (r0, r1, r2).
 
-    Jensen's formula: with w = z + 1/z, each root w_k of P contributes
-    log2|J_k|, J_k the root of z^2 - w_k z + 1 with |J_k| >= 1, so the
-    integral is log2|a_d| + sum_k log2|J_k|. Leading terms are dropped while
-    their tail is below _DROP_TOL: on [-2, 2] that moves P >= 1 by less than
-    1e-17, the value by less than 2e-17 bits, and it keeps a tiny but positive
-    coefficient from sending a root towards overflow. The roots of each degree
-    come from one batched eigenvalue call on stacked companion matrices, and
-    are then polished by one Newton step on the truncated polynomials.
+    With y = i*sqrt(power), 1 + power*r^2 = |1 + y*r|^2, so the integral is
+    twice that of log2|a*w^2 + b*w + c| with (c, b, a) = (1 + y*r0, y*r1,
+    y*r2). Jensen's formula gives log2|c| + phi(1/w_1) + phi(1/w_2) over the
+    roots w_k of that quadratic (see ``mcp_bounds``). By Vieta the reciprocal
+    roots are a/Q and Q/c, with Q = -(b +- sqrt(b^2 - 4ac))/2 taking the sign
+    of larger modulus, so nothing divides by a small a; Q = 0 only when
+    a = b = 0, and then both reciprocal roots are 0.
     """
-    a = coefs.reshape(-1, coefs.shape[-1])
-    scaled = np.abs(a) * [1.0, 2.0, 4.0, 8.0, 16.0]  # |a_j| 2^j
-    tails = np.cumsum(scaled[:, ::-1], axis=1)[:, ::-1]
-    degree = (tails[:, 1:] > _DROP_TOL).sum(axis=1)
-    lead = a[np.arange(len(a)), degree]
-    w = np.zeros((len(a), 4), dtype=complex)
-    for d in range(1, 5):
-        rows = degree == d
-        if not rows.any():
-            continue
-        companion = np.zeros((rows.sum(), d, d))
-        companion[:, 0, :] = -a[rows, d - 1::-1] / lead[rows, None]
-        companion[:, 1:, :-1] = np.eye(d - 1)
-        w[rows, :d] = np.linalg.eigvals(companion)
-    is_root = np.arange(4) < degree[:, None]
-    w = _newton_step(np.where(np.arange(5) <= degree[:, None], a, 0.0), w, is_root)
-    s = np.sqrt(w * w - 4.0)
-    log_j = np.where(is_root, np.log2(np.maximum(np.abs(w + s), np.abs(w - s))), 0.0)
-    total = np.log2(np.abs(lead)) + (log_j.sum(axis=1) - degree)
-    return total.reshape(coefs.shape[:-1])
+    r0, r1, r2 = response
+    y = 1j * np.sqrt(power)
+    a, b, c = y * r2, y * r1, 1.0 + y * r0
+    root = np.sqrt(b * b - 4.0 * a * c)
+    big = -0.5 * np.where(np.abs(b + root) >= np.abs(b - root), b + root, b - root)
+    phis = _phi(a / np.where(big == 0.0, 1.0, big)) + _phi(big / c)
+    return np.log1p(power * r0 * r0) / _LN2 + 2.0 * phis
 
 
 def mcp_bounds(gamma2, eta2, p_private, p_common):
     """Second-hop bounds under joint decoding across all base stations.
 
     The cell index acts as the tap axis of an inter-symbol-interference MAC,
-    so each bound is a unit-interval spectral integral. With w = 2cos 2*pi*f,
-    the private and per-codeword common responses are g + e*w and
-    (1 + w)(g + e*w) (g, e the amplitude gains), and each common codeword
-    carries a third of the common power. Scalar gains; the power pair may be
-    scalars or arrays. Returns the bounds keyed by (coef_private, coef_common).
+    so each bound is a unit-interval spectral integral of log2 P(w), w =
+    2cos 2*pi*f. With g, e the amplitude gains and q = p_common/3 the power
+    of each common codeword, the private and common responses are
+    h = g + e*w and u = (1 + w)(g + e*w), and P is 1 + p_private*h^2,
+    1 + q*u^2 or 1 + p_private*h^2 + q*u^2. Jensen's formula, with w = z + 1/z,
+    turns the integral of log2 P into log2 P(0) + sum_k phi(1/w_k) over the
+    roots w_k of P.
+
+    1 + p*h^2 = |1 + i*sqrt(p)*h|^2 and 1 + q*u^2 = |1 + i*sqrt(q)*u|^2, so the
+    private and common bounds come from one conjugate pair of linear or
+    quadratic factors each, in closed form. The sum bound takes the roots
+    v_k = 1/w_k of the reversed quartic in v = 1/w, whose leading coefficient
+    P(0) = 1 + (p_private + q)*gamma2 is at least 1: one batched eigenvalue
+    call on the monic companion matrices, then one Newton step per root on
+    the quartic evaluated through h and u, kept where it lowers its modulus.
+
+    Scalar gains; the power pair may be scalars or arrays, and every bound
+    has their broadcast shape. Returns the bounds keyed by
+    (coef_private, coef_common).
     """
     g = math.sqrt(gamma2)
     e = math.sqrt(eta2)
-    # Ascending coefficients in w of (g + e*w)^2 and of (1 + w)^2 (g + e*w)^2;
-    # the rows are the private, common and sum polynomials.
-    private = [g * g, 2.0 * g * e, e * e, 0.0, 0.0]
-    common = [g * g, 2.0 * g * (g + e), g * g + 4.0 * g * e + e * e, 2.0 * e * (g + e), e * e]
-    zero = [0.0] * 5
-    p_private = np.asarray(p_private, dtype=float)[..., None, None]
-    per_code = np.asarray(p_common, dtype=float)[..., None, None] / 3.0
-    coefs = (np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-             + p_private * np.array([private, zero, private])
-             + per_code * np.array([zero, common, common]))
-    bounds = _log2_mahler(coefs)
-    return {(1, 0): bounds[..., 0], (0, 1): bounds[..., 1], (1, 1): bounds[..., 2]}
+    h = (g, e, 0.0)  # ascending coefficients in w
+    u = (g, g + e, e)
+    p, q = np.broadcast_arrays(np.asarray(p_private, dtype=float),
+                               np.asarray(p_common, dtype=float) / 3.0)
+    private = _conjugate_pair_bound(p, h)
+    common = _conjugate_pair_bound(q, u)
+
+    # P - 1 in ascending powers of w; the reversed quartic is
+    # v^4 + m1 v^3 + m2 v^2 + m3 v + m4 = v^4 P(1/v) / P(0).
+    coefs = p[..., None] * np.convolve(h, h) + q[..., None] * np.convolve(u, u)
+    monic = (coefs[..., 1:] / (1.0 + coefs[..., :1])).reshape(-1, 4)
+    companion = np.zeros((len(monic), 4, 4))
+    companion[:, 0, :] = -monic
+    companion[:, 1:, :-1] = np.eye(3)
+    v = np.linalg.eigvals(companion).astype(complex)
+
+    p_row, q_row = p.reshape(-1, 1), q.reshape(-1, 1)
+
+    def reversed_quartic(v):
+        # v^4 P(1/v), evaluated through (and returned with) v^2 h(1/v) and
+        # v^2 u(1/v): near the roots the rounded monomial coefficients cancel,
+        # the responses do not.
+        h_rev = (h[0] * v + h[1]) * v + h[2]
+        u_rev = (u[0] * v + u[1]) * v + u[2]
+        v2 = v * v
+        return v2 * v2 + p_row * h_rev * h_rev + q_row * u_rev * u_rev, h_rev, u_rev
+
+    # Where the slope is 0 or the quartic overflows, the comparison sees inf
+    # or nan and the step is not taken.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value, h_rev, u_rev = reversed_quartic(v)
+        slope = 4.0 * v * v * v + 2.0 * (p_row * h_rev * (2.0 * h[0] * v + h[1])
+                                         + q_row * u_rev * (2.0 * u[0] * v + u[1]))
+        stepped = v - value / slope
+        v = np.where(np.abs(reversed_quartic(stepped)[0]) < np.abs(value), stepped, v)
+    total = np.log1p(coefs[..., 0]) / _LN2 + _phi(v).sum(axis=-1).reshape(p.shape)
+    return {(1, 0): private, (0, 1): common, (1, 1): total}
 
 
 def _mac_region(cross2, intra2, p_private, p_common, provenance: str) -> RateRegion:

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +9,6 @@ from meshrates import oracle
 from meshrates.model import HopSplit, NetworkParams
 from meshrates.polytope import contains, max_sum_rate, vertices
 from meshrates.regions import (
-    filter_taps,
     hop1_region,
     hop2_coop_region,
     hop2_mcp_region,
@@ -177,9 +177,9 @@ class TestMcpBounds:
         (0.4, 1e-300, 3.0),
     ])
     def test_tiny_gains_and_powers_match_midpoint(self, eta2, p_private, p_common):
-        # A root-finding route that keeps tiny leading coefficients sends a
-        # root towards overflow here and returns wrong or non-finite bounds;
-        # unpolished companion-matrix roots are ~1e-11 off at eta2 = 1e-20.
+        # Tiny eta2 makes the w^2 .. w^4 coefficients tiny, so the roots in w
+        # head towards overflow; the closed forms and the reversed-quartic
+        # roots v = 1/w must stay finite and accurate here.
         for gamma2 in (0.2, 1.0, 2.5):
             for pp, pc in ((p_private, p_common), (0.0, 1.0), (1.0, 1.0), (5.0, 20.0)):
                 with warnings.catch_warnings():
@@ -193,22 +193,67 @@ class TestMcpBounds:
                     assert abs(value - expected) + ref_err <= 1e-13
 
     def test_array_powers_match_scalar_calls(self):
-        p_private = [0.0, 0.5, 1.0, 3.0]
-        p_common = [3.0, 2.5, 2.0, 0.0]
-        batched = mcp_bounds(1.0, 0.4, p_private, p_common)
-        for i, (pp, pc) in enumerate(zip(p_private, p_common)):
-            for key, value in mcp_bounds(1.0, 0.4, pp, pc).items():
-                assert batched[key][i] == pytest.approx(float(value), abs=1e-14)
+        # Every bound has the broadcast shape of the two powers, including
+        # the private bound when only p_common is an array.
+        cases = [
+            ([0.0, 0.5, 1.0, 3.0], [3.0, 2.5, 2.0, 0.0]),
+            (1.5, [3.0, 2.5, 0.0]),
+            ([0.0, 0.5, 3.0], 2.0),
+            ([[0.0, 0.5, 1.0], [3.0, 40.0, 1e-3]], [[3.0, 2.5, 2.0], [0.0, 7.0, 1e3]]),
+            ([[0.5], [2.0]], [0.0, 1.0, 9.0]),
+        ]
+        for p_private, p_common in cases:
+            batched = mcp_bounds(1.0, 0.4, p_private, p_common)
+            pp, pc = np.broadcast_arrays(np.asarray(p_private), np.asarray(p_common))
+            for index in np.ndindex(pp.shape):
+                scalar = mcp_bounds(1.0, 0.4, float(pp[index]), float(pc[index]))
+                for key, value in scalar.items():
+                    assert np.shape(batched[key]) == pp.shape
+                    assert batched[key][index] == pytest.approx(float(value), abs=1e-14)
 
+    HIGH_POWER_GRID = [(gamma2, eta2, pp, pc)
+                       for gamma2 in (0.2, 1.0, 2.25, 2.5)
+                       for eta2 in (1e-12, 0.25, 1.0, 4.0)
+                       for pp, pc in ((0.0, 40.0), (0.0, 1000.0), (1.0, 500.0),
+                                      (10.0, 1000.0), (1000.0, 1000.0))]
 
-class TestFilterTaps:
-    def test_tap_structure(self):
-        params = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.25, p1=2.0, p2=1.0)
-        taps = filter_taps(params)
-        assert taps.private_taps == (0.5, 1.0, 0.5)
-        assert taps.common_taps == (0.5, 1.5, 2.0, 1.5, 0.5)
-        assert taps.private_taps == taps.private_taps[::-1]
-        assert taps.common_taps == taps.common_taps[::-1]
+    def test_high_power_bounds_match_midpoint(self):
+        # Companion-matrix roots from rounded monomial coefficients are up to
+        # 3e-13 off here: at gamma2 = 2.5, eta2 = 1e-12, p_common = 40 they
+        # split a nearly double pair. The closed forms need no roots, and the
+        # sum's Newton step evaluates the quartic through h and u.
+        for gamma2, eta2, pp, pc in self.HIGH_POWER_GRID:
+            bounds = mcp_bounds(gamma2, eta2, pp, pc)
+            reference = oracle.mcp_reference_integrands(gamma2, eta2, pp, pc)
+            for key, name in (((1, 0), "private"), ((0, 1), "common"), ((1, 1), "sum")):
+                expected, ref_err, _ = oracle.certified_midpoint(reference[name])
+                assert abs(float(bounds[key]) - expected) + ref_err <= 1e-14, \
+                    (gamma2, eta2, pp, pc, name)
+
+    def test_sum_without_private_power_equals_common(self):
+        # The eigenvalue path of the sum bound against the closed form.
+        for gamma2, eta2, _, pc in self.HIGH_POWER_GRID:
+            bounds = mcp_bounds(gamma2, eta2, 0.0, pc)
+            assert abs(float(bounds[(1, 1)]) - float(bounds[(0, 1)])) <= 1e-14
+
+    @pytest.mark.parametrize("gamma2", [0.2, 1.0, 2.5])
+    def test_flat_private_response(self, gamma2):
+        for p in (1e-300, 1e-3, 1.0, 40.0, 1000.0):
+            value = float(mcp_bounds(gamma2, 0.0, p, 0.0)[(1, 0)])
+            assert value == pytest.approx(math.log1p(p * gamma2) / math.log(2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("p_private,n", [(1.5, 1), (np.linspace(0.0, 3.0, 7), 7)])
+    def test_one_eigenvalue_call_per_batch(self, p_private, n, monkeypatch):
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        mcp_bounds(1.0, 0.4, p_private, 3.0 - p_private)
+        assert shapes == [(n, 4, 4)]
 
 
 class TestVertexA:
