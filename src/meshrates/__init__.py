@@ -15,7 +15,6 @@ from .regions import (
     hop2_mcp_region,
     hop2_rs_region,
     vertex_a,
-    vertices_bc,
 )
 from .polytope import LPSolution, contains, max_sum_rate, vertices
 from .schemes import (
@@ -57,7 +56,6 @@ __all__ = [
     "single_rate",
     "vertex_a",
     "vertices",
-    "vertices_bc",
     "vsi_check",
     "vsi_threshold",
 ]

@@ -7,8 +7,8 @@ optimal power fractions), and ``verify`` (oracle suite).
 
 The network parameters and the sweep, region and scheme options can also
 come from a ``key=value`` config file (``--config``); explicit flags win, and
-a key no subcommand reads from a file is a usage error. Powers accept linear
-values or a trailing ``dB``.
+a key no subcommand reads from a file, or one given twice (``link`` may
+repeat), is a usage error. Powers accept linear values or a trailing ``dB``.
 
 Exit codes: 0 success, 1 usage error, 3 verification failure.
 """
@@ -61,21 +61,25 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Config file + flag resolution
+# Config file and network resolution
 # ---------------------------------------------------------------------------
 
 # Keys some subcommand reads from a config file, so one file can be shared
-# between subcommands. Options read only from the command line (config, json,
-# method, seed, filter) are not among them.
+# between subcommands. Each is the parameter name of the options that read it;
+# options read only from the command line (config, json, method, seed, filter,
+# threshold's alpha2) are not among them.
 _CONFIG_KEYS = frozenset(_PARAM_NAMES) | {
     "duplex", "power_boost", "schemes", "param", "range", "link", "output", "hop", "f",
 }
 
 
-def _load_config(path: str | None) -> dict[str, str]:
+def _load_config(ctx: click.Context, _param, path: str | None) -> None:
+    """Eager ``--config`` callback: the file becomes the command's default map,
+    so every option takes the command line, else the file, else its default,
+    through its own type. ``link`` may repeat; any other key may not."""
     if path is None:
-        return {}
-    config: dict[str, str] = {}
+        return
+    config: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -88,55 +92,28 @@ def _load_config(path: str | None) -> dict[str, str]:
                 key = key.strip().replace("-", "_")
                 if key not in _CONFIG_KEYS:
                     raise click.UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-                if key in config:
-                    config[key] = config[key] + "," + value.strip()
+                if key == "link":
+                    config.setdefault(key, []).append(value.strip())
+                elif key in config:
+                    raise click.UsageError(f"{path}:{lineno}: duplicate config key {key!r}")
                 else:
                     config[key] = value.strip()
     except OSError as exc:
         raise click.UsageError(f"cannot read config file {path}: {exc}")
-    return config
+    ctx.default_map = config
 
 
-def _resolve(flags: dict, config: dict[str, str], key: str, parser, default=None,
-             required: bool = False):
-    value = flags.get(key)
-    if value is not None and value != ():
-        return value
-    if key in config:
-        try:
-            return parser(config[key])
-        except ValueError as exc:
-            raise click.UsageError(f"config value {key}={config[key]!r}: {exc}")
-    if required and default is None:
-        raise click.UsageError(f"missing required parameter --{key.replace('_', '-')}")
-    return default
+def _network(values: dict, duplex: str, power_boost: bool) -> NetworkParams:
+    """The network of the six parameter values; names every one missing."""
+    missing = [name for name in _PARAM_NAMES if values.get(name) is None]
+    if missing:
+        raise click.UsageError(f"missing parameter(s): {', '.join(missing)}")
+    return NetworkParams(duplex=duplex, power_boost=power_boost,
+                         **{name: values[name] for name in _PARAM_NAMES})
 
 
-def _resolve_params(flags: dict, config: dict[str, str],
-                    skip: set[str] = frozenset()) -> dict[str, float]:
-    values: dict[str, float] = {}
-    for name in _PARAM_NAMES:
-        if name in skip:
-            continue
-        parser = parse_power if name in _POWER_NAMES else float
-        values[name] = _resolve(flags, config, name, parser, required=True)
-    return values
-
-
-def _resolve_network(flags: dict, config: dict[str, str]) -> NetworkParams:
-    values = _resolve_params(flags, config)
-    duplex = _resolve(flags, config, "duplex", str, default="full")
-    boost = _resolve(flags, config, "power_boost",
-                     lambda s: s.lower() in ("1", "true", "yes"), default=False)
-    try:
-        return NetworkParams(duplex=duplex, power_boost=boost, **values)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-def _resolve_schemes(flags: dict, config: dict[str, str]) -> list[str]:
-    raw = _resolve(flags, config, "schemes", str, default="all")
-    tokens = [t.strip() for t in raw.split(",") if t.strip()]
+def _scheme_names(text: str) -> list[str]:
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
     requested: set[str] = set()
     for token in tokens:
         if token == "all":
@@ -150,18 +127,13 @@ def _resolve_schemes(flags: dict, config: dict[str, str]) -> list[str]:
     return [s for s in schemes.ALL_SCHEMES if s in requested]
 
 
-def _evaluate(name: str, params: NetworkParams) -> schemes.SchemeResult:
-    if name == schemes.SCHEME_SINGLE:
-        return schemes.single_rate(params)
-    if name == schemes.SCHEME_RS:
-        return schemes.rate_splitting(params)
-    if name == schemes.SCHEME_COOP:
-        return schemes.coop(params)
-    if name == schemes.SCHEME_MCP:
-        return schemes.mcp(params)
-    if name == schemes.SCHEME_BOUND:
-        return schemes.first_hop_upper_bound(params)
-    raise ValueError(f"unknown scheme {name!r}")
+_SCHEME_FNS = {
+    schemes.SCHEME_SINGLE: schemes.single_rate,
+    schemes.SCHEME_RS: schemes.rate_splitting,
+    schemes.SCHEME_COOP: schemes.coop,
+    schemes.SCHEME_MCP: schemes.mcp,
+    schemes.SCHEME_BOUND: schemes.first_hop_upper_bound,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +147,15 @@ def _network_options(fn):
                               help=f"{name} (linear, or e.g. '3dB')")(fn)
         else:
             fn = click.option(f"--{name}", type=float, default=None)(fn)
-    fn = click.option("--duplex", type=click.Choice(["full", "half"]), default=None)(fn)
-    fn = click.option("--power-boost", "power_boost", is_flag=True, default=None,
+    fn = click.option("--duplex", type=click.Choice(["full", "half"]), default="full")(fn)
+    fn = click.option("--power-boost", is_flag=True,
                       help="half duplex only: double powers before halving rates")(fn)
     return fn
 
 
 def _config_option(fn):
-    return click.option("--config", "config_path", type=click.Path(), default=None,
+    return click.option("--config", type=click.Path(), is_eager=True, expose_value=False,
+                        callback=_load_config,
                         help="key=value file mirroring the flags; flags override")(fn)
 
 
@@ -214,16 +187,13 @@ def _result_row(result: schemes.SchemeResult) -> dict:
 @cli.command("point")
 @_config_option
 @_network_options
-@click.option("--schemes", "schemes_flag", default=None,
+@click.option("--schemes", default="all",
               help="comma list: single,rs,coop,mcp,bound or 'all'")
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
-def cmd_point(config_path, schemes_flag, as_json, **flags) -> None:
+def cmd_point(as_json, duplex, power_boost, **values) -> None:
     """Evaluate the requested schemes for one parameter point."""
-    config = _load_config(config_path)
-    flags["schemes"] = schemes_flag
-    params = _resolve_network(flags, config)
-    names = _resolve_schemes(flags, config)
-    results = [_evaluate(name, params) for name in names]
+    params = _network(values, duplex, power_boost)
+    results = [_SCHEME_FNS[name](params) for name in _scheme_names(values["schemes"])]
 
     if as_json:
         payload = {
@@ -284,11 +254,7 @@ class SweepSpec:
         values[self.param] = value
         for link in self.links:
             link.apply(values)
-        missing = [n for n in _PARAM_NAMES if n not in values]
-        if missing:
-            raise click.UsageError(f"missing parameter(s): {', '.join(missing)}")
-        return NetworkParams(duplex=self.duplex, power_boost=self.power_boost,
-                             **{n: values[n] for n in _PARAM_NAMES})
+        return _network(values, self.duplex, self.power_boost)
 
 
 def _parse_range(text: str) -> list[float]:
@@ -356,7 +322,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[str]]]:
         params = spec.params_at(value)
         cells = {spec.param: _fmt(value)}
         for name in spec.scheme_names:
-            result = _evaluate(name, params)
+            result = _SCHEME_FNS[name](params)
             cells[name] = _fmt(result.rate)
             if result.split_hop1 is not None:
                 cells[f"{name}_f1"] = _fmt(result.split_hop1.f_private)
@@ -371,48 +337,30 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[str]]]:
 @cli.command("sweep")
 @_config_option
 @_network_options
-@click.option("--param", "param_flag", default=None, help="swept parameter name")
-@click.option("--range", "range_flag", default=None, help="start:stop:step (inclusive)")
-@click.option("--link", "link_flag", multiple=True,
+@click.option("--param", type=click.Choice(_PARAM_NAMES), required=True,
+              help="swept parameter name")
+@click.option("--range", required=True, help="start:stop:step (inclusive)")
+@click.option("--link", multiple=True,
               help="linked parameter, e.g. eta2=alpha2 or p2=p1/2 (repeatable)")
-@click.option("--schemes", "schemes_flag", default=None)
-@click.option("--output", "output_flag", default=None, help="CSV path ('-' = stdout)")
-def cmd_sweep(config_path, param_flag, range_flag, link_flag, schemes_flag,
-              output_flag, **flags) -> None:
+@click.option("--schemes", default="all")
+@click.option("--output", default="-", help="CSV path ('-' = stdout)")
+def cmd_sweep(param, link, output, duplex, power_boost, **values) -> None:
     """Sweep one parameter and emit a CSV of scheme rates and splits."""
-    config = _load_config(config_path)
-    flags["schemes"] = schemes_flag
-
-    param = _resolve({"param": param_flag}, config, "param", str, required=True)
-    if param not in _PARAM_NAMES:
-        raise click.UsageError(f"cannot sweep unknown parameter {param!r}")
-    range_text = _resolve({"range": range_flag}, config, "range", str, required=True)
-    values = _parse_range(range_text)
+    swept = _parse_range(values["range"])
     if param in _POWER_NAMES:
-        values = [v for v in values if v > 0.0]
-        if not values:
+        swept = [v for v in swept if v > 0.0]
+        if not swept:
             raise click.UsageError("power sweep range must contain positive values")
-
-    link_texts = list(link_flag)
-    if not link_texts and "link" in config:
-        link_texts = [t.strip() for t in config["link"].split(",") if t.strip()]
-    links = [_parse_link(t) for t in link_texts]
-
-    linked_names = {link.dst for link in links}
-    fixed = _resolve_params(flags, config, skip=linked_names | {param})
     spec = SweepSpec(
         param=param,
-        values=values,
-        links=links,
-        fixed=fixed,
-        scheme_names=_resolve_schemes(flags, config),
-        duplex=_resolve(flags, config, "duplex", str, default="full"),
-        power_boost=_resolve(flags, config, "power_boost",
-                             lambda s: s.lower() in ("1", "true", "yes"), default=False),
+        values=swept,
+        links=[_parse_link(text) for text in link],
+        fixed={name: values[name] for name in _PARAM_NAMES if values[name] is not None},
+        scheme_names=_scheme_names(values["schemes"]),
+        duplex=duplex,
+        power_boost=power_boost,
     )
     header, rows = run_sweep(spec)
-
-    output = _resolve({"output": output_flag}, config, "output", str, default="-")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -443,24 +391,14 @@ _REGION_BUILDERS = {
 @cli.command("region")
 @_config_option
 @_network_options
-@click.option("--hop", "hop_flag", type=click.Choice(sorted(_REGION_BUILDERS)), default=None)
-@click.option("--f", "f_flag", type=float, default=None,
+@click.option("--hop", type=click.Choice(sorted(_REGION_BUILDERS)), required=True)
+@click.option("--f", type=float, default=0.5,
               help="private power fraction of the selected hop (default 0.5)")
 @click.option("--json", "as_json", is_flag=True)
-def cmd_region(config_path, hop_flag, f_flag, as_json, **flags) -> None:
+def cmd_region(hop, f, as_json, duplex, power_boost, **values) -> None:
     """Print the halfspaces and vertices of one hop's rate region."""
-    config = _load_config(config_path)
-    params = _resolve_network(flags, config)
-    hop = _resolve({"hop": hop_flag}, config, "hop", str, required=True)
-    if hop not in _REGION_BUILDERS:
-        raise click.UsageError(f"--hop must be one of {sorted(_REGION_BUILDERS)}")
-    f_value = _resolve({"f": f_flag}, config, "f", float, default=0.5)
-    try:
-        split = HopSplit(f_value)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-    region = _REGION_BUILDERS[hop](params, split)
+    params = _network(values, duplex, power_boost)
+    region = _REGION_BUILDERS[hop](params, HopSplit(f))
     verts = vertices(region)
 
     if as_json:
@@ -491,17 +429,16 @@ def cmd_region(config_path, hop_flag, f_flag, as_json, **flags) -> None:
 
 @cli.command("threshold")
 @_config_option
-@click.option("--beta2", type=float, default=None)
-@click.option("--p1", type=parse_power, default=None)
+@click.option("--beta2", type=float, required=True)
+@click.option("--p1", type=parse_power, required=True)
 @click.option("--method", type=click.Choice(["paper", "exact", "both"]), default="both")
-@click.option("--alpha2", type=float, default=None,
+# named apart from the alpha2 config key: a shared network file must not
+# turn the check on
+@click.option("--alpha2", "check_alpha2", type=float, default=None,
               help="also test this gain against the seven MAC bounds")
 @click.option("--json", "as_json", is_flag=True)
-def cmd_threshold(config_path, beta2, p1, method, alpha2, as_json) -> None:
+def cmd_threshold(beta2, p1, method, check_alpha2, as_json) -> None:
     """Very-strong-interference gain thresholds for the first hop."""
-    config = _load_config(config_path)
-    beta2 = _resolve({"beta2": beta2}, config, "beta2", float, required=True)
-    p1 = _resolve({"p1": p1}, config, "p1", parse_power, required=True)
     if beta2 <= 0.0 or p1 <= 0.0:
         raise click.UsageError("threshold needs positive beta2 and p1")
 
@@ -510,11 +447,11 @@ def cmd_threshold(config_path, beta2, p1, method, alpha2, as_json) -> None:
         payload["paper"] = schemes.vsi_threshold(beta2, p1, method="paper")
     if method in ("exact", "both"):
         payload["exact"] = schemes.vsi_threshold(beta2, p1, method="exact")
-    if alpha2 is not None:
-        params = NetworkParams(alpha2=alpha2, beta2=beta2, gamma2=1.0, eta2=0.0,
+    if check_alpha2 is not None:
+        params = NetworkParams(alpha2=check_alpha2, beta2=beta2, gamma2=1.0, eta2=0.0,
                                p1=p1, p2=1.0)
         ok, binding = schemes.vsi_check(params)
-        payload["check"] = {"alpha2": alpha2, "achieves_single_user": ok, "binding": binding}
+        payload["check"] = {"alpha2": check_alpha2, "achieves_single_user": ok, "binding": binding}
 
     if as_json:
         click.echo(json.dumps(payload, indent=2))
@@ -525,7 +462,7 @@ def cmd_threshold(config_path, beta2, p1, method, alpha2, as_json) -> None:
     if "check" in payload:
         check = payload["check"]
         verdict = "achieves" if check["achieves_single_user"] else "does NOT achieve"
-        click.echo(f"alpha2={_fmt(alpha2)} {verdict} the single-user rate "
+        click.echo(f"alpha2={_fmt(check_alpha2)} {verdict} the single-user rate "
                    f"(binding: {check['binding']})")
 
 
@@ -533,10 +470,9 @@ def cmd_threshold(config_path, beta2, p1, method, alpha2, as_json) -> None:
 @_config_option
 @_network_options
 @click.option("--json", "as_json", is_flag=True)
-def cmd_optsplit(config_path, as_json, **flags) -> None:
+def cmd_optsplit(as_json, duplex, power_boost, **values) -> None:
     """Optimal private power fraction per hop under rate splitting."""
-    config = _load_config(config_path)
-    params = _resolve_network(flags, config)
+    params = _network(values, duplex, power_boost)
     f1, f2 = schemes.optimal_private_fraction(params)
     if as_json:
         click.echo(json.dumps({"f1": f1, "f2": f2}, indent=2))

@@ -2,9 +2,9 @@
 
 Everything here recomputes results from first principles, sharing no formula
 code with the fast paths it checks: the full subset-enumerated MAC region,
-lattice maximization instead of the exact LP, self-certifying midpoint sums
-instead of the closed-form joint-decoding bounds, and per-inequality
-threshold inversions.
+the fixed-decoding-order corner candidates, lattice maximization instead of
+the exact LP, self-certifying midpoint sums instead of the closed-form
+joint-decoding bounds, and per-inequality threshold inversions.
 Oracles may be slow; they exist to certify, not to perform.
 """
 
@@ -17,7 +17,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import schemes
-from .model import HopSplit, NetworkParams, RatePair
+from .model import HopSplit, NetworkParams, RatePair, capacity
 from .polytope import max_sum_rate, vertices
 from .regions import (
     Halfspace,
@@ -84,6 +84,39 @@ def full_mac_region_hop1(params: NetworkParams, split: HopSplit) -> RateRegion:
         provenance=f"mac15(alpha2={params.alpha2:g}, beta2={params.beta2:g}, "
                    f"p_private={pw.p_private:g}, p_common={pw.p_common:g})",
     )
+
+
+def vertices_bc(params: NetworkParams, split: HopSplit) -> dict[str, RatePair]:
+    """Candidate corner points of the first-hop region from fixed
+    successive-cancellation orders.
+
+    B decodes the same-cell common codeword first and the adjacent common
+    codewords last; B' decodes the private codeword first; C sits at the
+    crossing of the two mixed sum constraints. Each candidate is an actual
+    corner only in its own interference regime: outside it the point exits
+    the region (for membership checks pair this with ``polytope.contains``).
+    The reference for the paper's corner claims; no fast path reads it.
+    """
+    cross2, intra2 = params.alpha2, params.beta2
+    pw = split.powers(params.p1)
+    pp, pc = pw.p_private, pw.p_common
+    noise0 = 1.0 + 2.0 * cross2 * pp
+
+    b_common = 0.5 * capacity(2.0 * cross2 * pc / noise0)
+    b_private = capacity(intra2 * pp / (noise0 + 2.0 * cross2 * pc))
+
+    bp_common = capacity((2.0 * cross2 + intra2) * pc / noise0) / 3.0
+    bp_private = capacity(intra2 * pp / (noise0 + (2.0 * cross2 + intra2) * pc))
+
+    c_common = capacity(intra2 * pc / (noise0 + intra2 * pp + 2.0 * cross2 * pc))
+    sum2 = capacity((intra2 * pp + 2.0 * cross2 * pc) / noise0)
+    c_private = max(sum2 - 2.0 * c_common, 0.0)
+
+    return {
+        "B": RatePair(b_private, b_common),
+        "B_prime": RatePair(bp_private, bp_common),
+        "C": RatePair(c_private, c_common),
+    }
 
 
 def grid_max_sum(regions, step: float) -> float:

@@ -223,71 +223,57 @@ def mcp_bounds(gamma2, eta2, p_private, p_common):
     return {(1, 0): private, (0, 1): common, (1, 1): total}
 
 
-def _mac_region(cross2, intra2, p_private, p_common, provenance: str) -> RateRegion:
-    b = mac_bounds(cross2, intra2, p_private, p_common)
-    return RateRegion(
-        halfspaces=(
-            Halfspace(1, 0, float(b[(1, 0)]), LABEL_PRIVATE),
-            Halfspace(0, 2, float(b[(0, 2)]), LABEL_COMMON2),
-            Halfspace(0, 3, float(b[(0, 3)]), LABEL_COMMON3),
-            Halfspace(1, 2, float(b[(1, 2)]), LABEL_SUM2),
-            Halfspace(1, 3, float(b[(1, 3)]), LABEL_SUM3),
-        ),
-        provenance=provenance,
-    )
+# Label of each bound by its (coef_private, coef_common) key.
+_LABELS = {
+    (1, 0): LABEL_PRIVATE,
+    (0, 2): LABEL_COMMON2,
+    (0, 3): LABEL_COMMON3,
+    (1, 2): LABEL_SUM2,
+    (1, 3): LABEL_SUM3,
+    (0, 1): LABEL_COMMON,
+    (1, 1): LABEL_SUM,
+}
+
+
+def _region(bounds: dict, provenance: str) -> RateRegion:
+    """Halfspaces of scalar ``*_bounds`` output, in its order."""
+    return RateRegion(tuple([Halfspace(key[0], key[1], float(bound), _LABELS[key])
+                             for key, bound in bounds.items()]), provenance)
 
 
 def hop1_region(params: NetworkParams, split: HopSplit) -> RateRegion:
     """Rate region of the terminal-to-relay hop for a fixed power split."""
     pw = split.powers(params.p1)
-    return _mac_region(
-        params.alpha2, params.beta2, pw.p_private, pw.p_common,
-        f"hop1(alpha2={params.alpha2:g}, beta2={params.beta2:g}, "
-        f"p_private={pw.p_private:g}, p_common={pw.p_common:g})",
-    )
+    return _region(mac_bounds(params.alpha2, params.beta2, pw.p_private, pw.p_common),
+                   f"hop1(alpha2={params.alpha2:g}, beta2={params.beta2:g}, "
+                   f"p_private={pw.p_private:g}, p_common={pw.p_common:g})")
 
 
 def hop2_rs_region(params: NetworkParams, split: HopSplit) -> RateRegion:
     """Relay-to-base hop region when relays re-split independently
     (same constraint structure as hop 1 with the hop-2 gains and power)."""
     pw = split.powers(params.p2)
-    return _mac_region(
-        params.eta2, params.gamma2, pw.p_private, pw.p_common,
-        f"hop2-rs(eta2={params.eta2:g}, gamma2={params.gamma2:g}, "
-        f"p_private={pw.p_private:g}, p_common={pw.p_common:g})",
-    )
+    return _region(mac_bounds(params.eta2, params.gamma2, pw.p_private, pw.p_common),
+                   f"hop2-rs(eta2={params.eta2:g}, gamma2={params.gamma2:g}, "
+                   f"p_private={pw.p_private:g}, p_common={pw.p_common:g})")
 
 
 def hop2_coop_region(params: NetworkParams, split: HopSplit) -> RateRegion:
     """Relay-to-base hop region with cooperative common-message relaying."""
     pw = split.powers(params.p2)
-    b = coop_bounds(params.gamma2, params.eta2, pw.p_private, pw.p_common)
-    return RateRegion(
-        halfspaces=(
-            Halfspace(1, 0, float(b[(1, 0)]), LABEL_PRIVATE),
-            Halfspace(0, 2, float(b[(0, 2)]), LABEL_COMMON2),
-            Halfspace(0, 3, float(b[(0, 3)]), LABEL_COMMON3),
-            Halfspace(1, 2, float(b[(1, 2)]), LABEL_SUM2),
-            Halfspace(1, 3, float(b[(1, 3)]), LABEL_SUM3),
-        ),
-        provenance=f"hop2-coop(eta2={params.eta2:g}, gamma2={params.gamma2:g}, "
-                   f"p_private={pw.p_private:g}, p_common={pw.p_common:g})",
-    )
+    return _region(coop_bounds(params.gamma2, params.eta2, pw.p_private, pw.p_common),
+                   f"hop2-coop(eta2={params.eta2:g}, gamma2={params.gamma2:g}, "
+                   f"p_private={pw.p_private:g}, p_common={pw.p_common:g})")
 
 
 def hop2_mcp_region(params: NetworkParams, split: HopSplit) -> RateRegion:
     """Relay-to-base hop region with joint decoding across all base stations."""
     pw = split.powers(params.p2)
-    b = mcp_bounds(params.gamma2, params.eta2, pw.p_private, pw.p_common)
-    return RateRegion(
-        halfspaces=(
-            Halfspace(1, 0, max(float(b[(1, 0)]), 0.0), LABEL_PRIVATE),
-            Halfspace(0, 1, max(float(b[(0, 1)]), 0.0), LABEL_COMMON),
-            Halfspace(1, 1, max(float(b[(1, 1)]), 0.0), LABEL_SUM),
-        ),
-        provenance=f"hop2-mcp(eta2={params.eta2:g}, gamma2={params.gamma2:g}, "
-                   f"p_private={pw.p_private:g}, p_common={pw.p_common:g})",
-    )
+    bounds = mcp_bounds(params.gamma2, params.eta2, pw.p_private, pw.p_common)
+    # a bound that is 0 in exact arithmetic can round below it
+    return _region({key: max(float(bound), 0.0) for key, bound in bounds.items()},
+                   f"hop2-mcp(eta2={params.eta2:g}, gamma2={params.gamma2:g}, "
+                   f"p_private={pw.p_private:g}, p_common={pw.p_common:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -340,35 +326,3 @@ def vertex_a(params: NetworkParams, split: HopSplit, hop: int = 1) -> tuple[Rate
                                                capacity)
     point = RatePair(r_private, min(rc_two, rc_three))
     return point, point.total
-
-
-def vertices_bc(params: NetworkParams, split: HopSplit) -> dict[str, RatePair]:
-    """Candidate corner points of the first-hop region from fixed
-    successive-cancellation orders.
-
-    B decodes the same-cell common codeword first and the adjacent common
-    codewords last; B' decodes the private codeword first; C sits at the
-    crossing of the two mixed sum constraints. Each candidate is an actual
-    corner only in its own interference regime: outside it the point exits
-    the region (for membership checks pair this with ``polytope.contains``).
-    """
-    cross2, intra2 = params.alpha2, params.beta2
-    pw = split.powers(params.p1)
-    pp, pc = pw.p_private, pw.p_common
-    noise0 = 1.0 + 2.0 * cross2 * pp
-
-    b_common = 0.5 * capacity(2.0 * cross2 * pc / noise0)
-    b_private = capacity(intra2 * pp / (noise0 + 2.0 * cross2 * pc))
-
-    bp_common = capacity((2.0 * cross2 + intra2) * pc / noise0) / 3.0
-    bp_private = capacity(intra2 * pp / (noise0 + (2.0 * cross2 + intra2) * pc))
-
-    c_common = capacity(intra2 * pc / (noise0 + intra2 * pp + 2.0 * cross2 * pc))
-    sum2 = capacity((intra2 * pp + 2.0 * cross2 * pc) / noise0)
-    c_private = max(sum2 - 2.0 * c_common, 0.0)
-
-    return {
-        "B": RatePair(b_private, b_common),
-        "B_prime": RatePair(bp_private, bp_common),
-        "C": RatePair(c_private, c_common),
-    }

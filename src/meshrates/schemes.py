@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import HopSplit, NetworkParams, RatePair, capacity
-from .polytope import LPSolution, greedy_max_sum, max_sum_rate
+from .polytope import greedy_max_sum, max_sum_rate
 from .regions import (
     LABEL_COMMON2,
     LABEL_COMMON3,
@@ -225,22 +225,19 @@ def _hop1_lines(work: NetworkParams, f1: np.ndarray) -> list[tuple[float, float,
     return [(float(a), float(b), np.asarray(c)[:, None]) for (a, b), c in bounds.items()]
 
 
-def _coop2_lines(work: NetworkParams, f2: np.ndarray) -> list[tuple[float, float, np.ndarray]]:
+def _hop2_lines(work: NetworkParams, bounds_fn,
+                f2: np.ndarray) -> list[tuple[float, float, np.ndarray]]:
     p_private = f2 * work.p2
-    bounds = coop_bounds(work.gamma2, work.eta2, p_private, work.p2 - p_private)
+    bounds = bounds_fn(work.gamma2, work.eta2, p_private, work.p2 - p_private)
     return [(float(a), float(b), np.asarray(c)[None, :]) for (a, b), c in bounds.items()]
 
 
-def _mcp2_lines(work: NetworkParams, f2: np.ndarray) -> list[tuple[float, float, np.ndarray]]:
-    p_private = f2 * work.p2
-    bounds = mcp_bounds(work.gamma2, work.eta2, p_private, work.p2 - p_private)
-    return [(float(a), float(b), np.asarray(c)[None, :]) for (a, b), c in bounds.items()]
-
-
-def _joint_values(work: NetworkParams, hop2_lines_fn, f1: np.ndarray,
+def _joint_values(work: NetworkParams, bounds_fn, f1: np.ndarray,
                   f2: np.ndarray) -> np.ndarray:
-    """Max-sum LP value of hop 1 at f1[i] intersected with hop 2 at f2[j]."""
-    r_private, r_common = greedy_max_sum(_hop1_lines(work, f1) + hop2_lines_fn(work, f2))
+    """Max-sum LP value of hop 1 at f1[i] intersected with hop 2 at f2[j],
+    whose bounds ``bounds_fn`` (``coop_bounds`` or ``mcp_bounds``) gives."""
+    lines = _hop1_lines(work, f1) + _hop2_lines(work, bounds_fn, f2)
+    r_private, r_common = greedy_max_sum(lines)
     return r_private + r_common
 
 
@@ -250,11 +247,11 @@ _JOINT_GRID_POINTS = 101
 _JOINT_REFINE_PASSES = 3
 
 
-def _search_joint_splits(work: NetworkParams, hop2_lines_fn) -> tuple[float, float]:
+def _search_joint_splits(work: NetworkParams, bounds_fn) -> tuple[float, float]:
     """Coarse 2-D grid over (f1, f2) plus shrinking local grid refinement."""
     f1 = np.linspace(0.0, 1.0, _JOINT_GRID_POINTS)
     f2 = np.linspace(0.0, 1.0, _JOINT_GRID_POINTS)
-    values = _joint_values(work, hop2_lines_fn, f1, f2)
+    values = _joint_values(work, bounds_fn, f1, f2)
     flat = _pick_last_max(values.ravel())
     i, j = divmod(flat, values.shape[1])
     best_f1, best_f2 = float(f1[i]), float(f2[j])
@@ -263,7 +260,7 @@ def _search_joint_splits(work: NetworkParams, hop2_lines_fn) -> tuple[float, flo
     for _ in range(_JOINT_REFINE_PASSES):
         f1_local = np.clip(np.linspace(best_f1 - window, best_f1 + window, 11), 0.0, 1.0)
         f2_local = np.clip(np.linspace(best_f2 - window, best_f2 + window, 11), 0.0, 1.0)
-        local = _joint_values(work, hop2_lines_fn, f1_local, f2_local)
+        local = _joint_values(work, bounds_fn, f1_local, f2_local)
         flat = _pick_last_max(local.ravel())
         i, j = divmod(flat, local.shape[1])
         best_f1, best_f2 = float(f1_local[i]), float(f2_local[j])
@@ -271,39 +268,34 @@ def _search_joint_splits(work: NetworkParams, hop2_lines_fn) -> tuple[float, flo
     return best_f1, best_f2
 
 
-def _joint_result(scheme: str, params: NetworkParams, splits: tuple[float, float],
-                  lp: LPSolution) -> SchemeResult:
+def _joint(scheme: str, params: NetworkParams, bounds_fn, region_fn) -> SchemeResult:
+    """Rate splitting in hop 1, hop 2 from ``region_fn`` with the bounds
+    ``bounds_fn`` gives on split grids. The inner problem for fixed splits is
+    the exact LP over the intersection of the two hop regions; the outer
+    search sweeps both split fractions."""
+    work = params.effective()
     scale = params.rate_scale()
+    f1, f2 = _search_joint_splits(work, bounds_fn)
+    split1, split2 = HopSplit(f1), HopSplit(f2)
+    lp = max_sum_rate(hop1_region(work, split1), region_fn(work, split2))
     return SchemeResult(
         scheme=scheme,
         rate=lp.value * scale,
-        split_hop1=HopSplit(splits[0]),
-        split_hop2=HopSplit(splits[1]),
+        split_hop1=split1,
+        split_hop2=split2,
         operating_point=_scale_point(lp.point, scale),
         binding=lp.binding,
     )
 
 
 def coop(params: NetworkParams) -> SchemeResult:
-    """Rate splitting in hop 1 with cooperative common relaying in hop 2.
-
-    The inner problem for fixed splits is the exact LP over the intersection
-    of the two hop regions; the outer search sweeps both split fractions.
-    """
-    work = params.effective()
-    f1, f2 = _search_joint_splits(work, _coop2_lines)
-    lp = max_sum_rate(hop1_region(work, HopSplit(f1)),
-                      hop2_coop_region(work, HopSplit(f2)))
-    return _joint_result(SCHEME_COOP, params, (f1, f2), lp)
+    """Rate splitting in hop 1 with cooperative common relaying in hop 2."""
+    return _joint(SCHEME_COOP, params, coop_bounds, hop2_coop_region)
 
 
 def mcp(params: NetworkParams) -> SchemeResult:
     """Cooperative second hop decoded jointly across all base stations."""
-    work = params.effective()
-    f1, f2 = _search_joint_splits(work, _mcp2_lines)
-    lp = max_sum_rate(hop1_region(work, HopSplit(f1)),
-                      hop2_mcp_region(work, HopSplit(f2)))
-    return _joint_result(SCHEME_MCP, params, (f1, f2), lp)
+    return _joint(SCHEME_MCP, params, mcp_bounds, hop2_mcp_region)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,121 @@ class TestConfigKeys:
         _, rows = read_csv(out)
         assert [r[0] for r in rows] == ["0.5"]
 
+    @pytest.mark.parametrize("value", ["maybe", "2", "yes,yes"])
+    def test_invalid_boolean_is_usage_error(self, capsys, tmp_path, value):
+        config = tmp_path / "point.cfg"
+        config.write_text(f"power_boost={value}\n")
+        code, out, err = run(capsys, "point", "--config", str(config), *CLEAN,
+                             "--duplex", "half", "--schemes", "single")
+        assert code == 1 and out == ""
+        assert repr(value) in err and "boolean" in err
+
+    @pytest.mark.parametrize("value,boost", [("yes", True), ("TRUE", True), ("1", True),
+                                             ("no", False), ("false", False), ("0", False)])
+    def test_boolean_values(self, capsys, tmp_path, value, boost):
+        config = tmp_path / "point.cfg"
+        config.write_text(f"power_boost={value}\n")
+        code, out, _ = run(capsys, "point", "--config", str(config), *CLEAN,
+                           "--duplex", "half", "--json")
+        assert code == 0
+        assert json.loads(out)["params"]["power_boost"] is boost
+
+    @pytest.mark.parametrize("line", ["power_boost=yes", "output={tmp}/a.csv"])
+    def test_repeated_key_is_usage_error(self, capsys, tmp_path, line):
+        # only link may repeat; a repeated output once wrote to "a.csv,b.csv"
+        config = tmp_path / "sweep.cfg"
+        repeated = line.format(tmp=tmp_path)
+        config.write_text(f"duplex=half\n{repeated}\n{repeated.replace('a.csv', 'b.csv')}\n")
+        code, out, err = run(capsys, "sweep", "--config", str(config), *CLEAN,
+                             "--param", "alpha2", "--range", "0:1:1", "--schemes", "single")
+        assert code == 1 and out == ""
+        assert f"{config}:3" in err and repr(line.split("=")[0]) in err
+        assert list(tmp_path.iterdir()) == [config]
+
+
+# Each key some subcommand reads from a file, with a value unlike its
+# default: the file must act as the flag does.
+NETWORK = {"alpha2": "0.4", "beta2": "1", "gamma2": "1", "eta2": "0.5", "p1": "3dB", "p2": "2"}
+FILE_KEYS = {
+    "point": ({**NETWORK, "schemes": "all"}, ["--json"]),
+    "region": ({**NETWORK, "hop": "2mcp", "f": "0.5"}, ["--json"]),
+    "sweep": ({**NETWORK, "param": "alpha2", "range": "0:1:1", "schemes": "single"}, []),
+    "threshold": ({"beta2": "1", "p1": "1"}, ["--json"]),
+    "optsplit": (NETWORK, ["--json"]),
+}
+
+
+def as_flags(options):
+    return [token for key, value in options.items() for token in (f"--{key}", value)]
+
+
+class TestConfigFileValues:
+    @pytest.mark.parametrize("command,key,value", [
+        *[("point", name, value) for name, value in [
+            ("alpha2", "0.3"), ("beta2", "0.8"), ("gamma2", "0.7"), ("eta2", "0.2"),
+            ("p1", "5dB"), ("p2", "0.5")]],
+        ("point", "duplex", "half"), ("point", "schemes", "rs,mcp"),
+        ("region", "hop", "2coop"), ("region", "f", "0.25"),
+        ("sweep", "param", "eta2"), ("sweep", "range", "0:1:0.5"), ("sweep", "link", "p2=p1/2"),
+        ("threshold", "beta2", "2"), ("threshold", "p1", "10dB"),
+        ("optsplit", "alpha2", "0.9"),
+    ])
+    def test_file_value_acts_as_flag(self, capsys, tmp_path, command, key, value):
+        options, extra = FILE_KEYS[command]
+        rest = {k: v for k, v in options.items() if k != key}
+        config = tmp_path / "values.cfg"
+        config.write_text(f"{key}={value}\n")
+        from_file = run(capsys, command, "--config", str(config), *as_flags(rest), *extra)
+        from_flag = run(capsys, command, *as_flags(rest), f"--{key}", value, *extra)
+        without = run(capsys, command, *as_flags(rest), *extra)
+        assert from_file[0] == 0 and from_file[:2] == from_flag[:2]
+        assert without[:2] != from_flag[:2]
+
+    def test_power_boost_and_output(self, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        target = tmp_path / "rates.csv"
+        config.write_text(f"power_boost=yes\nduplex=half\noutput={target}\n")
+        args = as_flags(FILE_KEYS["sweep"][0])
+        code, out, _ = run(capsys, "sweep", "--config", str(config), *args)
+        assert code == 0 and out == ""
+        _, boosted, _ = run(capsys, "sweep", *args, "--duplex", "half", "--power-boost")
+        _, plain, _ = run(capsys, "sweep", *args, "--duplex", "half")
+        assert target.read_text() == boosted != plain
+
+    def test_region_reads_hop_and_f(self, capsys, tmp_path):
+        config = tmp_path / "region.cfg"
+        config.write_text("alpha2=0.4\nbeta2=1\ngamma2=1\neta2=0.5\np1=1\np2=2\n"
+                          "hop=2coop\nf=0.25\n")
+        code, out, _ = run(capsys, "region", "--config", str(config), "--json")
+        assert code == 0
+        # p_private = f * p2 = 0.5 on hop 2
+        assert json.loads(out)["provenance"] == (
+            "hop2-coop(eta2=0.5, gamma2=1, p_private=0.5, p_common=1.5)")
+
+    def test_threshold_ignores_network_alpha2(self, capsys, tmp_path):
+        # threshold's --alpha2 is command-line only: a shared network file
+        # holding alpha2 must not turn the check on
+        config = tmp_path / "net.cfg"
+        config.write_text("alpha2=3\nbeta2=1\ngamma2=1\neta2=0\np1=1\np2=1\n")
+        code, out, _ = run(capsys, "threshold", "--config", str(config))
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == ["paper", "exact"]
+        code, out, _ = run(capsys, "threshold", "--config", str(config), "--json")
+        assert code == 0 and "check" not in json.loads(out)
+
+    @pytest.mark.parametrize("command,given,missing", [
+        ("point", ["--alpha2", "0.4", "--beta2", "1"], ["gamma2", "eta2", "p1", "p2"]),
+        ("optsplit", ["--gamma2", "1", "--p1", "2"], ["alpha2", "beta2", "eta2", "p2"]),
+        ("region", ["--hop", "1", "--eta2", "0.3"], ["alpha2", "beta2", "gamma2", "p1", "p2"]),
+        # the swept parameter is never missing
+        ("sweep", ["--param", "alpha2", "--range", "0:1:1", "--beta2", "1"],
+         ["gamma2", "eta2", "p1", "p2"]),
+    ])
+    def test_missing_parameters_all_named(self, capsys, command, given, missing):
+        code, out, err = run(capsys, command, *given)
+        assert code == 1 and out == ""
+        assert err == f"error: missing parameter(s): {', '.join(missing)}\n"
+
 
 class TestRegion:
     def test_hop1_corner_in_dump(self, capsys):

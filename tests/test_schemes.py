@@ -9,11 +9,16 @@ from meshrates.cli import main
 from meshrates.model import HopSplit, NetworkParams, db_to_linear
 from meshrates.oracle import dense_split_scan
 from meshrates.polytope import max_sum_rate
-from meshrates.regions import hop1_region, hop2_coop_region, hop2_mcp_region, hop_terms
+from meshrates.regions import (
+    coop_bounds,
+    hop1_region,
+    hop2_coop_region,
+    hop2_mcp_region,
+    hop_terms,
+    mcp_bounds,
+)
 from meshrates.schemes import (
-    _coop2_lines,
     _joint_values,
-    _mcp2_lines,
     _optimize_hop_split,
     coop,
     first_hop_upper_bound,
@@ -202,16 +207,16 @@ class TestCoop:
 
 
 class TestJointValues:
-    @pytest.mark.parametrize("lines_fn,builder", [
-        (_coop2_lines, hop2_coop_region), (_mcp2_lines, hop2_mcp_region),
+    @pytest.mark.parametrize("bounds_fn,builder", [
+        (coop_bounds, hop2_coop_region), (mcp_bounds, hop2_mcp_region),
     ])
-    def test_grid_matches_scalar_lp(self, lines_fn, builder):
+    def test_grid_matches_scalar_lp(self, bounds_fn, builder):
         # the split search reads the same greedy LP as max_sum_rate, on arrays
         fs = np.array([0.0, 0.13, 0.5, 0.87, 1.0])
         for work in (symmetric(0.4, 2.0, 1.0),
                      NetworkParams(alpha2=1.5, beta2=1.0, gamma2=0.7, eta2=1.2,
                                    p1=5.0, p2=0.3)):
-            values = _joint_values(work, lines_fn, fs, fs)
+            values = _joint_values(work, bounds_fn, fs, fs)
             for i, f1 in enumerate(fs):
                 for j, f2 in enumerate(fs):
                     lp = max_sum_rate(hop1_region(work, HopSplit(float(f1))),
