@@ -103,11 +103,14 @@ def _load_config(ctx: click.Context, _param, path: str | None) -> None:
     ctx.default_map = config
 
 
-def _network(values: dict, duplex: str, power_boost: bool) -> NetworkParams:
-    """The network of the six parameter values; names every one missing."""
-    missing = [name for name in _PARAM_NAMES if values.get(name) is None]
+def _refuse_missing(missing: list[str]) -> None:
     if missing:
         raise click.UsageError(f"missing parameter(s): {', '.join(missing)}")
+
+
+def _network(values: dict, duplex: str, power_boost: bool) -> NetworkParams:
+    """The network of the six parameter values; names every one missing."""
+    _refuse_missing([name for name in _PARAM_NAMES if values.get(name) is None])
     return NetworkParams(duplex=duplex, power_boost=power_boost,
                          **{name: values[name] for name in _PARAM_NAMES})
 
@@ -140,6 +143,14 @@ _SCHEME_FNS = {
 # Shared option decorators
 # ---------------------------------------------------------------------------
 
+class _Choice(click.Choice):
+    """A choice whose missing-option message lists the choices on one line,
+    like every other usage error."""
+
+    def get_missing_message(self, param, ctx) -> str:
+        return f"Choose from: {', '.join(map(str, self.choices))}"
+
+
 def _network_options(fn):
     for name in reversed(_PARAM_NAMES):
         if name in _POWER_NAMES:
@@ -147,7 +158,7 @@ def _network_options(fn):
                               help=f"{name} (linear, or e.g. '3dB')")(fn)
         else:
             fn = click.option(f"--{name}", type=float, default=None)(fn)
-    fn = click.option("--duplex", type=click.Choice(["full", "half"]), default="full")(fn)
+    fn = click.option("--duplex", type=_Choice(["full", "half"]), default="full")(fn)
     fn = click.option("--power-boost", is_flag=True,
                       help="half duplex only: double powers before halving rates")(fn)
     return fn
@@ -232,8 +243,6 @@ class LinkedParam:
     factor: float = 1.0
 
     def apply(self, values: dict[str, float]) -> None:
-        if self.src not in values:
-            raise click.UsageError(f"link source {self.src!r} has no value")
         values[self.dst] = values[self.src] * self.factor
 
 
@@ -252,8 +261,16 @@ class SweepSpec:
     def params_at(self, value: float) -> NetworkParams:
         values = dict(self.fixed)
         values[self.param] = value
+        unset_sources = set()
         for link in self.links:
-            link.apply(values)
+            if link.src in values:
+                link.apply(values)
+            else:
+                unset_sources.add(link.src)
+        # a linked parameter is missing only through its source
+        linked = {link.dst for link in self.links}
+        _refuse_missing([name for name in _PARAM_NAMES if name in unset_sources
+                         or (name not in values and name not in linked)])
         return _network(values, self.duplex, self.power_boost)
 
 
@@ -337,7 +354,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[str]]]:
 @cli.command("sweep")
 @_config_option
 @_network_options
-@click.option("--param", type=click.Choice(_PARAM_NAMES), required=True,
+@click.option("--param", type=_Choice(_PARAM_NAMES), required=True,
               help="swept parameter name")
 @click.option("--range", required=True, help="start:stop:step (inclusive)")
 @click.option("--link", multiple=True,
@@ -391,7 +408,7 @@ _REGION_BUILDERS = {
 @cli.command("region")
 @_config_option
 @_network_options
-@click.option("--hop", type=click.Choice(sorted(_REGION_BUILDERS)), required=True)
+@click.option("--hop", type=_Choice(sorted(_REGION_BUILDERS)), required=True)
 @click.option("--f", type=float, default=0.5,
               help="private power fraction of the selected hop (default 0.5)")
 @click.option("--json", "as_json", is_flag=True)
@@ -431,7 +448,7 @@ def cmd_region(hop, f, as_json, duplex, power_boost, **values) -> None:
 @_config_option
 @click.option("--beta2", type=float, required=True)
 @click.option("--p1", type=parse_power, required=True)
-@click.option("--method", type=click.Choice(["paper", "exact", "both"]), default="both")
+@click.option("--method", type=_Choice(["paper", "exact", "both"]), default="both")
 # named apart from the alpha2 config key: a shared network file must not
 # turn the check on
 @click.option("--alpha2", "check_alpha2", type=float, default=None,

@@ -2,8 +2,9 @@
 
 Everything here recomputes results from first principles, sharing no formula
 code with the fast paths it checks: the full subset-enumerated MAC region,
-the fixed-decoding-order corner candidates, lattice maximization instead of
-the exact LP, self-certifying midpoint sums instead of the closed-form
+the fixed-decoding-order corner candidates, pairwise line crossings and a
+convex hull instead of the envelope walk, lattice maximization instead of the
+exact LP, self-certifying midpoint sums instead of the closed-form
 joint-decoding bounds, and per-inequality threshold inversions.
 Oracles may be slow; they exist to certify, not to perform.
 """
@@ -23,6 +24,7 @@ from .regions import (
     Halfspace,
     RateRegion,
     hop1_region,
+    hop2_coop_region,
     hop2_mcp_region,
     hop2_rs_region,
     vertex_a,
@@ -137,6 +139,66 @@ def grid_max_sum(regions, step: float) -> float:
         feasible &= h.coef_private * x + h.coef_common * y <= h.bound + 1e-12
     total = np.where(feasible, x + y, -np.inf)
     return float(total.max())
+
+
+def enumerated_vertices(region: RateRegion) -> list[RatePair]:
+    """Extreme points of a region by brute force, counterclockwise: every
+    feasible pairwise crossing of its lines and the two axes, points closer
+    than 1e-10 merged in sorted order, then the convex hull.
+
+    The axes only contribute crossings; feasibility against them is the
+    non-negativity check, not a <= constraint. The reference for
+    ``polytope.vertices``, which walks the upper envelope instead.
+    """
+    lines = [(float(h.coef_private), float(h.coef_common), h.bound)
+             for h in region.halfspaces]
+    axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    points = [(0.0, 0.0)]
+    for (a1, b1, c1), (a2, b2, c2) in combinations(lines + axes, 2):
+        det = a1 * b2 - a2 * b1
+        if abs(det) < 1e-15:
+            continue
+        x = (c1 * b2 - c2 * b1) / det
+        y = (a1 * c2 - a2 * c1) / det
+        if x < -1e-12 or y < -1e-12:
+            continue
+        x = max(x, 0.0) + 0.0  # +0.0 normalizes -0.0
+        y = max(y, 0.0) + 0.0
+        if all(a * x + b * y <= c + 1e-12 for a, b, c in lines):
+            points.append((x, y))
+    points.sort()
+    unique: list[tuple[float, float]] = []
+    for p in points:
+        # against every kept point: in a region narrower than the tolerance
+        # a near-duplicate need not be the previous point in sorted order
+        if all(max(abs(p[0] - q[0]), abs(p[1] - q[1])) > 1e-10 for q in unique):
+            unique.append(p)
+    return [RatePair(x, y) for x, y in _convex_hull(unique)]
+
+
+def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Andrew's monotone chain; input sorted, output counterclockwise with
+    collinear interior points dropped."""
+    if len(points) <= 2:
+        return list(points)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list[tuple[float, float]] = []
+    for p in points:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 1e-20:
+            lower.pop()
+        lower.append(p)
+    upper: list[tuple[float, float]] = []
+    for p in reversed(points):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 1e-20:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if not hull:
+        hull = [points[0]]
+    return hull
 
 
 def riemann_integral(integrand, n_nodes: int) -> float:
@@ -530,6 +592,30 @@ def _check_power_monotonicity(seed: int) -> OracleReport:
     return OracleReport("power-monotonicity", 0.0, gap, gap, 1e-9, gap <= 1e-9)
 
 
+def _check_vertex_walk(seed: int) -> OracleReport:
+    """The envelope walk of ``vertices`` against the pairwise enumeration:
+    the same vertex count, and every coordinate within twice the 1e-10 merge
+    tolerance. Hop 1, rate-splitting and cooperative hop-2 regions of nine
+    draws that alternate in and out of the paper regime and cycle through
+    all-common (f = 0), all-private (f = 1) and a uniform split, so the first
+    six meet every pairing. The reported gap is the largest coordinate gap,
+    or inf on a count mismatch."""
+    rng = _rng(seed, 15)
+    builders = (hop1_region, hop2_rs_region, hop2_coop_region)
+    gap = 0.0
+    for i in range(9):
+        params = _draw_params(rng, paper_regime=i % 2 == 0)
+        split = HopSplit((0.0, 1.0, float(rng.uniform(0.0, 1.0)))[i % 3])
+        for builder in builders:
+            region = builder(params, split)
+            fast, reference = vertices(region), enumerated_vertices(region)
+            if len(fast) != len(reference):
+                gap = math.inf
+            for v, w in zip(fast, reference):
+                gap = max(gap, abs(v.r_private - w.r_private), abs(v.r_common - w.r_common))
+    return OracleReport("vertex-walk", 0.0, gap, gap, 2e-10, gap <= 2e-10)
+
+
 _CHECKS = (
     _check_region_reduction,
     _check_vertex_a_sum,
@@ -545,6 +631,7 @@ _CHECKS = (
     _check_half_duplex,
     _check_mcp_sum_dominance,
     _check_power_monotonicity,
+    _check_vertex_walk,
 )
 # The report name of each entry of _CHECKS, so a filter skips a check unrun.
 _CHECK_NAMES = (
@@ -552,7 +639,7 @@ _CHECK_NAMES = (
     "substitution-symmetry", "vsi-exact-agree", "vsi-certificate",
     "vsi-paper-sufficient", "vsi-a2-dominates-a1", "rs-dense-grid",
     "scheme-ordering", "half-duplex-halving", "mcp-sum-dominance",
-    "power-monotonicity",
+    "power-monotonicity", "vertex-walk",
 )
 
 

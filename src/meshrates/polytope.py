@@ -7,14 +7,16 @@ R_private + R_common, so the max-sum LP has the greedy closed form of a
 polymatroid: take the largest private rate first, then the largest common
 rate (``greedy_max_sum``). It runs on scalar bounds for ``max_sum_rate`` and
 on broadcast arrays of bounds for the split searches in ``schemes``.
-Pairwise constraint intersections are enumerated only for ``vertices``.
+Non-negative coefficients also make every region down-closed, so
+``vertices`` walks the upper envelope of its lines from R_p = 0 instead of
+enumerating pairwise intersections (``oracle.enumerated_vertices`` still
+does, as the reference).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 
 import numpy as np
 
@@ -51,29 +53,6 @@ def _lines(regions: tuple[RateRegion, ...], qualify: bool):
     return lines
 
 
-def _candidate_points(lines):
-    """Feasible pairwise intersections of the constraint lines and axes.
-
-    The axes only contribute intersection candidates; feasibility against
-    them is the non-negativity check, not a <= constraint.
-    """
-    axes = [(1.0, 0.0, 0.0, "axis-private"), (0.0, 1.0, 0.0, "axis-common")]
-    points = [(0.0, 0.0)]
-    for (a1, b1, c1, _), (a2, b2, c2, _) in combinations(lines + axes, 2):
-        det = a1 * b2 - a2 * b1
-        if abs(det) < 1e-15:
-            continue
-        x = (c1 * b2 - c2 * b1) / det
-        y = (a1 * c2 - a2 * c1) / det
-        if x < -FEAS_TOL or y < -FEAS_TOL:
-            continue
-        x = max(x, 0.0) + 0.0  # +0.0 normalizes -0.0
-        y = max(y, 0.0) + 0.0
-        if all(a * x + b * y <= c + FEAS_TOL for a, b, c, _ in lines):
-            points.append((x, y))
-    return points
-
-
 def greedy_max_sum(lines):
     """Maximizer (r_private, r_common) of R_private + R_common subject to
     ``coef_private*R_p + coef_common*R_c <= bound`` and R_p, R_c >= 0.
@@ -84,15 +63,27 @@ def greedy_max_sum(lines):
     it returns the one with the largest private rate. The greedy answer is
     exact only when no constraint has 0 < coef_common < coef_private, which
     raises ValueError.
+
+    Lines that share a coefficient pair are first collapsed to their
+    elementwise-min bound, and a line with coef_private = 0 bounds the common
+    rate by c/coef_common without reading x. Division and subtraction round
+    monotonically, so both shortcuts leave every result bit for bit as the
+    min over the uncollapsed lines. Scalar bounds take the builtin min and
+    max, which give the same floats as the ufuncs without their call cost.
     """
     lines = list(lines)
-    for a, b, _ in lines:
+    arrays = any(isinstance(c, np.ndarray) for _, _, c in lines)
+    minimum, maximum = (np.minimum, np.maximum) if arrays else (min, max)
+    bounds = {}
+    for a, b, c in lines:
         if 0 < b < a:
             raise ValueError(
                 f"greedy max-sum LP needs coef_common >= coef_private, got ({a:g}, {b:g})")
-    x = reduce(np.minimum, (c / a for a, b, c in lines if a > 0))
-    y = reduce(np.minimum, ((c - a * x) / b for a, b, c in lines if b > 0))
-    return x, np.maximum(y, 0.0)
+        bounds[a, b] = minimum(bounds[a, b], c) if (a, b) in bounds else c
+    x = reduce(minimum, (c / a for (a, b), c in bounds.items() if a > 0))
+    y = reduce(minimum, ((c - a * x) / b if a else c / b
+                         for (a, b), c in bounds.items() if b > 0))
+    return x, maximum(y, 0.0)
 
 
 def max_sum_rate(*regions: RateRegion) -> LPSolution:
@@ -119,45 +110,65 @@ def max_sum_rate(*regions: RateRegion) -> LPSolution:
                       degenerate=face > 1e-9)
 
 
-def vertices(region: RateRegion) -> list[RatePair]:
-    """All extreme points of the feasible set, counterclockwise.
+# The axes as (coef_private, coef_common, bound) lines.
+_AXIS_PRIVATE = (1.0, 0.0, 0.0)  # R_p = 0
+_AXIS_COMMON = (0.0, 1.0, 0.0)  # R_c = 0
 
-    Points closer than 1e-10 are merged; collinear boundary points are not
-    reported. Starts at the lexicographically smallest vertex (the origin,
-    unless the region is a single point elsewhere, which cannot happen here).
+
+def _meet(first, second) -> tuple[float, float]:
+    """Crossing of two non-parallel lines, clipped at 0."""
+    (a1, b1, c1), (a2, b2, c2) = first, second
+    det = a1 * b2 - a2 * b1
+    x = (c1 * b2 - c2 * b1) / det
+    y = (a1 * c2 - a2 * c1) / det
+    return max(x, 0.0) + 0.0, max(y, 0.0) + 0.0  # +0.0 normalizes -0.0
+
+
+def vertices(region: RateRegion) -> list[RatePair]:
+    """All extreme points of the feasible set, counterclockwise from the origin.
+
+    Every coefficient is non-negative, so the region is down-closed: from the
+    origin its boundary runs along R_c = 0 to the tightest R_p-intercept X,
+    up the line that sets X if that line is vertical, back along the upper
+    envelope of the lines with coef_common > 0, and down R_p = 0. The
+    envelope is walked from R_p = 0: it starts on the line of least common
+    intercept and steps to the nearest crossing by a steeper line, until the
+    next crossing lies at or beyond X; ties go to the steepest line. Each
+    vertex is the crossing of its own two lines, the axes among them.
+
+    Points closer than 1e-10 are merged in lexicographic order, keeping the
+    smallest, so a region narrower than that collapses to a segment or to
+    the origin.
     """
-    points = _candidate_points(_lines((region,), qualify=False))
-    points.sort()
-    unique: list[tuple[float, float]] = []
-    for p in points:
+    lines = [(float(h.coef_private), float(h.coef_common), h.bound)
+             for h in region.halfspaces]
+    extent = min((line for line in lines if line[0] > 0), key=lambda l: l[2] / l[0])
+    corner = _meet(extent, _AXIS_COMMON)
+    # steepest first, so that min() breaks every tie toward the steepest line
+    sloped = sorted((line for line in lines if line[1] > 0), key=lambda l: -l[0] / l[1])
+    line = min(sloped, key=lambda l: l[2] / l[1])
+    top = [_meet(line, _AXIS_PRIVATE)]  # the upper boundary, left to right
+    while True:
+        crossings = [(_meet(line, other), other) for other in sloped
+                     if other[0] * line[1] > line[0] * other[1]]
+        if not crossings:
+            break
+        point, successor = min(crossings, key=lambda m: m[0][0])
+        if point[0] >= corner[0]:
+            break
+        top.append(point)
+        line = successor
+    if extent[1] == 0:
+        top.append(_meet(line, extent))
+    points = [(0.0, 0.0), corner] + top[::-1]
+    kept: list[int] = []
+    for i in sorted(range(len(points)), key=points.__getitem__):
+        x, y = points[i]
         # against every kept point: in a region narrower than the tolerance
         # a near-duplicate need not be the previous point in sorted order
-        if all(max(abs(p[0] - q[0]), abs(p[1] - q[1])) > _DEDUP_TOL for q in unique):
-            unique.append(p)
-    hull = _convex_hull(unique)
-    return [RatePair(x, y) for x, y in hull]
-
-
-def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Andrew's monotone chain; input sorted, output counterclockwise with
-    collinear interior points dropped."""
-    if len(points) <= 2:
-        return list(points)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[float, float]] = []
-    for p in points:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 1e-20:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(points):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 1e-20:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if not hull:
-        hull = [points[0]]
-    return hull
+        for j in kept:
+            if abs(x - points[j][0]) <= _DEDUP_TOL and abs(y - points[j][1]) <= _DEDUP_TOL:
+                break
+        else:
+            kept.append(i)
+    return [RatePair(*points[i]) for i in sorted(kept)]

@@ -306,8 +306,43 @@ class TestConfigFileValues:
         assert code == 1 and out == ""
         assert err == f"error: missing parameter(s): {', '.join(missing)}\n"
 
+    @pytest.mark.parametrize("links,missing", [
+        # a linked parameter is missing only through its source
+        (["eta2=gamma2"], ["beta2", "gamma2", "p2"]),
+        (["eta2=gamma2", "p2=p1/2"], ["beta2", "gamma2"]),
+        # links apply in order: gamma2 has no value yet when eta2 reads it
+        (["eta2=gamma2", "gamma2=beta2"], ["beta2", "gamma2", "p2"]),
+    ])
+    def test_missing_link_sources_all_named(self, capsys, tmp_path, links, missing):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("alpha2=0.3\neta2=0.1\np1=1\n"
+                          + "".join(f"link={link}\n" for link in links))
+        code, out, err = run(capsys, "sweep", "--config", str(config),
+                             "--param", "alpha2", "--range", "0:1:1")
+        assert code == 1 and out == ""
+        assert err == f"error: missing parameter(s): {', '.join(missing)}\n"
+
+    @pytest.mark.parametrize("command,option,choices", [
+        ("region", "--hop", "1, 2coop, 2mcp, 2rs"),
+        ("sweep", "--param", "alpha2, beta2, gamma2, eta2, p1, p2"),
+    ])
+    def test_missing_choice_option_is_one_line(self, capsys, command, option, choices):
+        code, out, err = run(capsys, command)
+        assert code == 1 and out == ""
+        assert err == f"error: Missing option '{option}'. Choose from: {choices}\n"
+
 
 class TestRegion:
+    @pytest.mark.parametrize("hop", ["1", "2rs", "2coop", "2mcp"])
+    @pytest.mark.parametrize("suffix", ["txt", "json"])
+    def test_fig2_dump_pinned(self, capsys, hop, suffix):
+        # text and JSON at the Fig. 2 point, byte for byte
+        code, out, _ = run(capsys, "region", "--hop", hop, "--alpha2", "0.4",
+                           "--beta2", "1", "--gamma2", "1", "--eta2", "0.4",
+                           "--p1", "2", "--p2", "2", *(["--json"] if suffix == "json" else []))
+        assert code == 0
+        assert out == (ROOT / "tests" / "golden" / f"region_fig2_hop{hop}.{suffix}").read_text()
+
     def test_hop1_corner_in_dump(self, capsys):
         code, out, _ = run(capsys, "region", "--hop", "1", "--alpha2", "0.4",
                            "--beta2", "1", "--gamma2", "1", "--eta2", "0.4",

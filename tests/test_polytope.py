@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from meshrates.model import HopSplit, NetworkParams, RatePair
-from meshrates.oracle import grid_max_sum
+from meshrates.oracle import enumerated_vertices, full_mac_region_hop1, grid_max_sum
 from meshrates.polytope import _DEDUP_TOL, contains, max_sum_rate, vertices
 from meshrates.regions import (
     Halfspace,
@@ -46,13 +46,15 @@ def regions(draw):
     )
 
 
-BUILDERS = (hop1_region, hop2_rs_region, hop2_coop_region, hop2_mcp_region)
+BUILDERS = (hop1_region, hop2_rs_region, hop2_coop_region, hop2_mcp_region,
+            full_mac_region_hop1)
 
 
 @st.composite
 def builder_regions(draw):
-    """A region from one of the four builders; inter-cell gains up to twice
-    the intra-cell ones, so each hop is out of regime in half the draws."""
+    """A region from one of the four builders or the full 15-inequality MAC;
+    inter-cell gains up to twice the intra-cell ones, so each hop is out of
+    regime in half the draws, and splits at and next to both ends."""
     beta2 = draw(st.floats(min_value=0.2, max_value=2.5))
     gamma2 = draw(st.floats(min_value=0.2, max_value=2.5))
     params = NetworkParams(
@@ -60,8 +62,22 @@ def builder_regions(draw):
         gamma2=gamma2, eta2=draw(st.floats(min_value=0.0, max_value=2.0 * gamma2)),
         p1=draw(st.floats(min_value=0.05, max_value=20.0)),
         p2=draw(st.floats(min_value=0.05, max_value=20.0)))
-    split = HopSplit(draw(st.floats(min_value=0.0, max_value=1.0)))
+    split = HopSplit(draw(st.sampled_from((0.0, 1e-12, 1.0 - 1e-12, 1.0))
+                          | st.floats(min_value=0.0, max_value=1.0)))
     return draw(st.sampled_from(BUILDERS))(params, split)
+
+
+@st.composite
+def coefficient_regions(draw):
+    """A private and a common bound plus up to five lines with any
+    coefficient pair from 0..3; every bound is 0 in about half the draws."""
+    bound = st.just(0.0) | st.floats(min_value=0.0, max_value=5.0)
+    pair = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+    spec = [(draw(st.integers(1, 3)), 0, draw(bound), "private"),
+            (0, draw(st.integers(1, 3)), draw(bound), "common")]
+    spec += [(a, b, draw(bound), f"line{i}")
+             for i, (a, b) in enumerate(draw(st.lists(pair, max_size=5)))]
+    return make_region(*draw(st.permutations(spec)))
 
 
 class TestMaxSumRate:
@@ -112,12 +128,31 @@ class TestMaxSumRate:
                          (1, 2, 1.0, "sum-2"), (1, 3, 1.0, "sum-3")))
     @settings(max_examples=150, deadline=None)
     def test_equals_best_vertex(self, region):
-        # vertices() enumerates pairwise intersections: an independent route.
+        # the oracle enumerates pairwise intersections: an independent route.
         # It merges points closer than 1e-10, so in a region smaller than
         # that its best vertex may sit up to 2e-10 below the optimum.
         lp = max_sum_rate(region)
-        gap = lp.value - max(v.total for v in vertices(region))
+        gap = lp.value - max(v.total for v in enumerated_vertices(region))
         assert -1e-12 <= gap <= 1e-12 + 2 * _DEDUP_TOL
+
+    @given(st.floats(min_value=0.0, max_value=2.5), st.floats(min_value=0.0, max_value=2.5),
+           st.floats(min_value=0.05, max_value=20.0), st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=60)
+    def test_shared_pairs_collapse_bit_for_bit(self, alpha2, eta2, power, f1, f2):
+        # hop 1 and the coop hop 2 share all five coefficient pairs, which the
+        # LP collapses to one line each; the uncollapsed greedy formula:
+        params = NetworkParams(alpha2=alpha2, beta2=1.0, gamma2=1.0, eta2=eta2,
+                               p1=power, p2=power)
+        hop1 = hop1_region(params, HopSplit(f1))
+        coop = hop2_coop_region(params, HopSplit(f2))
+        lines = [(h.coef_private, h.coef_common, h.bound)
+                 for region in (hop1, coop) for h in region.halfspaces]
+        x = min(c / a for a, b, c in lines if a > 0)
+        y = max(min((c - a * x) / b for a, b, c in lines if b > 0), 0.0)
+        lp = max_sum_rate(hop1, coop)
+        assert (lp.point.r_private, lp.point.r_common) == (x + 0.0, y + 0.0)
+        assert lp.value == (x + 0.0) + (y + 0.0)
 
     def test_multi_region_labels_qualified(self):
         lp = max_sum_rate(hop1_region(FIG2, HALF), BOX)
@@ -166,6 +201,20 @@ class TestContains:
 
 
 class TestVertices:
+    @given(st.one_of(builder_regions(), coefficient_regions()))
+    @example(make_region((1, 0, 1.0, "private"), (0, 3, 1.0, "common"),
+                         (1, 2, 1.0, "sum-2"), (3, 1, 1.5, "steep")))
+    @settings(max_examples=300, deadline=None)
+    def test_walk_matches_enumeration(self, region):
+        # the same vertices, up to twice the 1e-10 merge tolerance: in a
+        # region narrower than that the two merge different near-duplicates
+        walk = vertices(region)
+        reference = enumerated_vertices(region)
+        assert len(walk) == len(reference)
+        for v, w in zip(walk, reference):
+            assert abs(v.r_private - w.r_private) <= 2 * _DEDUP_TOL
+            assert abs(v.r_common - w.r_common) <= 2 * _DEDUP_TOL
+
     def test_unit_box(self):
         verts = [(v.r_private, v.r_common) for v in vertices(BOX)]
         assert verts == [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
