@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import click
 
-from . import oracle, schemes
+from . import schemes
 from .model import HopSplit, NetworkParams, db_to_linear
 from .polytope import vertices
 from .regions import hop1_region, hop2_coop_region, hop2_mcp_region, hop2_rs_region
@@ -245,6 +245,30 @@ class LinkedParam:
     def apply(self, values: dict[str, float]) -> None:
         values[self.dst] = values[self.src] * self.factor
 
+    def __str__(self) -> str:
+        scale = "" if self.factor == 1.0 else f"*{self.factor:g}"
+        return f"{self.dst}={self.src}{scale}"
+
+
+def _dependency_order(links: list[LinkedParam]) -> list[LinkedParam]:
+    """The links, each after the link that sets its source, so that every
+    link holds once all are applied. A parameter linked twice, or links that
+    read each other in a cycle, are usage errors naming the parameter or the
+    links."""
+    targets = [link.dst for link in links]
+    twice = sorted({dst for dst in targets if targets.count(dst) > 1})
+    if twice:
+        raise click.UsageError(f"parameter(s) linked more than once: {', '.join(twice)}")
+    ordered, pending = [], list(links)
+    while pending:
+        unset = {link.dst for link in pending}
+        ordered += [link for link in pending if link.src not in unset]
+        blocked = [link for link in pending if link.src in unset]
+        if len(blocked) == len(pending):
+            raise click.UsageError(f"links in or behind a cycle: {', '.join(map(str, blocked))}")
+        pending = blocked
+    return ordered
+
 
 @dataclass
 class SweepSpec:
@@ -259,18 +283,17 @@ class SweepSpec:
     power_boost: bool = False
 
     def params_at(self, value: float) -> NetworkParams:
+        """The network at one swept value, links applied in dependency order
+        (a link overrides a fixed value of its target)."""
         values = dict(self.fixed)
         values[self.param] = value
-        unset_sources = set()
-        for link in self.links:
+        for link in _dependency_order(self.links):
             if link.src in values:
                 link.apply(values)
-            else:
-                unset_sources.add(link.src)
         # a linked parameter is missing only through its source
         linked = {link.dst for link in self.links}
-        _refuse_missing([name for name in _PARAM_NAMES if name in unset_sources
-                         or (name not in values and name not in linked)])
+        _refuse_missing([name for name in _PARAM_NAMES
+                         if name not in values and name not in linked])
         return _network(values, self.duplex, self.power_boost)
 
 
@@ -318,22 +341,12 @@ def _parse_link(text: str) -> LinkedParam:
     return LinkedParam(dst=dst, src=src, factor=factor)
 
 
-def _sweep_columns(scheme_names: list[str], swept: str) -> list[str]:
-    columns = [swept]
-    for name in scheme_names:
-        columns.append(name)
-        if name in (schemes.SCHEME_RS, schemes.SCHEME_COOP, schemes.SCHEME_MCP):
-            columns += [f"{name}_f1", f"{name}_f2"]
-        elif name == schemes.SCHEME_BOUND:
-            columns.append(f"{name}_f1")
-        if name in (schemes.SCHEME_SINGLE, schemes.SCHEME_RS):
-            columns.append(f"{name}_bottleneck")
-    return columns
-
-
 def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[str]]]:
-    """Evaluate a sweep; returns (header, rows) with formatted cells."""
-    header = _sweep_columns(spec.scheme_names, spec.param)
+    """Evaluate a sweep; returns (header, rows) with formatted cells.
+
+    The header is the columns of the first row, in the order they are filled;
+    which fields a scheme fills depends only on the scheme, never on the point.
+    """
     rows = []
     for value in spec.values:
         params = spec.params_at(value)
@@ -347,8 +360,8 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[str]]]:
                 cells[f"{name}_f2"] = _fmt(result.split_hop2.f_private)
             if result.bottleneck_hop is not None:
                 cells[f"{name}_bottleneck"] = str(result.bottleneck_hop)
-        rows.append([cells.get(c, "") for c in header])
-    return header, rows
+        rows.append(cells)
+    return list(rows[0]), [list(cells.values()) for cells in rows]
 
 
 @cli.command("sweep")
@@ -508,6 +521,8 @@ def cmd_optsplit(as_json, duplex, power_boost, **values) -> None:
               help="only run checks whose name contains this substring")
 def cmd_verify(seed, name_filter) -> None:
     """Run the oracle verification suite; nonzero exit on any failure."""
+    from . import oracle  # only verify needs it
+
     reports = oracle.run_suite(seed=seed, name_filter=name_filter)
     if not reports:
         raise click.UsageError(f"no checks match filter {name_filter!r}")

@@ -521,8 +521,8 @@ def _check_rs_dense_grid(seed: int) -> OracleReport:
     for params in draws:
         _, r1 = dense_split_scan(params, hop=1)
         _, r2 = dense_split_scan(params, hop=2)
-        _, fast1 = schemes._optimize_hop_split(params.alpha2, params.beta2, params.p1)
-        _, fast2 = schemes._optimize_hop_split(params.eta2, params.gamma2, params.p2)
+        fast1 = schemes._hop_optimum(params.alpha2, params.beta2, params.p1)[1].total
+        fast2 = schemes._hop_optimum(params.eta2, params.gamma2, params.p2)[1].total
         reference = min(r1, r2)
         fast = schemes.rate_splitting(params).rate
         excess = max(excess, fast - reference)

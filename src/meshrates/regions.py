@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HopSplit, NetworkParams, RatePair, capacity
+from .model import HopSplit, NetworkParams, RatePair
 
 LABEL_PRIVATE = "private-single"
 LABEL_COMMON2 = "common-2user"
@@ -280,28 +280,22 @@ def hop2_mcp_region(params: NetworkParams, split: HopSplit) -> RateRegion:
 # Analytic corner points
 # ---------------------------------------------------------------------------
 
-def corner_rates(cross2, intra2, p_private, p_common, log1p_rate=_log1p_rate):
+def corner_rates(cross2, intra2, p_private, p_common):
     """Private rate and the two-user and three-user per-codeword common-rate
-    bounds at the hop's sum-rate-maximizing corner.
+    bounds at the hop's sum-rate-maximizing corner, for scalar or array powers.
 
     The three common codewords are decoded jointly first (all private
     signals still on air) and cancelled; the private codeword is then
-    decoded free of same-cell common signals. ``log1p_rate`` maps an SINR to
-    a rate: the default is vectorized, ``capacity`` keeps scalars on
-    ``math.log2``.
+    decoded free of same-cell common signals. The corner is the private rate
+    and the smaller common bound; ``vertex_a`` builds it for one split, the
+    per-hop split optimum in ``schemes`` for all its candidates at once.
     """
     noise0 = 1.0 + 2.0 * cross2 * p_private
     noise_first = 1.0 + (2.0 * cross2 + intra2) * p_private
-    r_private = log1p_rate(intra2 * p_private / noise0)
-    rc_two = 0.5 * log1p_rate(2.0 * cross2 * p_common / noise_first)
-    rc_three = log1p_rate((2.0 * cross2 + intra2) * p_common / noise_first) / 3.0
+    r_private = _log1p_rate(intra2 * p_private / noise0)
+    rc_two = 0.5 * _log1p_rate(2.0 * cross2 * p_common / noise_first)
+    rc_three = _log1p_rate((2.0 * cross2 + intra2) * p_common / noise_first) / 3.0
     return r_private, rc_two, rc_three
-
-
-def corner_sum_rate(cross2, intra2, p_private, p_common):
-    """Maximum R_p + R_c over the reduced MAC region (vectorized)."""
-    r_private, rc_two, rc_three = corner_rates(cross2, intra2, p_private, p_common)
-    return r_private + np.minimum(rc_two, rc_three)
 
 
 def hop_terms(params: NetworkParams, hop: int) -> tuple[float, float, float]:
@@ -322,7 +316,6 @@ def vertex_a(params: NetworkParams, split: HopSplit, hop: int = 1) -> tuple[Rate
     """
     cross2, intra2, total = hop_terms(params, hop)
     pw = split.powers(total)
-    r_private, rc_two, rc_three = corner_rates(cross2, intra2, pw.p_private, pw.p_common,
-                                               capacity)
-    point = RatePair(r_private, min(rc_two, rc_three))
+    r_private, rc_two, rc_three = corner_rates(cross2, intra2, pw.p_private, pw.p_common)
+    point = RatePair(float(r_private), float(min(rc_two, rc_three)))
     return point, point.total

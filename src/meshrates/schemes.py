@@ -3,13 +3,14 @@
 Every scheme maps a network instance to the best rate its coding strategy
 supports, optimizing the private/common power split of each hop. A hop's own
 split (rate splitting, the first-hop bound) is optimized in closed form: the
-corner sum rate peaks at one of five candidate fractions, evaluated exactly.
-Only the joint (f1, f2) searches of coop and mcp are grids: a coarse grid,
-then local refinement, over the same greedy max-sum LP as
-``polytope.max_sum_rate`` on broadcast grids of constraint bounds; the
-returned rates are re-evaluated through the exact region/LP path at the
-winning splits, and the mcp search and its final region read the same
-closed-form bounds.
+corner sum rate peaks at one of five candidate fractions, whose corners are
+evaluated once; the winning corner gives the rate, the operating point and
+the binding bound alike. Only the joint (f1, f2) searches of coop and mcp are
+grids: one table of passes, each grid centred on the previous best, over the
+same greedy max-sum LP as ``polytope.max_sum_rate`` on broadcast grids of
+constraint bounds; the returned rates are re-evaluated through the exact
+region/LP path at the winning splits, and the mcp search and its final region
+read the same closed-form bounds.
 
 Half duplex scales every final rate by 1/2; the optional power boost doubles
 both transmit powers first.
@@ -29,14 +30,11 @@ from .regions import (
     LABEL_COMMON3,
     coop_bounds,
     corner_rates,
-    corner_sum_rate,
     hop1_region,
     hop2_coop_region,
     hop2_mcp_region,
-    hop_terms,
     mac_bounds,
     mcp_bounds,
-    vertex_a,
 )
 
 SCHEME_SINGLE = "single_rate"
@@ -136,29 +134,29 @@ def _hop_split_candidates(cross2: float, intra2: float, total: float) -> np.ndar
     return np.concatenate(([0.0], np.sort(interior), [1.0]))
 
 
-def _optimize_hop_split(cross2: float, intra2: float, total: float) -> tuple[float, float]:
-    """Maximize the hop's corner sum rate over the private power fraction.
+def _hop_optimum(cross2: float, intra2: float,
+                 total: float) -> tuple[HopSplit, RatePair, tuple[str, ...]]:
+    """The hop's split that maximizes its corner sum rate, that corner, and
+    the common-rate bound attaining the corner's minimum.
 
-    Returns (f_hat, rate); near-ties resolve toward the largest fraction, so
-    f_hat = 1 stays exact where all-private transmission is optimal.
+    All three come from one evaluation of the candidates' corners, so the
+    rate is the corner's total exactly. Near-ties resolve toward the largest
+    fraction, so f_hat = 1 stays exact where all-private transmission is
+    optimal.
     """
     fs = _hop_split_candidates(cross2, intra2, total)
     p_common = total - fs * total  # exactly as HopSplit.powers splits
-    values = corner_sum_rate(cross2, intra2, total - p_common, p_common)
+    r_private, rc_two, rc_three = corner_rates(cross2, intra2, total - p_common, p_common)
     # Ties only at rounding level, so an interior optimum a few ulps above the
     # endpoint still wins.
-    idx = _pick_last_max(values, tie_tol=1e-15)
-    return float(fs[idx]), float(values[idx])
-
-
-def _corner_binding(params: NetworkParams, split: HopSplit, hop: int) -> tuple[str, ...]:
-    """Which common-rate bound attains the min at the hop's corner point."""
-    cross2, intra2, total = hop_terms(params, hop)
-    pw = split.powers(total)
-    _, rc_two, rc_three = corner_rates(cross2, intra2, pw.p_private, pw.p_common, capacity)
+    idx = _pick_last_max(r_private + np.minimum(rc_two, rc_three), tie_tol=1e-15)
+    rc_two, rc_three = float(rc_two[idx]), float(rc_three[idx])
+    corner = RatePair(float(r_private[idx]), min(rc_two, rc_three))
     if abs(rc_two - rc_three) <= 1e-12:
-        return (LABEL_COMMON2, LABEL_COMMON3)
-    return (LABEL_COMMON2,) if rc_two < rc_three else (LABEL_COMMON3,)
+        binding = (LABEL_COMMON2, LABEL_COMMON3)
+    else:
+        binding = (LABEL_COMMON2,) if rc_two < rc_three else (LABEL_COMMON3,)
+    return HopSplit(float(fs[idx])), corner, binding
 
 
 def rate_splitting(params: NetworkParams) -> SchemeResult:
@@ -171,18 +169,16 @@ def rate_splitting(params: NetworkParams) -> SchemeResult:
     """
     work = params.effective()
     scale = params.rate_scale()
-    f1, rate1 = _optimize_hop_split(work.alpha2, work.beta2, work.p1)
-    f2, rate2 = _optimize_hop_split(work.eta2, work.gamma2, work.p2)
-    split1, split2 = HopSplit(f1), HopSplit(f2)
-    point1, _ = vertex_a(work, split1, hop=1)
+    split1, corner1, binding1 = _hop_optimum(work.alpha2, work.beta2, work.p1)
+    split2, corner2, binding2 = _hop_optimum(work.eta2, work.gamma2, work.p2)
+    rate1, rate2 = corner1.total, corner2.total
     return SchemeResult(
         scheme=SCHEME_RS,
         rate=min(rate1, rate2) * scale,
         split_hop1=split1,
         split_hop2=split2,
-        operating_point=_scale_point(point1, scale),
-        binding=_corner_binding(work, split1 if rate1 <= rate2 else split2,
-                                1 if rate1 <= rate2 else 2),
+        operating_point=_scale_point(corner1, scale),
+        binding=binding1 if rate1 <= rate2 else binding2,
         bottleneck_hop=_bottleneck(rate1, rate2),
     )
 
@@ -191,15 +187,13 @@ def first_hop_upper_bound(params: NetworkParams) -> SchemeResult:
     """Best first-hop rate over splits; caps every two-hop scheme here."""
     work = params.effective()
     scale = params.rate_scale()
-    f1, rate1 = _optimize_hop_split(work.alpha2, work.beta2, work.p1)
-    split1 = HopSplit(f1)
-    point1, _ = vertex_a(work, split1, hop=1)
+    split1, corner1, binding1 = _hop_optimum(work.alpha2, work.beta2, work.p1)
     return SchemeResult(
         scheme=SCHEME_BOUND,
-        rate=rate1 * scale,
+        rate=corner1.total * scale,
         split_hop1=split1,
-        operating_point=_scale_point(point1, scale),
-        binding=_corner_binding(work, split1, 1),
+        operating_point=_scale_point(corner1, scale),
+        binding=binding1,
     )
 
 
@@ -209,62 +203,43 @@ def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
     For matched gains and equal powers both fractions coincide. Boundary
     ties resolve toward all-private (fraction 1).
     """
-    work = params.effective()
-    f1, _ = _optimize_hop_split(work.alpha2, work.beta2, work.p1)
-    f2, _ = _optimize_hop_split(work.eta2, work.gamma2, work.p2)
-    return f1, f2
+    result = rate_splitting(params)
+    return result.split_hop1.f_private, result.split_hop2.f_private
 
 
 # ---------------------------------------------------------------------------
 # Joint (f1, f2) optimization for cooperative / joint-decoding second hops
 # ---------------------------------------------------------------------------
 
-def _hop1_lines(work: NetworkParams, f1: np.ndarray) -> list[tuple[float, float, np.ndarray]]:
-    p_private = f1 * work.p1
-    bounds = mac_bounds(work.alpha2, work.beta2, p_private, work.p1 - p_private)
-    return [(float(a), float(b), np.asarray(c)[:, None]) for (a, b), c in bounds.items()]
-
-
-def _hop2_lines(work: NetworkParams, bounds_fn,
-                f2: np.ndarray) -> list[tuple[float, float, np.ndarray]]:
-    p_private = f2 * work.p2
-    bounds = bounds_fn(work.gamma2, work.eta2, p_private, work.p2 - p_private)
-    return [(float(a), float(b), np.asarray(c)[None, :]) for (a, b), c in bounds.items()]
-
-
 def _joint_values(work: NetworkParams, bounds_fn, f1: np.ndarray,
                   f2: np.ndarray) -> np.ndarray:
     """Max-sum LP value of hop 1 at f1[i] intersected with hop 2 at f2[j],
     whose bounds ``bounds_fn`` (``coop_bounds`` or ``mcp_bounds``) gives."""
-    lines = _hop1_lines(work, f1) + _hop2_lines(work, bounds_fn, f2)
-    r_private, r_common = greedy_max_sum(lines)
+    p1_private = f1[:, None] * work.p1
+    p2_private = f2[None, :] * work.p2
+    hop1 = mac_bounds(work.alpha2, work.beta2, p1_private, work.p1 - p1_private)
+    hop2 = bounds_fn(work.gamma2, work.eta2, p2_private, work.p2 - p2_private)
+    r_private, r_common = greedy_max_sum(
+        (a, b, bound) for (a, b), bound in [*hop1.items(), *hop2.items()])
     return r_private + r_common
 
 
-# Unlike the per-hop split, the joint (f1, f2) optimum has no closed form:
-# a 101-point grid per split, then three 11-point passes, each 10x narrower.
-_JOINT_GRID_POINTS = 101
-_JOINT_REFINE_PASSES = 3
+# Unlike the per-hop split, the joint (f1, f2) optimum has no closed form.
+# Each pass is (points per split, half-width of the window around the best
+# split so far): a 101-point grid over [0, 1], then three 11-point passes,
+# each 10x narrower.
+_JOINT_PASSES = ((101, 0.5), (11, 1e-2), (11, 1e-3), (11, 1e-4))
 
 
 def _search_joint_splits(work: NetworkParams, bounds_fn) -> tuple[float, float]:
-    """Coarse 2-D grid over (f1, f2) plus shrinking local grid refinement."""
-    f1 = np.linspace(0.0, 1.0, _JOINT_GRID_POINTS)
-    f2 = np.linspace(0.0, 1.0, _JOINT_GRID_POINTS)
-    values = _joint_values(work, bounds_fn, f1, f2)
-    flat = _pick_last_max(values.ravel())
-    i, j = divmod(flat, values.shape[1])
-    best_f1, best_f2 = float(f1[i]), float(f2[j])
-
-    window = 1.0 / (_JOINT_GRID_POINTS - 1)
-    for _ in range(_JOINT_REFINE_PASSES):
-        f1_local = np.clip(np.linspace(best_f1 - window, best_f1 + window, 11), 0.0, 1.0)
-        f2_local = np.clip(np.linspace(best_f2 - window, best_f2 + window, 11), 0.0, 1.0)
-        local = _joint_values(work, bounds_fn, f1_local, f2_local)
-        flat = _pick_last_max(local.ravel())
-        i, j = divmod(flat, local.shape[1])
-        best_f1, best_f2 = float(f1_local[i]), float(f2_local[j])
-        window /= 10.0
+    """Shrinking grids over (f1, f2), each centred on the previous best."""
+    best_f1 = best_f2 = 0.5
+    for points, window in _JOINT_PASSES:
+        f1 = np.clip(np.linspace(best_f1 - window, best_f1 + window, points), 0.0, 1.0)
+        f2 = np.clip(np.linspace(best_f2 - window, best_f2 + window, points), 0.0, 1.0)
+        values = _joint_values(work, bounds_fn, f1, f2)
+        i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
+        best_f1, best_f2 = float(f1[i]), float(f2[j])
     return best_f1, best_f2
 
 

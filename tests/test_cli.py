@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -155,6 +158,36 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # Each scheme's columns, pinned; schemes come in their fixed order.
+    @pytest.mark.parametrize("requested,columns", [
+        ("single", ["single_rate", "single_rate_bottleneck"]),
+        ("rs", ["rate_splitting", "rate_splitting_f1", "rate_splitting_f2",
+                "rate_splitting_bottleneck"]),
+        ("coop", ["coop", "coop_f1", "coop_f2"]),
+        ("mcp", ["mcp", "mcp_f1", "mcp_f2"]),
+        ("bound", ["first_hop_bound", "first_hop_bound_f1"]),
+        ("mcp,single", ["single_rate", "single_rate_bottleneck", "mcp", "mcp_f1", "mcp_f2"]),
+    ], ids=["single", "rs", "coop", "mcp", "bound", "mcp,single"])
+    def test_header_pinned(self, capsys, requested, columns):
+        code, out, _ = run(capsys, "sweep", *CLEAN[2:], "--param", "alpha2",
+                           "--range", "0:0.5:0.5", "--schemes", requested)
+        assert code == 0
+        header, rows = read_csv(out)
+        assert header == ["alpha2"] + columns
+        assert all(len(row) == len(header) and all(row) for row in rows)
+
+    def test_sweep_leaves_oracle_unimported(self):
+        script = ("import sys\n"
+                  "import meshrates.cli\n"
+                  f"code = meshrates.cli.main(['sweep', *{CLEAN[2:]!r}, '--param', 'alpha2',"
+                  " '--range', '0:0:1', '--schemes', 'all'])\n"
+                  "print(code, 'meshrates.oracle' in sys.modules)\n")
+        path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
+
     def test_deterministic_output(self, capsys):
         args = ("sweep", "--beta2", "1", "--gamma2", "1", "--p1", "2", "--p2", "1",
                 "--param", "alpha2", "--range", "0:0.4:0.2", "--link", "eta2=alpha2",
@@ -162,6 +195,48 @@ class TestSweep:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+class TestLinkOrder:
+    """Links resolve in dependency order, so every link holds in the swept
+    network whatever order the links are given in."""
+
+    ARGS = ["sweep", "--beta2", "1", "--p1", "1", "--p2", "1",
+            "--param", "alpha2", "--range", "0:1:0.5", "--schemes", "single,rs"]
+
+    def sweep(self, capsys, *extra):
+        code, out, err = run(capsys, *self.ARGS, *extra)
+        assert code == 0, err
+        return out
+
+    def test_order_given_does_not_matter(self, capsys):
+        forward = self.sweep(capsys, "--link", "eta2=gamma2", "--link", "gamma2=beta2")
+        backward = self.sweep(capsys, "--link", "gamma2=beta2", "--link", "eta2=gamma2")
+        assert forward == backward
+        assert forward == self.sweep(capsys, "--gamma2", "1", "--eta2", "1")
+
+    def test_link_follows_linked_source_over_fixed_value(self, capsys):
+        # gamma2 = beta2 = 1 overrides --gamma2 2, and eta2 reads that 1
+        linked = self.sweep(capsys, "--gamma2", "2", "--link", "eta2=gamma2",
+                            "--link", "gamma2=beta2")
+        assert linked == self.sweep(capsys, "--gamma2", "1", "--eta2", "1")
+
+    @pytest.mark.parametrize("links,cycle", [
+        (["eta2=gamma2", "gamma2=eta2*2"], "eta2=gamma2, gamma2=eta2*2"),
+        (["eta2=eta2/2"], "eta2=eta2*0.5"),
+        (["p2=eta2", "eta2=gamma2", "gamma2=eta2*2"], "p2=eta2, eta2=gamma2, gamma2=eta2*2"),
+    ], ids=["pair", "self", "reader"])
+    def test_cycle_is_usage_error(self, capsys, links, cycle):
+        code, out, err = run(capsys, *self.ARGS, "--gamma2", "1", "--eta2", "1",
+                             *(arg for link in links for arg in ("--link", link)))
+        assert code == 1 and out == ""
+        assert err == f"error: links in or behind a cycle: {cycle}\n"
+
+    def test_parameter_linked_twice_is_usage_error(self, capsys):
+        code, out, err = run(capsys, *self.ARGS, "--gamma2", "1", "--link", "eta2=alpha2",
+                             "--link", "eta2=gamma2")
+        assert code == 1 and out == ""
+        assert err == "error: parameter(s) linked more than once: eta2\n"
 
 
 class TestConfigKeys:
@@ -310,8 +385,9 @@ class TestConfigFileValues:
         # a linked parameter is missing only through its source
         (["eta2=gamma2"], ["beta2", "gamma2", "p2"]),
         (["eta2=gamma2", "p2=p1/2"], ["beta2", "gamma2"]),
-        # links apply in order: gamma2 has no value yet when eta2 reads it
-        (["eta2=gamma2", "gamma2=beta2"], ["beta2", "gamma2", "p2"]),
+        # links apply in dependency order: eta2 follows gamma2, which is
+        # missing only through beta2
+        (["eta2=gamma2", "gamma2=beta2"], ["beta2", "p2"]),
     ])
     def test_missing_link_sources_all_named(self, capsys, tmp_path, links, missing):
         config = tmp_path / "sweep.cfg"

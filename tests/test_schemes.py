@@ -18,8 +18,8 @@ from meshrates.regions import (
     mcp_bounds,
 )
 from meshrates.schemes import (
+    _hop_optimum,
     _joint_values,
-    _optimize_hop_split,
     coop,
     first_hop_upper_bound,
     mcp,
@@ -126,7 +126,7 @@ class TestHopSplitOptimum:
             params = NetworkParams(alpha2=alpha2, beta2=beta2, gamma2=beta2, eta2=alpha2,
                                    p1=p1, p2=p1 / 2.0)
             for hop in (1, 2):
-                _, rate = _optimize_hop_split(*hop_terms(params, hop))
+                rate = _hop_optimum(*hop_terms(params, hop))[1].total
                 _, reference = dense_split_scan(params, hop=hop, step=1e-3)
                 assert rate >= reference - 1e-12, (params, hop)
 
@@ -155,10 +155,33 @@ class TestHopSplitOptimum:
     def test_extreme_gains_and_powers(self, terms):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            f_hat, rate = _optimize_hop_split(*terms)
+            split, corner, _ = _hop_optimum(*terms)
+        f_hat, rate = split.f_private, corner.total
         want_f, want_rate = self.EXTREMES[terms]
         assert rate == pytest.approx(want_rate, rel=1e-15, abs=0.0)
         assert f_hat == want_f and math.copysign(1.0, f_hat) == 1.0
+
+    def test_rate_is_operating_point_total(self):
+        # The rate and the reported corner come from one evaluation, so they
+        # agree to the bit.
+        rng = np.random.default_rng(3)
+        hop1_bottleneck = 0
+        for k in range(2000):
+            beta2, gamma2 = (float(g) for g in rng.uniform(0.1, 3.0, size=2))
+            lo, hi = (0.0, 1.0) if k % 4 else (1.0, 3.0)  # every fourth out of regime
+            p1, p2 = (float(p) for p in np.exp(rng.uniform(math.log(0.01), math.log(100.0),
+                                                           size=2)))
+            params = NetworkParams(
+                alpha2=float(rng.uniform(lo * beta2, hi * beta2)), beta2=beta2, gamma2=gamma2,
+                eta2=float(rng.uniform(lo * gamma2, hi * gamma2)), p1=p1, p2=p2,
+                duplex="half" if k % 3 == 0 else "full", power_boost=k % 6 == 0)
+            bound = first_hop_upper_bound(params)
+            assert bound.rate == bound.operating_point.total, params
+            result = rate_splitting(params)
+            if result.bottleneck_hop == 1:
+                hop1_bottleneck += 1
+                assert result.rate == result.operating_point.total, params
+        assert hop1_bottleneck >= 500
 
 
 class TestFirstHopUpperBound:
