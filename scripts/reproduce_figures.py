@@ -10,9 +10,11 @@ the per-scheme rate columns.
 import pathlib
 import sys
 
-from meshrates.cli import main
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from meshrates.cli import main  # noqa: E402
+
 CONFIGS = ["fig3_p0db.cfg", "fig3_p10db.cfg", "fig4_p3db.cfg", "fig5_p10db.cfg"]
 
 

@@ -6,9 +6,13 @@ straight from a checkout. Optional args: seed (default 0) and a check-name
 filter substring.
 """
 
+import pathlib
 import sys
 
-from meshrates.cli import main
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from meshrates.cli import main  # noqa: E402
 
 if __name__ == "__main__":
     args = ["verify"]

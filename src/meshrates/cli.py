@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -282,6 +283,10 @@ class SweepSpec:
     duplex: str = "full"
     power_boost: bool = False
 
+    def __post_init__(self) -> None:
+        if any(link.dst == self.param for link in self.links):
+            raise click.UsageError(f"--link cannot set the swept parameter {self.param}")
+
     def params_at(self, value: float) -> NetworkParams:
         """The network at one swept value, links applied in dependency order
         (a link overrides a fixed value of its target)."""
@@ -305,6 +310,8 @@ def _parse_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise click.UsageError(f"range must be numeric, got {text!r}")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise click.UsageError(f"range start, stop and step must be finite, got {text!r}")
     if step <= 0.0:
         raise click.UsageError(f"range step must be positive, got {step}")
     values = []

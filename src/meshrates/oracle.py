@@ -122,23 +122,46 @@ def vertices_bc(params: NetworkParams, split: HopSplit) -> dict[str, RatePair]:
 
 
 def grid_max_sum(regions, step: float) -> float:
-    """Max of R_p + R_c over the feasible lattice of spacing ``step``."""
+    """Max of R_p + R_c over the feasible lattice of spacing ``step``.
+
+    Every coefficient is non-negative and float multiply and add round
+    monotonically, so on each row R_p = rp[i] the test
+    ``coef_private * R_p + coef_common * R_c <= bound + 1e-12`` holds on a
+    prefix of the R_c column, and the row's best point is the prefix's last.
+    A bisection over all rows at once finds each prefix length in about
+    log2(columns) rounds of that same test. The result is the same float as
+    masking the whole lattice and taking the largest feasible R_p + R_c.
+    """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
     if isinstance(regions, RateRegion):
         regions = [regions]
     halfspaces = [h for region in regions for h in region.halfspaces]
+    if any(h.coef_private < 0 or h.coef_common < 0 for h in halfspaces):
+        raise ValueError("grid_max_sum needs non-negative coefficients")
     rp_max = min(h.bound / h.coef_private for h in halfspaces if h.coef_private > 0)
     rc_max = min(h.bound / h.coef_common for h in halfspaces if h.coef_common > 0)
     rp = np.arange(0.0, rp_max + step / 2.0, step)
     rc = np.arange(0.0, rc_max + step / 2.0, step)
-    x = rp[:, None]
-    y = rc[None, :]
-    feasible = np.ones((rp.size, rc.size), dtype=bool)
-    for h in halfspaces:
-        feasible &= h.coef_private * x + h.coef_common * y <= h.bound + 1e-12
-    total = np.where(feasible, x + y, -np.inf)
-    return float(total.max())
+
+    def feasible(x, y):
+        ok = np.ones(x.shape, dtype=bool)
+        for h in halfspaces:
+            ok &= h.coef_private * x + h.coef_common * y <= h.bound + 1e-12
+        return ok
+
+    # prefix[i] points of row i are feasible; each round tries the next
+    # smaller power of two more
+    prefix = np.zeros(rp.size, dtype=np.intp)
+    bit = 1 << (rc.size.bit_length() - 1)
+    while bit:
+        probe = prefix + bit
+        fits = probe <= rc.size
+        fits[fits] = feasible(rp[fits], rc[probe[fits] - 1])
+        prefix[fits] = probe[fits]
+        bit >>= 1
+    rows = prefix > 0  # the last row may pass rp_max by up to half a step
+    return float((rp[rows] + rc[prefix[rows] - 1]).max())
 
 
 def enumerated_vertices(region: RateRegion) -> list[RatePair]:

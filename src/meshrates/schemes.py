@@ -297,22 +297,29 @@ def vsi_threshold(beta2: float, p1: float, method: str = "exact") -> float:
     and takes the largest, which is smaller in general. ``vsi_check`` is the
     arbiter between the two.
     """
-    if not (beta2 > 0.0 and p1 > 0.0):
-        raise ValueError("vsi_threshold needs positive beta2 and p1")
+    if not (math.isfinite(beta2) and math.isfinite(p1) and beta2 > 0.0 and p1 > 0.0):
+        raise ValueError(f"vsi_threshold needs finite positive beta2 and p1, "
+                         f"got beta2={beta2!r}, p1={p1!r}")
     if method == "paper":
         two_user = beta2 * max(p1 / 2.0 + 1.0, beta2 * p1 + 1.0)
-        three_user = beta2 * (2.0 + 3.0 * p1 + beta2 ** 2 * p1)
-        return max(beta2, two_user, three_user)
-    if method == "exact":
+        try:
+            three_user = beta2 * (2.0 + 3.0 * p1 + beta2 ** 2 * p1)
+        except OverflowError:  # beta2 ** 2 past the float range
+            three_user = math.inf
+        threshold = max(beta2, two_user, three_user)
+    elif method == "exact":
         x = beta2 * p1
-        candidates = [
+        threshold = max(
             beta2,                                   # cross single-user
             beta2 * (1.0 + x),                       # own+cross pair
             beta2 * (1.0 + 0.5 * x),                 # cross pair
             beta2 * (1.0 + 1.5 * x + 0.5 * x * x),   # all three
-        ]
-        return max(candidates)
-    raise ValueError(f"method must be 'paper' or 'exact', got {method!r}")
+        )
+    else:
+        raise ValueError(f"method must be 'paper' or 'exact', got {method!r}")
+    if not math.isfinite(threshold):
+        raise ValueError(f"vsi threshold overflows a float at beta2={beta2!r}, p1={p1!r}")
+    return threshold
 
 
 def vsi_check(params: NetworkParams) -> tuple[bool, str]:

@@ -131,6 +131,14 @@ class TestSweep:
         assert code == 1
         assert "range" in err.lower()
 
+    # each of these loops forever, or runs out of memory, without the check
+    @pytest.mark.parametrize("text", ["0:1:nan", "nan:1:0.5", "0:1:inf", "0:inf:1", "-inf:1:0.5"])
+    def test_non_finite_range_is_usage_error(self, capsys, text):
+        code, out, err = run(capsys, "sweep", *CLEAN, "--param", "alpha2",
+                             "--range", text, "--schemes", "single")
+        assert code == 1 and out == ""
+        assert err == f"error: range start, stop and step must be finite, got {text!r}\n"
+
     def test_bad_link_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep", *CLEAN, "--param", "alpha2",
                            "--range", "0:1:0.5", "--link", "eta2=alpha2+1",
@@ -231,6 +239,14 @@ class TestLinkOrder:
                              *(arg for link in links for arg in ("--link", link)))
         assert code == 1 and out == ""
         assert err == f"error: links in or behind a cycle: {cycle}\n"
+
+    def test_link_to_swept_parameter_is_usage_error(self, capsys):
+        # the link would overwrite every swept value, so each row would be
+        # labelled with a network that was never evaluated
+        code, out, err = run(capsys, *self.ARGS, "--gamma2", "1", "--eta2", "0.2",
+                             "--link", "alpha2=beta2")
+        assert code == 1 and out == ""
+        assert err == "error: --link cannot set the swept parameter alpha2\n"
 
     def test_parameter_linked_twice_is_usage_error(self, capsys):
         code, out, err = run(capsys, *self.ARGS, "--gamma2", "1", "--link", "eta2=alpha2",
@@ -473,6 +489,17 @@ class TestThreshold:
         code, _, _ = run(capsys, "threshold", "--beta2", "0", "--p1", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("beta2,p1,message", [
+        ("1", "inf", "vsi_threshold needs finite positive beta2 and p1, got beta2=1.0, p1=inf"),
+        ("nan", "1", "vsi_threshold needs finite positive beta2 and p1, got beta2=nan, p1=1.0"),
+        # beta2 ** 2 in the printed form overflows a float
+        ("1e200", "1e200", "vsi threshold overflows a float at beta2=1e+200, p1=1e+200"),
+    ], ids=["infinite-power", "nan-gain", "overflow"])
+    def test_non_finite_is_usage_error(self, capsys, beta2, p1, message):
+        code, out, err = run(capsys, "threshold", "--beta2", beta2, "--p1", p1, "--json")
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestOptsplit:
     def test_symmetric_fractions(self, capsys):
@@ -506,6 +533,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 3
         assert "FAIL stub-check" in out
+
+
+class TestScripts:
+    def test_verification_script_runs_without_pythonpath(self):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        done = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_verification.py"),
+                               "0", "vsi"], capture_output=True, text=True, env=env,
+                              cwd=ROOT / "tests", timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "4/4 checks passed"
 
 
 class TestExitCodes:

@@ -16,7 +16,14 @@ from meshrates.oracle import (
     vsi_exact_solve,
 )
 from meshrates.polytope import contains, max_sum_rate, vertices
-from meshrates.regions import hop1_region
+from meshrates.regions import (
+    Halfspace,
+    RateRegion,
+    hop1_region,
+    hop2_coop_region,
+    hop2_mcp_region,
+    hop2_rs_region,
+)
 
 FIG2 = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=2.0)
 HALF = HopSplit(0.5)
@@ -86,6 +93,59 @@ class TestGridMaxSum:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             grid_max_sum(hop1_region(FIG2, HALF), step=0.0)
+
+    @staticmethod
+    def masked_max_sum(regions, step):
+        """The whole-lattice mask: every halfspace tested at every lattice
+        point, the largest feasible sum taken. The reference for the row
+        bisection."""
+        if isinstance(regions, RateRegion):
+            regions = [regions]
+        halfspaces = [h for region in regions for h in region.halfspaces]
+        rp_max = min(h.bound / h.coef_private for h in halfspaces if h.coef_private > 0)
+        rc_max = min(h.bound / h.coef_common for h in halfspaces if h.coef_common > 0)
+        x = np.arange(0.0, rp_max + step / 2.0, step)[:, None]
+        y = np.arange(0.0, rc_max + step / 2.0, step)[None, :]
+        feasible = np.ones((x.size, y.size), dtype=bool)
+        for h in halfspaces:
+            feasible &= h.coef_private * x + h.coef_common * y <= h.bound + 1e-12
+        return float(np.where(feasible, x + y, -np.inf).max())
+
+    @pytest.mark.parametrize("paper_regime", [True, False], ids=["in-regime", "out-of-regime"])
+    def test_same_float_as_mask_on_builder_regions(self, paper_regime):
+        rng = np.random.default_rng(11 if paper_regime else 12)
+        for _ in range(12):
+            params = oracle._draw_params(rng, paper_regime)
+            hop1 = hop1_region(params, HopSplit(float(rng.uniform(0.0, 1.0))))
+            split2 = HopSplit(float(rng.uniform(0.0, 1.0)))
+            regions = [hop1, hop2_rs_region(params, split2),
+                       [hop1, hop2_coop_region(params, split2)],
+                       [hop1, hop2_mcp_region(params, split2)]]
+            for region in regions:
+                for step in (1e-3, 7e-3, 0.05, 0.5):
+                    assert grid_max_sum(region, step) == self.masked_max_sum(region, step)
+
+    @pytest.mark.parametrize("lines,step,expected", [
+        # every line passes through lattice points
+        ([(1, 0, 1.0), (0, 1, 0.75), (1, 1, 1.5), (1, 2, 2.0)], 0.25, 1.5),
+        # zero common bound: the lattice is one column, rc == [0.0]
+        ([(1, 0, 1.3), (0, 1, 0.0), (1, 1, 2.0)], 0.1, 1.3),
+        # the last lattice row, 1.2, lies past the private bound 1.1
+        ([(1, 0, 1.1), (0, 1, 1.0), (1, 2, 2.0)], 0.4, 1.2),
+    ], ids=["through-lattice-points", "zero-common-bound", "row-past-bound"])
+    def test_same_float_as_mask_on_hand_regions(self, lines, step, expected):
+        region = RateRegion(halfspaces=tuple(Halfspace(a, b, c, f"h{i}")
+                                             for i, (a, b, c) in enumerate(lines)),
+                            provenance="custom()")
+        assert grid_max_sum(region, step) == self.masked_max_sum(region, step)
+        assert grid_max_sum(region, step) == pytest.approx(expected, abs=1e-12)
+
+    def test_negative_coefficient_is_refused(self):
+        region = RateRegion(halfspaces=(Halfspace(1, 0, 1.0, "p"), Halfspace(0, 1, 1.0, "c"),
+                                        Halfspace(1, -1, 0.5, "tilt")),
+                            provenance="custom()")
+        with pytest.raises(ValueError, match="non-negative"):
+            grid_max_sum(region, step=0.1)
 
 
 class TestRiemannIntegral:

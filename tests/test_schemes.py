@@ -312,6 +312,13 @@ class TestVsiThreshold:
         with pytest.raises(ValueError):
             vsi_threshold(1.0, 1.0, method="guess")
 
+    @pytest.mark.parametrize("method", ["paper", "exact"])
+    @pytest.mark.parametrize("beta2,p1", [(1.0, math.inf), (math.nan, 1.0), (1e200, 1e200)],
+                             ids=["infinite-power", "nan-gain", "overflow"])
+    def test_non_finite_input_or_result_is_value_error(self, method, beta2, p1):
+        with pytest.raises(ValueError, match="finite|overflows"):
+            vsi_threshold(beta2, p1, method)
+
 
 class TestVsiCheck:
     def test_tight_at_exact_threshold(self):
