@@ -302,6 +302,10 @@ class SweepSpec:
         return _network(values, self.duplex, self.power_boost)
 
 
+# Most points one sweep may have; the swept list is built in memory.
+MAX_SWEEP_POINTS = 10**6
+
+
 def _parse_range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -314,6 +318,12 @@ def _parse_range(text: str) -> list[float]:
         raise click.UsageError(f"range start, stop and step must be finite, got {text!r}")
     if step <= 0.0:
         raise click.UsageError(f"range step must be positive, got {step}")
+    # the loop below stops once start + k*step passes stop + step/2
+    span = (stop - start) / step + 0.5
+    count = math.floor(span) + 1 if math.isfinite(span) else span
+    if count > MAX_SWEEP_POINTS:
+        raise click.UsageError(f"range {text!r} has {count} points, "
+                               f"more than the cap of {MAX_SWEEP_POINTS}")
     values = []
     k = 0
     while True:

@@ -5,8 +5,9 @@ both coefficients are non-zero, coef_common >= coef_private. Moving along
 (-1, +1) then never tightens a constraint faster than it raises
 R_private + R_common, so the max-sum LP has the greedy closed form of a
 polymatroid: take the largest private rate first, then the largest common
-rate (``greedy_max_sum``). It runs on scalar bounds for ``max_sum_rate`` and
-on broadcast arrays of bounds for the split searches in ``schemes``.
+rate (``greedy_max_sum``). It runs on the scalar bounds of ``max_sum_rate``;
+the split searches in ``schemes`` apply the same closed form to grids of
+splits, from each hop's private and common caps.
 Non-negative coefficients also make every region down-closed, so
 ``vertices`` walks the upper envelope of its lines from R_p = 0 instead of
 enumerating pairwise intersections (``oracle.enumerated_vertices`` still
@@ -16,9 +17,6 @@ does, as the reference).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-
-import numpy as np
 
 from .model import RatePair
 from .regions import RateRegion
@@ -57,33 +55,26 @@ def greedy_max_sum(lines):
     """Maximizer (r_private, r_common) of R_private + R_common subject to
     ``coef_private*R_p + coef_common*R_c <= bound`` and R_p, R_c >= 0.
 
-    ``lines`` holds (coef_private, coef_common, bound) triples with scalar
-    coefficients; the bounds may be scalars or arrays that broadcast against
-    each other, and the result has their broadcast shape. Of all maximizers
-    it returns the one with the largest private rate. The greedy answer is
-    exact only when no constraint has 0 < coef_common < coef_private, which
-    raises ValueError.
+    ``lines`` holds scalar (coef_private, coef_common, bound) triples. Of all
+    maximizers it returns the one with the largest private rate. The greedy
+    answer is exact only when no constraint has 0 < coef_common <
+    coef_private, which raises ValueError.
 
-    Lines that share a coefficient pair are first collapsed to their
-    elementwise-min bound, and a line with coef_private = 0 bounds the common
-    rate by c/coef_common without reading x. Division and subtraction round
-    monotonically, so both shortcuts leave every result bit for bit as the
-    min over the uncollapsed lines. Scalar bounds take the builtin min and
-    max, which give the same floats as the ufuncs without their call cost.
+    Lines that share a coefficient pair are first collapsed to their min
+    bound, and a line with coef_private = 0 bounds the common rate by
+    c/coef_common without reading x. Division and subtraction round
+    monotonically, so both shortcuts leave the result bit for bit as the min
+    over the uncollapsed lines.
     """
-    lines = list(lines)
-    arrays = any(isinstance(c, np.ndarray) for _, _, c in lines)
-    minimum, maximum = (np.minimum, np.maximum) if arrays else (min, max)
     bounds = {}
     for a, b, c in lines:
         if 0 < b < a:
             raise ValueError(
                 f"greedy max-sum LP needs coef_common >= coef_private, got ({a:g}, {b:g})")
-        bounds[a, b] = minimum(bounds[a, b], c) if (a, b) in bounds else c
-    x = reduce(minimum, (c / a for (a, b), c in bounds.items() if a > 0))
-    y = reduce(minimum, ((c - a * x) / b if a else c / b
-                         for (a, b), c in bounds.items() if b > 0))
-    return x, maximum(y, 0.0)
+        bounds[a, b] = min(bounds[a, b], c) if (a, b) in bounds else c
+    x = min(c / a for (a, b), c in bounds.items() if a > 0)
+    y = min((c - a * x) / b if a else c / b for (a, b), c in bounds.items() if b > 0)
+    return x, max(y, 0.0)
 
 
 def max_sum_rate(*regions: RateRegion) -> LPSolution:

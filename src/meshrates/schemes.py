@@ -6,11 +6,13 @@ split (rate splitting, the first-hop bound) is optimized in closed form: the
 corner sum rate peaks at one of five candidate fractions, whose corners are
 evaluated once; the winning corner gives the rate, the operating point and
 the binding bound alike. Only the joint (f1, f2) searches of coop and mcp are
-grids: one table of passes, each grid centred on the previous best, over the
-same greedy max-sum LP as ``polytope.max_sum_rate`` on broadcast grids of
-constraint bounds; the returned rates are re-evaluated through the exact
-region/LP path at the winning splits, and the mcp search and its final region
-read the same closed-form bounds.
+grids: one table of passes, each grid centred on the previous best, scored
+by the greedy closed form of ``polytope.max_sum_rate``. Each hop's bounds are
+first reduced along its own split grid to a private cap, a pure-common cap
+and its sum lines; the two hops then combine on the (f1, f2) grid. The
+returned rates are re-evaluated through the exact region/LP path at the
+winning splits, and the mcp search and its final region read the same
+closed-form bounds.
 
 Half duplex scales every final rate by 1/2; the optional power boost doubles
 both transmit powers first.
@@ -20,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .model import HopSplit, NetworkParams, RatePair, capacity
-from .polytope import greedy_max_sum, max_sum_rate
+from .polytope import max_sum_rate
 from .regions import (
     LABEL_COMMON2,
     LABEL_COMMON3,
@@ -100,6 +103,13 @@ def _pick_last_max(values: np.ndarray, tie_tol: float = 1e-12) -> int:
     return int(np.nonzero(values >= top - tie_tol)[0][-1])
 
 
+def _split_powers(fs: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray]:
+    """Private and common powers of each fraction, exactly as
+    ``HopSplit.powers`` splits them."""
+    p_common = total - fs * total
+    return total - p_common, p_common
+
+
 def _hop_split_candidates(cross2: float, intra2: float, total: float) -> np.ndarray:
     """Private power fractions, ascending, among which the hop's corner sum
     rate attains its maximum.
@@ -145,8 +155,7 @@ def _hop_optimum(cross2: float, intra2: float,
     optimal.
     """
     fs = _hop_split_candidates(cross2, intra2, total)
-    p_common = total - fs * total  # exactly as HopSplit.powers splits
-    r_private, rc_two, rc_three = corner_rates(cross2, intra2, total - p_common, p_common)
+    r_private, rc_two, rc_three = corner_rates(cross2, intra2, *_split_powers(fs, total))
     # Ties only at rounding level, so an interior optimum a few ulps above the
     # endpoint still wins.
     idx = _pick_last_max(r_private + np.minimum(rc_two, rc_three), tie_tol=1e-15)
@@ -211,17 +220,46 @@ def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
 # Joint (f1, f2) optimization for cooperative / joint-decoding second hops
 # ---------------------------------------------------------------------------
 
+def _hop_caps(bounds: dict) -> tuple[np.ndarray, np.ndarray, dict]:
+    """One hop's bounds reduced along its own split grid: the private cap
+    (min c/a over a > 0), the pure-common cap (min c/b over a = 0) and the
+    sum-line bounds keyed by coef_common (every sum line has coef_private 1)."""
+    private = reduce(np.minimum, [c / a for (a, b), c in bounds.items() if a])
+    common = reduce(np.minimum, [c / b for (a, b), c in bounds.items() if not a])
+    return private, common, {b: c for (a, b), c in bounds.items() if a and b}
+
+
 def _joint_values(work: NetworkParams, bounds_fn, f1: np.ndarray,
                   f2: np.ndarray) -> np.ndarray:
     """Max-sum LP value of hop 1 at f1[i] intersected with hop 2 at f2[j],
-    whose bounds ``bounds_fn`` (``coop_bounds`` or ``mcp_bounds``) gives."""
-    p1_private = f1[:, None] * work.p1
-    p2_private = f2[None, :] * work.p2
-    hop1 = mac_bounds(work.alpha2, work.beta2, p1_private, work.p1 - p1_private)
-    hop2 = bounds_fn(work.gamma2, work.eta2, p2_private, work.p2 - p2_private)
-    r_private, r_common = greedy_max_sum(
-        (a, b, bound) for (a, b), bound in [*hop1.items(), *hop2.items()])
-    return r_private + r_common
+    whose bounds ``bounds_fn`` (``coop_bounds`` or ``mcp_bounds``) gives.
+
+    The greedy closed form of ``polytope.greedy_max_sum``, with each hop's
+    bounds reduced on its own split grid first: x = min of the private caps,
+    y = max(min(common caps, (c - x)/b over the sum lines), 0), with the
+    sum lines of a shared coef_common taken at their min bound. Division and
+    subtraction round monotonically, so every cell is the same float as the
+    greedy over the uncollapsed lines.
+    """
+    private1, common1, sums1 = _hop_caps(
+        mac_bounds(work.alpha2, work.beta2, *_split_powers(f1, work.p1)))
+    private2, common2, sums2 = _hop_caps(
+        bounds_fn(work.gamma2, work.eta2, *_split_powers(f2, work.p2)))
+    x = np.minimum.outer(private1, private2)
+    y = np.minimum.outer(common1, common2)
+    term = np.empty_like(y)
+    for b in sums1.keys() | sums2.keys():
+        if b in sums1 and b in sums2:
+            np.minimum.outer(sums1[b], sums2[b], out=term)
+            term -= x
+        else:
+            c = sums1[b][:, None] if b in sums1 else sums2[b][None, :]
+            np.subtract(c, x, out=term)
+        term /= b
+        np.minimum(y, term, out=y)
+    np.maximum(y, 0.0, out=y)
+    y += x
+    return y
 
 
 # Unlike the per-hop split, the joint (f1, f2) optimum has no closed form.

@@ -7,10 +7,11 @@ import subprocess
 import sys
 import warnings
 
+import click
 import pytest
 
 from meshrates import oracle
-from meshrates.cli import main, parse_power
+from meshrates.cli import MAX_SWEEP_POINTS, _parse_range, main, parse_power
 from meshrates.oracle import OracleReport
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -138,6 +139,19 @@ class TestSweep:
                              "--range", text, "--schemes", "single")
         assert code == 1 and out == ""
         assert err == f"error: range start, stop and step must be finite, got {text!r}\n"
+
+    def test_range_over_the_point_cap_is_refused_up_front(self, capsys):
+        # 1e15 points: building the list first would exhaust memory
+        code, out, err = run(capsys, "sweep", *CLEAN, "--param", "alpha2",
+                             "--range", "0:1e12:1e-3", "--schemes", "single")
+        assert code == 1 and out == ""
+        assert err == ("error: range '0:1e12:1e-3' has 1000000000000001 points, "
+                       "more than the cap of 1000000\n")
+
+    def test_point_cap_is_inclusive(self):
+        assert len(_parse_range(f"0:{MAX_SWEEP_POINTS - 1}:1")) == MAX_SWEEP_POINTS
+        with pytest.raises(click.UsageError, match=f"has {MAX_SWEEP_POINTS + 1} points"):
+            _parse_range(f"0:{MAX_SWEEP_POINTS}:1")
 
     def test_bad_link_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep", *CLEAN, "--param", "alpha2",

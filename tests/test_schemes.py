@@ -1,10 +1,12 @@
 import math
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meshrates import schemes
 from meshrates.cli import main
 from meshrates.model import HopSplit, NetworkParams, db_to_linear
 from meshrates.oracle import dense_split_scan
@@ -15,11 +17,14 @@ from meshrates.regions import (
     hop2_coop_region,
     hop2_mcp_region,
     hop_terms,
+    mac_bounds,
     mcp_bounds,
 )
 from meshrates.schemes import (
     _hop_optimum,
     _joint_values,
+    _search_joint_splits,
+    _split_powers,
     coop,
     first_hop_upper_bound,
     mcp,
@@ -229,22 +234,78 @@ class TestCoop:
                         tol=1e-9)
 
 
+def seeded_networks(seed, n):
+    """n seeded networks; every other one lies outside the paper regime
+    (alpha2 > beta2 and eta2 > gamma2)."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for k in range(n):
+        beta2, gamma2 = rng.uniform(0.2, 2.5, 2)
+        low, high = (1.0, 2.0) if k % 2 else (0.0, 1.0)
+        p1, p2 = np.exp(rng.uniform(math.log(0.05), math.log(20.0), 2))
+        draws.append(NetworkParams(alpha2=float(beta2 * rng.uniform(low, high)),
+                                   beta2=float(beta2), gamma2=float(gamma2),
+                                   eta2=float(gamma2 * rng.uniform(low, high)),
+                                   p1=float(p1), p2=float(p2)))
+    return draws
+
+
+def window(centre, half_width):
+    """An 11-point split grid as the later search passes build it."""
+    return np.clip(np.linspace(centre - half_width, centre + half_width, 11), 0.0, 1.0)
+
+
+def uncollapsed_greedy(work, bounds_fn, f1, f2):
+    """The greedy max-sum LP over every line of both hops on the (f1, f2)
+    grid, as one broadcast: x = min c/a, then y = max(min (c - a*x)/b, 0).
+    Each hop's bounds are the same 1-D arrays ``_joint_values`` reads."""
+    hop1 = mac_bounds(work.alpha2, work.beta2, *_split_powers(f1, work.p1))
+    hop2 = bounds_fn(work.gamma2, work.eta2, *_split_powers(f2, work.p2))
+    lines = ([(a, b, c[:, None]) for (a, b), c in hop1.items()]
+             + [(a, b, c[None, :]) for (a, b), c in hop2.items()])
+    x = reduce(np.minimum, [c / a for a, b, c in lines if a > 0])
+    y = reduce(np.minimum, [(c - a * x) / b for a, b, c in lines if b > 0])
+    return x + np.maximum(y, 0.0)
+
+
 class TestJointValues:
     @pytest.mark.parametrize("bounds_fn,builder", [
         (coop_bounds, hop2_coop_region), (mcp_bounds, hop2_mcp_region),
     ])
     def test_grid_matches_scalar_lp(self, bounds_fn, builder):
-        # the split search reads the same greedy LP as max_sum_rate, on arrays
+        # the split search scores a cell with the same floats as max_sum_rate
+        # on the regions at its splits
         fs = np.array([0.0, 0.13, 0.5, 0.87, 1.0])
         for work in (symmetric(0.4, 2.0, 1.0),
                      NetworkParams(alpha2=1.5, beta2=1.0, gamma2=0.7, eta2=1.2,
-                                   p1=5.0, p2=0.3)):
+                                   p1=5.0, p2=0.3),
+                     *seeded_networks(3, 6)):
             values = _joint_values(work, bounds_fn, fs, fs)
             for i, f1 in enumerate(fs):
                 for j, f2 in enumerate(fs):
                     lp = max_sum_rate(hop1_region(work, HopSplit(float(f1))),
                                       builder(work, HopSplit(float(f2))))
-                    assert abs(values[i, j] - lp.value) <= 1e-12
+                    assert values[i, j] == lp.value
+
+    @pytest.mark.parametrize("bounds_fn", [coop_bounds, mcp_bounds])
+    def test_combine_matches_uncollapsed_greedy(self, bounds_fn):
+        # per-hop caps, then one min per quantity: every cell bit for bit
+        full = np.linspace(0.0, 1.0, 101)
+        grids = [(full, full), (window(0.004, 1e-2), window(0.9996, 1e-3)),
+                 (window(1.0, 1e-2), window(0.0, 1e-4)), (window(0.37, 1e-2), full)]
+        for work in (symmetric(0.06, db_to_linear(3.0), db_to_linear(3.0) / 2.0),
+                     *seeded_networks(11, 8)):
+            for f1, f2 in grids:
+                assert np.array_equal(_joint_values(work, bounds_fn, f1, f2),
+                                      uncollapsed_greedy(work, bounds_fn, f1, f2))
+
+    @pytest.mark.parametrize("bounds_fn", [coop_bounds, mcp_bounds])
+    def test_search_matches_reference_passes(self, bounds_fn, monkeypatch):
+        draws = [symmetric(a2, db_to_linear(p), db_to_linear(p) / 2.0)
+                 for a2, p in ((0.06, 3.0), (0.56, 10.0))] + seeded_networks(12, 6)
+        fast = [_search_joint_splits(work, bounds_fn) for work in draws]
+        monkeypatch.setattr(schemes, "_joint_values", uncollapsed_greedy)
+        assert [_search_joint_splits(work, bounds_fn) for work in draws] == fast
 
 
 class TestMcp:
