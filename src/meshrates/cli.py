@@ -533,7 +533,7 @@ def cmd_optsplit(as_json, duplex, power_boost, **values) -> None:
 # ---------------------------------------------------------------------------
 
 @cli.command("verify")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--filter", "name_filter", default=None,
               help="only run checks whose name contains this substring")
 def cmd_verify(seed, name_filter) -> None:

@@ -4,13 +4,17 @@ Everything here recomputes results from first principles, sharing no formula
 code with the fast paths it checks: the full subset-enumerated MAC region,
 the fixed-decoding-order corner candidates, pairwise line crossings and a
 convex hull instead of the envelope walk, lattice maximization instead of the
-exact LP, self-certifying midpoint sums instead of the closed-form
-joint-decoding bounds, and per-inequality threshold inversions.
-Oracles may be slow; they exist to certify, not to perform.
+exact LP, self-certifying midpoint sums of the responses' cosine series
+instead of the closed-form joint-decoding bounds, a scan over the split
+fraction instead of the closed-form split optimum, and per-inequality
+threshold inversions in exact decimal arithmetic. Oracles may be slow; they
+exist to certify, not to perform, and run as array expressions where that
+leaves their floats unchanged.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -264,19 +268,22 @@ def certified_midpoint(integrand) -> tuple[float, float, int]:
 def mcp_reference_integrands(gamma2: float, eta2: float,
                              p_private: float, p_common: float) -> dict:
     """Spectral integrands for the joint-decoding bounds, rebuilt from the
-    tap definitions (independent of the region builder's code)."""
+    tap definitions (independent of the region builder's code).
+
+    Each response is a symmetric FIR filter, so its transfer function is the
+    real cosine series t_0 + 2 * sum_k t_k cos(2 pi k f) of its one-sided taps:
+    the private codeword sees [e, g, e], the common ones [e, g+e, g+2e, g+e, e].
+    """
     g = math.sqrt(gamma2)
     e = math.sqrt(eta2)
     per_code = p_common / 3.0
 
-    def h_private(f):
-        return g + e * (np.exp(2j * np.pi * f) + np.exp(-2j * np.pi * f)).real
+    def cosine_series(taps):
+        return lambda f: taps[0] + 2.0 * sum(t * np.cos(2.0 * np.pi * k * f)
+                                             for k, t in enumerate(taps[1:], 1))
 
-    def h_common(f):
-        phases = [np.exp(2j * np.pi * k * f) for k in (-2, -1, 0, 1, 2)]
-        taps = [e, g + e, g + 2 * e, g + e, e]
-        return sum(t * p for t, p in zip(taps, phases)).real
-
+    h_private = cosine_series((g, e))
+    h_common = cosine_series((g + 2 * e, g + e, e))
     return {
         "private": lambda f: np.log2(1.0 + p_private * h_private(f) ** 2),
         "common": lambda f: np.log2(1.0 + per_code * h_common(f) ** 2),
@@ -285,13 +292,32 @@ def mcp_reference_integrands(gamma2: float, eta2: float,
     }
 
 
-def dense_split_scan(params: NetworkParams, hop: int, step: float = 1e-3) -> tuple[float, float]:
-    """Brute-force scan of a hop's corner sum rate over the split fraction.
+def _two_stage_rate(f, cross2: float, intra2: float, total: float, log2):
+    """Corner sum rate of the two-stage decode at private fraction ``f``: the
+    three common codewords form a MAC decoded against the full private
+    interference, then the private codeword is decoded clean of same-cell
+    common signals. ``f`` and ``log2`` are an array and ``np.log2`` or a
+    scalar and ``math.log2``."""
+    pp = f * total
+    pc = total - pp
+    private_noise = 1.0 + 2.0 * cross2 * pp
+    common_noise = private_noise + intra2 * pp
+    stage1 = np.minimum(
+        log2(1.0 + 2.0 * cross2 * pc / common_noise) / 2.0,
+        log2(1.0 + (2.0 * cross2 + intra2) * pc / common_noise) / 3.0,
+    )
+    stage2 = log2(1.0 + intra2 * pp / private_noise)
+    return stage1 + stage2
 
-    Reimplements the two-stage decode directly: the three common codewords
-    form a MAC decoded against the full private interference, then the
-    private codeword is decoded clean of same-cell common signals.
-    Returns (best fraction, best rate).
+
+def dense_split_scan(params: NetworkParams, hop: int, step: float = 1e-3) -> tuple[float, float]:
+    """Brute-force scan of a hop's corner sum rate over the split fractions
+    f = i/n, n = round(1/step), evaluated on all fractions at once.
+
+    Returns (best fraction, best rate), the largest f among tied maxima.
+    ``np.log2`` may be one ulp off ``math.log2``, so every fraction within
+    1e-12 * max(1, |maximum|) of the array maximum is evaluated again with
+    ``math.log2``: the result is the same float pair as a scalar scan.
     """
     if hop == 1:
         cross2, intra2, total = params.alpha2, params.beta2, params.p1
@@ -299,23 +325,14 @@ def dense_split_scan(params: NetworkParams, hop: int, step: float = 1e-3) -> tup
         cross2, intra2, total = params.eta2, params.gamma2, params.p2
     else:
         raise ValueError(f"hop must be 1 or 2, got {hop!r}")
-    best_f, best_v = 0.0, -math.inf
     n = round(1.0 / step)
-    for i in range(n + 1):
-        f = i / n
-        pp = f * total
-        pc = total - pp
-        private_noise = 1.0 + 2.0 * cross2 * pp
-        common_noise = private_noise + intra2 * pp
-        stage1 = min(
-            math.log2(1.0 + 2.0 * cross2 * pc / common_noise) / 2.0,
-            math.log2(1.0 + (2.0 * cross2 + intra2) * pc / common_noise) / 3.0,
-        )
-        stage2 = math.log2(1.0 + intra2 * pp / private_noise)
-        v = stage1 + stage2
-        if v >= best_v:
-            best_f, best_v = f, v
-    return best_f, best_v
+    fractions = np.arange(n + 1) / n
+    rates = _two_stage_rate(fractions, cross2, intra2, total, np.log2)
+    top = rates.max()
+    near = np.flatnonzero(rates >= top - 1e-12 * max(1.0, abs(top)))
+    best = max((float(_two_stage_rate(fractions[i], cross2, intra2, total, math.log2)), i)
+               for i in near)
+    return float(fractions[best[1]]), best[0]
 
 
 def vsi_exact_solve(beta2: float, p1: float) -> float:
@@ -324,19 +341,27 @@ def vsi_exact_solve(beta2: float, p1: float) -> float:
 
     Each subset inequality of the three-common-codeword MAC is solved for
     the gain that makes it exactly tight at the target rate; the largest
-    solution over the cross-involving inequalities is the threshold.
+    solution over the cross-involving inequalities is the threshold. The
+    equations are solved from the exact values of the float inputs in
+    60-significant-digit decimal arithmetic, so unless beta2*p1 is below
+    about 1e-40 (where the subtractions cancel more than 40 digits) the
+    result is the exact threshold rounded once. Evaluated in floats, the
+    power (1 + beta2*p1)**3 and the subtractions after it are off by up to a
+    few hundred ulps.
     """
     if not (beta2 > 0.0 and p1 > 0.0):
         raise ValueError("vsi_exact_solve needs positive beta2 and p1")
-    target_arg = 1.0 + beta2 * p1
-    threshold = 0.0
-    for n_own, n_cross in ((0, 1), (1, 1), (0, 2), (1, 2)):
-        users = n_own + n_cross
-        # users * C(...) = users * log2(target_arg) tight:
-        # 1 + (n_own*beta2 + n_cross*alpha2)*p1 = target_arg**users
-        alpha2 = (target_arg ** users - 1.0 - n_own * beta2 * p1) / (n_cross * p1)
-        threshold = max(threshold, alpha2)
-    return threshold
+    with decimal.localcontext(prec=60):
+        beta2_d, p1_d = decimal.Decimal(beta2), decimal.Decimal(p1)
+        target_arg = 1 + beta2_d * p1_d
+        threshold = decimal.Decimal(0)
+        for n_own, n_cross in ((0, 1), (1, 1), (0, 2), (1, 2)):
+            users = n_own + n_cross
+            # users * C(...) = users * log2(target_arg) tight:
+            # 1 + (n_own*beta2 + n_cross*alpha2)*p1 = target_arg**users
+            alpha2 = (target_arg ** users - 1 - n_own * beta2_d * p1_d) / (n_cross * p1_d)
+            threshold = max(threshold, alpha2)
+    return float(threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -541,6 +541,11 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--filter", "no-such-check")
         assert code == 1
 
+    def test_negative_seed_is_usage_error_naming_option(self, capsys):
+        code, _, err = run(capsys, "verify", "--seed", "-1")
+        assert code == 1
+        assert "--seed" in err
+
     def test_failing_check_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "run_suite", lambda seed=0, name_filter=None: [
             OracleReport("stub-check", 0.0, 1.0, 1.0, 1e-9, False)])

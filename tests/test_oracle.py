@@ -192,6 +192,48 @@ class TestCertifiedMidpoint:
                 assert abs(value - riemann_integral(fn, 1_000_000)) <= 1e-15
 
 
+class TestMcpReferenceIntegrands:
+    @staticmethod
+    def complex_integrands(gamma2, eta2, p_private, p_common):
+        """The responses as sums of complex exponentials over the taps: the
+        reference for the cosine series."""
+        g = math.sqrt(gamma2)
+        e = math.sqrt(eta2)
+        per_code = p_common / 3.0
+
+        def h_private(f):
+            return g + e * (np.exp(2j * np.pi * f) + np.exp(-2j * np.pi * f)).real
+
+        def h_common(f):
+            phases = [np.exp(2j * np.pi * k * f) for k in (-2, -1, 0, 1, 2)]
+            taps = [e, g + e, g + 2 * e, g + e, e]
+            return sum(t * p for t, p in zip(taps, phases)).real
+
+        return {
+            "private": lambda f: np.log2(1.0 + p_private * h_private(f) ** 2),
+            "common": lambda f: np.log2(1.0 + per_code * h_common(f) ** 2),
+            "sum": lambda f: np.log2(1.0 + p_private * h_private(f) ** 2
+                                     + per_code * h_common(f) ** 2),
+        }
+
+    def test_cosine_series_matches_complex_exponentials(self):
+        # 1e-14 of the integrand's largest value at the nodes, plus one ulp of
+        # 1 in log2 units: log2(1 + x) cannot resolve x below that ulp
+        nodes = (np.arange(2 ** 11) + 0.5) / 2 ** 11
+        floor = np.finfo(float).eps / math.log(2.0)
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            gamma2 = float(rng.uniform(0.2, 2.5))
+            eta2 = float(rng.uniform(0.0, 5.0))
+            power = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
+            pw = HopSplit(float(rng.uniform(0.0, 1.0))).powers(power)
+            args = (gamma2, eta2, pw.p_private, pw.p_common)
+            fast, reference = mcp_reference_integrands(*args), self.complex_integrands(*args)
+            for name in ("private", "common", "sum"):
+                got, want = fast[name](nodes), reference[name](nodes)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max() + floor, (name, args)
+
+
 class TestDenseSplitScan:
     def test_matches_optimizer(self):
         f, rate = dense_split_scan(FIG2, hop=1, step=1e-3)
@@ -202,6 +244,47 @@ class TestDenseSplitScan:
     def test_bad_hop(self):
         with pytest.raises(ValueError):
             dense_split_scan(FIG2, hop=0)
+
+    @staticmethod
+    def loop_scan(params, hop, step):
+        """One fraction at a time in Python floats, keeping the last maximum:
+        the reference for the array scan."""
+        if hop == 1:
+            cross2, intra2, total = params.alpha2, params.beta2, params.p1
+        else:
+            cross2, intra2, total = params.eta2, params.gamma2, params.p2
+        best_f, best_v = 0.0, -math.inf
+        n = round(1.0 / step)
+        for i in range(n + 1):
+            f = i / n
+            pp = f * total
+            pc = total - pp
+            private_noise = 1.0 + 2.0 * cross2 * pp
+            common_noise = private_noise + intra2 * pp
+            stage1 = min(
+                math.log2(1.0 + 2.0 * cross2 * pc / common_noise) / 2.0,
+                math.log2(1.0 + (2.0 * cross2 + intra2) * pc / common_noise) / 3.0,
+            )
+            stage2 = math.log2(1.0 + intra2 * pp / private_noise)
+            v = stage1 + stage2
+            if v >= best_v:
+                best_f, best_v = f, v
+        return best_f, best_v
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-2])
+    @pytest.mark.parametrize("paper_regime", [True, False], ids=["in-regime", "out-of-regime"])
+    def test_same_floats_as_loop(self, paper_regime, step):
+        # seeds 6, 58 and 91 are among the draws whose best rate np.log2
+        # alone puts one ulp off math.log2
+        for seed in range(100):
+            params = oracle._draw_params(np.random.default_rng([seed, 99]), paper_regime)
+            for hop in (1, 2):
+                assert dense_split_scan(params, hop, step) == self.loop_scan(params, hop, step)
+
+    def test_tied_maximum_resolves_to_largest_fraction(self):
+        # no gain on hop 1: every fraction gives rate 0
+        params = NetworkParams(alpha2=0.0, beta2=0.0, gamma2=1.0, eta2=0.0, p1=2.0, p2=1.0)
+        assert dense_split_scan(params, 1, 1e-2) == self.loop_scan(params, 1, 1e-2) == (1.0, 0.0)
 
 
 class TestVsiExactSolve:
@@ -229,6 +312,13 @@ class TestVsiExactSolve:
                                           eta2=0.0, p1=p1, p2=1.0)
             assert schemes.vsi_check(mk(threshold))[0]
             assert not schemes.vsi_check(mk(0.99 * threshold))[0]
+
+    @pytest.mark.parametrize("seed", [3697, 4135, 4807])
+    def test_agree_check_passes_where_float_reference_drifted(self, seed):
+        # solved in floats, the reference is up to 214 ulps off at these
+        # seeds, past the 1e-12 gate
+        report = oracle._check_vsi_exact_agree(seed)
+        assert report.passed, report.line()
 
 
 class TestSuite:
