@@ -351,7 +351,8 @@ def vsi_exact_solve(beta2: float, p1: float) -> float:
     """
     if not (beta2 > 0.0 and p1 > 0.0):
         raise ValueError("vsi_exact_solve needs positive beta2 and p1")
-    with decimal.localcontext(prec=60):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
         beta2_d, p1_d = decimal.Decimal(beta2), decimal.Decimal(p1)
         target_arg = 1 + beta2_d * p1_d
         threshold = decimal.Decimal(0)
