@@ -161,7 +161,7 @@ def _network_options(fn):
             fn = click.option(f"--{name}", type=float, default=None)(fn)
     fn = click.option("--duplex", type=_Choice(["full", "half"]), default="full")(fn)
     fn = click.option("--power-boost", is_flag=True,
-                      help="half duplex only: double powers before halving rates")(fn)
+                      help="needs --duplex half: double powers before halving rates")(fn)
     return fn
 
 

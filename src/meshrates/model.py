@@ -48,9 +48,10 @@ class NetworkParams:
     p1 and p2 are the per-terminal and per-relay transmit powers (linear,
     noise-normalized).
 
-    ``power_boost`` only matters for half duplex: it doubles both powers
-    before rates are computed (each source transmits half the time, so the
-    average-power constraint allows doubling the instantaneous power).
+    ``power_boost`` needs half duplex: it doubles both powers before rates
+    are computed (each source transmits half the time, so the average-power
+    constraint allows doubling the instantaneous power). In full duplex it
+    would do nothing, so it is refused there.
     """
 
     alpha2: float
@@ -72,11 +73,13 @@ class NetworkParams:
                 raise ValueError(f"{name} must be finite and strictly positive, got {p!r}")
         if self.duplex not in DUPLEX_MODES:
             raise ValueError(f"duplex must be one of {DUPLEX_MODES}, got {self.duplex!r}")
+        if self.power_boost and self.duplex != "half":
+            raise ValueError(f"power_boost needs duplex='half', got duplex={self.duplex!r}")
         # The largest gain x power terms the rate formulas form: the
         # three-user common sum (2*alpha2 + beta2)*P1 on hop 1, and on hop 2
         # the joint decoder's peak response 3*(gamma + 2*eta)^2 * P2, which
         # also bounds the rs and coop sums. Past a float they give inf rates.
-        boost = 2.0 if self.duplex == "half" and self.power_boost else 1.0
+        boost = 2.0 if self.power_boost else 1.0
         peak2 = (math.sqrt(self.gamma2) + 2.0 * math.sqrt(self.eta2)) ** 2
         for hop, received in ((1, (2.0 * self.alpha2 + self.beta2) * (boost * self.p1)),
                               (2, 3.0 * peak2 * (boost * self.p2))):
@@ -97,7 +100,7 @@ class NetworkParams:
         Half duplex with power boost doubles p1 and p2; the 1/2 pipeline
         factor is applied separately via :meth:`rate_scale`.
         """
-        if self.duplex == "half" and self.power_boost:
+        if self.power_boost:
             return replace(self, p1=2.0 * self.p1, p2=2.0 * self.p2,
                            duplex="full", power_boost=False)
         return replace(self, duplex="full", power_boost=False)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HopSplit, NetworkParams, RatePair
+from .model import HopSplit, NetworkParams, RatePair, SplitPowers
 
 LABEL_PRIVATE = "private-single"
 LABEL_COMMON2 = "common-2user"
@@ -77,8 +77,9 @@ class RateRegion:
 
 # ---------------------------------------------------------------------------
 # Bound formulas. The *_bounds helpers accept scalars or numpy arrays for the
-# power pair so the split optimizers can sweep many splits in one call; the
-# public region builders wrap the scalar case into labeled halfspaces.
+# power pair so the split optimizers can sweep many splits in one call;
+# ``hop_region`` wraps scalar bounds into labeled halfspaces, and each public
+# region builder is the bounds at its split passed to it.
 # ---------------------------------------------------------------------------
 
 def _log1p_rate(x):
@@ -235,45 +236,50 @@ _LABELS = {
 }
 
 
-def _region(bounds: dict, provenance: str) -> RateRegion:
-    """Halfspaces of scalar ``*_bounds`` output, in its order."""
-    return RateRegion(tuple([Halfspace(key[0], key[1], float(bound), _LABELS[key])
-                             for key, bound in bounds.items()]), provenance)
+def hop_region(name: str, params: NetworkParams, powers: SplitPowers,
+               bounds: dict) -> RateRegion:
+    """Region ``name`` (``hop1``, ``hop2-rs``, ``hop2-coop`` or ``hop2-mcp``)
+    of its scalar ``*_bounds`` output at the split ``powers``: one halfspace
+    per bound, in its order.
+
+    A bound that is 0 in exact arithmetic can round below it (the mcp bounds
+    are sums of logarithms), so every bound is clamped at 0.
+    """
+    gains = (f"alpha2={params.alpha2:g}, beta2={params.beta2:g}" if name == "hop1"
+             else f"eta2={params.eta2:g}, gamma2={params.gamma2:g}")
+    return RateRegion(tuple([Halfspace(key[0], key[1], max(float(bound), 0.0), _LABELS[key])
+                             for key, bound in bounds.items()]),
+                      f"{name}({gains}, p_private={powers.p_private:g}, "
+                      f"p_common={powers.p_common:g})")
 
 
 def hop1_region(params: NetworkParams, split: HopSplit) -> RateRegion:
     """Rate region of the terminal-to-relay hop for a fixed power split."""
     pw = split.powers(params.p1)
-    return _region(mac_bounds(params.alpha2, params.beta2, pw.p_private, pw.p_common),
-                   f"hop1(alpha2={params.alpha2:g}, beta2={params.beta2:g}, "
-                   f"p_private={pw.p_private:g}, p_common={pw.p_common:g})")
+    return hop_region("hop1", params, pw,
+                      mac_bounds(params.alpha2, params.beta2, pw.p_private, pw.p_common))
 
 
 def hop2_rs_region(params: NetworkParams, split: HopSplit) -> RateRegion:
     """Relay-to-base hop region when relays re-split independently
     (same constraint structure as hop 1 with the hop-2 gains and power)."""
     pw = split.powers(params.p2)
-    return _region(mac_bounds(params.eta2, params.gamma2, pw.p_private, pw.p_common),
-                   f"hop2-rs(eta2={params.eta2:g}, gamma2={params.gamma2:g}, "
-                   f"p_private={pw.p_private:g}, p_common={pw.p_common:g})")
+    return hop_region("hop2-rs", params, pw,
+                      mac_bounds(params.eta2, params.gamma2, pw.p_private, pw.p_common))
 
 
 def hop2_coop_region(params: NetworkParams, split: HopSplit) -> RateRegion:
     """Relay-to-base hop region with cooperative common-message relaying."""
     pw = split.powers(params.p2)
-    return _region(coop_bounds(params.gamma2, params.eta2, pw.p_private, pw.p_common),
-                   f"hop2-coop(eta2={params.eta2:g}, gamma2={params.gamma2:g}, "
-                   f"p_private={pw.p_private:g}, p_common={pw.p_common:g})")
+    return hop_region("hop2-coop", params, pw,
+                      coop_bounds(params.gamma2, params.eta2, pw.p_private, pw.p_common))
 
 
 def hop2_mcp_region(params: NetworkParams, split: HopSplit) -> RateRegion:
     """Relay-to-base hop region with joint decoding across all base stations."""
     pw = split.powers(params.p2)
-    bounds = mcp_bounds(params.gamma2, params.eta2, pw.p_private, pw.p_common)
-    # a bound that is 0 in exact arithmetic can round below it
-    return _region({key: max(float(bound), 0.0) for key, bound in bounds.items()},
-                   f"hop2-mcp(eta2={params.eta2:g}, gamma2={params.gamma2:g}, "
-                   f"p_private={pw.p_private:g}, p_common={pw.p_common:g})")
+    return hop_region("hop2-mcp", params, pw,
+                      mcp_bounds(params.gamma2, params.eta2, pw.p_private, pw.p_common))
 
 
 # ---------------------------------------------------------------------------

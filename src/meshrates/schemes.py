@@ -9,10 +9,11 @@ the binding bound alike. Only the joint (f1, f2) searches of coop and mcp are
 grids: one table of passes, each grid centred on the previous best, scored
 by the greedy closed form of ``polytope.max_sum_rate``. Each hop's bounds are
 first reduced along its own split grid to a private cap, a pure-common cap
-and its sum lines; the two hops then combine on the (f1, f2) grid. The
-returned rates are re-evaluated through the exact region/LP path at the
-winning splits, and the mcp search and its final region read the same
-closed-form bounds.
+and its sum lines; the two hops then combine on the (f1, f2) grid. Each
+hop's bounds are evaluated once per pass: the returned rate, operating point
+and binding constraints come from ``max_sum_rate`` on the regions of the
+bounds the last pass scored at its winning cell, so the rate is that cell's
+value bit for bit.
 
 Half duplex scales every final rate by 1/2; the optional power boost doubles
 both transmit powers first.
@@ -33,9 +34,7 @@ from .regions import (
     LABEL_COMMON3,
     coop_bounds,
     corner_rates,
-    hop1_region,
-    hop2_coop_region,
-    hop2_mcp_region,
+    hop_region,
     mac_bounds,
     mcp_bounds,
 )
@@ -223,16 +222,25 @@ def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
 def _hop_caps(bounds: dict) -> tuple[np.ndarray, np.ndarray, dict]:
     """One hop's bounds reduced along its own split grid: the private cap
     (min c/a over a > 0), the pure-common cap (min c/b over a = 0) and the
-    sum-line bounds keyed by coef_common (every sum line has coef_private 1)."""
-    private = reduce(np.minimum, [c / a for (a, b), c in bounds.items() if a])
-    common = reduce(np.minimum, [c / b for (a, b), c in bounds.items() if not a])
+    sum-line bounds keyed by coef_common (every sum line has coef_private 1).
+    A line of coefficient 1 gives c itself, which is c/1 exactly."""
+    private = reduce(np.minimum, [c if a == 1 else c / a for (a, b), c in bounds.items() if a])
+    common = reduce(np.minimum, [c if b == 1 else c / b
+                                 for (a, b), c in bounds.items() if not a])
     return private, common, {b: c for (a, b), c in bounds.items() if a and b}
 
 
-def _joint_values(work: NetworkParams, bounds_fn, f1: np.ndarray,
-                  f2: np.ndarray) -> np.ndarray:
-    """Max-sum LP value of hop 1 at f1[i] intersected with hop 2 at f2[j],
-    whose bounds ``bounds_fn`` (``coop_bounds`` or ``mcp_bounds``) gives.
+def _grid_bounds(work: NetworkParams, bounds_fn, f1: np.ndarray,
+                 f2: np.ndarray) -> tuple[dict, dict]:
+    """Hop 1's MAC bounds at each fraction of f1 and hop 2's ``bounds_fn``
+    (``coop_bounds`` or ``mcp_bounds``) bounds at each fraction of f2."""
+    return (mac_bounds(work.alpha2, work.beta2, *_split_powers(f1, work.p1)),
+            bounds_fn(work.gamma2, work.eta2, *_split_powers(f2, work.p2)))
+
+
+def _max_sum_grid(bounds1: dict, bounds2: dict) -> np.ndarray:
+    """Max-sum LP value of hop 1 at the i-th entries of ``bounds1``
+    intersected with hop 2 at the j-th entries of ``bounds2``.
 
     The greedy closed form of ``polytope.greedy_max_sum``, with each hop's
     bounds reduced on its own split grid first: x = min of the private caps,
@@ -241,10 +249,8 @@ def _joint_values(work: NetworkParams, bounds_fn, f1: np.ndarray,
     subtraction round monotonically, so every cell is the same float as the
     greedy over the uncollapsed lines.
     """
-    private1, common1, sums1 = _hop_caps(
-        mac_bounds(work.alpha2, work.beta2, *_split_powers(f1, work.p1)))
-    private2, common2, sums2 = _hop_caps(
-        bounds_fn(work.gamma2, work.eta2, *_split_powers(f2, work.p2)))
+    private1, common1, sums1 = _hop_caps(bounds1)
+    private2, common2, sums2 = _hop_caps(bounds2)
     x = np.minimum.outer(private1, private2)
     y = np.minimum.outer(common1, common2)
     term = np.empty_like(y)
@@ -255,11 +261,19 @@ def _joint_values(work: NetworkParams, bounds_fn, f1: np.ndarray,
         else:
             c = sums1[b][:, None] if b in sums1 else sums2[b][None, :]
             np.subtract(c, x, out=term)
-        term /= b
+        if b != 1:
+            term /= b
         np.minimum(y, term, out=y)
     np.maximum(y, 0.0, out=y)
     y += x
     return y
+
+
+def _joint_values(work: NetworkParams, bounds_fn, f1: np.ndarray,
+                  f2: np.ndarray) -> np.ndarray:
+    """Max-sum LP value of hop 1 at f1[i] intersected with hop 2 at f2[j],
+    whose bounds ``bounds_fn`` gives."""
+    return _max_sum_grid(*_grid_bounds(work, bounds_fn, f1, f2))
 
 
 # Unlike the per-hop split, the joint (f1, f2) optimum has no closed form.
@@ -269,28 +283,48 @@ def _joint_values(work: NetworkParams, bounds_fn, f1: np.ndarray,
 _JOINT_PASSES = ((101, 0.5), (11, 1e-2), (11, 1e-3), (11, 1e-4))
 
 
-def _search_joint_splits(work: NetworkParams, bounds_fn) -> tuple[float, float]:
-    """Shrinking grids over (f1, f2), each centred on the previous best."""
-    best_f1 = best_f2 = 0.5
-    for points, window in _JOINT_PASSES:
-        f1 = np.clip(np.linspace(best_f1 - window, best_f1 + window, points), 0.0, 1.0)
-        f2 = np.clip(np.linspace(best_f2 - window, best_f2 + window, points), 0.0, 1.0)
-        values = _joint_values(work, bounds_fn, f1, f2)
+def _split_grid(centre: float, points: int, window: float) -> np.ndarray:
+    return np.clip(np.linspace(centre - window, centre + window, points), 0.0, 1.0)
+
+
+# The first pass is centred on 0.5 at every point, so its grid is built once.
+_FIRST_GRID = _split_grid(0.5, *_JOINT_PASSES[0])
+_FIRST_GRID.flags.writeable = False
+
+
+def _search_joint_splits(work: NetworkParams, bounds_fn) -> tuple[float, float, dict, dict]:
+    """Shrinking grids over (f1, f2), each centred on the previous best.
+
+    Returns the best (f1, f2) of the last pass and each hop's bounds at it,
+    read from the arrays that pass scored, so the winning cell's value is
+    the max-sum LP over exactly these bounds.
+    """
+    f1 = f2 = _FIRST_GRID
+    for k, (points, window) in enumerate(_JOINT_PASSES):
+        if k:
+            f1 = _split_grid(float(f1[i]), points, window)
+            f2 = _split_grid(float(f2[j]), points, window)
+        bounds1, bounds2 = _grid_bounds(work, bounds_fn, f1, f2)
+        values = _max_sum_grid(bounds1, bounds2)
         i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
-        best_f1, best_f2 = float(f1[i]), float(f2[j])
-    return best_f1, best_f2
+    return (float(f1[i]), float(f2[j]), {key: c[i] for key, c in bounds1.items()},
+            {key: c[j] for key, c in bounds2.items()})
 
 
-def _joint(scheme: str, params: NetworkParams, bounds_fn, region_fn) -> SchemeResult:
-    """Rate splitting in hop 1, hop 2 from ``region_fn`` with the bounds
-    ``bounds_fn`` gives on split grids. The inner problem for fixed splits is
-    the exact LP over the intersection of the two hop regions; the outer
-    search sweeps both split fractions."""
+def _joint(scheme: str, params: NetworkParams, bounds_fn) -> SchemeResult:
+    """Rate splitting in hop 1, hop 2 with the bounds ``bounds_fn`` gives on
+    split grids; the hop-2 region is named after the scheme (``hop2-coop``,
+    ``hop2-mcp``). The inner problem for fixed splits is the exact LP over
+    the intersection of the two hop regions; the outer search sweeps both
+    split fractions, and the LP runs once more, on the regions of the bounds
+    the search scored at its winning cell, for the operating point and the
+    binding constraints."""
     work = params.effective()
     scale = params.rate_scale()
-    f1, f2 = _search_joint_splits(work, bounds_fn)
+    f1, f2, bounds1, bounds2 = _search_joint_splits(work, bounds_fn)
     split1, split2 = HopSplit(f1), HopSplit(f2)
-    lp = max_sum_rate(hop1_region(work, split1), region_fn(work, split2))
+    lp = max_sum_rate(hop_region("hop1", work, split1.powers(work.p1), bounds1),
+                      hop_region(f"hop2-{scheme}", work, split2.powers(work.p2), bounds2))
     return SchemeResult(
         scheme=scheme,
         rate=lp.value * scale,
@@ -303,12 +337,12 @@ def _joint(scheme: str, params: NetworkParams, bounds_fn, region_fn) -> SchemeRe
 
 def coop(params: NetworkParams) -> SchemeResult:
     """Rate splitting in hop 1 with cooperative common relaying in hop 2."""
-    return _joint(SCHEME_COOP, params, coop_bounds, hop2_coop_region)
+    return _joint(SCHEME_COOP, params, coop_bounds)
 
 
 def mcp(params: NetworkParams) -> SchemeResult:
     """Cooperative second hop decoded jointly across all base stations."""
-    return _joint(SCHEME_MCP, params, mcp_bounds, hop2_mcp_region)
+    return _joint(SCHEME_MCP, params, mcp_bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,29 @@ class TestConfigFileValues:
         _, plain, _ = run(capsys, "sweep", *args, "--duplex", "half")
         assert target.read_text() == boosted != plain
 
+    # full duplex has no idle half to borrow power from, so a boost there
+    # would change nothing; it is refused wherever it comes from
+    BOOST_ERROR = "error: power_boost needs duplex='half', got duplex='full'\n"
+
+    def test_power_boost_without_half_duplex_point(self, capsys):
+        code, out, err = run(capsys, "point", "--alpha2", "0.3", "--beta2", "1", "--gamma2", "1",
+                             "--eta2", "0.3", "--p1", "2", "--p2", "2", "--schemes", "single",
+                             "--power-boost")
+        assert (code, out, err) == (1, "", self.BOOST_ERROR)
+
+    def test_power_boost_without_half_duplex_sweep(self, capsys, tmp_path):
+        target = tmp_path / "rates.csv"
+        code, out, err = run(capsys, "sweep", *as_flags(FILE_KEYS["sweep"][0]),
+                             "--power-boost", "--output", str(target))
+        assert (code, out, err) == (1, "", self.BOOST_ERROR)
+        assert not target.exists()
+
+    def test_power_boost_without_half_duplex_config(self, capsys, tmp_path):
+        config = tmp_path / "point.cfg"
+        config.write_text("power_boost=yes\n")
+        code, out, err = run(capsys, "point", "--config", str(config), *CLEAN, "--json")
+        assert (code, out, err) == (1, "", self.BOOST_ERROR)
+
     def test_region_reads_hop_and_f(self, capsys, tmp_path):
         config = tmp_path / "region.cfg"
         config.write_text("alpha2=0.4\nbeta2=1\ngamma2=1\neta2=0.5\np1=1\np2=2\n"

@@ -95,6 +95,13 @@ class TestNetworkParams:
             NetworkParams(alpha2=0.0, beta2=1.0, gamma2=1.0, eta2=0.0,
                           p1=1.0, p2=1.0, duplex="simplex")
 
+    def test_power_boost_needs_half_duplex(self):
+        kwargs = dict(alpha2=0.3, beta2=1.0, gamma2=1.0, eta2=0.3, p1=2.0, p2=2.0)
+        with pytest.raises(ValueError, match="power_boost needs duplex='half'"):
+            NetworkParams(**kwargs, power_boost=True)
+        with pytest.raises(ValueError, match="power_boost needs duplex='half'"):
+            NetworkParams(**kwargs, duplex="full", power_boost=True)
+
     def test_half_duplex_effective_powers(self):
         half = NetworkParams(alpha2=0.0, beta2=1.0, gamma2=1.0, eta2=0.0,
                              p1=1.0, p2=2.0, duplex="half")

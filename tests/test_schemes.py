@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshrates import schemes
+from meshrates import regions, schemes
 from meshrates.cli import main
 from meshrates.model import HopSplit, NetworkParams, db_to_linear
 from meshrates.oracle import dense_split_scan
@@ -255,17 +255,30 @@ def window(centre, half_width):
     return np.clip(np.linspace(centre - half_width, centre + half_width, 11), 0.0, 1.0)
 
 
-def uncollapsed_greedy(work, bounds_fn, f1, f2):
+def grid_bounds(work, bounds_fn, f1, f2):
+    """Hop 1's MAC bounds on the f1 grid and hop 2's ``bounds_fn`` bounds on
+    the f2 grid: the same 1-D arrays the search scores."""
+    return (mac_bounds(work.alpha2, work.beta2, *_split_powers(f1, work.p1)),
+            bounds_fn(work.gamma2, work.eta2, *_split_powers(f2, work.p2)))
+
+
+def uncollapsed_greedy(hop1, hop2):
     """The greedy max-sum LP over every line of both hops on the (f1, f2)
-    grid, as one broadcast: x = min c/a, then y = max(min (c - a*x)/b, 0).
-    Each hop's bounds are the same 1-D arrays ``_joint_values`` reads."""
-    hop1 = mac_bounds(work.alpha2, work.beta2, *_split_powers(f1, work.p1))
-    hop2 = bounds_fn(work.gamma2, work.eta2, *_split_powers(f2, work.p2))
+    grid of their bounds, as one broadcast: x = min c/a, then
+    y = max(min (c - a*x)/b, 0)."""
     lines = ([(a, b, c[:, None]) for (a, b), c in hop1.items()]
              + [(a, b, c[None, :]) for (a, b), c in hop2.items()])
     x = reduce(np.minimum, [c / a for a, b, c in lines if a > 0])
     y = reduce(np.minimum, [(c - a * x) / b for a, b, c in lines if b > 0])
     return x + np.maximum(y, 0.0)
+
+
+def bounds_at(bounds_fn, cross2, intra2, total, f):
+    """Scalar bounds of one hop at split f, read from a one-split array
+    evaluation (the path the search scores)."""
+    pw = HopSplit(f).powers(total)
+    bounds = bounds_fn(cross2, intra2, np.array([pw.p_private]), np.array([pw.p_common]))
+    return {key: c[0] for key, c in bounds.items()}
 
 
 class TestJointValues:
@@ -297,15 +310,64 @@ class TestJointValues:
                      *seeded_networks(11, 8)):
             for f1, f2 in grids:
                 assert np.array_equal(_joint_values(work, bounds_fn, f1, f2),
-                                      uncollapsed_greedy(work, bounds_fn, f1, f2))
+                                      uncollapsed_greedy(*grid_bounds(work, bounds_fn, f1, f2)))
 
     @pytest.mark.parametrize("bounds_fn", [coop_bounds, mcp_bounds])
     def test_search_matches_reference_passes(self, bounds_fn, monkeypatch):
         draws = [symmetric(a2, db_to_linear(p), db_to_linear(p) / 2.0)
                  for a2, p in ((0.06, 3.0), (0.56, 10.0))] + seeded_networks(12, 6)
         fast = [_search_joint_splits(work, bounds_fn) for work in draws]
-        monkeypatch.setattr(schemes, "_joint_values", uncollapsed_greedy)
+        for work, (f1, f2, bounds1, bounds2) in zip(draws, fast):
+            # the returned bounds are each hop's bounds at the returned splits
+            assert bounds1 == bounds_at(mac_bounds, work.alpha2, work.beta2, work.p1, f1)
+            assert bounds2 == bounds_at(bounds_fn, work.gamma2, work.eta2, work.p2, f2)
+        monkeypatch.setattr(schemes, "_max_sum_grid", uncollapsed_greedy)
         assert [_search_joint_splits(work, bounds_fn) for work in draws] == fast
+
+    @pytest.mark.parametrize("scheme,bounds_fn", [(coop, coop_bounds), (mcp, mcp_bounds)])
+    def test_rate_is_the_cell_its_search_picked(self, scheme, bounds_fn):
+        # The final LP reads the bounds the search scored, so the rate is the
+        # winning cell's grid value bit for bit, the half-duplex 1/2 included.
+        rng = np.random.default_rng(14)
+        for k in range(1500):
+            beta2, gamma2 = (float(g) for g in rng.uniform(0.2, 2.5, size=2))
+            lo, hi = (0.0, 1.0) if k % 4 else (1.0, 2.0)  # every fourth out of regime
+            p1, p2 = (float(p) for p in np.exp(rng.uniform(math.log(0.05), math.log(20.0),
+                                                           size=2)))
+            params = NetworkParams(
+                alpha2=float(rng.uniform(lo * beta2, hi * beta2)), beta2=beta2, gamma2=gamma2,
+                eta2=float(rng.uniform(lo * gamma2, hi * gamma2)), p1=p1, p2=p2,
+                duplex="half" if k % 3 == 0 else "full", power_boost=k % 6 == 0)
+            result = scheme(params)
+            work = params.effective()
+            f1, f2 = result.split_hop1.f_private, result.split_hop2.f_private
+            # The region clamps a bound that rounds below 0, which the grid
+            # does not; no winning cell here has one, so the equality is exact.
+            hop2 = bounds_at(bounds_fn, work.gamma2, work.eta2, work.p2, f2)
+            assert min(hop2.values()) >= 0.0, params
+            cell = _joint_values(work, bounds_fn, np.array([f1]), np.array([f2]))[0, 0]
+            assert cell * params.rate_scale() == result.rate, params
+
+    @pytest.mark.parametrize("scheme,name", [(coop, "coop_bounds"), (mcp, "mcp_bounds")])
+    def test_one_bounds_evaluation_per_pass(self, scheme, name, monkeypatch):
+        calls = []
+
+        def counting(fn, label):
+            def wrapper(gain, other, p_private, p_common):
+                calls.append((label, type(p_private), type(p_common)))
+                return fn(gain, other, p_private, p_common)
+            return wrapper
+
+        hop1 = counting(regions.mac_bounds, "hop1")
+        hop2 = counting(getattr(regions, name), "hop2")
+        # in both modules, so a scalar re-evaluation through a region builder counts too
+        for module in (schemes, regions):
+            monkeypatch.setattr(module, "mac_bounds", hop1)
+            monkeypatch.setattr(module, name, hop2)
+        scheme(symmetric(0.4, 2.0, p2=1.0))
+        passes = len(schemes._JOINT_PASSES)
+        assert [label for label, _, _ in calls] == ["hop1", "hop2"] * passes
+        assert {(pp, pc) for _, pp, pc in calls} == {(np.ndarray, np.ndarray)}
 
 
 class TestMcp:
