@@ -14,7 +14,6 @@ from .regions import (
     hop2_coop_region,
     hop2_mcp_region,
     hop2_rs_region,
-    vertex_a,
 )
 from .polytope import LPSolution, contains, max_sum_rate, vertices
 from .schemes import (
@@ -54,7 +53,6 @@ __all__ = [
     "optimal_private_fraction",
     "rate_splitting",
     "single_rate",
-    "vertex_a",
     "vertices",
     "vsi_check",
     "vsi_threshold",

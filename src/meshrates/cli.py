@@ -21,7 +21,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -29,17 +28,6 @@ from . import schemes
 from .model import HopSplit, NetworkParams, db_to_linear
 from .polytope import vertices
 from .regions import hop1_region, hop2_coop_region, hop2_mcp_region, hop2_rs_region
-
-_SCHEME_ALIASES = {
-    "single": schemes.SCHEME_SINGLE,
-    "single_rate": schemes.SCHEME_SINGLE,
-    "rs": schemes.SCHEME_RS,
-    "rate_splitting": schemes.SCHEME_RS,
-    "coop": schemes.SCHEME_COOP,
-    "mcp": schemes.SCHEME_MCP,
-    "bound": schemes.SCHEME_BOUND,
-    "first_hop_bound": schemes.SCHEME_BOUND,
-}
 
 _PARAM_NAMES = ("alpha2", "beta2", "gamma2", "eta2", "p1", "p2")
 _POWER_NAMES = ("p1", "p2")
@@ -116,28 +104,35 @@ def _network(values: dict, duplex: str, power_boost: bool) -> NetworkParams:
                          **{name: values[name] for name in _PARAM_NAMES})
 
 
-def _scheme_names(text: str) -> list[str]:
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
-    requested: set[str] = set()
-    for token in tokens:
-        if token == "all":
-            requested.update(schemes.ALL_SCHEMES)
-        elif token in _SCHEME_ALIASES:
-            requested.add(_SCHEME_ALIASES[token])
-        else:
-            raise click.UsageError(f"unknown scheme {token!r}")
-    if not requested:
-        raise click.UsageError("no schemes requested")
-    return [s for s in schemes.ALL_SCHEMES if s in requested]
-
-
-_SCHEME_FNS = {
+# Every scheme by its full name, in output order. The values are the scheme
+# functions themselves: perfbench/tracing.py wraps the values of module-level
+# dicts, not tuples nested in them.
+_SCHEMES = {
     schemes.SCHEME_SINGLE: schemes.single_rate,
     schemes.SCHEME_RS: schemes.rate_splitting,
     schemes.SCHEME_COOP: schemes.coop,
     schemes.SCHEME_MCP: schemes.mcp,
     schemes.SCHEME_BOUND: schemes.first_hop_upper_bound,
 }
+_SHORT_NAMES = {"single": schemes.SCHEME_SINGLE, "rs": schemes.SCHEME_RS,
+                "bound": schemes.SCHEME_BOUND}
+
+
+def _scheme_names(text: str) -> list[str]:
+    """The schemes a comma list names (full or short names, or ``all``), in
+    output order."""
+    requested: set[str] = set()
+    for token in (t.strip() for t in text.split(",")):
+        name = _SHORT_NAMES.get(token, token)
+        if token == "all":
+            requested.update(_SCHEMES)
+        elif name in _SCHEMES:
+            requested.add(name)
+        elif token:
+            raise click.UsageError(f"unknown scheme {token!r}")
+    if not requested:
+        raise click.UsageError("no schemes requested")
+    return [name for name in _SCHEMES if name in requested]
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +175,21 @@ def cli() -> None:
 # point
 # ---------------------------------------------------------------------------
 
-def _result_row(result: schemes.SchemeResult) -> dict:
-    row = {"scheme": result.scheme, "rate": result.rate}
+def _fields(result: schemes.SchemeResult) -> dict:
+    """The split fractions and bottleneck hop a result fills, by field name;
+    which fields a scheme fills depends only on the scheme."""
+    fields = {}
     if result.split_hop1 is not None:
-        row["f1"] = result.split_hop1.f_private
+        fields["f1"] = result.split_hop1.f_private
     if result.split_hop2 is not None:
-        row["f2"] = result.split_hop2.f_private
+        fields["f2"] = result.split_hop2.f_private
     if result.bottleneck_hop is not None:
-        row["bottleneck"] = str(result.bottleneck_hop)
+        fields["bottleneck"] = str(result.bottleneck_hop)
+    return fields
+
+
+def _result_row(result: schemes.SchemeResult) -> dict:
+    row = {"scheme": result.scheme, "rate": result.rate} | _fields(result)
     if result.operating_point is not None:
         row["r_private"] = result.operating_point.r_private
         row["r_common"] = result.operating_point.r_common
@@ -205,7 +207,7 @@ def _result_row(result: schemes.SchemeResult) -> dict:
 def cmd_point(as_json, duplex, power_boost, **values) -> None:
     """Evaluate the requested schemes for one parameter point."""
     params = _network(values, duplex, power_boost)
-    results = [_SCHEME_FNS[name](params) for name in _scheme_names(values["schemes"])]
+    results = [_SCHEMES[name](params) for name in _scheme_names(values["schemes"])]
 
     if as_json:
         payload = {
@@ -235,71 +237,28 @@ _LINK_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class LinkedParam:
-    """Parameter tied to the swept (or another fixed) one: copy or scale."""
-
-    dst: str
-    src: str
-    factor: float = 1.0
-
-    def apply(self, values: dict[str, float]) -> None:
-        values[self.dst] = values[self.src] * self.factor
-
-    def __str__(self) -> str:
-        scale = "" if self.factor == 1.0 else f"*{self.factor:g}"
-        return f"{self.dst}={self.src}{scale}"
-
-
-def _dependency_order(links: list[LinkedParam]) -> list[LinkedParam]:
-    """The links, each after the link that sets its source, so that every
-    link holds once all are applied. A parameter linked twice, or links that
-    read each other in a cycle, are usage errors naming the parameter or the
-    links."""
-    targets = [link.dst for link in links]
+def _ordered_links(links: list[tuple], param: str) -> list[tuple]:
+    """The (dst, src, factor) links, each after the link that sets its
+    source, so that every link holds once all are applied. A link to the
+    swept parameter, a parameter linked twice, or links that read each other
+    in a cycle are usage errors naming the parameter or the links."""
+    targets = [dst for dst, _, _ in links]
+    if param in targets:
+        raise click.UsageError(f"--link cannot set the swept parameter {param}")
     twice = sorted({dst for dst in targets if targets.count(dst) > 1})
     if twice:
         raise click.UsageError(f"parameter(s) linked more than once: {', '.join(twice)}")
     ordered, pending = [], list(links)
     while pending:
-        unset = {link.dst for link in pending}
-        ordered += [link for link in pending if link.src not in unset]
-        blocked = [link for link in pending if link.src in unset]
+        unset = {dst for dst, _, _ in pending}
+        ordered += [link for link in pending if link[1] not in unset]
+        blocked = [link for link in pending if link[1] in unset]
         if len(blocked) == len(pending):
-            raise click.UsageError(f"links in or behind a cycle: {', '.join(map(str, blocked))}")
+            text = ", ".join(f"{dst}={src}" + ("" if factor == 1.0 else f"*{factor:g}")
+                             for dst, src, factor in blocked)
+            raise click.UsageError(f"links in or behind a cycle: {text}")
         pending = blocked
     return ordered
-
-
-@dataclass
-class SweepSpec:
-    """One CSV sweep: a swept parameter, linked parameters, fixed fields."""
-
-    param: str
-    values: list[float]
-    links: list[LinkedParam]
-    fixed: dict[str, float]
-    scheme_names: list[str]
-    duplex: str = "full"
-    power_boost: bool = False
-
-    def __post_init__(self) -> None:
-        if any(link.dst == self.param for link in self.links):
-            raise click.UsageError(f"--link cannot set the swept parameter {self.param}")
-
-    def params_at(self, value: float) -> NetworkParams:
-        """The network at one swept value, links applied in dependency order
-        (a link overrides a fixed value of its target)."""
-        values = dict(self.fixed)
-        values[self.param] = value
-        for link in _dependency_order(self.links):
-            if link.src in values:
-                link.apply(values)
-        # a linked parameter is missing only through its source
-        linked = {link.dst for link in self.links}
-        _refuse_missing([name for name in _PARAM_NAMES
-                         if name not in values and name not in linked])
-        return _network(values, self.duplex, self.power_boost)
 
 
 # Most points one sweep may have; the swept list is built in memory.
@@ -337,7 +296,7 @@ def _parse_range(text: str) -> list[float]:
     return values
 
 
-def _parse_link(text: str) -> LinkedParam:
+def _parse_link(text: str) -> tuple[str, str, float]:
     m = _LINK_RE.match(text.strip())
     if not m:
         raise click.UsageError(f"link must look like eta2=alpha2 or p2=p1/2, got {text!r}")
@@ -355,30 +314,7 @@ def _parse_link(text: str) -> LinkedParam:
         if divisor == 0.0:
             raise click.UsageError("link divisor must be non-zero")
         factor = 1.0 / divisor
-    return LinkedParam(dst=dst, src=src, factor=factor)
-
-
-def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[str]]]:
-    """Evaluate a sweep; returns (header, rows) with formatted cells.
-
-    The header is the columns of the first row, in the order they are filled;
-    which fields a scheme fills depends only on the scheme, never on the point.
-    """
-    rows = []
-    for value in spec.values:
-        params = spec.params_at(value)
-        cells = {spec.param: _fmt(value)}
-        for name in spec.scheme_names:
-            result = _SCHEME_FNS[name](params)
-            cells[name] = _fmt(result.rate)
-            if result.split_hop1 is not None:
-                cells[f"{name}_f1"] = _fmt(result.split_hop1.f_private)
-            if result.split_hop2 is not None:
-                cells[f"{name}_f2"] = _fmt(result.split_hop2.f_private)
-            if result.bottleneck_hop is not None:
-                cells[f"{name}_bottleneck"] = str(result.bottleneck_hop)
-        rows.append(cells)
-    return list(rows[0]), [list(cells.values()) for cells in rows]
+    return dst, src, factor
 
 
 @cli.command("sweep")
@@ -398,20 +334,34 @@ def cmd_sweep(param, link, output, duplex, power_boost, **values) -> None:
         swept = [v for v in swept if v > 0.0]
         if not swept:
             raise click.UsageError("power sweep range must contain positive values")
-    spec = SweepSpec(
-        param=param,
-        values=swept,
-        links=[_parse_link(text) for text in link],
-        fixed={name: values[name] for name in _PARAM_NAMES if values[name] is not None},
-        scheme_names=_scheme_names(values["schemes"]),
-        duplex=duplex,
-        power_boost=power_boost,
-    )
-    header, rows = run_sweep(spec)
+    # each link's syntax is checked before the scheme names, how the links
+    # fit together after them
+    links = [_parse_link(text) for text in link]
+    names = _scheme_names(values["schemes"])
+    links = _ordered_links(links, param)
+    fixed = {name: values[name] for name in _PARAM_NAMES if values[name] is not None}
+    linked = {dst for dst, _, _ in links}
+    # a linked parameter is missing only through its source
+    _refuse_missing([name for name in _PARAM_NAMES
+                     if name not in fixed and name != param and name not in linked])
+
+    rows = []
+    for value in swept:
+        point = fixed | {param: value}
+        for dst, src, factor in links:  # a link overrides a fixed value of its target
+            point[dst] = point[src] * factor
+        params = _network(point, duplex, power_boost)
+        cells = {param: _fmt(value)}
+        for name in names:
+            result = _SCHEMES[name](params)
+            cells[name] = _fmt(result.rate)
+            for key, field in _fields(result).items():
+                cells[f"{name}_{key}"] = field if key == "bottleneck" else _fmt(field)
+        rows.append(cells)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(rows[0])  # the header: the first row's columns, in the order filled
+    writer.writerows(cells.values() for cells in rows)
     text = buffer.getvalue()
     if output == "-":
         click.echo(text, nl=False)

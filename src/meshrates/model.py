@@ -110,6 +110,19 @@ class NetworkParams:
         return 0.5 if self.duplex == "half" else 1.0
 
 
+def split_powers(f, total):
+    """Private and common powers of the private fraction ``f`` of ``total``,
+    for scalars or arrays alike.
+
+    The pair is constructed so that the two parts sum to ``total`` exactly in
+    floating point (Sterbenz: whichever part is >= total/2 is recovered as an
+    exact difference); each part stays within a rounding error of ``total``
+    from its ideal value.
+    """
+    p_common = total - f * total
+    return total - p_common, p_common
+
+
 @dataclass(frozen=True)
 class SplitPowers:
     """Private/common power pair for one hop; p_private + p_common == total exactly."""
@@ -134,18 +147,10 @@ class HopSplit:
             raise ValueError(f"f_private must lie in [0, 1], got {f!r}")
 
     def powers(self, total: float) -> SplitPowers:
-        """Split ``total`` into (private, common) powers.
-
-        The pair is constructed so that the two parts sum to ``total``
-        exactly in floating point (Sterbenz: whichever part is >= total/2 is
-        recovered as an exact difference); each part stays within a rounding
-        error of ``total`` from its ideal value.
-        """
+        """Split ``total`` into (private, common) powers by ``split_powers``."""
         if not (math.isfinite(total) and total >= 0.0):
             raise ValueError(f"total power must be finite and non-negative, got {total!r}")
-        p_common = total - self.f_private * total
-        p_private = total - p_common
-        return SplitPowers(p_private, p_common)
+        return SplitPowers(*split_powers(self.f_private, total))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .regions import (
     hop2_coop_region,
     hop2_mcp_region,
     hop2_rs_region,
-    vertex_a,
+    corner_rates,
 )
 
 
@@ -310,6 +310,26 @@ def _two_stage_rate(f, cross2: float, intra2: float, total: float, log2):
     return stage1 + stage2
 
 
+def hop_terms(params: NetworkParams, hop: int) -> tuple[float, float, float]:
+    """(cross2, intra2, total power) of one hop; hop 2 follows the plain
+    substitution rule."""
+    if hop == 1:
+        return params.alpha2, params.beta2, params.p1
+    if hop == 2:
+        return params.eta2, params.gamma2, params.p2
+    raise ValueError(f"hop must be 1 or 2, got {hop!r}")
+
+
+def corner_point(params: NetworkParams, split: HopSplit, hop: int = 1) -> RatePair:
+    """Sum-rate-maximizing corner of one hop's rate-splitting region at a
+    fixed split (see ``regions.corner_rates``): the reference the
+    ``vertex-a-sum`` check compares with the region's max-sum LP."""
+    cross2, intra2, total = hop_terms(params, hop)
+    pw = split.powers(total)
+    r_private, rc_two, rc_three = corner_rates(cross2, intra2, pw.p_private, pw.p_common)
+    return RatePair(float(r_private), float(min(rc_two, rc_three)))
+
+
 def dense_split_scan(params: NetworkParams, hop: int, step: float = 1e-3) -> tuple[float, float]:
     """Brute-force scan of a hop's corner sum rate over the split fractions
     f = i/n, n = round(1/step), evaluated on all fractions at once.
@@ -319,12 +339,7 @@ def dense_split_scan(params: NetworkParams, hop: int, step: float = 1e-3) -> tup
     1e-12 * max(1, |maximum|) of the array maximum is evaluated again with
     ``math.log2``: the result is the same float pair as a scalar scan.
     """
-    if hop == 1:
-        cross2, intra2, total = params.alpha2, params.beta2, params.p1
-    elif hop == 2:
-        cross2, intra2, total = params.eta2, params.gamma2, params.p2
-    else:
-        raise ValueError(f"hop must be 1 or 2, got {hop!r}")
+    cross2, intra2, total = hop_terms(params, hop)
     n = round(1.0 / step)
     fractions = np.arange(n + 1) / n
     rates = _two_stage_rate(fractions, cross2, intra2, total, np.log2)
@@ -413,7 +428,7 @@ def _check_vertex_a_sum(seed: int) -> OracleReport:
     for _ in range(150):
         params = _draw_params(rng)
         split = HopSplit(float(rng.uniform(0.0, 1.0)))
-        _, corner_sum = vertex_a(params, split, hop=1)
+        corner_sum = corner_point(params, split).total
         lp = max_sum_rate(hop1_region(params, split))
         gap = abs(corner_sum - lp.value)
         if gap > worst[0]:
@@ -570,8 +585,7 @@ def _check_rs_dense_grid(seed: int) -> OracleReport:
     for params in draws:
         _, r1 = dense_split_scan(params, hop=1)
         _, r2 = dense_split_scan(params, hop=2)
-        fast1 = schemes._hop_optimum(params.alpha2, params.beta2, params.p1)[1].total
-        fast2 = schemes._hop_optimum(params.eta2, params.gamma2, params.p2)[1].total
+        fast1, fast2 = (schemes._hop_optimum(*hop_terms(params, hop))[1].total for hop in (1, 2))
         reference = min(r1, r2)
         fast = schemes.rate_splitting(params).rate
         excess = max(excess, fast - reference)

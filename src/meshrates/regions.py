@@ -147,15 +147,17 @@ def _conjugate_pair_bound(power, response):
     y*r2). Jensen's formula gives log2|c| + phi(1/w_1) + phi(1/w_2) over the
     roots w_k of that quadratic (see ``mcp_bounds``). By Vieta the reciprocal
     roots are a/Q and Q/c, with Q = -(b +- sqrt(b^2 - 4ac))/2 taking the sign
-    of larger modulus, so nothing divides by a small a; Q = 0 only when
-    a = b = 0, and then both reciprocal roots are 0.
+    of larger modulus, so nothing divides by a small a. a/Q is taken as 0
+    where a = 0 (the private response has r2 = 0): Q can be 0 there, or so
+    small that complex division overflows. Where a != 0, |Q| >= sqrt|ac| is
+    a normal float.
     """
     r0, r1, r2 = response
     y = 1j * np.sqrt(power)
     a, b, c = y * r2, y * r1, 1.0 + y * r0
     root = np.sqrt(b * b - 4.0 * a * c)
     big = -0.5 * np.where(np.abs(b + root) >= np.abs(b - root), b + root, b - root)
-    phis = _phi(a / np.where(big == 0.0, 1.0, big)) + _phi(big / c)
+    phis = _phi(np.divide(a, big, out=np.zeros_like(a), where=a != 0)) + _phi(big / c)
     return np.log1p(power * r0 * r0) / _LN2 + 2.0 * phis
 
 
@@ -293,8 +295,8 @@ def corner_rates(cross2, intra2, p_private, p_common):
     The three common codewords are decoded jointly first (all private
     signals still on air) and cancelled; the private codeword is then
     decoded free of same-cell common signals. The corner is the private rate
-    and the smaller common bound; ``vertex_a`` builds it for one split, the
-    per-hop split optimum in ``schemes`` for all its candidates at once.
+    and the smaller common bound; the per-hop split optimum in ``schemes``
+    evaluates it for all its candidates at once.
     """
     noise0 = 1.0 + 2.0 * cross2 * p_private
     noise_first = 1.0 + (2.0 * cross2 + intra2) * p_private
@@ -302,26 +304,3 @@ def corner_rates(cross2, intra2, p_private, p_common):
     rc_two = 0.5 * _log1p_rate(2.0 * cross2 * p_common / noise_first)
     rc_three = _log1p_rate((2.0 * cross2 + intra2) * p_common / noise_first) / 3.0
     return r_private, rc_two, rc_three
-
-
-def hop_terms(params: NetworkParams, hop: int) -> tuple[float, float, float]:
-    """(cross2, intra2, total power) of one hop; hop 2 follows the plain
-    substitution rule."""
-    if hop == 1:
-        return params.alpha2, params.beta2, params.p1
-    if hop == 2:
-        return params.eta2, params.gamma2, params.p2
-    raise ValueError(f"hop must be 1 or 2, got {hop!r}")
-
-
-def vertex_a(params: NetworkParams, split: HopSplit, hop: int = 1) -> tuple[RatePair, float]:
-    """Sum-rate-maximizing corner of a hop's rate-splitting region.
-
-    Returns the corner itself and its sum rate. ``hop`` selects which hop's
-    gains and power are used (hop 2 follows the plain substitution rule).
-    """
-    cross2, intra2, total = hop_terms(params, hop)
-    pw = split.powers(total)
-    r_private, rc_two, rc_three = corner_rates(cross2, intra2, pw.p_private, pw.p_common)
-    point = RatePair(float(r_private), float(min(rc_two, rc_three)))
-    return point, point.total

@@ -27,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .model import HopSplit, NetworkParams, RatePair, capacity
+from .model import HopSplit, NetworkParams, RatePair, capacity, split_powers
 from .polytope import max_sum_rate
 from .regions import (
     LABEL_COMMON2,
@@ -44,7 +44,7 @@ SCHEME_RS = "rate_splitting"
 SCHEME_COOP = "coop"
 SCHEME_MCP = "mcp"
 SCHEME_BOUND = "first_hop_bound"
-ALL_SCHEMES = (SCHEME_SINGLE, SCHEME_RS, SCHEME_COOP, SCHEME_MCP, SCHEME_BOUND)
+
 
 @dataclass(frozen=True)
 class SchemeResult:
@@ -102,13 +102,6 @@ def _pick_last_max(values: np.ndarray, tie_tol: float = 1e-12) -> int:
     return int(np.nonzero(values >= top - tie_tol)[0][-1])
 
 
-def _split_powers(fs: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray]:
-    """Private and common powers of each fraction, exactly as
-    ``HopSplit.powers`` splits them."""
-    p_common = total - fs * total
-    return total - p_common, p_common
-
-
 def _hop_split_candidates(cross2: float, intra2: float, total: float) -> np.ndarray:
     """Private power fractions, ascending, among which the hop's corner sum
     rate attains its maximum.
@@ -154,7 +147,7 @@ def _hop_optimum(cross2: float, intra2: float,
     optimal.
     """
     fs = _hop_split_candidates(cross2, intra2, total)
-    r_private, rc_two, rc_three = corner_rates(cross2, intra2, *_split_powers(fs, total))
+    r_private, rc_two, rc_three = corner_rates(cross2, intra2, *split_powers(fs, total))
     # Ties only at rounding level, so an interior optimum a few ulps above the
     # endpoint still wins.
     idx = _pick_last_max(r_private + np.minimum(rc_two, rc_three), tie_tol=1e-15)
@@ -234,8 +227,8 @@ def _grid_bounds(work: NetworkParams, bounds_fn, f1: np.ndarray,
                  f2: np.ndarray) -> tuple[dict, dict]:
     """Hop 1's MAC bounds at each fraction of f1 and hop 2's ``bounds_fn``
     (``coop_bounds`` or ``mcp_bounds``) bounds at each fraction of f2."""
-    return (mac_bounds(work.alpha2, work.beta2, *_split_powers(f1, work.p1)),
-            bounds_fn(work.gamma2, work.eta2, *_split_powers(f2, work.p2)))
+    return (mac_bounds(work.alpha2, work.beta2, *split_powers(f1, work.p1)),
+            bounds_fn(work.gamma2, work.eta2, *split_powers(f2, work.p2)))
 
 
 def _max_sum_grid(bounds1: dict, bounds2: dict) -> np.ndarray:
@@ -267,13 +260,6 @@ def _max_sum_grid(bounds1: dict, bounds2: dict) -> np.ndarray:
     np.maximum(y, 0.0, out=y)
     y += x
     return y
-
-
-def _joint_values(work: NetworkParams, bounds_fn, f1: np.ndarray,
-                  f2: np.ndarray) -> np.ndarray:
-    """Max-sum LP value of hop 1 at f1[i] intersected with hop 2 at f2[j],
-    whose bounds ``bounds_fn`` gives."""
-    return _max_sum_grid(*_grid_bounds(work, bounds_fn, f1, f2))
 
 
 # Unlike the per-hop split, the joint (f1, f2) optimum has no closed form.

@@ -2,7 +2,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from meshrates.model import HopSplit, NetworkParams, RatePair
-from meshrates.oracle import enumerated_vertices, full_mac_region_hop1, grid_max_sum
+from meshrates.oracle import (
+    corner_point,
+    enumerated_vertices,
+    full_mac_region_hop1,
+    grid_max_sum,
+)
 from meshrates.polytope import _DEDUP_TOL, contains, max_sum_rate, vertices
 from meshrates.regions import (
     Halfspace,
@@ -11,7 +16,6 @@ from meshrates.regions import (
     hop2_coop_region,
     hop2_mcp_region,
     hop2_rs_region,
-    vertex_a,
 )
 
 FIG2 = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=2.0)
@@ -96,8 +100,8 @@ class TestMaxSumRate:
 
     def test_hop1_region_attains_corner(self):
         lp = max_sum_rate(hop1_region(FIG2, HALF))
-        point, total = vertex_a(FIG2, HALF, hop=1)
-        assert lp.value == pytest.approx(total, abs=1e-12)
+        point = corner_point(FIG2, HALF, hop=1)
+        assert lp.value == pytest.approx(point.total, abs=1e-12)
         assert lp.point.r_private == pytest.approx(point.r_private, abs=1e-9)
 
     def test_degenerate_tie_reports_largest_private(self):
@@ -191,7 +195,7 @@ class TestContains:
         assert contains(HAND_LP, RatePair(0.0, 0.0))
 
     def test_vertex_a_in_own_region(self):
-        point, _ = vertex_a(FIG2, HALF, hop=1)
+        point = corner_point(FIG2, HALF, hop=1)
         assert contains(hop1_region(FIG2, HALF), point, tol=1e-12)
 
     def test_just_outside_private_bound(self):

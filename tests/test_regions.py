@@ -14,7 +14,6 @@ from meshrates.regions import (
     hop2_mcp_region,
     hop2_rs_region,
     mcp_bounds,
-    vertex_a,
 )
 
 FIG2 = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=2.0)
@@ -173,12 +172,14 @@ class TestMcpBounds:
     @pytest.mark.parametrize("eta2,p_private,p_common", [
         (1e-12, 2.0, 3.0), (1e-20, 2.0, 3.0), (1e-100, 2.0, 3.0),
         (1e-300, 2.0, 3.0), (5e-324, 2.0, 3.0), (0.0, 2.0, 3.0),
-        (0.4, 1e-300, 3.0),
+        (0.4, 1e-300, 3.0), (5e-324, 1e-300, 1e-300), (1e-300, 1e-320, 1e-320),
     ])
     def test_tiny_gains_and_powers_match_midpoint(self, eta2, p_private, p_common):
         # Tiny eta2 makes the w^2 .. w^4 coefficients tiny, so the roots in w
         # head towards overflow; the closed forms and the reversed-quartic
-        # roots v = 1/w must stay finite and accurate here.
+        # roots v = 1/w must stay finite and accurate here. With a tiny gain
+        # times a tiny power the private response's quadratic has a
+        # subnormal root quotient, whose complex division must not overflow.
         for gamma2 in (0.2, 1.0, 2.5):
             for pp, pc in ((p_private, p_common), (0.0, 1.0), (1.0, 1.0), (5.0, 20.0)):
                 with warnings.catch_warnings():
@@ -258,38 +259,37 @@ class TestMcpBounds:
 class TestVertexA:
     def test_no_interference(self):
         params = NetworkParams(alpha2=0.0, beta2=1.0, gamma2=1.0, eta2=0.0, p1=2.0, p2=2.0)
-        point, total = vertex_a(params, HALF, hop=1)
+        point = oracle.corner_point(params, HALF, hop=1)
         assert (point.r_private, point.r_common) == (1.0, 0.0)
-        assert total == 1.0
+        assert point.total == 1.0
 
     def test_fig2_corner(self):
-        point, total = vertex_a(FIG2, HALF, hop=1)
+        point = oracle.corner_point(FIG2, HALF, hop=1)
         assert point.r_private == pytest.approx(0.6374299206152918, abs=1e-12)
         assert point.r_common == pytest.approx(0.18128503969235418, abs=1e-12)
-        assert total == pytest.approx(0.818714960307646, abs=1e-12)
+        assert point.total == pytest.approx(0.818714960307646, abs=1e-12)
         # successive cancellation is tight on the two-common sum constraint
         sum2 = region_bounds(hop1_region(FIG2, HALF))["sum-2"]
         assert point.r_private + 2.0 * point.r_common == pytest.approx(sum2, abs=1e-12)
 
     def test_hop2_substitution(self):
         params = NetworkParams(alpha2=0.1, beta2=2.0, gamma2=1.0, eta2=0.4, p1=5.0, p2=2.0)
-        point2, total2 = vertex_a(params, HALF, hop=2)
-        point1, total1 = vertex_a(FIG2, HALF, hop=1)
+        point2 = oracle.corner_point(params, HALF, hop=2)
+        point1 = oracle.corner_point(FIG2, HALF, hop=1)
         assert (point2.r_private, point2.r_common) == (point1.r_private, point1.r_common)
-        assert total2 == total1
 
     def test_bad_hop(self):
         with pytest.raises(ValueError):
-            vertex_a(FIG2, HALF, hop=3)
+            oracle.corner_point(FIG2, HALF, hop=3)
 
     @given(networks(), fractions)
     @settings(max_examples=60, deadline=None)
     def test_feasible_and_sum_optimal(self, params, f):
         split = HopSplit(f)
         region = hop1_region(params, split)
-        point, total = vertex_a(params, split, hop=1)
+        point = oracle.corner_point(params, split, hop=1)
         assert contains(region, point, tol=1e-12)
-        assert total == pytest.approx(max_sum_rate(region).value, abs=1e-9)
+        assert point.total == pytest.approx(max_sum_rate(region).value, abs=1e-9)
 
 
 class TestVerticesBC:

@@ -8,23 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from meshrates import regions, schemes
 from meshrates.cli import main
-from meshrates.model import HopSplit, NetworkParams, db_to_linear
-from meshrates.oracle import dense_split_scan
+from meshrates.model import HopSplit, NetworkParams, db_to_linear, split_powers
+from meshrates.oracle import dense_split_scan, hop_terms
 from meshrates.polytope import max_sum_rate
 from meshrates.regions import (
     coop_bounds,
     hop1_region,
     hop2_coop_region,
     hop2_mcp_region,
-    hop_terms,
     mac_bounds,
     mcp_bounds,
 )
 from meshrates.schemes import (
     _hop_optimum,
-    _joint_values,
+    _max_sum_grid,
     _search_joint_splits,
-    _split_powers,
     coop,
     first_hop_upper_bound,
     mcp,
@@ -258,8 +256,8 @@ def window(centre, half_width):
 def grid_bounds(work, bounds_fn, f1, f2):
     """Hop 1's MAC bounds on the f1 grid and hop 2's ``bounds_fn`` bounds on
     the f2 grid: the same 1-D arrays the search scores."""
-    return (mac_bounds(work.alpha2, work.beta2, *_split_powers(f1, work.p1)),
-            bounds_fn(work.gamma2, work.eta2, *_split_powers(f2, work.p2)))
+    return (mac_bounds(work.alpha2, work.beta2, *split_powers(f1, work.p1)),
+            bounds_fn(work.gamma2, work.eta2, *split_powers(f2, work.p2)))
 
 
 def uncollapsed_greedy(hop1, hop2):
@@ -293,7 +291,7 @@ class TestJointValues:
                      NetworkParams(alpha2=1.5, beta2=1.0, gamma2=0.7, eta2=1.2,
                                    p1=5.0, p2=0.3),
                      *seeded_networks(3, 6)):
-            values = _joint_values(work, bounds_fn, fs, fs)
+            values = _max_sum_grid(*grid_bounds(work, bounds_fn, fs, fs))
             for i, f1 in enumerate(fs):
                 for j, f2 in enumerate(fs):
                     lp = max_sum_rate(hop1_region(work, HopSplit(float(f1))),
@@ -309,8 +307,8 @@ class TestJointValues:
         for work in (symmetric(0.06, db_to_linear(3.0), db_to_linear(3.0) / 2.0),
                      *seeded_networks(11, 8)):
             for f1, f2 in grids:
-                assert np.array_equal(_joint_values(work, bounds_fn, f1, f2),
-                                      uncollapsed_greedy(*grid_bounds(work, bounds_fn, f1, f2)))
+                bounds = grid_bounds(work, bounds_fn, f1, f2)
+                assert np.array_equal(_max_sum_grid(*bounds), uncollapsed_greedy(*bounds))
 
     @pytest.mark.parametrize("bounds_fn", [coop_bounds, mcp_bounds])
     def test_search_matches_reference_passes(self, bounds_fn, monkeypatch):
@@ -345,7 +343,8 @@ class TestJointValues:
             # does not; no winning cell here has one, so the equality is exact.
             hop2 = bounds_at(bounds_fn, work.gamma2, work.eta2, work.p2, f2)
             assert min(hop2.values()) >= 0.0, params
-            cell = _joint_values(work, bounds_fn, np.array([f1]), np.array([f2]))[0, 0]
+            bounds = grid_bounds(work, bounds_fn, np.array([f1]), np.array([f2]))
+            cell = _max_sum_grid(*bounds)[0, 0]
             assert cell * params.rate_scale() == result.rate, params
 
     @pytest.mark.parametrize("scheme,name", [(coop, "coop_bounds"), (mcp, "mcp_bounds")])
@@ -384,6 +383,17 @@ class TestMcp:
         p1 = db_to_linear(3.0)
         params = symmetric(0.95, p1, p2=p1 / 2.0)
         assert mcp(params).rate >= 0.99 * first_hop_upper_bound(params).rate
+
+    def test_subnormal_hop2_power(self, capsys):
+        # eta2 * p2 is subnormal: the hop-2 bounds are about 1e-320 bits,
+        # not NaN, and the point command prints them
+        args = ["--alpha2", "0", "--beta2", "1", "--gamma2", "1", "--eta2", "1e-300",
+                "--p1", "1", "--p2", "1e-320", "--schemes", "mcp"]
+        assert main(["point", *args]) == 0
+        assert "mcp" in capsys.readouterr().out
+        params = NetworkParams(alpha2=0.0, beta2=1.0, gamma2=1.0, eta2=1e-300, p1=1.0,
+                               p2=1e-320)
+        assert 0.0 <= mcp(params).rate < 1e-300
 
 
 class TestOptimalPrivateFraction:
