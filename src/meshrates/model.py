@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 DUPLEX_MODES = ("full", "half")
 
@@ -94,6 +95,15 @@ class NetworkParams:
         but should be treated with care."""
         return self.alpha2 <= self.beta2 and self.eta2 <= self.gamma2
 
+    def hop(self, k: int) -> tuple[float, float, float]:
+        """(cross2, intra2, power) of hop ``k``: (alpha2, beta2, p1), and for
+        hop 2 the same with alpha2 -> eta2, beta2 -> gamma2 and p1 -> p2."""
+        if k == 1:
+            return self.alpha2, self.beta2, self.p1
+        if k == 2:
+            return self.eta2, self.gamma2, self.p2
+        raise ValueError(f"hop must be 1 or 2, got {k!r}")
+
     def effective(self) -> "NetworkParams":
         """Full-duplex-equivalent parameters used inside the rate formulas.
 
@@ -123,16 +133,11 @@ def split_powers(f, total):
     return total - p_common, p_common
 
 
-@dataclass(frozen=True)
-class SplitPowers:
-    """Private/common power pair for one hop; p_private + p_common == total exactly."""
+class SplitPowers(NamedTuple):
+    """Private/common power pair of one hop, in bound-formula argument order."""
 
     p_private: float
     p_common: float
-
-    @property
-    def total(self) -> float:
-        return self.p_private + self.p_common
 
 
 @dataclass(frozen=True)

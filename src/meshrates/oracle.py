@@ -103,9 +103,8 @@ def vertices_bc(params: NetworkParams, split: HopSplit) -> dict[str, RatePair]:
     the region (for membership checks pair this with ``polytope.contains``).
     The reference for the paper's corner claims; no fast path reads it.
     """
-    cross2, intra2 = params.alpha2, params.beta2
-    pw = split.powers(params.p1)
-    pp, pc = pw.p_private, pw.p_common
+    cross2, intra2, total = params.hop(1)
+    pp, pc = split.powers(total)
     noise0 = 1.0 + 2.0 * cross2 * pp
 
     b_common = 0.5 * capacity(2.0 * cross2 * pc / noise0)
@@ -310,23 +309,12 @@ def _two_stage_rate(f, cross2: float, intra2: float, total: float, log2):
     return stage1 + stage2
 
 
-def hop_terms(params: NetworkParams, hop: int) -> tuple[float, float, float]:
-    """(cross2, intra2, total power) of one hop; hop 2 follows the plain
-    substitution rule."""
-    if hop == 1:
-        return params.alpha2, params.beta2, params.p1
-    if hop == 2:
-        return params.eta2, params.gamma2, params.p2
-    raise ValueError(f"hop must be 1 or 2, got {hop!r}")
-
-
 def corner_point(params: NetworkParams, split: HopSplit, hop: int = 1) -> RatePair:
     """Sum-rate-maximizing corner of one hop's rate-splitting region at a
     fixed split (see ``regions.corner_rates``): the reference the
     ``vertex-a-sum`` check compares with the region's max-sum LP."""
-    cross2, intra2, total = hop_terms(params, hop)
-    pw = split.powers(total)
-    r_private, rc_two, rc_three = corner_rates(cross2, intra2, pw.p_private, pw.p_common)
+    cross2, intra2, total = params.hop(hop)
+    r_private, rc_two, rc_three = corner_rates(cross2, intra2, *split.powers(total))
     return RatePair(float(r_private), float(min(rc_two, rc_three)))
 
 
@@ -339,7 +327,7 @@ def dense_split_scan(params: NetworkParams, hop: int, step: float = 1e-3) -> tup
     1e-12 * max(1, |maximum|) of the array maximum is evaluated again with
     ``math.log2``: the result is the same float pair as a scalar scan.
     """
-    cross2, intra2, total = hop_terms(params, hop)
+    cross2, intra2, total = params.hop(hop)
     n = round(1.0 / step)
     fractions = np.arange(n + 1) / n
     rates = _two_stage_rate(fractions, cross2, intra2, total, np.log2)
@@ -585,7 +573,7 @@ def _check_rs_dense_grid(seed: int) -> OracleReport:
     for params in draws:
         _, r1 = dense_split_scan(params, hop=1)
         _, r2 = dense_split_scan(params, hop=2)
-        fast1, fast2 = (schemes._hop_optimum(*hop_terms(params, hop))[1].total for hop in (1, 2))
+        fast1, fast2 = (schemes._hop_optimum(*params.hop(hop))[1].total for hop in (1, 2))
         reference = min(r1, r2)
         fast = schemes.rate_splitting(params).rate
         excess = max(excess, fast - reference)

@@ -76,14 +76,29 @@ class RateRegion:
 
 
 # ---------------------------------------------------------------------------
-# Bound formulas. The *_bounds helpers accept scalars or numpy arrays for the
-# power pair so the split optimizers can sweep many splits in one call;
-# ``hop_region`` wraps scalar bounds into labeled halfspaces, and each public
-# region builder is the bounds at its split passed to it.
+# Bound formulas. Each takes (cross2, intra2, p_private, p_common), a hop's
+# gains as ``NetworkParams.hop`` gives them and its power pair, the powers as
+# scalars or numpy arrays so the split optimizers can sweep many splits in
+# one call. ``hop_region`` wraps scalar bounds into labeled halfspaces, and
+# each public region builder is the bounds at its split passed to it.
 # ---------------------------------------------------------------------------
 
 def _log1p_rate(x):
     return np.log2(1.0 + x)
+
+
+def _rs_bounds(private, two, three, noise):
+    """The five rate-splitting bounds of one hop, keyed by (coef_private,
+    coef_common): ``private`` is the private codeword's receive power,
+    ``two`` and ``three`` the summed receive powers of the two- and
+    three-codeword common subsets, all over ``noise``."""
+    return {
+        (1, 0): _log1p_rate(private / noise),
+        (0, 2): _log1p_rate(two / noise),
+        (0, 3): _log1p_rate(three / noise),
+        (1, 2): _log1p_rate((private + two) / noise),
+        (1, 3): _log1p_rate((private + three) / noise),
+    }
 
 
 def mac_bounds(cross2, intra2, p_private, p_common):
@@ -93,16 +108,11 @@ def mac_bounds(cross2, intra2, p_private, p_common):
     Returns the bounds keyed by (coef_private, coef_common).
     """
     noise = 1.0 + 2.0 * cross2 * p_private
-    return {
-        (1, 0): _log1p_rate(intra2 * p_private / noise),
-        (0, 2): _log1p_rate(2.0 * cross2 * p_common / noise),
-        (0, 3): _log1p_rate((2.0 * cross2 + intra2) * p_common / noise),
-        (1, 2): _log1p_rate((intra2 * p_private + 2.0 * cross2 * p_common) / noise),
-        (1, 3): _log1p_rate((intra2 * p_private + (2.0 * cross2 + intra2) * p_common) / noise),
-    }
+    return _rs_bounds(intra2 * p_private, 2.0 * cross2 * p_common,
+                      (2.0 * cross2 + intra2) * p_common, noise)
 
 
-def coop_bounds(gamma2, eta2, p_private, p_common):
+def coop_bounds(cross2, intra2, p_private, p_common):
     """Second-hop MAC bounds when the three adjacent relays transmit each
     common codeword cooperatively, splitting its power three ways.
 
@@ -110,19 +120,12 @@ def coop_bounds(gamma2, eta2, p_private, p_common):
     (gamma+eta)^2 and (gamma+2*eta)^2 terms; the two leaked outer-cell common
     codewords and the adjacent private codewords raise the noise floor.
     """
-    g = np.sqrt(gamma2)
-    e = np.sqrt(eta2)
+    g, e = np.sqrt(intra2), np.sqrt(cross2)
     per_code = p_common / 3.0
-    noise = 1.0 + 2.0 * eta2 * (p_private + per_code)
+    noise = 1.0 + 2.0 * cross2 * (p_private + per_code)
     two_user = 2.0 * (g + e) ** 2
     three_user = two_user + (g + 2.0 * e) ** 2
-    return {
-        (1, 0): _log1p_rate(gamma2 * p_private / noise),
-        (0, 2): _log1p_rate(two_user * per_code / noise),
-        (0, 3): _log1p_rate(three_user * per_code / noise),
-        (1, 2): _log1p_rate((gamma2 * p_private + two_user * per_code) / noise),
-        (1, 3): _log1p_rate((gamma2 * p_private + three_user * per_code) / noise),
-    }
+    return _rs_bounds(intra2 * p_private, two_user * per_code, three_user * per_code, noise)
 
 
 _LN2 = math.log(2.0)
@@ -161,7 +164,7 @@ def _conjugate_pair_bound(power, response):
     return np.log1p(power * r0 * r0) / _LN2 + 2.0 * phis
 
 
-def mcp_bounds(gamma2, eta2, p_private, p_common):
+def mcp_bounds(cross2, intra2, p_private, p_common):
     """Second-hop bounds under joint decoding across all base stations.
 
     The cell index acts as the tap axis of an inter-symbol-interference MAC,
@@ -177,16 +180,15 @@ def mcp_bounds(gamma2, eta2, p_private, p_common):
     private and common bounds come from one conjugate pair of linear or
     quadratic factors each, in closed form. The sum bound takes the roots
     v_k = 1/w_k of the reversed quartic in v = 1/w, whose leading coefficient
-    P(0) = 1 + (p_private + q)*gamma2 is at least 1: one batched eigenvalue
+    P(0) = 1 + (p_private + q)*intra2 is at least 1: one batched eigenvalue
     call on the monic companion matrices, then one Newton step per root on
     the quartic evaluated through h and u, kept where it lowers its modulus.
 
-    Scalar gains; the power pair may be scalars or arrays, and every bound
-    has their broadcast shape. Returns the bounds keyed by
-    (coef_private, coef_common).
+    Scalar gains (``cross2`` = eta^2, ``intra2`` = gamma^2); the power pair
+    may be scalars or arrays, and every bound has their broadcast shape.
+    Returns the bounds keyed by (coef_private, coef_common).
     """
-    g = math.sqrt(gamma2)
-    e = math.sqrt(eta2)
+    g, e = math.sqrt(intra2), math.sqrt(cross2)
     h = (g, e, 0.0)  # ascending coefficients in w
     u = (g, g + e, e)
     p, q = np.broadcast_arrays(np.asarray(p_private, dtype=float),
@@ -255,33 +257,33 @@ def hop_region(name: str, params: NetworkParams, powers: SplitPowers,
                       f"p_common={powers.p_common:g})")
 
 
+def _hop_region(name: str, hop: int, bounds_fn, params: NetworkParams,
+                split: HopSplit) -> RateRegion:
+    """Region ``name`` of hop ``hop``'s ``bounds_fn`` bounds at ``split``."""
+    cross2, intra2, total = params.hop(hop)
+    powers = split.powers(total)
+    return hop_region(name, params, powers, bounds_fn(cross2, intra2, *powers))
+
+
 def hop1_region(params: NetworkParams, split: HopSplit) -> RateRegion:
     """Rate region of the terminal-to-relay hop for a fixed power split."""
-    pw = split.powers(params.p1)
-    return hop_region("hop1", params, pw,
-                      mac_bounds(params.alpha2, params.beta2, pw.p_private, pw.p_common))
+    return _hop_region("hop1", 1, mac_bounds, params, split)
 
 
 def hop2_rs_region(params: NetworkParams, split: HopSplit) -> RateRegion:
     """Relay-to-base hop region when relays re-split independently
     (same constraint structure as hop 1 with the hop-2 gains and power)."""
-    pw = split.powers(params.p2)
-    return hop_region("hop2-rs", params, pw,
-                      mac_bounds(params.eta2, params.gamma2, pw.p_private, pw.p_common))
+    return _hop_region("hop2-rs", 2, mac_bounds, params, split)
 
 
 def hop2_coop_region(params: NetworkParams, split: HopSplit) -> RateRegion:
     """Relay-to-base hop region with cooperative common-message relaying."""
-    pw = split.powers(params.p2)
-    return hop_region("hop2-coop", params, pw,
-                      coop_bounds(params.gamma2, params.eta2, pw.p_private, pw.p_common))
+    return _hop_region("hop2-coop", 2, coop_bounds, params, split)
 
 
 def hop2_mcp_region(params: NetworkParams, split: HopSplit) -> RateRegion:
     """Relay-to-base hop region with joint decoding across all base stations."""
-    pw = split.powers(params.p2)
-    return hop_region("hop2-mcp", params, pw,
-                      mcp_bounds(params.gamma2, params.eta2, pw.p_private, pw.p_common))
+    return _hop_region("hop2-mcp", 2, mcp_bounds, params, split)
 
 
 # ---------------------------------------------------------------------------

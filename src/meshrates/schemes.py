@@ -82,8 +82,8 @@ def _bottleneck(rate1: float, rate2: float, tol: float = 1e-12):
 def single_rate(params: NetworkParams) -> SchemeResult:
     """Plain decode-and-forward with single-user decoding in both hops."""
     work = params.effective()
-    sinr1 = work.beta2 * work.p1 / (1.0 + 2.0 * work.alpha2 * work.p1)
-    sinr2 = work.gamma2 * work.p2 / (1.0 + 2.0 * work.eta2 * work.p2)
+    sinr1, sinr2 = (intra2 * total / (1.0 + 2.0 * cross2 * total)
+                    for cross2, intra2, total in (work.hop(1), work.hop(2)))
     rate = capacity(min(sinr1, sinr2)) * params.rate_scale()
     return SchemeResult(
         scheme=SCHEME_SINGLE,
@@ -170,8 +170,8 @@ def rate_splitting(params: NetworkParams) -> SchemeResult:
     """
     work = params.effective()
     scale = params.rate_scale()
-    split1, corner1, binding1 = _hop_optimum(work.alpha2, work.beta2, work.p1)
-    split2, corner2, binding2 = _hop_optimum(work.eta2, work.gamma2, work.p2)
+    split1, corner1, binding1 = _hop_optimum(*work.hop(1))
+    split2, corner2, binding2 = _hop_optimum(*work.hop(2))
     rate1, rate2 = corner1.total, corner2.total
     return SchemeResult(
         scheme=SCHEME_RS,
@@ -188,7 +188,7 @@ def first_hop_upper_bound(params: NetworkParams) -> SchemeResult:
     """Best first-hop rate over splits; caps every two-hop scheme here."""
     work = params.effective()
     scale = params.rate_scale()
-    split1, corner1, binding1 = _hop_optimum(work.alpha2, work.beta2, work.p1)
+    split1, corner1, binding1 = _hop_optimum(*work.hop(1))
     return SchemeResult(
         scheme=SCHEME_BOUND,
         rate=corner1.total * scale,
@@ -221,14 +221,6 @@ def _hop_caps(bounds: dict) -> tuple[np.ndarray, np.ndarray, dict]:
     common = reduce(np.minimum, [c if b == 1 else c / b
                                  for (a, b), c in bounds.items() if not a])
     return private, common, {b: c for (a, b), c in bounds.items() if a and b}
-
-
-def _grid_bounds(work: NetworkParams, bounds_fn, f1: np.ndarray,
-                 f2: np.ndarray) -> tuple[dict, dict]:
-    """Hop 1's MAC bounds at each fraction of f1 and hop 2's ``bounds_fn``
-    (``coop_bounds`` or ``mcp_bounds``) bounds at each fraction of f2."""
-    return (mac_bounds(work.alpha2, work.beta2, *split_powers(f1, work.p1)),
-            bounds_fn(work.gamma2, work.eta2, *split_powers(f2, work.p2)))
 
 
 def _max_sum_grid(bounds1: dict, bounds2: dict) -> np.ndarray:
@@ -273,11 +265,6 @@ def _split_grid(centre: float, points: int, window: float) -> np.ndarray:
     return np.clip(np.linspace(centre - window, centre + window, points), 0.0, 1.0)
 
 
-# The first pass is centred on 0.5 at every point, so its grid is built once.
-_FIRST_GRID = _split_grid(0.5, *_JOINT_PASSES[0])
-_FIRST_GRID.flags.writeable = False
-
-
 def _search_joint_splits(work: NetworkParams, bounds_fn) -> tuple[float, float, dict, dict]:
     """Shrinking grids over (f1, f2), each centred on the previous best.
 
@@ -285,12 +272,15 @@ def _search_joint_splits(work: NetworkParams, bounds_fn) -> tuple[float, float, 
     read from the arrays that pass scored, so the winning cell's value is
     the max-sum LP over exactly these bounds.
     """
-    f1 = f2 = _FIRST_GRID
-    for k, (points, window) in enumerate(_JOINT_PASSES):
-        if k:
-            f1 = _split_grid(float(f1[i]), points, window)
-            f2 = _split_grid(float(f2[j]), points, window)
-        bounds1, bounds2 = _grid_bounds(work, bounds_fn, f1, f2)
+    cross1, intra1, total1 = work.hop(1)
+    cross2, intra2, total2 = work.hop(2)
+    f1 = f2 = (0.5,)
+    i = j = 0
+    for points, window in _JOINT_PASSES:
+        f1 = _split_grid(float(f1[i]), points, window)
+        f2 = _split_grid(float(f2[j]), points, window)
+        bounds1 = mac_bounds(cross1, intra1, *split_powers(f1, total1))
+        bounds2 = bounds_fn(cross2, intra2, *split_powers(f2, total2))
         values = _max_sum_grid(bounds1, bounds2)
         i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
     return (float(f1[i]), float(f2[j]), {key: c[i] for key, c in bounds1.items()},

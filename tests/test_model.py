@@ -62,6 +62,17 @@ class TestNetworkParams:
         assert p.validate_paper_regime()
         assert p.rate_scale() == 1.0
 
+    def test_hop_terms(self):
+        p = NetworkParams(alpha2=0.3, beta2=1.2, gamma2=0.8, eta2=0.5, p1=2.0, p2=3.0)
+        assert p.hop(1) == (0.3, 1.2, 2.0)
+        assert p.hop(2) == (0.5, 0.8, 3.0)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_bad_hop(self, k):
+        p = NetworkParams(alpha2=0.3, beta2=1.2, gamma2=0.8, eta2=0.5, p1=2.0, p2=3.0)
+        with pytest.raises(ValueError, match="hop must be 1 or 2"):
+            p.hop(k)
+
     def test_regime_flagging_not_an_error(self):
         p = NetworkParams(alpha2=3.0, beta2=1.0, gamma2=1.0, eta2=0.0, p1=1.0, p2=1.0)
         assert not p.validate_paper_regime()
@@ -120,6 +131,9 @@ class TestHopSplit:
     def test_fraction_range(self, bad):
         with pytest.raises(ValueError):
             HopSplit(bad)
+
+    def test_powers_unpack_in_bound_order(self):
+        assert tuple(HopSplit(0.25).powers(4.0)) == (1.0, 3.0)
 
     def test_degenerate_splits_exact(self):
         assert HopSplit(0.0).powers(3.0).p_private == 0.0

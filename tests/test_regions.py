@@ -1,18 +1,24 @@
 import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from meshrates import oracle
-from meshrates.model import HopSplit, NetworkParams
+from meshrates.model import HopSplit, NetworkParams, RatePair
 from meshrates.polytope import contains, max_sum_rate, vertices
 from meshrates.regions import (
+    Halfspace,
+    RateRegion,
+    coop_bounds,
+    corner_rates,
     hop1_region,
     hop2_coop_region,
     hop2_mcp_region,
     hop2_rs_region,
+    mac_bounds,
     mcp_bounds,
 )
 
@@ -144,6 +150,50 @@ class TestHop2CoopRegion:
             assert coop[label] > rs[label]
 
 
+def coop_mac15(params, split):
+    """All fifteen subset inequalities of the cooperative second-hop MAC,
+    from the tap model: the private codeword arrives with power gamma2*P_p;
+    the own-cell common codeword, sent by three relays with P_c/3 each,
+    with (g + 2e)^2 * P_c/3, and the two adjacent cells' commons with
+    (g + e)^2 * P_c/3 each (g, e the amplitude gains). The two adjacent
+    private codewords and the two outer-cell commons that leak in stay in
+    the noise, 1 + 2*eta2*(P_p + P_c/3). No dominated inequality is removed."""
+    g, e = math.sqrt(params.gamma2), math.sqrt(params.eta2)
+    pw = split.powers(params.p2)
+    per_code = pw.p_common / 3.0
+    noise = 1.0 + 2.0 * params.eta2 * (pw.p_private + per_code)
+    users = (("p", 1, 0, params.gamma2 * pw.p_private),
+             ("cm", 0, 1, (g + 2.0 * e) ** 2 * per_code),
+             ("cm-1", 0, 1, (g + e) ** 2 * per_code),
+             ("cm+1", 0, 1, (g + e) ** 2 * per_code))
+    halfspaces = tuple(
+        Halfspace(sum(u[1] for u in subset), sum(u[2] for u in subset),
+                  math.log2(1.0 + math.fsum(u[3] for u in subset) / noise),
+                  "+".join(u[0] for u in subset))
+        for k in range(1, 5) for subset in combinations(users, k))
+    return RateRegion(halfspaces, "coop-mac15")
+
+
+class TestCoopRegionReduction:
+    def test_matches_full_cooperative_mac(self):
+        # Every vertex of the five-bound region satisfies all fifteen
+        # inequalities and vice versa, in and out of the paper's regime
+        # (every other draw has eta2 > gamma2).
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for k in range(2000):
+            gamma2 = float(rng.uniform(0.2, 2.5))
+            eta2 = float(rng.uniform(0.0, gamma2) if k % 2 else rng.uniform(gamma2, 3.0 * gamma2))
+            p2 = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e2))))
+            params = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=gamma2, eta2=eta2,
+                                   p1=1.0, p2=p2)
+            split = HopSplit(float(rng.uniform(0.0, 1.0)))
+            fast, reference = hop2_coop_region(params, split), coop_mac15(params, split)
+            worst = max([worst] + [oracle._max_violation(reference, v) for v in vertices(fast)]
+                        + [oracle._max_violation(fast, v) for v in vertices(reference)])
+        assert worst <= 1e-9
+
+
 class TestHop2McpRegion:
     def test_flat_filter_private_only(self):
         params = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.0, p1=2.0, p2=1.0)
@@ -184,7 +234,7 @@ class TestMcpBounds:
             for pp, pc in ((p_private, p_common), (0.0, 1.0), (1.0, 1.0), (5.0, 20.0)):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    bounds = mcp_bounds(gamma2, eta2, pp, pc)
+                    bounds = mcp_bounds(eta2, gamma2, pp, pc)
                 reference = oracle.mcp_reference_integrands(gamma2, eta2, pp, pc)
                 for key, name in (((1, 0), "private"), ((0, 1), "common"), ((1, 1), "sum")):
                     value = float(bounds[key])
@@ -203,10 +253,10 @@ class TestMcpBounds:
             ([[0.5], [2.0]], [0.0, 1.0, 9.0]),
         ]
         for p_private, p_common in cases:
-            batched = mcp_bounds(1.0, 0.4, p_private, p_common)
+            batched = mcp_bounds(0.4, 1.0, p_private, p_common)
             pp, pc = np.broadcast_arrays(np.asarray(p_private), np.asarray(p_common))
             for index in np.ndindex(pp.shape):
-                scalar = mcp_bounds(1.0, 0.4, float(pp[index]), float(pc[index]))
+                scalar = mcp_bounds(0.4, 1.0, float(pp[index]), float(pc[index]))
                 for key, value in scalar.items():
                     assert np.shape(batched[key]) == pp.shape
                     assert batched[key][index] == pytest.approx(float(value), abs=1e-14)
@@ -223,7 +273,7 @@ class TestMcpBounds:
         # split a nearly double pair. The closed forms need no roots, and the
         # sum's Newton step evaluates the quartic through h and u.
         for gamma2, eta2, pp, pc in self.HIGH_POWER_GRID:
-            bounds = mcp_bounds(gamma2, eta2, pp, pc)
+            bounds = mcp_bounds(eta2, gamma2, pp, pc)
             reference = oracle.mcp_reference_integrands(gamma2, eta2, pp, pc)
             for key, name in (((1, 0), "private"), ((0, 1), "common"), ((1, 1), "sum")):
                 expected, ref_err, _ = oracle.certified_midpoint(reference[name])
@@ -233,13 +283,13 @@ class TestMcpBounds:
     def test_sum_without_private_power_equals_common(self):
         # The eigenvalue path of the sum bound against the closed form.
         for gamma2, eta2, _, pc in self.HIGH_POWER_GRID:
-            bounds = mcp_bounds(gamma2, eta2, 0.0, pc)
+            bounds = mcp_bounds(eta2, gamma2, 0.0, pc)
             assert abs(float(bounds[(1, 1)]) - float(bounds[(0, 1)])) <= 1e-14
 
     @pytest.mark.parametrize("gamma2", [0.2, 1.0, 2.5])
     def test_flat_private_response(self, gamma2):
         for p in (1e-300, 1e-3, 1.0, 40.0, 1000.0):
-            value = float(mcp_bounds(gamma2, 0.0, p, 0.0)[(1, 0)])
+            value = float(mcp_bounds(0.0, gamma2, p, 0.0)[(1, 0)])
             assert value == pytest.approx(math.log1p(p * gamma2) / math.log(2.0), rel=1e-15)
 
     @pytest.mark.parametrize("p_private,n", [(1.5, 1), (np.linspace(0.0, 3.0, 7), 7)])
@@ -252,8 +302,42 @@ class TestMcpBounds:
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
-        mcp_bounds(1.0, 0.4, p_private, 3.0 - p_private)
+        mcp_bounds(0.4, 1.0, p_private, 3.0 - p_private)
         assert shapes == [(n, 4, 4)]
+
+
+class TestHopConvention:
+    # eta2 != gamma2, so a formula fed the two gains in the wrong order gives
+    # other numbers
+    PARAMS = NetworkParams(alpha2=0.3, beta2=1.2, gamma2=0.8, eta2=0.5, p1=2.0, p2=3.0)
+
+    @pytest.mark.parametrize("bounds_fn,builder", [
+        (mac_bounds, hop2_rs_region), (coop_bounds, hop2_coop_region),
+        (mcp_bounds, hop2_mcp_region),
+    ])
+    def test_bound_formulas_take_cross_then_intra(self, bounds_fn, builder):
+        params = self.PARAMS
+        for f in (0.3, 0.7):
+            pw = HopSplit(f).powers(params.p2)
+            pp, pc = pw.p_private, pw.p_common
+            bounds = bounds_fn(cross2=params.eta2, intra2=params.gamma2,
+                               p_private=pp, p_common=pc)
+            assert [(h.coef_private, h.coef_common, h.bound)
+                    for h in builder(params, HopSplit(f)).halfspaces] == \
+                   [(*key, float(bound)) for key, bound in bounds.items()]
+            swapped = bounds_fn(cross2=params.gamma2, intra2=params.eta2,
+                                p_private=pp, p_common=pc)
+            assert all(swapped[key] != bound for key, bound in bounds.items())
+
+    def test_corner_rates_take_cross_then_intra(self):
+        params = self.PARAMS
+        split = HopSplit(0.4)
+        pw = split.powers(params.p2)
+        pp, pc = pw.p_private, pw.p_common
+        r_private, rc_two, rc_three = corner_rates(cross2=params.eta2, intra2=params.gamma2,
+                                                   p_private=pp, p_common=pc)
+        assert oracle.corner_point(params, split, hop=2) == \
+               RatePair(float(r_private), float(min(rc_two, rc_three)))
 
 
 class TestVertexA:

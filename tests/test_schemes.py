@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from meshrates import regions, schemes
 from meshrates.cli import main
 from meshrates.model import HopSplit, NetworkParams, db_to_linear, split_powers
-from meshrates.oracle import dense_split_scan, hop_terms
+from meshrates.oracle import dense_split_scan
 from meshrates.polytope import max_sum_rate
 from meshrates.regions import (
     coop_bounds,
@@ -129,7 +129,7 @@ class TestHopSplitOptimum:
             params = NetworkParams(alpha2=alpha2, beta2=beta2, gamma2=beta2, eta2=alpha2,
                                    p1=p1, p2=p1 / 2.0)
             for hop in (1, 2):
-                rate = _hop_optimum(*hop_terms(params, hop))[1].total
+                rate = _hop_optimum(*params.hop(hop))[1].total
                 _, reference = dense_split_scan(params, hop=hop, step=1e-3)
                 assert rate >= reference - 1e-12, (params, hop)
 
@@ -257,7 +257,7 @@ def grid_bounds(work, bounds_fn, f1, f2):
     """Hop 1's MAC bounds on the f1 grid and hop 2's ``bounds_fn`` bounds on
     the f2 grid: the same 1-D arrays the search scores."""
     return (mac_bounds(work.alpha2, work.beta2, *split_powers(f1, work.p1)),
-            bounds_fn(work.gamma2, work.eta2, *split_powers(f2, work.p2)))
+            bounds_fn(work.eta2, work.gamma2, *split_powers(f2, work.p2)))
 
 
 def uncollapsed_greedy(hop1, hop2):
@@ -318,7 +318,7 @@ class TestJointValues:
         for work, (f1, f2, bounds1, bounds2) in zip(draws, fast):
             # the returned bounds are each hop's bounds at the returned splits
             assert bounds1 == bounds_at(mac_bounds, work.alpha2, work.beta2, work.p1, f1)
-            assert bounds2 == bounds_at(bounds_fn, work.gamma2, work.eta2, work.p2, f2)
+            assert bounds2 == bounds_at(bounds_fn, work.eta2, work.gamma2, work.p2, f2)
         monkeypatch.setattr(schemes, "_max_sum_grid", uncollapsed_greedy)
         assert [_search_joint_splits(work, bounds_fn) for work in draws] == fast
 
@@ -341,7 +341,7 @@ class TestJointValues:
             f1, f2 = result.split_hop1.f_private, result.split_hop2.f_private
             # The region clamps a bound that rounds below 0, which the grid
             # does not; no winning cell here has one, so the equality is exact.
-            hop2 = bounds_at(bounds_fn, work.gamma2, work.eta2, work.p2, f2)
+            hop2 = bounds_at(bounds_fn, work.eta2, work.gamma2, work.p2, f2)
             assert min(hop2.values()) >= 0.0, params
             bounds = grid_bounds(work, bounds_fn, np.array([f1]), np.array([f2]))
             cell = _max_sum_grid(*bounds)[0, 0]
@@ -352,9 +352,9 @@ class TestJointValues:
         calls = []
 
         def counting(fn, label):
-            def wrapper(gain, other, p_private, p_common):
+            def wrapper(cross2, intra2, p_private, p_common):
                 calls.append((label, type(p_private), type(p_common)))
-                return fn(gain, other, p_private, p_common)
+                return fn(cross2, intra2, p_private, p_common)
             return wrapper
 
         hop1 = counting(regions.mac_bounds, "hop1")
