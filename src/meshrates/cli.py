@@ -304,16 +304,14 @@ def _parse_link(text: str) -> tuple[str, str, float]:
     src = m.group("src") or m.group("src2")
     if dst not in _PARAM_NAMES or src not in _PARAM_NAMES:
         raise click.UsageError(f"link {text!r} references unknown parameter")
-    factor = 1.0
-    if m.group("mul"):
-        factor = float(m.group("mul"))
-    elif m.group("mul2"):
-        factor = float(m.group("mul2"))
-    elif m.group("div"):
-        divisor = float(m.group("div"))
-        if divisor == 0.0:
-            raise click.UsageError("link divisor must be non-zero")
-        factor = 1.0 / divisor
+    # the number pattern also admits non-numbers such as "1e" or "+-"
+    number = m.group("mul") or m.group("mul2") or m.group("div") or "1"
+    try:
+        factor = 1.0 / float(number) if m.group("div") else float(number)
+    except (ValueError, ZeroDivisionError):
+        factor = math.nan
+    if not math.isfinite(factor):
+        raise click.UsageError(f"link {text!r} does not give a finite factor")
     return dst, src, factor
 
 
@@ -436,9 +434,6 @@ def cmd_region(hop, f, as_json, duplex, power_boost, **values) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def cmd_threshold(beta2, p1, method, check_alpha2, as_json) -> None:
     """Very-strong-interference gain thresholds for the first hop."""
-    if beta2 <= 0.0 or p1 <= 0.0:
-        raise click.UsageError("threshold needs positive beta2 and p1")
-
     payload: dict = {"beta2": beta2, "p1": p1}
     if method in ("paper", "both"):
         payload["paper"] = schemes.vsi_threshold(beta2, p1, method="paper")

@@ -8,7 +8,7 @@ receiver), so powers double as SNRs. Rates are in bits per channel use
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 DUPLEX_MODES = ("full", "half")
@@ -49,8 +49,8 @@ class NetworkParams:
     p1 and p2 are the per-terminal and per-relay transmit powers (linear,
     noise-normalized).
 
-    ``power_boost`` needs half duplex: it doubles both powers before rates
-    are computed (each source transmits half the time, so the average-power
+    ``power_boost`` needs half duplex: ``hop`` doubles both powers for the
+    rate formulas (each source transmits half the time, so the average-power
     constraint allows doubling the instantaneous power). In full duplex it
     would do nothing, so it is refused there.
     """
@@ -80,10 +80,9 @@ class NetworkParams:
         # three-user common sum (2*alpha2 + beta2)*P1 on hop 1, and on hop 2
         # the joint decoder's peak response 3*(gamma + 2*eta)^2 * P2, which
         # also bounds the rs and coop sums. Past a float they give inf rates.
-        boost = 2.0 if self.power_boost else 1.0
         peak2 = (math.sqrt(self.gamma2) + 2.0 * math.sqrt(self.eta2)) ** 2
-        for hop, received in ((1, (2.0 * self.alpha2 + self.beta2) * (boost * self.p1)),
-                              (2, 3.0 * peak2 * (boost * self.p2))):
+        for hop, received in ((1, (2.0 * self.alpha2 + self.beta2) * self.hop(1)[2]),
+                              (2, 3.0 * peak2 * self.hop(2)[2])):
             if not math.isfinite(received):
                 raise ValueError(f"hop {hop} gains times power overflow a float; "
                                  f"scale the gains or powers down")
@@ -96,24 +95,16 @@ class NetworkParams:
         return self.alpha2 <= self.beta2 and self.eta2 <= self.gamma2
 
     def hop(self, k: int) -> tuple[float, float, float]:
-        """(cross2, intra2, power) of hop ``k``: (alpha2, beta2, p1), and for
-        hop 2 the same with alpha2 -> eta2, beta2 -> gamma2 and p1 -> p2."""
+        """(cross2, intra2, power) of hop ``k`` as the rate formulas take it:
+        (alpha2, beta2, p1), and for hop 2 the same with alpha2 -> eta2,
+        beta2 -> gamma2 and p1 -> p2. Power boost doubles the power; the
+        half-duplex 1/2 is left to :meth:`rate_scale`."""
+        boost = 2.0 if self.power_boost else 1.0
         if k == 1:
-            return self.alpha2, self.beta2, self.p1
+            return self.alpha2, self.beta2, boost * self.p1
         if k == 2:
-            return self.eta2, self.gamma2, self.p2
+            return self.eta2, self.gamma2, boost * self.p2
         raise ValueError(f"hop must be 1 or 2, got {k!r}")
-
-    def effective(self) -> "NetworkParams":
-        """Full-duplex-equivalent parameters used inside the rate formulas.
-
-        Half duplex with power boost doubles p1 and p2; the 1/2 pipeline
-        factor is applied separately via :meth:`rate_scale`.
-        """
-        if self.power_boost:
-            return replace(self, p1=2.0 * self.p1, p2=2.0 * self.p2,
-                           duplex="full", power_boost=False)
-        return replace(self, duplex="full", power_boost=False)
 
     def rate_scale(self) -> float:
         """End-to-end throughput factor: 0.5 for half duplex, else 1.0."""

@@ -68,13 +68,14 @@ def full_mac_region_hop1(params: NetworkParams, split: HopSplit) -> RateRegion:
     adjacent private codewords stay in the noise floor. No dominated
     inequality is removed.
     """
-    pw = split.powers(params.p1)
-    noise = 1.0 + 2.0 * params.alpha2 * pw.p_private
+    alpha2, beta2, p1 = params.hop(1)
+    pw = split.powers(p1)
+    noise = 1.0 + 2.0 * alpha2 * pw.p_private
     users = (
-        ("p", 1, 0, params.beta2 * pw.p_private),
-        ("cm", 0, 1, params.beta2 * pw.p_common),
-        ("cm-1", 0, 1, params.alpha2 * pw.p_common),
-        ("cm+1", 0, 1, params.alpha2 * pw.p_common),
+        ("p", 1, 0, beta2 * pw.p_private),
+        ("cm", 0, 1, beta2 * pw.p_common),
+        ("cm-1", 0, 1, alpha2 * pw.p_common),
+        ("cm+1", 0, 1, alpha2 * pw.p_common),
     )
     halfspaces = []
     subsets = chain.from_iterable(combinations(users, k) for k in range(1, 5))
@@ -87,7 +88,7 @@ def full_mac_region_hop1(params: NetworkParams, split: HopSplit) -> RateRegion:
         halfspaces.append(Halfspace(coef_p, coef_c, bound, label))
     return RateRegion(
         halfspaces=tuple(halfspaces),
-        provenance=f"mac15(alpha2={params.alpha2:g}, beta2={params.beta2:g}, "
+        provenance=f"mac15(alpha2={alpha2:g}, beta2={beta2:g}, "
                    f"p_private={pw.p_private:g}, p_common={pw.p_common:g})",
     )
 
@@ -459,7 +460,7 @@ def _check_quadrature(seed: int) -> OracleReport:
     ref_err = 0.0
     for params, split in cases:
         region = hop2_mcp_region(params, split)
-        pw = split.powers(params.p2)
+        pw = split.powers(params.hop(2)[2])
         reference_fns = mcp_reference_integrands(params.gamma2, params.eta2,
                                                  pw.p_private, pw.p_common)
         fast_bounds = {h.label: h.bound for h in region.halfspaces}
@@ -482,8 +483,9 @@ def _check_substitution(seed: int) -> OracleReport:
     for _ in range(100):
         params = _draw_params(rng, paper_regime=False)
         split = HopSplit(float(rng.uniform(0.0, 1.0)))
-        relabeled = NetworkParams(alpha2=params.eta2, beta2=params.gamma2,
-                                  gamma2=1.0, eta2=0.0, p1=params.p2, p2=1.0)
+        cross2, intra2, total = params.hop(2)
+        relabeled = NetworkParams(alpha2=cross2, beta2=intra2, gamma2=1.0, eta2=0.0,
+                                  p1=total, p2=1.0)
         region_a = hop2_rs_region(params, split)
         region_b = hop1_region(relabeled, split)
         for ha, hb in zip(region_a.halfspaces, region_b.halfspaces):

@@ -81,9 +81,8 @@ def _bottleneck(rate1: float, rate2: float, tol: float = 1e-12):
 
 def single_rate(params: NetworkParams) -> SchemeResult:
     """Plain decode-and-forward with single-user decoding in both hops."""
-    work = params.effective()
     sinr1, sinr2 = (intra2 * total / (1.0 + 2.0 * cross2 * total)
-                    for cross2, intra2, total in (work.hop(1), work.hop(2)))
+                    for cross2, intra2, total in (params.hop(1), params.hop(2)))
     rate = capacity(min(sinr1, sinr2)) * params.rate_scale()
     return SchemeResult(
         scheme=SCHEME_SINGLE,
@@ -168,10 +167,9 @@ def rate_splitting(params: NetworkParams) -> SchemeResult:
     binding names the common-rate bound attaining the corner minimum on the
     bottleneck hop.
     """
-    work = params.effective()
     scale = params.rate_scale()
-    split1, corner1, binding1 = _hop_optimum(*work.hop(1))
-    split2, corner2, binding2 = _hop_optimum(*work.hop(2))
+    split1, corner1, binding1 = _hop_optimum(*params.hop(1))
+    split2, corner2, binding2 = _hop_optimum(*params.hop(2))
     rate1, rate2 = corner1.total, corner2.total
     return SchemeResult(
         scheme=SCHEME_RS,
@@ -186,9 +184,8 @@ def rate_splitting(params: NetworkParams) -> SchemeResult:
 
 def first_hop_upper_bound(params: NetworkParams) -> SchemeResult:
     """Best first-hop rate over splits; caps every two-hop scheme here."""
-    work = params.effective()
     scale = params.rate_scale()
-    split1, corner1, binding1 = _hop_optimum(*work.hop(1))
+    split1, corner1, binding1 = _hop_optimum(*params.hop(1))
     return SchemeResult(
         scheme=SCHEME_BOUND,
         rate=corner1.total * scale,
@@ -265,15 +262,15 @@ def _split_grid(centre: float, points: int, window: float) -> np.ndarray:
     return np.clip(np.linspace(centre - window, centre + window, points), 0.0, 1.0)
 
 
-def _search_joint_splits(work: NetworkParams, bounds_fn) -> tuple[float, float, dict, dict]:
+def _search_joint_splits(params: NetworkParams, bounds_fn) -> tuple[float, float, dict, dict]:
     """Shrinking grids over (f1, f2), each centred on the previous best.
 
     Returns the best (f1, f2) of the last pass and each hop's bounds at it,
     read from the arrays that pass scored, so the winning cell's value is
     the max-sum LP over exactly these bounds.
     """
-    cross1, intra1, total1 = work.hop(1)
-    cross2, intra2, total2 = work.hop(2)
+    cross1, intra1, total1 = params.hop(1)
+    cross2, intra2, total2 = params.hop(2)
     f1 = f2 = (0.5,)
     i = j = 0
     for points, window in _JOINT_PASSES:
@@ -295,12 +292,12 @@ def _joint(scheme: str, params: NetworkParams, bounds_fn) -> SchemeResult:
     split fractions, and the LP runs once more, on the regions of the bounds
     the search scored at its winning cell, for the operating point and the
     binding constraints."""
-    work = params.effective()
     scale = params.rate_scale()
-    f1, f2, bounds1, bounds2 = _search_joint_splits(work, bounds_fn)
+    f1, f2, bounds1, bounds2 = _search_joint_splits(params, bounds_fn)
     split1, split2 = HopSplit(f1), HopSplit(f2)
-    lp = max_sum_rate(hop_region("hop1", work, split1.powers(work.p1), bounds1),
-                      hop_region(f"hop2-{scheme}", work, split2.powers(work.p2), bounds2))
+    lp = max_sum_rate(hop_region("hop1", params, split1.powers(params.hop(1)[2]), bounds1),
+                      hop_region(f"hop2-{scheme}", params, split2.powers(params.hop(2)[2]),
+                                 bounds2))
     return SchemeResult(
         scheme=scheme,
         rate=lp.value * scale,
@@ -378,14 +375,14 @@ def vsi_check(params: NetworkParams) -> tuple[bool, str]:
     C(beta2*p1). Returns the verdict and the tightest cross-involving bound
     (the own-codeword bound is tight by construction and not reported).
     """
-    work = params.effective()
-    target = capacity(work.beta2 * work.p1)
+    alpha2, beta2, p1 = params.hop(1)
+    target = capacity(beta2 * p1)
     ok = True
     binding = ""
     worst = math.inf
     for n_own, n_cross, label in _VSI_PATTERNS:
         users = n_own + n_cross
-        power = (n_own * work.beta2 + n_cross * work.alpha2) * work.p1
+        power = (n_own * beta2 + n_cross * alpha2) * p1
         slack = capacity(power) / users - target
         if slack < -1e-12:
             ok = False

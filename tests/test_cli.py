@@ -153,12 +153,16 @@ class TestSweep:
         with pytest.raises(click.UsageError, match=f"has {MAX_SWEEP_POINTS + 1} points"):
             _parse_range(f"0:{MAX_SWEEP_POINTS}:1")
 
-    def test_bad_link_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "sweep", *CLEAN, "--param", "alpha2",
-                           "--range", "0:1:0.5", "--link", "eta2=alpha2+1",
-                           "--schemes", "single")
-        assert code == 1
-        assert "link" in err.lower()
+    # bad syntax, a factor the number pattern admits that is not a number,
+    # and factors that are not finite
+    @pytest.mark.parametrize("text", ["eta2=alpha2+1", "eta2=alpha2*1e", "eta2=alpha2*.",
+                                      "eta2=alpha2*+-", "eta2=alpha2*1e999",
+                                      "eta2=alpha2/1e-320"])
+    def test_bad_link_is_usage_error(self, capsys, text):
+        code, out, err = run(capsys, "sweep", *CLEAN, "--param", "alpha2",
+                             "--range", "0:1:0.5", "--link", text, "--schemes", "single")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and text in err
 
     def test_scaled_link_and_output_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
@@ -472,6 +476,19 @@ class TestRegion:
         assert code == 0
         assert out == (ROOT / "tests" / "golden" / f"region_fig2_hop{hop}.{suffix}").read_text()
 
+    @pytest.mark.parametrize("hop", ["1", "2rs", "2coop", "2mcp"])
+    def test_power_boost_dumps_doubled_powers(self, capsys, hop):
+        # a boosted hop is the unboosted hop at twice the power, in bits per
+        # use of that hop: the half-duplex 1/2 is for end-to-end rates only
+        gains = ["--hop", hop, "--alpha2", "0.3", "--beta2", "1", "--gamma2", "1",
+                 "--eta2", "0.3", "--f", "0.5"]
+        code, boosted, _ = run(capsys, "region", *gains, "--p1", "2", "--p2", "2",
+                               "--duplex", "half", "--power-boost")
+        assert code == 0
+        code, doubled, _ = run(capsys, "region", *gains, "--p1", "4", "--p2", "4")
+        assert code == 0
+        assert boosted == doubled
+
     def test_hop1_corner_in_dump(self, capsys):
         code, out, _ = run(capsys, "region", "--hop", "1", "--alpha2", "0.4",
                            "--beta2", "1", "--gamma2", "1", "--eta2", "0.4",
@@ -531,7 +548,9 @@ class TestThreshold:
         ("nan", "1", "vsi_threshold needs finite positive beta2 and p1, got beta2=nan, p1=1.0"),
         # beta2 ** 2 in the printed form overflows a float
         ("1e200", "1e200", "vsi threshold overflows a float at beta2=1e+200, p1=1e+200"),
-    ], ids=["infinite-power", "nan-gain", "overflow"])
+        ("0", "1", "vsi_threshold needs finite positive beta2 and p1, got beta2=0.0, p1=1.0"),
+        ("1", "0", "vsi_threshold needs finite positive beta2 and p1, got beta2=1.0, p1=0.0"),
+    ], ids=["infinite-power", "nan-gain", "overflow", "zero-gain", "zero-power"])
     def test_non_finite_is_usage_error(self, capsys, beta2, p1, message):
         code, out, err = run(capsys, "threshold", "--beta2", beta2, "--p1", p1, "--json")
         assert code == 1 and out == ""

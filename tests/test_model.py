@@ -113,17 +113,16 @@ class TestNetworkParams:
         with pytest.raises(ValueError, match="power_boost needs duplex='half'"):
             NetworkParams(**kwargs, duplex="full", power_boost=True)
 
-    def test_half_duplex_effective_powers(self):
+    def test_half_duplex_hop_powers(self):
         half = NetworkParams(alpha2=0.0, beta2=1.0, gamma2=1.0, eta2=0.0,
                              p1=1.0, p2=2.0, duplex="half")
         assert half.rate_scale() == 0.5
-        assert half.effective().p1 == 1.0
+        assert (half.hop(1), half.hop(2)) == ((0.0, 1.0, 1.0), (0.0, 1.0, 2.0))
 
         boosted = NetworkParams(alpha2=0.0, beta2=1.0, gamma2=1.0, eta2=0.0,
                                 p1=1.0, p2=2.0, duplex="half", power_boost=True)
-        eff = boosted.effective()
-        assert (eff.p1, eff.p2) == (2.0, 4.0)
-        assert eff.duplex == "full"
+        assert boosted.rate_scale() == 0.5
+        assert (boosted.hop(1), boosted.hop(2)) == ((0.0, 1.0, 2.0), (0.0, 1.0, 4.0))
 
 
 class TestHopSplit:

@@ -36,18 +36,21 @@ class TestFullMacRegion:
 
     def test_matches_reduced_region_in_paper_regime(self):
         rng = np.random.default_rng(12)
-        for _ in range(50):
+        for k in range(50):
             beta2 = float(rng.uniform(0.2, 2.5))
-            params = NetworkParams(alpha2=float(rng.uniform(0.0, beta2)), beta2=beta2,
-                                   gamma2=1.0, eta2=0.0,
-                                   p1=float(rng.uniform(0.05, 20.0)), p2=1.0)
+            kwargs = dict(alpha2=float(rng.uniform(0.0, beta2)), beta2=beta2,
+                          gamma2=1.0, eta2=0.0, p1=float(rng.uniform(0.05, 20.0)), p2=1.0)
             split = HopSplit(float(rng.uniform(0.0, 1.0)))
-            fast = hop1_region(params, split)
-            reference = full_mac_region_hop1(params, split)
-            for v in vertices(fast):
-                assert contains(reference, v, tol=1e-9)
-            for v in vertices(reference):
-                assert contains(fast, v, tol=1e-9)
+            # every other draw also as a boosted half-duplex network, whose
+            # reference must see the doubled power too
+            boosted = [NetworkParams(**kwargs, duplex="half", power_boost=True)] if k % 2 else []
+            for params in [NetworkParams(**kwargs), *boosted]:
+                fast = hop1_region(params, split)
+                reference = full_mac_region_hop1(params, split)
+                for v in vertices(fast):
+                    assert contains(reference, v, tol=1e-9)
+                for v in vertices(reference):
+                    assert contains(fast, v, tol=1e-9)
 
     def test_zero_cross_gain_forces_common_to_zero(self):
         params = NetworkParams(alpha2=0.0, beta2=1.0, gamma2=1.0, eta2=0.0, p1=2.0, p2=1.0)

@@ -253,11 +253,13 @@ def window(centre, half_width):
     return np.clip(np.linspace(centre - half_width, centre + half_width, 11), 0.0, 1.0)
 
 
-def grid_bounds(work, bounds_fn, f1, f2):
+def grid_bounds(params, bounds_fn, f1, f2):
     """Hop 1's MAC bounds on the f1 grid and hop 2's ``bounds_fn`` bounds on
     the f2 grid: the same 1-D arrays the search scores."""
-    return (mac_bounds(work.alpha2, work.beta2, *split_powers(f1, work.p1)),
-            bounds_fn(work.eta2, work.gamma2, *split_powers(f2, work.p2)))
+    cross1, intra1, total1 = params.hop(1)
+    cross2, intra2, total2 = params.hop(2)
+    return (mac_bounds(cross1, intra1, *split_powers(f1, total1)),
+            bounds_fn(cross2, intra2, *split_powers(f2, total2)))
 
 
 def uncollapsed_greedy(hop1, hop2):
@@ -337,13 +339,12 @@ class TestJointValues:
                 eta2=float(rng.uniform(lo * gamma2, hi * gamma2)), p1=p1, p2=p2,
                 duplex="half" if k % 3 == 0 else "full", power_boost=k % 6 == 0)
             result = scheme(params)
-            work = params.effective()
             f1, f2 = result.split_hop1.f_private, result.split_hop2.f_private
             # The region clamps a bound that rounds below 0, which the grid
             # does not; no winning cell here has one, so the equality is exact.
-            hop2 = bounds_at(bounds_fn, work.eta2, work.gamma2, work.p2, f2)
+            hop2 = bounds_at(bounds_fn, *params.hop(2), f2)
             assert min(hop2.values()) >= 0.0, params
-            bounds = grid_bounds(work, bounds_fn, np.array([f1]), np.array([f2]))
+            bounds = grid_bounds(params, bounds_fn, np.array([f1]), np.array([f2]))
             cell = _max_sum_grid(*bounds)[0, 0]
             assert cell * params.rate_scale() == result.rate, params
 
