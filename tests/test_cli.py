@@ -609,3 +609,51 @@ class TestScripts:
 class TestExitCodes:
     def test_help_exits_0(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_no_command_exits_1(self, capsys):
+        code, out, _ = run(capsys)
+        assert code == 1 and out == ""
+
+
+class TestCommandLine:
+    """Usage errors are one ``error:`` line naming the option or value, and
+    an option takes the next token as its value even when it begins with a
+    dash."""
+
+    @pytest.mark.parametrize("args,named", [
+        (["--bogus", "1"], "--bogus"),
+        (["--duplex", "x"], "'x'"),
+        # a prefix of --alpha2 is not --alpha2
+        (["--alph", "0.4"], "--alph"),
+    ], ids=["unknown-option", "bad-choice", "prefix"])
+    def test_usage_error_is_one_line(self, capsys, args, named):
+        code, out, err = run(capsys, "point", *CLEAN, *args)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
+    def test_power_value_beginning_with_dash(self, capsys):
+        code, out, _ = run(capsys, "point", *CLEAN[:8], "--p1", "-3dB", "--p2", "-3dB",
+                           "--schemes", "single", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["params"]["p1"] == payload["params"]["p2"] == 10.0 ** -0.3
+        linear = str(10.0 ** -0.3)
+        _, same, _ = run(capsys, "point", *CLEAN[:8], "--p1", linear, "--p2", linear,
+                         "--schemes", "single", "--json")
+        assert out == same
+
+    def test_range_value_beginning_with_dash(self, capsys):
+        code, out, err = run(capsys, "sweep", *CLEAN[:8], "--param", "p1",
+                             "--range", "-3:0:3", "--link", "p2=p1", "--schemes", "single")
+        assert code == 1 and out == ""
+        assert err == "error: power sweep range must contain positive values\n"
+
+    def test_command_line_links_replace_file_links(self, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("link=eta2=alpha2\n")
+        code, out, err = run(capsys, "sweep", "--config", str(config), "--beta2", "1",
+                             "--gamma2", "1", "--p1", "1", "--param", "alpha2",
+                             "--range", "0:1:1", "--link", "p2=p1", "--schemes", "single")
+        assert code == 1 and out == ""
+        assert err == "error: missing parameter(s): eta2\n"
