@@ -7,11 +7,10 @@ import subprocess
 import sys
 import warnings
 
-import click
 import pytest
 
 from meshrates import oracle
-from meshrates.cli import MAX_SWEEP_POINTS, _parse_range, main, parse_power
+from meshrates.cli import MAX_SWEEP_POINTS, UsageError, _parse_range, main, parse_power
 from meshrates.oracle import OracleReport
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -150,14 +149,15 @@ class TestSweep:
 
     def test_point_cap_is_inclusive(self):
         assert len(_parse_range(f"0:{MAX_SWEEP_POINTS - 1}:1")) == MAX_SWEEP_POINTS
-        with pytest.raises(click.UsageError, match=f"has {MAX_SWEEP_POINTS + 1} points"):
+        with pytest.raises(UsageError, match=f"has {MAX_SWEEP_POINTS + 1} points"):
             _parse_range(f"0:{MAX_SWEEP_POINTS}:1")
 
     # bad syntax, a factor the number pattern admits that is not a number,
-    # and factors that are not finite
+    # factors that are not finite, a negative factor and a zero power
     @pytest.mark.parametrize("text", ["eta2=alpha2+1", "eta2=alpha2*1e", "eta2=alpha2*.",
                                       "eta2=alpha2*+-", "eta2=alpha2*1e999",
-                                      "eta2=alpha2/1e-320"])
+                                      "eta2=alpha2/1e-320", "eta2=alpha2*-1", "p2=-2*p1",
+                                      "p2=p1*0"])
     def test_bad_link_is_usage_error(self, capsys, text):
         code, out, err = run(capsys, "sweep", *CLEAN, "--param", "alpha2",
                              "--range", "0:1:0.5", "--link", text, "--schemes", "single")
@@ -201,6 +201,14 @@ class TestSweep:
         header, rows = read_csv(out)
         assert header == ["alpha2"] + columns
         assert all(len(row) == len(header) and all(row) for row in rows)
+
+    def test_zero_factor_links_a_gain(self, capsys):
+        # a gain may be zero, so a zero factor is refused only for a power
+        code, out, err = run(capsys, "sweep", *CLEAN[2:], "--param", "alpha2",
+                             "--range", "0:1:1", "--link", "eta2=alpha2*0", "--schemes", "single")
+        assert code == 0, err
+        assert out == run(capsys, "sweep", *CLEAN[2:], "--param", "alpha2",
+                          "--range", "0:1:1", "--schemes", "single")[1]
 
     def test_sweep_leaves_oracle_unimported(self):
         script = ("import sys\n"
@@ -249,7 +257,7 @@ class TestLinkOrder:
 
     @pytest.mark.parametrize("links,cycle", [
         (["eta2=gamma2", "gamma2=eta2*2"], "eta2=gamma2, gamma2=eta2*2"),
-        (["eta2=eta2/2"], "eta2=eta2*0.5"),
+        (["eta2=eta2/2"], "eta2=eta2/2"),
         (["p2=eta2", "eta2=gamma2", "gamma2=eta2*2"], "p2=eta2, eta2=gamma2, gamma2=eta2*2"),
     ], ids=["pair", "self", "reader"])
     def test_cycle_is_usage_error(self, capsys, links, cycle):
@@ -613,6 +621,13 @@ class TestExitCodes:
     def test_no_command_exits_1(self, capsys):
         code, out, _ = run(capsys)
         assert code == 1 and out == ""
+
+    def test_cli_runs_without_click(self):
+        script = "import sys, meshrates.cli; assert 'click' not in sys.modules"
+        path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestCommandLine:
