@@ -546,11 +546,15 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser that raises its usage errors, and whose options
-    take the next token as their value even when it begins with a dash
-    (``--p1 -3dB``, ``--range -inf:1:0.5``)."""
+    """An argparse parser that raises its usage errors, abbreviates no
+    option, and whose options take the next token as their value even when
+    it begins with a dash (``--p1 -3dB``, ``--range -inf:1:0.5``)."""
 
     value_flags: frozenset[str] = frozenset()
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
 
     def error(self, message: str):
         raise UsageError(message)
@@ -566,22 +570,15 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-def _help(parser: _Parser) -> None:
-    parser.add_argument("--help", action="help", help="show this message and exit")
-
-
 def _build_parser() -> _Parser:
     """One parser for every subcommand. Every option defaults to None, so
     that an unset option can be told from one given on the command line. A
     subcommand takes --config when a file can set one of its options."""
-    parser = _Parser(prog="meshrates", add_help=False, allow_abbrev=False,
+    parser = _Parser(prog="meshrates",
                      description="Achievable rates of symmetric linear two-hop relay networks.")
-    _help(parser)
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     for name, (body, options) in _COMMANDS.items():
-        sub = commands.add_parser(name, help=body.__doc__, description=body.__doc__,
-                                  add_help=False, allow_abbrev=False)
-        _help(sub)
+        sub = commands.add_parser(name, help=body.__doc__, description=body.__doc__)
         if any(option.dest in _CONFIG_KEYS for option in options):
             options = (_CONFIG, *options)
         for option in options:

@@ -622,12 +622,18 @@ class TestExitCodes:
         code, out, _ = run(capsys)
         assert code == 1 and out == ""
 
-    def test_cli_runs_without_click(self):
-        script = "import sys, meshrates.cli; assert 'click' not in sys.modules"
+    def test_cli_imports_only_numpy_and_the_standard_library(self):
+        # modules loaded before meshrates (site hooks, numpy) are not the CLI's
+        script = ("import sys, numpy\n"
+                  "before = set(sys.modules)\n"
+                  "import meshrates.cli\n"
+                  "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+                  "print(sorted(added - set(sys.stdlib_module_names) - {'meshrates'}))\n")
         path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path}, timeout=120)
         assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 class TestCommandLine:
