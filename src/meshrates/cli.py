@@ -44,9 +44,12 @@ class VerificationFailure(Exception):
 def parse_power(text: str) -> float:
     """Parse a power value: bare numbers are linear, a trailing dB converts."""
     token = str(text).strip()
-    if token.lower().endswith("db"):
+    if not token.lower().endswith("db"):
+        return float(token)
+    try:
         return db_to_linear(float(token[:-2].strip()))
-    return float(token)
+    except OverflowError:
+        raise ValueError(f"{token} is past the float range") from None
 
 
 def _fmt(x: float) -> str:

@@ -8,10 +8,10 @@ labeled halfspaces ``coef_private*R_p + coef_common*R_c <= bound``.
 The two-message min-type common bounds are emitted as two separate halfspaces
 (2-user and 3-user) so linear programs over the raw polytope can report
 binding constraints faithfully. The joint-decoding (MCP) bounds are spectral
-integrals, evaluated by Jensen's formula: the private and common integrands
-factor into conjugate pairs of linear or quadratic polynomials with closed-form
-roots, and the sum bound takes the roots of one reversed quartic from a
-batched companion-matrix eigenvalue call.
+integrals, evaluated by Jensen's formula over seven roots in one ``_phi``
+evaluation: conjugate pairs of linear or quadratic factors give the private
+and common roots in closed form, and the sum bound's four come from one
+batched companion-matrix eigenvalue call on a reversed quartic.
 """
 
 from __future__ import annotations
@@ -141,29 +141,6 @@ def _phi(v):
     return np.log2(np.abs(1.0 + np.sqrt(1.0 - 4.0 * v * v))) - 1.0
 
 
-def _conjugate_pair_bound(power, response):
-    """Integral over f in [0, 1] of log2(1 + power*r(w)^2), w = 2cos 2*pi*f,
-    for the real response r(w) = r0 + r1*w + r2*w^2 given as (r0, r1, r2).
-
-    With y = i*sqrt(power), 1 + power*r^2 = |1 + y*r|^2, so the integral is
-    twice that of log2|a*w^2 + b*w + c| with (c, b, a) = (1 + y*r0, y*r1,
-    y*r2). Jensen's formula gives log2|c| + phi(1/w_1) + phi(1/w_2) over the
-    roots w_k of that quadratic (see ``mcp_bounds``). By Vieta the reciprocal
-    roots are a/Q and Q/c, with Q = -(b +- sqrt(b^2 - 4ac))/2 taking the sign
-    of larger modulus, so nothing divides by a small a. a/Q is taken as 0
-    where a = 0 (the private response has r2 = 0): Q can be 0 there, or so
-    small that complex division overflows. Where a != 0, |Q| >= sqrt|ac| is
-    a normal float.
-    """
-    r0, r1, r2 = response
-    y = 1j * np.sqrt(power)
-    a, b, c = y * r2, y * r1, 1.0 + y * r0
-    root = np.sqrt(b * b - 4.0 * a * c)
-    big = -0.5 * np.where(np.abs(b + root) >= np.abs(b - root), b + root, b - root)
-    phis = _phi(np.divide(a, big, out=np.zeros_like(a), where=a != 0)) + _phi(big / c)
-    return np.log1p(power * r0 * r0) / _LN2 + 2.0 * phis
-
-
 def mcp_bounds(cross2, intra2, p_private, p_common):
     """Second-hop bounds under joint decoding across all base stations.
 
@@ -176,43 +153,54 @@ def mcp_bounds(cross2, intra2, p_private, p_common):
     turns the integral of log2 P into log2 P(0) + sum_k phi(1/w_k) over the
     roots w_k of P.
 
-    1 + p*h^2 = |1 + i*sqrt(p)*h|^2 and 1 + q*u^2 = |1 + i*sqrt(q)*u|^2, so the
-    private and common bounds come from one conjugate pair of linear or
-    quadratic factors each, in closed form. The sum bound takes the roots
-    v_k = 1/w_k of the reversed quartic in v = 1/w, whose leading coefficient
-    P(0) = 1 + (p_private + q)*intra2 is at least 1: one batched eigenvalue
-    call on the monic companion matrices, then one Newton step per root on
-    the quartic evaluated through h and u, kept where it lowers its modulus.
+    With y = i*sqrt(power), 1 + power*r^2 = |1 + y*r|^2 for a real response r,
+    so the private and common integrals are twice those of log2|1 + y*r|. The
+    private factor is linear, with the one reciprocal root -y*e/(1 + y*g).
+    The common factor a*w^2 + b*w + c, (c, b, a) = (1 + y*g, y*(g + e), y*e),
+    has by Vieta the reciprocal roots a/Q and Q/c, with Q = -(b +- sqrt(b^2 -
+    4ac))/2 taking the sign of larger modulus, so nothing divides by a small
+    a. a/Q is taken as 0 where a = 0: Q can be 0 there, or so small that
+    complex division overflows. Where a != 0, |Q| >= sqrt|ac| is a normal
+    float. The sum bound takes the roots v_k = 1/w_k of the reversed quartic
+    in v = 1/w, whose leading coefficient P(0) = 1 + (p_private + q)*intra2
+    is at least 1: one batched eigenvalue call on the monic companion
+    matrices, then one Newton step per root on the quartic evaluated through
+    h and u, kept where it lowers its modulus. One ``_phi`` evaluation covers
+    all seven roots.
 
     Scalar gains (``cross2`` = eta^2, ``intra2`` = gamma^2); the power pair
     may be scalars or arrays, and every bound has their broadcast shape.
     Returns the bounds keyed by (coef_private, coef_common).
     """
     g, e = math.sqrt(intra2), math.sqrt(cross2)
-    h = (g, e, 0.0)  # ascending coefficients in w
-    u = (g, g + e, e)
+    s = g + e  # u = (g, s, e) in ascending powers of w
     p, q = np.broadcast_arrays(np.asarray(p_private, dtype=float),
                                np.asarray(p_common, dtype=float) / 3.0)
-    private = _conjugate_pair_bound(p, h)
-    common = _conjugate_pair_bound(q, u)
-
-    # P - 1 in ascending powers of w; the reversed quartic is
-    # v^4 + m1 v^3 + m2 v^2 + m3 v + m4 = v^4 P(1/v) / P(0).
-    coefs = p[..., None] * np.convolve(h, h) + q[..., None] * np.convolve(u, u)
-    monic = (coefs[..., 1:] / (1.0 + coefs[..., :1])).reshape(-1, 4)
-    companion = np.zeros((len(monic), 4, 4))
-    companion[:, 0, :] = -monic
-    companion[:, 1:, :-1] = np.eye(3)
-    v = np.linalg.eigvals(companion).astype(complex)
-
     p_row, q_row = p.reshape(-1, 1), q.reshape(-1, 1)
 
+    y = 1j * np.sqrt(p_row)
+    private_root = -(y * e) / (1.0 + y * g)
+    y = 1j * np.sqrt(q_row)
+    a, b, c = y * e, y * s, 1.0 + y * g
+    root = np.sqrt(b * b - 4.0 * a * c)
+    big = -0.5 * np.where(np.abs(b + root) >= np.abs(b - root), b + root, b - root)
+    small_root = np.divide(a, big, out=np.zeros_like(a), where=a != 0)
+
+    # P - 1 in ascending powers of w, h*h and u*u summed in np.convolve's order;
+    # the reversed quartic is v^4 + m1 v^3 + m2 v^2 + m3 v + m4 = v^4 P(1/v) / P(0).
+    gg, ge, ee = g * g, g * e, e * e
+    coefs = (p_row * np.array((gg, ge + ge, ee, 0.0, 0.0))
+             + q_row * np.array((gg, g * s + s * g, ge + s * s + e * g, s * e + e * s, ee)))
+    companion = np.zeros((len(coefs), 4, 4))
+    companion[:, 0, :] = coefs[:, 1:] / (-1.0 - coefs[:, :1])
+    companion[:, 1:, :-1] = np.eye(3)
+    v = np.linalg.eigvals(companion)
+
     def reversed_quartic(v):
-        # v^4 P(1/v), evaluated through (and returned with) v^2 h(1/v) and
-        # v^2 u(1/v): near the roots the rounded monomial coefficients cancel,
-        # the responses do not.
-        h_rev = (h[0] * v + h[1]) * v + h[2]
-        u_rev = (u[0] * v + u[1]) * v + u[2]
+        # v^4 P(1/v) through (and with) v^2 h(1/v) and v^2 u(1/v): near the
+        # roots the rounded monomial coefficients cancel, the responses do not.
+        gv = g * v
+        h_rev, u_rev = (gv + e) * v, (gv + s) * v + e
         v2 = v * v
         return v2 * v2 + p_row * h_rev * h_rev + q_row * u_rev * u_rev, h_rev, u_rev
 
@@ -220,12 +208,15 @@ def mcp_bounds(cross2, intra2, p_private, p_common):
     # or nan and the step is not taken.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value, h_rev, u_rev = reversed_quartic(v)
-        slope = 4.0 * v * v * v + 2.0 * (p_row * h_rev * (2.0 * h[0] * v + h[1])
-                                         + q_row * u_rev * (2.0 * u[0] * v + u[1]))
+        gv2 = 2.0 * g * v
+        slope = 4.0 * v * v * v + 2.0 * (p_row * h_rev * (gv2 + e) + q_row * u_rev * (gv2 + s))
         stepped = v - value / slope
         v = np.where(np.abs(reversed_quartic(stepped)[0]) < np.abs(value), stepped, v)
-    total = np.log1p(coefs[..., 0]) / _LN2 + _phi(v).sum(axis=-1).reshape(p.shape)
-    return {(1, 0): private, (0, 1): common, (1, 1): total}
+    roots = np.concatenate((private_root, small_root, big / c, v), axis=1)
+    phis = _phi(roots).reshape(*p.shape, 7)
+    return {(1, 0): np.log1p(p * g * g) / _LN2 + 2.0 * phis[..., 0],
+            (0, 1): np.log1p(q * g * g) / _LN2 + 2.0 * (phis[..., 1] + phis[..., 2]),
+            (1, 1): np.log1p(coefs[:, 0].reshape(p.shape)) / _LN2 + phis[..., 3:].sum(axis=-1)}
 
 
 # Label of each bound by its (coef_private, coef_common) key.

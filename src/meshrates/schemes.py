@@ -256,10 +256,15 @@ def _max_sum_grid(bounds1: dict, bounds2: dict) -> np.ndarray:
 # split so far): a 101-point grid over [0, 1], then three 11-point passes,
 # each 10x narrower.
 _JOINT_PASSES = ((101, 0.5), (11, 1e-2), (11, 1e-3), (11, 1e-4))
+_STEPS = {points: np.arange(points, dtype=float) for points, _ in _JOINT_PASSES}
 
 
 def _split_grid(centre: float, points: int, window: float) -> np.ndarray:
-    return np.clip(np.linspace(centre - window, centre + window, points), 0.0, 1.0)
+    """np.clip(np.linspace(centre - window, centre + window, points), 0, 1), bit for bit."""
+    start, stop = centre - window, centre + window
+    grid = start + _STEPS[points] * ((stop - start) / (points - 1))
+    grid[-1] = stop
+    return np.minimum(np.maximum(grid, 0.0, out=grid), 1.0, out=grid)
 
 
 def _search_joint_splits(params: NetworkParams, bounds_fn) -> tuple[float, float, dict, dict]:

@@ -653,6 +653,19 @@ class TestCommandLine:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
 
+    def test_db_power_past_the_float_range_flag(self, capsys):
+        code, out, err = run(capsys, "point", "--alpha2", "0.4", "--beta2", "1", "--gamma2", "1",
+                             "--eta2", "0.4", "--p1", "4000dB", "--p2", "1")
+        assert code == 1 and out == ""
+        assert err == "error: Invalid value for '--p1': 4000dB is past the float range\n"
+
+    def test_db_power_past_the_float_range_config(self, capsys, tmp_path):
+        config = tmp_path / "point.cfg"
+        config.write_text("p1=4000dB\n")
+        code, out, err = run(capsys, "point", "--config", str(config), *CLEAN[:8], "--p2", "1")
+        assert code == 1 and out == ""
+        assert err == "error: Invalid value for '--p1': 4000dB is past the float range\n"
+
     def test_power_value_beginning_with_dash(self, capsys):
         code, out, _ = run(capsys, "point", *CLEAN[:8], "--p1", "-3dB", "--p2", "-3dB",
                            "--schemes", "single", "--json")

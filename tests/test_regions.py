@@ -244,7 +244,8 @@ class TestMcpBounds:
 
     def test_array_powers_match_scalar_calls(self):
         # Every bound has the broadcast shape of the two powers, including
-        # the private bound when only p_common is an array.
+        # the private bound when only p_common is an array, and a scalar call
+        # gives the batch's floats bit for bit: both run the same array code.
         cases = [
             ([0.0, 0.5, 1.0, 3.0], [3.0, 2.5, 2.0, 0.0]),
             (1.5, [3.0, 2.5, 0.0]),
@@ -259,7 +260,18 @@ class TestMcpBounds:
                 scalar = mcp_bounds(0.4, 1.0, float(pp[index]), float(pc[index]))
                 for key, value in scalar.items():
                     assert np.shape(batched[key]) == pp.shape
-                    assert batched[key][index] == pytest.approx(float(value), abs=1e-14)
+                    assert batched[key][index] == value
+
+    def test_scalar_call_equals_one_row_batch(self):
+        # complex arithmetic on numpy scalars rounds differently from the
+        # array loops, so a scalar call must not take a path of its own
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            gamma2, eta2 = 10.0 ** rng.uniform(-6.0, 1.0, size=2)
+            p_private, p_common = 10.0 ** rng.uniform(-3.0, 9.0, size=2)
+            scalar = mcp_bounds(eta2, gamma2, float(p_private), float(p_common))
+            row = mcp_bounds(eta2, gamma2, np.array([p_private]), np.array([p_common]))
+            assert all(scalar[key] == row[key][0] for key in scalar)
 
     HIGH_POWER_GRID = [(gamma2, eta2, pp, pc)
                        for gamma2 in (0.2, 1.0, 2.25, 2.5)
@@ -279,6 +291,25 @@ class TestMcpBounds:
                 expected, ref_err, _ = oracle.certified_midpoint(reference[name])
                 assert abs(float(bounds[key]) - expected) + ref_err <= 1e-14, \
                     (gamma2, eta2, pp, pc, name)
+
+    # mcp_bounds(eta2, gamma2, p_private, p_common)[(1, 1)] by 50-digit
+    # quadrature of the sum integrand (mpmath, run once and frozen here), with
+    # a relative tolerance. At gamma2 = 5e-12 the two root scales of the
+    # quartic lie far apart; at P = 1e13 its roots crowd the unit circle.
+    @pytest.mark.parametrize("gamma2,eta2,p_private,p_common,expected,rel", [
+        (1.0, 0.25, 3e4, 7e4, 14.405488646360333833, 1e-13),
+        (1.0, 0.25, 3e12, 7e12, 40.792532132650473253, 5e-11),
+        (1.0, 0.25, 9e12, 1e12, 41.179049269868761878, 5e-11),
+        (5e-12, 4.6, 1e4, 9e4, 18.008059611887099195, 1e-13),
+        (5e-12, 4.6, 5e4, 5e4, 18.627953997563170058, 1e-13),
+        (5e-12, 4.6, 9e4, 1e4, 18.805809267240124798, 1e-13),
+        (1.0, 0.4, 0.3, 1.2, 1.6015047383393075402, 1e-13),
+        (0.2, 4.0, 10.0, 1000.0, 10.723380550692905494, 1e-13),
+    ])
+    def test_sum_bound_matches_frozen_reference(self, gamma2, eta2, p_private, p_common,
+                                                 expected, rel):
+        value = float(mcp_bounds(eta2, gamma2, p_private, p_common)[(1, 1)])
+        assert abs(value - expected) <= rel * expected
 
     def test_sum_without_private_power_equals_common(self):
         # The eigenvalue path of the sum bound against the closed form.

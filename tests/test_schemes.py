@@ -324,6 +324,16 @@ class TestJointValues:
         monkeypatch.setattr(schemes, "_max_sum_grid", uncollapsed_greedy)
         assert [_search_joint_splits(work, bounds_fn) for work in draws] == fast
 
+    @pytest.mark.parametrize("points,window", schemes._JOINT_PASSES)
+    def test_split_grid_is_clipped_linspace(self, points, window):
+        # bit for bit, the sign of a zero included, at seeded centres and
+        # at the centre and both ends of [0, 1]
+        centres = np.concatenate((np.random.default_rng(21).uniform(0.0, 1.0, 10_000),
+                                  [0.0, 0.5, 1.0]))
+        for centre in centres.tolist():
+            expected = np.clip(np.linspace(centre - window, centre + window, points), 0.0, 1.0)
+            assert schemes._split_grid(centre, points, window).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("scheme,bounds_fn", [(coop, coop_bounds), (mcp, mcp_bounds)])
     def test_rate_is_the_cell_its_search_picked(self, scheme, bounds_fn):
         # The final LP reads the bounds the search scored, so the rate is the
