@@ -22,7 +22,6 @@ import json
 import math
 import re
 import sys
-from typing import Callable, NamedTuple
 
 from . import schemes
 from .model import HopSplit, NetworkParams, db_to_linear
@@ -69,10 +68,10 @@ _CONFIG_KEYS = frozenset(_PARAM_NAMES) | {
 }
 
 
-def _load_config(path: str) -> dict:
-    """The ``key=value`` pairs of a config file, each value as text. ``link``
-    may repeat and collects a list; any other key may not."""
-    config: dict = {}
+def _load_config(path: str) -> dict[str, list[str]]:
+    """The values of each key of a ``key=value`` config file, as texts. Only
+    ``link`` may repeat."""
+    config: dict[str, list[str]] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -85,12 +84,9 @@ def _load_config(path: str) -> dict:
                 key = key.strip().replace("-", "_")
                 if key not in _CONFIG_KEYS:
                     raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-                if key == "link":
-                    config.setdefault(key, []).append(value.strip())
-                elif key in config:
+                if key in config and key != "link":
                     raise UsageError(f"{path}:{lineno}: duplicate config key {key!r}")
-                else:
-                    config[key] = value.strip()
+                config.setdefault(key, []).append(value.strip())
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
     return config
@@ -137,79 +133,6 @@ def _scheme_names(text: str) -> list[str]:
     if not requested:
         raise UsageError("no schemes requested")
     return [name for name in _SCHEMES if name in requested]
-
-
-# ---------------------------------------------------------------------------
-# Options
-# ---------------------------------------------------------------------------
-
-class _Option(NamedTuple):
-    """One option of a subcommand. Its text, from the command line or a
-    config file, goes through ``convert`` (after the ``choices`` check);
-    ``dest`` is the command's parameter and the config key that sets it.
-    ``action`` is argparse's: a ``store_true`` flag takes no value on the
-    command line, and an ``append`` option collects a list of texts."""
-
-    flag: str
-    dest: str
-    convert: Callable[[str], object] = str
-    default: object = None
-    required: bool = False
-    choices: tuple[str, ...] = ()
-    action: str = "store"
-    help: str | None = None
-
-
-_BOOLEANS = {"1": True, "true": True, "t": True, "yes": True, "y": True, "on": True,
-             "0": False, "false": False, "f": False, "no": False, "n": False, "off": False,
-             "": False}
-
-
-def _boolean(text: str) -> bool:
-    """A flag's value in a config file, in any case."""
-    try:
-        return _BOOLEANS[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"{text!r} is not a valid boolean") from None
-
-
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise ValueError(f"{seed} is not a non-negative integer")
-    return seed
-
-
-def _flag(flag: str, dest: str, help: str) -> _Option:
-    return _Option(flag, dest, _boolean, False, action="store_true", help=help)
-
-
-_NETWORK = (
-    *(_Option(f"--{name}", name, parse_power, help=f"{name} (linear, or e.g. '3dB')")
-      if name in _POWER_NAMES else _Option(f"--{name}", name, float) for name in _PARAM_NAMES),
-    _Option("--duplex", "duplex", default="full", choices=("full", "half")),
-    _flag("--power-boost", "power_boost",
-          "needs --duplex half: double powers before halving rates"),
-)
-_JSON = _flag("--json", "as_json", "machine-readable output")
-# read before the other options and passed to no command
-_CONFIG = _Option("--config", "config", help="key=value file mirroring the flags; flags override")
-
-
-def _resolve(option: _Option, given, config: dict):
-    """The option's value: the command line's, else the config file's, else
-    its default. Text from either source goes through the option's check."""
-    value = config.get(option.dest) if given is None else given
-    if value is None:
-        return option.default
-    if not isinstance(value, str):  # a flag set on the command line, or links
-        return value
-    try:
-        if option.choices and value not in option.choices:
-            raise ValueError(f"{value!r} is not one of {', '.join(map(repr, option.choices))}.")
-        return option.convert(value)
-    except ValueError as exc:
-        raise UsageError(f"Invalid value for '{option.flag}': {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -311,23 +234,21 @@ def _parse_range(text: str) -> list[float]:
         raise UsageError(f"range start, stop and step must be finite, got {text!r}")
     if step <= 0.0:
         raise UsageError(f"range step must be positive, got {step}")
-    # the loop below stops once start + k*step passes stop + step/2
+    # Point k is start + k*step, clipped to stop, while it is at most
+    # stop + step/2. Up to the cap, the span's count is nudged onto that rule.
+    limit = stop + step / 2.0
     span = (stop - start) / step + 0.5
-    count = math.floor(span) + 1 if math.isfinite(span) else span
+    count = max(math.floor(span) + 1 if math.isfinite(span) else span, 0)
+    while 0 < count <= MAX_SWEEP_POINTS + 1 and start + (count - 1) * step > limit:
+        count -= 1
+    while count <= MAX_SWEEP_POINTS and start + count * step <= limit:
+        count += 1
     if count > MAX_SWEEP_POINTS:
         raise UsageError(f"range {text!r} has {count} points, "
                          f"more than the cap of {MAX_SWEEP_POINTS}")
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + step / 2.0:
-            break
-        values.append(min(v, stop) if v > stop else v)
-        k += 1
-    if not values:
+    if not count:
         raise UsageError(f"range {text!r} is empty")
-    return values
+    return [min(start + k * step, stop) for k in range(count)]
 
 
 def _parse_link(text: str) -> tuple[str, str, float, str]:
@@ -505,93 +426,149 @@ def cmd_verify(seed, name_filter) -> None:
 # the parser, and the entry point with spec'd exit codes
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "point": (cmd_point, (
-        *_NETWORK,
-        _Option("--schemes", "schemes", default="all",
-                help="comma list: single,rs,coop,mcp,bound or 'all'"),
-        _JSON,
-    )),
-    "sweep": (cmd_sweep, (
-        *_NETWORK,
-        _Option("--param", "param", required=True, choices=_PARAM_NAMES,
-                help="swept parameter name"),
-        _Option("--range", "range", required=True, help="start:stop:step (inclusive)"),
-        _Option("--link", "link", default=(), action="append",
-                help="linked parameter, e.g. eta2=alpha2 or p2=p1/2 (repeatable)"),
-        _Option("--schemes", "schemes", default="all"),
-        _Option("--output", "output", default="-", help="CSV path ('-' = stdout)"),
-    )),
-    "region": (cmd_region, (
-        *_NETWORK,
-        _Option("--hop", "hop", required=True, choices=tuple(sorted(_REGION_BUILDERS))),
-        _Option("--f", "f", float, 0.5,
-                help="private power fraction of the selected hop (default 0.5)"),
-        _JSON,
-    )),
-    "threshold": (cmd_threshold, (
-        _Option("--beta2", "beta2", float, required=True),
-        _Option("--p1", "p1", parse_power, required=True),
-        _Option("--method", "method", default="both", choices=("paper", "exact", "both")),
-        # named apart from the alpha2 config key: a shared network file must
-        # not turn the check on
-        _Option("--alpha2", "check_alpha2", float,
-                help="also test this gain against the seven MAC bounds"),
-        _JSON,
-    )),
-    "optsplit": (cmd_optsplit, (*_NETWORK, _JSON)),
-    "verify": (cmd_verify, (
-        _Option("--seed", "seed", _seed, 0),
-        _Option("--filter", "name_filter",
-                help="only run checks whose name contains this substring"),
-    )),
-}
+def _checked(convert):
+    """``convert`` as an argparse type: argparse shows the text of an
+    ArgumentTypeError only, so a ValueError's text is passed on as one."""
+    def check(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(exc) from None
+    return check
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"{seed} is not a non-negative integer")
+    return seed
+
+
+# A flag's value in a config file, in any case: a true value sets the flag.
+_TRUE, _FALSE = {"1", "true", "t", "yes", "y", "on"}, {"0", "false", "f", "no", "n", "off", ""}
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser that raises its usage errors, abbreviates no
-    option, and whose options take the next token as their value even when
-    it begins with a dash (``--p1 -3dB``, ``--range -inf:1:0.5``)."""
-
-    value_flags: frozenset[str] = frozenset()
+    """An argparse parser that raises its usage errors and abbreviates no
+    option."""
 
     def __init__(self, **kwargs) -> None:
-        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        super().__init__(add_help=False, allow_abbrev=False, exit_on_error=False, **kwargs)
         self.add_argument("--help", action="help", help="show this message and exit")
 
     def error(self, message: str):
         raise UsageError(message)
 
+
+class _Command(_Parser):
+    """A subcommand's parser. Its options take the next token as their value
+    even when it begins with a dash (``--p1 -3dB``, ``--range -inf:1:0.5``).
+    ``--config`` reads each ``key=value`` line of a file as the token
+    ``--key=value``, for each option the command line leaves unset. The
+    ``required`` options are checked after parsing, naming their choices."""
+
+    required: tuple[argparse.Action, ...] = ()
+
     def parse_known_args(self, args=None, namespace=None):
-        args = list(sys.argv[1:] if args is None else args)
+        args = list(args)
+        options = self._option_string_actions
         i = 0
         while i < len(args) - 1:
             # joined as --p1=-3dB, a value is never taken for an option
-            if args[i] in self.value_flags:
+            if args[i] in options and options[args[i]].nargs != 0:
                 args[i:i + 2] = [f"{args[i]}={args[i + 1]}"]
             i += 1
-        return super().parse_known_args(args, namespace)
+        if "--help" in args:  # help wins over every other token
+            args = ["--help"]
+        paths = [arg[len("--config="):] for arg in args if arg.startswith("--config=")]
+        if paths and "--config" in options:
+            given = {options[name].dest for name in (arg.split("=", 1)[0] for arg in args)
+                     if name in options}
+            args = self._file_tokens(_load_config(paths[-1]), given) + args
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action in self.required:
+            if getattr(namespace, action.dest) is None:
+                choose = f" Choose from: {', '.join(action.choices)}" if action.choices else ""
+                raise UsageError(f"Missing option '{action.option_strings[0]}'.{choose}")
+        return namespace, extras
+
+    def _file_tokens(self, config: dict[str, list[str]], given: set[str]) -> list[str]:
+        tokens = []
+        for action in self._actions:
+            if action.dest in given:
+                continue
+            flag = action.option_strings[0]
+            for text in config.get(action.dest, ()):
+                if action.nargs != 0:
+                    tokens.append(f"{flag}={text}")
+                elif text.lower() in _TRUE:
+                    tokens.append(flag)
+                elif text.lower() not in _FALSE:
+                    raise UsageError(f"Invalid value for '{flag}': {text!r} is not a valid boolean")
+        return tokens
 
 
 def _build_parser() -> _Parser:
-    """One parser for every subcommand. Every option defaults to None, so
-    that an unset option can be told from one given on the command line. A
-    subcommand takes --config when a file can set one of its options."""
+    """One parser for every subcommand. A subcommand takes --config when a
+    file can set one of its options; an option's dest is the config key
+    that sets it."""
     parser = _Parser(prog="meshrates",
                      description="Achievable rates of symmetric linear two-hop relay networks.")
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name, (body, options) in _COMMANDS.items():
+    commands = parser.add_subparsers(metavar="COMMAND", required=True, parser_class=_Command)
+    as_json = {"dest": "as_json", "action": "store_true", "help": "machine-readable output"}
+
+    def command(name, body, network=True, config=True) -> _Command:
         sub = commands.add_parser(name, help=body.__doc__, description=body.__doc__)
-        if any(option.dest in _CONFIG_KEYS for option in options):
-            options = (_CONFIG, *options)
-        for option in options:
-            shown = {} if option.action == "store_true" else {
-                "metavar": f"{{{','.join(option.choices)}}}" if option.choices
-                else option.flag[2:].upper()}
-            sub.add_argument(option.flag, dest=option.dest, action=option.action, default=None,
-                             help=option.help, **shown)
-        sub.value_flags = frozenset(option.flag for option in options
-                                    if option.action != "store_true")
+        sub.set_defaults(body=body)
+        if config:
+            sub.add_argument("--config", help="key=value file mirroring the flags; flags override")
+        for param in _PARAM_NAMES if network else ():
+            power = param in _POWER_NAMES
+            sub.add_argument(f"--{param}", type=_checked(parse_power if power else float),
+                             help=f"{param} (linear, or e.g. '3dB')" if power else None)
+        if network:
+            sub.add_argument("--duplex", default="full", choices=("full", "half"))
+            sub.add_argument("--power-boost", action="store_true",
+                             help="needs --duplex half: double powers before halving rates")
+        return sub
+
+    point = command("point", cmd_point)
+    point.add_argument("--schemes", default="all",
+                       help="comma list: single,rs,coop,mcp,bound or 'all'")
+    point.add_argument("--json", **as_json)
+
+    sweep = command("sweep", cmd_sweep)
+    sweep.required = (sweep.add_argument("--param", choices=_PARAM_NAMES,
+                                         help="swept parameter name"),
+                      sweep.add_argument("--range", help="start:stop:step (inclusive)"))
+    sweep.add_argument("--link", default=[], action="append",
+                       help="linked parameter, e.g. eta2=alpha2 or p2=p1/2 (repeatable)")
+    sweep.add_argument("--schemes", default="all")
+    sweep.add_argument("--output", default="-", help="CSV path ('-' = stdout)")
+
+    region = command("region", cmd_region)
+    region.required = (region.add_argument("--hop", choices=tuple(sorted(_REGION_BUILDERS))),)
+    region.add_argument("--f", type=_checked(float), default=0.5,
+                        help="private power fraction of the selected hop (default 0.5)")
+    region.add_argument("--json", **as_json)
+
+    threshold = command("threshold", cmd_threshold, network=False)
+    threshold.required = (threshold.add_argument("--beta2", type=_checked(float)),
+                          threshold.add_argument("--p1", type=_checked(parse_power)))
+    threshold.add_argument("--method", default="both", choices=("paper", "exact", "both"))
+    # named apart from the alpha2 config key: a shared network file must not
+    # turn the check on
+    threshold.add_argument("--alpha2", dest="check_alpha2", metavar="ALPHA2",
+                           type=_checked(float),
+                           help="also test this gain against the seven MAC bounds")
+    threshold.add_argument("--json", **as_json)
+
+    command("optsplit", cmd_optsplit).add_argument("--json", **as_json)
+
+    verify = command("verify", cmd_verify, network=False, config=False)
+    verify.add_argument("--seed", type=_checked(_seed), default=0)
+    verify.add_argument("--filter", dest="name_filter", metavar="FILTER",
+                        help="only run checks whose name contains this substring")
     return parser
 
 
@@ -601,23 +578,19 @@ _PARSER = _build_parser()
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns the process exit code instead of raising."""
     try:
-        given = vars(_PARSER.parse_args(argv))
-        body, options = _COMMANDS[given["command"]]
-        path = given.get("config")
-        config = {} if path is None else _load_config(path)
-        values = {option.dest: _resolve(option, given[option.dest], config)
-                  for option in options}
-        for option in options:
-            if option.required and values[option.dest] is None:
-                choose = f" Choose from: {', '.join(option.choices)}" if option.choices else ""
-                raise UsageError(f"Missing option '{option.flag}'.{choose}")
+        values = vars(_PARSER.parse_args(argv))
+        body = values.pop("body")
+        values.pop("config", None)
         body(**values)
     except SystemExit as exc:  # --help
         return exc.code
     except VerificationFailure:
         return 3
-    except ValueError as exc:  # a UsageError, or an input the model refuses
-        print(f"error: {exc}", file=sys.stderr)
+    except (argparse.ArgumentError, ValueError) as exc:
+        # on Python 3.13 an unknown or missing argument names no option
+        name = getattr(exc, "argument_name", None)
+        text = f"Invalid value for '{name}': {exc.message}" if name else exc
+        print(f"error: {text}", file=sys.stderr)
         return 1
     return 0
 

@@ -205,7 +205,11 @@ def test_criterion_06_optimal_fraction_shape(fig3_fractions):
         # 0.0428 in one grid step, from 0.1371 at alpha2=0.64 to 0.1799 at
         # alpha2=0.66 (the corner optimum rides the moving kink between the
         # 2- and 3-user common bounds), which is a genuine non-monotonicity
-        # of the model, not grid jitter. See the decisions ledger.
+        # of the model, not grid jitter. See the decisions ledger. The
+        # branch-crossing candidate wins on both sides of the step
+        # (beta2 = P = 1), so the rise is the crossing point's own slope in
+        # alpha2, not a switch between candidates; tests/test_schemes.py
+        # pins this in test_crossing_wins_both_sides_of_the_criterion_06_step.
         assert rise[db] <= 0.02, f"f-hat rises by {rise[db]:.4f} at P={db}dB"
 
 

@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import warnings
@@ -151,6 +153,46 @@ class TestSweep:
         assert len(_parse_range(f"0:{MAX_SWEEP_POINTS - 1}:1")) == MAX_SWEEP_POINTS
         with pytest.raises(UsageError, match=f"has {MAX_SWEEP_POINTS + 1} points"):
             _parse_range(f"0:{MAX_SWEEP_POINTS}:1")
+        # (stop - start)/step + 1/2 rounds down to 10^6 here, but the points
+        # run on to k = 10^6, one past the cap
+        with pytest.raises(UsageError, match=f"has {MAX_SWEEP_POINTS + 1} points"):
+            _parse_range("0:333333.1666666666:0.3333333333333333")
+
+    def test_range_whose_steps_vanish_is_refused(self):
+        # 1e300 + k is 1e300 for every k: the points never pass stop
+        with pytest.raises(UsageError, match=f"has {MAX_SWEEP_POINTS + 1} points"):
+            _parse_range("1e300:1e300:1")
+
+    @staticmethod
+    def stepping_loop(start, stop, step):
+        """The points as sweep once built them, one step at a time."""
+        values = []
+        k = 0
+        while True:
+            v = start + k * step
+            if v > stop + step / 2.0:
+                break
+            values.append(min(v, stop) if v > stop else v)
+            k += 1
+        return values
+
+    def test_points_match_the_stepping_loop(self):
+        rng = random.Random(11)
+        off_by_rounding = 0
+        for trial in range(12000):
+            start, step = rng.uniform(-10.0, 10.0), 10.0 ** rng.uniform(-3.0, 1.0)
+            # every other stop sits on a half step, where rounding decides
+            # whether the last point is built
+            steps = rng.randint(-3, 40) + (0.5 if trial % 2 else rng.random())
+            stop = start + steps * step
+            want = self.stepping_loop(start, stop, step)
+            off_by_rounding += len(want) != max(math.floor((stop - start) / step + 0.5) + 1, 0)
+            if want:
+                assert _parse_range(f"{start!r}:{stop!r}:{step!r}") == want
+            else:
+                with pytest.raises(UsageError, match="is empty"):
+                    _parse_range(f"{start!r}:{stop!r}:{step!r}")
+        assert off_by_rounding > 100
 
     # bad syntax, a factor the number pattern admits that is not a number,
     # factors that are not finite, a negative factor and a zero power

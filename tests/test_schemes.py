@@ -164,6 +164,34 @@ class TestHopSplitOptimum:
         assert rate == pytest.approx(want_rate, rel=1e-15, abs=0.0)
         assert f_hat == want_f and math.copysign(1.0, f_hat) == 1.0
 
+    @pytest.mark.parametrize("a,f_hat", [(0.64, 0.1371), (0.66, 0.1799)])
+    def test_crossing_wins_both_sides_of_the_criterion_06_step(self, a, f_hat):
+        # beta2 = P = 1 (0 dB). f_hat rises by 0.0428 between these gains
+        # (acceptance criterion 06), and on both sides the optimum is the
+        # crossing of the 2- and 3-user common bounds: the step is the
+        # crossing's own slope in alpha2, not a switch between candidates.
+        b, p = 1.0, 1.0
+        d0, k = 1.0 + 2.0 * a * p, 1.0 + (2.0 * a + b) * p
+        ratio = (math.sqrt(1.0 + 8.0 * a / b) - 1.0) / 2.0  # (D0 + bx)/K at the crossing
+        split, _, binding = _hop_optimum(a, b, p)
+        assert split.f_private == pytest.approx((k * ratio - d0) / (b * p), rel=1e-12)
+        assert split.f_private == pytest.approx(f_hat, abs=5e-5)
+        assert binding == (regions.LABEL_COMMON2, regions.LABEL_COMMON3)
+
+    def test_rate_splitting_onset(self):
+        # In regime (a <= b) all-private transmission, f_hat = 1, is optimal
+        # exactly when 2 P a^2 + a - b <= 0: the left derivative at f = 1 of
+        # the 2-user branch, the larger one in regime, is then not negative.
+        rng = np.random.default_rng(2)
+        b = rng.uniform(0.05, 5.0, size=6000)
+        a = b * rng.uniform(0.0, 1.0, size=6000)
+        p = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), size=6000))
+        onset = 2.0 * p * a * a + a - b <= 0.0
+        assert 1000 < onset.sum() < 5000
+        for a_k, b_k, p_k, all_private in zip(a, b, p, onset):
+            f_hat = _hop_optimum(float(a_k), float(b_k), float(p_k))[0].f_private
+            assert (f_hat == 1.0) == all_private, (a_k, b_k, p_k, f_hat)
+
     def test_rate_is_operating_point_total(self):
         # The rate and the reported corner come from one evaluation, so they
         # agree to the bit.
