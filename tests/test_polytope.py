@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -8,7 +9,7 @@ from meshrates.oracle import (
     full_mac_region_hop1,
     grid_max_sum,
 )
-from meshrates.polytope import _DEDUP_TOL, contains, max_sum_rate, vertices
+from meshrates.polytope import _DEDUP_TOL, LPSolution, contains, max_sum_rate, vertices
 from meshrates.regions import (
     Halfspace,
     RateRegion,
@@ -84,6 +85,55 @@ def coefficient_regions(draw):
     return make_region(*draw(st.permutations(spec)))
 
 
+def collapsing_max_sum_rate(*regions):
+    """``max_sum_rate`` in its former form, kept as a reference: the greedy
+    first collapses the lines that share a coefficient pair to their min
+    bound, and a line with coef_private = 0 bounds the common rate by
+    c/coef_common without reading x."""
+    lines = []
+    for region in regions:
+        prefix = f"{region.short_name}:" if len(regions) > 1 else ""
+        for h in region.halfspaces:
+            lines.append((float(h.coef_private), float(h.coef_common),
+                          h.bound, prefix + h.label))
+    bounds = {}
+    for a, b, c, _ in lines:
+        if 0 < b < a:
+            raise ValueError(
+                f"greedy max-sum LP needs coef_common >= coef_private, got ({a:g}, {b:g})")
+        bounds[a, b] = min(bounds[a, b], c) if (a, b) in bounds else c
+    x = min(c / a for (a, b), c in bounds.items() if a > 0)
+    y = min((c - a * x) / b if a else c / b for (a, b), c in bounds.items() if b > 0)
+    x = float(x) + 0.0
+    y = float(max(y, 0.0)) + 0.0
+    face = min([x] + [(c - a * x - b * y) / (b - a) for a, b, c, _ in lines if b > a])
+    binding = tuple(label for a, b, c, label in lines if abs(a * x + b * y - c) <= 1e-9)
+    return LPSolution(value=x + y, point=RatePair(x, y), binding=binding,
+                      degenerate=face > 1e-9)
+
+
+# Every coefficient pair from 0..3 the greedy accepts, and the bound values
+# that exercise signed zeros, subnormals, ties and plain magnitudes.
+GREEDY_PAIRS = [(a, b) for a in range(4) for b in range(4)
+                if (a or b) and not 0 < b < a]
+SPECIAL_BOUNDS = (0.0, -0.0, 1e-310, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+def seeded_region(rng, name):
+    """A region of 2 to 9 lines drawn with replacement from a few of the
+    greedy's coefficient pairs, so pairs repeat within a region; bounds are
+    a special value or uniform on [0, 5]."""
+    pool = [GREEDY_PAIRS[i] for i in rng.choice(len(GREEDY_PAIRS), size=4)]
+    pairs = [(int(rng.integers(1, 4)), 0), (0, int(rng.integers(1, 4)))]
+    pairs += [pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(0, 8)))]
+    spec = []
+    for k in rng.permutation(len(pairs)):
+        bound = (SPECIAL_BOUNDS[rng.integers(len(SPECIAL_BOUNDS))] if rng.random() < 0.5
+                 else float(rng.uniform(0.0, 5.0)))
+        spec.append((*pairs[k], bound, f"line{k}"))
+    return make_region(*spec, provenance=f"{name}()")
+
+
 class TestMaxSumRate:
     def test_hand_enumerated_example(self):
         lp = max_sum_rate(HAND_LP)
@@ -126,6 +176,28 @@ class TestMaxSumRate:
                              (2, 1, 1.5, "skewed"))
         with pytest.raises(ValueError, match="coef_common >= coef_private"):
             max_sum_rate(region)
+
+    def test_common_coefficient_below_private_is_refused_in_second_region(self):
+        skewed = make_region((1, 0, 1.0, "private-single"), (0, 1, 1.0, "common-single"),
+                             (2, 1, 1.5, "skewed"))
+        with pytest.raises(ValueError) as excinfo:
+            max_sum_rate(BOX, skewed)
+        assert str(excinfo.value) == (
+            "greedy max-sum LP needs coef_common >= coef_private, got (2, 1)")
+
+    def test_matches_collapsing_greedy_on_seeded_regions(self):
+        # single regions and two-region intersections, pairs repeated within
+        # and across regions: the same value, point (the sign of a zero
+        # included), binding labels and degenerate flag
+        rng = np.random.default_rng(23)
+        for k in range(6000):
+            regions = [seeded_region(rng, "first")]
+            if k % 2:
+                regions.append(seeded_region(rng, "second"))
+            want = collapsing_max_sum_rate(*regions)
+            got = max_sum_rate(*regions)
+            assert repr(got) == repr(want), regions
+            assert type(got.degenerate) is bool
 
     @given(st.one_of(regions(), builder_regions()))
     @example(make_region((1, 0, 1e-305, "private-single"), (0, 2, 3.0, "common-2user"),
