@@ -24,7 +24,7 @@ import re
 import sys
 
 from . import schemes
-from .model import HopSplit, NetworkParams, db_to_linear
+from .model import DUPLEX_MODES, HopSplit, NetworkParams, db_to_linear
 from .polytope import vertices
 from .regions import hop1_region, hop2_coop_region, hop2_mcp_region, hop2_rs_region
 
@@ -527,7 +527,7 @@ def _build_parser() -> _Parser:
             sub.add_argument(f"--{param}", type=_checked(parse_power if power else float),
                              help=f"{param} (linear, or e.g. '3dB')" if power else None)
         if network:
-            sub.add_argument("--duplex", default="full", choices=("full", "half"))
+            sub.add_argument("--duplex", default="full", choices=DUPLEX_MODES)
             sub.add_argument("--power-boost", action="store_true",
                              help="needs --duplex half: double powers before halving rates")
         return sub

@@ -5,9 +5,8 @@ both coefficients are non-zero, coef_common >= coef_private. Moving along
 (-1, +1) then never tightens a constraint faster than it raises
 R_private + R_common, so the max-sum LP has the greedy closed form of a
 polymatroid: take the largest private rate first, then the largest common
-rate (``greedy_max_sum``). It runs on the scalar bounds of ``max_sum_rate``;
-the split searches in ``schemes`` apply the same closed form to grids of
-splits, from each hop's private and common caps.
+rate. ``max_sum_rate`` states it on scalar bounds, ``_max_sum_grid`` on two
+hops' bounds over grids of their power splits.
 Non-negative coefficients also make every region down-closed, so
 ``vertices`` walks the upper envelope of its lines from R_p = 0 instead of
 enumerating pairwise intersections (``oracle.enumerated_vertices`` still
@@ -17,6 +16,9 @@ does, as the reference).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+
+import numpy as np
 
 from .model import RatePair
 from .regions import RateRegion
@@ -47,51 +49,31 @@ def _lines(regions: tuple[RateRegion, ...], qualify: bool):
         prefix = f"{region.short_name}:" if qualify else ""
         for h in region.halfspaces:
             lines.append((float(h.coef_private), float(h.coef_common),
-                          h.bound, prefix + h.label))
+                          float(h.bound), prefix + h.label))
     return lines
-
-
-def greedy_max_sum(lines):
-    """Maximizer (r_private, r_common) of R_private + R_common subject to
-    ``coef_private*R_p + coef_common*R_c <= bound`` and R_p, R_c >= 0.
-
-    ``lines`` holds scalar (coef_private, coef_common, bound) triples. Of all
-    maximizers it returns the one with the largest private rate. The greedy
-    answer is exact only when no constraint has 0 < coef_common <
-    coef_private, which raises ValueError.
-
-    Lines that share a coefficient pair are first collapsed to their min
-    bound, and a line with coef_private = 0 bounds the common rate by
-    c/coef_common without reading x. Division and subtraction round
-    monotonically, so both shortcuts leave the result bit for bit as the min
-    over the uncollapsed lines.
-    """
-    bounds = {}
-    for a, b, c in lines:
-        if 0 < b < a:
-            raise ValueError(
-                f"greedy max-sum LP needs coef_common >= coef_private, got ({a:g}, {b:g})")
-        bounds[a, b] = min(bounds[a, b], c) if (a, b) in bounds else c
-    x = min(c / a for (a, b), c in bounds.items() if a > 0)
-    y = min((c - a * x) / b if a else c / b for (a, b), c in bounds.items() if b > 0)
-    return x, max(y, 0.0)
 
 
 def max_sum_rate(*regions: RateRegion) -> LPSolution:
     """Exact maximizer of R_private + R_common over the regions' intersection.
 
-    Ties are broken toward the largest private rate and flagged as
-    degenerate: the optimal face is the segment from the returned point along
-    (-1, +1), and it is degenerate when longer than 1e-9. Binding labels are
-    qualified with the region's builder name when more than one region is
-    intersected.
+    The greedy: x = min c/a over the lines with a > 0, then
+    y = max(min (c - a*x)/b over the lines with b > 0, 0). It is exact only
+    when no line has 0 < coef_common < coef_private, which raises
+    ValueError. Of all maximizers it returns the one with the largest
+    private rate, and flags the tie as degenerate: the optimal face is the
+    segment from the returned point along (-1, +1), and it is degenerate
+    when longer than 1e-9. Binding labels are qualified with the region's
+    builder name when more than one region is intersected.
     """
     if not regions:
         raise ValueError("max_sum_rate needs at least one region")
-    lines = _lines(tuple(regions), qualify=len(regions) > 1)
-    x, y = greedy_max_sum((a, b, c) for a, b, c, _ in lines)
-    x = float(x) + 0.0  # +0.0 normalizes -0.0
-    y = float(y) + 0.0
+    lines = _lines(regions, qualify=len(regions) > 1)
+    for a, b, _, _ in lines:
+        if 0 < b < a:
+            raise ValueError(
+                f"greedy max-sum LP needs coef_common >= coef_private, got ({a:g}, {b:g})")
+    x = min(c / a for a, b, c, _ in lines if a > 0) + 0.0  # +0.0 normalizes -0.0
+    y = max(min((c - a * x) / b for a, b, c, _ in lines if b > 0), 0.0) + 0.0
     face = min([x] + [(c - a * x - b * y) / (b - a) for a, b, c, _ in lines if b > a])
     binding = tuple(
         label for a, b, c, label in lines
@@ -99,6 +81,48 @@ def max_sum_rate(*regions: RateRegion) -> LPSolution:
     )
     return LPSolution(value=x + y, point=RatePair(x, y), binding=binding,
                       degenerate=face > 1e-9)
+
+
+def _hop_caps(bounds: dict) -> tuple[np.ndarray, np.ndarray, dict]:
+    """One hop's bounds reduced along its own split grid: the private cap
+    (min c/a over a > 0), the pure-common cap (min c/b over a = 0) and the
+    sum-line bounds keyed by coef_common (every sum line has coef_private 1).
+    A line of coefficient 1 gives c itself, which is c/1 exactly."""
+    private = reduce(np.minimum, [c if a == 1 else c / a for (a, b), c in bounds.items() if a])
+    common = reduce(np.minimum, [c if b == 1 else c / b
+                                 for (a, b), c in bounds.items() if not a])
+    return private, common, {b: c for (a, b), c in bounds.items() if a and b}
+
+
+def _max_sum_grid(bounds1: dict, bounds2: dict) -> np.ndarray:
+    """Max-sum LP value of hop 1 at the i-th entries of ``bounds1``
+    intersected with hop 2 at the j-th entries of ``bounds2``.
+
+    The greedy of ``max_sum_rate``, with each hop's bounds reduced on its
+    own split grid first: x = min of the private caps,
+    y = max(min(common caps, (c - x)/b over the sum lines), 0), with the
+    sum lines of a shared coef_common taken at their min bound. Division and
+    subtraction round monotonically, so every cell is the same float as the
+    greedy over the unreduced lines.
+    """
+    private1, common1, sums1 = _hop_caps(bounds1)
+    private2, common2, sums2 = _hop_caps(bounds2)
+    x = np.minimum.outer(private1, private2)
+    y = np.minimum.outer(common1, common2)
+    term = np.empty_like(y)
+    for b in sums1.keys() | sums2.keys():
+        if b in sums1 and b in sums2:
+            np.minimum.outer(sums1[b], sums2[b], out=term)
+            term -= x
+        else:
+            c = sums1[b][:, None] if b in sums1 else sums2[b][None, :]
+            np.subtract(c, x, out=term)
+        if b != 1:
+            term /= b
+        np.minimum(y, term, out=y)
+    np.maximum(y, 0.0, out=y)
+    y += x
+    return y
 
 
 # The axes as (coef_private, coef_common, bound) lines.

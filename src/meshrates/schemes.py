@@ -6,14 +6,12 @@ split (rate splitting, the first-hop bound) is optimized in closed form: the
 corner sum rate peaks at one of five candidate fractions, whose corners are
 evaluated once; the winning corner gives the rate, the operating point and
 the binding bound alike. Only the joint (f1, f2) searches of coop and mcp are
-grids: one table of passes, each grid centred on the previous best, scored
-by the greedy closed form of ``polytope.max_sum_rate``. Each hop's bounds are
-first reduced along its own split grid to a private cap, a pure-common cap
-and its sum lines; the two hops then combine on the (f1, f2) grid. Each
-hop's bounds are evaluated once per pass: the returned rate, operating point
-and binding constraints come from ``max_sum_rate`` on the regions of the
-bounds the last pass scored at its winning cell, so the rate is that cell's
-value bit for bit.
+grids: one table of passes, each grid centred on the previous best, every
+cell scored by the max-sum LP of its two hops (``polytope._max_sum_grid``).
+Each hop's bounds are evaluated once per pass: the returned rate, operating
+point and binding constraints come from ``max_sum_rate`` on the regions of
+the bounds the last pass scored at its winning cell, so the rate is that
+cell's value bit for bit.
 
 Half duplex scales every final rate by 1/2; the optional power boost doubles
 both transmit powers first.
@@ -23,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .model import HopSplit, NetworkParams, RatePair, capacity, split_powers
-from .polytope import max_sum_rate
+from .polytope import _max_sum_grid, max_sum_rate
 from .regions import (
     LABEL_COMMON2,
     LABEL_COMMON3,
@@ -69,8 +66,8 @@ def _scale_point(point: RatePair, scale: float) -> RatePair:
     return point if scale == 1.0 else RatePair(scale * point.r_private, scale * point.r_common)
 
 
-def _bottleneck(rate1: float, rate2: float, tol: float = 1e-12):
-    if abs(rate1 - rate2) <= tol:
+def _bottleneck(rate1: float, rate2: float):
+    if abs(rate1 - rate2) <= 1e-12:
         return "balanced"
     return 1 if rate1 < rate2 else 2
 
@@ -208,48 +205,6 @@ def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Joint (f1, f2) optimization for cooperative / joint-decoding second hops
 # ---------------------------------------------------------------------------
-
-def _hop_caps(bounds: dict) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One hop's bounds reduced along its own split grid: the private cap
-    (min c/a over a > 0), the pure-common cap (min c/b over a = 0) and the
-    sum-line bounds keyed by coef_common (every sum line has coef_private 1).
-    A line of coefficient 1 gives c itself, which is c/1 exactly."""
-    private = reduce(np.minimum, [c if a == 1 else c / a for (a, b), c in bounds.items() if a])
-    common = reduce(np.minimum, [c if b == 1 else c / b
-                                 for (a, b), c in bounds.items() if not a])
-    return private, common, {b: c for (a, b), c in bounds.items() if a and b}
-
-
-def _max_sum_grid(bounds1: dict, bounds2: dict) -> np.ndarray:
-    """Max-sum LP value of hop 1 at the i-th entries of ``bounds1``
-    intersected with hop 2 at the j-th entries of ``bounds2``.
-
-    The greedy closed form of ``polytope.greedy_max_sum``, with each hop's
-    bounds reduced on its own split grid first: x = min of the private caps,
-    y = max(min(common caps, (c - x)/b over the sum lines), 0), with the
-    sum lines of a shared coef_common taken at their min bound. Division and
-    subtraction round monotonically, so every cell is the same float as the
-    greedy over the uncollapsed lines.
-    """
-    private1, common1, sums1 = _hop_caps(bounds1)
-    private2, common2, sums2 = _hop_caps(bounds2)
-    x = np.minimum.outer(private1, private2)
-    y = np.minimum.outer(common1, common2)
-    term = np.empty_like(y)
-    for b in sums1.keys() | sums2.keys():
-        if b in sums1 and b in sums2:
-            np.minimum.outer(sums1[b], sums2[b], out=term)
-            term -= x
-        else:
-            c = sums1[b][:, None] if b in sums1 else sums2[b][None, :]
-            np.subtract(c, x, out=term)
-        if b != 1:
-            term /= b
-        np.minimum(y, term, out=y)
-    np.maximum(y, 0.0, out=y)
-    y += x
-    return y
-
 
 # Unlike the per-hop split, the joint (f1, f2) optimum has no closed form.
 # Each pass is (points per split, half-width of the window around the best

@@ -199,6 +199,15 @@ class TestMaxSumRate:
             assert repr(got) == repr(want), regions
             assert type(got.degenerate) is bool
 
+    def test_plain_python_values_for_numpy_bounds(self):
+        region = make_region((1, 0, np.float64(1.0), "private-single"),
+                             (0, 1, np.float64(0.5), "common-single"),
+                             (1, 2, np.float64(1.5), "sum-2"))
+        lp = max_sum_rate(region)
+        assert type(lp.value) is float
+        assert type(lp.point.r_private) is float and type(lp.point.r_common) is float
+        assert type(lp.degenerate) is bool
+
     @given(st.one_of(regions(), builder_regions()))
     @example(make_region((1, 0, 1e-305, "private-single"), (0, 2, 3.0, "common-2user"),
                          (1, 2, 1.0, "sum-2"), (1, 3, 1.0, "sum-3")))
@@ -216,8 +225,8 @@ class TestMaxSumRate:
            st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=60)
     def test_shared_pairs_collapse_bit_for_bit(self, alpha2, eta2, power, f1, f2):
-        # hop 1 and the coop hop 2 share all five coefficient pairs, which the
-        # LP collapses to one line each; the uncollapsed greedy formula:
+        # hop 1 and the coop hop 2 share all five coefficient pairs; the
+        # greedy formula over every line of both:
         params = NetworkParams(alpha2=alpha2, beta2=1.0, gamma2=1.0, eta2=eta2,
                                p1=power, p2=power)
         hop1 = hop1_region(params, HopSplit(f1))
