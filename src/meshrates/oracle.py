@@ -1,15 +1,17 @@
 """Brute-force reference implementations and the verification suite.
 
-Everything here recomputes results from first principles, sharing no formula
-code with the fast paths it checks: the full subset-enumerated MAC region,
-the fixed-decoding-order corner candidates, pairwise line crossings and a
-convex hull instead of the envelope walk, lattice maximization instead of the
-exact LP, self-certifying midpoint sums of the responses' cosine series
-instead of the closed-form joint-decoding bounds, a scan over the split
-fraction instead of the closed-form split optimum, and per-inequality
-threshold inversions in exact decimal arithmetic. Oracles may be slow; they
-exist to certify, not to perform, and run as array expressions where that
-leaves their floats unchanged.
+Almost everything here recomputes results from first principles, sharing no
+formula code with the fast paths it checks: the full subset-enumerated MAC
+region, the fixed-decoding-order corner candidates, pairwise line crossings
+and a convex hull instead of the envelope walk, lattice maximization and the
+vertex enumeration instead of the exact LP, self-certifying midpoint sums of
+the responses' cosine series instead of the closed-form joint-decoding
+bounds, a split scan instead of the closed-form split optimum, and
+per-inequality threshold inversions in exact decimal arithmetic.
+``corner_point`` shares ``regions.corner_rates`` with the split optimum, so
+``vertex-a-sum`` checks one fast path against another. Oracles may be slow;
+they exist to certify, not to perform, and run as array expressions where
+that leaves their floats unchanged.
 """
 
 from __future__ import annotations
@@ -312,8 +314,8 @@ def _two_stage_rate(f, cross2: float, intra2: float, total: float, log2):
 
 def corner_point(params: NetworkParams, split: HopSplit, hop: int = 1) -> RatePair:
     """Sum-rate-maximizing corner of one hop's rate-splitting region at a
-    fixed split (see ``regions.corner_rates``): the reference the
-    ``vertex-a-sum`` check compares with the region's max-sum LP."""
+    fixed split. Not independent: ``regions.corner_rates`` also scores the
+    closed-form split optimum. ``vertex-a-sum`` compares it with the LP."""
     cross2, intra2, total = params.hop(hop)
     r_private, rc_two, rc_three = corner_rates(cross2, intra2, *split.powers(total))
     return RatePair(float(r_private), float(min(rc_two, rc_three)))

@@ -48,30 +48,27 @@ def _lines(regions: tuple[RateRegion, ...], qualify: bool):
     for region in regions:
         prefix = f"{region.short_name}:" if qualify else ""
         for h in region.halfspaces:
-            lines.append((float(h.coef_private), float(h.coef_common),
-                          float(h.bound), prefix + h.label))
+            a, b = float(h.coef_private), float(h.coef_common)
+            if 0 < b < a:
+                raise ValueError(
+                    f"greedy max-sum LP needs coef_common >= coef_private, got ({a:g}, {b:g})")
+            lines.append((a, b, float(h.bound), prefix + h.label))
     return lines
 
 
 def max_sum_rate(*regions: RateRegion) -> LPSolution:
     """Exact maximizer of R_private + R_common over the regions' intersection.
 
-    The greedy: x = min c/a over the lines with a > 0, then
-    y = max(min (c - a*x)/b over the lines with b > 0, 0). It is exact only
-    when no line has 0 < coef_common < coef_private, which raises
-    ValueError. Of all maximizers it returns the one with the largest
-    private rate, and flags the tie as degenerate: the optimal face is the
-    segment from the returned point along (-1, +1), and it is degenerate
-    when longer than 1e-9. Binding labels are qualified with the region's
+    The greedy: x = min c/a over a > 0, then y = max(min (c - a*x)/b over
+    b > 0, 0); it is exact unless a line has 0 < coef_common < coef_private,
+    which raises ValueError. Of all maximizers this is the one of largest
+    private rate. The optimal face runs from it along (-1, +1) and is flagged
+    degenerate when longer than 1e-9. Binding labels carry the region's
     builder name when more than one region is intersected.
     """
     if not regions:
         raise ValueError("max_sum_rate needs at least one region")
     lines = _lines(regions, qualify=len(regions) > 1)
-    for a, b, _, _ in lines:
-        if 0 < b < a:
-            raise ValueError(
-                f"greedy max-sum LP needs coef_common >= coef_private, got ({a:g}, {b:g})")
     x = min(c / a for a, b, c, _ in lines if a > 0) + 0.0  # +0.0 normalizes -0.0
     y = max(min((c - a * x) / b for a, b, c, _ in lines if b > 0), 0.0) + 0.0
     face = min([x] + [(c - a * x - b * y) / (b - a) for a, b, c, _ in lines if b > a])
