@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from meshrates import regions, schemes
 from meshrates.cli import main
-from meshrates.model import HopSplit, NetworkParams, db_to_linear, split_powers
+from meshrates.model import HopSplit, NetworkParams, capacity, db_to_linear, split_powers
 from meshrates.oracle import dense_split_scan
 from meshrates.polytope import max_sum_rate
 from meshrates.regions import (
@@ -490,6 +490,82 @@ class TestVsiThreshold:
     def test_non_finite_input_or_result_is_value_error(self, method, beta2, p1):
         with pytest.raises(ValueError, match="finite|overflows"):
             vsi_threshold(beta2, p1, method)
+
+
+def max_over_roots_vsi_threshold(beta2, p1, method):
+    """``vsi_threshold`` in its former form, kept as a reference: the largest
+    of every inequality's root, the printed terms and the beta2 floor."""
+    if not (math.isfinite(beta2) and math.isfinite(p1) and beta2 > 0.0 and p1 > 0.0):
+        raise ValueError(f"vsi_threshold needs finite positive beta2 and p1, "
+                         f"got beta2={beta2!r}, p1={p1!r}")
+    if method == "paper":
+        two_user = beta2 * max(p1 / 2.0 + 1.0, beta2 * p1 + 1.0)
+        try:
+            three_user = beta2 * (2.0 + 3.0 * p1 + beta2 ** 2 * p1)
+        except OverflowError:
+            three_user = math.inf
+        threshold = max(beta2, two_user, three_user)
+    else:
+        x = beta2 * p1
+        threshold = max(beta2, beta2 * (1.0 + x), beta2 * (1.0 + 0.5 * x),
+                        beta2 * (1.0 + 1.5 * x + 0.5 * x * x))
+    if not math.isfinite(threshold):
+        raise ValueError(f"vsi threshold overflows a float at beta2={beta2!r}, p1={p1!r}")
+    return threshold
+
+
+def own_pattern_vsi_check(params):
+    """``vsi_check`` in its former form, kept as a reference: it also tests
+    the own-codeword bound and reports only cross-involving ones."""
+    alpha2, beta2, p1 = params.hop(1)
+    target = capacity(beta2 * p1)
+    ok, binding, worst = True, "", math.inf
+    for n_own, n_cross, label in ((1, 0, "common-1user-own"), (0, 1, "common-1user-cross"),
+                                  (1, 1, "common-2user-mixed"), (0, 2, "common-2user-cross"),
+                                  (1, 2, "common-3user")):
+        slack = capacity((n_own * beta2 + n_cross * alpha2) * p1) / (n_own + n_cross) - target
+        if slack < -1e-12:
+            ok = False
+        if n_cross >= 1 and slack < worst:
+            worst, binding = slack, label
+    return ok, binding
+
+
+def outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestVsiClosedForms:
+    def test_match_max_over_roots_forms_on_seeded_draws(self):
+        # half the draws uniform, half log-uniform over 1e-300..1e150 (where
+        # thresholds and gain-times-power sums overflow); vsi_check at, one
+        # ulp below and one ulp above, and 1% below and above each threshold
+        rng = np.random.default_rng(24)
+        checked = 0
+        for k in range(10000):
+            if k % 2:
+                beta2, p1 = (float(10.0 ** rng.uniform(-300.0, 150.0)) for _ in range(2))
+            else:
+                beta2, p1 = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 20.0))
+            for method in ("exact", "paper"):
+                want = outcome(max_over_roots_vsi_threshold, beta2, p1, method)
+                assert outcome(vsi_threshold, beta2, p1, method) == want, (beta2, p1, method)
+                if want.startswith("ValueError"):
+                    continue
+                t = float(want)
+                for alpha2 in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf),
+                               0.99 * t, 1.01 * t):
+                    try:
+                        params = NetworkParams(alpha2=alpha2, beta2=beta2, gamma2=1.0,
+                                               eta2=0.0, p1=p1, p2=1.0)
+                    except ValueError:
+                        continue
+                    assert vsi_check(params) == own_pattern_vsi_check(params), params
+                    checked += 1
+        assert checked > 50000
 
 
 class TestVsiCheck:
