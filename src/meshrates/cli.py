@@ -241,6 +241,8 @@ def _parse_range(text: str) -> list[float]:
     count = max(math.floor(span) + 1 if math.isfinite(span) else span, 0)
     while 0 < count <= MAX_SWEEP_POINTS + 1 and start + (count - 1) * step > limit:
         count -= 1
+    if start + MAX_SWEEP_POINTS * step <= limit:  # points never decrease in k
+        count = max(count, MAX_SWEEP_POINTS + 1)
     while count <= MAX_SWEEP_POINTS and start + count * step <= limit:
         count += 1
     if count > MAX_SWEEP_POINTS:

@@ -398,6 +398,19 @@ def _max_violation(region: RateRegion, point: RatePair) -> float:
     return max(0.0, -min(h.slack(point) for h in region.halfspaces))
 
 
+def _worst(name: str, pairs, tol: float, ref_err: float | None = None) -> OracleReport:
+    """Report the first (reference, fast) pair with the largest gap, (0, 0) if
+    none is positive; it passes iff that gap plus ``ref_err`` is within ``tol``."""
+    reference, fast = max(chain([(0.0, 0.0)], pairs), key=lambda pair: abs(pair[0] - pair[1]))
+    gap = abs(reference - fast)
+    return OracleReport(name, reference, fast, gap, tol, gap + (ref_err or 0.0) <= tol, ref_err)
+
+
+def _within(name: str, gap: float, tol: float) -> OracleReport:
+    """Report a check whose reference is 0: it passes iff ``gap`` is within ``tol``."""
+    return OracleReport(name, 0.0, gap, gap, tol, gap <= tol)
+
+
 def _check_region_reduction(seed: int) -> OracleReport:
     rng = _rng(seed, 1)
     gap = 0.0
@@ -410,39 +423,32 @@ def _check_region_reduction(seed: int) -> OracleReport:
             gap = max(gap, _max_violation(reference, v))
         for v in vertices(reference):
             gap = max(gap, _max_violation(fast, v))
-    return OracleReport("region-reduction", 0.0, gap, gap, 1e-9, gap <= 1e-9)
+    return _within("region-reduction", gap, 1e-9)
 
 
 def _check_vertex_a_sum(seed: int) -> OracleReport:
     rng = _rng(seed, 2)
-    worst = (0.0, 0.0, 0.0)
+    pairs = []
     for _ in range(150):
         params = _draw_params(rng)
         split = HopSplit(float(rng.uniform(0.0, 1.0)))
         corner_sum = corner_point(params, split).total
-        lp = max_sum_rate(hop1_region(params, split))
-        gap = abs(corner_sum - lp.value)
-        if gap > worst[0]:
-            worst = (gap, lp.value, corner_sum)
-    return OracleReport("vertex-a-sum", worst[1], worst[2], worst[0], 1e-9, worst[0] <= 1e-9)
+        pairs.append((max_sum_rate(hop1_region(params, split)).value, corner_sum))
+    return _worst("vertex-a-sum", pairs, 1e-9)
 
 
 def _check_lp_vs_grid(seed: int) -> OracleReport:
     rng = _rng(seed, 3)
     step = 1e-3
-    worst = (0.0, 0.0, 0.0)
+    pairs = []
     for _ in range(25):
         params = _draw_params(rng)
         region = hop1_region(params, HopSplit(float(rng.uniform(0.0, 1.0))))
-        reference = grid_max_sum(region, step)
-        fast = max_sum_rate(region).value
-        gap = abs(fast - reference)
-        if gap > worst[0]:
-            worst = (gap, reference, fast)
-    return OracleReport("lp-vs-grid", worst[1], worst[2], worst[0], 5 * step, worst[0] <= 5 * step)
+        pairs.append((grid_max_sum(region, step), max_sum_rate(region).value))
+    return _worst("lp-vs-grid", pairs, 5 * step)
 
 
-def _check_quadrature(seed: int) -> OracleReport:
+def _check_quadrature_riemann(seed: int) -> OracleReport:
     """Closed-form MCP bounds against the certified midpoint reference: the
     check passes iff the largest gap plus the largest reference error is
     within 1e-12. Twelve draws in the paper's regime, then twelve at high
@@ -458,7 +464,7 @@ def _check_quadrature(seed: int) -> OracleReport:
         p2 = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
         params = NetworkParams(alpha2=0.0, beta2=1.0, gamma2=gamma2, eta2=eta2, p1=1.0, p2=p2)
         cases.append((params, HopSplit(float(rng.uniform(0.0, 1.0)))))
-    worst = (0.0, 0.0, 0.0)
+    pairs = []
     ref_err = 0.0
     for params, split in cases:
         region = hop2_mcp_region(params, split)
@@ -471,17 +477,13 @@ def _check_quadrature(seed: int) -> OracleReport:
                             ("sum", "sum-joint")):
             reference, err, _ = certified_midpoint(reference_fns[name])
             ref_err = max(ref_err, err)
-            gap = abs(fast_bounds[label] - reference)
-            if gap > worst[0]:
-                worst = (gap, reference, fast_bounds[label])
-    return OracleReport("quadrature-riemann", worst[1], worst[2], worst[0], 1e-12,
-                        worst[0] + ref_err <= 1e-12, ref_err)
+            pairs.append((reference, fast_bounds[label]))
+    return _worst("quadrature-riemann", pairs, 1e-12, ref_err)
 
 
-def _check_substitution(seed: int) -> OracleReport:
+def _check_substitution_symmetry(seed: int) -> OracleReport:
     rng = _rng(seed, 5)
-    gap = 0.0
-    ref = fast = 0.0
+    pairs = []
     for _ in range(100):
         params = _draw_params(rng, paper_regime=False)
         split = HopSplit(float(rng.uniform(0.0, 1.0)))
@@ -492,10 +494,9 @@ def _check_substitution(seed: int) -> OracleReport:
         region_b = hop1_region(relabeled, split)
         for ha, hb in zip(region_a.halfspaces, region_b.halfspaces):
             if (ha.coef_private, ha.coef_common, ha.label) != (hb.coef_private, hb.coef_common, hb.label):
-                return OracleReport("substitution-symmetry", 0.0, math.inf, math.inf, 1e-15, False)
-            if abs(ha.bound - hb.bound) > gap:
-                gap, ref, fast = abs(ha.bound - hb.bound), hb.bound, ha.bound
-    return OracleReport("substitution-symmetry", ref, fast, gap, 1e-15, gap <= 1e-15)
+                return _within("substitution-symmetry", math.inf, 1e-15)
+            pairs.append((hb.bound, ha.bound))
+    return _worst("substitution-symmetry", pairs, 1e-15)
 
 
 def _draw_vsi(rng: np.random.Generator) -> tuple[float, float]:
@@ -505,15 +506,11 @@ def _draw_vsi(rng: np.random.Generator) -> tuple[float, float]:
 
 def _check_vsi_exact_agree(seed: int) -> OracleReport:
     rng = _rng(seed, 6)
-    worst = (0.0, 0.0, 0.0)
+    pairs = []
     for _ in range(50):
         beta2, p1 = _draw_vsi(rng)
-        reference = vsi_exact_solve(beta2, p1)
-        fast = schemes.vsi_threshold(beta2, p1, method="exact")
-        gap = abs(reference - fast)
-        if gap > worst[0]:
-            worst = (gap, reference, fast)
-    return OracleReport("vsi-exact-agree", worst[1], worst[2], worst[0], 1e-12, worst[0] <= 1e-12)
+        pairs.append((vsi_exact_solve(beta2, p1), schemes.vsi_threshold(beta2, p1, method="exact")))
+    return _worst("vsi-exact-agree", pairs, 1e-12)
 
 
 def _vsi_params(alpha2: float, beta2: float, p1: float) -> NetworkParams:
@@ -530,7 +527,7 @@ def _check_vsi_certificate(seed: int) -> OracleReport:
         ok_below, _ = schemes.vsi_check(_vsi_params(0.99 * threshold, beta2, p1))
         if not ok_at or ok_below:
             failures += 1
-    return OracleReport("vsi-certificate", 0.0, float(failures), float(failures), 0.5, failures == 0)
+    return _within("vsi-certificate", float(failures), 0.5)
 
 
 def _check_vsi_paper_sufficient(seed: int) -> OracleReport:
@@ -549,8 +546,7 @@ def _check_vsi_paper_sufficient(seed: int) -> OracleReport:
         ok, _ = schemes.vsi_check(_vsi_params(paper, beta2, p1))
         if not ok:
             failures += 1
-    bad = max(gap, float(failures))
-    return OracleReport("vsi-paper-sufficient", 0.0, bad, bad, 1e-12, bad <= 1e-12)
+    return _within("vsi-paper-sufficient", max(gap, float(failures)), 1e-12)
 
 
 def _check_vsi_a2_dominates_a1(seed: int) -> OracleReport:
@@ -560,7 +556,7 @@ def _check_vsi_a2_dominates_a1(seed: int) -> OracleReport:
             a1 = beta2 * max(p1 / 2.0 + 1.0, beta2 * p1 + 1.0)
             a2 = beta2 * (2.0 + 3.0 * p1 + beta2 ** 2 * p1)
             gap = max(gap, a1 - a2)
-    return OracleReport("vsi-a2-dominates-a1", 0.0, gap, gap, 1e-12, gap <= 1e-12)
+    return _within("vsi-a2-dominates-a1", gap, 1e-12)
 
 
 def _check_rs_dense_grid(seed: int) -> OracleReport:
@@ -602,10 +598,10 @@ def _check_scheme_ordering(seed: int) -> OracleReport:
         gap = max(gap, r_single - r_rs)
         gap = max(gap, (r_coop - r_mcp) - 1e-6)
         gap = max(gap, max(r_rs, r_coop, r_mcp) - r_bound)
-    return OracleReport("scheme-ordering", 0.0, gap, gap, 1e-9, gap <= 1e-9)
+    return _within("scheme-ordering", gap, 1e-9)
 
 
-def _check_half_duplex(seed: int) -> OracleReport:
+def _check_half_duplex_halving(seed: int) -> OracleReport:
     rng = _rng(seed, 12)
     gap = 0.0
     for i in range(10):
@@ -616,7 +612,7 @@ def _check_half_duplex(seed: int) -> OracleReport:
         gap = max(gap, abs(schemes.rate_splitting(half).rate - 0.5 * schemes.rate_splitting(full).rate))
         if i == 0:
             gap = max(gap, abs(schemes.coop(half).rate - 0.5 * schemes.coop(full).rate))
-    return OracleReport("half-duplex-halving", 0.0, gap, gap, 1e-12, gap <= 1e-12)
+    return _within("half-duplex-halving", gap, 1e-12)
 
 
 def _check_mcp_sum_dominance(seed: int) -> OracleReport:
@@ -627,7 +623,7 @@ def _check_mcp_sum_dominance(seed: int) -> OracleReport:
         region = hop2_mcp_region(params, HopSplit(float(rng.uniform(0.0, 1.0))))
         bounds = {h.label: h.bound for h in region.halfspaces}
         gap = max(gap, max(bounds["private-single"], bounds["common-joint"]) - bounds["sum-joint"])
-    return OracleReport("mcp-sum-dominance", 0.0, gap, gap, 1e-12, gap <= 1e-12)
+    return _within("mcp-sum-dominance", gap, 1e-12)
 
 
 def _check_power_monotonicity(seed: int) -> OracleReport:
@@ -644,7 +640,7 @@ def _check_power_monotonicity(seed: int) -> OracleReport:
             r_rs = schemes.rate_splitting(params).rate
             gap = max(gap, previous_single - r_single, previous_rs - r_rs)
             previous_single, previous_rs = r_single, r_rs
-    return OracleReport("power-monotonicity", 0.0, gap, gap, 1e-9, gap <= 1e-9)
+    return _within("power-monotonicity", gap, 1e-9)
 
 
 def _check_vertex_walk(seed: int) -> OracleReport:
@@ -668,34 +664,29 @@ def _check_vertex_walk(seed: int) -> OracleReport:
                 gap = math.inf
             for v, w in zip(fast, reference):
                 gap = max(gap, abs(v.r_private - w.r_private), abs(v.r_common - w.r_common))
-    return OracleReport("vertex-walk", 0.0, gap, gap, 2e-10, gap <= 2e-10)
+    return _within("vertex-walk", gap, 2e-10)
 
 
 _CHECKS = (
     _check_region_reduction,
     _check_vertex_a_sum,
     _check_lp_vs_grid,
-    _check_quadrature,
-    _check_substitution,
+    _check_quadrature_riemann,
+    _check_substitution_symmetry,
     _check_vsi_exact_agree,
     _check_vsi_certificate,
     _check_vsi_paper_sufficient,
     _check_vsi_a2_dominates_a1,
     _check_rs_dense_grid,
     _check_scheme_ordering,
-    _check_half_duplex,
+    _check_half_duplex_halving,
     _check_mcp_sum_dominance,
     _check_power_monotonicity,
     _check_vertex_walk,
 )
 # The report name of each entry of _CHECKS, so a filter skips a check unrun.
-_CHECK_NAMES = (
-    "region-reduction", "vertex-a-sum", "lp-vs-grid", "quadrature-riemann",
-    "substitution-symmetry", "vsi-exact-agree", "vsi-certificate",
-    "vsi-paper-sufficient", "vsi-a2-dominates-a1", "rs-dense-grid",
-    "scheme-ordering", "half-duplex-halving", "mcp-sum-dominance",
-    "power-monotonicity", "vertex-walk",
-)
+_CHECK_NAMES = tuple(check.__name__.removeprefix("_check_").replace("_", "-")
+                     for check in _CHECKS)
 
 
 def run_suite(seed: int = 0, name_filter: str | None = None) -> list[OracleReport]:

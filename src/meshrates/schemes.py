@@ -283,8 +283,8 @@ def mcp(params: NetworkParams) -> SchemeResult:
 # ---------------------------------------------------------------------------
 
 _VSI_PATTERNS = (
-    # (own codewords, cross codewords, label)
-    (1, 0, "common-1user-own"),
+    # (own codewords, cross codewords, label); the own codeword alone is
+    # tight by construction
     (0, 1, "common-1user-cross"),
     (1, 1, "common-2user-mixed"),
     (0, 2, "common-2user-cross"),
@@ -296,30 +296,25 @@ def vsi_threshold(beta2: float, p1: float, method: str = "exact") -> float:
     """Smallest inter-cell gain for which common-only transmission reaches
     the interference-free single-user rate on the first hop.
 
-    ``method='paper'`` evaluates the printed closed-form sufficient condition
-    (together with the printed two-user terms and the single-user floor);
-    ``method='exact'`` solves each of the seven MAC inequalities for the gain
-    and takes the largest, which is smaller in general. ``vsi_check`` is the
-    arbiter between the two.
+    ``method='exact'`` is the three-codeword inequality's root
+    beta2 (1 + x)(1 + x/2), x = beta2*p1, which is at least the other
+    cross-involving roots beta2, beta2 (1 + x) and beta2 (1 + x/2).
+    ``method='paper'`` is the printed three-user sufficient condition, which
+    exceeds the printed two-user terms and the beta2 floor by at least
+    beta2 (1 + 2.5 p1) and is larger than the exact root in general.
+    ``vsi_check`` is the arbiter between the two.
     """
     if not (math.isfinite(beta2) and math.isfinite(p1) and beta2 > 0.0 and p1 > 0.0):
         raise ValueError(f"vsi_threshold needs finite positive beta2 and p1, "
                          f"got beta2={beta2!r}, p1={p1!r}")
     if method == "paper":
-        two_user = beta2 * max(p1 / 2.0 + 1.0, beta2 * p1 + 1.0)
         try:
-            three_user = beta2 * (2.0 + 3.0 * p1 + beta2 ** 2 * p1)
+            threshold = beta2 * (2.0 + 3.0 * p1 + beta2 ** 2 * p1)
         except OverflowError:  # beta2 ** 2 past the float range
-            three_user = math.inf
-        threshold = max(beta2, two_user, three_user)
+            threshold = math.inf
     elif method == "exact":
         x = beta2 * p1
-        threshold = max(
-            beta2,                                   # cross single-user
-            beta2 * (1.0 + x),                       # own+cross pair
-            beta2 * (1.0 + 0.5 * x),                 # cross pair
-            beta2 * (1.0 + 1.5 * x + 0.5 * x * x),   # all three
-        )
+        threshold = beta2 * (1.0 + 1.5 * x + 0.5 * x * x)
     else:
         raise ValueError(f"method must be 'paper' or 'exact', got {method!r}")
     if not math.isfinite(threshold):
@@ -328,12 +323,11 @@ def vsi_threshold(beta2: float, p1: float, method: str = "exact") -> float:
 
 
 def vsi_check(params: NetworkParams) -> tuple[bool, str]:
-    """Directly test the seven common-message MAC inequalities.
+    """Directly test the cross-involving common-message MAC inequalities.
 
     With all first-hop power on the common codebook, every subset bound of
     the three-user MAC seen at a relay must support the per-user rate
-    C(beta2*p1). Returns the verdict and the tightest cross-involving bound
-    (the own-codeword bound is tight by construction and not reported).
+    C(beta2*p1). Returns the verdict and the tightest bound.
     """
     alpha2, beta2, p1 = params.hop(1)
     target = capacity(beta2 * p1)
@@ -346,7 +340,7 @@ def vsi_check(params: NetworkParams) -> tuple[bool, str]:
         slack = capacity(power) / users - target
         if slack < -1e-12:
             ok = False
-        if n_cross >= 1 and slack < worst:
+        if slack < worst:
             worst = slack
             binding = label
     return ok, binding

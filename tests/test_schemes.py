@@ -192,6 +192,30 @@ class TestHopSplitOptimum:
             f_hat = _hop_optimum(float(a_k), float(b_k), float(p_k))[0].f_private
             assert (f_hat == 1.0) == all_private, (a_k, b_k, p_k, f_hat)
 
+    def test_corner_sum_monotone_between_candidates(self):
+        # Global, not only local, optimality: between consecutive candidates
+        # the corner sum is monotone, so its maximum over [0, 1] lies at a
+        # candidate, and no point of a 2,001-point split grid beats the
+        # optimum. Draws alternate in and out of the paper's regime.
+        rng = np.random.default_rng(24)
+        grid = np.linspace(0.0, 1.0, 2001)
+        for k in range(2000):
+            b = float(rng.uniform(0.05, 5.0))
+            a = float(rng.uniform(0.0, b if k % 2 else 2.0 * b))
+            p = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e3))))
+            candidates = schemes._hop_split_candidates(a, b, p)
+            fs = np.union1d(grid, candidates)
+            r_private, rc_two, rc_three = regions.corner_rates(a, b, *split_powers(fs, p))
+            rates = r_private + np.minimum(rc_two, rc_three)
+            slack = 1e-14 * np.maximum(1.0, np.abs(rates))
+            ends = np.searchsorted(fs, candidates)
+            for lo, hi in zip(ends[:-1], ends[1:]):
+                steps = np.diff(rates[lo:hi + 1])
+                assert ((steps >= -slack[lo + 1:hi + 1]).all()
+                        or (steps <= slack[lo + 1:hi + 1]).all()), (a, b, p, fs[lo], fs[hi])
+            best = _hop_optimum(a, b, p)[1].total
+            assert rates.max() <= best + 1e-14 * max(1.0, abs(best)), (a, b, p)
+
     def test_rate_is_operating_point_total(self):
         # The rate and the reported corner come from one evaluation, so they
         # agree to the bit.
