@@ -299,9 +299,9 @@ def vsi_threshold(beta2: float, p1: float, method: str = "exact") -> float:
     ``method='exact'`` is the three-codeword inequality's root
     beta2 (1 + x)(1 + x/2), x = beta2*p1, which is at least the other
     cross-involving roots beta2, beta2 (1 + x) and beta2 (1 + x/2).
-    ``method='paper'`` is the printed three-user sufficient condition, which
+    ``method='paper'`` is the printed three-user sufficient condition; it
     exceeds the printed two-user terms and the beta2 floor by at least
-    beta2 (1 + 2.5 p1) and is larger than the exact root in general.
+    beta2 (1 + 2.5 p1), and the exact root only at small gains and powers.
     ``vsi_check`` is the arbiter between the two.
     """
     if not (math.isfinite(beta2) and math.isfinite(p1) and beta2 > 0.0 and p1 > 0.0):
