@@ -178,9 +178,9 @@ def cmd_point(as_json, duplex, power_boost, **values) -> None:
 
     print(f"{'scheme':<18} {'rate':>12} {'f1':>8} {'f2':>8} {'bottleneck':>10}")
     for r in results:
-        f1 = f"{r.split_hop1.f_private:.4f}" if r.split_hop1 else "-"
-        f2 = f"{r.split_hop2.f_private:.4f}" if r.split_hop2 else "-"
-        bn = str(r.bottleneck_hop) if r.bottleneck_hop is not None else "-"
+        fields = _fields(r)
+        f1, f2 = (f"{fields[key]:.4f}" if key in fields else "-" for key in ("f1", "f2"))
+        bn = fields.get("bottleneck", "-")
         print(f"{r.scheme:<18} {r.rate:>12.6f} {f1:>8} {f2:>8} {bn:>10}")
 
 

@@ -6,19 +6,18 @@ region, the fixed-decoding-order corner candidates, pairwise line crossings
 and a convex hull instead of the envelope walk, lattice maximization and the
 vertex enumeration instead of the exact LP, self-certifying midpoint sums of
 the responses' cosine series instead of the closed-form joint-decoding
-bounds, a split scan instead of the closed-form split optimum, and
-per-inequality threshold inversions in exact decimal arithmetic.
-``corner_point`` shares ``regions.corner_rates`` with the split optimum, so
-``vertex-a-sum`` checks one fast path against another. Oracles may be slow;
-they exist to certify, not to perform, and run as array expressions where
-that leaves their floats unchanged.
+bounds, a split scan instead of the closed-form split optimum (its two-stage
+corner rate is also the reference for the LP's sum at a fixed split), and
+per-inequality threshold inversions in exact decimal arithmetic. Oracles may
+be slow; they exist to certify, not to perform, and run as array expressions
+where that leaves their floats unchanged.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, combinations
 
 import numpy as np
@@ -224,10 +223,7 @@ def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 1e-20:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if not hull:
-        hull = [points[0]]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def riemann_integral(integrand, n_nodes: int) -> float:
@@ -294,28 +290,27 @@ def mcp_reference_integrands(gamma2: float, eta2: float,
     }
 
 
-def _two_stage_rate(f, cross2: float, intra2: float, total: float, log2):
-    """Corner sum rate of the two-stage decode at private fraction ``f``: the
-    three common codewords form a MAC decoded against the full private
-    interference, then the private codeword is decoded clean of same-cell
-    common signals. ``f`` and ``log2`` are an array and ``np.log2`` or a
-    scalar and ``math.log2``."""
+def _two_stage_rate(f, cross2: float, intra2: float, total: float):
+    """Corner sum rate of the two-stage decode at private fraction ``f`` (a
+    scalar or an array): the three common codewords form a MAC decoded
+    against the full private interference, then the private codeword is
+    decoded clean of same-cell common signals."""
     pp = f * total
     pc = total - pp
     private_noise = 1.0 + 2.0 * cross2 * pp
     common_noise = private_noise + intra2 * pp
     stage1 = np.minimum(
-        log2(1.0 + 2.0 * cross2 * pc / common_noise) / 2.0,
-        log2(1.0 + (2.0 * cross2 + intra2) * pc / common_noise) / 3.0,
+        np.log2(1.0 + 2.0 * cross2 * pc / common_noise) / 2.0,
+        np.log2(1.0 + (2.0 * cross2 + intra2) * pc / common_noise) / 3.0,
     )
-    stage2 = log2(1.0 + intra2 * pp / private_noise)
+    stage2 = np.log2(1.0 + intra2 * pp / private_noise)
     return stage1 + stage2
 
 
 def corner_point(params: NetworkParams, split: HopSplit, hop: int = 1) -> RatePair:
     """Sum-rate-maximizing corner of one hop's rate-splitting region at a
-    fixed split. Not independent: ``regions.corner_rates`` also scores the
-    closed-form split optimum. ``vertex-a-sum`` compares it with the LP."""
+    fixed split, from ``regions.corner_rates``, the formula the closed-form
+    split optimum also scores."""
     cross2, intra2, total = params.hop(hop)
     r_private, rc_two, rc_three = corner_rates(cross2, intra2, *split.powers(total))
     return RatePair(float(r_private), float(min(rc_two, rc_three)))
@@ -326,19 +321,13 @@ def dense_split_scan(params: NetworkParams, hop: int, step: float = 1e-3) -> tup
     f = i/n, n = round(1/step), evaluated on all fractions at once.
 
     Returns (best fraction, best rate), the largest f among tied maxima.
-    ``np.log2`` may be one ulp off ``math.log2``, so every fraction within
-    1e-12 * max(1, |maximum|) of the array maximum is evaluated again with
-    ``math.log2``: the result is the same float pair as a scalar scan.
     """
     cross2, intra2, total = params.hop(hop)
     n = round(1.0 / step)
     fractions = np.arange(n + 1) / n
-    rates = _two_stage_rate(fractions, cross2, intra2, total, np.log2)
-    top = rates.max()
-    near = np.flatnonzero(rates >= top - 1e-12 * max(1.0, abs(top)))
-    best = max((float(_two_stage_rate(fractions[i], cross2, intra2, total, math.log2)), i)
-               for i in near)
-    return float(fractions[best[1]]), best[0]
+    rates = _two_stage_rate(fractions, cross2, intra2, total)
+    best = n - int(np.argmax(rates[::-1]))
+    return float(fractions[best]), float(rates[best])
 
 
 def vsi_exact_solve(beta2: float, p1: float) -> float:
@@ -432,8 +421,8 @@ def _check_vertex_a_sum(seed: int) -> OracleReport:
     for _ in range(150):
         params = _draw_params(rng)
         split = HopSplit(float(rng.uniform(0.0, 1.0)))
-        corner_sum = corner_point(params, split).total
-        pairs.append((max_sum_rate(hop1_region(params, split)).value, corner_sum))
+        corner_sum = float(_two_stage_rate(split.f_private, *params.hop(1)))
+        pairs.append((corner_sum, max_sum_rate(hop1_region(params, split)).value))
     return _worst("vertex-a-sum", pairs, 1e-9)
 
 
@@ -471,14 +460,18 @@ def _check_quadrature_riemann(seed: int) -> OracleReport:
         pw = split.powers(params.hop(2)[2])
         reference_fns = mcp_reference_integrands(params.gamma2, params.eta2,
                                                  pw.p_private, pw.p_common)
-        fast_bounds = {h.label: h.bound for h in region.halfspaces}
-        for name, label in (("private", "private-single"),
-                            ("common", "common-joint"),
-                            ("sum", "sum-joint")):
+        fast_bounds = {(h.coef_private, h.coef_common): h.bound for h in region.halfspaces}
+        for name, key in (("private", (1, 0)), ("common", (0, 1)), ("sum", (1, 1))):
             reference, err, _ = certified_midpoint(reference_fns[name])
             ref_err = max(ref_err, err)
-            pairs.append((reference, fast_bounds[label]))
+            pairs.append((reference, fast_bounds[key]))
     return _worst("quadrature-riemann", pairs, 1e-12, ref_err)
+
+
+def _first_hop_network(cross2: float, intra2: float, power: float) -> NetworkParams:
+    """A network whose first hop has the given gains and power; the second
+    hop is unused."""
+    return NetworkParams(alpha2=cross2, beta2=intra2, gamma2=1.0, eta2=0.0, p1=power, p2=1.0)
 
 
 def _check_substitution_symmetry(seed: int) -> OracleReport:
@@ -487,11 +480,8 @@ def _check_substitution_symmetry(seed: int) -> OracleReport:
     for _ in range(100):
         params = _draw_params(rng, paper_regime=False)
         split = HopSplit(float(rng.uniform(0.0, 1.0)))
-        cross2, intra2, total = params.hop(2)
-        relabeled = NetworkParams(alpha2=cross2, beta2=intra2, gamma2=1.0, eta2=0.0,
-                                  p1=total, p2=1.0)
         region_a = hop2_rs_region(params, split)
-        region_b = hop1_region(relabeled, split)
+        region_b = hop1_region(_first_hop_network(*params.hop(2)), split)
         for ha, hb in zip(region_a.halfspaces, region_b.halfspaces):
             if (ha.coef_private, ha.coef_common, ha.label) != (hb.coef_private, hb.coef_common, hb.label):
                 return _within("substitution-symmetry", math.inf, 1e-15)
@@ -513,18 +503,14 @@ def _check_vsi_exact_agree(seed: int) -> OracleReport:
     return _worst("vsi-exact-agree", pairs, 1e-12)
 
 
-def _vsi_params(alpha2: float, beta2: float, p1: float) -> NetworkParams:
-    return NetworkParams(alpha2=alpha2, beta2=beta2, gamma2=1.0, eta2=0.0, p1=p1, p2=1.0)
-
-
 def _check_vsi_certificate(seed: int) -> OracleReport:
     rng = _rng(seed, 7)
     failures = 0
     for _ in range(50):
         beta2, p1 = _draw_vsi(rng)
         threshold = vsi_exact_solve(beta2, p1)
-        ok_at, _ = schemes.vsi_check(_vsi_params(threshold, beta2, p1))
-        ok_below, _ = schemes.vsi_check(_vsi_params(0.99 * threshold, beta2, p1))
+        ok_at, _ = schemes.vsi_check(_first_hop_network(threshold, beta2, p1))
+        ok_below, _ = schemes.vsi_check(_first_hop_network(0.99 * threshold, beta2, p1))
         if not ok_at or ok_below:
             failures += 1
     return _within("vsi-certificate", float(failures), 0.5)
@@ -543,7 +529,7 @@ def _check_vsi_paper_sufficient(seed: int) -> OracleReport:
         exact = schemes.vsi_threshold(beta2, p1, method="exact")
         paper = schemes.vsi_threshold(beta2, p1, method="paper")
         gap = max(gap, exact - paper)
-        ok, _ = schemes.vsi_check(_vsi_params(paper, beta2, p1))
+        ok, _ = schemes.vsi_check(_first_hop_network(paper, beta2, p1))
         if not ok:
             failures += 1
     return _within("vsi-paper-sufficient", max(gap, float(failures)), 1e-12)
@@ -554,7 +540,7 @@ def _check_vsi_a2_dominates_a1(seed: int) -> OracleReport:
     for beta2 in np.linspace(0.1, 3.0, 20):
         for p1 in np.geomspace(0.01, 20.0, 20):
             a1 = beta2 * max(p1 / 2.0 + 1.0, beta2 * p1 + 1.0)
-            a2 = beta2 * (2.0 + 3.0 * p1 + beta2 ** 2 * p1)
+            a2 = schemes.vsi_threshold(float(beta2), float(p1), method="paper")
             gap = max(gap, a1 - a2)
     return _within("vsi-a2-dominates-a1", gap, 1e-12)
 
@@ -606,8 +592,7 @@ def _check_half_duplex_halving(seed: int) -> OracleReport:
     gap = 0.0
     for i in range(10):
         full = _draw_params(rng)
-        half = NetworkParams(alpha2=full.alpha2, beta2=full.beta2, gamma2=full.gamma2,
-                             eta2=full.eta2, p1=full.p1, p2=full.p2, duplex="half")
+        half = replace(full, duplex="half")
         gap = max(gap, abs(schemes.single_rate(half).rate - 0.5 * schemes.single_rate(full).rate))
         gap = max(gap, abs(schemes.rate_splitting(half).rate - 0.5 * schemes.rate_splitting(full).rate))
         if i == 0:
@@ -621,8 +606,8 @@ def _check_mcp_sum_dominance(seed: int) -> OracleReport:
     for _ in range(20):
         params = _draw_params(rng)
         region = hop2_mcp_region(params, HopSplit(float(rng.uniform(0.0, 1.0))))
-        bounds = {h.label: h.bound for h in region.halfspaces}
-        gap = max(gap, max(bounds["private-single"], bounds["common-joint"]) - bounds["sum-joint"])
+        bounds = {(h.coef_private, h.coef_common): h.bound for h in region.halfspaces}
+        gap = max(gap, max(bounds[1, 0], bounds[0, 1]) - bounds[1, 1])
     return _within("mcp-sum-dominance", gap, 1e-12)
 
 
@@ -633,9 +618,7 @@ def _check_power_monotonicity(seed: int) -> OracleReport:
         base = _draw_params(rng)
         previous_single = previous_rs = -math.inf
         for factor in (1.0, 2.0, 4.0, 8.0):
-            params = NetworkParams(alpha2=base.alpha2, beta2=base.beta2,
-                                   gamma2=base.gamma2, eta2=base.eta2,
-                                   p1=base.p1 * factor, p2=base.p2 * factor)
+            params = replace(base, p1=base.p1 * factor, p2=base.p2 * factor)
             r_single = schemes.single_rate(params).rate
             r_rs = schemes.rate_splitting(params).rate
             gap = max(gap, previous_single - r_single, previous_rs - r_rs)

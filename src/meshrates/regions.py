@@ -23,13 +23,8 @@ import numpy as np
 
 from .model import HopSplit, NetworkParams, RatePair, SplitPowers
 
-LABEL_PRIVATE = "private-single"
 LABEL_COMMON2 = "common-2user"
 LABEL_COMMON3 = "common-3user"
-LABEL_SUM2 = "sum-2"
-LABEL_SUM3 = "sum-3"
-LABEL_COMMON = "common-joint"
-LABEL_SUM = "sum-joint"
 
 
 @dataclass(frozen=True)
@@ -83,21 +78,17 @@ class RateRegion:
 # each public region builder is the bounds at its split passed to it.
 # ---------------------------------------------------------------------------
 
-def _log1p_rate(x):
-    return np.log2(1.0 + x)
-
-
 def _rs_bounds(private, two, three, noise):
     """The five rate-splitting bounds of one hop, keyed by (coef_private,
     coef_common): ``private`` is the private codeword's receive power,
     ``two`` and ``three`` the summed receive powers of the two- and
     three-codeword common subsets, all over ``noise``."""
     return {
-        (1, 0): _log1p_rate(private / noise),
-        (0, 2): _log1p_rate(two / noise),
-        (0, 3): _log1p_rate(three / noise),
-        (1, 2): _log1p_rate((private + two) / noise),
-        (1, 3): _log1p_rate((private + three) / noise),
+        (1, 0): np.log2(1.0 + private / noise),
+        (0, 2): np.log2(1.0 + two / noise),
+        (0, 3): np.log2(1.0 + three / noise),
+        (1, 2): np.log2(1.0 + (private + two) / noise),
+        (1, 3): np.log2(1.0 + (private + three) / noise),
     }
 
 
@@ -221,13 +212,13 @@ def mcp_bounds(cross2, intra2, p_private, p_common):
 
 # Label of each bound by its (coef_private, coef_common) key.
 _LABELS = {
-    (1, 0): LABEL_PRIVATE,
+    (1, 0): "private-single",
     (0, 2): LABEL_COMMON2,
     (0, 3): LABEL_COMMON3,
-    (1, 2): LABEL_SUM2,
-    (1, 3): LABEL_SUM3,
-    (0, 1): LABEL_COMMON,
-    (1, 1): LABEL_SUM,
+    (1, 2): "sum-2",
+    (1, 3): "sum-3",
+    (0, 1): "common-joint",
+    (1, 1): "sum-joint",
 }
 
 
@@ -293,7 +284,7 @@ def corner_rates(cross2, intra2, p_private, p_common):
     """
     noise0 = 1.0 + 2.0 * cross2 * p_private
     noise_first = 1.0 + (2.0 * cross2 + intra2) * p_private
-    r_private = _log1p_rate(intra2 * p_private / noise0)
-    rc_two = 0.5 * _log1p_rate(2.0 * cross2 * p_common / noise_first)
-    rc_three = _log1p_rate((2.0 * cross2 + intra2) * p_common / noise_first) / 3.0
+    r_private = np.log2(1.0 + intra2 * p_private / noise0)
+    rc_two = 0.5 * np.log2(1.0 + 2.0 * cross2 * p_common / noise_first)
+    rc_three = np.log2(1.0 + (2.0 * cross2 + intra2) * p_common / noise_first) / 3.0
     return r_private, rc_two, rc_three

@@ -134,6 +134,11 @@ class TestHopSplit:
     def test_powers_unpack_in_bound_order(self):
         assert tuple(HopSplit(0.25).powers(4.0)) == (1.0, 3.0)
 
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -1e-300])
+    def test_powers_refuse_bad_total(self, total):
+        with pytest.raises(ValueError, match="total power must be finite and non-negative"):
+            HopSplit(0.5).powers(total)
+
     def test_degenerate_splits_exact(self):
         assert HopSplit(0.0).powers(3.0).p_private == 0.0
         assert HopSplit(1.0).powers(3.0).p_common == 0.0

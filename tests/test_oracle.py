@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,8 +251,8 @@ class TestDenseSplitScan:
 
     @staticmethod
     def loop_scan(params, hop, step):
-        """One fraction at a time in Python floats, keeping the last maximum:
-        the reference for the array scan."""
+        """One fraction at a time, in scalar ``np.log2`` calls, keeping the
+        last maximum: the reference for the array scan."""
         if hop == 1:
             cross2, intra2, total = params.alpha2, params.beta2, params.p1
         else:
@@ -265,10 +266,10 @@ class TestDenseSplitScan:
             private_noise = 1.0 + 2.0 * cross2 * pp
             common_noise = private_noise + intra2 * pp
             stage1 = min(
-                math.log2(1.0 + 2.0 * cross2 * pc / common_noise) / 2.0,
-                math.log2(1.0 + (2.0 * cross2 + intra2) * pc / common_noise) / 3.0,
+                np.log2(1.0 + 2.0 * cross2 * pc / common_noise) / 2.0,
+                np.log2(1.0 + (2.0 * cross2 + intra2) * pc / common_noise) / 3.0,
             )
-            stage2 = math.log2(1.0 + intra2 * pp / private_noise)
+            stage2 = np.log2(1.0 + intra2 * pp / private_noise)
             v = stage1 + stage2
             if v >= best_v:
                 best_f, best_v = f, v
@@ -277,8 +278,6 @@ class TestDenseSplitScan:
     @pytest.mark.parametrize("step", [1e-3, 1e-2])
     @pytest.mark.parametrize("paper_regime", [True, False], ids=["in-regime", "out-of-regime"])
     def test_same_floats_as_loop(self, paper_regime, step):
-        # seeds 6, 58 and 91 are among the draws whose best rate np.log2
-        # alone puts one ulp off math.log2
         for seed in range(100):
             params = oracle._draw_params(np.random.default_rng([seed, 99]), paper_regime)
             for hop in (1, 2):
@@ -293,6 +292,11 @@ class TestDenseSplitScan:
 class TestVsiExactSolve:
     def test_reference_point(self):
         assert vsi_exact_solve(1.0, 1.0) == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("beta2,p1", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0)])
+    def test_non_positive_inputs_refused(self, beta2, p1):
+        with pytest.raises(ValueError, match="needs positive beta2 and p1"):
+            vsi_exact_solve(beta2, p1)
 
     def test_small_power_limit(self):
         assert vsi_exact_solve(1.0, 1e-9) == pytest.approx(1.0, abs=1e-6)
@@ -324,6 +328,45 @@ class TestVsiExactSolve:
         assert report.passed, report.line()
 
 
+def _scaled_bounds(region, factor):
+    return RateRegion(tuple(replace(h, bound=h.bound * factor) for h in region.halfspaces),
+                      region.provenance)
+
+
+def _zero_sum_bound(region):
+    return RateRegion(tuple(replace(h, bound=0.0) if (h.coef_private, h.coef_common) == (1, 1)
+                            else h for h in region.halfspaces), region.provenance)
+
+
+# For each check: the module and name of the fast path it certifies, and a
+# mutation of that path's result (given the call's arguments too) that the
+# check must catch.
+BROKEN_FAST_PATHS = {
+    "region-reduction": (oracle, "hop1_region", lambda region, *_: _scaled_bounds(region, 1.01)),
+    "vertex-a-sum": (oracle, "max_sum_rate", lambda lp, *_: replace(lp, value=lp.value + 1e-6)),
+    "lp-vs-grid": (oracle, "max_sum_rate", lambda lp, *_: replace(lp, value=lp.value + 0.1)),
+    "quadrature-riemann": (oracle, "hop2_mcp_region",
+                           lambda region, *_: _scaled_bounds(region, 1.0 + 1e-9)),
+    "substitution-symmetry": (oracle, "hop2_rs_region",
+                              lambda region, *_: _scaled_bounds(region, 1.0 + 1e-12)),
+    "vsi-exact-agree": (schemes, "vsi_threshold", lambda t, *_, **__: t * (1.0 + 1e-9)),
+    "vsi-certificate": (schemes, "vsi_check", lambda verdict, *_: (True, verdict[1])),
+    "vsi-paper-sufficient": (schemes, "vsi_threshold",
+                             lambda t, *_, method="exact": 0.5 * t if method == "paper" else t),
+    "vsi-a2-dominates-a1": (schemes, "vsi_threshold",
+                            lambda t, *_, method="exact": 0.0 if method == "paper" else t),
+    "rs-dense-grid": (schemes, "rate_splitting", lambda r, *_: replace(r, rate=r.rate + 0.01)),
+    "scheme-ordering": (schemes, "coop", lambda r, *_: replace(r, rate=r.rate + 1.0)),
+    "half-duplex-halving": (schemes, "single_rate",
+                            lambda r, params: replace(r, rate=2.0 * r.rate)
+                            if params.duplex == "half" else r),
+    "mcp-sum-dominance": (oracle, "hop2_mcp_region", lambda region, *_: _zero_sum_bound(region)),
+    "power-monotonicity": (schemes, "single_rate",
+                           lambda r, params: replace(r, rate=1.0 / params.p1)),
+    "vertex-walk": (oracle, "vertices", lambda points, *_: points[:-1]),
+}
+
+
 class TestSuite:
     def test_ref_err_appended_only_when_reported(self):
         plain = oracle.OracleReport("x", 1.0, 1.0, 0.0, 1e-12, True)
@@ -353,6 +396,15 @@ class TestSuite:
         run_suite(seed=0, name_filter="vsi")
         assert ran and all("vsi" in name for name in ran)
         assert len(ran) == sum("vsi" in name for name in oracle._CHECK_NAMES)
+
+    @pytest.mark.parametrize("name", oracle._CHECK_NAMES)
+    def test_check_fails_on_broken_fast_path(self, monkeypatch, name):
+        target, attr, mutate = BROKEN_FAST_PATHS[name]
+        original = getattr(target, attr)
+        monkeypatch.setattr(target, attr, lambda *args, **kwargs: mutate(
+            original(*args, **kwargs), *args, **kwargs))
+        [report] = run_suite(seed=0, name_filter=name)
+        assert not report.passed, report.line()
 
     def test_filter_subsets_without_changing_draws(self):
         full = {r.name: r.line() for r in run_suite(seed=1)}

@@ -247,6 +247,8 @@ class TestMaxSumRate:
     def test_unbounded_up_front(self):
         with pytest.raises(ValueError):
             make_region((1, 0, 1.0, "private-single"))
+        with pytest.raises(ValueError, match="unbounded in R_private"):
+            make_region((0, 1, 1.0, "common-single"), (1, 1, 1.5, "sum-joint"))
         with pytest.raises(ValueError):
             max_sum_rate()
 
