@@ -6,7 +6,7 @@ forward, rate splitting with successive cancellation in both hops, relay
 cooperation on common messages, and multi-cell processing.
 """
 
-from .model import HopSplit, NetworkParams, RatePair, capacity, db_to_linear, linear_to_db
+from .model import HopSplit, NetworkParams, RatePair, capacity, db_to_linear
 from .regions import (
     Halfspace,
     RateRegion,
@@ -47,7 +47,6 @@ __all__ = [
     "hop2_coop_region",
     "hop2_mcp_region",
     "hop2_rs_region",
-    "linear_to_db",
     "max_sum_rate",
     "mcp",
     "optimal_private_fraction",

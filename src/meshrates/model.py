@@ -28,13 +28,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    """Convert a positive linear value to decibels."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"linear_to_db requires a finite positive input, got {x!r}")
-    return 10.0 * math.log10(x)
-
-
 def _check_gain(name: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
@@ -86,13 +79,6 @@ class NetworkParams:
             if not math.isfinite(received):
                 raise ValueError(f"hop {hop} gains times power overflow a float; "
                                  f"scale the gains or powers down")
-
-    def validate_paper_regime(self) -> bool:
-        """True iff the inter-cell gains do not exceed the intra-cell ones
-        (alpha2 <= beta2 and eta2 <= gamma2), the regime the closed-form
-        region reduction is derived for. Computations outside it are allowed
-        but should be treated with care."""
-        return self.alpha2 <= self.beta2 and self.eta2 <= self.gamma2
 
     def hop(self, k: int) -> tuple[float, float, float]:
         """(cross2, intra2, power) of hop ``k`` as the rate formulas take it:

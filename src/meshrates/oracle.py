@@ -32,7 +32,6 @@ from .regions import (
     hop2_coop_region,
     hop2_mcp_region,
     hop2_rs_region,
-    corner_rates,
 )
 
 
@@ -305,15 +304,6 @@ def _two_stage_rate(f, cross2: float, intra2: float, total: float):
     )
     stage2 = np.log2(1.0 + intra2 * pp / private_noise)
     return stage1 + stage2
-
-
-def corner_point(params: NetworkParams, split: HopSplit, hop: int = 1) -> RatePair:
-    """Sum-rate-maximizing corner of one hop's rate-splitting region at a
-    fixed split, from ``regions.corner_rates``, the formula the closed-form
-    split optimum also scores."""
-    cross2, intra2, total = params.hop(hop)
-    r_private, rc_two, rc_three = corner_rates(cross2, intra2, *split.powers(total))
-    return RatePair(float(r_private), float(min(rc_two, rc_three)))
 
 
 def dense_split_scan(params: NetworkParams, hop: int, step: float = 1e-3) -> tuple[float, float]:

@@ -13,10 +13,10 @@ import pytest
 
 from meshrates import oracle, schemes
 from meshrates.cli import main
-from meshrates.model import HopSplit, NetworkParams, db_to_linear
+from meshrates.model import HopSplit, NetworkParams, RatePair, db_to_linear
 from meshrates.oracle import certified_midpoint, full_mac_region_hop1, grid_max_sum
 from meshrates.polytope import contains, max_sum_rate, vertices
-from meshrates.regions import hop1_region, hop2_mcp_region
+from meshrates.regions import corner_rates, hop1_region, hop2_mcp_region
 
 GRID = [round(0.02 * k, 2) for k in range(51)]  # alpha2 = eta2 in {0, 0.02, ..., 1}
 
@@ -24,6 +24,12 @@ GRID = [round(0.02 * k, 2) for k in range(51)]  # alpha2 = eta2 in {0, 0.02, ...
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {number:02d}] {status} {name} {detail}".rstrip())
+
+
+def corner(params, split, hop):
+    cross2, intra2, total = params.hop(hop)
+    r_private, rc_two, rc_three = corner_rates(cross2, intra2, *split.powers(total))
+    return RatePair(float(r_private), float(min(rc_two, rc_three)))
 
 
 def draw_params(rng, p_hi=20.0):
@@ -104,12 +110,12 @@ def test_criterion_02_vertex_a_optimality():
     for _ in range(1000):
         params = draw_params(rng)
         split = HopSplit(float(rng.uniform(0.0, 1.0)))
-        corner_sum = oracle.corner_point(params, split, hop=1).total
+        corner_sum = corner(params, split, hop=1).total
         worst = max(worst, abs(corner_sum - max_sum_rate(hop1_region(params, split)).value))
 
     hand = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.0, p1=2.0, p2=1.0)
     split = HopSplit(0.5)
-    point = oracle.corner_point(hand, split, hop=1)
+    point = corner(hand, split, hop=1)
     total = point.total
     sum2 = next(h.bound for h in hop1_region(hand, split).halfspaces if h.label == "sum-2")
     tight_gap = abs(point.r_private + 2.0 * point.r_common - sum2)

@@ -9,7 +9,6 @@ from meshrates.model import (
     RatePair,
     capacity,
     db_to_linear,
-    linear_to_db,
 )
 
 
@@ -47,19 +46,16 @@ class TestDecibels:
 
     @given(st.floats(min_value=-100.0, max_value=100.0))
     def test_round_trip(self, x_db):
-        assert linear_to_db(db_to_linear(x_db)) == pytest.approx(x_db, abs=1e-12)
+        assert 10.0 * math.log10(db_to_linear(x_db)) == pytest.approx(x_db, abs=1e-12)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             db_to_linear(math.nan)
-        with pytest.raises(ValueError):
-            linear_to_db(0.0)
 
 
 class TestNetworkParams:
     def test_valid_instance(self):
         p = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=1.0)
-        assert p.validate_paper_regime()
         assert p.rate_scale() == 1.0
 
     def test_hop_terms(self):
@@ -74,8 +70,7 @@ class TestNetworkParams:
             p.hop(k)
 
     def test_regime_flagging_not_an_error(self):
-        p = NetworkParams(alpha2=3.0, beta2=1.0, gamma2=1.0, eta2=0.0, p1=1.0, p2=1.0)
-        assert not p.validate_paper_regime()
+        NetworkParams(alpha2=3.0, beta2=1.0, gamma2=1.0, eta2=0.0, p1=1.0, p2=1.0)
 
     @pytest.mark.parametrize("field,value", [
         ("alpha2", -0.1), ("beta2", math.inf), ("p1", 0.0), ("p2", -1.0),

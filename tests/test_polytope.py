@@ -4,7 +4,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from meshrates.model import HopSplit, NetworkParams, RatePair
 from meshrates.oracle import (
-    corner_point,
     enumerated_vertices,
     full_mac_region_hop1,
     grid_max_sum,
@@ -13,6 +12,7 @@ from meshrates.polytope import _DEDUP_TOL, LPSolution, contains, max_sum_rate, v
 from meshrates.regions import (
     Halfspace,
     RateRegion,
+    corner_rates,
     hop1_region,
     hop2_coop_region,
     hop2_mcp_region,
@@ -21,6 +21,12 @@ from meshrates.regions import (
 
 FIG2 = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=2.0)
 HALF = HopSplit(0.5)
+
+
+def corner(params, split, hop):
+    cross2, intra2, total = params.hop(hop)
+    r_private, rc_two, rc_three = corner_rates(cross2, intra2, *split.powers(total))
+    return RatePair(float(r_private), float(min(rc_two, rc_three)))
 
 
 def make_region(*spec, provenance="custom()"):
@@ -150,7 +156,7 @@ class TestMaxSumRate:
 
     def test_hop1_region_attains_corner(self):
         lp = max_sum_rate(hop1_region(FIG2, HALF))
-        point = corner_point(FIG2, HALF, hop=1)
+        point = corner(FIG2, HALF, hop=1)
         assert lp.value == pytest.approx(point.total, abs=1e-12)
         assert lp.point.r_private == pytest.approx(point.r_private, abs=1e-9)
 
@@ -278,7 +284,7 @@ class TestContains:
         assert contains(HAND_LP, RatePair(0.0, 0.0))
 
     def test_vertex_a_in_own_region(self):
-        point = corner_point(FIG2, HALF, hop=1)
+        point = corner(FIG2, HALF, hop=1)
         assert contains(hop1_region(FIG2, HALF), point, tol=1e-12)
 
     def test_just_outside_private_bound(self):

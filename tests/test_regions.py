@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meshrates import oracle
-from meshrates.model import HopSplit, NetworkParams, RatePair
+from meshrates.model import HopSplit, NetworkParams, RatePair, split_powers
 from meshrates.polytope import contains, max_sum_rate, vertices
 from meshrates.regions import (
     Halfspace,
@@ -28,6 +28,12 @@ HALF = HopSplit(0.5)  # P_1p = P_1c = 1 at total power 2
 
 def region_bounds(region):
     return {h.label: h.bound for h in region.halfspaces}
+
+
+def corner(params, split, hop):
+    cross2, intra2, total = params.hop(hop)
+    r_private, rc_two, rc_three = corner_rates(cross2, intra2, *split.powers(total))
+    return RatePair(float(r_private), float(min(rc_two, rc_three)))
 
 
 gains = st.floats(min_value=0.0, max_value=2.5)
@@ -383,24 +389,25 @@ class TestHopConvention:
 
     def test_corner_rates_take_cross_then_intra(self):
         params = self.PARAMS
-        split = HopSplit(0.4)
-        pw = split.powers(params.p2)
-        pp, pc = pw.p_private, pw.p_common
-        r_private, rc_two, rc_three = corner_rates(cross2=params.eta2, intra2=params.gamma2,
-                                                   p_private=pp, p_common=pc)
-        assert oracle.corner_point(params, split, hop=2) == \
-               RatePair(float(r_private), float(min(rc_two, rc_three)))
+        pp, pc = HopSplit(0.4).powers(params.p2)
+        rates = corner_rates(cross2=params.eta2, intra2=params.gamma2,
+                             p_private=pp, p_common=pc)
+        # the positional call the per-hop split optimum makes
+        assert corner_rates(*params.hop(2)[:2], pp, pc) == rates
+        swapped = corner_rates(cross2=params.gamma2, intra2=params.eta2,
+                               p_private=pp, p_common=pc)
+        assert all(s != r for s, r in zip(swapped, rates))
 
 
 class TestVertexA:
     def test_no_interference(self):
         params = NetworkParams(alpha2=0.0, beta2=1.0, gamma2=1.0, eta2=0.0, p1=2.0, p2=2.0)
-        point = oracle.corner_point(params, HALF, hop=1)
+        point = corner(params, HALF, hop=1)
         assert (point.r_private, point.r_common) == (1.0, 0.0)
         assert point.total == 1.0
 
     def test_fig2_corner(self):
-        point = oracle.corner_point(FIG2, HALF, hop=1)
+        point = corner(FIG2, HALF, hop=1)
         assert point.r_private == pytest.approx(0.6374299206152918, abs=1e-12)
         assert point.r_common == pytest.approx(0.18128503969235418, abs=1e-12)
         assert point.total == pytest.approx(0.818714960307646, abs=1e-12)
@@ -410,20 +417,16 @@ class TestVertexA:
 
     def test_hop2_substitution(self):
         params = NetworkParams(alpha2=0.1, beta2=2.0, gamma2=1.0, eta2=0.4, p1=5.0, p2=2.0)
-        point2 = oracle.corner_point(params, HALF, hop=2)
-        point1 = oracle.corner_point(FIG2, HALF, hop=1)
+        point2 = corner(params, HALF, hop=2)
+        point1 = corner(FIG2, HALF, hop=1)
         assert (point2.r_private, point2.r_common) == (point1.r_private, point1.r_common)
-
-    def test_bad_hop(self):
-        with pytest.raises(ValueError):
-            oracle.corner_point(FIG2, HALF, hop=3)
 
     @given(networks(), fractions)
     @settings(max_examples=60, deadline=None)
     def test_feasible_and_sum_optimal(self, params, f):
         split = HopSplit(f)
         region = hop1_region(params, split)
-        point = oracle.corner_point(params, split, hop=1)
+        point = corner(params, split, hop=1)
         assert contains(region, point, tol=1e-12)
         assert point.total == pytest.approx(max_sum_rate(region).value, abs=1e-9)
 
@@ -462,3 +465,53 @@ class TestVerticesBC:
                 assert any(abs(v.r_private - point.r_private) <= 1e-7
                            and abs(v.r_common - point.r_common) <= 1e-7
                            for v in verts)
+
+
+def hop_draws(seed, n, regime_only=False):
+    """n seeded (cross2, intra2, power) triples: intra2 on [0.2, 2.5], cross2
+    on [0, intra2] in regime and on [intra2, 2*intra2] out of it (every other
+    draw unless ``regime_only``), power log-uniform on [0.05, 20]."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        intra2 = float(rng.uniform(0.2, 2.5))
+        low = 1.0 if k % 2 and not regime_only else 0.0
+        cross2 = intra2 * float(rng.uniform(low, low + 1.0))
+        yield cross2, intra2, float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
+
+
+class TestSplitMonotonicity:
+    """How each bound moves with the private fraction f at fixed hop power:
+    the facts a per-hop frontier over the split can rest on. Each draw's
+    bounds are taken on evenly spaced fractions from 0 to 1."""
+
+    @pytest.mark.parametrize("bounds_fn", [mac_bounds, coop_bounds])
+    def test_mac_and_coop_bounds(self, bounds_fn):
+        fractions = np.linspace(0.0, 1.0, 1001)
+        rising = []
+        for cross2, intra2, total in hop_draws(11, 1000):
+            p_private, p_common = split_powers(fractions, total)
+            bounds = bounds_fn(cross2, intra2, p_private, p_common)
+            steps = {key: np.diff(bound) for key, bound in bounds.items()}
+            assert steps[(1, 0)].min() >= -1e-14
+            for key in ((0, 2), (0, 3), (1, 3)):
+                assert steps[key].max() <= 1e-14, key
+            assert steps[(1, 2)].min() >= -1e-14 or steps[(1, 2)].max() <= 1e-14
+            if bounds_fn is not mac_bounds or cross2 > intra2:
+                continue
+            # d/df of the (1, 2) bound has the sign of b - 2a(1 + 2aP)
+            rising.append(bounds[(1, 2)][-1] > bounds[(1, 2)][0])
+            assert rising[-1] == (intra2 > 2.0 * cross2 * (1.0 + 2.0 * cross2 * total))
+            # the private bound x inverts to Pp = (2^x - 1)/(b - 2a(2^x - 1))
+            gain = np.exp2(bounds[(1, 0)]) - 1.0
+            inverse = gain / (intra2 - 2.0 * cross2 * gain)
+            assert np.abs(inverse - p_private).max() <= 1e-13 * total
+        # both branches of the (1, 2) rule occur
+        assert bounds_fn is not mac_bounds or 0 < sum(rising) < len(rising)
+
+    def test_mcp_bounds(self):
+        fractions = np.linspace(0.0, 1.0, 201)
+        for cross2, intra2, total in hop_draws(12, 100, regime_only=True):
+            bounds = mcp_bounds(cross2, intra2, *split_powers(fractions, total))
+            assert np.diff(bounds[(1, 0)]).min() >= -1e-14
+            assert np.diff(bounds[(0, 1)]).max() <= 1e-14
+            assert np.diff(bounds[(1, 1)], 2).max() <= 1e-12
