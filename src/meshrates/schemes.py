@@ -5,13 +5,15 @@ supports, optimizing the private/common power split of each hop. A hop's own
 split (rate splitting, the first-hop bound) is optimized in closed form: the
 corner sum rate peaks at one of five candidate fractions, whose corners are
 evaluated once; the winning corner gives the rate, the operating point and
-the binding bound alike. Only the joint (f1, f2) searches of coop and mcp are
+the binding bound alike. The joint (f1, f2) search of coop and mcp first
+scores hop 1's optimal split against a grid of hop-2 splits: hop 1's optimum
+caps every joint rate, so a cell that reaches it is exact. Elsewhere it is
 grids: one table of passes, each grid centred on the previous best, every
 cell scored by the max-sum LP of its two hops (``polytope._max_sum_grid``).
-Each hop's bounds are evaluated once per pass: the returned rate, operating
-point and binding constraints come from ``max_sum_rate`` on the regions of
-the bounds the last pass scored at its winning cell, so the rate is that
-cell's value bit for bit.
+Each hop's bounds are evaluated once per scoring: the returned rate,
+operating point and binding constraints come from ``max_sum_rate`` on the
+regions of the bounds scored at the winning cell, so the rate is that cell's
+value bit for bit.
 
 Half duplex scales every final rate by 1/2; the optional power boost doubles
 both transmit powers first.
@@ -223,23 +225,38 @@ def _split_grid(centre: float, points: int, window: float) -> np.ndarray:
 
 
 def _search_joint_splits(params: NetworkParams, bounds_fn) -> tuple[float, float, dict, dict]:
-    """Shrinking grids over (f1, f2), each centred on the previous best.
+    """Hop 1's exact optimum first, else shrinking grids over (f1, f2).
 
-    Returns the best (f1, f2) of the last pass and each hop's bounds at it,
-    read from the arrays that pass scored, so the winning cell's value is
-    the max-sum LP over exactly these bounds.
+    Hop 1's max-sum LP at any f1 caps every joint rate, and its maximum over
+    f1 is the corner optimum of ``_hop_optimum``. So the split f1-hat is
+    scored first, against pass 1's hop-2 grid: a cell within 1e-12 of that
+    optimum is the joint optimum within 1e-12 and is returned. Otherwise
+    the passes run, each grid centred on the previous best, pass 1 on the
+    hop-2 bounds already evaluated.
+
+    Returns the best (f1, f2) and each hop's bounds at it, read from the
+    arrays that were scored, so the winning cell's value is the max-sum LP
+    over exactly these bounds.
     """
     cross1, intra1, total1 = params.hop(1)
     cross2, intra2, total2 = params.hop(2)
-    f1 = f2 = (0.5,)
-    i = j = 0
-    for points, window in _JOINT_PASSES:
-        f1 = _split_grid(float(f1[i]), points, window)
-        f2 = _split_grid(float(f2[j]), points, window)
-        bounds1 = mac_bounds(cross1, intra1, *split_powers(f1, total1))
-        bounds2 = bounds_fn(cross2, intra2, *split_powers(f2, total2))
-        values = _max_sum_grid(bounds1, bounds2)
-        i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
+    split, corner, _ = _hop_optimum(cross1, intra1, total1)
+    f1 = np.array([split.f_private])
+    f2 = _split_grid(0.5, *_JOINT_PASSES[0])
+    bounds1 = mac_bounds(cross1, intra1, *split_powers(f1, total1))
+    bounds2 = bounds_fn(cross2, intra2, *split_powers(f2, total2))
+    row = _max_sum_grid(bounds1, bounds2)[0]
+    i, j = 0, _pick_last_max(row)
+    if row[j] < corner.total - 1e-12:
+        f1 = (0.5,)
+        for k, (points, window) in enumerate(_JOINT_PASSES):
+            f1 = _split_grid(float(f1[i]), points, window)
+            bounds1 = mac_bounds(cross1, intra1, *split_powers(f1, total1))
+            if k:
+                f2 = _split_grid(float(f2[j]), points, window)
+                bounds2 = bounds_fn(cross2, intra2, *split_powers(f2, total2))
+            values = _max_sum_grid(bounds1, bounds2)
+            i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
     return (float(f1[i]), float(f2[j]), {key: c[i] for key, c in bounds1.items()},
             {key: c[j] for key, c in bounds2.items()})
 
@@ -248,10 +265,11 @@ def _joint(scheme: str, params: NetworkParams, bounds_fn) -> SchemeResult:
     """Rate splitting in hop 1, hop 2 with the bounds ``bounds_fn`` gives on
     split grids; the hop-2 region is named after the scheme (``hop2-coop``,
     ``hop2-mcp``). The inner problem for fixed splits is the exact LP over
-    the intersection of the two hop regions; the outer search sweeps both
-    split fractions, and the LP runs once more, on the regions of the bounds
-    the search scored at its winning cell, for the operating point and the
-    binding constraints."""
+    the intersection of the two hop regions; the outer search stops at hop
+    1's optimal split where a hop-2 split reaches its rate and sweeps both
+    split fractions elsewhere. The LP runs once more, on the regions of the
+    bounds the search scored at its winning cell, for the operating point
+    and the binding constraints."""
     scale = params.rate_scale()
     f1, f2, bounds1, bounds2 = _search_joint_splits(params, bounds_fn)
     split1, split2 = HopSplit(f1), HopSplit(f2)

@@ -2,12 +2,13 @@
 
 Headers and bottleneck labels must match exactly, and every rate column and
 every closed-form per-hop split fraction (the f-hat curves of Fig. 3) within
-1e-9. The coop/mcp split fractions come from a four-pass shrinking grid and
-are not compared: where the optimal face is degenerate they are not unique.
-That grid is not exact either. On the Fig. 4/5 grids its rates sit up to
-9.4e-4 (mcp) and 1.9e-5 (coop) below the model's optimum, so an exact joint
-search moves these rates too, and out/ must then be regenerated. Fresh CSVs
-go to a temporary directory, never into out/.
+1e-9. The coop/mcp split fractions are not compared: where the optimal face
+is degenerate they are not unique. Where a hop-2 split reaches hop 1's
+optimum, the rate is first_hop_bound within 1e-12 (88 of the 102 Fig. 4/5
+mcp points, no coop point). Elsewhere it comes from a four-pass shrinking
+grid, which sits up to 9.4e-4 (mcp) and 1.9e-5 (coop) below the model's
+optimum, so an exact joint search moves these rates too, and out/ must then
+be regenerated. Fresh CSVs go to a temporary directory, never into out/.
 """
 
 import csv

@@ -284,9 +284,10 @@ class TestCoop:
                         tol=1e-9)
 
 
-def seeded_networks(seed, n):
+def seeded_networks(seed, n, variants=False):
     """n seeded networks; every other one lies outside the paper regime
-    (alpha2 > beta2 and eta2 > gamma2)."""
+    (alpha2 > beta2 and eta2 > gamma2). With ``variants``, every third is
+    half duplex and every sixth has power boost."""
     rng = np.random.default_rng(seed)
     draws = []
     for k in range(n):
@@ -296,7 +297,9 @@ def seeded_networks(seed, n):
         draws.append(NetworkParams(alpha2=float(beta2 * rng.uniform(low, high)),
                                    beta2=float(beta2), gamma2=float(gamma2),
                                    eta2=float(gamma2 * rng.uniform(low, high)),
-                                   p1=float(p1), p2=float(p2)))
+                                   p1=float(p1), p2=float(p2),
+                                   duplex="half" if variants and k % 3 == 0 else "full",
+                                   power_boost=variants and k % 6 == 0))
     return draws
 
 
@@ -410,8 +413,11 @@ class TestJointValues:
             cell = _max_sum_grid(*bounds)[0, 0]
             assert cell * params.rate_scale() == result.rate, params
 
-    @pytest.mark.parametrize("scheme,name", [(coop, "coop_bounds"), (mcp, "mcp_bounds")])
-    def test_one_bounds_evaluation_per_pass(self, scheme, name, monkeypatch):
+    @pytest.mark.parametrize("scheme,name,certified", [
+        pytest.param(coop, "coop_bounds", (False, False), id="coop-coop_bounds"),
+        pytest.param(mcp, "mcp_bounds", (True, False), id="mcp-mcp_bounds"),
+    ])
+    def test_one_bounds_evaluation_per_pass(self, scheme, name, certified, monkeypatch):
         calls = []
 
         def counting(fn, label):
@@ -426,10 +432,59 @@ class TestJointValues:
         for module in (schemes, regions):
             monkeypatch.setattr(module, "mac_bounds", hop1)
             monkeypatch.setattr(module, name, hop2)
-        scheme(symmetric(0.4, 2.0, p2=1.0))
+        # A certified search scores hop 1's optimum against pass 1's hop-2
+        # grid and stops; otherwise pass 1 reuses that hop-2 grid.
         passes = len(schemes._JOINT_PASSES)
-        assert [label for label, _, _ in calls] == ["hop1", "hop2"] * passes
-        assert {(pp, pc) for _, pp, pc in calls} == {(np.ndarray, np.ndarray)}
+        fallback = ["hop1", "hop2", "hop1"] + ["hop1", "hop2"] * (passes - 1)
+        p1 = db_to_linear(3.0)
+        for params, exact in zip((symmetric(0.4, 2.0, p2=1.0), symmetric(0.06, p1, p1 / 2.0)),
+                                 certified):
+            calls.clear()
+            scheme(params)
+            assert [label for label, _, _ in calls] == (["hop1", "hop2"] if exact else fallback)
+            assert {(pp, pc) for _, pp, pc in calls} == {(np.ndarray, np.ndarray)}
+
+
+class TestFirstHopCertificate:
+    """Hop 1's max-sum LP at any f1 caps the joint rate, and its maximum over
+    f1 is the first-hop bound; a cell reaching that bound is optimal."""
+
+    @pytest.mark.parametrize("scheme,expected", [(coop, 0), (mcp, 88)])
+    def test_capped_by_and_certified_at_first_hop_bound(self, scheme, expected, monkeypatch):
+        hop1_calls = []
+
+        def counting(*args):
+            hop1_calls.append(args)
+            return mac_bounds(*args)
+
+        monkeypatch.setattr(schemes, "mac_bounds", counting)
+        # the 102 Fig. 4/5 networks: alpha2 = eta2 on 0:1:0.02, P2 = P1/2
+        figures = [symmetric(k * 0.02, p1, p1 / 2.0)
+                   for p1 in (db_to_linear(3.0), db_to_linear(10.0)) for k in range(51)]
+        certified = 0
+        for k, params in enumerate(figures + seeded_networks(5, 600, variants=True)):
+            hop1_calls.clear()
+            result = scheme(params)
+            bound = first_hop_upper_bound(params)
+            assert result.rate <= bound.rate + 1e-12, params
+            if len(hop1_calls) == 1:  # the search stopped at hop 1's optimum
+                assert result.rate == pytest.approx(bound.rate, abs=1e-12), params
+                assert result.split_hop1 == bound.split_hop1, params
+                certified += k < len(figures)
+        assert certified == expected
+
+    @pytest.mark.parametrize("p1_db,a2,grid_rate,rise", [
+        (10.0, 0.38, 1.5655020171308842, 4.01e-5),
+        (3.0, 0.54, 0.8418134148181078, 2.35e-7),
+    ])
+    def test_mcp_reaches_first_hop_bound_above_the_grid(self, p1_db, a2, grid_rate, rise):
+        # Fig. 5 alpha2 = 0.38 and Fig. 4 alpha2 = 0.54: the two largest
+        # moves on the figure grids, pinned against the four-pass grid's rate
+        p1 = db_to_linear(p1_db)
+        params = symmetric(a2, p1, p2=p1 / 2.0)
+        rate = mcp(params).rate
+        assert rate == pytest.approx(first_hop_upper_bound(params).rate, abs=1e-12)
+        assert rate - grid_rate == pytest.approx(rise, rel=1e-2)
 
 
 class TestMcp:
