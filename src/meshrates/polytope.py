@@ -6,7 +6,7 @@ both coefficients are non-zero, coef_common >= coef_private. Moving along
 R_private + R_common, so the max-sum LP has the greedy closed form of a
 polymatroid: take the largest private rate first, then the largest common
 rate. ``max_sum_rate`` states it on scalar bounds, ``_max_sum_grid`` on two
-hops' bounds over grids of their power splits.
+hops' bounds over grids of their power splits, one broadcast per line.
 Non-negative coefficients also make every region down-closed, so
 ``vertices`` walks the upper envelope of its lines from R_p = 0 instead of
 enumerating pairwise intersections (``oracle.enumerated_vertices`` still
@@ -80,46 +80,17 @@ def max_sum_rate(*regions: RateRegion) -> LPSolution:
                       degenerate=face > 1e-9)
 
 
-def _hop_caps(bounds: dict) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One hop's bounds reduced along its own split grid: the private cap
-    (min c/a over a > 0), the pure-common cap (min c/b over a = 0) and the
-    sum-line bounds keyed by coef_common (every sum line has coef_private 1).
-    A line of coefficient 1 gives c itself, which is c/1 exactly."""
-    private = reduce(np.minimum, [c if a == 1 else c / a for (a, b), c in bounds.items() if a])
-    common = reduce(np.minimum, [c if b == 1 else c / b
-                                 for (a, b), c in bounds.items() if not a])
-    return private, common, {b: c for (a, b), c in bounds.items() if a and b}
-
-
 def _max_sum_grid(bounds1: dict, bounds2: dict) -> np.ndarray:
     """Max-sum LP value of hop 1 at the i-th entries of ``bounds1``
-    intersected with hop 2 at the j-th entries of ``bounds2``.
-
-    The greedy of ``max_sum_rate``, with each hop's bounds reduced on its
-    own split grid first: x = min of the private caps,
-    y = max(min(common caps, (c - x)/b over the sum lines), 0), with the
-    sum lines of a shared coef_common taken at their min bound. Division and
-    subtraction round monotonically, so every cell is the same float as the
-    greedy over the unreduced lines.
-    """
-    private1, common1, sums1 = _hop_caps(bounds1)
-    private2, common2, sums2 = _hop_caps(bounds2)
-    x = np.minimum.outer(private1, private2)
-    y = np.minimum.outer(common1, common2)
-    term = np.empty_like(y)
-    for b in sums1.keys() | sums2.keys():
-        if b in sums1 and b in sums2:
-            np.minimum.outer(sums1[b], sums2[b], out=term)
-            term -= x
-        else:
-            c = sums1[b][:, None] if b in sums1 else sums2[b][None, :]
-            np.subtract(c, x, out=term)
-        if b != 1:
-            term /= b
-        np.minimum(y, term, out=y)
-    np.maximum(y, 0.0, out=y)
-    y += x
-    return y
+    intersected with hop 2 at the j-th entries of ``bounds2``: the greedy of
+    ``max_sum_rate`` over every line of both hops, broadcast over the grid.
+    x = min c/a, then y = max(min (c - a*x)/b, 0), so every cell is the
+    float ``max_sum_rate`` gives."""
+    lines = ([(a, b, c[:, None]) for (a, b), c in bounds1.items()]
+             + [(a, b, c[None, :]) for (a, b), c in bounds2.items()])
+    x = reduce(np.minimum, [c / a for a, b, c in lines if a > 0])
+    y = reduce(np.minimum, [(c - a * x) / b for a, b, c in lines if b > 0])
+    return x + np.maximum(y, 0.0)
 
 
 # The axes as (coef_private, coef_common, bound) lines.

@@ -5,19 +5,22 @@ strategy fixes which interfering codebooks are decoded and which are treated
 as noise. Every builder here emits the reduced constraint set of that MAC as
 labeled halfspaces ``coef_private*R_p + coef_common*R_c <= bound``.
 
-The two-message min-type common bounds are emitted as two separate halfspaces
-(2-user and 3-user) so linear programs over the raw polytope can report
-binding constraints faithfully. The joint-decoding (MCP) bounds are spectral
-integrals, evaluated by Jensen's formula over seven roots in one ``_phi``
-evaluation: conjugate pairs of linear or quadratic factors give the private
-and common roots in closed form, and the sum bound's four come from one
-batched companion-matrix eigenvalue call on a reversed quartic.
+Both rate-splitting MACs (``mac_bounds``, ``coop_bounds``) are one formula
+over a hop's gains per unit of power (``_RsGains``), which the closed-form
+split optimum in ``schemes`` reads too. Their two-message min-type common
+bounds are emitted as two halfspaces (2-user and 3-user) so linear programs
+can report binding constraints faithfully. The joint-decoding (MCP) bounds
+are spectral integrals, evaluated by Jensen's formula over seven roots in one
+``_phi`` evaluation: conjugate pairs of linear or quadratic factors give the
+private and common roots in closed form, and the sum bound's four come from
+one batched companion-matrix eigenvalue call on a reversed quartic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,11 +81,51 @@ class RateRegion:
 # each public region builder is the bounds at its split passed to it.
 # ---------------------------------------------------------------------------
 
-def _rs_bounds(private, two, three, noise):
-    """The five rate-splitting bounds of one hop, keyed by (coef_private,
-    coef_common): ``private`` is the private codeword's receive power,
-    ``two`` and ``three`` the summed receive powers of the two- and
-    three-codeword common subsets, all over ``noise``."""
+class _RsGains(NamedTuple):
+    """A rate-splitting hop's receive gains per unit of transmit power.
+
+    ``private`` is the own private codeword's gain, ``two`` and ``three``
+    the summed gains of the two- and three-codeword common subsets per unit
+    of codeword power, p_common/``copies`` when ``copies`` relays send each
+    common codeword. The noise is 1 + ``noise``*(p_private + ``leak``*
+    codeword power); ``per_unit_power`` restates all of it per unit of power.
+    """
+
+    private: float
+    two: float
+    three: float
+    noise: float
+    leak: float
+    copies: float
+
+    def per_unit_power(self):
+        """The gains per unit of p_private and p_common, then the noise's slopes."""
+        return (self.private, self.two / self.copies, self.three / self.copies,
+                self.noise, self.noise * self.leak / self.copies)
+
+
+def _mac_gains(cross2, intra2) -> _RsGains:
+    """The reduced 4-user MAC: the own and both adjacent common codewords
+    are decoded, the adjacent private codewords are noise."""
+    return _RsGains(intra2, 2.0 * cross2, 2.0 * cross2 + intra2, 2.0 * cross2, 0.0, 1.0)
+
+
+def _coop_gains(cross2, intra2) -> _RsGains:
+    """Three adjacent relays send each common codeword, coherently: (gamma +
+    eta)^2 and (gamma + 2*eta)^2 gain terms, and the two outer-cell common
+    codewords leak into the noise with the adjacent private ones."""
+    g, e = np.sqrt(intra2), np.sqrt(cross2)
+    two = 2.0 * (g + e) ** 2
+    return _RsGains(intra2, two, two + (g + 2.0 * e) ** 2, 2.0 * cross2, 1.0, 3.0)
+
+
+def _rs_bounds(gains: _RsGains, p_private, p_common):
+    """The five rate-splitting bounds of a hop with ``gains``, keyed by
+    (coef_private, coef_common)."""
+    codeword = p_common / gains.copies
+    noise = 1.0 + gains.noise * (p_private + gains.leak * codeword)
+    private = gains.private * p_private
+    two, three = gains.two * codeword, gains.three * codeword
     return {
         (1, 0): np.log2(1.0 + private / noise),
         (0, 2): np.log2(1.0 + two / noise),
@@ -98,25 +141,13 @@ def mac_bounds(cross2, intra2, p_private, p_common):
     ``cross2``/``intra2`` are the inter-/intra-cell power gains of the hop.
     Returns the bounds keyed by (coef_private, coef_common).
     """
-    noise = 1.0 + 2.0 * cross2 * p_private
-    return _rs_bounds(intra2 * p_private, 2.0 * cross2 * p_common,
-                      (2.0 * cross2 + intra2) * p_common, noise)
+    return _rs_bounds(_mac_gains(cross2, intra2), p_private, p_common)
 
 
 def coop_bounds(cross2, intra2, p_private, p_common):
     """Second-hop MAC bounds when the three adjacent relays transmit each
-    common codeword cooperatively, splitting its power three ways.
-
-    Coherent combining turns the common-signal receive powers into
-    (gamma+eta)^2 and (gamma+2*eta)^2 terms; the two leaked outer-cell common
-    codewords and the adjacent private codewords raise the noise floor.
-    """
-    g, e = np.sqrt(intra2), np.sqrt(cross2)
-    per_code = p_common / 3.0
-    noise = 1.0 + 2.0 * cross2 * (p_private + per_code)
-    two_user = 2.0 * (g + e) ** 2
-    three_user = two_user + (g + 2.0 * e) ** 2
-    return _rs_bounds(intra2 * p_private, two_user * per_code, three_user * per_code, noise)
+    common codeword cooperatively (``_coop_gains``)."""
+    return _rs_bounds(_coop_gains(cross2, intra2), p_private, p_common)
 
 
 _LN2 = math.log(2.0)
@@ -266,25 +297,3 @@ def hop2_coop_region(params: NetworkParams, split: HopSplit) -> RateRegion:
 def hop2_mcp_region(params: NetworkParams, split: HopSplit) -> RateRegion:
     """Relay-to-base hop region with joint decoding across all base stations."""
     return _hop_region("hop2-mcp", 2, mcp_bounds, params, split)
-
-
-# ---------------------------------------------------------------------------
-# Analytic corner points
-# ---------------------------------------------------------------------------
-
-def corner_rates(cross2, intra2, p_private, p_common):
-    """Private rate and the two-user and three-user per-codeword common-rate
-    bounds at the hop's sum-rate-maximizing corner, for scalar or array powers.
-
-    The three common codewords are decoded jointly first (all private
-    signals still on air) and cancelled; the private codeword is then
-    decoded free of same-cell common signals. The corner is the private rate
-    and the smaller common bound; the per-hop split optimum in ``schemes``
-    evaluates it for all its candidates at once.
-    """
-    noise0 = 1.0 + 2.0 * cross2 * p_private
-    noise_first = 1.0 + (2.0 * cross2 + intra2) * p_private
-    r_private = np.log2(1.0 + intra2 * p_private / noise0)
-    rc_two = 0.5 * np.log2(1.0 + 2.0 * cross2 * p_common / noise_first)
-    rc_three = np.log2(1.0 + (2.0 * cross2 + intra2) * p_common / noise_first) / 3.0
-    return r_private, rc_two, rc_three

@@ -1,19 +1,19 @@
 """End-to-end achievable rates per transmission scheme.
 
 Every scheme maps a network instance to the best rate its coding strategy
-supports, optimizing the private/common power split of each hop. A hop's own
-split (rate splitting, the first-hop bound) is optimized in closed form: the
-corner sum rate peaks at one of five candidate fractions, whose corners are
+supports, optimizing the private/common power split of each hop. A
+rate-splitting hop's own split (both hops of rate splitting, hop 1 of every
+scheme, coop's hop 2) is optimized in closed form from the hop's gains: the
+corner sum rate peaks at one of a few candidate fractions, whose corners are
 evaluated once; the winning corner gives the rate, the operating point and
-the binding bound alike. The joint (f1, f2) search of coop and mcp first
-scores hop 1's optimal split against a grid of hop-2 splits: hop 1's optimum
-caps every joint rate, so a cell that reaches it is exact. Elsewhere it is
-grids: one table of passes, each grid centred on the previous best, every
-cell scored by the max-sum LP of its two hops (``polytope._max_sum_grid``).
-Each hop's bounds are evaluated once per scoring: the returned rate,
-operating point and binding constraints come from ``max_sum_rate`` on the
-regions of the bounds scored at the winning cell, so the rate is that cell's
-value bit for bit.
+the binding bound alike. Each such optimum caps the joint (f1, f2) rate of
+coop and mcp, so their search first scores the smaller cap's split against a
+grid of the other hop's splits: a cell that reaches the cap is exact.
+Elsewhere it is grids: one table of passes, each centred on the previous
+best, every cell scored by the max-sum LP of its two hops
+(``polytope._max_sum_grid``), each hop's bounds evaluated once per pass. The
+returned rate, operating point and binding come from ``max_sum_rate`` on the
+regions of the bounds scored at the winning cell: the cell's value, bit for bit.
 
 Half duplex scales every final rate by 1/2; the optional power boost doubles
 both transmit powers first.
@@ -31,8 +31,10 @@ from .polytope import _max_sum_grid, max_sum_rate
 from .regions import (
     LABEL_COMMON2,
     LABEL_COMMON3,
+    _coop_gains,
+    _mac_gains,
+    _RsGains,
     coop_bounds,
-    corner_rates,
     hop_region,
     mac_bounds,
     mcp_bounds,
@@ -100,41 +102,58 @@ def _pick_last_max(values: np.ndarray, tie_tol: float = 1e-12) -> int:
     return int(np.nonzero(values >= top - tie_tol)[0][-1])
 
 
-def _hop_split_candidates(cross2: float, intra2: float, total: float) -> np.ndarray:
+def _hop_split_candidates(gains: _RsGains, total: float) -> np.ndarray:
     """Private power fractions, ascending, among which the hop's corner sum
     rate attains its maximum.
 
-    With a = cross2, b = intra2, c = 2a + b, x the private power, D0 = 1 + 2aP
-    and K = 1 + cP, the corner sum rate is min(S2, S3) with
-        S2 = log2(1 + cx)/2 - log2(1 + 2ax) + log2(D0 + bx)/2,
-        S3 = 2 log2(1 + cx)/3 - log2(1 + 2ax) + log2(K)/3.
-    Over common denominators the numerator of each derivative is linear in x
-    (for S2 the x^2 terms cancel), so each branch has at most one stationary
-    point, and the maximum over [0, P] sits at an endpoint, at one of these
-    two points, or where the branches cross: (D0 + bx)^3 = K^2 (1 + cx), a
-    cubic with the root x = P whose quotient quadratic has exactly one
-    positive root in D0 + bx. Interior candidates that are not finite
-    (degenerate gains) or fall outside (0, P) are dropped: clipped, they
-    would repeat an endpoint.
+    With the gains g_p, g_k and noise slopes n_p, n_c of
+    ``_RsGains.per_unit_power``, private power x and common power y = P - x,
+    N = 1 + n_p x + n_c y, M = N + g_p x and T_k = M + g_k y are affine in x,
+    and the corner sum rate is min(S2, S3), S_k = ((k - 1) log2 M - k log2 N
+    + log2 T_k)/k. Over M N T_k each derivative's numerator is linear in x
+    (the x^2 terms cancel), so each branch has at most one stationary point,
+    and the maximum over [0, P] sits at an endpoint, at one of these two
+    points, or where the branches cross: T2^3 = M T3^2, a cubic with the
+    root x = P whose quotient is a quadratic in z = y/M(P); both its roots
+    are tried. Interior candidates that are not finite (degenerate gains) or
+    fall outside (0, P) are dropped: clipped, they would repeat an endpoint.
     """
-    # numpy scalars: a zero divisor gives inf or nan here, not ZeroDivisionError
-    a, b, p = np.float64(cross2), np.float64(intra2), np.float64(total)
-    with np.errstate(all="ignore"):
-        c = 2.0 * a + b
-        d0 = 1.0 + 2.0 * a * p
-        k = 1.0 + c * p
-        stationary3 = (b - a) / (a * c)
-        stationary2 = ((b - 2.0 * a) * d0 + b) / (2.0 * (a * c * d0 + a * b - b * c))
-        # (D0 + bx)/K at the crossing, (sqrt(1 + 8a/b) - 1)/2, written
-        # without the cancellation at small a/b
-        ratio = 4.0 * a / (b * (np.sqrt(1.0 + 8.0 * a / b) + 1.0))
-        crossing = (k * ratio - d0) / b
-        fs = np.array([stationary3, stationary2, crossing]) / p
-    interior = fs[(fs > 0.0) & (fs < 1.0)]
-    return np.concatenate(([0.0], np.sort(interior), [1.0]))
+    # Python floats: overflow gives inf or nan, and each division is guarded
+    g_p, g2, g3, n_p, n_c = map(float, gains.per_unit_power())
+    n = n_p - n_c  # the slopes in x of N, M and T_k, summed so that
+    m = n + g_p    # the rate-splitting MAC's come out exact
+    t2, t3 = (n - g2) + g_p, m - g3
+    n0 = 1.0 + n_c * total  # N = M at x = 0; T_k there is t0
+    xs = []
+    for k, t, t0 in ((2.0, t2, 1.0 + (n_c + g2) * total), (3.0, t3, 1.0 + (n_c + g3) * total)):
+        num = n0 * (((k - 1.0) * g_p - n) * t0 + t * n0)
+        den = m * n * t0 + ((k - 1.0) * n - k * m) * n0 * t
+        xs.append(num / den if den else math.nan)
+    a, b, c = (m * t3 * t3 - t2 * t2 * t2, 3.0 * t2 * t2 - 2.0 * m * t3 - t3 * t3,
+               3.0 * g2 - 2.0 * g3)  # a z^2 + b z + c = 0 at the crossing
+    disc = b * b - 4.0 * a * c
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b)) if disc >= 0.0 else math.nan
+    xs += [total - (1.0 + (n_p + g_p) * total) * (num / den if den else math.nan)
+           for num, den in ((q, a), (c, q))]
+    return np.array([0.0, *sorted(f for f in (x / total for x in xs) if 0.0 < f < 1.0), 1.0])
 
 
-def _hop_optimum(cross2: float, intra2: float,
+def _corner(gains: _RsGains, p_private, p_common):
+    """Private rate and the two- and three-user per-codeword common-rate
+    bounds at the hop's max-sum corner, for scalar or array powers: the
+    common codewords are decoded first, all private signals on air, and
+    cancelled. The corner is the private rate and the smaller common bound."""
+    g_p, g2, g3, n_p, n_c = gains.per_unit_power()
+    common_noise = n_c * p_common
+    noise = 1.0 + n_p * p_private + common_noise
+    first = 1.0 + (n_p + g_p) * p_private + common_noise
+    r_private = np.log2(1.0 + g_p * p_private / noise)
+    rc_two = 0.5 * np.log2(1.0 + g2 * p_common / first)
+    rc_three = np.log2(1.0 + g3 * p_common / first) / 3.0
+    return r_private, rc_two, rc_three
+
+
+def _hop_optimum(gains: _RsGains,
                  total: float) -> tuple[HopSplit, RatePair, tuple[str, ...]]:
     """The hop's split that maximizes its corner sum rate, that corner, and
     the common-rate bound attaining the corner's minimum.
@@ -144,8 +163,8 @@ def _hop_optimum(cross2: float, intra2: float,
     fraction, so f_hat = 1 stays exact where all-private transmission is
     optimal.
     """
-    fs = _hop_split_candidates(cross2, intra2, total)
-    r_private, rc_two, rc_three = corner_rates(cross2, intra2, *split_powers(fs, total))
+    fs = _hop_split_candidates(gains, total)
+    r_private, rc_two, rc_three = _corner(gains, *split_powers(fs, total))
     # Ties only at rounding level, so an interior optimum a few ulps above the
     # endpoint still wins.
     idx = _pick_last_max(r_private + np.minimum(rc_two, rc_three), tie_tol=1e-15)
@@ -158,6 +177,12 @@ def _hop_optimum(cross2: float, intra2: float,
     return HopSplit(float(fs[idx])), corner, binding
 
 
+def _rs_optimum(params: NetworkParams, hop: int, gains_fn=_mac_gains):
+    """``_hop_optimum`` of hop ``hop`` with the gains ``gains_fn`` gives."""
+    cross2, intra2, total = params.hop(hop)
+    return _hop_optimum(gains_fn(cross2, intra2), total)
+
+
 def rate_splitting(params: NetworkParams) -> SchemeResult:
     """Rate splitting in both hops, each hop optimized independently.
 
@@ -167,8 +192,8 @@ def rate_splitting(params: NetworkParams) -> SchemeResult:
     bottleneck hop.
     """
     scale = params.rate_scale()
-    split1, corner1, binding1 = _hop_optimum(*params.hop(1))
-    split2, corner2, binding2 = _hop_optimum(*params.hop(2))
+    split1, corner1, binding1 = _rs_optimum(params, 1)
+    split2, corner2, binding2 = _rs_optimum(params, 2)
     rate1, rate2 = corner1.total, corner2.total
     return SchemeResult(
         scheme=SCHEME_RS,
@@ -184,7 +209,7 @@ def rate_splitting(params: NetworkParams) -> SchemeResult:
 def first_hop_upper_bound(params: NetworkParams) -> SchemeResult:
     """Best first-hop rate over splits; caps every two-hop scheme here."""
     scale = params.rate_scale()
-    split1, corner1, binding1 = _hop_optimum(*params.hop(1))
+    split1, corner1, binding1 = _rs_optimum(params, 1)
     return SchemeResult(
         scheme=SCHEME_BOUND,
         rate=corner1.total * scale,
@@ -208,70 +233,62 @@ def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
 # Joint (f1, f2) optimization for cooperative / joint-decoding second hops
 # ---------------------------------------------------------------------------
 
-# Unlike the per-hop split, the joint (f1, f2) optimum has no closed form.
-# Each pass is (points per split, half-width of the window around the best
-# split so far): a 101-point grid over [0, 1], then three 11-point passes,
-# each 10x narrower.
+# The joint search's fallback passes, each (points per split, half-width of
+# the window around the best split so far): a 101-point grid over [0, 1],
+# then three 11-point passes, each 10x narrower.
 _JOINT_PASSES = ((101, 0.5), (11, 1e-2), (11, 1e-3), (11, 1e-4))
-_STEPS = {points: np.arange(points, dtype=float) for points, _ in _JOINT_PASSES}
 
 
-def _split_grid(centre: float, points: int, window: float) -> np.ndarray:
-    """np.clip(np.linspace(centre - window, centre + window, points), 0, 1), bit for bit."""
-    start, stop = centre - window, centre + window
-    grid = start + _STEPS[points] * ((stop - start) / (points - 1))
-    grid[-1] = stop
-    return np.minimum(np.maximum(grid, 0.0, out=grid), 1.0, out=grid)
+def _search_joint_splits(params: NetworkParams, bounds_fn,
+                         gains_fn=None) -> tuple[float, float, dict, dict]:
+    """A rate-splitting hop's exact optimum first, else shrinking grids.
 
-
-def _search_joint_splits(params: NetworkParams, bounds_fn) -> tuple[float, float, dict, dict]:
-    """Hop 1's exact optimum first, else shrinking grids over (f1, f2).
-
-    Hop 1's max-sum LP at any f1 caps every joint rate, and its maximum over
-    f1 is the corner optimum of ``_hop_optimum``. So the split f1-hat is
-    scored first, against pass 1's hop-2 grid: a cell within 1e-12 of that
-    optimum is the joint optimum within 1e-12 and is returned. Otherwise
-    the passes run, each grid centred on the previous best, pass 1 on the
-    hop-2 bounds already evaluated.
-
-    Returns the best (f1, f2) and each hop's bounds at it, read from the
-    arrays that were scored, so the winning cell's value is the max-sum LP
-    over exactly these bounds.
+    A hop's max-sum LP at any split caps every joint rate, and the corner
+    optimum of ``_hop_optimum`` is its maximum over splits: hop 1's always,
+    hop 2's where ``gains_fn`` gives its gains (coop). The smaller cap's
+    split is scored against the other hop's pass-1 grid, and a cell within
+    1e-12 of the cap, optimal within 1e-12, is returned. Otherwise the
+    passes run, each centred on the previous best, pass 1 reusing the grid
+    already evaluated. Returns the best (f1, f2) and each hop's bounds there,
+    read from the scored arrays, so the cell's value is their max-sum LP.
     """
-    cross1, intra1, total1 = params.hop(1)
-    cross2, intra2, total2 = params.hop(2)
-    split, corner, _ = _hop_optimum(cross1, intra1, total1)
-    f1 = np.array([split.f_private])
-    f2 = _split_grid(0.5, *_JOINT_PASSES[0])
-    bounds1 = mac_bounds(cross1, intra1, *split_powers(f1, total1))
-    bounds2 = bounds_fn(cross2, intra2, *split_powers(f2, total2))
-    row = _max_sum_grid(bounds1, bounds2)[0]
-    i, j = 0, _pick_last_max(row)
-    if row[j] < corner.total - 1e-12:
-        f1 = (0.5,)
+    def evaluate(hop, fs):
+        cross2, intra2, total = params.hop(hop + 1)
+        return (mac_bounds, bounds_fn)[hop](cross2, intra2, *split_powers(fs, total))
+
+    def grid(centre, points, window):
+        return np.clip(np.linspace(centre - window, centre + window, points), 0.0, 1.0)
+
+    (split, corner, _), capped = min(
+        ((_rs_optimum(params, hop + 1, gains), hop)
+         for hop, gains in enumerate((_mac_gains, gains_fn)) if gains),
+        key=lambda cap: cap[0][1].total)
+    fs = [np.array([split.f_private]) if hop == capped else grid(0.5, *_JOINT_PASSES[0])
+          for hop in (0, 1)]
+    bounds = [evaluate(hop, fs[hop]) for hop in (0, 1)]
+    values = _max_sum_grid(*bounds)
+    i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
+    if values[i, j] < corner.total - 1e-12:
+        best = (0.5, 0.5)
         for k, (points, window) in enumerate(_JOINT_PASSES):
-            f1 = _split_grid(float(f1[i]), points, window)
-            bounds1 = mac_bounds(cross1, intra1, *split_powers(f1, total1))
-            if k:
-                f2 = _split_grid(float(f2[j]), points, window)
-                bounds2 = bounds_fn(cross2, intra2, *split_powers(f2, total2))
-            values = _max_sum_grid(bounds1, bounds2)
+            for hop in (0, 1):
+                if k or hop == capped:  # pass 1 reuses the other hop's grid
+                    fs[hop] = grid(best[hop], points, window)
+                    bounds[hop] = evaluate(hop, fs[hop])
+            values = _max_sum_grid(*bounds)
             i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
-    return (float(f1[i]), float(f2[j]), {key: c[i] for key, c in bounds1.items()},
-            {key: c[j] for key, c in bounds2.items()})
+            best = (float(fs[0][i]), float(fs[1][j]))
+    return (float(fs[0][i]), float(fs[1][j]), {key: c[i] for key, c in bounds[0].items()},
+            {key: c[j] for key, c in bounds[1].items()})
 
 
-def _joint(scheme: str, params: NetworkParams, bounds_fn) -> SchemeResult:
-    """Rate splitting in hop 1, hop 2 with the bounds ``bounds_fn`` gives on
-    split grids; the hop-2 region is named after the scheme (``hop2-coop``,
-    ``hop2-mcp``). The inner problem for fixed splits is the exact LP over
-    the intersection of the two hop regions; the outer search stops at hop
-    1's optimal split where a hop-2 split reaches its rate and sweeps both
-    split fractions elsewhere. The LP runs once more, on the regions of the
-    bounds the search scored at its winning cell, for the operating point
-    and the binding constraints."""
+def _joint(scheme: str, params: NetworkParams, bounds_fn, gains_fn=None) -> SchemeResult:
+    """Rate splitting in hop 1, hop 2 with the bounds ``bounds_fn`` gives,
+    its region named after the scheme (``hop2-coop``, ``hop2-mcp``). The
+    exact LP over both hop regions runs once more, on the bounds the search
+    scored at its winning cell, for the operating point and the binding."""
     scale = params.rate_scale()
-    f1, f2, bounds1, bounds2 = _search_joint_splits(params, bounds_fn)
+    f1, f2, bounds1, bounds2 = _search_joint_splits(params, bounds_fn, gains_fn)
     split1, split2 = HopSplit(f1), HopSplit(f2)
     lp = max_sum_rate(hop_region("hop1", params, split1.powers(params.hop(1)[2]), bounds1),
                       hop_region(f"hop2-{scheme}", params, split2.powers(params.hop(2)[2]),
@@ -288,7 +305,7 @@ def _joint(scheme: str, params: NetworkParams, bounds_fn) -> SchemeResult:
 
 def coop(params: NetworkParams) -> SchemeResult:
     """Rate splitting in hop 1 with cooperative common relaying in hop 2."""
-    return _joint(SCHEME_COOP, params, coop_bounds)
+    return _joint(SCHEME_COOP, params, coop_bounds, _coop_gains)
 
 
 def mcp(params: NetworkParams) -> SchemeResult:

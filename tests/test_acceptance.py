@@ -16,7 +16,8 @@ from meshrates.cli import main
 from meshrates.model import HopSplit, NetworkParams, RatePair, db_to_linear
 from meshrates.oracle import certified_midpoint, full_mac_region_hop1, grid_max_sum
 from meshrates.polytope import contains, max_sum_rate, vertices
-from meshrates.regions import corner_rates, hop1_region, hop2_mcp_region
+from meshrates.regions import _mac_gains, hop1_region, hop2_mcp_region
+from meshrates.schemes import _corner
 
 GRID = [round(0.02 * k, 2) for k in range(51)]  # alpha2 = eta2 in {0, 0.02, ..., 1}
 
@@ -28,7 +29,7 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def corner(params, split, hop):
     cross2, intra2, total = params.hop(hop)
-    r_private, rc_two, rc_three = corner_rates(cross2, intra2, *split.powers(total))
+    r_private, rc_two, rc_three = _corner(_mac_gains(cross2, intra2), *split.powers(total))
     return RatePair(float(r_private), float(min(rc_two, rc_three)))
 
 

@@ -3,12 +3,13 @@
 Headers and bottleneck labels must match exactly, and every rate column and
 every closed-form per-hop split fraction (the f-hat curves of Fig. 3) within
 1e-9. The coop/mcp split fractions are not compared: where the optimal face
-is degenerate they are not unique. Where a hop-2 split reaches hop 1's
-optimum, the rate is first_hop_bound within 1e-12 (88 of the 102 Fig. 4/5
-mcp points, no coop point). Elsewhere it comes from a four-pass shrinking
-grid, which sits up to 9.4e-4 (mcp) and 1.9e-5 (coop) below the model's
-optimum, so an exact joint search moves these rates too, and out/ must then
-be regenerated. Fresh CSVs go to a temporary directory, never into out/.
+is degenerate they are not unique. Where a split reaches the smaller of the
+two hops' closed-form optima, the rate is that optimum within 1e-12 (all 102
+Fig. 4/5 coop points, at hop 2's, and 88 mcp points, at first_hop_bound).
+Elsewhere it comes from a four-pass shrinking grid, which sits up to 9.4e-4
+(mcp) below the model's optimum, so an exact joint search moves these rates
+too, and out/ must then be regenerated. Fresh CSVs go to a temporary
+directory, never into out/.
 """
 
 import csv

@@ -11,13 +11,14 @@ from meshrates.oracle import (
 from meshrates.polytope import _DEDUP_TOL, LPSolution, contains, max_sum_rate, vertices
 from meshrates.regions import (
     Halfspace,
+    _mac_gains,
     RateRegion,
-    corner_rates,
     hop1_region,
     hop2_coop_region,
     hop2_mcp_region,
     hop2_rs_region,
 )
+from meshrates.schemes import _corner
 
 FIG2 = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=2.0)
 HALF = HopSplit(0.5)
@@ -25,7 +26,7 @@ HALF = HopSplit(0.5)
 
 def corner(params, split, hop):
     cross2, intra2, total = params.hop(hop)
-    r_private, rc_two, rc_three = corner_rates(cross2, intra2, *split.powers(total))
+    r_private, rc_two, rc_three = _corner(_mac_gains(cross2, intra2), *split.powers(total))
     return RatePair(float(r_private), float(min(rc_two, rc_three)))
 
 

@@ -11,9 +11,10 @@ from meshrates.model import HopSplit, NetworkParams, RatePair, split_powers
 from meshrates.polytope import contains, max_sum_rate, vertices
 from meshrates.regions import (
     Halfspace,
+    _coop_gains,
+    _mac_gains,
     RateRegion,
     coop_bounds,
-    corner_rates,
     hop1_region,
     hop2_coop_region,
     hop2_mcp_region,
@@ -21,6 +22,7 @@ from meshrates.regions import (
     mac_bounds,
     mcp_bounds,
 )
+from meshrates.schemes import _corner, _rs_optimum
 
 FIG2 = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=2.0)
 HALF = HopSplit(0.5)  # P_1p = P_1c = 1 at total power 2
@@ -32,7 +34,7 @@ def region_bounds(region):
 
 def corner(params, split, hop):
     cross2, intra2, total = params.hop(hop)
-    r_private, rc_two, rc_three = corner_rates(cross2, intra2, *split.powers(total))
+    r_private, rc_two, rc_three = _corner(_mac_gains(cross2, intra2), *split.powers(total))
     return RatePair(float(r_private), float(min(rc_two, rc_three)))
 
 
@@ -387,16 +389,19 @@ class TestHopConvention:
                                 p_private=pp, p_common=pc)
             assert all(swapped[key] != bound for key, bound in bounds.items())
 
-    def test_corner_rates_take_cross_then_intra(self):
+    def test_split_optimum_takes_cross_then_intra(self):
+        # The hop-2 optimum the schemes read is the max-sum LP of the hop-2
+        # region at its split, for rate splitting and for coop; the gains in
+        # the other order give another corner there.
         params = self.PARAMS
-        pp, pc = HopSplit(0.4).powers(params.p2)
-        rates = corner_rates(cross2=params.eta2, intra2=params.gamma2,
-                             p_private=pp, p_common=pc)
-        # the positional call the per-hop split optimum makes
-        assert corner_rates(*params.hop(2)[:2], pp, pc) == rates
-        swapped = corner_rates(cross2=params.gamma2, intra2=params.eta2,
-                               p_private=pp, p_common=pc)
-        assert all(s != r for s, r in zip(swapped, rates))
+        for gains_fn, builder in ((_mac_gains, hop2_rs_region), (_coop_gains, hop2_coop_region)):
+            split, corner, _ = _rs_optimum(params, 2, gains_fn)
+            assert max_sum_rate(builder(params, split)).value == \
+                   pytest.approx(corner.total, rel=1e-15, abs=0.0)
+            r_private, rc_two, rc_three = _corner(gains_fn(cross2=params.gamma2,
+                                                            intra2=params.eta2),
+                                                   *split.powers(params.p2))
+            assert r_private + min(rc_two, rc_three) != pytest.approx(corner.total, rel=1e-6)
 
 
 class TestVertexA:

@@ -1,6 +1,5 @@
 import math
 import warnings
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from meshrates.model import HopSplit, NetworkParams, capacity, db_to_linear, spl
 from meshrates.oracle import dense_split_scan
 from meshrates.polytope import max_sum_rate
 from meshrates.regions import (
+    _coop_gains,
+    _mac_gains,
     coop_bounds,
     hop1_region,
     hop2_coop_region,
@@ -20,8 +21,12 @@ from meshrates.regions import (
     mcp_bounds,
 )
 from meshrates.schemes import (
+    _corner,
     _hop_optimum,
+    _hop_split_candidates,
     _max_sum_grid,
+    _pick_last_max,
+    _rs_optimum,
     _search_joint_splits,
     coop,
     first_hop_upper_bound,
@@ -39,6 +44,23 @@ CLEAN = NetworkParams(alpha2=0.0, beta2=1.0, gamma2=1.0, eta2=0.0, p1=1.0, p2=1.
 def symmetric(a2, p, p2=None):
     return NetworkParams(alpha2=a2, beta2=1.0, gamma2=1.0, eta2=a2,
                          p1=p, p2=p if p2 is None else p2)
+
+
+def figure(p1_db, a2):
+    """The Fig. 4/5 network at P1 = ``p1_db`` dB: alpha2 = eta2, P2 = P1/2."""
+    p1 = db_to_linear(p1_db)
+    return symmetric(a2, p1, p2=p1 / 2.0)
+
+
+# Draws 950 and 928 of seeded_networks(5, 1000, variants=True), both in the
+# paper's regime and full duplex: no cap certifies coop at the first or mcp
+# at the second.
+DRAW_950 = NetworkParams(alpha2=0.5253714259490248, beta2=0.9574730349537732,
+                         gamma2=2.0448959856894064, eta2=0.8044076468959427,
+                         p1=7.8782264002127, p2=7.4428705031545)
+DRAW_928 = NetworkParams(alpha2=0.010463501166988456, beta2=1.7522628825066813,
+                         gamma2=0.5247643647193694, eta2=0.18075374183905774,
+                         p1=10.397268179137031, p2=10.53898177038379)
 
 
 @st.composite
@@ -121,7 +143,12 @@ class TestRateSplitting:
 
 class TestHopSplitOptimum:
     def test_beats_dense_scan_in_and_out_of_regime(self):
+        # Both rate-splitting hops against the oracle's 1e-3 scan, and coop's
+        # hop 2 against the best max-sum LP of its public region on a
+        # 1,001-point split grid. Coop's optimum is also its region's LP at
+        # its own split, so the corner reads the same bounds.
         rng = np.random.default_rng(7)
+        grid = np.linspace(0.0, 1.0, 1001)
         for k in range(24):
             beta2 = float(rng.uniform(0.2, 2.5))
             alpha2 = float(rng.uniform(0.0, beta2 if k % 2 else 2.0 * beta2))
@@ -129,9 +156,15 @@ class TestHopSplitOptimum:
             params = NetworkParams(alpha2=alpha2, beta2=beta2, gamma2=beta2, eta2=alpha2,
                                    p1=p1, p2=p1 / 2.0)
             for hop in (1, 2):
-                rate = _hop_optimum(*params.hop(hop))[1].total
+                rate = _rs_optimum(params, hop)[1].total
                 _, reference = dense_split_scan(params, hop=hop, step=1e-3)
                 assert rate >= reference - 1e-12, (params, hop)
+            split, corner, _ = _rs_optimum(params, 2, _coop_gains)
+            reference = max(max_sum_rate(hop2_coop_region(params, HopSplit(float(f)))).value
+                            for f in grid)
+            assert corner.total >= reference - 1e-12, params
+            assert max_sum_rate(hop2_coop_region(params, split)).value == \
+                   pytest.approx(corner.total, rel=1e-15, abs=1e-15), params
 
     # (alpha2, beta2, P) -> (f_hat, rate) of the grid/golden/bisection optimizer
     # this closed form replaced. alpha2 = 1e300 with P = 1e300 is left out:
@@ -158,7 +191,7 @@ class TestHopSplitOptimum:
     def test_extreme_gains_and_powers(self, terms):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            split, corner, _ = _hop_optimum(*terms)
+            split, corner, _ = _hop_optimum(_mac_gains(*terms[:2]), terms[2])
         f_hat, rate = split.f_private, corner.total
         want_f, want_rate = self.EXTREMES[terms]
         assert rate == pytest.approx(want_rate, rel=1e-15, abs=0.0)
@@ -173,7 +206,7 @@ class TestHopSplitOptimum:
         b, p = 1.0, 1.0
         d0, k = 1.0 + 2.0 * a * p, 1.0 + (2.0 * a + b) * p
         ratio = (math.sqrt(1.0 + 8.0 * a / b) - 1.0) / 2.0  # (D0 + bx)/K at the crossing
-        split, _, binding = _hop_optimum(a, b, p)
+        split, _, binding = _hop_optimum(_mac_gains(a, b), p)
         assert split.f_private == pytest.approx((k * ratio - d0) / (b * p), rel=1e-12)
         assert split.f_private == pytest.approx(f_hat, abs=5e-5)
         assert binding == (regions.LABEL_COMMON2, regions.LABEL_COMMON3)
@@ -189,32 +222,34 @@ class TestHopSplitOptimum:
         onset = 2.0 * p * a * a + a - b <= 0.0
         assert 1000 < onset.sum() < 5000
         for a_k, b_k, p_k, all_private in zip(a, b, p, onset):
-            f_hat = _hop_optimum(float(a_k), float(b_k), float(p_k))[0].f_private
+            f_hat = _hop_optimum(_mac_gains(float(a_k), float(b_k)), float(p_k))[0].f_private
             assert (f_hat == 1.0) == all_private, (a_k, b_k, p_k, f_hat)
 
     def test_corner_sum_monotone_between_candidates(self):
         # Global, not only local, optimality: between consecutive candidates
         # the corner sum is monotone, so its maximum over [0, 1] lies at a
         # candidate, and no point of a 2,001-point split grid beats the
-        # optimum. Draws alternate in and out of the paper's regime.
+        # optimum. Draws alternate in and out of the paper's regime; the
+        # gains are a rate-splitting hop's and coop's hop 2.
         rng = np.random.default_rng(24)
         grid = np.linspace(0.0, 1.0, 2001)
         for k in range(2000):
             b = float(rng.uniform(0.05, 5.0))
             a = float(rng.uniform(0.0, b if k % 2 else 2.0 * b))
             p = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e3))))
-            candidates = schemes._hop_split_candidates(a, b, p)
-            fs = np.union1d(grid, candidates)
-            r_private, rc_two, rc_three = regions.corner_rates(a, b, *split_powers(fs, p))
-            rates = r_private + np.minimum(rc_two, rc_three)
-            slack = 1e-14 * np.maximum(1.0, np.abs(rates))
-            ends = np.searchsorted(fs, candidates)
-            for lo, hi in zip(ends[:-1], ends[1:]):
-                steps = np.diff(rates[lo:hi + 1])
-                assert ((steps >= -slack[lo + 1:hi + 1]).all()
-                        or (steps <= slack[lo + 1:hi + 1]).all()), (a, b, p, fs[lo], fs[hi])
-            best = _hop_optimum(a, b, p)[1].total
-            assert rates.max() <= best + 1e-14 * max(1.0, abs(best)), (a, b, p)
+            for gains in (_mac_gains(a, b), _coop_gains(a, b)):
+                candidates = _hop_split_candidates(gains, p)
+                fs = np.union1d(grid, candidates)
+                r_private, rc_two, rc_three = _corner(gains, *split_powers(fs, p))
+                rates = r_private + np.minimum(rc_two, rc_three)
+                slack = 1e-14 * np.maximum(1.0, np.abs(rates))
+                ends = np.searchsorted(fs, candidates)
+                for lo, hi in zip(ends[:-1], ends[1:]):
+                    steps = np.diff(rates[lo:hi + 1])
+                    assert ((steps >= -slack[lo + 1:hi + 1]).all()
+                            or (steps <= slack[lo + 1:hi + 1]).all()), (gains, p, fs[lo], fs[hi])
+                best = _hop_optimum(gains, p)[1].total
+                assert rates.max() <= best + 1e-14 * max(1.0, abs(best)), (gains, p)
 
     def test_rate_is_operating_point_total(self):
         # The rate and the reported corner come from one evaluation, so they
@@ -303,11 +338,6 @@ def seeded_networks(seed, n, variants=False):
     return draws
 
 
-def window(centre, half_width):
-    """An 11-point split grid as the later search passes build it."""
-    return np.clip(np.linspace(centre - half_width, centre + half_width, 11), 0.0, 1.0)
-
-
 def grid_bounds(params, bounds_fn, f1, f2):
     """Hop 1's MAC bounds on the f1 grid and hop 2's ``bounds_fn`` bounds on
     the f2 grid: the same 1-D arrays the search scores."""
@@ -317,15 +347,17 @@ def grid_bounds(params, bounds_fn, f1, f2):
             bounds_fn(cross2, intra2, *split_powers(f2, total2)))
 
 
-def uncollapsed_greedy(hop1, hop2):
-    """The greedy max-sum LP over every line of both hops on the (f1, f2)
-    grid of their bounds, as one broadcast: x = min c/a, then
-    y = max(min (c - a*x)/b, 0)."""
-    lines = ([(a, b, c[:, None]) for (a, b), c in hop1.items()]
-             + [(a, b, c[None, :]) for (a, b), c in hop2.items()])
-    x = reduce(np.minimum, [c / a for a, b, c in lines if a > 0])
-    y = reduce(np.minimum, [(c - a * x) / b for a, b, c in lines if b > 0])
-    return x + np.maximum(y, 0.0)
+def four_passes(params, bounds_fn):
+    """The search's fallback written out: every pass a clipped linspace
+    around the best cell of the pass before, from (0.5, 0.5)."""
+    f1 = f2 = 0.5
+    for points, half_width in schemes._JOINT_PASSES:
+        grid1, grid2 = (np.clip(np.linspace(f - half_width, f + half_width, points), 0.0, 1.0)
+                        for f in (f1, f2))
+        values = _max_sum_grid(*grid_bounds(params, bounds_fn, grid1, grid2))
+        i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
+        f1, f2 = float(grid1[i]), float(grid2[j])
+    return f1, f2
 
 
 def bounds_at(bounds_fn, cross2, intra2, total, f):
@@ -355,39 +387,30 @@ class TestJointValues:
                                       builder(work, HopSplit(float(f2))))
                     assert values[i, j] == lp.value
 
-    @pytest.mark.parametrize("bounds_fn", [coop_bounds, mcp_bounds])
-    def test_combine_matches_uncollapsed_greedy(self, bounds_fn):
-        # per-hop caps, then one min per quantity: every cell bit for bit
-        full = np.linspace(0.0, 1.0, 101)
-        grids = [(full, full), (window(0.004, 1e-2), window(0.9996, 1e-3)),
-                 (window(1.0, 1e-2), window(0.0, 1e-4)), (window(0.37, 1e-2), full)]
-        for work in (symmetric(0.06, db_to_linear(3.0), db_to_linear(3.0) / 2.0),
-                     *seeded_networks(11, 8)):
-            for f1, f2 in grids:
-                bounds = grid_bounds(work, bounds_fn, f1, f2)
-                assert np.array_equal(_max_sum_grid(*bounds), uncollapsed_greedy(*bounds))
-
-    @pytest.mark.parametrize("bounds_fn", [coop_bounds, mcp_bounds])
-    def test_search_matches_reference_passes(self, bounds_fn, monkeypatch):
-        draws = [symmetric(a2, db_to_linear(p), db_to_linear(p) / 2.0)
-                 for a2, p in ((0.06, 3.0), (0.56, 10.0))] + seeded_networks(12, 6)
-        fast = [_search_joint_splits(work, bounds_fn) for work in draws]
-        for work, (f1, f2, bounds1, bounds2) in zip(draws, fast):
+    @pytest.mark.parametrize("bounds_fn,gains_fn", [
+        pytest.param(coop_bounds, _coop_gains, id="coop_bounds"),
+        pytest.param(mcp_bounds, None, id="mcp_bounds"),
+    ])
+    def test_search_matches_reference_passes(self, bounds_fn, gains_fn):
+        # Where no cap settles the search, its splits are the four passes'.
+        # The draws include one fallback per scheme (DRAW_950 for coop,
+        # Fig. 4 alpha2 = 0.06 for mcp).
+        draws = [figure(3.0, 0.06), figure(10.0, 0.56), DRAW_950] + seeded_networks(12, 6)
+        fallbacks = 0
+        for work in draws:
+            f1, f2, bounds1, bounds2 = _search_joint_splits(work, bounds_fn, gains_fn)
             # the returned bounds are each hop's bounds at the returned splits
             assert bounds1 == bounds_at(mac_bounds, work.alpha2, work.beta2, work.p1, f1)
             assert bounds2 == bounds_at(bounds_fn, work.eta2, work.gamma2, work.p2, f2)
-        monkeypatch.setattr(schemes, "_max_sum_grid", uncollapsed_greedy)
-        assert [_search_joint_splits(work, bounds_fn) for work in draws] == fast
-
-    @pytest.mark.parametrize("points,window", schemes._JOINT_PASSES)
-    def test_split_grid_is_clipped_linspace(self, points, window):
-        # bit for bit, the sign of a zero included, at seeded centres and
-        # at the centre and both ends of [0, 1]
-        centres = np.concatenate((np.random.default_rng(21).uniform(0.0, 1.0, 10_000),
-                                  [0.0, 0.5, 1.0]))
-        for centre in centres.tolist():
-            expected = np.clip(np.linspace(centre - window, centre + window, points), 0.0, 1.0)
-            assert schemes._split_grid(centre, points, window).tobytes() == expected.tobytes()
+            caps = [_rs_optimum(work, 1)[1].total]
+            if gains_fn:
+                caps.append(_rs_optimum(work, 2, gains_fn)[1].total)
+            cell = float(_max_sum_grid(*grid_bounds(work, bounds_fn, np.array([f1]),
+                                                    np.array([f2])))[0, 0])
+            if cell < min(caps) - 1e-12:
+                fallbacks += 1
+                assert (f1, f2) == four_passes(work, bounds_fn), work
+        assert fallbacks >= 1
 
     @pytest.mark.parametrize("scheme,bounds_fn", [(coop, coop_bounds), (mcp, mcp_bounds)])
     def test_rate_is_the_cell_its_search_picked(self, scheme, bounds_fn):
@@ -413,11 +436,11 @@ class TestJointValues:
             cell = _max_sum_grid(*bounds)[0, 0]
             assert cell * params.rate_scale() == result.rate, params
 
-    @pytest.mark.parametrize("scheme,name,certified", [
-        pytest.param(coop, "coop_bounds", (False, False), id="coop-coop_bounds"),
-        pytest.param(mcp, "mcp_bounds", (True, False), id="mcp-mcp_bounds"),
+    @pytest.mark.parametrize("scheme,name,fallback,pass1", [
+        pytest.param(coop, "coop_bounds", DRAW_950, "hop2", id="coop-coop_bounds"),
+        pytest.param(mcp, "mcp_bounds", figure(3.0, 0.06), "hop1", id="mcp-mcp_bounds"),
     ])
-    def test_one_bounds_evaluation_per_pass(self, scheme, name, certified, monkeypatch):
+    def test_one_bounds_evaluation_per_pass(self, scheme, name, fallback, pass1, monkeypatch):
         calls = []
 
         def counting(fn, label):
@@ -432,46 +455,63 @@ class TestJointValues:
         for module in (schemes, regions):
             monkeypatch.setattr(module, "mac_bounds", hop1)
             monkeypatch.setattr(module, name, hop2)
-        # A certified search scores hop 1's optimum against pass 1's hop-2
-        # grid and stops; otherwise pass 1 reuses that hop-2 grid.
+        # A certified search scores the smaller cap's split against the
+        # other hop's pass-1 grid and stops; otherwise pass 1 evaluates only
+        # the capped hop's grid (hop 2's for coop at DRAW_950, hop 1's for mcp).
         passes = len(schemes._JOINT_PASSES)
-        fallback = ["hop1", "hop2", "hop1"] + ["hop1", "hop2"] * (passes - 1)
-        p1 = db_to_linear(3.0)
-        for params, exact in zip((symmetric(0.4, 2.0, p2=1.0), symmetric(0.06, p1, p1 / 2.0)),
-                                 certified):
+        for params, expected in (
+                (symmetric(0.4, 2.0, p2=1.0), ["hop1", "hop2"]),
+                (fallback, ["hop1", "hop2", pass1] + ["hop1", "hop2"] * (passes - 1))):
             calls.clear()
             scheme(params)
-            assert [label for label, _, _ in calls] == (["hop1", "hop2"] if exact else fallback)
+            assert [label for label, _, _ in calls] == expected
             assert {(pp, pc) for _, pp, pc in calls} == {(np.ndarray, np.ndarray)}
 
 
 class TestFirstHopCertificate:
-    """Hop 1's max-sum LP at any f1 caps the joint rate, and its maximum over
-    f1 is the first-hop bound; a cell reaching that bound is optimal."""
+    """A rate-splitting hop's max-sum LP at any split caps the joint rate,
+    and its maximum over splits is the hop's closed-form optimum: hop 1's
+    (the first-hop bound) for both schemes, and hop 2's for coop. A cell
+    reaching the smaller cap is optimal."""
 
-    @pytest.mark.parametrize("scheme,expected", [(coop, 0), (mcp, 88)])
-    def test_capped_by_and_certified_at_first_hop_bound(self, scheme, expected, monkeypatch):
-        hop1_calls = []
+    @staticmethod
+    def certified(scheme, monkeypatch):
+        """How many of the 102 Fig. 4/5 points the search settles at the
+        smaller cap. On them and on 600 seeded draws the rate never exceeds
+        that cap, and a settled rate is the cap, at the cap's split."""
+        grids = []
 
-        def counting(*args):
-            hop1_calls.append(args)
-            return mac_bounds(*args)
+        def counting(*bounds):
+            grids.append(bounds)
+            return _max_sum_grid(*bounds)
 
-        monkeypatch.setattr(schemes, "mac_bounds", counting)
+        monkeypatch.setattr(schemes, "_max_sum_grid", counting)
         # the 102 Fig. 4/5 networks: alpha2 = eta2 on 0:1:0.02, P2 = P1/2
-        figures = [symmetric(k * 0.02, p1, p1 / 2.0)
-                   for p1 in (db_to_linear(3.0), db_to_linear(10.0)) for k in range(51)]
+        figures = [figure(p1_db, k * 0.02) for p1_db in (3.0, 10.0) for k in range(51)]
         certified = 0
         for k, params in enumerate(figures + seeded_networks(5, 600, variants=True)):
-            hop1_calls.clear()
+            grids.clear()
             result = scheme(params)
             bound = first_hop_upper_bound(params)
-            assert result.rate <= bound.rate + 1e-12, params
-            if len(hop1_calls) == 1:  # the search stopped at hop 1's optimum
-                assert result.rate == pytest.approx(bound.rate, abs=1e-12), params
-                assert result.split_hop1 == bound.split_hop1, params
+            split2, corner2, _ = _rs_optimum(params, 2, _coop_gains)
+            cap2 = corner2.total * params.rate_scale() if scheme is coop else math.inf
+            assert result.rate <= min(bound.rate, cap2) + 1e-12, params
+            if len(grids) == 1:  # the search stopped at the smaller cap
+                assert result.rate == pytest.approx(min(bound.rate, cap2), abs=1e-12), params
+                if bound.rate <= cap2:
+                    assert result.split_hop1 == bound.split_hop1, params
+                else:
+                    assert result.split_hop2 == split2, params
                 certified += k < len(figures)
-        assert certified == expected
+        return certified
+
+    @pytest.mark.parametrize("scheme,expected", [(mcp, 88)])
+    def test_capped_by_and_certified_at_first_hop_bound(self, scheme, expected, monkeypatch):
+        assert self.certified(scheme, monkeypatch) == expected
+
+    def test_coop_capped_by_and_certified_at_either_hop_optimum(self, monkeypatch):
+        # hop 2's optimum is the smaller cap at all 102 points
+        assert self.certified(coop, monkeypatch) == 102
 
     @pytest.mark.parametrize("p1_db,a2,grid_rate,rise", [
         (10.0, 0.38, 1.5655020171308842, 4.01e-5),
@@ -480,10 +520,21 @@ class TestFirstHopCertificate:
     def test_mcp_reaches_first_hop_bound_above_the_grid(self, p1_db, a2, grid_rate, rise):
         # Fig. 5 alpha2 = 0.38 and Fig. 4 alpha2 = 0.54: the two largest
         # moves on the figure grids, pinned against the four-pass grid's rate
-        p1 = db_to_linear(p1_db)
-        params = symmetric(a2, p1, p2=p1 / 2.0)
+        params = figure(p1_db, a2)
         rate = mcp(params).rate
         assert rate == pytest.approx(first_hop_upper_bound(params).rate, abs=1e-12)
+        assert rate - grid_rate == pytest.approx(rise, rel=1e-2)
+
+    @pytest.mark.parametrize("a2,grid_rate,rise", [
+        (0.56, 1.083653035078973, 1.91e-5),
+        (0.34, 1.2347234608643762, 1.31e-5),
+    ])
+    def test_coop_reaches_hop_2_optimum_above_the_grid(self, a2, grid_rate, rise):
+        # Fig. 5 alpha2 = 0.56 and 0.34: the two largest coop moves on the
+        # figure grids, pinned against the four-pass grid's rate
+        params = figure(10.0, a2)
+        rate = coop(params).rate
+        assert rate == pytest.approx(_rs_optimum(params, 2, _coop_gains)[1].total, abs=1e-12)
         assert rate - grid_rate == pytest.approx(rise, rel=1e-2)
 
 
@@ -520,19 +571,22 @@ def _short(points):
                                     "model's optimum")
 
 
-@pytest.mark.parametrize("scheme,hop2_region,p1_db,a2,f1,f2", [
-    pytest.param(mcp, hop2_mcp_region, 3.0, 0.06, 0.5834042652180698, 0.9325636739663352,
-                 marks=_short("9.37e-4"), id="mcp-3dB"),
-    pytest.param(mcp, hop2_mcp_region, 10.0, 0.04, 0.812351807340506, 0.9503666416569473,
-                 marks=_short("2.88e-4"), id="mcp-10dB"),
-    pytest.param(coop, hop2_coop_region, 10.0, 0.56, 0.231, 0.21367666971312876,
-                 marks=_short("1.91e-5"), id="coop-10dB"),
+@pytest.mark.parametrize("scheme,hop2_region,params,f1,f2", [
+    pytest.param(mcp, hop2_mcp_region, figure(3.0, 0.06), 0.5834042652180698,
+                 0.9325636739663352, marks=_short("9.37e-4"), id="mcp-3dB"),
+    pytest.param(mcp, hop2_mcp_region, figure(10.0, 0.04), 0.812351807340506,
+                 0.9503666416569473, marks=_short("2.88e-4"), id="mcp-10dB"),
+    pytest.param(coop, hop2_coop_region, figure(10.0, 0.56), 0.231, 0.21367666971312876,
+                 id="coop-10dB"),
+    pytest.param(coop, hop2_coop_region, DRAW_950, 0.14932949536, 0.22451997922,
+                 marks=_short("7.45e-4"), id="coop-draw950"),
+    pytest.param(mcp, hop2_mcp_region, DRAW_928, 0.27676951012, 0.92233951828,
+                 marks=_short("1.885e-3"), id="mcp-draw928"),
 ])
-def test_joint_split_reaches_witness(scheme, hop2_region, p1_db, a2, f1, f2):
+def test_joint_split_reaches_witness(scheme, hop2_region, params, f1, f2):
     # any split pair's max sum rate is a lower bound on the scheme's optimum;
-    # the pairs come from a multi-start refined scan on the Fig. 4/5 configs
-    p1 = db_to_linear(p1_db)
-    params = symmetric(a2, p1, p2=p1 / 2.0)
+    # the pairs come from a multi-start refined scan, on the Fig. 4/5 configs
+    # and on seeded draws
     witness = max_sum_rate(hop1_region(params, HopSplit(f1)),
                            hop2_region(params, HopSplit(f2))).value
     assert scheme(params).rate >= witness - 1e-12
