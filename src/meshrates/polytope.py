@@ -69,15 +69,19 @@ def max_sum_rate(*regions: RateRegion) -> LPSolution:
     if not regions:
         raise ValueError("max_sum_rate needs at least one region")
     lines = _lines(regions, qualify=len(regions) > 1)
-    x = min(c / a for a, b, c, _ in lines if a > 0) + 0.0  # +0.0 normalizes -0.0
-    y = max(min((c - a * x) / b for a, b, c, _ in lines if b > 0), 0.0) + 0.0
+    x, y, binding = _greedy(lines)
     face = min([x] + [(c - a * x - b * y) / (b - a) for a, b, c, _ in lines if b > a])
-    binding = tuple(
-        label for a, b, c, label in lines
-        if abs(a * x + b * y - c) <= _BINDING_TOL
-    )
     return LPSolution(value=x + y, point=RatePair(x, y), binding=binding,
                       degenerate=face > 1e-9)
+
+
+def _greedy(lines) -> tuple[float, float, tuple[str, ...]]:
+    """The point of ``max_sum_rate`` on (a, b, c, label) lines, none with
+    0 < b < a (``_lines`` checks), and the labels of the lines tight there."""
+    x = min(c / a for a, b, c, _ in lines if a > 0) + 0.0  # +0.0 normalizes -0.0
+    y = max(min((c - a * x) / b for a, b, c, _ in lines if b > 0), 0.0) + 0.0
+    return x, y, tuple(label for a, b, c, label in lines
+                       if abs(a * x + b * y - c) <= _BINDING_TOL)
 
 
 def _max_sum_grid(bounds1: dict, bounds2: dict) -> np.ndarray:
@@ -89,7 +93,8 @@ def _max_sum_grid(bounds1: dict, bounds2: dict) -> np.ndarray:
     lines = ([(a, b, c[:, None]) for (a, b), c in bounds1.items()]
              + [(a, b, c[None, :]) for (a, b), c in bounds2.items()])
     x = reduce(np.minimum, [c / a for a, b, c in lines if a > 0])
-    y = reduce(np.minimum, [(c - a * x) / b for a, b, c in lines if b > 0])
+    # on a pure-common line c - 0*x is c, so the grid-sized product is skipped
+    y = reduce(np.minimum, [(c - a * x if a else c) / b for a, b, c in lines if b > 0])
     return x + np.maximum(y, 0.0)
 
 

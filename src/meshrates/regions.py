@@ -5,11 +5,12 @@ strategy fixes which interfering codebooks are decoded and which are treated
 as noise. Every builder here emits the reduced constraint set of that MAC as
 labeled halfspaces ``coef_private*R_p + coef_common*R_c <= bound``.
 
-Both rate-splitting MACs (``mac_bounds``, ``coop_bounds``) are one formula
-over a hop's gains per unit of power (``_RsGains``), which the closed-form
-split optimum in ``schemes`` reads too. Their two-message min-type common
-bounds are emitted as two halfspaces (2-user and 3-user) so linear programs
-can report binding constraints faithfully. The joint-decoding (MCP) bounds
+Every rate-splitting hop is one MAC of a private and a common codebook,
+stated once: five gains per unit of power (``_RsGains``), the bounds
+(``_rs_bounds``) and the max-sum corner (``_corner``) that the split
+optimum in ``schemes`` evaluates. Its two-message min-type common bounds
+are emitted as two halfspaces (2-user and 3-user) so linear programs can
+report binding constraints faithfully. The joint-decoding (MCP) bounds
 are spectral integrals, evaluated by Jensen's formula over seven roots in one
 ``_phi`` evaluation: conjugate pairs of linear or quadratic factors give the
 private and common roots in closed form, and the sum bound's four come from
@@ -25,10 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import HopSplit, NetworkParams, RatePair, SplitPowers
-
-LABEL_COMMON2 = "common-2user"
-LABEL_COMMON3 = "common-3user"
-
 
 @dataclass(frozen=True)
 class Halfspace:
@@ -82,50 +79,41 @@ class RateRegion:
 # ---------------------------------------------------------------------------
 
 class _RsGains(NamedTuple):
-    """A rate-splitting hop's receive gains per unit of transmit power.
-
-    ``private`` is the own private codeword's gain, ``two`` and ``three``
-    the summed gains of the two- and three-codeword common subsets per unit
-    of codeword power, p_common/``copies`` when ``copies`` relays send each
-    common codeword. The noise is 1 + ``noise``*(p_private + ``leak``*
-    codeword power); ``per_unit_power`` restates all of it per unit of power.
-    """
+    """A rate-splitting hop per unit of transmit power: the own private
+    codeword's gain per unit of p_private, the summed gains of the two- and
+    three-codeword common subsets per unit of p_common, and the noise's
+    slopes, 1 + ``noise_private``*p_private + ``noise_common``*p_common."""
 
     private: float
     two: float
     three: float
-    noise: float
-    leak: float
-    copies: float
-
-    def per_unit_power(self):
-        """The gains per unit of p_private and p_common, then the noise's slopes."""
-        return (self.private, self.two / self.copies, self.three / self.copies,
-                self.noise, self.noise * self.leak / self.copies)
+    noise_private: float
+    noise_common: float
 
 
 def _mac_gains(cross2, intra2) -> _RsGains:
     """The reduced 4-user MAC: the own and both adjacent common codewords
     are decoded, the adjacent private codewords are noise."""
-    return _RsGains(intra2, 2.0 * cross2, 2.0 * cross2 + intra2, 2.0 * cross2, 0.0, 1.0)
+    cross = 2.0 * cross2
+    return _RsGains(intra2, cross, cross + intra2, cross, 0.0)
 
 
 def _coop_gains(cross2, intra2) -> _RsGains:
-    """Three adjacent relays send each common codeword, coherently: (gamma +
-    eta)^2 and (gamma + 2*eta)^2 gain terms, and the two outer-cell common
-    codewords leak into the noise with the adjacent private ones."""
-    g, e = np.sqrt(intra2), np.sqrt(cross2)
+    """Three adjacent relays send each common codeword at p_common/3,
+    coherently: (gamma + eta)^2 and (gamma + 2*eta)^2 gain terms, and the two
+    outer-cell common codewords leak into the noise with the private ones."""
+    g, e = math.sqrt(intra2), math.sqrt(cross2)
     two = 2.0 * (g + e) ** 2
-    return _RsGains(intra2, two, two + (g + 2.0 * e) ** 2, 2.0 * cross2, 1.0, 3.0)
+    cross = 2.0 * cross2
+    return _RsGains(intra2, two / 3.0, (two + (g + 2.0 * e) ** 2) / 3.0, cross, cross / 3.0)
 
 
 def _rs_bounds(gains: _RsGains, p_private, p_common):
     """The five rate-splitting bounds of a hop with ``gains``, keyed by
     (coef_private, coef_common)."""
-    codeword = p_common / gains.copies
-    noise = 1.0 + gains.noise * (p_private + gains.leak * codeword)
+    noise = 1.0 + gains.noise_private * p_private + gains.noise_common * p_common
     private = gains.private * p_private
-    two, three = gains.two * codeword, gains.three * codeword
+    two, three = gains.two * p_common, gains.three * p_common
     return {
         (1, 0): np.log2(1.0 + private / noise),
         (0, 2): np.log2(1.0 + two / noise),
@@ -135,12 +123,23 @@ def _rs_bounds(gains: _RsGains, p_private, p_common):
     }
 
 
-def mac_bounds(cross2, intra2, p_private, p_common):
-    """Reduced 4-user MAC constraint bounds for one hop with rate splitting.
+def _corner(gains: _RsGains, p_private, p_common):
+    """Private rate and the two- and three-user per-codeword common-rate
+    bounds at the hop's max-sum corner, for scalar or array powers: the
+    common codewords are decoded first, all private signals on air, and
+    cancelled. The corner is the private rate and the smaller common bound."""
+    common_noise = gains.noise_common * p_common
+    noise = 1.0 + gains.noise_private * p_private + common_noise
+    first = 1.0 + (gains.noise_private + gains.private) * p_private + common_noise
+    r_private = np.log2(1.0 + gains.private * p_private / noise)
+    rc_two = 0.5 * np.log2(1.0 + gains.two * p_common / first)
+    rc_three = np.log2(1.0 + gains.three * p_common / first) / 3.0
+    return r_private, rc_two, rc_three
 
-    ``cross2``/``intra2`` are the inter-/intra-cell power gains of the hop.
-    Returns the bounds keyed by (coef_private, coef_common).
-    """
+
+def mac_bounds(cross2, intra2, p_private, p_common):
+    """Bounds of a rate-splitting hop with the reduced 4-user MAC's gains
+    (``_mac_gains``), keyed by (coef_private, coef_common)."""
     return _rs_bounds(_mac_gains(cross2, intra2), p_private, p_common)
 
 
@@ -244,8 +243,8 @@ def mcp_bounds(cross2, intra2, p_private, p_common):
 # Label of each bound by its (coef_private, coef_common) key.
 _LABELS = {
     (1, 0): "private-single",
-    (0, 2): LABEL_COMMON2,
-    (0, 3): LABEL_COMMON3,
+    (0, 2): "common-2user",
+    (0, 3): "common-3user",
     (1, 2): "sum-2",
     (1, 3): "sum-3",
     (0, 1): "common-joint",
@@ -253,19 +252,21 @@ _LABELS = {
 }
 
 
+def _hop_lines(bounds: dict) -> list[tuple]:
+    """A scalar ``*_bounds`` output as (coef_private, coef_common, bound,
+    label) lines, in its order, each bound clamped at 0: one that is 0 in
+    exact arithmetic can round below it (mcp's are sums of logarithms)."""
+    return [(*key, max(float(bound), 0.0), _LABELS[key]) for key, bound in bounds.items()]
+
+
 def hop_region(name: str, params: NetworkParams, powers: SplitPowers,
                bounds: dict) -> RateRegion:
     """Region ``name`` (``hop1``, ``hop2-rs``, ``hop2-coop`` or ``hop2-mcp``)
     of its scalar ``*_bounds`` output at the split ``powers``: one halfspace
-    per bound, in its order.
-
-    A bound that is 0 in exact arithmetic can round below it (the mcp bounds
-    are sums of logarithms), so every bound is clamped at 0.
-    """
+    per line of ``_hop_lines``."""
     gains = (f"alpha2={params.alpha2:g}, beta2={params.beta2:g}" if name == "hop1"
              else f"eta2={params.eta2:g}, gamma2={params.gamma2:g}")
-    return RateRegion(tuple([Halfspace(key[0], key[1], max(float(bound), 0.0), _LABELS[key])
-                             for key, bound in bounds.items()]),
+    return RateRegion(tuple([Halfspace(*line) for line in _hop_lines(bounds)]),
                       f"{name}({gains}, p_private={powers.p_private:g}, "
                       f"p_common={powers.p_common:g})")
 

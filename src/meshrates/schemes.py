@@ -1,14 +1,16 @@
 """End-to-end achievable rates per transmission scheme.
 
 Every scheme maps a network instance to the best rate its coding strategy
-supports, optimizing the private/common power split of each hop. A
-rate-splitting hop's own split (both hops of rate splitting, hop 1 of every
-scheme, coop's hop 2) is optimized in closed form from the hop's gains: the
-corner sum rate peaks at one of a few candidate fractions, whose corners are
-evaluated once; the winning corner gives the rate, the operating point and
-the binding bound alike. Each such optimum caps the joint (f1, f2) rate of
-coop and mcp, so their search first scores the smaller cap's split against a
-grid of the other hop's splits: a cell that reaches the cap is exact.
+supports; the hops are stated in ``regions``, and this module only
+optimizes their power splits. A rate-splitting hop's own split (both hops
+of rate splitting, hop 1 of every scheme, coop's hop 2) is optimized in
+closed form from its ``regions._RsGains``: the corner sum rate peaks at one
+of a few candidate fractions, whose corners are evaluated once; the winning
+corner gives the rate and the operating point, and binding is the max-sum
+LP's on that hop's region. Each such optimum caps the joint (f1, f2) rate
+of coop and mcp, so their search first scores the smaller cap's split
+against a grid of the other hop's splits: a cell that reaches the cap is
+exact.
 Elsewhere it is grids: one table of passes, each centred on the previous
 best, every cell scored by the max-sum LP of its two hops
 (``polytope._max_sum_grid``), each hop's bounds evaluated once per pass. The
@@ -27,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import HopSplit, NetworkParams, RatePair, capacity, split_powers
-from .polytope import _max_sum_grid, max_sum_rate
+from .polytope import _greedy, _max_sum_grid, max_sum_rate
 from .regions import (
-    LABEL_COMMON2,
-    LABEL_COMMON3,
     _coop_gains,
+    _corner,
+    _hop_lines,
     _mac_gains,
     _RsGains,
     coop_bounds,
@@ -82,8 +84,12 @@ def _bottleneck(rate1: float, rate2: float):
 
 def single_rate(params: NetworkParams) -> SchemeResult:
     """Plain decode-and-forward with single-user decoding in both hops."""
-    sinr1, sinr2 = (intra2 * total / (1.0 + 2.0 * cross2 * total)
-                    for cross2, intra2, total in (params.hop(1), params.hop(2)))
+    def sinr(hop):  # the reduced MAC at f = 1: all power private
+        cross2, intra2, total = params.hop(hop)
+        gains = _mac_gains(cross2, intra2)
+        return gains.private * total / (1.0 + gains.noise_private * total)
+
+    sinr1, sinr2 = sinr(1), sinr(2)
     rate = capacity(min(sinr1, sinr2)) * params.rate_scale()
     return SchemeResult(
         scheme=SCHEME_SINGLE,
@@ -98,7 +104,7 @@ def single_rate(params: NetworkParams) -> SchemeResult:
 
 def _pick_last_max(values: np.ndarray, tie_tol: float = 1e-12) -> int:
     """Index of the maximum, resolving near-ties toward the last (largest f)."""
-    top = float(np.max(values))
+    top = float(values.max())
     return int(np.nonzero(values >= top - tie_tol)[0][-1])
 
 
@@ -106,8 +112,8 @@ def _hop_split_candidates(gains: _RsGains, total: float) -> np.ndarray:
     """Private power fractions, ascending, among which the hop's corner sum
     rate attains its maximum.
 
-    With the gains g_p, g_k and noise slopes n_p, n_c of
-    ``_RsGains.per_unit_power``, private power x and common power y = P - x,
+    With the gains g_p, g_k and noise slopes n_p, n_c of ``_RsGains``,
+    private power x and common power y = P - x,
     N = 1 + n_p x + n_c y, M = N + g_p x and T_k = M + g_k y are affine in x,
     and the corner sum rate is min(S2, S3), S_k = ((k - 1) log2 M - k log2 N
     + log2 T_k)/k. Over M N T_k each derivative's numerator is linear in x
@@ -119,7 +125,7 @@ def _hop_split_candidates(gains: _RsGains, total: float) -> np.ndarray:
     fall outside (0, P) are dropped: clipped, they would repeat an endpoint.
     """
     # Python floats: overflow gives inf or nan, and each division is guarded
-    g_p, g2, g3, n_p, n_c = map(float, gains.per_unit_power())
+    g_p, g2, g3, n_p, n_c = gains
     n = n_p - n_c  # the slopes in x of N, M and T_k, summed so that
     m = n + g_p    # the rate-splitting MAC's come out exact
     t2, t3 = (n - g2) + g_p, m - g3
@@ -138,43 +144,21 @@ def _hop_split_candidates(gains: _RsGains, total: float) -> np.ndarray:
     return np.array([0.0, *sorted(f for f in (x / total for x in xs) if 0.0 < f < 1.0), 1.0])
 
 
-def _corner(gains: _RsGains, p_private, p_common):
-    """Private rate and the two- and three-user per-codeword common-rate
-    bounds at the hop's max-sum corner, for scalar or array powers: the
-    common codewords are decoded first, all private signals on air, and
-    cancelled. The corner is the private rate and the smaller common bound."""
-    g_p, g2, g3, n_p, n_c = gains.per_unit_power()
-    common_noise = n_c * p_common
-    noise = 1.0 + n_p * p_private + common_noise
-    first = 1.0 + (n_p + g_p) * p_private + common_noise
-    r_private = np.log2(1.0 + g_p * p_private / noise)
-    rc_two = 0.5 * np.log2(1.0 + g2 * p_common / first)
-    rc_three = np.log2(1.0 + g3 * p_common / first) / 3.0
-    return r_private, rc_two, rc_three
+def _hop_optimum(gains: _RsGains, total: float) -> tuple[HopSplit, RatePair]:
+    """The hop's split that maximizes its corner sum rate, and that corner.
 
-
-def _hop_optimum(gains: _RsGains,
-                 total: float) -> tuple[HopSplit, RatePair, tuple[str, ...]]:
-    """The hop's split that maximizes its corner sum rate, that corner, and
-    the common-rate bound attaining the corner's minimum.
-
-    All three come from one evaluation of the candidates' corners, so the
-    rate is the corner's total exactly. Near-ties resolve toward the largest
+    Both come from one evaluation of the candidates' corners, so the rate is
+    the corner's total exactly. Near-ties resolve toward the largest
     fraction, so f_hat = 1 stays exact where all-private transmission is
     optimal.
     """
     fs = _hop_split_candidates(gains, total)
     r_private, rc_two, rc_three = _corner(gains, *split_powers(fs, total))
+    r_common = np.minimum(rc_two, rc_three)
     # Ties only at rounding level, so an interior optimum a few ulps above the
     # endpoint still wins.
-    idx = _pick_last_max(r_private + np.minimum(rc_two, rc_three), tie_tol=1e-15)
-    rc_two, rc_three = float(rc_two[idx]), float(rc_three[idx])
-    corner = RatePair(float(r_private[idx]), min(rc_two, rc_three))
-    if abs(rc_two - rc_three) <= 1e-12:
-        binding = (LABEL_COMMON2, LABEL_COMMON3)
-    else:
-        binding = (LABEL_COMMON2,) if rc_two < rc_three else (LABEL_COMMON3,)
-    return HopSplit(float(fs[idx])), corner, binding
+    idx = _pick_last_max(r_private + r_common, tie_tol=1e-15)
+    return HopSplit(float(fs[idx])), RatePair(float(r_private[idx]), float(r_common[idx]))
 
 
 def _rs_optimum(params: NetworkParams, hop: int, gains_fn=_mac_gains):
@@ -183,39 +167,48 @@ def _rs_optimum(params: NetworkParams, hop: int, gains_fn=_mac_gains):
     return _hop_optimum(gains_fn(cross2, intra2), total)
 
 
+def _rs_binding(params: NetworkParams, hop: int, split: HopSplit) -> tuple[str, ...]:
+    """``max_sum_rate``'s binding on hop ``hop``'s rs region at ``split``, region unbuilt."""
+    cross2, intra2, total = params.hop(hop)
+    bounds = mac_bounds(cross2, intra2, *split_powers(split.f_private, total))
+    return _greedy(_hop_lines(bounds))[2]
+
+
 def rate_splitting(params: NetworkParams) -> SchemeResult:
     """Rate splitting in both hops, each hop optimized independently.
 
     The end-to-end rate is the smaller of the two per-hop corner optima. The
-    reported operating point is the first-hop corner at its optimal split;
-    binding names the common-rate bound attaining the corner minimum on the
-    bottleneck hop.
+    reported operating point is the corner of the hop that sets it (hop 1 on
+    a tie) at that hop's optimal split, so its total is the rate; binding
+    names the bounds the max-sum LP finds tight on that hop's region there.
     """
     scale = params.rate_scale()
-    split1, corner1, binding1 = _rs_optimum(params, 1)
-    split2, corner2, binding2 = _rs_optimum(params, 2)
+    split1, corner1 = _rs_optimum(params, 1)
+    split2, corner2 = _rs_optimum(params, 2)
     rate1, rate2 = corner1.total, corner2.total
+    hop, split, corner = (1, split1, corner1) if rate1 <= rate2 else (2, split2, corner2)
     return SchemeResult(
         scheme=SCHEME_RS,
-        rate=min(rate1, rate2) * scale,
+        rate=corner.total * scale,
         split_hop1=split1,
         split_hop2=split2,
-        operating_point=_scale_point(corner1, scale),
-        binding=binding1 if rate1 <= rate2 else binding2,
+        operating_point=_scale_point(corner, scale),
+        binding=_rs_binding(params, hop, split),
         bottleneck_hop=_bottleneck(rate1, rate2),
     )
 
 
 def first_hop_upper_bound(params: NetworkParams) -> SchemeResult:
-    """Best first-hop rate over splits; caps every two-hop scheme here."""
+    """Best first-hop rate over splits; caps every two-hop scheme here. Its
+    binding is that of the hop-1 region at the optimal split."""
     scale = params.rate_scale()
-    split1, corner1, binding1 = _rs_optimum(params, 1)
+    split1, corner1 = _rs_optimum(params, 1)
     return SchemeResult(
         scheme=SCHEME_BOUND,
         rate=corner1.total * scale,
         split_hop1=split1,
         operating_point=_scale_point(corner1, scale),
-        binding=binding1,
+        binding=_rs_binding(params, 1, split1),
     )
 
 
@@ -259,7 +252,7 @@ def _search_joint_splits(params: NetworkParams, bounds_fn,
     def grid(centre, points, window):
         return np.clip(np.linspace(centre - window, centre + window, points), 0.0, 1.0)
 
-    (split, corner, _), capped = min(
+    (split, corner), capped = min(
         ((_rs_optimum(params, hop + 1, gains), hop)
          for hop, gains in enumerate((_mac_gains, gains_fn)) if gains),
         key=lambda cap: cap[0][1].total)

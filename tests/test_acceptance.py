@@ -16,8 +16,7 @@ from meshrates.cli import main
 from meshrates.model import HopSplit, NetworkParams, RatePair, db_to_linear
 from meshrates.oracle import certified_midpoint, full_mac_region_hop1, grid_max_sum
 from meshrates.polytope import contains, max_sum_rate, vertices
-from meshrates.regions import _mac_gains, hop1_region, hop2_mcp_region
-from meshrates.schemes import _corner
+from meshrates.regions import _corner, _mac_gains, hop1_region, hop2_mcp_region
 
 GRID = [round(0.02 * k, 2) for k in range(51)]  # alpha2 = eta2 in {0, 0.02, ..., 1}
 

@@ -11,6 +11,7 @@ from meshrates.oracle import (
 from meshrates.polytope import _DEDUP_TOL, LPSolution, contains, max_sum_rate, vertices
 from meshrates.regions import (
     Halfspace,
+    _corner,
     _mac_gains,
     RateRegion,
     hop1_region,
@@ -18,7 +19,6 @@ from meshrates.regions import (
     hop2_mcp_region,
     hop2_rs_region,
 )
-from meshrates.schemes import _corner
 
 FIG2 = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=2.0)
 HALF = HopSplit(0.5)

@@ -12,6 +12,7 @@ from meshrates.polytope import contains, max_sum_rate, vertices
 from meshrates.regions import (
     Halfspace,
     _coop_gains,
+    _corner,
     _mac_gains,
     RateRegion,
     coop_bounds,
@@ -22,7 +23,7 @@ from meshrates.regions import (
     mac_bounds,
     mcp_bounds,
 )
-from meshrates.schemes import _corner, _rs_optimum
+from meshrates.schemes import _rs_optimum
 
 FIG2 = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=2.0)
 HALF = HopSplit(0.5)  # P_1p = P_1c = 1 at total power 2
@@ -395,7 +396,7 @@ class TestHopConvention:
         # the other order give another corner there.
         params = self.PARAMS
         for gains_fn, builder in ((_mac_gains, hop2_rs_region), (_coop_gains, hop2_coop_region)):
-            split, corner, _ = _rs_optimum(params, 2, gains_fn)
+            split, corner = _rs_optimum(params, 2, gains_fn)
             assert max_sum_rate(builder(params, split)).value == \
                    pytest.approx(corner.total, rel=1e-15, abs=0.0)
             r_private, rc_two, rc_three = _corner(gains_fn(cross2=params.gamma2,

@@ -12,16 +12,17 @@ from meshrates.oracle import dense_split_scan
 from meshrates.polytope import max_sum_rate
 from meshrates.regions import (
     _coop_gains,
+    _corner,
     _mac_gains,
     coop_bounds,
     hop1_region,
     hop2_coop_region,
     hop2_mcp_region,
+    hop2_rs_region,
     mac_bounds,
     mcp_bounds,
 )
 from meshrates.schemes import (
-    _corner,
     _hop_optimum,
     _hop_split_candidates,
     _max_sum_grid,
@@ -159,7 +160,7 @@ class TestHopSplitOptimum:
                 rate = _rs_optimum(params, hop)[1].total
                 _, reference = dense_split_scan(params, hop=hop, step=1e-3)
                 assert rate >= reference - 1e-12, (params, hop)
-            split, corner, _ = _rs_optimum(params, 2, _coop_gains)
+            split, corner = _rs_optimum(params, 2, _coop_gains)
             reference = max(max_sum_rate(hop2_coop_region(params, HopSplit(float(f)))).value
                             for f in grid)
             assert corner.total >= reference - 1e-12, params
@@ -191,7 +192,7 @@ class TestHopSplitOptimum:
     def test_extreme_gains_and_powers(self, terms):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            split, corner, _ = _hop_optimum(_mac_gains(*terms[:2]), terms[2])
+            split, corner = _hop_optimum(_mac_gains(*terms[:2]), terms[2])
         f_hat, rate = split.f_private, corner.total
         want_f, want_rate = self.EXTREMES[terms]
         assert rate == pytest.approx(want_rate, rel=1e-15, abs=0.0)
@@ -206,10 +207,12 @@ class TestHopSplitOptimum:
         b, p = 1.0, 1.0
         d0, k = 1.0 + 2.0 * a * p, 1.0 + (2.0 * a + b) * p
         ratio = (math.sqrt(1.0 + 8.0 * a / b) - 1.0) / 2.0  # (D0 + bx)/K at the crossing
-        split, _, binding = _hop_optimum(_mac_gains(a, b), p)
+        result = first_hop_upper_bound(NetworkParams(alpha2=a, beta2=b, gamma2=1.0, eta2=0.0,
+                                                     p1=p, p2=1.0))
+        split = result.split_hop1
         assert split.f_private == pytest.approx((k * ratio - d0) / (b * p), rel=1e-12)
         assert split.f_private == pytest.approx(f_hat, abs=5e-5)
-        assert binding == (regions.LABEL_COMMON2, regions.LABEL_COMMON3)
+        assert result.binding == ("private-single", "sum-2", "sum-3")
 
     def test_rate_splitting_onset(self):
         # In regime (a <= b) all-private transmission, f_hat = 1, is optimal
@@ -251,27 +254,52 @@ class TestHopSplitOptimum:
                 best = _hop_optimum(gains, p)[1].total
                 assert rates.max() <= best + 1e-14 * max(1.0, abs(best)), (gains, p)
 
-    def test_rate_is_operating_point_total(self):
-        # The rate and the reported corner come from one evaluation, so they
-        # agree to the bit.
-        rng = np.random.default_rng(3)
-        hop1_bottleneck = 0
-        for k in range(2000):
+    @staticmethod
+    def draws(seed, n):
+        """``n`` seeded networks: every fourth out of the paper's regime,
+        every third half duplex, every sixth with power boost."""
+        rng = np.random.default_rng(seed)
+        for k in range(n):
             beta2, gamma2 = (float(g) for g in rng.uniform(0.1, 3.0, size=2))
-            lo, hi = (0.0, 1.0) if k % 4 else (1.0, 3.0)  # every fourth out of regime
+            lo, hi = (0.0, 1.0) if k % 4 else (1.0, 3.0)
             p1, p2 = (float(p) for p in np.exp(rng.uniform(math.log(0.01), math.log(100.0),
                                                            size=2)))
-            params = NetworkParams(
+            yield NetworkParams(
                 alpha2=float(rng.uniform(lo * beta2, hi * beta2)), beta2=beta2, gamma2=gamma2,
                 eta2=float(rng.uniform(lo * gamma2, hi * gamma2)), p1=p1, p2=p2,
                 duplex="half" if k % 3 == 0 else "full", power_boost=k % 6 == 0)
+
+    def test_rate_is_operating_point_total(self):
+        # The rate and the reported corner come from one evaluation, so they
+        # agree to the bit, whichever hop's corner rate splitting reports.
+        for params in self.draws(3, 2000):
             bound = first_hop_upper_bound(params)
             assert bound.rate == bound.operating_point.total, params
             result = rate_splitting(params)
-            if result.bottleneck_hop == 1:
-                hop1_bottleneck += 1
-                assert result.rate == result.operating_point.total, params
-        assert hop1_bottleneck >= 500
+            assert result.rate == result.operating_point.total, params
+
+    def test_binding_is_the_reported_hops_lp_binding(self):
+        # Both name exactly the bounds the max-sum LP finds tight on the
+        # reported hop's region at the reported split, and the reported
+        # corner is that LP's point. Rate splitting reports the hop whose
+        # optimum is the rate, hop 1 on a tie.
+        hops = {1: 0, 2: 0}
+        for params in self.draws(29, 1500):
+            scale = params.rate_scale()
+            bound = first_hop_upper_bound(params)
+            result = rate_splitting(params)
+            hop = 1 if result.rate == bound.rate else 2
+            hops[hop] += 1
+            for reported, region in (
+                    (bound, hop1_region(params, bound.split_hop1)),
+                    (result, hop1_region(params, result.split_hop1) if hop == 1
+                     else hop2_rs_region(params, result.split_hop2))):
+                lp = max_sum_rate(region)
+                assert reported.binding == lp.binding, (params, reported)
+                point = reported.operating_point
+                assert point.r_private == pytest.approx(scale * lp.point.r_private, abs=1e-12)
+                assert point.r_common == pytest.approx(scale * lp.point.r_common, abs=1e-12)
+        assert min(hops.values()) >= 300, hops
 
 
 class TestFirstHopUpperBound:
@@ -493,7 +521,7 @@ class TestFirstHopCertificate:
             grids.clear()
             result = scheme(params)
             bound = first_hop_upper_bound(params)
-            split2, corner2, _ = _rs_optimum(params, 2, _coop_gains)
+            split2, corner2 = _rs_optimum(params, 2, _coop_gains)
             cap2 = corner2.total * params.rate_scale() if scheme is coop else math.inf
             assert result.rate <= min(bound.rate, cap2) + 1e-12, params
             if len(grids) == 1:  # the search stopped at the smaller cap
