@@ -255,8 +255,12 @@ _LABELS = {
 def _hop_lines(bounds: dict) -> list[tuple]:
     """A scalar ``*_bounds`` output as (coef_private, coef_common, bound,
     label) lines, in its order, each bound clamped at 0: one that is 0 in
-    exact arithmetic can round below it (mcp's are sums of logarithms)."""
-    return [(*key, max(float(bound), 0.0), _LABELS[key]) for key, bound in bounds.items()]
+    exact arithmetic can round below it (mcp's are sums of logarithms). A
+    bound that is not finite raises ValueError, as in a ``Halfspace``."""
+    lines = [(*key, max(float(bound), 0.0), _LABELS[key]) for key, bound in bounds.items()]
+    if not all(math.isfinite(line[2]) for line in lines):
+        raise ValueError(f"hop bounds must be finite, got {bounds!r}")
+    return lines
 
 
 def hop_region(name: str, params: NetworkParams, powers: SplitPowers,

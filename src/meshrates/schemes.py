@@ -9,13 +9,13 @@ of a few candidate fractions, whose corners are evaluated once; the winning
 corner gives the rate and the operating point, and binding is the max-sum
 LP's on that hop's region. Each such optimum caps the joint (f1, f2) rate
 of coop and mcp, so their search first scores the smaller cap's split
-against a grid of the other hop's splits: a cell that reaches the cap is
-exact.
-Elsewhere it is grids: one table of passes, each centred on the previous
-best, every cell scored by the max-sum LP of its two hops
-(``polytope._max_sum_grid``), each hop's bounds evaluated once per pass. The
-returned rate, operating point and binding come from ``max_sum_rate`` on the
-regions of the bounds scored at the winning cell: the cell's value, bit for bit.
+against every tenth split of the other hop's 101-split grid, then all 101:
+a cell that reaches the cap is exact. Elsewhere it is grids: one table of
+passes, each centred on the previous best, every cell scored by the max-sum
+LP of its two hops (``polytope._max_sum_grid``), each hop's bounds evaluated
+once per pass. The returned rate, operating point and binding are the LP's
+greedy on the lines of the bounds scored at the winning cell: the cell's
+value, bit for bit.
 
 Half duplex scales every final rate by 1/2; the optional power boost doubles
 both transmit powers first.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import HopSplit, NetworkParams, RatePair, capacity, split_powers
-from .polytope import _greedy, _max_sum_grid, max_sum_rate
+from .polytope import _greedy, _max_sum_grid
 from .regions import (
     _coop_gains,
     _corner,
@@ -37,7 +37,6 @@ from .regions import (
     _mac_gains,
     _RsGains,
     coop_bounds,
-    hop_region,
     mac_bounds,
     mcp_bounds,
 )
@@ -218,8 +217,7 @@ def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
     For matched gains and equal powers both fractions coincide. Boundary
     ties resolve toward all-private (fraction 1).
     """
-    result = rate_splitting(params)
-    return result.split_hop1.f_private, result.split_hop2.f_private
+    return _rs_optimum(params, 1)[0].f_private, _rs_optimum(params, 2)[0].f_private
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +237,11 @@ def _search_joint_splits(params: NetworkParams, bounds_fn,
     A hop's max-sum LP at any split caps every joint rate, and the corner
     optimum of ``_hop_optimum`` is its maximum over splits: hop 1's always,
     hop 2's where ``gains_fn`` gives its gains (coop). The smaller cap's
-    split is scored against the other hop's pass-1 grid, and a cell within
-    1e-12 of the cap, optimal within 1e-12, is returned. Otherwise the
-    passes run, each centred on the previous best, pass 1 reusing the grid
-    already evaluated. Returns the best (f1, f2) and each hop's bounds there,
-    read from the scored arrays, so the cell's value is their max-sum LP.
+    split is scored against every tenth split of the other hop's pass-1
+    grid, then all of it; a cell within 1e-12 of the cap is optimal within
+    1e-12 and returned. Else the passes run, each centred on the last best,
+    pass 1 reusing the full grid. Returns the best (f1, f2) and each hop's
+    scored bounds there, whose max-sum LP is the cell's value.
     """
     def evaluate(hop, fs):
         cross2, intra2, total = params.hop(hop + 1)
@@ -252,16 +250,20 @@ def _search_joint_splits(params: NetworkParams, bounds_fn,
     def grid(centre, points, window):
         return np.clip(np.linspace(centre - window, centre + window, points), 0.0, 1.0)
 
-    (split, corner), capped = min(
-        ((_rs_optimum(params, hop + 1, gains), hop)
+    (split, corner), capped, other = min(
+        ((_rs_optimum(params, hop + 1, gains), hop, 1 - hop)
          for hop, gains in enumerate((_mac_gains, gains_fn)) if gains),
         key=lambda cap: cap[0][1].total)
-    fs = [np.array([split.f_private]) if hop == capped else grid(0.5, *_JOINT_PASSES[0])
-          for hop in (0, 1)]
-    bounds = [evaluate(hop, fs[hop]) for hop in (0, 1)]
-    values = _max_sum_grid(*bounds)
-    i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
-    if values[i, j] < corner.total - 1e-12:
+    fs = [np.array([split.f_private])] * 2  # the other hop's entries are set below
+    bounds = [evaluate(capped, fs[capped])] * 2
+    for step in (10, 1):  # every tenth split of pass 1's grid, then all of them
+        fs[other] = grid(0.5, *_JOINT_PASSES[0])[::step]
+        bounds[other] = evaluate(other, fs[other])
+        values = _max_sum_grid(*bounds)
+        i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
+        if values[i, j] >= corner.total - 1e-12:
+            break
+    else:
         best = (0.5, 0.5)
         for k, (points, window) in enumerate(_JOINT_PASSES):
             for hop in (0, 1):
@@ -277,22 +279,21 @@ def _search_joint_splits(params: NetworkParams, bounds_fn,
 
 def _joint(scheme: str, params: NetworkParams, bounds_fn, gains_fn=None) -> SchemeResult:
     """Rate splitting in hop 1, hop 2 with the bounds ``bounds_fn`` gives,
-    its region named after the scheme (``hop2-coop``, ``hop2-mcp``). The
-    exact LP over both hop regions runs once more, on the bounds the search
-    scored at its winning cell, for the operating point and the binding."""
+    its lines named after the scheme (``hop2-coop``, ``hop2-mcp``). The LP's
+    greedy runs once more on the bounds scored at the winning cell: the point
+    and binding ``max_sum_rate`` gives on the two hops' regions, unbuilt."""
     scale = params.rate_scale()
     f1, f2, bounds1, bounds2 = _search_joint_splits(params, bounds_fn, gains_fn)
-    split1, split2 = HopSplit(f1), HopSplit(f2)
-    lp = max_sum_rate(hop_region("hop1", params, split1.powers(params.hop(1)[2]), bounds1),
-                      hop_region(f"hop2-{scheme}", params, split2.powers(params.hop(2)[2]),
-                                 bounds2))
+    x, y, binding = _greedy([(a, b, c, f"{name}:{label}")
+                             for name, bounds in (("hop1", bounds1), (f"hop2-{scheme}", bounds2))
+                             for a, b, c, label in _hop_lines(bounds)])
     return SchemeResult(
         scheme=scheme,
-        rate=lp.value * scale,
-        split_hop1=split1,
-        split_hop2=split2,
-        operating_point=_scale_point(lp.point, scale),
-        binding=lp.binding,
+        rate=(x + y) * scale,
+        split_hop1=HopSplit(f1),
+        split_hop2=HopSplit(f2),
+        operating_point=_scale_point(RatePair(x, y), scale),
+        binding=binding,
     )
 
 

@@ -15,6 +15,7 @@ from meshrates.regions import (
     _corner,
     _mac_gains,
     RateRegion,
+    _hop_lines,
     coop_bounds,
     hop1_region,
     hop2_coop_region,
@@ -63,6 +64,12 @@ class TestHalfspace:
     def test_bound_finite_and_non_negative(self, bound):
         with pytest.raises(ValueError, match="must be finite and >= 0"):
             Halfspace(1, 0, bound, "p")
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_hop_lines_refuse_a_non_finite_bound(self, bound):
+        # the lines coop and mcp's final LP reads refuse what a halfspace does
+        with pytest.raises(ValueError, match="must be finite"):
+            _hop_lines({**mac_bounds(0.4, 1.0, 1.0, 1.0), (0, 3): bound})
 
 
 class TestHop1Region:

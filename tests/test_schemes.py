@@ -388,6 +388,26 @@ def four_passes(params, bounds_fn):
     return f1, f2
 
 
+def full_row(params, bounds_fn, gains_fn):
+    """The search with the smaller cap's split scored against all of pass
+    1's grid at once: the max-sum rate of the cell it returns, before the
+    half-duplex scale, and the capped hop (0 or 1), or None where the row
+    misses the cap and the four passes' cell is returned."""
+    caps = [(_rs_optimum(params, 1), 0)]
+    if gains_fn:
+        caps.append((_rs_optimum(params, 2, gains_fn), 1))
+    (split, corner), capped = min(caps, key=lambda cap: cap[0][1].total)
+    fs = [np.linspace(0.0, 1.0, 101)] * 2
+    fs[capped] = np.array([split.f_private])
+    values = _max_sum_grid(*grid_bounds(params, bounds_fn, *fs)).ravel()
+    cell = float(values[_pick_last_max(values)])
+    if cell >= corner.total - 1e-12:
+        return cell, capped
+    f1, f2 = four_passes(params, bounds_fn)
+    values = _max_sum_grid(*grid_bounds(params, bounds_fn, np.array([f1]), np.array([f2])))
+    return float(values[0, 0]), None
+
+
 def bounds_at(bounds_fn, cross2, intra2, total, f):
     """Scalar bounds of one hop at split f, read from a one-split array
     evaluation (the path the search scores)."""
@@ -464,16 +484,32 @@ class TestJointValues:
             cell = _max_sum_grid(*bounds)[0, 0]
             assert cell * params.rate_scale() == result.rate, params
 
-    @pytest.mark.parametrize("scheme,name,fallback,pass1", [
-        pytest.param(coop, "coop_bounds", DRAW_950, "hop2", id="coop-coop_bounds"),
-        pytest.param(mcp, "mcp_bounds", figure(3.0, 0.06), "hop1", id="mcp-mcp_bounds"),
+    # Rows of each bounds evaluation, in order. The smaller cap's split is
+    # evaluated once, the other hop's every tenth pass-1 split, then on a miss
+    # all 101; passes 2-4 evaluate both hops at 11 splits.
+    PASSES_2_TO_4 = [("hop1", 11), ("hop2", 11)] * (len(schemes._JOINT_PASSES) - 1)
+
+    @pytest.mark.parametrize("scheme,name,cases", [
+        pytest.param(coop, "coop_bounds", [
+            (symmetric(0.4, 2.0, p2=1.0), [("hop2", 1), ("hop1", 11)]),
+            # draw 44 of seeded_networks(5, 1000, variants=True): full duplex, in regime
+            (seeded_networks(5, 45, variants=True)[44],
+             [("hop1", 1), ("hop2", 11), ("hop2", 101)]),
+            (DRAW_950, [("hop2", 1), ("hop1", 11), ("hop1", 101), ("hop2", 101)] + PASSES_2_TO_4),
+        ], id="coop-coop_bounds"),
+        pytest.param(mcp, "mcp_bounds", [
+            (symmetric(0.4, 2.0, p2=1.0), [("hop1", 1), ("hop2", 11)]),
+            (figure(3.0, 0.06),
+             [("hop1", 1), ("hop2", 11), ("hop2", 101), ("hop1", 101)] + PASSES_2_TO_4),
+        ], id="mcp-mcp_bounds"),
     ])
-    def test_one_bounds_evaluation_per_pass(self, scheme, name, fallback, pass1, monkeypatch):
+    def test_one_bounds_evaluation_per_pass(self, scheme, name, cases, monkeypatch):
         calls = []
 
         def counting(fn, label):
             def wrapper(cross2, intra2, p_private, p_common):
-                calls.append((label, type(p_private), type(p_common)))
+                assert type(p_private) is type(p_common) is np.ndarray
+                calls.append((label, len(p_private)))
                 return fn(cross2, intra2, p_private, p_common)
             return wrapper
 
@@ -483,17 +519,58 @@ class TestJointValues:
         for module in (schemes, regions):
             monkeypatch.setattr(module, "mac_bounds", hop1)
             monkeypatch.setattr(module, name, hop2)
-        # A certified search scores the smaller cap's split against the
-        # other hop's pass-1 grid and stops; otherwise pass 1 evaluates only
-        # the capped hop's grid (hop 2's for coop at DRAW_950, hop 1's for mcp).
-        passes = len(schemes._JOINT_PASSES)
-        for params, expected in (
-                (symmetric(0.4, 2.0, p2=1.0), ["hop1", "hop2"]),
-                (fallback, ["hop1", "hop2", pass1] + ["hop1", "hop2"] * (passes - 1))):
+        for params, expected in cases:  # probe settles, full row settles, passes run
             calls.clear()
             scheme(params)
-            assert [label for label, _, _ in calls] == expected
-            assert {(pp, pc) for _, pp, pc in calls} == {(np.ndarray, np.ndarray)}
+            assert calls == expected, params
+
+    @pytest.mark.parametrize("scheme,bounds_fn,gains_fn,certified", [
+        pytest.param(coop, coop_bounds, _coop_gains, (102, 102, 931, 913), id="coop"),
+        pytest.param(mcp, mcp_bounds, None, (88, 88, 738, 738), id="mcp"),
+    ])
+    def test_tenth_split_probe_matches_full_row(self, scheme, bounds_fn, gains_fn, certified,
+                                                monkeypatch):
+        # Against the search that scored the smaller cap's split against all
+        # of pass 1's grid at once: the rate is bit-identical, a certified
+        # cell's other split is one of that grid's, and a fallback's splits
+        # are the four passes'. ``certified`` counts the Fig. 4/5 points that
+        # reach the cap, those the probe settles, then the same for the draws.
+        grids = []
+
+        def counting(*bounds):
+            grids.append(bounds)
+            return _max_sum_grid(*bounds)
+
+        monkeypatch.setattr(schemes, "_max_sum_grid", counting)
+        figures = [figure(p1_db, k * 0.02) for p1_db in (3.0, 10.0) for k in range(51)]
+        row = np.linspace(0.0, 1.0, 101)
+        counts = {"figures": [0, 0], "draws": [0, 0]}
+        for k, params in enumerate(figures + seeded_networks(5, 1000, variants=True)):
+            grids.clear()
+            result = scheme(params)
+            probe = len(grids) == 1
+            f1, f2 = result.split_hop1.f_private, result.split_hop2.f_private
+            reference, capped = full_row(params, bounds_fn, gains_fn)
+            if capped is None:  # the four passes
+                assert (f1, f2) == four_passes(params, bounds_fn), params
+            else:
+                assert (f2, f1)[capped] in row, params
+                tally = counts["draws" if k >= len(figures) else "figures"]
+                tally[0] += 1
+                tally[1] += probe
+            assert result.rate == reference * params.rate_scale(), params
+        assert (*counts["figures"], *counts["draws"]) == certified
+
+
+    def test_non_finite_bound_is_refused(self):
+        # An infinite common bound never binds, so every cell is finite; the
+        # final LP refuses it, as the region it stands for would.
+        def unbounded_common(*args):
+            bounds = mcp_bounds(*args)
+            return {**bounds, (0, 1): np.full_like(bounds[(0, 1)], math.inf)}
+
+        with pytest.raises(ValueError, match="must be finite"):
+            schemes._joint(schemes.SCHEME_MCP, symmetric(0.4, 2.0, p2=1.0), unbounded_common)
 
 
 class TestFirstHopCertificate:
@@ -524,7 +601,7 @@ class TestFirstHopCertificate:
             split2, corner2 = _rs_optimum(params, 2, _coop_gains)
             cap2 = corner2.total * params.rate_scale() if scheme is coop else math.inf
             assert result.rate <= min(bound.rate, cap2) + 1e-12, params
-            if len(grids) == 1:  # the search stopped at the smaller cap
+            if len(grids) <= 2:  # the probe or the full row reached the smaller cap
                 assert result.rate == pytest.approx(min(bound.rate, cap2), abs=1e-12), params
                 if bound.rate <= cap2:
                     assert result.split_hop1 == bound.split_hop1, params
