@@ -43,19 +43,6 @@ def contains(region: RateRegion, point: RatePair, tol: float = FEAS_TOL) -> bool
     return all(h.slack(point) >= -tol for h in region.halfspaces)
 
 
-def _lines(regions: tuple[RateRegion, ...], qualify: bool):
-    lines = []
-    for region in regions:
-        prefix = f"{region.short_name}:" if qualify else ""
-        for h in region.halfspaces:
-            a, b = float(h.coef_private), float(h.coef_common)
-            if 0 < b < a:
-                raise ValueError(
-                    f"greedy max-sum LP needs coef_common >= coef_private, got ({a:g}, {b:g})")
-            lines.append((a, b, float(h.bound), prefix + h.label))
-    return lines
-
-
 def max_sum_rate(*regions: RateRegion) -> LPSolution:
     """Exact maximizer of R_private + R_common over the regions' intersection.
 
@@ -68,7 +55,15 @@ def max_sum_rate(*regions: RateRegion) -> LPSolution:
     """
     if not regions:
         raise ValueError("max_sum_rate needs at least one region")
-    lines = _lines(regions, qualify=len(regions) > 1)
+    lines = []
+    for region in regions:
+        prefix = f"{region.short_name}:" if len(regions) > 1 else ""
+        for h in region.halfspaces:
+            a, b = float(h.coef_private), float(h.coef_common)
+            if 0 < b < a:
+                raise ValueError(
+                    f"greedy max-sum LP needs coef_common >= coef_private, got ({a:g}, {b:g})")
+            lines.append((a, b, float(h.bound), prefix + h.label))
     x, y, binding = _greedy(lines)
     face = min([x] + [(c - a * x - b * y) / (b - a) for a, b, c, _ in lines if b > a])
     return LPSolution(value=x + y, point=RatePair(x, y), binding=binding,
@@ -77,7 +72,7 @@ def max_sum_rate(*regions: RateRegion) -> LPSolution:
 
 def _greedy(lines) -> tuple[float, float, tuple[str, ...]]:
     """The point of ``max_sum_rate`` on (a, b, c, label) lines, none with
-    0 < b < a (``_lines`` checks), and the labels of the lines tight there."""
+    0 < b < a (``max_sum_rate`` checks), and the labels of the lines tight there."""
     x = min(c / a for a, b, c, _ in lines if a > 0) + 0.0  # +0.0 normalizes -0.0
     y = max(min((c - a * x) / b for a, b, c, _ in lines if b > 0), 0.0) + 0.0
     return x, y, tuple(label for a, b, c, label in lines

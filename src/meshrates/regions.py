@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import HopSplit, NetworkParams, RatePair, SplitPowers
+from .model import HopSplit, NetworkParams, RatePair
 
 @dataclass(frozen=True)
 class Halfspace:
@@ -74,7 +74,7 @@ class RateRegion:
 # Bound formulas. Each takes (cross2, intra2, p_private, p_common), a hop's
 # gains as ``NetworkParams.hop`` gives them and its power pair, the powers as
 # scalars or numpy arrays so the split optimizers can sweep many splits in
-# one call. ``hop_region`` wraps scalar bounds into labeled halfspaces, and
+# one call. ``_hop_region`` wraps scalar bounds into labeled halfspaces, and
 # each public region builder is the bounds at its split passed to it.
 # ---------------------------------------------------------------------------
 
@@ -263,24 +263,19 @@ def _hop_lines(bounds: dict) -> list[tuple]:
     return lines
 
 
-def hop_region(name: str, params: NetworkParams, powers: SplitPowers,
-               bounds: dict) -> RateRegion:
-    """Region ``name`` (``hop1``, ``hop2-rs``, ``hop2-coop`` or ``hop2-mcp``)
-    of its scalar ``*_bounds`` output at the split ``powers``: one halfspace
-    per line of ``_hop_lines``."""
-    gains = (f"alpha2={params.alpha2:g}, beta2={params.beta2:g}" if name == "hop1"
-             else f"eta2={params.eta2:g}, gamma2={params.gamma2:g}")
-    return RateRegion(tuple([Halfspace(*line) for line in _hop_lines(bounds)]),
-                      f"{name}({gains}, p_private={powers.p_private:g}, "
-                      f"p_common={powers.p_common:g})")
-
-
 def _hop_region(name: str, hop: int, bounds_fn, params: NetworkParams,
                 split: HopSplit) -> RateRegion:
-    """Region ``name`` of hop ``hop``'s ``bounds_fn`` bounds at ``split``."""
+    """Region ``name`` (``hop1``, ``hop2-rs``, ``hop2-coop`` or ``hop2-mcp``)
+    of hop ``hop``'s ``bounds_fn`` bounds at ``split``: one halfspace per
+    line of ``_hop_lines``."""
     cross2, intra2, total = params.hop(hop)
     powers = split.powers(total)
-    return hop_region(name, params, powers, bounds_fn(cross2, intra2, *powers))
+    gains = (f"alpha2={cross2:g}, beta2={intra2:g}" if hop == 1
+             else f"eta2={cross2:g}, gamma2={intra2:g}")
+    lines = _hop_lines(bounds_fn(cross2, intra2, *powers))
+    return RateRegion(tuple([Halfspace(*line) for line in lines]),
+                      f"{name}({gains}, p_private={powers.p_private:g}, "
+                      f"p_common={powers.p_common:g})")
 
 
 def hop1_region(params: NetworkParams, split: HopSplit) -> RateRegion:

@@ -17,8 +17,10 @@ once per pass. The returned rate, operating point and binding are the LP's
 greedy on the lines of the bounds scored at the winning cell: the cell's
 value, bit for bit.
 
-Half duplex scales every final rate by 1/2; the optional power boost doubles
-both transmit powers first.
+Half duplex scales every final rate by 1/2: ``_result`` scales each reported
+operating point and its total alike, and ``single_rate``, which reports no
+point, scales its own rate. The optional power boost doubles both transmit
+powers first.
 """
 
 from __future__ import annotations
@@ -67,8 +69,14 @@ class SchemeResult:
     bottleneck_hop: int | str | None = None
 
 
-def _scale_point(point: RatePair, scale: float) -> RatePair:
-    return point if scale == 1.0 else RatePair(scale * point.r_private, scale * point.r_common)
+def _result(scheme: str, params: NetworkParams, point: RatePair, **fields) -> SchemeResult:
+    """The result at the per-hop operating point ``point``: the rate is its
+    total times the half-duplex scale, and the point is scaled alike."""
+    scale = params.rate_scale()
+    rate = point.total * scale
+    if scale != 1.0:
+        point = RatePair(scale * point.r_private, scale * point.r_common)
+    return SchemeResult(scheme=scheme, rate=rate, operating_point=point, **fields)
 
 
 def _bottleneck(rate1: float, rate2: float):
@@ -181,34 +189,21 @@ def rate_splitting(params: NetworkParams) -> SchemeResult:
     a tie) at that hop's optimal split, so its total is the rate; binding
     names the bounds the max-sum LP finds tight on that hop's region there.
     """
-    scale = params.rate_scale()
     split1, corner1 = _rs_optimum(params, 1)
     split2, corner2 = _rs_optimum(params, 2)
     rate1, rate2 = corner1.total, corner2.total
     hop, split, corner = (1, split1, corner1) if rate1 <= rate2 else (2, split2, corner2)
-    return SchemeResult(
-        scheme=SCHEME_RS,
-        rate=corner.total * scale,
-        split_hop1=split1,
-        split_hop2=split2,
-        operating_point=_scale_point(corner, scale),
-        binding=_rs_binding(params, hop, split),
-        bottleneck_hop=_bottleneck(rate1, rate2),
-    )
+    return _result(SCHEME_RS, params, corner, split_hop1=split1, split_hop2=split2,
+                   binding=_rs_binding(params, hop, split),
+                   bottleneck_hop=_bottleneck(rate1, rate2))
 
 
 def first_hop_upper_bound(params: NetworkParams) -> SchemeResult:
     """Best first-hop rate over splits; caps every two-hop scheme here. Its
     binding is that of the hop-1 region at the optimal split."""
-    scale = params.rate_scale()
     split1, corner1 = _rs_optimum(params, 1)
-    return SchemeResult(
-        scheme=SCHEME_BOUND,
-        rate=corner1.total * scale,
-        split_hop1=split1,
-        operating_point=_scale_point(corner1, scale),
-        binding=_rs_binding(params, 1, split1),
-    )
+    return _result(SCHEME_BOUND, params, corner1, split_hop1=split1,
+                   binding=_rs_binding(params, 1, split1))
 
 
 def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
@@ -282,19 +277,12 @@ def _joint(scheme: str, params: NetworkParams, bounds_fn, gains_fn=None) -> Sche
     its lines named after the scheme (``hop2-coop``, ``hop2-mcp``). The LP's
     greedy runs once more on the bounds scored at the winning cell: the point
     and binding ``max_sum_rate`` gives on the two hops' regions, unbuilt."""
-    scale = params.rate_scale()
     f1, f2, bounds1, bounds2 = _search_joint_splits(params, bounds_fn, gains_fn)
     x, y, binding = _greedy([(a, b, c, f"{name}:{label}")
                              for name, bounds in (("hop1", bounds1), (f"hop2-{scheme}", bounds2))
                              for a, b, c, label in _hop_lines(bounds)])
-    return SchemeResult(
-        scheme=scheme,
-        rate=(x + y) * scale,
-        split_hop1=HopSplit(f1),
-        split_hop2=HopSplit(f2),
-        operating_point=_scale_point(RatePair(x, y), scale),
-        binding=binding,
-    )
+    return _result(scheme, params, RatePair(x, y), split_hop1=HopSplit(f1),
+                   split_hop2=HopSplit(f2), binding=binding)
 
 
 def coop(params: NetworkParams) -> SchemeResult:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -271,12 +272,13 @@ class TestHopSplitOptimum:
 
     def test_rate_is_operating_point_total(self):
         # The rate and the reported corner come from one evaluation, so they
-        # agree to the bit, whichever hop's corner rate splitting reports.
-        for params in self.draws(3, 2000):
-            bound = first_hop_upper_bound(params)
-            assert bound.rate == bound.operating_point.total, params
-            result = rate_splitting(params)
-            assert result.rate == result.operating_point.total, params
+        # agree to the bit, whichever hop's corner rate splitting reports;
+        # coop's and mcp's rate is the total of their LP point alike.
+        for k, params in enumerate(self.draws(3, 2000)):
+            joint = (coop, mcp) if k < 300 else ()
+            for scheme in (first_hop_upper_bound, rate_splitting, *joint):
+                result = scheme(params)
+                assert result.rate == result.operating_point.total, (scheme, params)
 
     def test_binding_is_the_reported_hops_lp_binding(self):
         # Both name exactly the bounds the max-sum LP finds tight on the
@@ -865,6 +867,15 @@ class TestHalfDuplex:
         assert coop(boosted).rate == 0.5 * coop(doubled).rate
         assert single_rate(boosted).rate == 0.5 * single_rate(doubled).rate
         assert base.rate_scale() == 1.0
+        # Every scheme on seeded draws: half duplex is exactly half of full
+        # duplex, and with power boost exactly half of it at doubled powers.
+        for params in seeded_networks(31, 60):
+            half = replace(params, duplex="half")
+            boosted = replace(half, power_boost=True)
+            doubled = replace(params, p1=2.0 * params.p1, p2=2.0 * params.p2)
+            for scheme in (single_rate, rate_splitting, coop, mcp, first_hop_upper_bound):
+                assert scheme(half).rate == 0.5 * scheme(params).rate, (scheme, params)
+                assert scheme(boosted).rate == 0.5 * scheme(doubled).rate, (scheme, params)
 
 
 class TestPowerMonotonicity:
