@@ -11,10 +11,10 @@ stated once: five gains per unit of power (``_RsGains``), the bounds
 optimum in ``schemes`` evaluates. Its two-message min-type common bounds
 are emitted as two halfspaces (2-user and 3-user) so linear programs can
 report binding constraints faithfully. The joint-decoding (MCP) bounds
-are spectral integrals, evaluated by Jensen's formula over seven roots in one
-``_phi`` evaluation: conjugate pairs of linear or quadratic factors give the
-private and common roots in closed form, and the sum bound's four come from
-one batched companion-matrix eigenvalue call on a reversed quartic.
+are spectral integrals, evaluated by Jensen's formula over one root of each
+conjugate pair in one ``_phi`` evaluation, all in closed form and in real
+arithmetic: the private response's linear factor, the common response's
+quadratic, and the two real quadratics the sum bound's quartic factors into.
 """
 
 from __future__ import annotations
@@ -152,14 +152,104 @@ def coop_bounds(cross2, intra2, p_private, p_common):
 _LN2 = math.log(2.0)
 
 
-def _phi(v):
-    """log2|J/w| at v = 1/w, where J is the root of z^2 - w*z + 1 with |J| >= 1.
+def _phi(vr, vi):
+    """log2|J/w| at v = 1/w = vr + i*vi, where J is the root of z^2 - w*z + 1
+    with |J| >= 1, in real arithmetic.
 
-    J/w = (1 +- sqrt(1 - 4v^2))/2, and the principal square root has a
-    non-negative real part, so the + sign has the larger modulus. phi(0) = 0,
-    and a tiny v only brings its own tiny absolute error.
+    J/w = (1 + s)/2 with s the principal square root of z = 1 - 4v^2, and
+    |1 + s|^2 = 1 + |z| + 2 Re s, where (Re s)^2 = (|z| + Re z)/2 is summed
+    from two non-negative terms. phi reads v through v^2 and is even in Im v,
+    so the signs of vr and vi do not matter. phi(0) = 0, and a tiny v only
+    brings its own tiny absolute error.
     """
-    return np.log2(np.abs(1.0 + np.sqrt(1.0 - 4.0 * v * v))) - 1.0
+    zr = 1.0 - 4.0 * (vr * vr - vi * vi)
+    zi = 8.0 * vr * vi
+    modulus = np.hypot(zr, zi)
+    re2 = np.maximum(zr, 0.0) + 0.5 * zi * (zi / (modulus + np.abs(zr)))
+    return 0.5 * np.log2(0.25 * (1.0 + modulus + 2.0 * np.sqrt(re2)))
+
+
+def _reciprocal(scale, x, y):
+    """scale/(x + i*y) as (real, imaginary) parts, up to the signs ``_phi``
+    ignores."""
+    size = x * x + y * y
+    return scale * x / size, scale * y / size
+
+
+def _sum_roots(g, e, p, q):
+    """One root v = 1/w of each of the two conjugate pairs of P = 1 + p*h^2 +
+    q*u^2, as (real, imaginary) parts, for a cross amplitude e > 0.
+
+    In h = g + e*w, with k = q/e^2 and delta = e - g, P is Q(h) = 1 + p*h^2 +
+    k*h^2*(h + delta)^2. Q has no h term, so it factors into two real
+    quadratics k*(h^2 + a*h + b)(h^2 + a'*h + b') with a, a' = delta +- tau.
+    W = (p*e^2 + q*tau^2)/2 is the largest root of the resolvent cubic
+    (W - A)(W^2 - B^2) = K*W^2, with A = p*e^2/2, B = sqrt(q)*e and K =
+    q*delta^2/2. It is solved for d = W - max(A, B), so that W - A and W - B
+    are sums of non-negative terms. The start is the root of a quadratic that
+    holds (W + B)/W at its value at the root of W^2 - (A + K)*W = B^2*(1 -
+    A/max(A, B)); both are exact where A = 0 or B = 0. Two Halley steps
+    follow.
+
+    Then tau^2 - delta^2 = 2e^2(W - A)/W^2, and with R = W + sqrt(W^2 - B^2)
+    each factor's x = 2g + a and y^2 = 4b - a^2 are closed forms in R/W,
+    B/W and e^2/W. Its roots are v = e/(h - g) = -2e/(x -+ i*y). One x is a
+    sum of non-negative terms (which one depends on the sign of delta), and
+    the other follows from x*x' = 4g*e - (tau^2 - delta^2). The pair that
+    clusters at h = g as e -> 0 is divided through by e, and the pair that
+    leaves to infinity as q -> 0 is multiplied through by sqrt(q), so both
+    limits are continuous. Ratios to W are formed before products, so a tiny
+    W does not underflow.
+
+    Where p*e^2 and q are both 0 (no power, or a product that underflows),
+    every root sits at v = 0: the cubic is solved at q = 1 there and its
+    roots are returned as 0.
+    """
+    delta = e - g
+    a = p * (0.5 * e * e)
+    idle = (a + q) == 0.0
+    q = q + idle
+    sq = np.sqrt(q)
+    b, k = sq * e, q * (0.5 * delta * delta)
+    top = np.maximum(a, b)
+    wa0, wb0 = top - a, top - b
+    gap = wa0 + wb0
+    d = 0.0 * k  # delta = 0: K = 0 and W = max(A, B)
+    if delta != 0.0:
+        ak = a + k
+        c = 1.0 + 2.0 * b / (ak + np.hypot(ak, 2.0 * b * np.sqrt(wa0 / top)))
+        # the root d >= 0 of c*d^2 + (c*gap - k)*d = k*top, as a sum of two
+        # non-negative terms so that neither sign of c*gap - k cancels
+        lin = c * gap - k
+        d = (2.0 * top * (k / (np.hypot(lin, 2.0 * np.sqrt(c * top) * np.sqrt(k)) + np.abs(lin)))
+             + np.maximum(-lin, 0.0) / c)
+        for _ in range(2):
+            # Halley on (W - A)(W^2 - B^2) - K*W^2 and its derivatives, each
+            # divided by W^2
+            w = top + d
+            a1, a2, a3, kw = d / w, (d + gap) / w, 1.0 + b / w, k / w
+            s12, a12 = a1 + a2, a1 * a2
+            f0 = a12 * (w + b) - k
+            f1 = s12 * a3 + a12 - 2.0 * kw
+            d = d - f0 * f1 / (f1 * f1 - f0 * (a3 + s12 - kw) / w)
+    # the factors are named by their constant term b; the big one's x is
+    # returned as x/e and its y as sqrt(q)*y/e
+    w = top + d
+    ratio, bw, ew = (d + wa0) / w, b / w, e * e / w
+    rw = 1.0 + np.sqrt((d + wb0) / w * (1.0 + bw))  # R/W
+    eps = 2.0 * ew * ratio  # tau^2 - delta^2
+    tau = np.sqrt(delta * delta + eps)
+    if delta >= 0.0:
+        x_big = 2.0 * g + tau * rw
+        x_small, xe_big = (4.0 * g * e - eps) / x_big, x_big / e
+    else:
+        x_small = 2.0 * g + tau * bw * bw / rw
+        xe_big = (4.0 * g - 2.0 * e * ratio / w) / x_small
+    live = 1.0 - idle
+    y_small = np.sqrt(2.0 * p * ew * ew / rw + eps)
+    qy_big = np.sqrt(2.0 * p * rw + 2.0 * q * ratio / w)
+    return (_reciprocal(2.0 * e * live, x_small, y_small),
+            _reciprocal(2.0 * sq * live, sq * xe_big, qy_big))
 
 
 def mcp_bounds(cross2, intra2, p_private, p_common):
@@ -172,72 +262,54 @@ def mcp_bounds(cross2, intra2, p_private, p_common):
     h = g + e*w and u = (1 + w)(g + e*w), and P is 1 + p_private*h^2,
     1 + q*u^2 or 1 + p_private*h^2 + q*u^2. Jensen's formula, with w = z + 1/z,
     turns the integral of log2 P into log2 P(0) + sum_k phi(1/w_k) over the
-    roots w_k of P.
+    roots w_k of P. P is real, so its roots come in conjugate pairs, and
+    each pair counts twice its one root.
 
-    With y = i*sqrt(power), 1 + power*r^2 = |1 + y*r|^2 for a real response r,
-    so the private and common integrals are twice those of log2|1 + y*r|. The
-    private factor is linear, with the one reciprocal root -y*e/(1 + y*g).
-    The common factor a*w^2 + b*w + c, (c, b, a) = (1 + y*g, y*(g + e), y*e),
-    has by Vieta the reciprocal roots a/Q and Q/c, with Q = -(b +- sqrt(b^2 -
-    4ac))/2 taking the sign of larger modulus, so nothing divides by a small
-    a. a/Q is taken as 0 where a = 0: Q can be 0 there, or so small that
-    complex division overflows. Where a != 0, |Q| >= sqrt|ac| is a normal
-    float. The sum bound takes the roots v_k = 1/w_k of the reversed quartic
-    in v = 1/w, whose leading coefficient P(0) = 1 + (p_private + q)*intra2
-    is at least 1: one batched eigenvalue call on the monic companion
-    matrices, then one Newton step per root on the quartic evaluated through
-    h and u, kept where it lowers its modulus. One ``_phi`` evaluation covers
-    all seven roots.
+    With y = i*sqrt(power), 1 + power*r^2 = |1 + y*r|^2 for a real response
+    r, so the private and common roots are those of 1 + y*r. The private
+    factor is linear, with the one reciprocal root -y*e/(1 + y*g). The
+    common factor in v = 1/w is c*v^2 + b*v + a, (c, b, a) = (1 + y*g,
+    y*(g + e), y*e). Its discriminant, -q*(g - e)^2 - 4i*e*sqrt(q), has a
+    real part that is never positive, so -b + root has the larger modulus.
+    The roots (-b + root)/(2c) and 2a/(-b + root) share a factor q^(1/4) that
+    takes them to 0 with q. The sum's quartic factors into two real
+    quadratics in closed form (``_sum_roots``). Without a cross gain, h = g,
+    and the common and sum polynomials are quadratics in 1 + w.
+
+    All arithmetic is real and elementwise: one ``_phi`` evaluation covers
+    the five roots, and a scalar call runs the same operations on float
+    scalars that a batch runs on arrays, so both round alike.
 
     Scalar gains (``cross2`` = eta^2, ``intra2`` = gamma^2); the power pair
     may be scalars or arrays, and every bound has their broadcast shape.
     Returns the bounds keyed by (coef_private, coef_common).
     """
     g, e = math.sqrt(intra2), math.sqrt(cross2)
-    s = g + e  # u = (g, s, e) in ascending powers of w
     p, q = np.broadcast_arrays(np.asarray(p_private, dtype=float),
                                np.asarray(p_common, dtype=float) / 3.0)
-    p_row, q_row = p.reshape(-1, 1), q.reshape(-1, 1)
-
-    y = 1j * np.sqrt(p_row)
-    private_root = -(y * e) / (1.0 + y * g)
-    y = 1j * np.sqrt(q_row)
-    a, b, c = y * e, y * s, 1.0 + y * g
-    root = np.sqrt(b * b - 4.0 * a * c)
-    big = -0.5 * np.where(np.abs(b + root) >= np.abs(b - root), b + root, b - root)
-    small_root = np.divide(a, big, out=np.zeros_like(a), where=a != 0)
-
-    # P - 1 in ascending powers of w, h*h and u*u summed in np.convolve's order;
-    # the reversed quartic is v^4 + m1 v^3 + m2 v^2 + m3 v + m4 = v^4 P(1/v) / P(0).
-    gg, ge, ee = g * g, g * e, e * e
-    coefs = (p_row * np.array((gg, ge + ge, ee, 0.0, 0.0))
-             + q_row * np.array((gg, g * s + s * g, ge + s * s + e * g, s * e + e * s, ee)))
-    companion = np.zeros((len(coefs), 4, 4))
-    companion[:, 0, :] = coefs[:, 1:] / (-1.0 - coefs[:, :1])
-    companion[:, 1:, :-1] = np.eye(3)
-    v = np.linalg.eigvals(companion)
-
-    def reversed_quartic(v):
-        # v^4 P(1/v) through (and with) v^2 h(1/v) and v^2 u(1/v): near the
-        # roots the rounded monomial coefficients cancel, the responses do not.
-        gv = g * v
-        h_rev, u_rev = (gv + e) * v, (gv + s) * v + e
-        v2 = v * v
-        return v2 * v2 + p_row * h_rev * h_rev + q_row * u_rev * u_rev, h_rev, u_rev
-
-    # Where the slope is 0 or the quartic overflows, the comparison sees inf
-    # or nan and the step is not taken.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value, h_rev, u_rev = reversed_quartic(v)
-        gv2 = 2.0 * g * v
-        slope = 4.0 * v * v * v + 2.0 * (p_row * h_rev * (gv2 + e) + q_row * u_rev * (gv2 + s))
-        stepped = v - value / slope
-        v = np.where(np.abs(reversed_quartic(stepped)[0]) < np.abs(value), stepped, v)
-    roots = np.concatenate((private_root, small_root, big / c, v), axis=1)
-    phis = _phi(roots).reshape(*p.shape, 7)
-    return {(1, 0): np.log1p(p * g * g) / _LN2 + 2.0 * phis[..., 0],
-            (0, 1): np.log1p(q * g * g) / _LN2 + 2.0 * (phis[..., 1] + phis[..., 2]),
-            (1, 1): np.log1p(coefs[:, 0].reshape(p.shape)) / _LN2 + phis[..., 3:].sum(axis=-1)}
+    p, q = p[()], q[()]
+    sq = np.sqrt(q)
+    private_gain, common_gain = 1.0 + p * (g * g), 1.0 + q * (g * g)
+    roots = [(p * (e * g) / private_gain, e * np.sqrt(p) / private_gain)]
+    if e == 0.0:
+        zero = 0.0 * p
+        sg = sq * g
+        roots += [(zero, zero), (sg * sg / common_gain, sg / common_gain),
+                  (zero, zero), _reciprocal(sg, sg, np.sqrt(private_gain))]
+    else:
+        # -b + root = q^(1/4)*(2e/m - i*(q^(1/4)*(g + e) + m)), where m is
+        # -Im(root)/q^(1/4), positive for e > 0
+        quarter = np.sqrt(sq)
+        spread = sq * ((e - g) ** 2)
+        m = np.sqrt(0.5 * (np.hypot(spread, 4.0 * e) + spread))
+        nr, ni = 2.0 * e / m, quarter * (g + e) + m
+        sg, half = sq * g, quarter / (2.0 * common_gain)
+        roots += [((nr - ni * sg) * half, (ni + nr * sg) * half),
+                  _reciprocal(2.0 * quarter * e, ni, nr), *_sum_roots(g, e, p, q)]
+    phis = _phi(np.array([v[0] for v in roots]), np.array([v[1] for v in roots]))
+    return {(1, 0): np.log1p(p * g * g) / _LN2 + 2.0 * phis[0],
+            (0, 1): np.log1p(q * g * g) / _LN2 + 2.0 * (phis[1] + phis[2]),
+            (1, 1): np.log1p((p + q) * (g * g)) / _LN2 + 2.0 * (phis[3] + phis[4])}
 
 
 # Label of each bound by its (coef_private, coef_common) key.

@@ -1,6 +1,6 @@
 import math
 import warnings
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -300,48 +300,52 @@ class TestMcpBounds:
             row = mcp_bounds(eta2, gamma2, np.array([p_private]), np.array([p_common]))
             assert all(scalar[key] == row[key][0] for key in scalar)
 
-    HIGH_POWER_GRID = [(gamma2, eta2, pp, pc)
-                       for gamma2 in (0.2, 1.0, 2.25, 2.5)
-                       for eta2 in (1e-12, 0.25, 1.0, 4.0)
-                       for pp, pc in ((0.0, 40.0), (0.0, 1000.0), (1.0, 500.0),
-                                      (10.0, 1000.0), (1000.0, 1000.0))]
+    # gamma2 = eta2 makes the sum's quartic biquadratic in h; eta2 = 1e-12 and
+    # 1e-6 cluster one of its pairs at h = g. The last five power pairs split
+    # 1000 from f = 0 to f = 1, so that p = 0 and q = 0 are entries of a batch.
+    HIGH_POWERS = ((0.0, 40.0), (0.0, 1000.0), (1.0, 500.0), (10.0, 1000.0), (1000.0, 1000.0),
+                   (0.0, 1000.0), (250.0, 750.0), (500.0, 500.0), (750.0, 250.0), (1000.0, 0.0))
+    HIGH_POWER_GRID = [(gamma2, eta2, pp, pc) for gamma2, eta2, (pp, pc) in product(
+        (0.2, 1.0, 2.25, 2.5), (1e-12, 1e-6, 0.25, 1.0, 2.25, 4.0), HIGH_POWERS)]
 
     def test_high_power_bounds_match_midpoint(self):
-        # Companion-matrix roots from rounded monomial coefficients are up to
-        # 3e-13 off here: at gamma2 = 2.5, eta2 = 1e-12, p_common = 40 they
-        # split a nearly double pair. The closed forms need no roots, and the
-        # sum's Newton step evaluates the quartic through h and u.
-        for gamma2, eta2, pp, pc in self.HIGH_POWER_GRID:
-            bounds = mcp_bounds(eta2, gamma2, pp, pc)
-            reference = oracle.mcp_reference_integrands(gamma2, eta2, pp, pc)
-            for key, name in (((1, 0), "private"), ((0, 1), "common"), ((1, 1), "sum")):
-                expected, ref_err, _ = oracle.certified_midpoint(reference[name])
-                assert abs(float(bounds[key]) - expected) + ref_err <= 1e-14, \
-                    (gamma2, eta2, pp, pc, name)
+        # Each gain pair's powers run as one batch. At gamma2 = 2.5, eta2 =
+        # 1e-12, p_common = 40 the sum's quartic has a nearly double pair; its
+        # factors are taken in closed form, with no roots of monomial
+        # coefficients.
+        for k in range(0, len(self.HIGH_POWER_GRID), len(self.HIGH_POWERS)):
+            rows = self.HIGH_POWER_GRID[k:k + len(self.HIGH_POWERS)]
+            gamma2, eta2 = rows[0][:2]
+            batch = mcp_bounds(eta2, gamma2, np.array([row[2] for row in rows]),
+                               np.array([row[3] for row in rows]))
+            for j, (_, _, pp, pc) in enumerate(rows):
+                reference = oracle.mcp_reference_integrands(gamma2, eta2, pp, pc)
+                for key, name in (((1, 0), "private"), ((0, 1), "common"), ((1, 1), "sum")):
+                    expected, ref_err, _ = oracle.certified_midpoint(reference[name])
+                    assert abs(float(batch[key][j]) - expected) + ref_err <= 1e-14, \
+                        (gamma2, eta2, pp, pc, name)
 
     # mcp_bounds(eta2, gamma2, p_private, p_common)[(1, 1)] by 50-digit
     # quadrature of the sum integrand (mpmath, run once and frozen here), with
     # a relative tolerance. At gamma2 = 5e-12 the two root scales of the
-    # quartic lie far apart; at P = 1e13 its roots crowd the unit circle. The
-    # last two references agree with Jensen's formula over 150-digit roots.
+    # quartic lie far apart; at P = 1e13 and 1e15 its roots crowd the unit
+    # circle (the 1e15 reference also agrees with Jensen's formula over
+    # 80-digit roots). The last two references agree with Jensen's formula
+    # over 150-digit roots: at gamma2 = eta2 = 1, p = (2, 3) the quartic is
+    # (w^2 + 2w + 2)^2, a double conjugate pair, and p = 1e100 puts two roots
+    # near v = 0.
     @pytest.mark.parametrize("gamma2,eta2,p_private,p_common,expected,rel", [
         (1.0, 0.25, 3e4, 7e4, 14.405488646360333833, 1e-13),
         (1.0, 0.25, 3e12, 7e12, 40.792532132650473253, 5e-11),
         (1.0, 0.25, 9e12, 1e12, 41.179049269868761878, 5e-11),
+        (1.0, 0.25, 3e14, 7e14, 47.435090048147411411, 1e-13),
         (5e-12, 4.6, 1e4, 9e4, 18.008059611887099195, 1e-13),
         (5e-12, 4.6, 5e4, 5e4, 18.627953997563170058, 1e-13),
         (5e-12, 4.6, 9e4, 1e4, 18.805809267240124798, 1e-13),
         (1.0, 0.4, 0.3, 1.2, 1.6015047383393075402, 1e-13),
         (0.2, 4.0, 10.0, 1000.0, 10.723380550692905494, 1e-13),
-        # Two known defects of the sum bound; strict, so a fix must remove the marker.
-        pytest.param(1.0, 1.0, 2.0, 3.0, 3.0621925376590451628, 1e-13,
-                     marks=pytest.mark.xfail(strict=True, reason=(
-                         "the quartic is (w^2 + 2w + 2)^2; the Newton step splits the "
-                         "double pair unevenly, 3.8e-10 relative too high"))),
-        pytest.param(0.0, 5.0, 1e100, 1e100, 335.32881231149693864, 1e-13,
-                     marks=pytest.mark.xfail(strict=True, reason=(
-                         "eigvals returns the small roots as 0 at these powers and the "
-                         "Newton step moves them onto v = -1/2, 0.40 bits too low"))),
+        (1.0, 1.0, 2.0, 3.0, 3.0621925376590451628, 1e-13),
+        (0.0, 5.0, 1e100, 1e100, 335.32881231149693864, 1e-13),
     ])
     def test_sum_bound_matches_frozen_reference(self, gamma2, eta2, p_private, p_common,
                                                  expected, rel):
@@ -349,7 +353,7 @@ class TestMcpBounds:
         assert abs(value - expected) <= rel * expected
 
     def test_sum_without_private_power_equals_common(self):
-        # The eigenvalue path of the sum bound against the closed form.
+        # The sum's factored quartic against the common bound's quadratic.
         for gamma2, eta2, _, pc in self.HIGH_POWER_GRID:
             bounds = mcp_bounds(eta2, gamma2, 0.0, pc)
             assert abs(float(bounds[(1, 1)]) - float(bounds[(0, 1)])) <= 1e-14
@@ -360,18 +364,18 @@ class TestMcpBounds:
             value = float(mcp_bounds(0.0, gamma2, p, 0.0)[(1, 0)])
             assert value == pytest.approx(math.log1p(p * gamma2) / math.log(2.0), rel=1e-15)
 
-    @pytest.mark.parametrize("p_private,n", [(1.5, 1), (np.linspace(0.0, 3.0, 7), 7)])
-    def test_one_eigenvalue_call_per_batch(self, p_private, n, monkeypatch):
-        shapes = []
-        eigvals = np.linalg.eigvals
+    @pytest.mark.parametrize("p_private", [1.5, np.linspace(0.0, 3.0, 7)])
+    def test_no_linear_algebra(self, p_private, monkeypatch):
+        # Every bound is a closed form: no entry point of np.linalg is called.
+        def refuse(*args, **kwargs):
+            raise AssertionError("mcp_bounds called np.linalg")
 
-        def counting(a):
-            shapes.append(np.shape(a))
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
-        mcp_bounds(0.4, 1.0, p_private, 3.0 - p_private)
-        assert shapes == [(n, 4, 4)]
+        for name in np.linalg.__all__:
+            if name != "LinAlgError":
+                monkeypatch.setattr(np.linalg, name, refuse)
+        for eta2 in (0.0, 0.4, 1.0, 4.0):
+            bounds = mcp_bounds(eta2, 1.0, p_private, 3.0 - p_private)
+            assert all(np.all(np.isfinite(bound)) for bound in bounds.values())
 
 
 class TestHopConvention:
