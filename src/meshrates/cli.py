@@ -104,16 +104,6 @@ def _network(values: dict, duplex: str, power_boost: bool) -> NetworkParams:
                          **{name: values[name] for name in _PARAM_NAMES})
 
 
-# Every scheme by its full name, in output order. The values are the scheme
-# functions themselves: perfbench/tracing.py wraps the values of module-level
-# dicts, not tuples nested in them.
-_SCHEMES = {
-    schemes.SCHEME_SINGLE: schemes.single_rate,
-    schemes.SCHEME_RS: schemes.rate_splitting,
-    schemes.SCHEME_COOP: schemes.coop,
-    schemes.SCHEME_MCP: schemes.mcp,
-    schemes.SCHEME_BOUND: schemes.first_hop_upper_bound,
-}
 _SHORT_NAMES = {"single": schemes.SCHEME_SINGLE, "rs": schemes.SCHEME_RS,
                 "bound": schemes.SCHEME_BOUND}
 
@@ -125,14 +115,14 @@ def _scheme_names(text: str) -> list[str]:
     for token in (t.strip() for t in text.split(",")):
         name = _SHORT_NAMES.get(token, token)
         if token == "all":
-            requested.update(_SCHEMES)
-        elif name in _SCHEMES:
+            requested.update(schemes.SCHEMES)
+        elif name in schemes.SCHEMES:
             requested.add(name)
         elif token:
             raise UsageError(f"unknown scheme {token!r}")
     if not requested:
         raise UsageError("no schemes requested")
-    return [name for name in _SCHEMES if name in requested]
+    return [name for name in schemes.SCHEMES if name in requested]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +155,7 @@ def _result_row(result: schemes.SchemeResult) -> dict:
 def cmd_point(as_json, duplex, power_boost, **values) -> None:
     """Evaluate the requested schemes for one parameter point."""
     params = _network(values, duplex, power_boost)
-    results = [_SCHEMES[name](params) for name in _scheme_names(values["schemes"])]
+    results = schemes.evaluate(params, _scheme_names(values["schemes"]))
 
     if as_json:
         payload = {
@@ -303,8 +293,7 @@ def cmd_sweep(param, link, output, duplex, power_boost, **values) -> None:
             point[dst] = point[src] * factor
         params = _network(point, duplex, power_boost)
         cells = {param: _fmt(value)}
-        for name in names:
-            result = _SCHEMES[name](params)
+        for name, result in zip(names, schemes.evaluate(params, names)):
             cells[name] = _fmt(result.rate)
             for key, field in _fields(result).items():
                 cells[f"{name}_{key}"] = field if key == "bottleneck" else _fmt(field)

@@ -201,14 +201,13 @@ def _sum_roots(g, e, p, q):
     limits are continuous. Ratios to W are formed before products, so a tiny
     W does not underflow.
 
-    Where p*e^2 and q are both 0 (no power, or a product that underflows),
-    every root sits at v = 0: the cubic is solved at q = 1 there and its
-    roots are returned as 0.
+    Where q is 0, P is the private response's 1 + p*h^2, and e^2/W = 2/p
+    overflows at a subnormal p: the cubic is solved at q = 1 there instead,
+    and ``mcp_bounds`` drops those roots for the private bound.
     """
     delta = e - g
     a = p * (0.5 * e * e)
-    idle = (a + q) == 0.0
-    q = q + idle
+    q = q + (q == 0.0)
     sq = np.sqrt(q)
     b, k = sq * e, q * (0.5 * delta * delta)
     top = np.maximum(a, b)
@@ -245,11 +244,10 @@ def _sum_roots(g, e, p, q):
     else:
         x_small = 2.0 * g + tau * bw * bw / rw
         xe_big = (4.0 * g - 2.0 * e * ratio / w) / x_small
-    live = 1.0 - idle
     y_small = np.sqrt(2.0 * p * ew * ew / rw + eps)
     qy_big = np.sqrt(2.0 * p * rw + 2.0 * q * ratio / w)
-    return (_reciprocal(2.0 * e * live, x_small, y_small),
-            _reciprocal(2.0 * sq * live, sq * xe_big, qy_big))
+    return (_reciprocal(2.0 * e, x_small, y_small),
+            _reciprocal(2.0 * sq, sq * xe_big, qy_big))
 
 
 def mcp_bounds(cross2, intra2, p_private, p_common):
@@ -273,8 +271,9 @@ def mcp_bounds(cross2, intra2, p_private, p_common):
     real part that is never positive, so -b + root has the larger modulus.
     The roots (-b + root)/(2c) and 2a/(-b + root) share a factor q^(1/4) that
     takes them to 0 with q. The sum's quartic factors into two real
-    quadratics in closed form (``_sum_roots``). Without a cross gain, h = g,
-    and the common and sum polynomials are quadratics in 1 + w.
+    quadratics in closed form (``_sum_roots``); at q = 0 the sum is the
+    private bound itself. Without a cross gain, h = g, and the common and
+    sum polynomials are quadratics in 1 + w.
 
     All arithmetic is real and elementwise: one ``_phi`` evaluation covers
     the five roots, and a scalar call runs the same operations on float
@@ -307,9 +306,11 @@ def mcp_bounds(cross2, intra2, p_private, p_common):
         roots += [((nr - ni * sg) * half, (ni + nr * sg) * half),
                   _reciprocal(2.0 * quarter * e, ni, nr), *_sum_roots(g, e, p, q)]
     phis = _phi(np.array([v[0] for v in roots]), np.array([v[1] for v in roots]))
-    return {(1, 0): np.log1p(p * g * g) / _LN2 + 2.0 * phis[0],
+    private = np.log1p(p * g * g) / _LN2 + 2.0 * phis[0]
+    total = np.log1p((p + q) * (g * g)) / _LN2 + 2.0 * (phis[3] + phis[4])
+    return {(1, 0): private,
             (0, 1): np.log1p(q * g * g) / _LN2 + 2.0 * (phis[1] + phis[2]),
-            (1, 1): np.log1p((p + q) * (g * g)) / _LN2 + 2.0 * (phis[3] + phis[4])}
+            (1, 1): np.where(q == 0.0, private, total)[()]}
 
 
 # Label of each bound by its (coef_private, coef_common) key.

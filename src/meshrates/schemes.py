@@ -17,6 +17,11 @@ once per pass. The returned rate, operating point and binding are the LP's
 greedy on the lines of the bounds scored at the winning cell: the cell's
 value, bit for bit.
 
+``evaluate`` runs the schemes of one network row from one ``_Row``: each
+distinct rate-splitting hop is solved once, and its binding and bounds at
+the optimal split are evaluated once, for every scheme that reads them. A
+scheme called alone builds a row of its own, so its result is the same.
+
 Half duplex scales every final rate by 1/2: ``_result`` scales each reported
 operating point and its total alike, and ``single_rate``, which reports no
 point, scales its own rate. The optional power boost doubles both transmit
@@ -89,8 +94,9 @@ def _bottleneck(rate1: float, rate2: float):
 # Single-rate transmission
 # ---------------------------------------------------------------------------
 
-def single_rate(params: NetworkParams) -> SchemeResult:
-    """Plain decode-and-forward with single-user decoding in both hops."""
+def single_rate(params: NetworkParams, row: _Row | None = None) -> SchemeResult:
+    """Plain decode-and-forward with single-user decoding in both hops; it
+    shares nothing with a ``row``."""
     def sinr(hop):  # the reduced MAC at f = 1: all power private
         cross2, intra2, total = params.hop(hop)
         gains = _mac_gains(cross2, intra2)
@@ -168,20 +174,60 @@ def _hop_optimum(gains: _RsGains, total: float) -> tuple[HopSplit, RatePair]:
     return HopSplit(float(fs[idx])), RatePair(float(r_private[idx]), float(r_common[idx]))
 
 
+class _Row:
+    """What the schemes of one network share, each evaluated on first use:
+    the ``_hop_optimum`` of every distinct rate-splitting hop, keyed by its
+    ``_RsGains`` and power, and at that optimum's split the max-sum LP's
+    binding (rate splitting's and the bound's) and the hop's bounds as a
+    one-split grid (the cap of coop's and mcp's search). Equal hops share
+    one entry: hop 1 serves every scheme, and on a network whose hops are
+    equal hop 2 is hop 1. A row lives for one network's evaluation only.
+    """
+
+    def __init__(self, params: NetworkParams) -> None:
+        self.params = params
+        self._hops: dict[tuple, dict] = {}
+
+    def _entry(self, hop: int, gains_fn) -> dict:
+        cross2, intra2, total = self.params.hop(hop)
+        key = (gains_fn(cross2, intra2), total)
+        entry = self._hops.get(key)
+        if entry is None:
+            entry = self._hops[key] = {"optimum": _hop_optimum(*key)}
+        return entry
+
+    def optimum(self, hop: int, gains_fn=_mac_gains) -> tuple[HopSplit, RatePair]:
+        """``_hop_optimum`` of hop ``hop`` with the gains ``gains_fn`` gives."""
+        return self._entry(hop, gains_fn)["optimum"]
+
+    def binding(self, hop: int) -> tuple[str, ...]:
+        """``max_sum_rate``'s binding on hop ``hop``'s rs region at its
+        optimal split, region unbuilt."""
+        entry = self._entry(hop, _mac_gains)
+        if "binding" not in entry:
+            cross2, intra2, total = self.params.hop(hop)
+            split = entry["optimum"][0]
+            bounds = mac_bounds(cross2, intra2, *split_powers(split.f_private, total))
+            entry["binding"] = _greedy(_hop_lines(bounds))[2]
+        return entry["binding"]
+
+    def cap_bounds(self, hop: int, gains_fn, bounds_fn) -> dict:
+        """Hop ``hop``'s ``bounds_fn`` bounds at the optimal split of its
+        ``gains_fn`` gains (the same hop), as a one-split grid."""
+        entry = self._entry(hop, gains_fn)
+        if "cap" not in entry:
+            cross2, intra2, total = self.params.hop(hop)
+            fs = np.array([entry["optimum"][0].f_private])
+            entry["cap"] = bounds_fn(cross2, intra2, *split_powers(fs, total))
+        return entry["cap"]
+
+
 def _rs_optimum(params: NetworkParams, hop: int, gains_fn=_mac_gains):
     """``_hop_optimum`` of hop ``hop`` with the gains ``gains_fn`` gives."""
-    cross2, intra2, total = params.hop(hop)
-    return _hop_optimum(gains_fn(cross2, intra2), total)
+    return _Row(params).optimum(hop, gains_fn)
 
 
-def _rs_binding(params: NetworkParams, hop: int, split: HopSplit) -> tuple[str, ...]:
-    """``max_sum_rate``'s binding on hop ``hop``'s rs region at ``split``, region unbuilt."""
-    cross2, intra2, total = params.hop(hop)
-    bounds = mac_bounds(cross2, intra2, *split_powers(split.f_private, total))
-    return _greedy(_hop_lines(bounds))[2]
-
-
-def rate_splitting(params: NetworkParams) -> SchemeResult:
+def rate_splitting(params: NetworkParams, row: _Row | None = None) -> SchemeResult:
     """Rate splitting in both hops, each hop optimized independently.
 
     The end-to-end rate is the smaller of the two per-hop corner optima. The
@@ -189,21 +235,21 @@ def rate_splitting(params: NetworkParams) -> SchemeResult:
     a tie) at that hop's optimal split, so its total is the rate; binding
     names the bounds the max-sum LP finds tight on that hop's region there.
     """
-    split1, corner1 = _rs_optimum(params, 1)
-    split2, corner2 = _rs_optimum(params, 2)
+    row = row or _Row(params)
+    split1, corner1 = row.optimum(1)
+    split2, corner2 = row.optimum(2)
     rate1, rate2 = corner1.total, corner2.total
-    hop, split, corner = (1, split1, corner1) if rate1 <= rate2 else (2, split2, corner2)
+    hop, corner = (1, corner1) if rate1 <= rate2 else (2, corner2)
     return _result(SCHEME_RS, params, corner, split_hop1=split1, split_hop2=split2,
-                   binding=_rs_binding(params, hop, split),
-                   bottleneck_hop=_bottleneck(rate1, rate2))
+                   binding=row.binding(hop), bottleneck_hop=_bottleneck(rate1, rate2))
 
 
-def first_hop_upper_bound(params: NetworkParams) -> SchemeResult:
+def first_hop_upper_bound(params: NetworkParams, row: _Row | None = None) -> SchemeResult:
     """Best first-hop rate over splits; caps every two-hop scheme here. Its
     binding is that of the hop-1 region at the optimal split."""
-    split1, corner1 = _rs_optimum(params, 1)
-    return _result(SCHEME_BOUND, params, corner1, split_hop1=split1,
-                   binding=_rs_binding(params, 1, split1))
+    row = row or _Row(params)
+    split1, corner1 = row.optimum(1)
+    return _result(SCHEME_BOUND, params, corner1, split_hop1=split1, binding=row.binding(1))
 
 
 def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
@@ -212,7 +258,8 @@ def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
     For matched gains and equal powers both fractions coincide. Boundary
     ties resolve toward all-private (fraction 1).
     """
-    return _rs_optimum(params, 1)[0].f_private, _rs_optimum(params, 2)[0].f_private
+    row = _Row(params)
+    return row.optimum(1)[0].f_private, row.optimum(2)[0].f_private
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +270,13 @@ def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
 # the window around the best split so far): a 101-point grid over [0, 1],
 # then three 11-point passes, each 10x narrower.
 _JOINT_PASSES = ((101, 0.5), (11, 1e-2), (11, 1e-3), (11, 1e-4))
+# Pass 1's grid, which the cap probe also scores: built once, never written.
+_PASS1_GRID = np.linspace(0.0, 1.0, _JOINT_PASSES[0][0])
+_PASS1_GRID.flags.writeable = False
 
 
-def _search_joint_splits(params: NetworkParams, bounds_fn,
-                         gains_fn=None) -> tuple[float, float, dict, dict]:
+def _search_joint_splits(params: NetworkParams, bounds_fn, gains_fn=None,
+                         row: _Row | None = None) -> tuple[float, float, dict, dict]:
     """A rate-splitting hop's exact optimum first, else shrinking grids.
 
     A hop's max-sum LP at any split caps every joint rate, and the corner
@@ -236,24 +286,26 @@ def _search_joint_splits(params: NetworkParams, bounds_fn,
     grid, then all of it; a cell within 1e-12 of the cap is optimal within
     1e-12 and returned. Else the passes run, each centred on the last best,
     pass 1 reusing the full grid. Returns the best (f1, f2) and each hop's
-    scored bounds there, whose max-sum LP is the cell's value.
+    scored bounds there, whose max-sum LP is the cell's value. The caps and
+    the capped hop's bounds come from ``row``.
     """
-    def evaluate(hop, fs):
+    def bounds_at(hop, fs):
         cross2, intra2, total = params.hop(hop + 1)
         return (mac_bounds, bounds_fn)[hop](cross2, intra2, *split_powers(fs, total))
 
     def grid(centre, points, window):
         return np.clip(np.linspace(centre - window, centre + window, points), 0.0, 1.0)
 
-    (split, corner), capped, other = min(
-        ((_rs_optimum(params, hop + 1, gains), hop, 1 - hop)
+    row = row or _Row(params)
+    (split, corner), capped, other, gains = min(
+        ((row.optimum(hop + 1, gains), hop, 1 - hop, gains)
          for hop, gains in enumerate((_mac_gains, gains_fn)) if gains),
         key=lambda cap: cap[0][1].total)
     fs = [np.array([split.f_private])] * 2  # the other hop's entries are set below
-    bounds = [evaluate(capped, fs[capped])] * 2
+    bounds = [row.cap_bounds(capped + 1, gains, (mac_bounds, bounds_fn)[capped])] * 2
     for step in (10, 1):  # every tenth split of pass 1's grid, then all of them
-        fs[other] = grid(0.5, *_JOINT_PASSES[0])[::step]
-        bounds[other] = evaluate(other, fs[other])
+        fs[other] = _PASS1_GRID[::step]
+        bounds[other] = bounds_at(other, fs[other])
         values = _max_sum_grid(*bounds)
         i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
         if values[i, j] >= corner.total - 1e-12:
@@ -264,7 +316,7 @@ def _search_joint_splits(params: NetworkParams, bounds_fn,
             for hop in (0, 1):
                 if k or hop == capped:  # pass 1 reuses the other hop's grid
                     fs[hop] = grid(best[hop], points, window)
-                    bounds[hop] = evaluate(hop, fs[hop])
+                    bounds[hop] = bounds_at(hop, fs[hop])
             values = _max_sum_grid(*bounds)
             i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
             best = (float(fs[0][i]), float(fs[1][j]))
@@ -272,12 +324,13 @@ def _search_joint_splits(params: NetworkParams, bounds_fn,
             {key: c[j] for key, c in bounds[1].items()})
 
 
-def _joint(scheme: str, params: NetworkParams, bounds_fn, gains_fn=None) -> SchemeResult:
+def _joint(scheme: str, params: NetworkParams, bounds_fn, gains_fn=None,
+           row: _Row | None = None) -> SchemeResult:
     """Rate splitting in hop 1, hop 2 with the bounds ``bounds_fn`` gives,
     its lines named after the scheme (``hop2-coop``, ``hop2-mcp``). The LP's
     greedy runs once more on the bounds scored at the winning cell: the point
     and binding ``max_sum_rate`` gives on the two hops' regions, unbuilt."""
-    f1, f2, bounds1, bounds2 = _search_joint_splits(params, bounds_fn, gains_fn)
+    f1, f2, bounds1, bounds2 = _search_joint_splits(params, bounds_fn, gains_fn, row)
     x, y, binding = _greedy([(a, b, c, f"{name}:{label}")
                              for name, bounds in (("hop1", bounds1), (f"hop2-{scheme}", bounds2))
                              for a, b, c, label in _hop_lines(bounds)])
@@ -285,14 +338,33 @@ def _joint(scheme: str, params: NetworkParams, bounds_fn, gains_fn=None) -> Sche
                    split_hop2=HopSplit(f2), binding=binding)
 
 
-def coop(params: NetworkParams) -> SchemeResult:
+def coop(params: NetworkParams, row: _Row | None = None) -> SchemeResult:
     """Rate splitting in hop 1 with cooperative common relaying in hop 2."""
-    return _joint(SCHEME_COOP, params, coop_bounds, _coop_gains)
+    return _joint(SCHEME_COOP, params, coop_bounds, _coop_gains, row)
 
 
-def mcp(params: NetworkParams) -> SchemeResult:
+def mcp(params: NetworkParams, row: _Row | None = None) -> SchemeResult:
     """Cooperative second hop decoded jointly across all base stations."""
-    return _joint(SCHEME_MCP, params, mcp_bounds)
+    return _joint(SCHEME_MCP, params, mcp_bounds, row=row)
+
+
+# Every scheme by its full name, in output order. ``evaluate`` calls them
+# through this dict, whose entries perfbench/tracing.py wraps.
+SCHEMES = {
+    SCHEME_SINGLE: single_rate,
+    SCHEME_RS: rate_splitting,
+    SCHEME_COOP: coop,
+    SCHEME_MCP: mcp,
+    SCHEME_BOUND: first_hop_upper_bound,
+}
+
+
+def evaluate(params: NetworkParams, names) -> list[SchemeResult]:
+    """The result of each scheme ``names`` lists, in its order, all from one
+    ``_Row``: every distinct hop is solved once. Each result equals the
+    one-name call's."""
+    row = _Row(params)
+    return [SCHEMES[name](params, row) for name in names]
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,16 @@ class TestPoint:
         assert code == 0
         assert "single_rate" in out and "1.000000" in out
 
+    def test_subnormal_private_power_without_common_power(self, capsys):
+        # hop 2 at f2 = 1 sends p_private = 3.08e-311, p_common = 0: its mcp
+        # sum bound is the private bound, not the factored quartic's overflow
+        code, out, err = run(capsys, "point", "--alpha2", "0.2", "--beta2", "1",
+                             "--gamma2", "1.307e-71", "--eta2", "1.588e-4", "--p1", "1",
+                             "--p2", "3.08e-311", "--schemes", "all", "--json")
+        assert (code, err) == (0, "")
+        rates = {r["scheme"]: r["rate"] for r in json.loads(out)["results"]}
+        assert rates["mcp"] == rates["coop"] == 0.0
+
     @pytest.mark.parametrize("scheme", ["single", "rs", "coop", "mcp", "bound"])
     def test_overflowing_input_is_refused(self, capsys, scheme):
         with warnings.catch_warnings(record=True) as caught:

@@ -336,8 +336,8 @@ class TestMcpBounds:
     # near v = 0.
     @pytest.mark.parametrize("gamma2,eta2,p_private,p_common,expected,rel", [
         (1.0, 0.25, 3e4, 7e4, 14.405488646360333833, 1e-13),
-        (1.0, 0.25, 3e12, 7e12, 40.792532132650473253, 5e-11),
-        (1.0, 0.25, 9e12, 1e12, 41.179049269868761878, 5e-11),
+        (1.0, 0.25, 3e12, 7e12, 40.792532132650473253, 1e-13),
+        (1.0, 0.25, 9e12, 1e12, 41.179049269868761878, 1e-13),
         (1.0, 0.25, 3e14, 7e14, 47.435090048147411411, 1e-13),
         (5e-12, 4.6, 1e4, 9e4, 18.008059611887099195, 1e-13),
         (5e-12, 4.6, 5e4, 5e4, 18.627953997563170058, 1e-13),
@@ -357,6 +357,21 @@ class TestMcpBounds:
         for gamma2, eta2, _, pc in self.HIGH_POWER_GRID:
             bounds = mcp_bounds(eta2, gamma2, 0.0, pc)
             assert abs(float(bounds[(1, 1)]) - float(bounds[(0, 1)])) <= 1e-14
+
+    @pytest.mark.parametrize("gamma2,eta2,p_private", [
+        (1.0, 0.4, 2.0), (2.5, 1e-12, 1000.0), (0.2, 4.0, 1e-300),
+        # e^2/W = 2/p_private overflows a float: the factored quartic's small
+        # pair is out of reach, and the q = 0 limit is taken instead
+        (1.307e-71, 1.588e-4, 3.08e-311),
+    ])
+    def test_sum_without_common_power_equals_private(self, gamma2, eta2, p_private):
+        # warnings are errors here, so an overflow on the way fails too
+        scalar = mcp_bounds(eta2, gamma2, p_private, 0.0)
+        batch = mcp_bounds(eta2, gamma2, np.array([p_private, 1.0]), np.array([0.0, 1.0]))
+        for bounds in (scalar, {key: bound[0] for key, bound in batch.items()}):
+            assert bounds[(1, 1)] == bounds[(1, 0)]
+            assert np.isfinite(bounds[(1, 1)])
+        assert all(batch[key][1] == bound for key, bound in mcp_bounds(eta2, gamma2, 1.0, 1.0).items())
 
     @pytest.mark.parametrize("gamma2", [0.2, 1.0, 2.5])
     def test_flat_private_response(self, gamma2):

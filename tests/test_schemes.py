@@ -575,6 +575,47 @@ class TestJointValues:
             schemes._joint(schemes.SCHEME_MCP, symmetric(0.4, 2.0, p2=1.0), unbounded_common)
 
 
+class TestEvaluate:
+    """``evaluate`` solves each distinct hop of a row once and returns what
+    the one-name calls return."""
+
+    FIG3 = [symmetric(k * 0.02, db_to_linear(p_db)) for p_db in (0.0, 10.0) for k in range(51)]
+    FIG45 = [figure(p1_db, k * 0.02) for p1_db in (3.0, 10.0) for k in range(51)]
+
+    def test_equals_one_name_calls(self):
+        names = list(schemes.SCHEMES)
+        for params in self.FIG3 + self.FIG45 + seeded_networks(5, 1000, variants=True):
+            alone = [scheme(params) for scheme in schemes.SCHEMES.values()]
+            assert schemes.evaluate(params, names) == alone, params
+
+    def test_order_does_not_matter(self):
+        # the bound before rate splitting, mcp before coop: whichever scheme
+        # asks first fills the row
+        names = list(schemes.SCHEMES)[::-1]
+        for params in self.FIG3 + self.FIG45:
+            assert schemes.evaluate(params, names) == [schemes.SCHEMES[name](params)
+                                                       for name in names], params
+
+    @pytest.mark.parametrize("params,names,solves", [
+        # hop 1, hop 2 and hop 2 with coop's gains
+        (figure(3.0, 0.4), list(schemes.SCHEMES), 3),
+        # eta2 = alpha2, gamma2 = beta2 and p2 = p1: hop 2 is hop 1
+        (symmetric(0.4, db_to_linear(10.0)), [schemes.SCHEME_RS], 1),
+    ])
+    def test_each_distinct_hop_solved_once(self, params, names, solves, monkeypatch):
+        calls = []
+
+        def counting(gains, total):
+            calls.append((gains, total))
+            return _hop_optimum(gains, total)
+
+        monkeypatch.setattr(schemes, "_hop_optimum", counting)
+        for network in (params, replace(params)):  # nothing outlives a row
+            calls.clear()
+            schemes.evaluate(network, names)
+            assert len(calls) == len(set(calls)) == solves, network
+
+
 class TestFirstHopCertificate:
     """A rate-splitting hop's max-sum LP at any split caps the joint rate,
     and its maximum over splits is the hop's closed-form optimum: hop 1's
