@@ -549,7 +549,7 @@ def _check_rs_dense_grid(seed: int) -> OracleReport:
     for params in draws:
         _, r1 = dense_split_scan(params, hop=1)
         _, r2 = dense_split_scan(params, hop=2)
-        fast1, fast2 = (schemes._rs_optimum(params, hop)[1].total for hop in (1, 2))
+        fast1, fast2 = (schemes._Row(params).hop(k).corner.total for k in (1, 2))
         reference = min(r1, r2)
         fast = schemes.rate_splitting(params).rate
         excess = max(excess, fast - reference)

@@ -17,9 +17,11 @@ once per pass. The returned rate, operating point and binding are the LP's
 greedy on the lines of the bounds scored at the winning cell: the cell's
 value, bit for bit.
 
-``evaluate`` runs the schemes of one network row from one ``_Row``: each
-distinct rate-splitting hop is solved once, and its binding and bounds at
-the optimal split are evaluated once, for every scheme that reads them. A
+``evaluate`` runs the schemes of one network row from one ``_Row``: one
+``_Hop`` record per distinct rate-splitting hop holds its optimum and, on
+first read, its scalar bounds at the optimal split and their max-sum
+binding. Rate splitting and the first-hop bound read the binding, the cap
+of coop and mcp reads the bounds, so each is evaluated once per row. A
 scheme called alone builds a row of its own, so its result is the same.
 
 Half duplex scales every final rate by 1/2: ``_result`` scales each reported
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from .regions import (
     _corner,
     _hop_lines,
     _mac_gains,
+    _rs_bounds,
     _RsGains,
     coop_bounds,
     mac_bounds,
@@ -118,6 +122,8 @@ def single_rate(params: NetworkParams, row: _Row | None = None) -> SchemeResult:
 def _pick_last_max(values: np.ndarray, tie_tol: float = 1e-12) -> int:
     """Index of the maximum, resolving near-ties toward the last (largest f)."""
     top = float(values.max())
+    if math.isnan(top):
+        raise ValueError("a scored rate is NaN, so no maximum can be picked")
     return int(np.nonzero(values >= top - tie_tol)[0][-1])
 
 
@@ -174,57 +180,42 @@ def _hop_optimum(gains: _RsGains, total: float) -> tuple[HopSplit, RatePair]:
     return HopSplit(float(fs[idx])), RatePair(float(r_private[idx]), float(r_common[idx]))
 
 
+class _Hop:
+    """One solved rate-splitting hop: its ``_hop_optimum`` split and corner,
+    and at that split its scalar bounds and the max-sum LP's binding, each
+    evaluated on first read."""
+
+    def __init__(self, gains: _RsGains, total: float) -> None:
+        self.gains, self.total = gains, total
+        self.split, self.corner = _hop_optimum(gains, total)
+
+    @cached_property
+    def bounds(self) -> dict:
+        return _rs_bounds(self.gains, *split_powers(self.split.f_private, self.total))
+
+    @cached_property
+    def binding(self) -> tuple[str, ...]:
+        return _greedy(_hop_lines(self.bounds))[2]
+
+
 class _Row:
-    """What the schemes of one network share, each evaluated on first use:
-    the ``_hop_optimum`` of every distinct rate-splitting hop, keyed by its
-    ``_RsGains`` and power, and at that optimum's split the max-sum LP's
-    binding (rate splitting's and the bound's) and the hop's bounds as a
-    one-split grid (the cap of coop's and mcp's search). Equal hops share
-    one entry: hop 1 serves every scheme, and on a network whose hops are
-    equal hop 2 is hop 1. A row lives for one network's evaluation only.
+    """The ``_Hop`` of every distinct rate-splitting hop of one network,
+    keyed by its ``_RsGains`` and power and solved on first use. Equal hops
+    share one record: hop 1 serves every scheme, and on a network whose hops
+    are equal hop 2 is hop 1. A row lives for one network's evaluation only.
     """
 
     def __init__(self, params: NetworkParams) -> None:
         self.params = params
-        self._hops: dict[tuple, dict] = {}
+        self._hops: dict[tuple, _Hop] = {}
 
-    def _entry(self, hop: int, gains_fn) -> dict:
-        cross2, intra2, total = self.params.hop(hop)
+    def hop(self, k: int, gains_fn=_mac_gains) -> _Hop:
+        """Hop ``k`` with the gains ``gains_fn`` gives."""
+        cross2, intra2, total = self.params.hop(k)
         key = (gains_fn(cross2, intra2), total)
-        entry = self._hops.get(key)
-        if entry is None:
-            entry = self._hops[key] = {"optimum": _hop_optimum(*key)}
-        return entry
-
-    def optimum(self, hop: int, gains_fn=_mac_gains) -> tuple[HopSplit, RatePair]:
-        """``_hop_optimum`` of hop ``hop`` with the gains ``gains_fn`` gives."""
-        return self._entry(hop, gains_fn)["optimum"]
-
-    def binding(self, hop: int) -> tuple[str, ...]:
-        """``max_sum_rate``'s binding on hop ``hop``'s rs region at its
-        optimal split, region unbuilt."""
-        entry = self._entry(hop, _mac_gains)
-        if "binding" not in entry:
-            cross2, intra2, total = self.params.hop(hop)
-            split = entry["optimum"][0]
-            bounds = mac_bounds(cross2, intra2, *split_powers(split.f_private, total))
-            entry["binding"] = _greedy(_hop_lines(bounds))[2]
-        return entry["binding"]
-
-    def cap_bounds(self, hop: int, gains_fn, bounds_fn) -> dict:
-        """Hop ``hop``'s ``bounds_fn`` bounds at the optimal split of its
-        ``gains_fn`` gains (the same hop), as a one-split grid."""
-        entry = self._entry(hop, gains_fn)
-        if "cap" not in entry:
-            cross2, intra2, total = self.params.hop(hop)
-            fs = np.array([entry["optimum"][0].f_private])
-            entry["cap"] = bounds_fn(cross2, intra2, *split_powers(fs, total))
-        return entry["cap"]
-
-
-def _rs_optimum(params: NetworkParams, hop: int, gains_fn=_mac_gains):
-    """``_hop_optimum`` of hop ``hop`` with the gains ``gains_fn`` gives."""
-    return _Row(params).optimum(hop, gains_fn)
+        if key not in self._hops:
+            self._hops[key] = _Hop(*key)
+        return self._hops[key]
 
 
 def rate_splitting(params: NetworkParams, row: _Row | None = None) -> SchemeResult:
@@ -236,20 +227,19 @@ def rate_splitting(params: NetworkParams, row: _Row | None = None) -> SchemeResu
     names the bounds the max-sum LP finds tight on that hop's region there.
     """
     row = row or _Row(params)
-    split1, corner1 = row.optimum(1)
-    split2, corner2 = row.optimum(2)
-    rate1, rate2 = corner1.total, corner2.total
-    hop, corner = (1, corner1) if rate1 <= rate2 else (2, corner2)
-    return _result(SCHEME_RS, params, corner, split_hop1=split1, split_hop2=split2,
-                   binding=row.binding(hop), bottleneck_hop=_bottleneck(rate1, rate2))
+    hop1, hop2 = row.hop(1), row.hop(2)
+    rate1, rate2 = hop1.corner.total, hop2.corner.total
+    hop = hop1 if rate1 <= rate2 else hop2
+    return _result(SCHEME_RS, params, hop.corner, split_hop1=hop1.split, split_hop2=hop2.split,
+                   binding=hop.binding, bottleneck_hop=_bottleneck(rate1, rate2))
 
 
 def first_hop_upper_bound(params: NetworkParams, row: _Row | None = None) -> SchemeResult:
     """Best first-hop rate over splits; caps every two-hop scheme here. Its
     binding is that of the hop-1 region at the optimal split."""
-    row = row or _Row(params)
-    split1, corner1 = row.optimum(1)
-    return _result(SCHEME_BOUND, params, corner1, split_hop1=split1, binding=row.binding(1))
+    hop1 = (row or _Row(params)).hop(1)
+    return _result(SCHEME_BOUND, params, hop1.corner, split_hop1=hop1.split,
+                   binding=hop1.binding)
 
 
 def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
@@ -259,7 +249,7 @@ def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
     ties resolve toward all-private (fraction 1).
     """
     row = _Row(params)
-    return row.optimum(1)[0].f_private, row.optimum(2)[0].f_private
+    return row.hop(1).split.f_private, row.hop(2).split.f_private
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +276,8 @@ def _search_joint_splits(params: NetworkParams, bounds_fn, gains_fn=None,
     grid, then all of it; a cell within 1e-12 of the cap is optimal within
     1e-12 and returned. Else the passes run, each centred on the last best,
     pass 1 reusing the full grid. Returns the best (f1, f2) and each hop's
-    scored bounds there, whose max-sum LP is the cell's value. The caps and
-    the capped hop's bounds come from ``row``.
+    scored bounds there, whose max-sum LP is the cell's value. The caps are
+    ``row``'s hop records, whose scalar bounds are scored as one-split arrays.
     """
     def bounds_at(hop, fs):
         cross2, intra2, total = params.hop(hop + 1)
@@ -297,18 +287,17 @@ def _search_joint_splits(params: NetworkParams, bounds_fn, gains_fn=None,
         return np.clip(np.linspace(centre - window, centre + window, points), 0.0, 1.0)
 
     row = row or _Row(params)
-    (split, corner), capped, other, gains = min(
-        ((row.optimum(hop + 1, gains), hop, 1 - hop, gains)
-         for hop, gains in enumerate((_mac_gains, gains_fn)) if gains),
-        key=lambda cap: cap[0][1].total)
-    fs = [np.array([split.f_private])] * 2  # the other hop's entries are set below
-    bounds = [row.cap_bounds(capped + 1, gains, (mac_bounds, bounds_fn)[capped])] * 2
+    caps = [row.hop(1)] + ([row.hop(2, gains_fn)] if gains_fn else [])
+    capped, cap = min(enumerate(caps), key=lambda hop: hop[1].corner.total)
+    other = 1 - capped
+    fs = [np.array([cap.split.f_private])] * 2  # the other hop's entries are set below
+    bounds = [{key: np.array([c]) for key, c in cap.bounds.items()}] * 2
     for step in (10, 1):  # every tenth split of pass 1's grid, then all of them
         fs[other] = _PASS1_GRID[::step]
         bounds[other] = bounds_at(other, fs[other])
         values = _max_sum_grid(*bounds)
         i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
-        if values[i, j] >= corner.total - 1e-12:
+        if values[i, j] >= cap.corner.total - 1e-12:
             break
     else:
         best = (0.5, 0.5)

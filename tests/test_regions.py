@@ -24,7 +24,7 @@ from meshrates.regions import (
     mac_bounds,
     mcp_bounds,
 )
-from meshrates.schemes import _rs_optimum
+from meshrates.schemes import _Row
 
 FIG2 = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=2.0)
 HALF = HopSplit(0.5)  # P_1p = P_1c = 1 at total power 2
@@ -300,6 +300,18 @@ class TestMcpBounds:
             row = mcp_bounds(eta2, gamma2, np.array([p_private]), np.array([p_common]))
             assert all(scalar[key] == row[key][0] for key in scalar)
 
+    @pytest.mark.parametrize("bounds_fn", [mac_bounds, coop_bounds])
+    def test_rs_scalar_call_equals_one_row_batch(self, bounds_fn):
+        # the coop and mcp search scores a rate-splitting hop's scalar bounds
+        # at its optimum as one-split arrays, so both must round alike
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            cross2, intra2 = 10.0 ** rng.uniform(-6.0, 1.0, size=2)
+            p_private, p_common = 10.0 ** rng.uniform(-3.0, 9.0, size=2)
+            scalar = bounds_fn(cross2, intra2, float(p_private), float(p_common))
+            row = bounds_fn(cross2, intra2, np.array([p_private]), np.array([p_common]))
+            assert all(scalar[key] == row[key][0] for key in scalar)
+
     # gamma2 = eta2 makes the sum's quartic biquadratic in h; eta2 = 1e-12 and
     # 1e-6 cluster one of its pairs at h = g. The last five power pairs split
     # 1000 from f = 0 to f = 1, so that p = 0 and q = 0 are entries of a batch.
@@ -422,7 +434,8 @@ class TestHopConvention:
         # the other order give another corner there.
         params = self.PARAMS
         for gains_fn, builder in ((_mac_gains, hop2_rs_region), (_coop_gains, hop2_coop_region)):
-            split, corner = _rs_optimum(params, 2, gains_fn)
+            hop2 = _Row(params).hop(2, gains_fn)
+            split, corner = hop2.split, hop2.corner
             assert max_sum_rate(builder(params, split)).value == \
                    pytest.approx(corner.total, rel=1e-15, abs=0.0)
             r_private, rc_two, rc_three = _corner(gains_fn(cross2=params.gamma2,

@@ -15,6 +15,7 @@ from meshrates.regions import (
     _coop_gains,
     _corner,
     _mac_gains,
+    _rs_bounds,
     coop_bounds,
     hop1_region,
     hop2_coop_region,
@@ -28,7 +29,7 @@ from meshrates.schemes import (
     _hop_split_candidates,
     _max_sum_grid,
     _pick_last_max,
-    _rs_optimum,
+    _Row,
     _search_joint_splits,
     coop,
     first_hop_upper_bound,
@@ -158,15 +159,15 @@ class TestHopSplitOptimum:
             params = NetworkParams(alpha2=alpha2, beta2=beta2, gamma2=beta2, eta2=alpha2,
                                    p1=p1, p2=p1 / 2.0)
             for hop in (1, 2):
-                rate = _rs_optimum(params, hop)[1].total
+                rate = _Row(params).hop(hop).corner.total
                 _, reference = dense_split_scan(params, hop=hop, step=1e-3)
                 assert rate >= reference - 1e-12, (params, hop)
-            split, corner = _rs_optimum(params, 2, _coop_gains)
+            coop2 = _Row(params).hop(2, _coop_gains)
             reference = max(max_sum_rate(hop2_coop_region(params, HopSplit(float(f)))).value
                             for f in grid)
-            assert corner.total >= reference - 1e-12, params
-            assert max_sum_rate(hop2_coop_region(params, split)).value == \
-                   pytest.approx(corner.total, rel=1e-15, abs=1e-15), params
+            assert coop2.corner.total >= reference - 1e-12, params
+            assert max_sum_rate(hop2_coop_region(params, coop2.split)).value == \
+                   pytest.approx(coop2.corner.total, rel=1e-15, abs=1e-15), params
 
     # (alpha2, beta2, P) -> (f_hat, rate) of the grid/golden/bisection optimizer
     # this closed form replaced. alpha2 = 1e300 with P = 1e300 is left out:
@@ -395,15 +396,16 @@ def full_row(params, bounds_fn, gains_fn):
     1's grid at once: the max-sum rate of the cell it returns, before the
     half-duplex scale, and the capped hop (0 or 1), or None where the row
     misses the cap and the four passes' cell is returned."""
-    caps = [(_rs_optimum(params, 1), 0)]
+    row = _Row(params)
+    caps = [(row.hop(1), 0)]
     if gains_fn:
-        caps.append((_rs_optimum(params, 2, gains_fn), 1))
-    (split, corner), capped = min(caps, key=lambda cap: cap[0][1].total)
+        caps.append((row.hop(2, gains_fn), 1))
+    cap, capped = min(caps, key=lambda cap: cap[0].corner.total)
     fs = [np.linspace(0.0, 1.0, 101)] * 2
-    fs[capped] = np.array([split.f_private])
+    fs[capped] = np.array([cap.split.f_private])
     values = _max_sum_grid(*grid_bounds(params, bounds_fn, *fs)).ravel()
     cell = float(values[_pick_last_max(values)])
-    if cell >= corner.total - 1e-12:
+    if cell >= cap.corner.total - 1e-12:
         return cell, capped
     f1, f2 = four_passes(params, bounds_fn)
     values = _max_sum_grid(*grid_bounds(params, bounds_fn, np.array([f1]), np.array([f2])))
@@ -452,9 +454,9 @@ class TestJointValues:
             # the returned bounds are each hop's bounds at the returned splits
             assert bounds1 == bounds_at(mac_bounds, work.alpha2, work.beta2, work.p1, f1)
             assert bounds2 == bounds_at(bounds_fn, work.eta2, work.gamma2, work.p2, f2)
-            caps = [_rs_optimum(work, 1)[1].total]
+            caps = [_Row(work).hop(1).corner.total]
             if gains_fn:
-                caps.append(_rs_optimum(work, 2, gains_fn)[1].total)
+                caps.append(_Row(work).hop(2, gains_fn).corner.total)
             cell = float(_max_sum_grid(*grid_bounds(work, bounds_fn, np.array([f1]),
                                                     np.array([f2])))[0, 0])
             if cell < min(caps) - 1e-12:
@@ -486,23 +488,23 @@ class TestJointValues:
             cell = _max_sum_grid(*bounds)[0, 0]
             assert cell * params.rate_scale() == result.rate, params
 
-    # Rows of each bounds evaluation, in order. The smaller cap's split is
-    # evaluated once, the other hop's every tenth pass-1 split, then on a miss
-    # all 101; passes 2-4 evaluate both hops at 11 splits.
+    # Rows of each bounds evaluation, in order. The smaller cap's bounds come
+    # from its hop record, not from these functions; the other hop is
+    # evaluated at every tenth pass-1 split, then on a miss at all 101;
+    # passes 2-4 evaluate both hops at 11 splits.
     PASSES_2_TO_4 = [("hop1", 11), ("hop2", 11)] * (len(schemes._JOINT_PASSES) - 1)
 
     @pytest.mark.parametrize("scheme,name,cases", [
         pytest.param(coop, "coop_bounds", [
-            (symmetric(0.4, 2.0, p2=1.0), [("hop2", 1), ("hop1", 11)]),
+            (symmetric(0.4, 2.0, p2=1.0), [("hop1", 11)]),
             # draw 44 of seeded_networks(5, 1000, variants=True): full duplex, in regime
             (seeded_networks(5, 45, variants=True)[44],
-             [("hop1", 1), ("hop2", 11), ("hop2", 101)]),
-            (DRAW_950, [("hop2", 1), ("hop1", 11), ("hop1", 101), ("hop2", 101)] + PASSES_2_TO_4),
+             [("hop2", 11), ("hop2", 101)]),
+            (DRAW_950, [("hop1", 11), ("hop1", 101), ("hop2", 101)] + PASSES_2_TO_4),
         ], id="coop-coop_bounds"),
         pytest.param(mcp, "mcp_bounds", [
-            (symmetric(0.4, 2.0, p2=1.0), [("hop1", 1), ("hop2", 11)]),
-            (figure(3.0, 0.06),
-             [("hop1", 1), ("hop2", 11), ("hop2", 101), ("hop1", 101)] + PASSES_2_TO_4),
+            (symmetric(0.4, 2.0, p2=1.0), [("hop2", 11)]),
+            (figure(3.0, 0.06), [("hop2", 11), ("hop2", 101), ("hop1", 101)] + PASSES_2_TO_4),
         ], id="mcp-mcp_bounds"),
     ])
     def test_one_bounds_evaluation_per_pass(self, scheme, name, cases, monkeypatch):
@@ -574,6 +576,22 @@ class TestJointValues:
         with pytest.raises(ValueError, match="must be finite"):
             schemes._joint(schemes.SCHEME_MCP, symmetric(0.4, 2.0, p2=1.0), unbounded_common)
 
+    def test_nan_value_is_refused(self):
+        # one NaN makes the maximum NaN, which no value reaches
+        with pytest.raises(ValueError, match="NaN"):
+            _pick_last_max(np.array([1.0, math.nan, 0.5]))
+
+    def test_nan_bound_is_refused(self):
+        # a NaN common bound at the last split makes those cells NaN
+        def nan_common(*args):
+            bounds = mcp_bounds(*args)
+            common = bounds[(0, 1)].copy()
+            common[-1] = math.nan
+            return {**bounds, (0, 1): common}
+
+        with pytest.raises(ValueError, match="NaN"):
+            schemes._joint(schemes.SCHEME_MCP, symmetric(0.4, 2.0, p2=1.0), nan_common)
+
 
 class TestEvaluate:
     """``evaluate`` solves each distinct hop of a row once and returns what
@@ -597,23 +615,34 @@ class TestEvaluate:
                                                        for name in names], params
 
     @pytest.mark.parametrize("params,names,solves", [
-        # hop 1, hop 2 and hop 2 with coop's gains
+        # hop 1, hop 2 and hop 2 with coop's gains, each hop's scalar bounds
+        # at its optimum read once: hop 1's by the bound's binding and mcp's
+        # cap, hop 2's by rate splitting's binding (hop 2 sets its rate) and
+        # coop's hop 2's by its cap
         (figure(3.0, 0.4), list(schemes.SCHEMES), 3),
         # eta2 = alpha2, gamma2 = beta2 and p2 = p1: hop 2 is hop 1
         (symmetric(0.4, db_to_linear(10.0)), [schemes.SCHEME_RS], 1),
     ])
     def test_each_distinct_hop_solved_once(self, params, names, solves, monkeypatch):
-        calls = []
+        calls, bounds_calls = [], []
 
         def counting(gains, total):
             calls.append((gains, total))
             return _hop_optimum(gains, total)
 
+        def counting_bounds(gains, p_private, p_common):
+            assert np.ndim(p_private) == np.ndim(p_common) == 0
+            bounds_calls.append((gains, p_private, p_common))
+            return _rs_bounds(gains, p_private, p_common)
+
         monkeypatch.setattr(schemes, "_hop_optimum", counting)
+        monkeypatch.setattr(schemes, "_rs_bounds", counting_bounds)
         for network in (params, replace(params)):  # nothing outlives a row
             calls.clear()
+            bounds_calls.clear()
             schemes.evaluate(network, names)
             assert len(calls) == len(set(calls)) == solves, network
+            assert len(bounds_calls) == len(set(bounds_calls)) == solves, network
 
 
 class TestFirstHopCertificate:
@@ -641,15 +670,15 @@ class TestFirstHopCertificate:
             grids.clear()
             result = scheme(params)
             bound = first_hop_upper_bound(params)
-            split2, corner2 = _rs_optimum(params, 2, _coop_gains)
-            cap2 = corner2.total * params.rate_scale() if scheme is coop else math.inf
+            coop2 = _Row(params).hop(2, _coop_gains)
+            cap2 = coop2.corner.total * params.rate_scale() if scheme is coop else math.inf
             assert result.rate <= min(bound.rate, cap2) + 1e-12, params
             if len(grids) <= 2:  # the probe or the full row reached the smaller cap
                 assert result.rate == pytest.approx(min(bound.rate, cap2), abs=1e-12), params
                 if bound.rate <= cap2:
                     assert result.split_hop1 == bound.split_hop1, params
                 else:
-                    assert result.split_hop2 == split2, params
+                    assert result.split_hop2 == coop2.split, params
                 certified += k < len(figures)
         return certified
 
@@ -682,7 +711,7 @@ class TestFirstHopCertificate:
         # figure grids, pinned against the four-pass grid's rate
         params = figure(10.0, a2)
         rate = coop(params).rate
-        assert rate == pytest.approx(_rs_optimum(params, 2, _coop_gains)[1].total, abs=1e-12)
+        assert rate == pytest.approx(_Row(params).hop(2, _coop_gains).corner.total, abs=1e-12)
         assert rate - grid_rate == pytest.approx(rise, rel=1e-2)
 
 
