@@ -205,21 +205,23 @@ def enumerated_vertices(region: RateRegion) -> list[RatePair]:
 
 def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Andrew's monotone chain; input sorted, output counterclockwise with
-    collinear interior points dropped."""
+    collinear interior points dropped. A turn counts as collinear when its
+    sine is at most 1e-12, so a short edge of a thin region is kept."""
     if len(points) <= 2:
         return list(points)
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    def collinear(o, a, b):
+        ax, ay, bx, by = a[0] - o[0], a[1] - o[1], b[0] - o[0], b[1] - o[1]
+        return ax * by - ay * bx <= 1e-12 * math.hypot(ax, ay) * math.hypot(bx, by)
 
     lower: list[tuple[float, float]] = []
     for p in points:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 1e-20:
+        while len(lower) >= 2 and collinear(lower[-2], lower[-1], p):
             lower.pop()
         lower.append(p)
     upper: list[tuple[float, float]] = []
     for p in reversed(points):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 1e-20:
+        while len(upper) >= 2 and collinear(upper[-2], upper[-1], p):
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]

@@ -8,14 +8,15 @@ closed form from its ``regions._RsGains``: the corner sum rate peaks at one
 of a few candidate fractions, whose corners are evaluated once; the winning
 corner gives the rate and the operating point, and binding is the max-sum
 LP's on that hop's region. Each such optimum caps the joint (f1, f2) rate
-of coop and mcp, so their search first scores the smaller cap's split
-against every tenth split of the other hop's 101-split grid, then all 101:
-a cell that reaches the cap is exact. Elsewhere it is grids: one table of
-passes, each centred on the previous best, every cell scored by the max-sum
-LP of its two hops (``polytope._max_sum_grid``), each hop's bounds evaluated
-once per pass. The returned rate, operating point and binding are the LP's
-greedy on the lines of the bounds scored at the winning cell: the cell's
-value, bit for bit.
+of coop and mcp, so their search, all of it in ``_joint``, first scores the
+smaller cap's split against every tenth split of the other hop's 101-split
+grid, then all 101: a cell that reaches the cap is exact. Elsewhere it is
+grids: both hops on the 101-split grid, then three 11-split windows, each
+10x narrower and centred on the best cell so far. Every cell is scored by
+the max-sum LP of its two hops (``polytope._max_sum_grid``), each hop's
+bounds evaluated once per pass. The returned rate, operating point and
+binding are the LP's greedy on the lines of the bounds scored at the
+winning cell: the cell's value, bit for bit.
 
 ``evaluate`` runs the schemes of one network row from one ``_Row``: one
 ``_Hop`` record per distinct rate-splitting hop holds its optimum and, on
@@ -256,35 +257,41 @@ def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
 # Joint (f1, f2) optimization for cooperative / joint-decoding second hops
 # ---------------------------------------------------------------------------
 
-# The joint search's fallback passes, each (points per split, half-width of
-# the window around the best split so far): a 101-point grid over [0, 1],
-# then three 11-point passes, each 10x narrower.
-_JOINT_PASSES = ((101, 0.5), (11, 1e-2), (11, 1e-3), (11, 1e-4))
-# Pass 1's grid, which the cap probe also scores: built once, never written.
-_PASS1_GRID = np.linspace(0.0, 1.0, _JOINT_PASSES[0][0])
+# The fallback's passes after the 101-split grid: 11 splits each, in a
+# window of these half-widths around the best cell so far.
+_WINDOWS = (1e-2, 1e-3, 1e-4)
+# The 101-split grid over [0, 1] that the cap probe and the fallback score:
+# built once, never written.
+_PASS1_GRID = np.linspace(0.0, 1.0, 101)
 _PASS1_GRID.flags.writeable = False
 
 
-def _search_joint_splits(params: NetworkParams, bounds_fn, gains_fn=None,
-                         row: _Row | None = None) -> tuple[float, float, dict, dict]:
-    """A rate-splitting hop's exact optimum first, else shrinking grids.
+def _joint(scheme: str, params: NetworkParams, bounds_fn, gains_fn=None,
+           row: _Row | None = None) -> SchemeResult:
+    """Rate splitting in hop 1, hop 2 with the bounds ``bounds_fn`` gives,
+    its lines named after the scheme (``hop2-coop``, ``hop2-mcp``), at the
+    best (f1, f2) cell a search finds.
 
     A hop's max-sum LP at any split caps every joint rate, and the corner
     optimum of ``_hop_optimum`` is its maximum over splits: hop 1's always,
-    hop 2's where ``gains_fn`` gives its gains (coop). The smaller cap's
-    split is scored against every tenth split of the other hop's pass-1
-    grid, then all of it; a cell within 1e-12 of the cap is optimal within
-    1e-12 and returned. Else the passes run, each centred on the last best,
-    pass 1 reusing the full grid. Returns the best (f1, f2) and each hop's
-    scored bounds there, whose max-sum LP is the cell's value. The caps are
-    ``row``'s hop records, whose scalar bounds are scored as one-split arrays.
+    hop 2's where ``gains_fn`` gives its gains (coop). The caps are ``row``'s
+    hop records, whose scalar bounds are scored as one-split arrays. The
+    smaller cap's split is scored against every tenth split of the other
+    hop's 101-split grid, then all of it; a cell within 1e-12 of the cap is
+    optimal within 1e-12. Else the capped hop takes that grid too, then one
+    11-split pass per ``_WINDOWS`` half-width is centred on the best cell so
+    far. The LP's greedy runs once more on the bounds scored at the winning
+    cell: its value bit for bit, and the point and binding ``max_sum_rate``
+    gives on the two hops' regions, unbuilt.
     """
     def bounds_at(hop, fs):
         cross2, intra2, total = params.hop(hop + 1)
         return (mac_bounds, bounds_fn)[hop](cross2, intra2, *split_powers(fs, total))
 
-    def grid(centre, points, window):
-        return np.clip(np.linspace(centre - window, centre + window, points), 0.0, 1.0)
+    def best_cell():  # the best cell (i, j) of the grid ``bounds`` spans, and its value
+        values = _max_sum_grid(*bounds)
+        i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
+        return i, j, values[i, j]
 
     row = row or _Row(params)
     caps = [row.hop(1)] + ([row.hop(2, gains_fn)] if gains_fn else [])
@@ -292,39 +299,27 @@ def _search_joint_splits(params: NetworkParams, bounds_fn, gains_fn=None,
     other = 1 - capped
     fs = [np.array([cap.split.f_private])] * 2  # the other hop's entries are set below
     bounds = [{key: np.array([c]) for key, c in cap.bounds.items()}] * 2
-    for step in (10, 1):  # every tenth split of pass 1's grid, then all of them
+    for step in (10, 1):  # every tenth split of the grid, then all of them
         fs[other] = _PASS1_GRID[::step]
         bounds[other] = bounds_at(other, fs[other])
-        values = _max_sum_grid(*bounds)
-        i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
-        if values[i, j] >= cap.corner.total - 1e-12:
+        i, j, value = best_cell()
+        if value >= cap.corner.total - 1e-12:
             break
     else:
-        best = (0.5, 0.5)
-        for k, (points, window) in enumerate(_JOINT_PASSES):
-            for hop in (0, 1):
-                if k or hop == capped:  # pass 1 reuses the other hop's grid
-                    fs[hop] = grid(best[hop], points, window)
-                    bounds[hop] = bounds_at(hop, fs[hop])
-            values = _max_sum_grid(*bounds)
-            i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
-            best = (float(fs[0][i]), float(fs[1][j]))
-    return (float(fs[0][i]), float(fs[1][j]), {key: c[i] for key, c in bounds[0].items()},
-            {key: c[j] for key, c in bounds[1].items()})
-
-
-def _joint(scheme: str, params: NetworkParams, bounds_fn, gains_fn=None,
-           row: _Row | None = None) -> SchemeResult:
-    """Rate splitting in hop 1, hop 2 with the bounds ``bounds_fn`` gives,
-    its lines named after the scheme (``hop2-coop``, ``hop2-mcp``). The LP's
-    greedy runs once more on the bounds scored at the winning cell: the point
-    and binding ``max_sum_rate`` gives on the two hops' regions, unbuilt."""
-    f1, f2, bounds1, bounds2 = _search_joint_splits(params, bounds_fn, gains_fn, row)
-    x, y, binding = _greedy([(a, b, c, f"{name}:{label}")
-                             for name, bounds in (("hop1", bounds1), (f"hop2-{scheme}", bounds2))
-                             for a, b, c, label in _hop_lines(bounds)])
-    return _result(scheme, params, RatePair(x, y), split_hop1=HopSplit(f1),
-                   split_hop2=HopSplit(f2), binding=binding)
+        fs[capped] = _PASS1_GRID
+        bounds[capped] = bounds_at(capped, _PASS1_GRID)
+        i, j, _ = best_cell()
+        for window in _WINDOWS:
+            for hop, centre in enumerate((float(fs[0][i]), float(fs[1][j]))):
+                fs[hop] = np.clip(np.linspace(centre - window, centre + window, 11), 0.0, 1.0)
+                bounds[hop] = bounds_at(hop, fs[hop])
+            i, j, _ = best_cell()
+    x, y, binding = _greedy([
+        (a, b, c, f"{name}:{label}")
+        for name, hop_bounds, k in (("hop1", bounds[0], i), (f"hop2-{scheme}", bounds[1], j))
+        for a, b, c, label in _hop_lines({key: bound[k] for key, bound in hop_bounds.items()})])
+    return _result(scheme, params, RatePair(x, y), split_hop1=HopSplit(float(fs[0][i])),
+                   split_hop2=HopSplit(float(fs[1][j])), binding=binding)
 
 
 def coop(params: NetworkParams, row: _Row | None = None) -> SchemeResult:

@@ -12,8 +12,10 @@ from meshrates.polytope import _DEDUP_TOL, LPSolution, contains, max_sum_rate, v
 from meshrates.regions import (
     Halfspace,
     _corner,
+    _hop_lines,
     _mac_gains,
     RateRegion,
+    coop_bounds,
     hop1_region,
     hop2_coop_region,
     hop2_mcp_region,
@@ -298,6 +300,10 @@ class TestVertices:
     @given(st.one_of(builder_regions(), coefficient_regions()))
     @example(make_region((1, 0, 1.0, "private"), (0, 3, 1.0, "common"),
                          (1, 2, 1.0, "sum-2"), (3, 1, 1.5, "steep")))
+    # coop's hop 2 at 2e-10 private power, ~3e-10 wide: the hull's turn at
+    # the vertex where sum-3 meets common-3user has a cross product of ~7e-21
+    # between edges ~1e-10 long, though its sine is ~0.16; both keep it.
+    @example(make_region(*_hop_lines(coop_bounds(0.0, 1.0, 2e-10, 1.0))))
     @settings(max_examples=300, deadline=None)
     def test_walk_matches_enumeration(self, region):
         # the same vertices, up to twice the 1e-10 merge tolerance: in a

@@ -30,7 +30,6 @@ from meshrates.schemes import (
     _max_sum_grid,
     _pick_last_max,
     _Row,
-    _search_joint_splits,
     coop,
     first_hop_upper_bound,
     mcp,
@@ -382,7 +381,7 @@ def four_passes(params, bounds_fn):
     """The search's fallback written out: every pass a clipped linspace
     around the best cell of the pass before, from (0.5, 0.5)."""
     f1 = f2 = 0.5
-    for points, half_width in schemes._JOINT_PASSES:
+    for points, half_width in ((101, 0.5), (11, 1e-2), (11, 1e-3), (11, 1e-4)):
         grid1, grid2 = (np.clip(np.linspace(f - half_width, f + half_width, points), 0.0, 1.0)
                         for f in (f1, f2))
         values = _max_sum_grid(*grid_bounds(params, bounds_fn, grid1, grid2))
@@ -439,21 +438,19 @@ class TestJointValues:
                                       builder(work, HopSplit(float(f2))))
                     assert values[i, j] == lp.value
 
-    @pytest.mark.parametrize("bounds_fn,gains_fn", [
-        pytest.param(coop_bounds, _coop_gains, id="coop_bounds"),
-        pytest.param(mcp_bounds, None, id="mcp_bounds"),
+    @pytest.mark.parametrize("scheme,bounds_fn,gains_fn", [
+        pytest.param(coop, coop_bounds, _coop_gains, id="coop_bounds"),
+        pytest.param(mcp, mcp_bounds, None, id="mcp_bounds"),
     ])
-    def test_search_matches_reference_passes(self, bounds_fn, gains_fn):
+    def test_search_matches_reference_passes(self, scheme, bounds_fn, gains_fn):
         # Where no cap settles the search, its splits are the four passes'.
         # The draws include one fallback per scheme (DRAW_950 for coop,
         # Fig. 4 alpha2 = 0.06 for mcp).
         draws = [figure(3.0, 0.06), figure(10.0, 0.56), DRAW_950] + seeded_networks(12, 6)
         fallbacks = 0
         for work in draws:
-            f1, f2, bounds1, bounds2 = _search_joint_splits(work, bounds_fn, gains_fn)
-            # the returned bounds are each hop's bounds at the returned splits
-            assert bounds1 == bounds_at(mac_bounds, work.alpha2, work.beta2, work.p1, f1)
-            assert bounds2 == bounds_at(bounds_fn, work.eta2, work.gamma2, work.p2, f2)
+            result = scheme(work)
+            f1, f2 = result.split_hop1.f_private, result.split_hop2.f_private
             caps = [_Row(work).hop(1).corner.total]
             if gains_fn:
                 caps.append(_Row(work).hop(2, gains_fn).corner.total)
@@ -492,7 +489,7 @@ class TestJointValues:
     # from its hop record, not from these functions; the other hop is
     # evaluated at every tenth pass-1 split, then on a miss at all 101;
     # passes 2-4 evaluate both hops at 11 splits.
-    PASSES_2_TO_4 = [("hop1", 11), ("hop2", 11)] * (len(schemes._JOINT_PASSES) - 1)
+    PASSES_2_TO_4 = [("hop1", 11), ("hop2", 11)] * 3
 
     @pytest.mark.parametrize("scheme,name,cases", [
         pytest.param(coop, "coop_bounds", [

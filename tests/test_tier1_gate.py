@@ -1,5 +1,6 @@
 """scripts/tier1_gate.py passes a JUnit report only when the failed or
-errored tests are exactly acceptance criteria 06 and 07."""
+errored tests are exactly acceptance criteria 06 and 07 and the xfailed or
+skipped ones exactly the four known xfails."""
 
 import pathlib
 import subprocess
@@ -12,6 +13,8 @@ CRITERION_06 = ("tests.test_acceptance", "test_criterion_06_optimal_fraction_sha
 CRITERION_07 = ("tests.test_acceptance", "test_criterion_07_figure_gap_claims")
 PASSING = ("tests.test_model.TestNetworkParams", "test_hop_terms")
 OTHER = ("tests.test_cli.TestSweep", "test_any_other_check")
+WITNESS_ROWS = [("tests.test_schemes", f"test_joint_split_reaches_witness[{row}]")
+                for row in ("mcp-3dB", "mcp-10dB", "coop-draw950", "mcp-draw928")]
 
 
 def case(test, outcome=None):
@@ -21,7 +24,10 @@ def case(test, outcome=None):
     return f'<testcase classname="{classname}" name="{name}" time="0.1">{child}</testcase>'
 
 
-def gate(tmp_path, *cases):
+def gate(tmp_path, *cases, xfails=WITNESS_ROWS):
+    """The gate's exit code and stdout on a report of ``cases`` plus each of
+    ``xfails`` reported as JUnit's ``<skipped>``, as pytest reports an xfail."""
+    cases += tuple(case(test, "skipped") for test in xfails)
     report = tmp_path / "tier1.xml"
     report.write_text('<?xml version="1.0" encoding="utf-8"?><testsuites>'
                       f'<testsuite name="pytest">{"".join(cases)}</testsuite></testsuites>')
@@ -34,7 +40,7 @@ def test_exactly_the_known_red_pass_the_gate(tmp_path):
     code, out = gate(tmp_path, case(PASSING), case(CRITERION_06, "failure"),
                      case(CRITERION_07, "failure"))
     assert code == 0
-    assert out == "3 tests, 2 failed\n"
+    assert out == "7 tests, 2 failed\n"
 
 
 def test_one_more_failure_is_named(tmp_path):
@@ -59,3 +65,19 @@ def test_error_counts_as_failure(tmp_path, known_red, other, expected):
                      case(CRITERION_07, known_red))
     assert code == expected
     assert (f"unexpected failure: {OTHER[0]}::{OTHER[1]}" in out.splitlines()) == bool(other)
+
+
+def test_extra_xfail_or_skip_is_named(tmp_path):
+    code, out = gate(tmp_path, case(PASSING), case(OTHER, "skipped"),
+                     case(CRITERION_06, "failure"), case(CRITERION_07, "failure"))
+    assert code == 1
+    assert out.splitlines()[1:] == [f"unexpected xfail or skip: {OTHER[0]}::{OTHER[1]}"]
+
+
+def test_missing_xfail_is_named(tmp_path):
+    # the first witness row ran and passed instead of xfailing
+    code, out = gate(tmp_path, case(WITNESS_ROWS[0]), case(CRITERION_06, "failure"),
+                     case(CRITERION_07, "failure"), xfails=WITNESS_ROWS[1:])
+    assert code == 1
+    missing = "::".join(WITNESS_ROWS[0])
+    assert out.splitlines()[1:] == [f"known xfail did not xfail: {missing}"]
