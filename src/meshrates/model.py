@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 DUPLEX_MODES = ("full", "half")
 
@@ -110,13 +109,6 @@ def split_powers(f, total):
     return total - p_common, p_common
 
 
-class SplitPowers(NamedTuple):
-    """Private/common power pair of one hop, in bound-formula argument order."""
-
-    p_private: float
-    p_common: float
-
-
 @dataclass(frozen=True)
 class HopSplit:
     """Fraction of one hop's power assigned to the private codebook."""
@@ -128,11 +120,11 @@ class HopSplit:
         if not (isinstance(f, (int, float)) and math.isfinite(f) and 0.0 <= f <= 1.0):
             raise ValueError(f"f_private must lie in [0, 1], got {f!r}")
 
-    def powers(self, total: float) -> SplitPowers:
-        """Split ``total`` into (private, common) powers by ``split_powers``."""
+    def powers(self, total: float) -> tuple[float, float]:
+        """``split_powers``' (private, common) pair of ``total``."""
         if not (math.isfinite(total) and total >= 0.0):
             raise ValueError(f"total power must be finite and non-negative, got {total!r}")
-        return SplitPowers(*split_powers(self.f_private, total))
+        return split_powers(self.f_private, total)
 
 
 @dataclass(frozen=True)

@@ -69,13 +69,13 @@ def full_mac_region_hop1(params: NetworkParams, split: HopSplit) -> RateRegion:
     inequality is removed.
     """
     alpha2, beta2, p1 = params.hop(1)
-    pw = split.powers(p1)
-    noise = 1.0 + 2.0 * alpha2 * pw.p_private
+    p_private, p_common = split.powers(p1)
+    noise = 1.0 + 2.0 * alpha2 * p_private
     users = (
-        ("p", 1, 0, beta2 * pw.p_private),
-        ("cm", 0, 1, beta2 * pw.p_common),
-        ("cm-1", 0, 1, alpha2 * pw.p_common),
-        ("cm+1", 0, 1, alpha2 * pw.p_common),
+        ("p", 1, 0, beta2 * p_private),
+        ("cm", 0, 1, beta2 * p_common),
+        ("cm-1", 0, 1, alpha2 * p_common),
+        ("cm+1", 0, 1, alpha2 * p_common),
     )
     halfspaces = []
     subsets = chain.from_iterable(combinations(users, k) for k in range(1, 5))
@@ -89,7 +89,7 @@ def full_mac_region_hop1(params: NetworkParams, split: HopSplit) -> RateRegion:
     return RateRegion(
         halfspaces=tuple(halfspaces),
         provenance=f"mac15(alpha2={alpha2:g}, beta2={beta2:g}, "
-                   f"p_private={pw.p_private:g}, p_common={pw.p_common:g})",
+                   f"p_private={p_private:g}, p_common={p_common:g})",
     )
 
 
@@ -128,8 +128,8 @@ def vertices_bc(params: NetworkParams, split: HopSplit) -> dict[str, RatePair]:
 def grid_max_sum(regions, step: float) -> float:
     """Max of R_p + R_c over the feasible lattice of spacing ``step``.
 
-    Every coefficient is non-negative and float multiply and add round
-    monotonically, so on each row R_p = rp[i] the test
+    The coefficients are in ``regions.Halfspace``'s domain and float
+    multiply and add round monotonically, so on each row R_p = rp[i] the test
     ``coef_private * R_p + coef_common * R_c <= bound + 1e-12`` holds on a
     prefix of the R_c column, and the row's best point is the prefix's last.
     A bisection over all rows at once finds each prefix length in about
@@ -141,8 +141,6 @@ def grid_max_sum(regions, step: float) -> float:
     if isinstance(regions, RateRegion):
         regions = [regions]
     halfspaces = [h for region in regions for h in region.halfspaces]
-    if any(h.coef_private < 0 or h.coef_common < 0 for h in halfspaces):
-        raise ValueError("grid_max_sum needs non-negative coefficients")
     rp_max = min(h.bound / h.coef_private for h in halfspaces if h.coef_private > 0)
     rc_max = min(h.bound / h.coef_common for h in halfspaces if h.coef_common > 0)
     rp = np.arange(0.0, rp_max + step / 2.0, step)
@@ -177,8 +175,7 @@ def enumerated_vertices(region: RateRegion) -> list[RatePair]:
     non-negativity check, not a <= constraint. The reference for
     ``polytope.vertices``, which walks the upper envelope instead.
     """
-    lines = [(float(h.coef_private), float(h.coef_common), h.bound)
-             for h in region.halfspaces]
+    lines = [(h.coef_private, h.coef_common, h.bound) for h in region.halfspaces]
     axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
     points = [(0.0, 0.0)]
     for (a1, b1, c1), (a2, b2, c2) in combinations(lines + axes, 2):
@@ -449,9 +446,8 @@ def _check_quadrature_riemann(seed: int) -> OracleReport:
     ref_err = 0.0
     for params, split in cases:
         region = hop2_mcp_region(params, split)
-        pw = split.powers(params.hop(2)[2])
         reference_fns = mcp_reference_integrands(params.gamma2, params.eta2,
-                                                 pw.p_private, pw.p_common)
+                                                 *split.powers(params.hop(2)[2]))
         fast_bounds = {(h.coef_private, h.coef_common): h.bound for h in region.halfspaces}
         for name, key in (("private", (1, 0)), ("common", (0, 1)), ("sum", (1, 1))):
             reference, err, _ = certified_midpoint(reference_fns[name])

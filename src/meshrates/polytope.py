@@ -7,10 +7,9 @@ R_private + R_common, so the max-sum LP has the greedy closed form of a
 polymatroid: take the largest private rate first, then the largest common
 rate. ``max_sum_rate`` states it on scalar bounds, ``_max_sum_grid`` on two
 hops' bounds over grids of their power splits, one broadcast per line.
-Non-negative coefficients also make every region down-closed, so
-``vertices`` walks the upper envelope of its lines from R_p = 0 instead of
-enumerating pairwise intersections (``oracle.enumerated_vertices`` still
-does, as the reference).
+Every region is down-closed (``regions.Halfspace``), so ``vertices`` walks
+the upper envelope of its lines from R_p = 0 instead of enumerating pairwise
+intersections (``oracle.enumerated_vertices`` still does, as the reference).
 """
 
 from __future__ import annotations
@@ -47,11 +46,12 @@ def max_sum_rate(*regions: RateRegion) -> LPSolution:
     """Exact maximizer of R_private + R_common over the regions' intersection.
 
     The greedy: x = min c/a over a > 0, then y = max(min (c - a*x)/b over
-    b > 0, 0); it is exact unless a line has 0 < coef_common < coef_private,
-    which raises ValueError. Of all maximizers this is the one of largest
-    private rate. The optimal face runs from it along (-1, +1) and is flagged
-    degenerate when longer than 1e-9. Binding labels carry the region's
-    builder name when more than one region is intersected.
+    b > 0, 0). On ``regions.Halfspace``'s coefficients it is exact unless a
+    line has 0 < coef_common < coef_private, which raises ValueError. Of all
+    maximizers this is the one of largest private rate. The optimal face
+    runs from it along (-1, +1) and is flagged degenerate when longer than
+    1e-9. Binding labels carry the region's builder name when more than one
+    region is intersected.
     """
     if not regions:
         raise ValueError("max_sum_rate needs at least one region")
@@ -59,7 +59,7 @@ def max_sum_rate(*regions: RateRegion) -> LPSolution:
     for region in regions:
         prefix = f"{region.short_name}:" if len(regions) > 1 else ""
         for h in region.halfspaces:
-            a, b = float(h.coef_private), float(h.coef_common)
+            a, b = h.coef_private, h.coef_common
             if 0 < b < a:
                 raise ValueError(
                     f"greedy max-sum LP needs coef_common >= coef_private, got ({a:g}, {b:g})")
@@ -110,21 +110,20 @@ def _meet(first, second) -> tuple[float, float]:
 def vertices(region: RateRegion) -> list[RatePair]:
     """All extreme points of the feasible set, counterclockwise from the origin.
 
-    Every coefficient is non-negative, so the region is down-closed: from the
-    origin its boundary runs along R_c = 0 to the tightest R_p-intercept X,
-    up the line that sets X if that line is vertical, back along the upper
-    envelope of the lines with coef_common > 0, and down R_p = 0. The
-    envelope is walked from R_p = 0: it starts on the line of least common
-    intercept and steps to the nearest crossing by a steeper line, until the
-    next crossing lies at or beyond X; ties go to the steepest line. Each
-    vertex is the crossing of its own two lines, the axes among them.
+    The region is down-closed (``regions.Halfspace``): from the origin its
+    boundary runs along R_c = 0 to the tightest R_p-intercept X, up the line
+    that sets X if that line is vertical, back along the upper envelope of the
+    lines with coef_common > 0, and down R_p = 0. The envelope is walked from
+    R_p = 0: it starts on the line of least common intercept and steps to the
+    nearest crossing by a steeper line, until the next crossing lies at or
+    beyond X; ties go to the steepest line. Each vertex is the crossing of its
+    own two lines, the axes among them.
 
     Points closer than 1e-10 are merged in lexicographic order, keeping the
     smallest, so a region narrower than that collapses to a segment or to
     the origin.
     """
-    lines = [(float(h.coef_private), float(h.coef_common), h.bound)
-             for h in region.halfspaces]
+    lines = [(h.coef_private, h.coef_common, h.bound) for h in region.halfspaces]
     extent = min((line for line in lines if line[0] > 0), key=lambda l: l[2] / l[0])
     corner = _meet(extent, _AXIS_COMMON)
     # steepest first, so that min() breaks every tie toward the steepest line

@@ -29,7 +29,8 @@ from .model import HopSplit, NetworkParams, RatePair
 
 @dataclass(frozen=True)
 class Halfspace:
-    """One constraint coef_private*R_p + coef_common*R_c <= bound."""
+    """One constraint coef_private*R_p + coef_common*R_c <= bound. Finite,
+    non-negative coefficients, not both 0, make every region down-closed."""
 
     coef_private: int
     coef_common: int
@@ -37,7 +38,10 @@ class Halfspace:
     label: str
 
     def __post_init__(self) -> None:
-        if self.coef_private == 0 and self.coef_common == 0:
+        a, b = self.coef_private, self.coef_common
+        if not (0 <= a < math.inf and 0 <= b < math.inf):
+            raise ValueError(f"halfspace coefficients must be finite and non-negative: {(a, b)!r}")
+        if a == 0 and b == 0:
             raise ValueError("halfspace needs at least one non-zero coefficient")
         if not (math.isfinite(self.bound) and self.bound >= 0.0):
             raise ValueError(f"halfspace bound must be finite and >= 0, got {self.bound!r}")
@@ -244,10 +248,12 @@ def _sum_roots(g, e, p, q):
     else:
         x_small = 2.0 * g + tau * bw * bw / rw
         xe_big = (4.0 * g - 2.0 * e * ratio / w) / x_small
-    y_small = np.sqrt(2.0 * p * ew * ew / rw + eps)
-    qy_big = np.sqrt(2.0 * p * rw + 2.0 * q * ratio / w)
+    y_small = np.sqrt(2.0 * (p * ew) * ew / rw + eps)  # p*ew <= 2, but 2p can overflow
+    # p or q/w past 2^960 overflows the big pair's squares: t = 2^-32 scales it exactly
+    t = 1.0 - np.float64(1.0 - 2.0 ** -32) * ((p > 2.0 ** 960) | (q * 2.0 ** -960 > w))
+    qy_big = np.sqrt(2.0 * (t * t * p) * rw + 2.0 * (t * t * q) * ratio / w)
     return (_reciprocal(2.0 * e, x_small, y_small),
-            _reciprocal(2.0 * sq, sq * xe_big, qy_big))
+            _reciprocal(2.0 * sq * t, sq * xe_big * t, qy_big))
 
 
 def mcp_bounds(cross2, intra2, p_private, p_common):
@@ -342,13 +348,12 @@ def _hop_region(name: str, hop: int, bounds_fn, params: NetworkParams,
     of hop ``hop``'s ``bounds_fn`` bounds at ``split``: one halfspace per
     line of ``_hop_lines``."""
     cross2, intra2, total = params.hop(hop)
-    powers = split.powers(total)
+    p_private, p_common = split.powers(total)
     gains = (f"alpha2={cross2:g}, beta2={intra2:g}" if hop == 1
              else f"eta2={cross2:g}, gamma2={intra2:g}")
-    lines = _hop_lines(bounds_fn(cross2, intra2, *powers))
+    lines = _hop_lines(bounds_fn(cross2, intra2, p_private, p_common))
     return RateRegion(tuple([Halfspace(*line) for line in lines]),
-                      f"{name}({gains}, p_private={powers.p_private:g}, "
-                      f"p_common={powers.p_common:g})")
+                      f"{name}({gains}, p_private={p_private:g}, p_common={p_common:g})")
 
 
 def hop1_region(params: NetworkParams, split: HopSplit) -> RateRegion:

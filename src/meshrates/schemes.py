@@ -164,31 +164,22 @@ def _hop_split_candidates(gains: _RsGains, total: float) -> np.ndarray:
     return np.array([0.0, *sorted(f for f in (x / total for x in xs) if 0.0 < f < 1.0), 1.0])
 
 
-def _hop_optimum(gains: _RsGains, total: float) -> tuple[HopSplit, RatePair]:
-    """The hop's split that maximizes its corner sum rate, and that corner.
-
-    Both come from one evaluation of the candidates' corners, so the rate is
-    the corner's total exactly. Near-ties resolve toward the largest
-    fraction, so f_hat = 1 stays exact where all-private transmission is
-    optimal.
-    """
-    fs = _hop_split_candidates(gains, total)
-    r_private, rc_two, rc_three = _corner(gains, *split_powers(fs, total))
-    r_common = np.minimum(rc_two, rc_three)
-    # Ties only at rounding level, so an interior optimum a few ulps above the
-    # endpoint still wins.
-    idx = _pick_last_max(r_private + r_common, tie_tol=1e-15)
-    return HopSplit(float(fs[idx])), RatePair(float(r_private[idx]), float(r_common[idx]))
-
-
 class _Hop:
-    """One solved rate-splitting hop: its ``_hop_optimum`` split and corner,
-    and at that split its scalar bounds and the max-sum LP's binding, each
-    evaluated on first read."""
+    """One solved rate-splitting hop: the split of largest corner sum rate and
+    that corner, both from one evaluation of the candidates' corners.
+    Near-ties go to the largest fraction: f_hat = 1 stays exact where
+    all-private transmission is optimal. Its scalar bounds and max-sum binding
+    at that split are evaluated on first read."""
 
     def __init__(self, gains: _RsGains, total: float) -> None:
         self.gains, self.total = gains, total
-        self.split, self.corner = _hop_optimum(gains, total)
+        fs = _hop_split_candidates(gains, total)
+        r_private, rc_two, rc_three = _corner(gains, *split_powers(fs, total))
+        r_common = np.minimum(rc_two, rc_three)
+        # ties only at rounding level: an interior optimum a few ulps up wins
+        idx = _pick_last_max(r_private + r_common, tie_tol=1e-15)
+        self.split = HopSplit(float(fs[idx]))
+        self.corner = RatePair(float(r_private[idx]), float(r_common[idx]))
 
     @cached_property
     def bounds(self) -> dict:
@@ -272,9 +263,9 @@ def _joint(scheme: str, params: NetworkParams, bounds_fn, gains_fn=None,
     its lines named after the scheme (``hop2-coop``, ``hop2-mcp``), at the
     best (f1, f2) cell a search finds.
 
-    A hop's max-sum LP at any split caps every joint rate, and the corner
-    optimum of ``_hop_optimum`` is its maximum over splits: hop 1's always,
-    hop 2's where ``gains_fn`` gives its gains (coop). The caps are ``row``'s
+    A hop's max-sum LP at any split caps every joint rate, and a ``_Hop``'s
+    corner optimum is its maximum over splits: hop 1's always, hop 2's where
+    ``gains_fn`` gives its gains (coop). The caps are ``row``'s
     hop records, whose scalar bounds are scored as one-split arrays. The
     smaller cap's split is scored against every tenth split of the other
     hop's 101-split grid, then all of it; a cell within 1e-12 of the cap is

@@ -155,9 +155,9 @@ def test_criterion_04_quadrature_vs_midpoint_oracle():
         split = HopSplit(float(rng.uniform(0.0, 1.0)))
         bounds = {h.label: h.bound
                   for h in hop2_mcp_region(params, split).halfspaces}
-        pw = split.powers(params.p2)
+        p_private, p_common = split.powers(params.p2)
         reference_fns = oracle.mcp_reference_integrands(params.gamma2, params.eta2,
-                                                        pw.p_private, pw.p_common)
+                                                        p_private, p_common)
         for name, label in labels.items():
             reference, err, _ = certified_midpoint(reference_fns[name])
             ref_err = max(ref_err, err)

@@ -135,19 +135,19 @@ class TestHopSplit:
             HopSplit(0.5).powers(total)
 
     def test_degenerate_splits_exact(self):
-        assert HopSplit(0.0).powers(3.0).p_private == 0.0
-        assert HopSplit(1.0).powers(3.0).p_common == 0.0
+        assert HopSplit(0.0).powers(3.0)[0] == 0.0
+        assert HopSplit(1.0).powers(3.0)[1] == 0.0
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=1e-6, max_value=1e6),
     )
     def test_powers_sum_exactly(self, f, total):
-        pw = HopSplit(f).powers(total)
-        assert pw.p_private + pw.p_common == total
-        assert pw.p_private >= 0.0 and pw.p_common >= 0.0
+        p_private, p_common = HopSplit(f).powers(total)
+        assert p_private + p_common == total
+        assert p_private >= 0.0 and p_common >= 0.0
         # each part stays within a rounding error of the total from its ideal
-        assert abs(pw.p_private - f * total) <= 2.0 ** -50 * total
+        assert abs(p_private - f * total) <= 2.0 ** -50 * total
 
 
 class TestRatePair:

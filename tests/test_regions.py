@@ -60,6 +60,13 @@ class TestHalfspace:
         with pytest.raises(ValueError, match="at least one non-zero coefficient"):
             Halfspace(0, 0, 1.0, "none")
 
+    # (1, -1) <= 0.2 with (1, 0) <= 1 and (0, 1) <= 1 is not down-closed:
+    # the greedy LP gave 1.2 at (0.2, 1) on it while (1, 1) was feasible
+    @pytest.mark.parametrize("coefs", [(1, -1), (-1, 1), (math.nan, 1), (1, math.inf)])
+    def test_coefficients_finite_and_non_negative(self, coefs):
+        with pytest.raises(ValueError, match="non-negative"):
+            Halfspace(*coefs, 0.2, "tilt")
+
     @pytest.mark.parametrize("bound", [-1e-300, math.nan, math.inf])
     def test_bound_finite_and_non_negative(self, bound):
         with pytest.raises(ValueError, match="must be finite and >= 0"):
@@ -186,10 +193,10 @@ def coop_mac15(params, split):
     private codewords and the two outer-cell commons that leak in stay in
     the noise, 1 + 2*eta2*(P_p + P_c/3). No dominated inequality is removed."""
     g, e = math.sqrt(params.gamma2), math.sqrt(params.eta2)
-    pw = split.powers(params.p2)
-    per_code = pw.p_common / 3.0
-    noise = 1.0 + 2.0 * params.eta2 * (pw.p_private + per_code)
-    users = (("p", 1, 0, params.gamma2 * pw.p_private),
+    p_private, p_common = split.powers(params.p2)
+    per_code = p_common / 3.0
+    noise = 1.0 + 2.0 * params.eta2 * (p_private + per_code)
+    users = (("p", 1, 0, params.gamma2 * p_private),
              ("cm", 0, 1, (g + 2.0 * e) ** 2 * per_code),
              ("cm-1", 0, 1, (g + e) ** 2 * per_code),
              ("cm+1", 0, 1, (g + e) ** 2 * per_code))
@@ -375,6 +382,8 @@ class TestMcpBounds:
         # e^2/W = 2/p_private overflows a float: the factored quartic's small
         # pair is out of reach, and the q = 0 limit is taken instead
         (1.307e-71, 1.588e-4, 3.08e-311),
+        # p_private*rw overflows a float in the unused sum roots
+        (5e-324, 4.8e-235, 6.8e307),
     ])
     def test_sum_without_common_power_equals_private(self, gamma2, eta2, p_private):
         # warnings are errors here, so an overflow on the way fails too
@@ -384,6 +393,24 @@ class TestMcpBounds:
             assert bounds[(1, 1)] == bounds[(1, 0)]
             assert np.isfinite(bounds[(1, 1)])
         assert all(batch[key][1] == bound for key, bound in mcp_bounds(eta2, gamma2, 1.0, 1.0).items())
+
+    # Zero or subnormal gains with powers near the float range: p or q/w
+    # passes 2^960, and the sum's big root pair once overflowed a float on
+    # the way (a NaN sum in the first two rows, a warning in the others).
+    # The first row is hop 2 of `point --gamma2 0 --eta2 5e-324 --p2 6e299`
+    # at f = 1/2; the last sends p_private past 2^1023.
+    @pytest.mark.parametrize("gamma2,eta2,p_private,p_common", [
+        (0.0, 5e-324, 3e299, 3e299), (0.0, 1e-250, 5e307, 5e307),
+        (0.0, 5e-324, 9e292, 3e292), (5e-324, 5e-324, 1.7e308, 1e307),
+    ])
+    def test_huge_powers_at_tiny_gains(self, gamma2, eta2, p_private, p_common):
+        # warnings are errors here, so an overflow on the way fails too
+        scalar = mcp_bounds(eta2, gamma2, p_private, p_common)
+        row = mcp_bounds(eta2, gamma2, np.array([p_private]), np.array([p_common]))
+        private, common, total = (float(scalar[key]) for key in ((1, 0), (0, 1), (1, 1)))
+        assert all(math.isfinite(bound) for bound in (private, common, total))
+        assert max(private, common) - 1e-12 <= total <= private + common + 1e-12
+        assert all(scalar[key] == row[key][0] for key in scalar)
 
     @pytest.mark.parametrize("gamma2", [0.2, 1.0, 2.5])
     def test_flat_private_response(self, gamma2):
@@ -417,8 +444,7 @@ class TestHopConvention:
     def test_bound_formulas_take_cross_then_intra(self, bounds_fn, builder):
         params = self.PARAMS
         for f in (0.3, 0.7):
-            pw = HopSplit(f).powers(params.p2)
-            pp, pc = pw.p_private, pw.p_common
+            pp, pc = HopSplit(f).powers(params.p2)
             bounds = bounds_fn(cross2=params.eta2, intra2=params.gamma2,
                                p_private=pp, p_common=pc)
             assert [(h.coef_private, h.coef_common, h.bound)

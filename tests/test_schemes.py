@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from meshrates import regions, schemes
 from meshrates.cli import main
-from meshrates.model import HopSplit, NetworkParams, capacity, db_to_linear, split_powers
+from meshrates.model import HopSplit, NetworkParams, RatePair, capacity, db_to_linear, split_powers
 from meshrates.oracle import dense_split_scan
-from meshrates.polytope import max_sum_rate
+from meshrates.polytope import max_sum_rate, vertices
 from meshrates.regions import (
     _coop_gains,
     _corner,
@@ -25,7 +25,7 @@ from meshrates.regions import (
     mcp_bounds,
 )
 from meshrates.schemes import (
-    _hop_optimum,
+    _Hop,
     _hop_split_candidates,
     _max_sum_grid,
     _pick_last_max,
@@ -193,8 +193,8 @@ class TestHopSplitOptimum:
     def test_extreme_gains_and_powers(self, terms):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            split, corner = _hop_optimum(_mac_gains(*terms[:2]), terms[2])
-        f_hat, rate = split.f_private, corner.total
+            hop = _Hop(_mac_gains(*terms[:2]), terms[2])
+        f_hat, rate = hop.split.f_private, hop.corner.total
         want_f, want_rate = self.EXTREMES[terms]
         assert rate == pytest.approx(want_rate, rel=1e-15, abs=0.0)
         assert f_hat == want_f and math.copysign(1.0, f_hat) == 1.0
@@ -226,7 +226,7 @@ class TestHopSplitOptimum:
         onset = 2.0 * p * a * a + a - b <= 0.0
         assert 1000 < onset.sum() < 5000
         for a_k, b_k, p_k, all_private in zip(a, b, p, onset):
-            f_hat = _hop_optimum(_mac_gains(float(a_k), float(b_k)), float(p_k))[0].f_private
+            f_hat = _Hop(_mac_gains(float(a_k), float(b_k)), float(p_k)).split.f_private
             assert (f_hat == 1.0) == all_private, (a_k, b_k, p_k, f_hat)
 
     def test_corner_sum_monotone_between_candidates(self):
@@ -252,7 +252,7 @@ class TestHopSplitOptimum:
                     steps = np.diff(rates[lo:hi + 1])
                     assert ((steps >= -slack[lo + 1:hi + 1]).all()
                             or (steps <= slack[lo + 1:hi + 1]).all()), (gains, p, fs[lo], fs[hi])
-                best = _hop_optimum(gains, p)[1].total
+                best = _Hop(gains, p).corner.total
                 assert rates.max() <= best + 1e-14 * max(1.0, abs(best)), (gains, p)
 
     @staticmethod
@@ -414,8 +414,8 @@ def full_row(params, bounds_fn, gains_fn):
 def bounds_at(bounds_fn, cross2, intra2, total, f):
     """Scalar bounds of one hop at split f, read from a one-split array
     evaluation (the path the search scores)."""
-    pw = HopSplit(f).powers(total)
-    bounds = bounds_fn(cross2, intra2, np.array([pw.p_private]), np.array([pw.p_common]))
+    p_private, p_common = HopSplit(f).powers(total)
+    bounds = bounds_fn(cross2, intra2, np.array([p_private]), np.array([p_common]))
     return {key: c[0] for key, c in bounds.items()}
 
 
@@ -611,6 +611,45 @@ class TestEvaluate:
             assert schemes.evaluate(params, names) == [schemes.SCHEMES[name](params)
                                                        for name in names], params
 
+    @staticmethod
+    def extreme_networks(seed, n):
+        """``n`` seeded networks that ``NetworkParams`` accepts, at the ends
+        of the float range: each gain 0, 5e-324 or log-uniform on [1e-320,
+        1e300] and each power log-uniform on [1e-300, 1e308]; every third is
+        half duplex and every sixth has power boost."""
+        rng = np.random.default_rng(seed)
+
+        def gain():
+            kind = rng.integers(4)
+            return (0.0, 5e-324)[kind] if kind < 2 else float(10.0 ** rng.uniform(-320, 300))
+
+        draws = []
+        while len(draws) < n:
+            k = len(draws)
+            try:
+                draws.append(NetworkParams(
+                    alpha2=gain(), beta2=gain(), gamma2=gain(), eta2=gain(),
+                    p1=float(10.0 ** rng.uniform(-300, 308)),
+                    p2=float(10.0 ** rng.uniform(-300, 308)),
+                    duplex="half" if k % 3 == 0 else "full", power_boost=k % 6 == 0))
+            except ValueError:  # a gain times a power past the float range
+                pass
+        return draws
+
+    def test_extreme_networks(self):
+        # Warnings are errors here. Hop 2 at a tiny gain and a power past
+        # about 1e290 once gave the mcp sum bound a NaN or an overflow warning.
+        names = list(schemes.SCHEMES)
+        splits = np.random.default_rng(31)
+        for params in self.extreme_networks(29, 1000):
+            for result in schemes.evaluate(params, names):
+                assert math.isfinite(result.rate) and result.rate >= 0.0, (params, result)
+            split = HopSplit(float(splits.uniform()))
+            for builder in (hop1_region, hop2_rs_region, hop2_coop_region, hop2_mcp_region):
+                region = builder(params, split)
+                assert vertices(region)[0] == RatePair(0.0, 0.0), (params, builder)
+                assert math.isfinite(max_sum_rate(region).value), (params, builder)
+
     @pytest.mark.parametrize("params,names,solves", [
         # hop 1, hop 2 and hop 2 with coop's gains, each hop's scalar bounds
         # at its optimum read once: hop 1's by the bound's binding and mcp's
@@ -625,14 +664,14 @@ class TestEvaluate:
 
         def counting(gains, total):
             calls.append((gains, total))
-            return _hop_optimum(gains, total)
+            return _hop_split_candidates(gains, total)
 
         def counting_bounds(gains, p_private, p_common):
             assert np.ndim(p_private) == np.ndim(p_common) == 0
             bounds_calls.append((gains, p_private, p_common))
             return _rs_bounds(gains, p_private, p_common)
 
-        monkeypatch.setattr(schemes, "_hop_optimum", counting)
+        monkeypatch.setattr(schemes, "_hop_split_candidates", counting)
         monkeypatch.setattr(schemes, "_rs_bounds", counting_bounds)
         for network in (params, replace(params)):  # nothing outlives a row
             calls.clear()
