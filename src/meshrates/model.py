@@ -1,8 +1,8 @@
 """Core domain types and elementary rate functions.
 
 All powers are linear-scale and noise-normalized (unit noise power at every
-receiver), so powers double as SNRs. Rates are in bits per channel use
-(capacity function fixed to base-2 logarithm).
+receiver), so powers double as SNRs. Rates are in bits per channel use, and
+every rate formula takes C(x) = log2(1 + x) from ``capacity``, as log1p(x)/ln 2.
 """
 
 from __future__ import annotations
@@ -10,14 +10,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 DUPLEX_MODES = ("full", "half")
+_LN2 = math.log(2.0)
 
 
-def capacity(x: float) -> float:
-    """Gaussian capacity C(x) = log2(1 + x) for a non-negative SINR x."""
+def capacity(x):
+    """C(x) = log2(1 + x) as log1p(x)/ln 2, accurate where 1 + x rounds. A float must be
+    finite and non-negative and gives a float; a numpy array (a validated network's SINRs)
+    is taken elementwise, unchecked. Both use np.log1p: a scalar and a batch round alike."""
+    if isinstance(x, np.ndarray):
+        return np.log1p(x) / _LN2
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"capacity requires a finite non-negative SINR, got {x!r}")
-    return math.log2(1.0 + x)
+    return float(np.log1p(x)) / _LN2
 
 
 def db_to_linear(x_db: float) -> float:
@@ -68,13 +75,13 @@ class NetworkParams:
             raise ValueError(f"duplex must be one of {DUPLEX_MODES}, got {self.duplex!r}")
         if self.power_boost and self.duplex != "half":
             raise ValueError(f"power_boost needs duplex='half', got duplex={self.duplex!r}")
-        # The largest gain x power terms the rate formulas form: the
-        # three-user common sum (2*alpha2 + beta2)*P1 on hop 1, and on hop 2
-        # the joint decoder's peak response 3*(gamma + 2*eta)^2 * P2, which
-        # also bounds the rs and coop sums. Past a float they give inf rates.
-        peak2 = (math.sqrt(self.gamma2) + 2.0 * math.sqrt(self.eta2)) ** 2
+        # The largest gain x power terms the rate formulas form: the three-user common sum
+        # (2*alpha2 + beta2)*P1 on hop 1, and on hop 2 the joint decoder's peak response
+        # 3*(gamma + 2*eta)^2 * P2, which also bounds the rs and coop sums. Past a float
+        # they give inf rates (a product overflows to inf, where ** would raise).
+        peak = math.sqrt(self.gamma2) + 2.0 * math.sqrt(self.eta2)
         for hop, received in ((1, (2.0 * self.alpha2 + self.beta2) * self.hop(1)[2]),
-                              (2, 3.0 * peak2 * self.hop(2)[2])):
+                              (2, 3.0 * (peak * peak) * self.hop(2)[2])):
             if not math.isfinite(received):
                 raise ValueError(f"hop {hop} gains times power overflow a float; "
                                  f"scale the gains or powers down")

@@ -15,6 +15,7 @@ are spectral integrals, evaluated by Jensen's formula over one root of each
 conjugate pair in one ``_phi`` evaluation, all in closed form and in real
 arithmetic: the private response's linear factor, the common response's
 quadratic, and the two real quadratics the sum bound's quartic factors into.
+Every log2(1 + SINR) term here is ``model.capacity``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import HopSplit, NetworkParams, RatePair
+from .model import HopSplit, NetworkParams, RatePair, capacity
 
 @dataclass(frozen=True)
 class Halfspace:
@@ -119,11 +120,11 @@ def _rs_bounds(gains: _RsGains, p_private, p_common):
     private = gains.private * p_private
     two, three = gains.two * p_common, gains.three * p_common
     return {
-        (1, 0): np.log2(1.0 + private / noise),
-        (0, 2): np.log2(1.0 + two / noise),
-        (0, 3): np.log2(1.0 + three / noise),
-        (1, 2): np.log2(1.0 + (private + two) / noise),
-        (1, 3): np.log2(1.0 + (private + three) / noise),
+        (1, 0): capacity(private / noise),
+        (0, 2): capacity(two / noise),
+        (0, 3): capacity(three / noise),
+        (1, 2): capacity((private + two) / noise),
+        (1, 3): capacity((private + three) / noise),
     }
 
 
@@ -135,9 +136,9 @@ def _corner(gains: _RsGains, p_private, p_common):
     common_noise = gains.noise_common * p_common
     noise = 1.0 + gains.noise_private * p_private + common_noise
     first = 1.0 + (gains.noise_private + gains.private) * p_private + common_noise
-    r_private = np.log2(1.0 + gains.private * p_private / noise)
-    rc_two = 0.5 * np.log2(1.0 + gains.two * p_common / first)
-    rc_three = np.log2(1.0 + gains.three * p_common / first) / 3.0
+    r_private = capacity(gains.private * p_private / noise)
+    rc_two = 0.5 * capacity(gains.two * p_common / first)
+    rc_three = capacity(gains.three * p_common / first) / 3.0
     return r_private, rc_two, rc_three
 
 
@@ -151,9 +152,6 @@ def coop_bounds(cross2, intra2, p_private, p_common):
     """Second-hop MAC bounds when the three adjacent relays transmit each
     common codeword cooperatively (``_coop_gains``)."""
     return _rs_bounds(_coop_gains(cross2, intra2), p_private, p_common)
-
-
-_LN2 = math.log(2.0)
 
 
 def _phi(vr, vi):
@@ -293,6 +291,11 @@ def mcp_bounds(cross2, intra2, p_private, p_common):
     p, q = np.broadcast_arrays(np.asarray(p_private, dtype=float),
                                np.asarray(p_common, dtype=float) / 3.0)
     p, q = p[()], q[()]
+    # (g, e)/4^j, (p, q)*16^j: the same P, exactly; at max(g, e)/4^j in [1, 4) no square overflows
+    j = (math.frexp(max(g, e))[1] - 1) // 2 if g or e else 0
+    if j:
+        g, e = math.ldexp(g, -2 * j), math.ldexp(e, -2 * j)
+        p, q = np.ldexp(p, 4 * j), np.ldexp(q, 4 * j)
     sq = np.sqrt(q)
     private_gain, common_gain = 1.0 + p * (g * g), 1.0 + q * (g * g)
     roots = [(p * (e * g) / private_gain, e * np.sqrt(p) / private_gain)]
@@ -312,10 +315,10 @@ def mcp_bounds(cross2, intra2, p_private, p_common):
         roots += [((nr - ni * sg) * half, (ni + nr * sg) * half),
                   _reciprocal(2.0 * quarter * e, ni, nr), *_sum_roots(g, e, p, q)]
     phis = _phi(np.array([v[0] for v in roots]), np.array([v[1] for v in roots]))
-    private = np.log1p(p * g * g) / _LN2 + 2.0 * phis[0]
-    total = np.log1p((p + q) * (g * g)) / _LN2 + 2.0 * (phis[3] + phis[4])
+    private = capacity(p * g * g) + 2.0 * phis[0]
+    total = capacity((p + q) * (g * g)) + 2.0 * (phis[3] + phis[4])
     return {(1, 0): private,
-            (0, 1): np.log1p(q * g * g) / _LN2 + 2.0 * (phis[1] + phis[2]),
+            (0, 1): capacity(q * g * g) + 2.0 * (phis[1] + phis[2]),
             (1, 1): np.where(q == 0.0, private, total)[()]}
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +23,20 @@ class TestCapacity:
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             capacity(bad)
+
+    def test_array_equals_float_calls(self):
+        # a scalar bound call and a batch round alike: the same np.log1p
+        xs = np.array([0.0, 5e-324, 1e-300, 1e-17, 1e-9, 0.3, 1.0, 2.5, 1e10, 1e300])
+        batch = capacity(xs)
+        assert batch.shape == xs.shape
+        assert all(batch[i] == capacity(float(x)) for i, x in enumerate(xs))
+        assert all(type(capacity(float(x))) is float for x in xs)
+
+    @pytest.mark.parametrize("x", [1e-17, 1e-20, 1e-50, 1e-100, 1e-200, 1e-300])
+    def test_low_snr_slope(self, x):
+        # C(x) = x/ln 2 to first order: no 1 + x rounds the SINR away
+        for value in (capacity(x), capacity(np.array([x]))[0]):
+            assert abs(value * math.log(2.0) / x - 1.0) <= 1e-15
 
     @given(st.floats(min_value=0.0, max_value=1e9))
     def test_nonnegative_and_finite(self, x):
@@ -89,6 +104,13 @@ class TestNetworkParams:
         kwargs = dict(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=1.0)
         with pytest.raises(ValueError, match="overflow"):
             NetworkParams(**{**kwargs, **fields})
+
+    def test_hop2_peak_square_overflow_rejected(self):
+        # (sqrt(gamma2) + 2*sqrt(eta2))^2 passes the float range first, before
+        # the tiny power brings the product back: a ValueError, not an
+        # OverflowError from the square
+        with pytest.raises(ValueError, match="hop 2 gains times power overflow"):
+            NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=5e307, p1=2.0, p2=1e-300)
 
     def test_power_boost_doubling_counts_towards_overflow(self):
         kwargs = dict(alpha2=0.0, beta2=1.0, gamma2=1.0, eta2=0.0, p1=1e308, p2=1.0)

@@ -399,9 +399,19 @@ class TestMcpBounds:
     # the way (a NaN sum in the first two rows, a warning in the others).
     # The first row is hop 2 of `point --gamma2 0 --eta2 5e-324 --p2 6e299`
     # at f = 1/2; the last sends p_private past 2^1023.
+    #
+    # Hop-2 gains past about 1e300 with a tiny common power: e^2/w, the
+    # sum roots' tau^2 - delta^2 and a reciprocal's x^2 + y^2 once
+    # overflowed (a NaN sum). The first such row is hop 2 of `point --gamma2
+    # 8.8e300 --eta2 4.65e301 --p2 3.7e-319` at f = 1/2, and the next three
+    # each reach one of the three. Scaled amplitudes still meet p past 2^960
+    # in the last two rows, where gamma = 1 and eta is tiny.
     @pytest.mark.parametrize("gamma2,eta2,p_private,p_common", [
         (0.0, 5e-324, 3e299, 3e299), (0.0, 1e-250, 5e307, 5e307),
         (0.0, 5e-324, 9e292, 3e292), (5e-324, 5e-324, 1.7e308, 1e307),
+        (8.8e300, 4.65e301, 1.85e-319, 1.85e-319), (3.97e307, 3.3e301, 1.61e-319, 3.76e-319),
+        (5e-324, 8.67e306, 1.09e-309, 2.54e-309), (5.89e307, 1.01e302, 6.86e-231, 1.6e-230),
+        (1.0, 1e-6, 5.5e307, 1e300), (1.0, 1e-200, 5.9e307, 1e-300),
     ])
     def test_huge_powers_at_tiny_gains(self, gamma2, eta2, p_private, p_common):
         # warnings are errors here, so an overflow on the way fails too
@@ -411,6 +421,22 @@ class TestMcpBounds:
         assert all(math.isfinite(bound) for bound in (private, common, total))
         assert max(private, common) - 1e-12 <= total <= private + common + 1e-12
         assert all(scalar[key] == row[key][0] for key in scalar)
+
+    # P reads the amplitudes only through p*g^2, p*e^2, q*g^2 and q*e^2, so
+    # gains times 16^j and powers over 16^j are the same network. The last
+    # base row once overflowed a reciprocal's x^2 + y^2 (a NaN sum).
+    @pytest.mark.parametrize("gamma2,eta2,p_private,p_common", [
+        (1.0, 0.4, 1.0, 1.0), (0.5, 0.3, 0.7, 2.1), (2.5, 2.5, 0.0, 3.0),
+        (1.0, 0.0, 2.0, 1.0), (0.0, 1.0, 1.0, 1.0), (5.89e307, 1.01e302, 6.86e-231, 1.6e-230),
+    ])
+    def test_amplitude_scale_invariance(self, gamma2, eta2, p_private, p_common):
+        base = mcp_bounds(eta2, gamma2, p_private, p_common)
+        for j in (-250, -60, -1, 1, 7, 60):
+            scale = 16.0 ** j  # exact: a power of 2 from 2^-1000 to 2^240
+            scaled = (eta2 * scale, gamma2 * scale, p_private / scale, p_common / scale)
+            if not all(x == 0.0 or 2.3e-308 <= x < 1e308 for x in scaled):
+                continue
+            assert mcp_bounds(*scaled) == base, (j, scaled)
 
     @pytest.mark.parametrize("gamma2", [0.2, 1.0, 2.5])
     def test_flat_private_response(self, gamma2):

@@ -170,15 +170,17 @@ class TestHopSplitOptimum:
 
     # (alpha2, beta2, P) -> (f_hat, rate) of the grid/golden/bisection optimizer
     # this closed form replaced. alpha2 = 1e300 with P = 1e300 is left out:
-    # alpha2*P overflows a float there, and that optimizer failed too.
+    # alpha2*P overflows a float there, and that optimizer failed too. Where
+    # beta2*P is tiny, the rate is the low-power limit beta2*P/ln 2 (that
+    # optimizer's 0.0 there was log2(1 + x) rounding 1 + x to 1).
     EXTREMES = {
         (5e-324, 0.0, 1e-300): (1.0, 0.0),
         (5e-324, 0.0, 1.0): (1.0, 0.0),
         (5e-324, 0.0, 1e300): (1.0, 0.0),
         (5e-324, 5e-324, 1e-300): (1.0, 0.0),
-        (5e-324, 5e-324, 1.0): (1.0, 0.0),
-        (5e-324, 5e-324, 1e300): (1.0, 0.0),
-        (5e-324, 1.0, 1e-300): (1.0, 0.0),
+        (5e-324, 5e-324, 1.0): (1.0, 5e-324 * 1.0 / math.log(2)),
+        (5e-324, 5e-324, 1e300): (1.0, 5e-324 * 1e300 / math.log(2)),
+        (5e-324, 1.0, 1e-300): (1.0, 1.0 * 1e-300 / math.log(2)),
         (5e-324, 1.0, 1.0): (1.0, 1.0),
         (5e-324, 1.0, 1e300): (1.0, 996.5784284662087),
         (1e300, 0.0, 1e-300): (0.0, 0.5283208335737187),
@@ -615,13 +617,14 @@ class TestEvaluate:
     def extreme_networks(seed, n):
         """``n`` seeded networks that ``NetworkParams`` accepts, at the ends
         of the float range: each gain 0, 5e-324 or log-uniform on [1e-320,
-        1e300] and each power log-uniform on [1e-300, 1e308]; every third is
-        half duplex and every sixth has power boost."""
+        1.6e308] and each power log-uniform on [1e-320, 1e308]; every third
+        is half duplex and every sixth has power boost."""
         rng = np.random.default_rng(seed)
+        top = math.log10(1.6e308)
 
         def gain():
             kind = rng.integers(4)
-            return (0.0, 5e-324)[kind] if kind < 2 else float(10.0 ** rng.uniform(-320, 300))
+            return (0.0, 5e-324)[kind] if kind < 2 else float(10.0 ** rng.uniform(-320, top))
 
         draws = []
         while len(draws) < n:
@@ -629,16 +632,26 @@ class TestEvaluate:
             try:
                 draws.append(NetworkParams(
                     alpha2=gain(), beta2=gain(), gamma2=gain(), eta2=gain(),
-                    p1=float(10.0 ** rng.uniform(-300, 308)),
-                    p2=float(10.0 ** rng.uniform(-300, 308)),
+                    p1=float(10.0 ** rng.uniform(-320, 308)),
+                    p2=float(10.0 ** rng.uniform(-320, 308)),
                     duplex="half" if k % 3 == 0 else "full", power_boost=k % 6 == 0))
             except ValueError:  # a gain times a power past the float range
                 pass
         return draws
 
+    @pytest.mark.parametrize("power", [1e-10, 1e-15, 1e-17, 1e-20, 1e-50, 1e-100, 1e-200, 1e-300])
+    def test_low_power_limit(self, power):
+        # Every rate tends to its low-power slope times P/ln 2, which is 1
+        # here for all five schemes; log2(1 + x) once read 1.11 at
+        # P = 1e-15 and 0 from P = 1e-17 down.
+        params = NetworkParams(alpha2=0.3, beta2=1.0, gamma2=1.0, eta2=0.3, p1=power, p2=power)
+        for result in schemes.evaluate(params, list(schemes.SCHEMES)):
+            assert abs(result.rate * math.log(2.0) / power - 1.0) <= 1e-9, result
+
     def test_extreme_networks(self):
         # Warnings are errors here. Hop 2 at a tiny gain and a power past
-        # about 1e290 once gave the mcp sum bound a NaN or an overflow warning.
+        # about 1e290 once gave the mcp sum bound a NaN or an overflow
+        # warning, and so did a gain past about 1e300 at a tiny power.
         names = list(schemes.SCHEMES)
         splits = np.random.default_rng(31)
         for params in self.extreme_networks(29, 1000):
