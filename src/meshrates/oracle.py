@@ -10,7 +10,8 @@ bounds, a split scan instead of the closed-form split optimum (its two-stage
 corner rate is also the reference for the LP's sum at a fixed split), and
 per-inequality threshold inversions in exact decimal arithmetic. Oracles may
 be slow; they exist to certify, not to perform, and run as array expressions
-where that leaves their floats unchanged.
+where that leaves their floats unchanged. A check reading several schemes of
+one network reads them off one ``schemes._Row``: each hop is solved once.
 """
 
 from __future__ import annotations
@@ -547,9 +548,10 @@ def _check_rs_dense_grid(seed: int) -> OracleReport:
     for params in draws:
         _, r1 = dense_split_scan(params, hop=1)
         _, r2 = dense_split_scan(params, hop=2)
-        fast1, fast2 = (schemes._Row(params).hop(k).corner.total for k in (1, 2))
+        row = schemes._Row(params)  # one solve per hop, for the optima and the scheme
+        fast1, fast2 = row.hop(1).corner.total, row.hop(2).corner.total
         reference = min(r1, r2)
-        fast = schemes.rate_splitting(params).rate
+        fast = schemes.rate_splitting(params, row).rate
         excess = max(excess, fast - reference)
         for ref, got in ((r1, fast1), (r2, fast2), (reference, fast)):
             if ref - got > worst[0]:
@@ -558,20 +560,21 @@ def _check_rs_dense_grid(seed: int) -> OracleReport:
     return OracleReport("rs-dense-grid", worst[1], worst[2], worst[0], 1e-12, passed)
 
 
+def _rates(params: NetworkParams, names) -> dict[str, float]:
+    """Each scheme's rate by name, all from one ``schemes.evaluate`` row."""
+    return {result.scheme: result.rate for result in schemes.evaluate(params, names)}
+
+
 def _check_scheme_ordering(seed: int) -> OracleReport:
     p1 = 10.0 ** 0.3
     gap = 0.0
     for alpha2 in np.linspace(0.0, 1.0, 9):
         params = NetworkParams(alpha2=float(alpha2), beta2=1.0, gamma2=1.0,
                                eta2=float(alpha2), p1=p1, p2=p1 / 2.0)
-        r_single = schemes.single_rate(params).rate
-        r_rs = schemes.rate_splitting(params).rate
-        r_coop = schemes.coop(params).rate
-        r_mcp = schemes.mcp(params).rate
-        r_bound = schemes.first_hop_upper_bound(params).rate
-        gap = max(gap, r_single - r_rs)
-        gap = max(gap, (r_coop - r_mcp) - 1e-6)
-        gap = max(gap, max(r_rs, r_coop, r_mcp) - r_bound)
+        r = _rates(params, schemes.SCHEMES)
+        r_rs, r_coop, r_mcp = r[schemes.SCHEME_RS], r[schemes.SCHEME_COOP], r[schemes.SCHEME_MCP]
+        gap = max(gap, r[schemes.SCHEME_SINGLE] - r_rs, (r_coop - r_mcp) - 1e-6,
+                  max(r_rs, r_coop, r_mcp) - r[schemes.SCHEME_BOUND])
     return _within("scheme-ordering", gap, 1e-9)
 
 
@@ -580,11 +583,9 @@ def _check_half_duplex_halving(seed: int) -> OracleReport:
     gap = 0.0
     for i in range(10):
         full = _draw_params(rng)
-        half = replace(full, duplex="half")
-        gap = max(gap, abs(schemes.single_rate(half).rate - 0.5 * schemes.single_rate(full).rate))
-        gap = max(gap, abs(schemes.rate_splitting(half).rate - 0.5 * schemes.rate_splitting(full).rate))
-        if i == 0:
-            gap = max(gap, abs(schemes.coop(half).rate - 0.5 * schemes.coop(full).rate))
+        names = (schemes.SCHEME_SINGLE, schemes.SCHEME_RS) + (schemes.SCHEME_COOP,) * (i == 0)
+        r_half, r_full = _rates(replace(full, duplex="half"), names), _rates(full, names)
+        gap = max(gap, *(abs(r_half[name] - 0.5 * r_full[name]) for name in names))
     return _within("half-duplex-halving", gap, 1e-12)
 
 

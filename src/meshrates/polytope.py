@@ -87,9 +87,9 @@ def _max_sum_grid(bounds1: dict, bounds2: dict) -> np.ndarray:
     float ``max_sum_rate`` gives."""
     lines = ([(a, b, c[:, None]) for (a, b), c in bounds1.items()]
              + [(a, b, c[None, :]) for (a, b), c in bounds2.items()])
-    x = reduce(np.minimum, [c / a for a, b, c in lines if a > 0])
-    # on a pure-common line c - 0*x is c, so the grid-sized product is skipped
-    y = reduce(np.minimum, [(c - a * x if a else c) / b for a, b, c in lines if b > 0])
+    # every coef_private is 0 or 1, so c/a is c and c - a*x is c - x, bit for bit
+    x = reduce(np.minimum, [c for a, b, c in lines if a])
+    y = reduce(np.minimum, [(c - x if a else c) / b for a, b, c in lines if b > 0])
     return x + np.maximum(y, 0.0)
 
 

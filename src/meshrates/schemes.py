@@ -34,6 +34,7 @@ powers first.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,7 +91,8 @@ def _result(scheme: str, params: NetworkParams, point: RatePair, **fields) -> Sc
 
 
 def _bottleneck(rate1: float, rate2: float):
-    if abs(rate1 - rate2) <= 1e-12:
+    # relative, so that hops of unequal rate differ at any power
+    if abs(rate1 - rate2) <= 1e-12 * max(rate1, rate2, sys.float_info.min):
         return "balanced"
     return 1 if rate1 < rate2 else 2
 
@@ -391,20 +393,16 @@ def vsi_check(params: NetworkParams) -> tuple[bool, str]:
 
     With all first-hop power on the common codebook, every subset bound of
     the three-user MAC seen at a relay must support the per-user rate
-    C(beta2*p1). Returns the verdict and the tightest bound.
+    C(beta2*p1) within 1e-12 of it, so the verdict holds at any power.
+    Returns the verdict and the tightest bound.
     """
     alpha2, beta2, p1 = params.hop(1)
     target = capacity(beta2 * p1)
-    ok = True
-    binding = ""
-    worst = math.inf
+    worst, binding = math.inf, ""
     for n_own, n_cross, label in _VSI_PATTERNS:
         users = n_own + n_cross
         power = (n_own * beta2 + n_cross * alpha2) * p1
         slack = capacity(power) / users - target
-        if slack < -1e-12:
-            ok = False
         if slack < worst:
-            worst = slack
-            binding = label
-    return ok, binding
+            worst, binding = slack, label
+    return worst >= -1e-12 * max(target, sys.float_info.min), binding

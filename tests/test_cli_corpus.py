@@ -98,6 +98,9 @@ CORPUS = {
     "point-overflow": ["point", "--alpha2", "1e200", "--beta2", "1", "--gamma2", "1",
                        "--eta2", "0", "--p1", "1e200", "--p2", "1", "--schemes", "single"],
     "point-flag-value": ["point", *NET, "--json=1"],
+    "point-tiny-power-bottleneck": ["point", "--alpha2", "0.3", "--beta2", "1", "--gamma2", "1",
+                                    "--eta2", "0.3", "--p1", "1e-12", "--p2", "2e-12",
+                                    "--schemes", "single,rs"],
     "point-value-missing": ["point", *NET[:10], "--p2"],
     "point-help-after-bad-value": ["point", "--p1", "4000dB", "--help"],
     "point-help-after-bad-choice": ["point", "--duplex", "x", "--help"],
@@ -253,6 +256,8 @@ CORPUS = {
     "threshold-zero-gain": ["threshold", "--beta2", "0", "--p1", "1"],
     "threshold-overflow": ["threshold", "--beta2", "1e200", "--p1", "1e200"],
     "threshold-bad-alpha2": ["threshold", "--beta2", "1", "--p1", "1", "--alpha2", "x"],
+    "threshold-check-tiny-power": ["threshold", "--beta2", "1", "--p1", "1e-15",
+                                   "--alpha2", "0"],
     # optsplit
     "optsplit-help": ["optsplit", "--help"],
     "optsplit-text": ["optsplit", *NET],

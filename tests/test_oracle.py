@@ -356,11 +356,11 @@ BROKEN_FAST_PATHS = {
     "rs-dense-grid": (schemes, "rate_splitting", lambda r, *_: replace(r, rate=r.rate + 0.01)),
     "scheme-ordering": (schemes, "coop", lambda r, *_: replace(r, rate=r.rate + 1.0)),
     "half-duplex-halving": (schemes, "single_rate",
-                            lambda r, params: replace(r, rate=2.0 * r.rate)
+                            lambda r, params, *_: replace(r, rate=2.0 * r.rate)
                             if params.duplex == "half" else r),
     "mcp-sum-dominance": (oracle, "hop2_mcp_region", lambda region, *_: _zero_sum_bound(region)),
     "power-monotonicity": (schemes, "single_rate",
-                           lambda r, params: replace(r, rate=1.0 / params.p1)),
+                           lambda r, params, *_: replace(r, rate=1.0 / params.p1)),
     "vertex-walk": (oracle, "vertices", lambda points, *_: points[:-1]),
 }
 
@@ -399,10 +399,36 @@ class TestSuite:
     def test_check_fails_on_broken_fast_path(self, monkeypatch, name):
         target, attr, mutate = BROKEN_FAST_PATHS[name]
         original = getattr(target, attr)
-        monkeypatch.setattr(target, attr, lambda *args, **kwargs: mutate(
-            original(*args, **kwargs), *args, **kwargs))
+
+        def broken(*args, **kwargs):
+            return mutate(original(*args, **kwargs), *args, **kwargs)
+
+        monkeypatch.setattr(target, attr, broken)
+        # schemes.evaluate calls each scheme through its SCHEMES entry
+        for scheme, fn in list(schemes.SCHEMES.items()):
+            if fn is original:
+                monkeypatch.setitem(schemes.SCHEMES, scheme, broken)
         [report] = run_suite(seed=0, name_filter=name)
         assert not report.passed, report.line()
+
+    @pytest.mark.parametrize("check,solves", [
+        # one row per network: each distinct hop of a draw is solved once
+        (oracle._check_rs_dense_grid, 24),
+        (oracle._check_scheme_ordering, 27),
+        (oracle._check_half_duplex_halving, 42),
+        (oracle._check_power_monotonicity, 64),
+    ])
+    def test_hop_solves_per_check(self, monkeypatch, check, solves):
+        original = schemes._hop_split_candidates
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(schemes, "_hop_split_candidates", counting)
+        assert check(0).passed
+        assert len(calls) == solves
 
     def test_filter_subsets_without_changing_draws(self):
         full = {r.name: r.line() for r in run_suite(seed=1)}

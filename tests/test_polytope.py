@@ -10,6 +10,7 @@ from meshrates.oracle import (
 )
 from meshrates.polytope import _DEDUP_TOL, LPSolution, contains, max_sum_rate, vertices
 from meshrates.regions import (
+    _LABELS,
     Halfspace,
     _corner,
     _hop_lines,
@@ -141,6 +142,11 @@ def seeded_region(rng, name):
                  else float(rng.uniform(0.0, 5.0)))
         spec.append((*pairs[k], bound, f"line{k}"))
     return make_region(*spec, provenance=f"{name}()")
+
+
+def test_every_bound_key_has_private_coefficient_0_or_1():
+    # polytope._max_sum_grid reads c/a as c and c - a*x as c - x
+    assert {coef_private for coef_private, _ in _LABELS} == {0, 1}
 
 
 class TestMaxSumRate:

@@ -112,6 +112,15 @@ class TestSingleRate:
         assert single_rate(params).rate == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("p1", [1.0, 1e-12, 1e-15, 1e-100, 1e-300])
+def test_bottleneck_relative_at_any_power(p1):
+    # hop 2 has twice hop 1's power and SINR at every scale, so hop 1 is the
+    # bottleneck also where both rates are far below 1e-12
+    params = symmetric(0.3, p1, p2=2.0 * p1)
+    assert single_rate(params).bottleneck_hop == 1
+    assert rate_splitting(params).bottleneck_hop == 1
+
+
 class TestRateSplitting:
     def test_reduces_to_single_rate_without_cross_gains(self):
         result = rate_splitting(CLEAN)
@@ -965,6 +974,17 @@ class TestVsiCheck:
         ok, _ = vsi_check(NetworkParams(alpha2=0.0, beta2=1.0, gamma2=1.0,
                                         eta2=0.0, p1=1.0, p2=1.0))
         assert not ok
+
+    @pytest.mark.parametrize("p1", [1.0, 1e-15, 1e-100, 1e-300])
+    def test_verdict_relative_to_target_at_any_power(self, p1):
+        # the verdict is relative to the target rate C(beta2 * p1), so it
+        # holds also where that rate is far below 1e-12
+        t = vsi_threshold(1.0, p1, method="exact")
+        for alpha2, want in ((0.0, False), (0.5 * t, False), (0.99 * t, False),
+                             (t, True), (t * (1.0 + 1e-12), True)):
+            params = NetworkParams(alpha2=alpha2, beta2=1.0, gamma2=1.0, eta2=0.0,
+                                   p1=p1, p2=1.0)
+            assert vsi_check(params)[0] is want, (p1, alpha2)
 
 
 class TestHalfDuplex:
