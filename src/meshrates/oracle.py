@@ -549,7 +549,7 @@ def _check_rs_dense_grid(seed: int) -> OracleReport:
         _, r1 = dense_split_scan(params, hop=1)
         _, r2 = dense_split_scan(params, hop=2)
         row = schemes._Row(params)  # one solve per hop, for the optima and the scheme
-        fast1, fast2 = row.hop(1).corner.total, row.hop(2).corner.total
+        fast1, fast2 = row.hop(1).value, row.hop(2).value
         reference = min(r1, r2)
         fast = schemes.rate_splitting(params, row).rate
         excess = max(excess, fast - reference)

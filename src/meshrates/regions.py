@@ -7,8 +7,8 @@ labeled halfspaces ``coef_private*R_p + coef_common*R_c <= bound``.
 
 Every rate-splitting hop is one MAC of a private and a common codebook,
 stated once: five gains per unit of power (``_RsGains``), the bounds
-(``_rs_bounds``) and the max-sum corner (``_corner``) that the split
-optimum in ``schemes`` evaluates. Its two-message min-type common bounds
+(``_rs_bounds``) and the max-sum corner (``_corner``) that scores the
+split candidates in ``schemes``. Its two-message min-type common bounds
 are emitted as two halfspaces (2-user and 3-user) so linear programs can
 report binding constraints faithfully. The joint-decoding (MCP) bounds
 are spectral integrals, evaluated by Jensen's formula over one root of each

@@ -5,25 +5,25 @@ supports; the hops are stated in ``regions``, and this module only
 optimizes their power splits. A rate-splitting hop's own split (both hops
 of rate splitting, hop 1 of every scheme, coop's hop 2) is optimized in
 closed form from its ``regions._RsGains``: the corner sum rate peaks at one
-of a few candidate fractions, whose corners are evaluated once; the winning
-corner gives the rate and the operating point, and binding is the max-sum
-LP's on that hop's region. Each such optimum caps the joint (f1, f2) rate
-of coop and mcp, so their search, all of it in ``_joint``, first scores the
-smaller cap's split against every tenth split of the other hop's 101-split
-grid, then all 101: a cell that reaches the cap is exact. Elsewhere it is
-grids: both hops on the 101-split grid, then three 11-split windows, each
-10x narrower and centred on the best cell so far. Every cell is scored by
-the max-sum LP of its two hops (``polytope._max_sum_grid``), each hop's
-bounds evaluated once per pass. The returned rate, operating point and
-binding are the LP's greedy on the lines of the bounds scored at the
-winning cell: the cell's value, bit for bit.
+of a few candidate fractions, whose corners are evaluated once. Each such
+optimum caps the joint (f1, f2) rate of coop and mcp, so their search, all
+of it in ``_joint``, first scores the smaller cap's split against every
+tenth split of the other hop's 101-split grid, then all 101: a cell that
+reaches the cap is exact. Elsewhere it is grids: both hops on the 101-split
+grid, then three 11-split windows, each 10x narrower and centred on the
+best cell so far. Every cell is scored by the max-sum LP of its two hops
+(``polytope._max_sum_grid``), each hop's bounds evaluated once per pass.
+Near-ties are relative to the rate, so no split depends on the power's
+scale. Every reported rate, operating point and binding is the LP's greedy
+on scalar bounds: a rate-splitting hop's at its optimal split, the joint
+search's at its winning cell, whose value it is bit for bit.
 
 ``evaluate`` runs the schemes of one network row from one ``_Row``: one
-``_Hop`` record per distinct rate-splitting hop holds its optimum and, on
-first read, its scalar bounds at the optimal split and their max-sum
-binding. Rate splitting and the first-hop bound read the binding, the cap
-of coop and mcp reads the bounds, so each is evaluated once per row. A
-scheme called alone builds a row of its own, so its result is the same.
+``_Hop`` record per distinct rate-splitting hop holds its split and value
+and, on first read, its scalar bounds there and their LP. Rate splitting
+and the first-hop bound read the LP, the cap of coop and mcp reads the
+value and the bounds, so each is evaluated once per row. A scheme called
+alone builds a row of its own, so its result is the same.
 
 Half duplex scales every final rate by 1/2: ``_result`` scales each reported
 operating point and its total alike, and ``single_rate``, which reports no
@@ -80,14 +80,14 @@ class SchemeResult:
     bottleneck_hop: int | str | None = None
 
 
-def _result(scheme: str, params: NetworkParams, point: RatePair, **fields) -> SchemeResult:
-    """The result at the per-hop operating point ``point``: the rate is its
-    total times the half-duplex scale, and the point is scaled alike."""
+def _result(scheme: str, params: NetworkParams, lp, **fields) -> SchemeResult:
+    """The result at a max-sum LP's greedy ``lp``: its per-hop point (x, y)
+    and binding. The rate is x + y times the half-duplex scale, and the
+    point is scaled alike."""
+    x, y, binding = lp
     scale = params.rate_scale()
-    rate = point.total * scale
-    if scale != 1.0:
-        point = RatePair(scale * point.r_private, scale * point.r_common)
-    return SchemeResult(scheme=scheme, rate=rate, operating_point=point, **fields)
+    return SchemeResult(scheme=scheme, rate=(x + y) * scale, binding=binding,
+                        operating_point=RatePair(scale * x, scale * y), **fields)
 
 
 def _bottleneck(rate1: float, rate2: float):
@@ -123,11 +123,13 @@ def single_rate(params: NetworkParams, row: _Row | None = None) -> SchemeResult:
 # ---------------------------------------------------------------------------
 
 def _pick_last_max(values: np.ndarray, tie_tol: float = 1e-12) -> int:
-    """Index of the maximum, resolving near-ties toward the last (largest f)."""
+    """Index of the maximum, resolving near-ties toward the last (largest f).
+    A tie is within ``tie_tol`` relative to the maximum, with a floor at the
+    smallest normal float, so it does not depend on the power's scale."""
     top = float(values.max())
     if math.isnan(top):
         raise ValueError("a scored rate is NaN, so no maximum can be picked")
-    return int(np.nonzero(values >= top - tie_tol)[0][-1])
+    return int(np.nonzero(values >= top - tie_tol * max(top, sys.float_info.min))[0][-1])
 
 
 def _hop_split_candidates(gains: _RsGains, total: float) -> np.ndarray:
@@ -142,9 +144,16 @@ def _hop_split_candidates(gains: _RsGains, total: float) -> np.ndarray:
     (the x^2 terms cancel), so each branch has at most one stationary point,
     and the maximum over [0, P] sits at an endpoint, at one of these two
     points, or where the branches cross: T2^3 = M T3^2, a cubic with the
-    root x = P whose quotient is a quadratic in z = y/M(P); both its roots
-    are tried. Interior candidates that are not finite (degenerate gains) or
-    fall outside (0, P) are dropped: clipped, they would repeat an endpoint.
+    root x = P whose quotient G(z) = a z^2 + b z + c, z = y/M(P), has roots
+    q/a and c/q. Only c/q can land in (0, P/M(P)): q/a is < 0 or beyond
+    Z = 1/(n_p + g_p). For a MAC a = -g_p^3 and b = 3g_p^2, so q/a >=
+    3/(2g_p); for coop at eta = 0, q/a = 9/g_p. Else, with eta = 1, r = gamma,
+    c = -(4r + 6)/3 and 9b = 3r^4 + 24r^3 + 8(r - 1)^2 + 16 make q < 0, and
+    27a = 8 - r^6 + 12r^5 + 138r^4 + 208r^3 + 160r^2 + 176r is < 0 only at
+    r > 1, where 27(r^2 + 2)^2 G(Z)/2 = 4r^6 + 24r^5 + 63r^4 + 80r^3
+    + 32r(r - 1) - 32 > 0 puts the concave G's larger root, q/a, past Z.
+    Interior candidates that are not finite (degenerate gains) or fall
+    outside (0, P) are dropped: clipped, they would repeat an endpoint.
     """
     # Python floats: overflow gives inf or nan, and each division is guarded
     g_p, g2, g3, n_p, n_c = gains
@@ -161,35 +170,34 @@ def _hop_split_candidates(gains: _RsGains, total: float) -> np.ndarray:
                3.0 * g2 - 2.0 * g3)  # a z^2 + b z + c = 0 at the crossing
     disc = b * b - 4.0 * a * c
     q = -0.5 * (b + math.copysign(math.sqrt(disc), b)) if disc >= 0.0 else math.nan
-    xs += [total - (1.0 + (n_p + g_p) * total) * (num / den if den else math.nan)
-           for num, den in ((q, a), (c, q))]
+    xs.append(total - (1.0 + (n_p + g_p) * total) * (c / q if q else math.nan))
     return np.array([0.0, *sorted(f for f in (x / total for x in xs) if 0.0 < f < 1.0), 1.0])
 
 
 class _Hop:
-    """One solved rate-splitting hop: the split of largest corner sum rate and
-    that corner, both from one evaluation of the candidates' corners.
+    """One solved rate-splitting hop: the split of largest corner sum rate
+    and that sum, ``value``, from one evaluation of the candidates' corners.
     Near-ties go to the largest fraction: f_hat = 1 stays exact where
-    all-private transmission is optimal. Its scalar bounds and max-sum binding
-    at that split are evaluated on first read."""
+    all-private transmission is optimal. Its scalar ``bounds`` there and
+    their max-sum LP's greedy point and binding, ``lp``, are read lazily."""
 
     def __init__(self, gains: _RsGains, total: float) -> None:
         self.gains, self.total = gains, total
         fs = _hop_split_candidates(gains, total)
         r_private, rc_two, rc_three = _corner(gains, *split_powers(fs, total))
-        r_common = np.minimum(rc_two, rc_three)
+        values = r_private + np.minimum(rc_two, rc_three)
         # ties only at rounding level: an interior optimum a few ulps up wins
-        idx = _pick_last_max(r_private + r_common, tie_tol=1e-15)
+        idx = _pick_last_max(values, tie_tol=1e-15)
         self.split = HopSplit(float(fs[idx]))
-        self.corner = RatePair(float(r_private[idx]), float(r_common[idx]))
+        self.value = float(values[idx])
 
     @cached_property
     def bounds(self) -> dict:
         return _rs_bounds(self.gains, *split_powers(self.split.f_private, self.total))
 
     @cached_property
-    def binding(self) -> tuple[str, ...]:
-        return _greedy(_hop_lines(self.bounds))[2]
+    def lp(self) -> tuple[float, float, tuple[str, ...]]:
+        return _greedy(_hop_lines(self.bounds))
 
 
 class _Row:
@@ -213,27 +221,21 @@ class _Row:
 
 
 def rate_splitting(params: NetworkParams, row: _Row | None = None) -> SchemeResult:
-    """Rate splitting in both hops, each hop optimized independently.
-
-    The end-to-end rate is the smaller of the two per-hop corner optima. The
-    reported operating point is the corner of the hop that sets it (hop 1 on
-    a tie) at that hop's optimal split, so its total is the rate; binding
-    names the bounds the max-sum LP finds tight on that hop's region there.
-    """
+    """Rate splitting in both hops, each hop optimized independently. The
+    hop of smaller optimum sets the rate (hop 1 on a tie), and the reported
+    point and binding are its ``lp``, so the rate is the point's total."""
     row = row or _Row(params)
     hop1, hop2 = row.hop(1), row.hop(2)
-    rate1, rate2 = hop1.corner.total, hop2.corner.total
-    hop = hop1 if rate1 <= rate2 else hop2
-    return _result(SCHEME_RS, params, hop.corner, split_hop1=hop1.split, split_hop2=hop2.split,
-                   binding=hop.binding, bottleneck_hop=_bottleneck(rate1, rate2))
+    return _result(SCHEME_RS, params, (hop1 if hop1.value <= hop2.value else hop2).lp,
+                   split_hop1=hop1.split, split_hop2=hop2.split,
+                   bottleneck_hop=_bottleneck(hop1.value, hop2.value))
 
 
 def first_hop_upper_bound(params: NetworkParams, row: _Row | None = None) -> SchemeResult:
     """Best first-hop rate over splits; caps every two-hop scheme here. Its
-    binding is that of the hop-1 region at the optimal split."""
+    point and binding are the hop-1 max-sum LP at the optimal split."""
     hop1 = (row or _Row(params)).hop(1)
-    return _result(SCHEME_BOUND, params, hop1.corner, split_hop1=hop1.split,
-                   binding=hop1.binding)
+    return _result(SCHEME_BOUND, params, hop1.lp, split_hop1=hop1.split)
 
 
 def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
@@ -270,12 +272,12 @@ def _joint(scheme: str, params: NetworkParams, bounds_fn, gains_fn=None,
     ``gains_fn`` gives its gains (coop). The caps are ``row``'s
     hop records, whose scalar bounds are scored as one-split arrays. The
     smaller cap's split is scored against every tenth split of the other
-    hop's 101-split grid, then all of it; a cell within 1e-12 of the cap is
-    optimal within 1e-12. Else the capped hop takes that grid too, then one
-    11-split pass per ``_WINDOWS`` half-width is centred on the best cell so
-    far. The LP's greedy runs once more on the bounds scored at the winning
-    cell: its value bit for bit, and the point and binding ``max_sum_rate``
-    gives on the two hops' regions, unbuilt.
+    hop's 101-split grid, then all of it; a cell within 1e-12 of the cap,
+    relative, is optimal within that. Else the capped hop takes that grid
+    too, then one 11-split pass per ``_WINDOWS`` half-width is centred on
+    the best cell so far. The LP's greedy runs once more on the bounds
+    scored at the winning cell: its value bit for bit, and the point and
+    binding ``max_sum_rate`` gives on the two hops' regions, unbuilt.
     """
     def bounds_at(hop, fs):
         cross2, intra2, total = params.hop(hop + 1)
@@ -288,7 +290,7 @@ def _joint(scheme: str, params: NetworkParams, bounds_fn, gains_fn=None,
 
     row = row or _Row(params)
     caps = [row.hop(1)] + ([row.hop(2, gains_fn)] if gains_fn else [])
-    capped, cap = min(enumerate(caps), key=lambda hop: hop[1].corner.total)
+    capped, cap = min(enumerate(caps), key=lambda hop: hop[1].value)
     other = 1 - capped
     fs = [np.array([cap.split.f_private])] * 2  # the other hop's entries are set below
     bounds = [{key: np.array([c]) for key, c in cap.bounds.items()}] * 2
@@ -296,7 +298,7 @@ def _joint(scheme: str, params: NetworkParams, bounds_fn, gains_fn=None,
         fs[other] = _PASS1_GRID[::step]
         bounds[other] = bounds_at(other, fs[other])
         i, j, value = best_cell()
-        if value >= cap.corner.total - 1e-12:
+        if value >= cap.value - 1e-12 * max(cap.value, sys.float_info.min):
             break
     else:
         fs[capped] = _PASS1_GRID
@@ -307,12 +309,12 @@ def _joint(scheme: str, params: NetworkParams, bounds_fn, gains_fn=None,
                 fs[hop] = np.clip(np.linspace(centre - window, centre + window, 11), 0.0, 1.0)
                 bounds[hop] = bounds_at(hop, fs[hop])
             i, j, _ = best_cell()
-    x, y, binding = _greedy([
+    lp = _greedy([
         (a, b, c, f"{name}:{label}")
         for name, hop_bounds, k in (("hop1", bounds[0], i), (f"hop2-{scheme}", bounds[1], j))
         for a, b, c, label in _hop_lines({key: bound[k] for key, bound in hop_bounds.items()})])
-    return _result(scheme, params, RatePair(x, y), split_hop1=HopSplit(float(fs[0][i])),
-                   split_hop2=HopSplit(float(fs[1][j])), binding=binding)
+    return _result(scheme, params, lp, split_hop1=HopSplit(float(fs[0][i])),
+                   split_hop2=HopSplit(float(fs[1][j])))
 
 
 def coop(params: NetworkParams, row: _Row | None = None) -> SchemeResult:
@@ -374,10 +376,7 @@ def vsi_threshold(beta2: float, p1: float, method: str = "exact") -> float:
         raise ValueError(f"vsi_threshold needs finite positive beta2 and p1, "
                          f"got beta2={beta2!r}, p1={p1!r}")
     if method == "paper":
-        try:
-            threshold = beta2 * (2.0 + 3.0 * p1 + beta2 ** 2 * p1)
-        except OverflowError:  # beta2 ** 2 past the float range
-            threshold = math.inf
+        threshold = beta2 * (2.0 + 3.0 * p1 + beta2 * beta2 * p1)
     elif method == "exact":
         x = beta2 * p1
         threshold = beta2 * (1.0 + 1.5 * x + 0.5 * x * x)

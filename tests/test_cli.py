@@ -89,13 +89,18 @@ class TestPoint:
 
     def test_subnormal_private_power_without_common_power(self, capsys):
         # hop 2 at f2 = 1 sends p_private = 3.08e-311, p_common = 0: its mcp
-        # sum bound is the private bound, not the factored quartic's overflow
+        # sum bound is the private bound, not the factored quartic's overflow.
+        # coop's hop 2 sends all power common, at its two-user bound
+        # eta2*p2/(3 ln 2); an absolute tie once gave f2 = 1 and 0.
         code, out, err = run(capsys, "point", "--alpha2", "0.2", "--beta2", "1",
                              "--gamma2", "1.307e-71", "--eta2", "1.588e-4", "--p1", "1",
                              "--p2", "3.08e-311", "--schemes", "all", "--json")
         assert (code, err) == (0, "")
-        rates = {r["scheme"]: r["rate"] for r in json.loads(out)["results"]}
-        assert rates["mcp"] == rates["coop"] == 0.0
+        results = {r["scheme"]: r for r in json.loads(out)["results"]}
+        assert (results["mcp"]["rate"], results["mcp"]["f2"]) == (0.0, 1.0)
+        assert (results["coop"]["f2"], results["coop"]["r_private"]) == (0.0, 0.0)
+        assert results["coop"]["rate"] == pytest.approx(1.588e-4 * 3.08e-311 / (3.0 * math.log(2)),
+                                                        rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("scheme", ["single", "rs", "coop", "mcp", "bound"])
     def test_overflowing_input_is_refused(self, capsys, scheme):
@@ -606,7 +611,7 @@ class TestThreshold:
     @pytest.mark.parametrize("beta2,p1,message", [
         ("1", "inf", "vsi_threshold needs finite positive beta2 and p1, got beta2=1.0, p1=inf"),
         ("nan", "1", "vsi_threshold needs finite positive beta2 and p1, got beta2=nan, p1=1.0"),
-        # beta2 ** 2 in the printed form overflows a float
+        # beta2 * beta2 in the printed form overflows to inf
         ("1e200", "1e200", "vsi threshold overflows a float at beta2=1e+200, p1=1e+200"),
         ("0", "1", "vsi_threshold needs finite positive beta2 and p1, got beta2=0.0, p1=1.0"),
         ("1", "0", "vsi_threshold needs finite positive beta2 and p1, got beta2=1.0, p1=0.0"),

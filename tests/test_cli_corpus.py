@@ -101,6 +101,9 @@ CORPUS = {
     "point-tiny-power-bottleneck": ["point", "--alpha2", "0.3", "--beta2", "1", "--gamma2", "1",
                                     "--eta2", "0.3", "--p1", "1e-12", "--p2", "2e-12",
                                     "--schemes", "single,rs"],
+    "point-tiny-power-ties": ["point", "--alpha2", "0.3", "--beta2", "1", "--gamma2", "0.1",
+                              "--eta2", "0.3", "--p1", "1e-15", "--p2", "1e-15",
+                              "--schemes", "rs,coop", "--json"],
     "point-value-missing": ["point", *NET[:10], "--p2"],
     "point-help-after-bad-value": ["point", "--p1", "4000dB", "--help"],
     "point-help-after-bad-choice": ["point", "--duplex", "x", "--help"],

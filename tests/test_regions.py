@@ -487,13 +487,13 @@ class TestHopConvention:
         params = self.PARAMS
         for gains_fn, builder in ((_mac_gains, hop2_rs_region), (_coop_gains, hop2_coop_region)):
             hop2 = _Row(params).hop(2, gains_fn)
-            split, corner = hop2.split, hop2.corner
+            split, value = hop2.split, hop2.value
             assert max_sum_rate(builder(params, split)).value == \
-                   pytest.approx(corner.total, rel=1e-15, abs=0.0)
+                   pytest.approx(value, rel=1e-15, abs=0.0)
             r_private, rc_two, rc_three = _corner(gains_fn(cross2=params.gamma2,
                                                             intra2=params.eta2),
                                                    *split.powers(params.p2))
-            assert r_private + min(rc_two, rc_three) != pytest.approx(corner.total, rel=1e-6)
+            assert r_private + min(rc_two, rc_three) != pytest.approx(value, rel=1e-6)
 
 
 class TestVertexA:

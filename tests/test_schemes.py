@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -167,25 +168,28 @@ class TestHopSplitOptimum:
             params = NetworkParams(alpha2=alpha2, beta2=beta2, gamma2=beta2, eta2=alpha2,
                                    p1=p1, p2=p1 / 2.0)
             for hop in (1, 2):
-                rate = _Row(params).hop(hop).corner.total
+                rate = _Row(params).hop(hop).value
                 _, reference = dense_split_scan(params, hop=hop, step=1e-3)
                 assert rate >= reference - 1e-12, (params, hop)
             coop2 = _Row(params).hop(2, _coop_gains)
             reference = max(max_sum_rate(hop2_coop_region(params, HopSplit(float(f)))).value
                             for f in grid)
-            assert coop2.corner.total >= reference - 1e-12, params
+            assert coop2.value >= reference - 1e-12, params
             assert max_sum_rate(hop2_coop_region(params, coop2.split)).value == \
-                   pytest.approx(coop2.corner.total, rel=1e-15, abs=1e-15), params
+                   pytest.approx(coop2.value, rel=1e-15, abs=1e-15), params
 
     # (alpha2, beta2, P) -> (f_hat, rate) of the grid/golden/bisection optimizer
     # this closed form replaced. alpha2 = 1e300 with P = 1e300 is left out:
     # alpha2*P overflows a float there, and that optimizer failed too. Where
     # beta2*P is tiny, the rate is the low-power limit beta2*P/ln 2 (that
-    # optimizer's 0.0 there was log2(1 + x) rounding 1 + x to 1).
+    # optimizer's 0.0 there was log2(1 + x) rounding 1 + x to 1). Ties are
+    # relative above the smallest normal float: at (5e-324, 0, 1e300) all
+    # common power (f = 0) carries 2*alpha2*P/(3 ln 2), where an absolute
+    # tie gave f = 1 and 0; at P = 1 that rate is subnormal, so f = 1 ties.
     EXTREMES = {
         (5e-324, 0.0, 1e-300): (1.0, 0.0),
         (5e-324, 0.0, 1.0): (1.0, 0.0),
-        (5e-324, 0.0, 1e300): (1.0, 0.0),
+        (5e-324, 0.0, 1e300): (0.0, 2.0 * 5e-324 * 1e300 / (3.0 * math.log(2))),
         (5e-324, 5e-324, 1e-300): (1.0, 0.0),
         (5e-324, 5e-324, 1.0): (1.0, 5e-324 * 1.0 / math.log(2)),
         (5e-324, 5e-324, 1e300): (1.0, 5e-324 * 1e300 / math.log(2)),
@@ -205,7 +209,7 @@ class TestHopSplitOptimum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             hop = _Hop(_mac_gains(*terms[:2]), terms[2])
-        f_hat, rate = hop.split.f_private, hop.corner.total
+        f_hat, rate = hop.split.f_private, hop.value
         want_f, want_rate = self.EXTREMES[terms]
         assert rate == pytest.approx(want_rate, rel=1e-15, abs=0.0)
         assert f_hat == want_f and math.copysign(1.0, f_hat) == 1.0
@@ -263,7 +267,7 @@ class TestHopSplitOptimum:
                     steps = np.diff(rates[lo:hi + 1])
                     assert ((steps >= -slack[lo + 1:hi + 1]).all()
                             or (steps <= slack[lo + 1:hi + 1]).all()), (gains, p, fs[lo], fs[hi])
-                best = _Hop(gains, p).corner.total
+                best = _Hop(gains, p).value
                 assert rates.max() <= best + 1e-14 * max(1.0, abs(best)), (gains, p)
 
     @staticmethod
@@ -329,6 +333,21 @@ class TestFirstHopUpperBound:
     @settings(max_examples=40, deadline=None)
     def test_upper_bounds_rate_splitting(self, params):
         assert first_hop_upper_bound(params).rate >= rate_splitting(params).rate - 1e-12
+
+    @pytest.mark.parametrize("draws", [
+        pytest.param(lambda: seeded_networks(5, 1000, variants=True), id="seeded"),
+        # the scheme-ordering check's network where the bound once sat ulps below mcp
+        pytest.param(lambda: [NetworkParams(alpha2=0.5, beta2=1.0, gamma2=1.0, eta2=0.5,
+                                            p1=10.0 ** 0.3, p2=10.0 ** 0.3 / 2.0)],
+                     id="ordering"),
+    ])
+    def test_caps_every_scheme_bit_for_bit(self, draws):
+        # The bound, rate splitting's hop 1 and the joint search's cap cell
+        # all take hop 1's max-sum LP greedy on its bounds at its optimum, so
+        # no scheme's rate exceeds the bound, not even by an ulp.
+        for params in draws():
+            *rates, bound = (result.rate for result in schemes.evaluate(params, schemes.SCHEMES))
+            assert max(rates) <= bound, params
 
 
 class TestCoop:
@@ -410,12 +429,12 @@ def full_row(params, bounds_fn, gains_fn):
     caps = [(row.hop(1), 0)]
     if gains_fn:
         caps.append((row.hop(2, gains_fn), 1))
-    cap, capped = min(caps, key=lambda cap: cap[0].corner.total)
+    cap, capped = min(caps, key=lambda cap: cap[0].value)
     fs = [np.linspace(0.0, 1.0, 101)] * 2
     fs[capped] = np.array([cap.split.f_private])
     values = _max_sum_grid(*grid_bounds(params, bounds_fn, *fs)).ravel()
     cell = float(values[_pick_last_max(values)])
-    if cell >= cap.corner.total - 1e-12:
+    if cell >= cap.value - 1e-12 * max(cap.value, sys.float_info.min):
         return cell, capped
     f1, f2 = four_passes(params, bounds_fn)
     values = _max_sum_grid(*grid_bounds(params, bounds_fn, np.array([f1]), np.array([f2])))
@@ -462,12 +481,12 @@ class TestJointValues:
         for work in draws:
             result = scheme(work)
             f1, f2 = result.split_hop1.f_private, result.split_hop2.f_private
-            caps = [_Row(work).hop(1).corner.total]
+            caps = [_Row(work).hop(1).value]
             if gains_fn:
-                caps.append(_Row(work).hop(2, gains_fn).corner.total)
+                caps.append(_Row(work).hop(2, gains_fn).value)
             cell = float(_max_sum_grid(*grid_bounds(work, bounds_fn, np.array([f1]),
                                                     np.array([f2])))[0, 0])
-            if cell < min(caps) - 1e-12:
+            if cell < min(caps) - 1e-12 * max(min(caps), sys.float_info.min):
                 fallbacks += 1
                 assert (f1, f2) == four_passes(work, bounds_fn), work
         assert fallbacks >= 1
@@ -657,6 +676,22 @@ class TestEvaluate:
         for result in schemes.evaluate(params, list(schemes.SCHEMES)):
             assert abs(result.rate * math.log(2.0) / power - 1.0) <= 1e-9, result
 
+    def test_ties_do_not_depend_on_the_power_scale(self):
+        # gamma2 = 0.1: hop 2 sets both rates, with all its power common.
+        # Rate splitting tends to min(2 eta2/2, (2 eta2 + gamma2)/3) P/ln 2 and
+        # coop to (gamma + eta)^2/3 P/ln 2. Absolute ties once read 0.1 P/ln 2
+        # (f2 = 1) for rate splitting from P = 1e-15 down and 0 for coop from
+        # P = 1e-12 down.
+        for power in (1e-10, 1e-12, 1e-15, 1e-17, 1e-50, 1e-100, 1e-200, 1e-300):
+            params = NetworkParams(alpha2=0.3, beta2=1.0, gamma2=0.1, eta2=0.3, p1=power,
+                                   p2=power)
+            rs, co = schemes.evaluate(params, [schemes.SCHEME_RS, schemes.SCHEME_COOP])
+            assert (rs.split_hop2.f_private, co.split_hop2.f_private, rs.bottleneck_hop) == \
+                   (0.0, 0.0, 2), power
+            for result, slope in ((rs, 0.7 / 3.0),
+                                  (co, (math.sqrt(0.1) + math.sqrt(0.3)) ** 2 / 3.0)):
+                assert abs(result.rate * math.log(2.0) / (slope * power) - 1.0) <= 1e-9, result
+
     def test_extreme_networks(self):
         # Warnings are errors here. Hop 2 at a tiny gain and a power past
         # about 1e290 once gave the mcp sum bound a NaN or an overflow
@@ -729,7 +764,7 @@ class TestFirstHopCertificate:
             result = scheme(params)
             bound = first_hop_upper_bound(params)
             coop2 = _Row(params).hop(2, _coop_gains)
-            cap2 = coop2.corner.total * params.rate_scale() if scheme is coop else math.inf
+            cap2 = coop2.value * params.rate_scale() if scheme is coop else math.inf
             assert result.rate <= min(bound.rate, cap2) + 1e-12, params
             if len(grids) <= 2:  # the probe or the full row reached the smaller cap
                 assert result.rate == pytest.approx(min(bound.rate, cap2), abs=1e-12), params
@@ -769,7 +804,7 @@ class TestFirstHopCertificate:
         # figure grids, pinned against the four-pass grid's rate
         params = figure(10.0, a2)
         rate = coop(params).rate
-        assert rate == pytest.approx(_Row(params).hop(2, _coop_gains).corner.total, abs=1e-12)
+        assert rate == pytest.approx(_Row(params).hop(2, _coop_gains).value, abs=1e-12)
         assert rate - grid_rate == pytest.approx(rise, rel=1e-2)
 
 
@@ -892,10 +927,7 @@ def max_over_roots_vsi_threshold(beta2, p1, method):
                          f"got beta2={beta2!r}, p1={p1!r}")
     if method == "paper":
         two_user = beta2 * max(p1 / 2.0 + 1.0, beta2 * p1 + 1.0)
-        try:
-            three_user = beta2 * (2.0 + 3.0 * p1 + beta2 ** 2 * p1)
-        except OverflowError:
-            three_user = math.inf
+        three_user = beta2 * (2.0 + 3.0 * p1 + beta2 * beta2 * p1)
         threshold = max(beta2, two_user, three_user)
     else:
         x = beta2 * p1
