@@ -3,22 +3,27 @@
 Almost everything here recomputes results from first principles, sharing no
 formula code with the fast paths it checks: the full subset-enumerated MAC
 region, the fixed-decoding-order corner candidates, pairwise line crossings
-and a convex hull instead of the envelope walk, lattice maximization and the
-vertex enumeration instead of the exact LP, self-certifying midpoint sums of
-the responses' cosine series instead of the closed-form joint-decoding
-bounds, a split scan instead of the closed-form split optimum (its two-stage
-corner rate is also the reference for the LP's sum at a fixed split), and
-per-inequality threshold inversions in exact decimal arithmetic. Oracles may
-be slow; they exist to certify, not to perform, and run as array expressions
-where that leaves their floats unchanged. A check reading several schemes of
-one network reads them off one ``schemes._Row``: each hop is solved once.
+instead of the envelope walk (one array kernel, ``_crossings``, for many
+rows of bounds at a time: the vertex enumeration hulls its crossings, and
+the region-reduction check tests each region's feasible crossings against
+the other region's lines), lattice maximization and the vertex enumeration
+instead of the exact LP, self-certifying midpoint sums of the responses'
+cosine series instead of the closed-form joint-decoding bounds, a split scan
+instead of the closed-form split optimum (its two-stage corner rate is also
+the reference for the LP's sum at a fixed split), and per-inequality
+threshold inversions in exact decimal arithmetic. Oracles may be slow; they
+exist to certify, not to perform, and run as array expressions where that
+leaves their floats unchanged. A check reading several schemes of one
+network reads them off one ``schemes._Row``: each hop is solved once.
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
 import math
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
 
 import numpy as np
@@ -47,6 +52,7 @@ class OracleReport:
     tol: float
     passed: bool
     ref_err: float | None = None  # the reference's own error, where it reports one
+    seconds: float | None = field(default=None, compare=False)  # wall time, set by run_suite
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -61,8 +67,31 @@ class OracleReport:
 # Reference constructions
 # ---------------------------------------------------------------------------
 
+# The fifteen subset inequalities of the first-hop four-user MAC, in
+# ``combinations`` order of its decoded signals (the private codeword, then
+# the own and the two adjacent common codewords): (coef_private, coef_common,
+# the subset's signal indices, label).
+_MAC15_USERS = (("p", 1, 0), ("cm", 0, 1), ("cm-1", 0, 1), ("cm+1", 0, 1))
+_MAC15 = tuple(
+    (sum(_MAC15_USERS[i][1] for i in subset), sum(_MAC15_USERS[i][2] for i in subset), subset,
+     "mac:" + "+".join(_MAC15_USERS[i][0] for i in subset))
+    for k in range(1, 5) for subset in combinations(range(4), k))
+
+
+def _mac15_bounds(alpha2: float, beta2: float, p_private: float, p_common: float) -> list[float]:
+    """The bounds of ``_MAC15``, in its order: log2(1 + subset power/noise),
+    the private codeword at beta2*p_private, the common ones at beta2*p_common,
+    alpha2*p_common and alpha2*p_common, and the two adjacent private
+    codewords in the noise, 1 + 2*alpha2*p_private."""
+    noise = 1.0 + 2.0 * alpha2 * p_private
+    signals = (beta2 * p_private, beta2 * p_common, alpha2 * p_common, alpha2 * p_common)
+    return [math.log2(1.0 + math.fsum(signals[i] for i in subset) / noise)
+            for _, _, subset, _ in _MAC15]
+
+
 def full_mac_region_hop1(params: NetworkParams, split: HopSplit) -> RateRegion:
-    """All fifteen subset inequalities of the first-hop four-user MAC.
+    """All fifteen subset inequalities of the first-hop four-user MAC
+    (``_MAC15``).
 
     Decoded signals: the private codeword (power beta2*P1p) and the three
     common codewords (powers beta2*P1c, alpha2*P1c, alpha2*P1c); the two
@@ -71,24 +100,10 @@ def full_mac_region_hop1(params: NetworkParams, split: HopSplit) -> RateRegion:
     """
     alpha2, beta2, p1 = params.hop(1)
     p_private, p_common = split.powers(p1)
-    noise = 1.0 + 2.0 * alpha2 * p_private
-    users = (
-        ("p", 1, 0, beta2 * p_private),
-        ("cm", 0, 1, beta2 * p_common),
-        ("cm-1", 0, 1, alpha2 * p_common),
-        ("cm+1", 0, 1, alpha2 * p_common),
-    )
-    halfspaces = []
-    subsets = chain.from_iterable(combinations(users, k) for k in range(1, 5))
-    for subset in subsets:
-        coef_p = sum(u[1] for u in subset)
-        coef_c = sum(u[2] for u in subset)
-        power = math.fsum(u[3] for u in subset)
-        bound = math.log2(1.0 + power / noise)
-        label = "mac:" + "+".join(u[0] for u in subset)
-        halfspaces.append(Halfspace(coef_p, coef_c, bound, label))
+    bounds = _mac15_bounds(alpha2, beta2, p_private, p_common)
     return RateRegion(
-        halfspaces=tuple(halfspaces),
+        halfspaces=tuple(Halfspace(coef_p, coef_c, bound, label)
+                         for (coef_p, coef_c, _, label), bound in zip(_MAC15, bounds)),
         provenance=f"mac15(alpha2={alpha2:g}, beta2={beta2:g}, "
                    f"p_private={p_private:g}, p_common={p_common:g})",
     )
@@ -167,36 +182,101 @@ def grid_max_sum(regions, step: float) -> float:
     return float((rp[rows] + rc[prefix[rows] - 1]).max())
 
 
+@functools.cache
+def _crossing_terms(coefs: tuple) -> tuple:
+    """The pairs ``_crossings`` solves, for lines of coefficients ``coefs``:
+    every pair of the lines and the axes R_p = 0 and R_c = 0, in
+    ``combinations`` order, whose determinant det = a_i*b_j - a_j*b_i is at
+    least 1e-15 in size. Returns index arrays and factors such that
+    (c[:, first]*left - c[:, second]*right)/det, with c the bounds and 0 for
+    each axis, holds x = (c_i*b_j - c_j*b_i)/det of every pair and then
+    y = (a_i*c_j - a_j*c_i)/det, and the lines' coefficients as (lines, 1, 1)
+    columns."""
+    a = np.array([coef_p for coef_p, _ in coefs] + [1.0, 0.0])
+    b = np.array([coef_c for _, coef_c in coefs] + [0.0, 1.0])
+    i, j = np.triu_indices(a.size, 1)
+    det = a[i] * b[j] - a[j] * b[i]
+    kept = np.abs(det) >= 1e-15
+    i, j, det = i[kept], j[kept], det[kept]
+    return (np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([b[j], a[i]]),
+            np.concatenate([b[i], a[j]]), np.concatenate([det, det]),
+            a[:-2, None, None], b[:-2, None, None])
+
+
+def _crossings(coefs: tuple, bounds: np.ndarray):
+    """Every pairwise crossing of a region's lines and the two axes, for
+    many rows of bounds, a block of rows at a time.
+
+    ``coefs`` holds (coef_private, coef_common) per line, and ``bounds`` is
+    (rows, lines). Pairs are taken in ``combinations`` order of the lines
+    followed by the axes R_p = 0 and R_c = 0; a pair whose determinant is
+    below 1e-15 in size is skipped. A crossing with a coordinate below
+    -1e-12 is infeasible, the others are clipped at 0 (+0.0), and a clipped
+    crossing is feasible when every line holds there within 1e-12. The axes
+    only contribute crossings: feasibility against them is the
+    non-negativity test, not a <= constraint. Yields (rows slice, x, y,
+    feasible) per block, the last three (block, pairs). A block tests all
+    lines at once, so that each (lines, block, pairs) temporary holds at
+    most max(rows, lines) * pairs values.
+    """
+    first, second, left, right, det, a, b = _crossing_terms(coefs)
+    rows, n_lines = bounds.shape
+    c = np.concatenate([bounds, np.zeros((rows, 2))], axis=1)
+    limits = bounds.T[:, :, None] + 1e-12
+    pairs = det.size // 2
+    block = max(1, rows // n_lines)
+    for start in range(0, rows, block):
+        part = slice(start, start + block)
+        xy = (c[part, first] * left - c[part, second] * right) / det
+        nonnegative = xy >= -1e-12
+        xy = np.maximum(xy, 0.0) + 0.0  # +0.0 normalizes -0.0
+        x, y = xy[:, :pairs], xy[:, pairs:]
+        lhs = a * x
+        lhs += b * y
+        yield part, x, y, (nonnegative[:, :pairs] & nonnegative[:, pairs:]
+                           & (lhs <= limits[:, part]).all(axis=0))
+
+
+def _crossing_gap(first, second) -> float:
+    """Largest violation of either region's lines at a feasible crossing
+    (``_crossings``) of the other's, over rows of region pairs. ``first``
+    and ``second`` are (coefs, bounds) as ``_crossings`` takes them, with
+    the same rows. Every vertex of a region is a feasible crossing of its
+    lines, so this is the largest violation at either region's vertices."""
+    gap = 0.0
+    for (coefs, bounds), (other, other_bounds) in ((first, second), (second, first)):
+        a, b = np.array(other, dtype=float).T[:, :, None, None]
+        limits = other_bounds.T[:, :, None]
+        for part, x, y, feasible in _crossings(coefs, bounds):
+            excess = a * x + b * y - limits[:, part]
+            gap = max(gap, float(excess.max(where=feasible, initial=0.0)))
+    return gap
+
+
 def enumerated_vertices(region: RateRegion) -> list[RatePair]:
     """Extreme points of a region by brute force, counterclockwise: every
-    feasible pairwise crossing of its lines and the two axes, points closer
-    than 1e-10 merged in sorted order, then the convex hull.
-
-    The axes only contribute crossings; feasibility against them is the
-    non-negativity check, not a <= constraint. The reference for
-    ``polytope.vertices``, which walks the upper envelope instead.
+    feasible pairwise crossing of its lines and the two axes
+    (``_crossings``), points closer than 1e-10 merged in sorted order, then
+    the convex hull. The reference for ``polytope.vertices``, which walks the
+    upper envelope instead.
     """
-    lines = [(h.coef_private, h.coef_common, h.bound) for h in region.halfspaces]
-    axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    coefs = tuple((h.coef_private, h.coef_common) for h in region.halfspaces)
     points = [(0.0, 0.0)]
-    for (a1, b1, c1), (a2, b2, c2) in combinations(lines + axes, 2):
-        det = a1 * b2 - a2 * b1
-        if abs(det) < 1e-15:
-            continue
-        x = (c1 * b2 - c2 * b1) / det
-        y = (a1 * c2 - a2 * c1) / det
-        if x < -1e-12 or y < -1e-12:
-            continue
-        x = max(x, 0.0) + 0.0  # +0.0 normalizes -0.0
-        y = max(y, 0.0) + 0.0
-        if all(a * x + b * y <= c + 1e-12 for a, b, c in lines):
-            points.append((x, y))
+    for _, x, y, feasible in _crossings(coefs, np.array([[h.bound for h in region.halfspaces]])):
+        points += zip(x[feasible].tolist(), y[feasible].tolist())
     points.sort()
     unique: list[tuple[float, float]] = []
     for p in points:
-        # against every kept point: in a region narrower than the tolerance
-        # a near-duplicate need not be the previous point in sorted order
-        if all(max(abs(p[0] - q[0]), abs(p[1] - q[1])) > 1e-10 for q in unique):
+        # against every kept point within 1e-10 in R_p, which end the sorted
+        # list: in a region narrower than the tolerance a near-duplicate
+        # need not be the previous point in sorted order
+        for q in reversed(unique):
+            if p[0] - q[0] > 1e-10:
+                unique.append(p)
+                break
+            if abs(p[1] - q[1]) <= 1e-10:
+                break
+        else:
             unique.append(p)
     return [RatePair(x, y) for x, y in _convex_hull(unique)]
 
@@ -373,10 +453,6 @@ def _draw_params(rng: np.random.Generator, paper_regime: bool = True) -> Network
     )
 
 
-def _max_violation(region: RateRegion, point: RatePair) -> float:
-    return max(0.0, -min(h.slack(point) for h in region.halfspaces))
-
-
 def _worst(name: str, pairs, tol: float, ref_err: float | None = None) -> OracleReport:
     """Report the first (reference, fast) pair with the largest gap, (0, 0) if
     none is positive; it passes iff that gap plus ``ref_err`` is within ``tol``."""
@@ -391,17 +467,25 @@ def _within(name: str, gap: float, tol: float) -> OracleReport:
 
 
 def _check_region_reduction(seed: int) -> OracleReport:
+    """The five-bound first-hop region against the fifteen-inequality MAC
+    at 150 draws in the paper's regime: the gap is the largest violation of
+    either region's lines at a feasible crossing of the other's
+    (``_crossing_gap``), all draws in one array program. Draws whose fast
+    regions share their coefficients are checked together."""
     rng = _rng(seed, 1)
-    gap = 0.0
+    rows: dict[tuple, tuple[list, list]] = {}
     for _ in range(150):
         params = _draw_params(rng)
         split = HopSplit(float(rng.uniform(0.0, 1.0)))
         fast = hop1_region(params, split)
-        reference = full_mac_region_hop1(params, split)
-        for v in vertices(fast):
-            gap = max(gap, _max_violation(reference, v))
-        for v in vertices(reference):
-            gap = max(gap, _max_violation(fast, v))
+        alpha2, beta2, p1 = params.hop(1)
+        key = tuple((h.coef_private, h.coef_common) for h in fast.halfspaces)
+        fast_rows, full_rows = rows.setdefault(key, ([], []))
+        fast_rows.append([h.bound for h in fast.halfspaces])
+        full_rows.append(_mac15_bounds(alpha2, beta2, *split.powers(p1)))
+    full_coefs = tuple(entry[:2] for entry in _MAC15)
+    gap = max(_crossing_gap((key, np.array(fast_rows)), (full_coefs, np.array(full_rows)))
+              for key, (fast_rows, full_rows) in rows.items())
     return _within("region-reduction", gap, 1e-9)
 
 
@@ -666,7 +750,12 @@ def run_suite(seed: int = 0, name_filter: str | None = None) -> list[OracleRepor
 
     A name filter picks checks before any runs. Each check derives its own
     generator from (seed, check index), so a filter never changes the draws
-    of the checks that do run.
+    of the checks that do run. Each report carries its check's wall seconds.
     """
-    return [check(seed) for check, name in zip(_CHECKS, _CHECK_NAMES)
-            if not name_filter or name_filter in name]
+    reports = []
+    for check, name in zip(_CHECKS, _CHECK_NAMES):
+        if not name_filter or name_filter in name:
+            start = time.perf_counter()
+            report = check(seed)
+            reports.append(replace(report, seconds=time.perf_counter() - start))
+    return reports

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from meshrates import oracle, schemes
+from meshrates import oracle, polytope, schemes
 from meshrates.model import HopSplit, NetworkParams
 from meshrates.oracle import (
     certified_midpoint,
@@ -34,6 +34,16 @@ class TestFullMacRegion:
     def test_fifteen_subset_inequalities(self):
         region = full_mac_region_hop1(FIG2, HALF)
         assert len(region.halfspaces) == 15
+
+    def test_subsets_in_combinations_order(self):
+        region = full_mac_region_hop1(FIG2, HALF)
+        assert [(h.coef_private, h.coef_common, h.label) for h in region.halfspaces] == [
+            (1, 0, "mac:p"), (0, 1, "mac:cm"), (0, 1, "mac:cm-1"), (0, 1, "mac:cm+1"),
+            (1, 1, "mac:p+cm"), (1, 1, "mac:p+cm-1"), (1, 1, "mac:p+cm+1"),
+            (0, 2, "mac:cm+cm-1"), (0, 2, "mac:cm+cm+1"), (0, 2, "mac:cm-1+cm+1"),
+            (1, 2, "mac:p+cm+cm-1"), (1, 2, "mac:p+cm+cm+1"), (1, 2, "mac:p+cm-1+cm+1"),
+            (0, 3, "mac:cm+cm-1+cm+1"), (1, 3, "mac:p+cm+cm-1+cm+1")]
+        assert region.provenance == "mac15(alpha2=0.4, beta2=1, p_private=1, p_common=1)"
 
     def test_matches_reduced_region_in_paper_regime(self):
         rng = np.random.default_rng(12)
@@ -365,6 +375,80 @@ BROKEN_FAST_PATHS = {
 }
 
 
+def _without_label(region, label):
+    return RateRegion(tuple(h for h in region.halfspaces if h.label != label), region.provenance)
+
+
+def _joined_crossings(coefs, bounds):
+    """x, y and feasibility of every crossing of every row, the blocks of
+    ``oracle._crossings`` joined."""
+    return [np.concatenate(column) for column in zip(*(block[1:] for block in
+                                                       oracle._crossings(coefs, bounds)))]
+
+
+def _raise(*_):
+    raise AssertionError("region-reduction walked a region's vertices")
+
+
+class TestRegionReductionCheck:
+    """``region-reduction`` compares each region's feasible line crossings
+    with the other's lines in one array program. Its report lines equal
+    those of the vertex walk it replaced, which compared each region's
+    vertices with the other's lines."""
+
+    @pytest.mark.parametrize("seed,line", [
+        (0, "PASS region-reduction           gap=8.881784e-16 tol=1.0e-09 ref=0 "
+            "fast=8.881784197e-16"),
+        (1, "PASS region-reduction           gap=8.881784e-16 tol=1.0e-09 ref=0 "
+            "fast=8.881784197e-16"),
+        (2, "PASS region-reduction           gap=4.440892e-16 tol=1.0e-09 ref=0 "
+            "fast=4.4408920985e-16"),
+        (3, "PASS region-reduction           gap=8.881784e-16 tol=1.0e-09 ref=0 "
+            "fast=8.881784197e-16"),
+    ])
+    def test_report_line(self, seed, line):
+        assert oracle._check_region_reduction(seed).line() == line
+
+    # A shrunken region lies inside the full one, so only the full region's
+    # crossings can catch it; a grown or cut region is caught from its own.
+    @pytest.mark.parametrize("mutate,line", [
+        (lambda region: _without_label(region, "sum-3"),
+         "FAIL region-reduction           gap=3.449930e-01 tol=1.0e-09 ref=0 fast=0.344993041011"),
+        (lambda region: _scaled_bounds(region, 1.0 - 1e-6),
+         "FAIL region-reduction           gap=4.540387e-06 tol=1.0e-09 ref=0 "
+         "fast=4.54038712139e-06"),
+        (lambda region: _scaled_bounds(region, 1.0 + 1e-6),
+         "FAIL region-reduction           gap=4.540387e-06 tol=1.0e-09 ref=0 "
+         "fast=4.5403871205e-06"),
+    ], ids=["sum-3-dropped", "shrunken", "grown"])
+    def test_fails_on_broken_region(self, monkeypatch, mutate, line):
+        original = oracle.hop1_region
+        monkeypatch.setattr(oracle, "hop1_region", lambda *args: mutate(original(*args)))
+        assert oracle._check_region_reduction(0).line() == line
+
+    def test_walks_no_vertices(self, monkeypatch):
+        monkeypatch.setattr(polytope, "vertices", _raise)
+        monkeypatch.setattr(oracle, "vertices", _raise)
+        assert oracle._check_region_reduction(0).passed
+
+    def test_crossings_of_stacked_rows_equal_each_row_alone(self):
+        # 40 rows of 15 lines run in blocks of two; f = 0 and f = 1 make
+        # zero bounds, alpha2 = 0 parallel crossings
+        rng = np.random.default_rng(3)
+        coefs = tuple(entry[:2] for entry in oracle._MAC15)
+        rows = []
+        for k in range(40):
+            params = oracle._draw_params(rng, k % 2 == 0)
+            if k % 5 == 0:
+                params = replace(params, alpha2=0.0)
+            split = HopSplit((0.0, 1.0, float(rng.uniform(0.0, 1.0)))[k % 3])
+            rows.append([h.bound for h in full_mac_region_hop1(params, split).halfspaces])
+        stacked = _joined_crossings(coefs, np.array(rows))
+        for k, row in enumerate(rows):
+            for whole, alone in zip(stacked, _joined_crossings(coefs, np.array([row]))):
+                assert np.array_equal(whole[k], alone[0])
+
+
 class TestSuite:
     def test_ref_err_appended_only_when_reported(self):
         plain = oracle.OracleReport("x", 1.0, 1.0, 0.0, 1e-12, True)
@@ -387,7 +471,7 @@ class TestSuite:
         ran = []
 
         def stub(name):
-            return lambda seed: ran.append(name)
+            return lambda seed: ran.append(name) or oracle.OracleReport(name, 0.0, 0.0, 0.0, 0.0, True)
 
         monkeypatch.setattr(oracle, "_CHECKS",
                             tuple(stub(name) for name in oracle._CHECK_NAMES))
