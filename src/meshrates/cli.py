@@ -398,7 +398,7 @@ def cmd_optsplit(as_json, duplex, power_boost, **values) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(seed, name_filter, timings) -> None:
+def cmd_verify(seed, name_filter) -> None:
     """Run the oracle verification suite; nonzero exit on any failure."""
     from . import oracle  # only verify needs it
 
@@ -407,9 +407,6 @@ def cmd_verify(seed, name_filter, timings) -> None:
         raise UsageError(f"no checks match filter {name_filter!r}")
     for report in reports:
         print(report.line())
-    if timings:
-        for report in reports:
-            print(f"{report.name} {report.seconds:.6f}", file=sys.stderr)
     failed = sum(1 for r in reports if not r.passed)
     print(f"{len(reports) - failed}/{len(reports)} checks passed")
     if failed:
@@ -563,8 +560,6 @@ def _build_parser() -> _Parser:
     verify.add_argument("--seed", type=_checked(_seed), default=0)
     verify.add_argument("--filter", dest="name_filter", metavar="FILTER",
                         help="only run checks whose name contains this substring")
-    verify.add_argument("--timings", action="store_true",
-                        help="print each check's wall seconds to stderr")
     return parser
 
 

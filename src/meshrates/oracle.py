@@ -22,8 +22,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, combinations
 
 import numpy as np
@@ -52,7 +51,6 @@ class OracleReport:
     tol: float
     passed: bool
     ref_err: float | None = None  # the reference's own error, where it reports one
-    seconds: float | None = field(default=None, compare=False)  # wall time, set by run_suite
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -182,7 +180,7 @@ def grid_max_sum(regions, step: float) -> float:
     return float((rp[rows] + rc[prefix[rows] - 1]).max())
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)  # the suite's regions use a handful of coefficient sets
 def _crossing_terms(coefs: tuple) -> tuple:
     """The pairs ``_crossings`` solves, for lines of coefficients ``coefs``:
     every pair of the lines and the axes R_p = 0 and R_c = 0, in
@@ -191,19 +189,22 @@ def _crossing_terms(coefs: tuple) -> tuple:
     (c[:, first]*left - c[:, second]*right)/det, with c the bounds and 0 for
     each axis, holds x = (c_i*b_j - c_j*b_i)/det of every pair and then
     y = (a_i*c_j - a_j*c_i)/det, and the lines' coefficients as (lines, 1, 1)
-    columns."""
+    columns. Every caller shares these arrays, so they are read-only."""
     a = np.array([coef_p for coef_p, _ in coefs] + [1.0, 0.0])
     b = np.array([coef_c for _, coef_c in coefs] + [0.0, 1.0])
     i, j = np.triu_indices(a.size, 1)
     det = a[i] * b[j] - a[j] * b[i]
     kept = np.abs(det) >= 1e-15
     i, j, det = i[kept], j[kept], det[kept]
-    return (np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([b[j], a[i]]),
-            np.concatenate([b[i], a[j]]), np.concatenate([det, det]),
-            a[:-2, None, None], b[:-2, None, None])
+    terms = (np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([b[j], a[i]]),
+             np.concatenate([b[i], a[j]]), np.concatenate([det, det]),
+             a[:-2, None, None], b[:-2, None, None])
+    for term in terms:
+        term.flags.writeable = False
+    return terms
 
 
-def _crossings(coefs: tuple, bounds: np.ndarray):
+def _crossings(coefs: tuple, bounds: np.ndarray, width: int | None = None):
     """Every pairwise crossing of a region's lines and the two axes, for
     many rows of bounds, a block of rows at a time.
 
@@ -215,16 +216,18 @@ def _crossings(coefs: tuple, bounds: np.ndarray):
     crossing is feasible when every line holds there within 1e-12. The axes
     only contribute crossings: feasibility against them is the
     non-negativity test, not a <= constraint. Yields (rows slice, x, y,
-    feasible) per block, the last three (block, pairs). A block tests all
-    lines at once, so that each (lines, block, pairs) temporary holds at
-    most max(rows, lines) * pairs values.
+    feasible) per block, the last three (block, pairs). A block of
+    max(1, rows // width) rows tests all lines at once, so that each
+    (width, block, pairs) temporary, here or in a caller that tests a block
+    against up to ``width`` lines (by default the region's own), holds at
+    most max(rows, width) * pairs values.
     """
     first, second, left, right, det, a, b = _crossing_terms(coefs)
-    rows, n_lines = bounds.shape
+    rows = len(bounds)
     c = np.concatenate([bounds, np.zeros((rows, 2))], axis=1)
     limits = bounds.T[:, :, None] + 1e-12
     pairs = det.size // 2
-    block = max(1, rows // n_lines)
+    block = max(1, rows // (width or len(coefs)))
     for start in range(0, rows, block):
         part = slice(start, start + block)
         xy = (c[part, first] * left - c[part, second] * right) / det
@@ -247,7 +250,7 @@ def _crossing_gap(first, second) -> float:
     for (coefs, bounds), (other, other_bounds) in ((first, second), (second, first)):
         a, b = np.array(other, dtype=float).T[:, :, None, None]
         limits = other_bounds.T[:, :, None]
-        for part, x, y, feasible in _crossings(coefs, bounds):
+        for part, x, y, feasible in _crossings(coefs, bounds, max(len(coefs), len(other))):
             excess = a * x + b * y - limits[:, part]
             gap = max(gap, float(excess.max(where=feasible, initial=0.0)))
     return gap
@@ -481,8 +484,10 @@ def _check_region_reduction(seed: int) -> OracleReport:
         alpha2, beta2, p1 = params.hop(1)
         key = tuple((h.coef_private, h.coef_common) for h in fast.halfspaces)
         fast_rows, full_rows = rows.setdefault(key, ([], []))
-        fast_rows.append([h.bound for h in fast.halfspaces])
-        full_rows.append(_mac15_bounds(alpha2, beta2, *split.powers(p1)))
+        # each draw's bounds as an array, not a list of Python floats: 150
+        # draws of float lists raised the verify process's peak RSS by ~0.2 MB
+        fast_rows.append(np.array([h.bound for h in fast.halfspaces]))
+        full_rows.append(np.array(_mac15_bounds(alpha2, beta2, *split.powers(p1))))
     full_coefs = tuple(entry[:2] for entry in _MAC15)
     gap = max(_crossing_gap((key, np.array(fast_rows)), (full_coefs, np.array(full_rows)))
               for key, (fast_rows, full_rows) in rows.items())
@@ -750,12 +755,7 @@ def run_suite(seed: int = 0, name_filter: str | None = None) -> list[OracleRepor
 
     A name filter picks checks before any runs. Each check derives its own
     generator from (seed, check index), so a filter never changes the draws
-    of the checks that do run. Each report carries its check's wall seconds.
+    of the checks that do run.
     """
-    reports = []
-    for check, name in zip(_CHECKS, _CHECK_NAMES):
-        if not name_filter or name_filter in name:
-            start = time.perf_counter()
-            report = check(seed)
-            reports.append(replace(report, seconds=time.perf_counter() - start))
-    return reports
+    return [check(seed) for check, name in zip(_CHECKS, _CHECK_NAMES)
+            if not name_filter or name_filter in name]

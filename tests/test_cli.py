@@ -644,14 +644,6 @@ class TestVerify:
         _, second, _ = run(capsys, "verify", "--seed", "7", "--filter", "vsi")
         assert first == second
 
-    def test_timings_go_to_stderr_only(self, capsys):
-        _, plain, plain_err = run(capsys, "verify", "--seed", "0")
-        code, out, err = run(capsys, "verify", "--seed", "0", "--timings")
-        assert code == 0 and out == plain and plain_err == ""
-        timed = [line.split(" ") for line in err.splitlines()]
-        assert [name for name, _ in timed] == list(oracle._CHECK_NAMES)
-        assert len(timed) == 15 and all(float(seconds) >= 0.0 for _, seconds in timed)
-
     def test_unmatched_filter_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--filter", "no-such-check")
         assert code == 1
