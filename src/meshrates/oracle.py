@@ -3,24 +3,23 @@
 Almost everything here recomputes results from first principles, sharing no
 formula code with the fast paths it checks: the full subset-enumerated MAC
 region, the fixed-decoding-order corner candidates, pairwise line crossings
-instead of the envelope walk (one array kernel, ``_crossings``, for many
-rows of bounds at a time: the vertex enumeration hulls its crossings, and
-the region-reduction check tests each region's feasible crossings against
-the other region's lines), lattice maximization and the vertex enumeration
-instead of the exact LP, self-certifying midpoint sums of the responses'
-cosine series instead of the closed-form joint-decoding bounds, a split scan
-instead of the closed-form split optimum (its two-stage corner rate is also
-the reference for the LP's sum at a fixed split), and per-inequality
-threshold inversions in exact decimal arithmetic. Oracles may be slow; they
-exist to certify, not to perform, and run as array expressions where that
-leaves their floats unchanged. A check reading several schemes of one
-network reads them off one ``schemes._Row``: each hop is solved once.
+instead of the envelope walk (the vertex enumeration solves one pair at a
+time and hulls the feasible crossings; the region-reduction check builds
+every row's crossings at once as arrays and tests them against the other
+region's lines, one line at a time), lattice maximization and the vertex
+enumeration instead of the exact LP, self-certifying midpoint sums of the
+responses' cosine series instead of the closed-form joint-decoding bounds, a
+split scan instead of the closed-form split optimum (its two-stage corner
+rate is also the reference for the LP's sum at a fixed split), and
+per-inequality threshold inversions in exact decimal arithmetic. Oracles may
+be slow; they exist to certify, not to perform, and run as array expressions
+where that leaves their floats unchanged. A check reading several schemes of
+one network reads them off one ``schemes._Row``: each hop is solved once.
 """
 
 from __future__ import annotations
 
 import decimal
-import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
@@ -139,7 +138,7 @@ def vertices_bc(params: NetworkParams, split: HopSplit) -> dict[str, RatePair]:
     }
 
 
-def grid_max_sum(regions, step: float) -> float:
+def grid_max_sum(region: RateRegion, step: float) -> float:
     """Max of R_p + R_c over the feasible lattice of spacing ``step``.
 
     The coefficients are in ``regions.Halfspace``'s domain and float
@@ -152,9 +151,7 @@ def grid_max_sum(regions, step: float) -> float:
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
-    if isinstance(regions, RateRegion):
-        regions = [regions]
-    halfspaces = [h for region in regions for h in region.halfspaces]
+    halfspaces = region.halfspaces
     rp_max = min(h.bound / h.coef_private for h in halfspaces if h.coef_private > 0)
     rc_max = min(h.bound / h.coef_common for h in halfspaces if h.coef_common > 0)
     rp = np.arange(0.0, rp_max + step / 2.0, step)
@@ -180,93 +177,60 @@ def grid_max_sum(regions, step: float) -> float:
     return float((rp[rows] + rc[prefix[rows] - 1]).max())
 
 
-@functools.lru_cache(maxsize=16)  # the suite's regions use a handful of coefficient sets
-def _crossing_terms(coefs: tuple) -> tuple:
-    """The pairs ``_crossings`` solves, for lines of coefficients ``coefs``:
-    every pair of the lines and the axes R_p = 0 and R_c = 0, in
-    ``combinations`` order, whose determinant det = a_i*b_j - a_j*b_i is at
-    least 1e-15 in size. Returns index arrays and factors such that
-    (c[:, first]*left - c[:, second]*right)/det, with c the bounds and 0 for
-    each axis, holds x = (c_i*b_j - c_j*b_i)/det of every pair and then
-    y = (a_i*c_j - a_j*c_i)/det, and the lines' coefficients as (lines, 1, 1)
-    columns. Every caller shares these arrays, so they are read-only."""
-    a = np.array([coef_p for coef_p, _ in coefs] + [1.0, 0.0])
-    b = np.array([coef_c for _, coef_c in coefs] + [0.0, 1.0])
-    i, j = np.triu_indices(a.size, 1)
-    det = a[i] * b[j] - a[j] * b[i]
-    kept = np.abs(det) >= 1e-15
-    i, j, det = i[kept], j[kept], det[kept]
-    terms = (np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([b[j], a[i]]),
-             np.concatenate([b[i], a[j]]), np.concatenate([det, det]),
-             a[:-2, None, None], b[:-2, None, None])
-    for term in terms:
-        term.flags.writeable = False
-    return terms
-
-
-def _crossings(coefs: tuple, bounds: np.ndarray, width: int | None = None):
-    """Every pairwise crossing of a region's lines and the two axes, for
-    many rows of bounds, a block of rows at a time.
-
-    ``coefs`` holds (coef_private, coef_common) per line, and ``bounds`` is
-    (rows, lines). Pairs are taken in ``combinations`` order of the lines
-    followed by the axes R_p = 0 and R_c = 0; a pair whose determinant is
-    below 1e-15 in size is skipped. A crossing with a coordinate below
-    -1e-12 is infeasible, the others are clipped at 0 (+0.0), and a clipped
-    crossing is feasible when every line holds there within 1e-12. The axes
-    only contribute crossings: feasibility against them is the
-    non-negativity test, not a <= constraint. Yields (rows slice, x, y,
-    feasible) per block, the last three (block, pairs). A block of
-    max(1, rows // width) rows tests all lines at once, so that each
-    (width, block, pairs) temporary, here or in a caller that tests a block
-    against up to ``width`` lines (by default the region's own), holds at
-    most max(rows, width) * pairs values.
-    """
-    first, second, left, right, det, a, b = _crossing_terms(coefs)
-    rows = len(bounds)
-    c = np.concatenate([bounds, np.zeros((rows, 2))], axis=1)
-    limits = bounds.T[:, :, None] + 1e-12
-    pairs = det.size // 2
-    block = max(1, rows // (width or len(coefs)))
-    for start in range(0, rows, block):
-        part = slice(start, start + block)
-        xy = (c[part, first] * left - c[part, second] * right) / det
-        nonnegative = xy >= -1e-12
-        xy = np.maximum(xy, 0.0) + 0.0  # +0.0 normalizes -0.0
-        x, y = xy[:, :pairs], xy[:, pairs:]
-        lhs = a * x
-        lhs += b * y
-        yield part, x, y, (nonnegative[:, :pairs] & nonnegative[:, pairs:]
-                           & (lhs <= limits[:, part]).all(axis=0))
-
-
 def _crossing_gap(first, second) -> float:
-    """Largest violation of either region's lines at a feasible crossing
-    (``_crossings``) of the other's, over rows of region pairs. ``first``
-    and ``second`` are (coefs, bounds) as ``_crossings`` takes them, with
-    the same rows. Every vertex of a region is a feasible crossing of its
-    lines, so this is the largest violation at either region's vertices."""
+    """Largest violation of either region's lines at a feasible crossing of
+    the other's, over rows of region pairs. ``first`` and ``second`` are
+    (coefs, bounds): (coef_private, coef_common) per line, and bounds as
+    (rows, lines), with the same rows. Each side's crossings are those of
+    ``enumerated_vertices``, every row's at once as (rows, pairs) arrays, and
+    each line is tested against all of them in turn. Every vertex of a region
+    is a feasible crossing of its lines, so this is the largest violation at
+    either region's vertices."""
     gap = 0.0
     for (coefs, bounds), (other, other_bounds) in ((first, second), (second, first)):
-        a, b = np.array(other, dtype=float).T[:, :, None, None]
-        limits = other_bounds.T[:, :, None]
-        for part, x, y, feasible in _crossings(coefs, bounds, max(len(coefs), len(other))):
-            excess = a * x + b * y - limits[:, part]
+        lines = [*coefs, (1.0, 0.0), (0.0, 1.0)]
+        pairs = [(i, j, det) for (i, (a1, b1)), (j, (a2, b2)) in combinations(enumerate(lines), 2)
+                 if abs(det := a1 * b2 - a2 * b1) >= 1e-15]
+        i, j, det = (np.array(column) for column in zip(*pairs))
+        a, b = np.array(lines, dtype=float).T
+        c = np.concatenate([bounds, np.zeros((len(bounds), 2))], axis=1)
+        x = (c[:, i] * b[j] - c[:, j] * b[i]) / det
+        y = (c[:, j] * a[i] - c[:, i] * a[j]) / det
+        feasible = (x >= -1e-12) & (y >= -1e-12)
+        x = np.maximum(x, 0.0) + 0.0  # +0.0 normalizes -0.0
+        y = np.maximum(y, 0.0) + 0.0
+        for (a_k, b_k), c_k in zip(coefs, bounds.T):
+            feasible &= a_k * x + b_k * y <= c_k[:, None] + 1e-12
+        for (a_k, b_k), c_k in zip(other, other_bounds.T):
+            excess = a_k * x + b_k * y - c_k[:, None]
             gap = max(gap, float(excess.max(where=feasible, initial=0.0)))
     return gap
 
 
 def enumerated_vertices(region: RateRegion) -> list[RatePair]:
     """Extreme points of a region by brute force, counterclockwise: every
-    feasible pairwise crossing of its lines and the two axes
-    (``_crossings``), points closer than 1e-10 merged in sorted order, then
-    the convex hull. The reference for ``polytope.vertices``, which walks the
-    upper envelope instead.
+    feasible pairwise crossing of its lines and the two axes, points closer
+    than 1e-10 merged in sorted order, then the convex hull.
+
+    The axes only contribute crossings; feasibility against them is the
+    non-negativity check, not a <= constraint. The reference for
+    ``polytope.vertices``, which walks the upper envelope instead.
     """
-    coefs = tuple((h.coef_private, h.coef_common) for h in region.halfspaces)
+    lines = [(h.coef_private, h.coef_common, h.bound) for h in region.halfspaces]
+    axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
     points = [(0.0, 0.0)]
-    for _, x, y, feasible in _crossings(coefs, np.array([[h.bound for h in region.halfspaces]])):
-        points += zip(x[feasible].tolist(), y[feasible].tolist())
+    for (a1, b1, c1), (a2, b2, c2) in combinations(lines + axes, 2):
+        det = a1 * b2 - a2 * b1
+        if abs(det) < 1e-15:
+            continue
+        x = (c1 * b2 - c2 * b1) / det
+        y = (a1 * c2 - a2 * c1) / det
+        if x < -1e-12 or y < -1e-12:
+            continue
+        x = max(x, 0.0) + 0.0  # +0.0 normalizes -0.0
+        y = max(y, 0.0) + 0.0
+        if all(a * x + b * y <= c + 1e-12 for a, b, c in lines):
+            points.append((x, y))
     points.sort()
     unique: list[tuple[float, float]] = []
     for p in points:

@@ -14,6 +14,7 @@ intersections (``oracle.enumerated_vertices`` still does, as the reference).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
@@ -25,6 +26,7 @@ from .regions import RateRegion
 FEAS_TOL = 1e-12
 _BINDING_TOL = 1e-9
 _DEDUP_TOL = 1e-10
+_TINY = sys.float_info.min  # a zero bound's floor in the binding test
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,12 @@ def max_sum_rate(*regions: RateRegion) -> LPSolution:
 
 def _greedy(lines) -> tuple[float, float, tuple[str, ...]]:
     """The point of ``max_sum_rate`` on (a, b, c, label) lines, none with
-    0 < b < a (``max_sum_rate`` checks), and the labels of the lines tight there."""
+    0 < b < a (``max_sum_rate`` checks), and the labels of the lines tight there:
+    within 1e-9 of their bound, relative to it."""
     x = min(c / a for a, b, c, _ in lines if a > 0) + 0.0  # +0.0 normalizes -0.0
     y = max(min((c - a * x) / b for a, b, c, _ in lines if b > 0), 0.0) + 0.0
     return x, y, tuple(label for a, b, c, label in lines
-                       if abs(a * x + b * y - c) <= _BINDING_TOL)
+                       if abs(a * x + b * y - c) <= _BINDING_TOL * c + _TINY)
 
 
 def _max_sum_grid(bounds1: dict, bounds2: dict) -> np.ndarray:

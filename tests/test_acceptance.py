@@ -83,10 +83,20 @@ def fig3_fractions():
     return curves
 
 
+def stacked_lines(regions):
+    """(coefs, bounds) of regions that share their lines' coefficients, as
+    ``oracle._crossing_gap`` takes them: one row of bounds per region."""
+    [coefs] = {tuple((h.coef_private, h.coef_common) for h in r.halfspaces) for r in regions}
+    return coefs, np.array([[h.bound for h in r.halfspaces] for r in regions])
+
+
 def test_criterion_01_region_reduction():
+    # at the vertices of polytope.vertices, and at every feasible line
+    # crossing (oracle._crossing_gap), which does not rest on that fast path
     rng = np.random.default_rng(1)
     start = time.perf_counter()
     worst = 0.0
+    reduced_regions, full_regions = [], []
     for _ in range(1000):
         params = draw_params(rng)
         split = HopSplit(float(rng.uniform(0.0, 1.0)))
@@ -96,11 +106,15 @@ def test_criterion_01_region_reduction():
             worst = max(worst, max(0.0, -min(h.slack(v) for h in full.halfspaces)))
         for v in vertices(full):
             worst = max(worst, max(0.0, -min(h.slack(v) for h in reduced.halfspaces)))
+        reduced_regions.append(reduced)
+        full_regions.append(full)
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and elapsed < 5.0
+    crossing = oracle._crossing_gap(stacked_lines(reduced_regions), stacked_lines(full_regions))
+    ok = worst <= 1e-9 and crossing <= 1e-9 and elapsed < 5.0
     report(1, "region reduction (1000 draws, two-sided)", ok,
-           f"max violation {worst:.2e}, {elapsed:.2f}s")
+           f"max violation {worst:.2e}, at crossings {crossing:.2e}, {elapsed:.2f}s")
     assert worst <= 1e-9
+    assert crossing <= 1e-9
     assert elapsed < 5.0
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from meshrates import oracle, polytope, schemes
+from meshrates import oracle, polytope, regions, schemes
 from meshrates.model import HopSplit, NetworkParams
 from meshrates.oracle import (
     certified_midpoint,
@@ -109,13 +109,11 @@ class TestGridMaxSum:
             grid_max_sum(hop1_region(FIG2, HALF), step=0.0)
 
     @staticmethod
-    def masked_max_sum(regions, step):
+    def masked_max_sum(region, step):
         """The whole-lattice mask: every halfspace tested at every lattice
         point, the largest feasible sum taken. The reference for the row
         bisection."""
-        if isinstance(regions, RateRegion):
-            regions = [regions]
-        halfspaces = [h for region in regions for h in region.halfspaces]
+        halfspaces = region.halfspaces
         rp_max = min(h.bound / h.coef_private for h in halfspaces if h.coef_private > 0)
         rc_max = min(h.bound / h.coef_common for h in halfspaces if h.coef_common > 0)
         x = np.arange(0.0, rp_max + step / 2.0, step)[:, None]
@@ -132,10 +130,10 @@ class TestGridMaxSum:
             params = oracle._draw_params(rng, paper_regime)
             hop1 = hop1_region(params, HopSplit(float(rng.uniform(0.0, 1.0))))
             split2 = HopSplit(float(rng.uniform(0.0, 1.0)))
-            regions = [hop1, hop2_rs_region(params, split2),
-                       [hop1, hop2_coop_region(params, split2)],
-                       [hop1, hop2_mcp_region(params, split2)]]
-            for region in regions:
+            # coop and mcp intersected with hop 1, as one region
+            joint = [RateRegion(hop1.halfspaces + builder(params, split2).halfspaces, "joint")
+                     for builder in (hop2_coop_region, hop2_mcp_region)]
+            for region in [hop1, hop2_rs_region(params, split2), *joint]:
                 for step in (1e-3, 7e-3, 0.05, 0.5):
                     assert grid_max_sum(region, step) == self.masked_max_sum(region, step)
 
@@ -379,15 +377,17 @@ def _without_label(region, label):
     return RateRegion(tuple(h for h in region.halfspaces if h.label != label), region.provenance)
 
 
-def _joined_crossings(coefs, bounds):
-    """x, y and feasibility of every crossing of every row, the blocks of
-    ``oracle._crossings`` joined."""
-    return [np.concatenate(column) for column in zip(*(block[1:] for block in
-                                                       oracle._crossings(coefs, bounds)))]
-
-
 def _raise(*_):
-    raise AssertionError("region-reduction walked a region's vertices")
+    raise AssertionError("a reference called the fast path it certifies")
+
+
+def _patch_fast_paths(monkeypatch, fast_paths):
+    """Make each (home module, name) raise, in every module that holds it."""
+    for home, name in fast_paths:
+        original = getattr(home, name)
+        for module in (polytope, regions, schemes, oracle):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, _raise)
 
 
 class TestRegionReductionCheck:
@@ -427,26 +427,73 @@ class TestRegionReductionCheck:
         assert oracle._check_region_reduction(0).line() == line
 
     def test_walks_no_vertices(self, monkeypatch):
-        monkeypatch.setattr(polytope, "vertices", _raise)
-        monkeypatch.setattr(oracle, "vertices", _raise)
+        _patch_fast_paths(monkeypatch, [(polytope, "vertices")])
         assert oracle._check_region_reduction(0).passed
 
-    def test_crossings_of_stacked_rows_equal_each_row_alone(self):
-        # 40 rows of 15 lines run in blocks of two; f = 0 and f = 1 make
-        # zero bounds, alpha2 = 0 parallel crossings
+    def test_gap_of_stacked_rows_equals_largest_row_gap(self):
+        # 40 draws of the fifteen-line MAC against their five-bound regions;
+        # f = 0 and f = 1 make zero bounds, alpha2 = 0 parallel crossings
         rng = np.random.default_rng(3)
-        coefs = tuple(entry[:2] for entry in oracle._MAC15)
-        rows = []
+        full_coefs = tuple(entry[:2] for entry in oracle._MAC15)
+        fast_rows, full_rows = [], []
         for k in range(40):
             params = oracle._draw_params(rng, k % 2 == 0)
             if k % 5 == 0:
                 params = replace(params, alpha2=0.0)
             split = HopSplit((0.0, 1.0, float(rng.uniform(0.0, 1.0)))[k % 3])
-            rows.append([h.bound for h in full_mac_region_hop1(params, split).halfspaces])
-        stacked = _joined_crossings(coefs, np.array(rows))
-        for k, row in enumerate(rows):
-            for whole, alone in zip(stacked, _joined_crossings(coefs, np.array([row]))):
-                assert np.array_equal(whole[k], alone[0])
+            fast = hop1_region(params, split)
+            fast_rows.append([h.bound for h in fast.halfspaces])
+            full_rows.append([h.bound for h in full_mac_region_hop1(params, split).halfspaces])
+        fast_coefs = tuple((h.coef_private, h.coef_common) for h in fast.halfspaces)
+
+        def gap(rows):
+            return oracle._crossing_gap((fast_coefs, np.array(fast_rows)[rows]),
+                                        (full_coefs, np.array(full_rows)[rows]))
+
+        largest = max(gap([k]) for k in range(40))
+        assert largest > 1e-3  # out of regime the regions differ
+        assert gap(slice(None)) == largest
+
+
+class TestVertexWalkCheck:
+    @pytest.mark.parametrize("seed,line", [
+        (0, "PASS vertex-walk                gap=1.110223e-16 tol=2.0e-10 ref=0 "
+            "fast=1.11022302463e-16"),
+        (1, "PASS vertex-walk                gap=0.000000e+00 tol=2.0e-10 ref=0 fast=0"),
+        (2, "PASS vertex-walk                gap=2.220446e-16 tol=2.0e-10 ref=0 "
+            "fast=2.22044604925e-16"),
+        (3, "PASS vertex-walk                gap=1.110223e-16 tol=2.0e-10 ref=0 "
+            "fast=1.11022302463e-16"),
+    ])
+    def test_report_line(self, seed, line):
+        assert oracle._check_vertex_walk(seed).line() == line
+
+
+class TestReferencesSkipTheirFastPaths:
+    """Each reference runs with the fast path it certifies made to raise."""
+
+    @pytest.mark.parametrize("builder", [hop1_region, hop2_rs_region, hop2_coop_region])
+    def test_enumerated_vertices(self, monkeypatch, builder):
+        region = builder(FIG2, HALF)
+        _patch_fast_paths(monkeypatch, [(polytope, "vertices")])
+        assert len(oracle.enumerated_vertices(region)) >= 3
+
+    def test_grid_max_sum(self, monkeypatch):
+        region = hop1_region(FIG2, HALF)
+        _patch_fast_paths(monkeypatch, [(polytope, "max_sum_rate"), (polytope, "_greedy")])
+        assert grid_max_sum(region, 1e-2) > 0.0
+
+    @pytest.mark.parametrize("hop", [1, 2])
+    def test_dense_split_scan(self, monkeypatch, hop):
+        _patch_fast_paths(monkeypatch, [(schemes, "_hop_split_candidates"), (regions, "_corner")])
+        assert dense_split_scan(FIG2, hop)[1] > 0.0
+
+    def test_certified_midpoint(self, monkeypatch):
+        _patch_fast_paths(monkeypatch, [(regions, "mcp_bounds")])
+        p_private, p_common = HALF.powers(FIG2.p2)
+        for integrand in mcp_reference_integrands(FIG2.gamma2, FIG2.eta2,
+                                                  p_private, p_common).values():
+            assert certified_midpoint(integrand)[0] > 0.0
 
 
 class TestSuite:
