@@ -36,10 +36,6 @@ class UsageError(ValueError):
     """A command line, config file or input the CLI refuses (exit 1)."""
 
 
-class VerificationFailure(Exception):
-    """At least one verification check failed."""
-
-
 def parse_power(text: str) -> float:
     """Parse a power value: bare numbers are linear, a trailing dB converts."""
     token = str(text).strip()
@@ -225,22 +221,20 @@ def _parse_range(text: str) -> list[float]:
     if step <= 0.0:
         raise UsageError(f"range step must be positive, got {step}")
     # Point k is start + k*step, clipped to stop, while it is at most
-    # stop + step/2. Up to the cap, the span's count is nudged onto that rule.
+    # stop + step/2. Points never decrease in k, so the range is over the cap
+    # exactly when point MAX_SWEEP_POINTS is still kept.
     limit = stop + step / 2.0
-    span = (stop - start) / step + 0.5
-    count = max(math.floor(span) + 1 if math.isfinite(span) else span, 0)
-    while 0 < count <= MAX_SWEEP_POINTS + 1 and start + (count - 1) * step > limit:
-        count -= 1
-    if start + MAX_SWEEP_POINTS * step <= limit:  # points never decrease in k
-        count = max(count, MAX_SWEEP_POINTS + 1)
-    while count <= MAX_SWEEP_POINTS and start + count * step <= limit:
-        count += 1
-    if count > MAX_SWEEP_POINTS:
+    if start + MAX_SWEEP_POINTS * step <= limit:
+        span = (stop - start) / step + 0.5
+        count = max(math.floor(span) + 1, MAX_SWEEP_POINTS + 1) if math.isfinite(span) else span
         raise UsageError(f"range {text!r} has {count} points, "
                          f"more than the cap of {MAX_SWEEP_POINTS}")
-    if not count:
+    points = []
+    while (point := start + len(points) * step) <= limit:
+        points.append(min(point, stop))
+    if not points:
         raise UsageError(f"range {text!r} is empty")
-    return [min(start + k * step, stop) for k in range(count)]
+    return points
 
 
 def _parse_link(text: str) -> tuple[str, str, float, str]:
@@ -398,7 +392,7 @@ def cmd_optsplit(as_json, duplex, power_boost, **values) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(seed, name_filter) -> None:
+def cmd_verify(seed, name_filter) -> int:
     """Run the oracle verification suite; nonzero exit on any failure."""
     from . import oracle  # only verify needs it
 
@@ -409,8 +403,7 @@ def cmd_verify(seed, name_filter) -> None:
         print(report.line())
     failed = sum(1 for r in reports if not r.passed)
     print(f"{len(reports) - failed}/{len(reports)} checks passed")
-    if failed:
-        raise VerificationFailure(f"{failed} checks failed")
+    return 3 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -572,18 +565,15 @@ def main(argv: list[str] | None = None) -> int:
         values = vars(_PARSER.parse_args(argv))
         body = values.pop("body")
         values.pop("config", None)
-        body(**values)
+        return body(**values) or 0
     except SystemExit as exc:  # --help
         return exc.code
-    except VerificationFailure:
-        return 3
     except (argparse.ArgumentError, ValueError) as exc:
         # on Python 3.13 an unknown or missing argument names no option
         name = getattr(exc, "argument_name", None)
         text = f"Invalid value for '{name}': {exc.message}" if name else exc
         print(f"error: {text}", file=sys.stderr)
         return 1
-    return 0
 
 
 def entry() -> None:

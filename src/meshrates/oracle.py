@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import decimal
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
 
@@ -420,6 +421,13 @@ def _draw_params(rng: np.random.Generator, paper_regime: bool = True) -> Network
     )
 
 
+def _draws(rng: np.random.Generator, count: int,
+           paper_regime: bool = True) -> Iterator[tuple[NetworkParams, HopSplit]]:
+    """``count`` (network, split) pairs, each network drawn before its split."""
+    for _ in range(count):
+        yield _draw_params(rng, paper_regime), HopSplit(float(rng.uniform(0.0, 1.0)))
+
+
 def _worst(name: str, pairs, tol: float, ref_err: float | None = None) -> OracleReport:
     """Report the first (reference, fast) pair with the largest gap, (0, 0) if
     none is positive; it passes iff that gap plus ``ref_err`` is within ``tol``."""
@@ -441,9 +449,7 @@ def _check_region_reduction(seed: int) -> OracleReport:
     regions share their coefficients are checked together."""
     rng = _rng(seed, 1)
     rows: dict[tuple, tuple[list, list]] = {}
-    for _ in range(150):
-        params = _draw_params(rng)
-        split = HopSplit(float(rng.uniform(0.0, 1.0)))
+    for params, split in _draws(rng, 150):
         fast = hop1_region(params, split)
         alpha2, beta2, p1 = params.hop(1)
         key = tuple((h.coef_private, h.coef_common) for h in fast.halfspaces)
@@ -461,9 +467,7 @@ def _check_region_reduction(seed: int) -> OracleReport:
 def _check_vertex_a_sum(seed: int) -> OracleReport:
     rng = _rng(seed, 2)
     pairs = []
-    for _ in range(150):
-        params = _draw_params(rng)
-        split = HopSplit(float(rng.uniform(0.0, 1.0)))
+    for params, split in _draws(rng, 150):
         corner_sum = float(_two_stage_rate(split.f_private, *params.hop(1)))
         pairs.append((corner_sum, max_sum_rate(hop1_region(params, split)).value))
     return _worst("vertex-a-sum", pairs, 1e-9)
@@ -473,9 +477,8 @@ def _check_lp_vs_grid(seed: int) -> OracleReport:
     rng = _rng(seed, 3)
     step = 1e-3
     pairs = []
-    for _ in range(25):
-        params = _draw_params(rng)
-        region = hop1_region(params, HopSplit(float(rng.uniform(0.0, 1.0))))
+    for params, split in _draws(rng, 25):
+        region = hop1_region(params, split)
         pairs.append((grid_max_sum(region, step), max_sum_rate(region).value))
     return _worst("lp-vs-grid", pairs, 5 * step)
 
@@ -486,10 +489,7 @@ def _check_quadrature_riemann(seed: int) -> OracleReport:
     within 1e-12. Twelve draws in the paper's regime, then twelve at high
     inter-cell gain (eta2 up to 5) and powers from 1e-3 to 1e3."""
     rng = _rng(seed, 4)
-    cases = []
-    for _ in range(12):
-        params = _draw_params(rng)
-        cases.append((params, HopSplit(float(rng.uniform(0.0, 1.0)))))
+    cases = list(_draws(rng, 12))
     for _ in range(12):
         gamma2 = float(rng.uniform(0.2, 2.5))
         eta2 = float(rng.uniform(0.0, 5.0))
@@ -519,9 +519,7 @@ def _first_hop_network(cross2: float, intra2: float, power: float) -> NetworkPar
 def _check_substitution_symmetry(seed: int) -> OracleReport:
     rng = _rng(seed, 5)
     pairs = []
-    for _ in range(100):
-        params = _draw_params(rng, paper_regime=False)
-        split = HopSplit(float(rng.uniform(0.0, 1.0)))
+    for params, split in _draws(rng, 100, paper_regime=False):
         region_a = hop2_rs_region(params, split)
         region_b = hop1_region(_first_hop_network(*params.hop(2)), split)
         for ha, hb in zip(region_a.halfspaces, region_b.halfspaces):
@@ -645,9 +643,8 @@ def _check_half_duplex_halving(seed: int) -> OracleReport:
 def _check_mcp_sum_dominance(seed: int) -> OracleReport:
     rng = _rng(seed, 13)
     gap = 0.0
-    for _ in range(20):
-        params = _draw_params(rng)
-        region = hop2_mcp_region(params, HopSplit(float(rng.uniform(0.0, 1.0))))
+    for params, split in _draws(rng, 20):
+        region = hop2_mcp_region(params, split)
         bounds = {(h.coef_private, h.coef_common): h.bound for h in region.halfspaces}
         gap = max(gap, max(bounds[1, 0], bounds[0, 1]) - bounds[1, 1])
     return _within("mcp-sum-dominance", gap, 1e-12)

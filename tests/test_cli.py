@@ -178,6 +178,15 @@ class TestSweep:
         with pytest.raises(UsageError, match=f"has {MAX_SWEEP_POINTS + 1} points"):
             _parse_range("1e300:1e300:1")
 
+    def test_range_whose_span_overflows_is_refused(self, capsys):
+        # (stop - start)/step is past the float range: the error names inf
+        for text in ("-1e308:1e308:1e-300", "0:1e308:1e-300"):
+            code, out, err = run(capsys, "sweep", *CLEAN, "--param", "alpha2",
+                                 "--range", text)
+            assert code == 1 and out == ""
+            assert err == (f"error: range {text!r} has inf points, "
+                           "more than the cap of 1000000\n")
+
     @staticmethod
     def stepping_loop(start, stop, step):
         """The points as sweep once built them, one step at a time."""
