@@ -35,8 +35,9 @@ from .regions import (
     RateRegion,
     hop1_region,
     hop2_coop_region,
-    hop2_mcp_region,
     hop2_rs_region,
+    mac_bounds,
+    mcp_bounds,
 )
 
 
@@ -442,25 +443,19 @@ def _within(name: str, gap: float, tol: float) -> OracleReport:
 
 
 def _check_region_reduction(seed: int) -> OracleReport:
-    """The five-bound first-hop region against the fifteen-inequality MAC
-    at 150 draws in the paper's regime: the gap is the largest violation of
-    either region's lines at a feasible crossing of the other's
-    (``_crossing_gap``), all draws in one array program. Draws whose fast
-    regions share their coefficients are checked together."""
+    """First-hop ``mac_bounds`` against the fifteen-inequality MAC at 150 draws
+    in the paper's regime: the largest violation of either's lines at a
+    feasible crossing of the other's, all draws at once (``_crossing_gap``)."""
     rng = _rng(seed, 1)
-    rows: dict[tuple, tuple[list, list]] = {}
+    fast_rows, full_rows = [], []
     for params, split in _draws(rng, 150):
-        fast = hop1_region(params, split)
         alpha2, beta2, p1 = params.hop(1)
-        key = tuple((h.coef_private, h.coef_common) for h in fast.halfspaces)
-        fast_rows, full_rows = rows.setdefault(key, ([], []))
-        # each draw's bounds as an array, not a list of Python floats: 150
-        # draws of float lists raised the verify process's peak RSS by ~0.2 MB
-        fast_rows.append(np.array([h.bound for h in fast.halfspaces]))
+        bounds = mac_bounds(alpha2, beta2, *split.powers(p1))
+        # rows as arrays: 150 draws of Python float lists raised peak RSS by ~0.2 MB
+        fast_rows.append(np.array(list(bounds.values())))
         full_rows.append(np.array(_mac15_bounds(alpha2, beta2, *split.powers(p1))))
     full_coefs = tuple(entry[:2] for entry in _MAC15)
-    gap = max(_crossing_gap((key, np.array(fast_rows)), (full_coefs, np.array(full_rows)))
-              for key, (fast_rows, full_rows) in rows.items())
+    gap = _crossing_gap((tuple(bounds), np.array(fast_rows)), (full_coefs, np.array(full_rows)))
     return _within("region-reduction", gap, 1e-9)
 
 
@@ -484,7 +479,7 @@ def _check_lp_vs_grid(seed: int) -> OracleReport:
 
 
 def _check_quadrature_riemann(seed: int) -> OracleReport:
-    """Closed-form MCP bounds against the certified midpoint reference: the
+    """``mcp_bounds`` against the certified midpoint reference: the
     check passes iff the largest gap plus the largest reference error is
     within 1e-12. Twelve draws in the paper's regime, then twelve at high
     inter-cell gain (eta2 up to 5) and powers from 1e-3 to 1e3."""
@@ -499,10 +494,9 @@ def _check_quadrature_riemann(seed: int) -> OracleReport:
     pairs = []
     ref_err = 0.0
     for params, split in cases:
-        region = hop2_mcp_region(params, split)
-        reference_fns = mcp_reference_integrands(params.gamma2, params.eta2,
-                                                 *split.powers(params.hop(2)[2]))
-        fast_bounds = {(h.coef_private, h.coef_common): h.bound for h in region.halfspaces}
+        eta2, gamma2, p2 = params.hop(2)
+        fast_bounds = mcp_bounds(eta2, gamma2, *split.powers(p2))
+        reference_fns = mcp_reference_integrands(gamma2, eta2, *split.powers(p2))
         for name, key in (("private", (1, 0)), ("common", (0, 1)), ("sum", (1, 1))):
             reference, err, _ = certified_midpoint(reference_fns[name])
             ref_err = max(ref_err, err)
@@ -641,11 +635,12 @@ def _check_half_duplex_halving(seed: int) -> OracleReport:
 
 
 def _check_mcp_sum_dominance(seed: int) -> OracleReport:
+    """``mcp_bounds``' sum bound is at least its private and common ones."""
     rng = _rng(seed, 13)
     gap = 0.0
     for params, split in _draws(rng, 20):
-        region = hop2_mcp_region(params, split)
-        bounds = {(h.coef_private, h.coef_common): h.bound for h in region.halfspaces}
+        eta2, gamma2, p2 = params.hop(2)
+        bounds = mcp_bounds(eta2, gamma2, *split.powers(p2))
         gap = max(gap, max(bounds[1, 0], bounds[0, 1]) - bounds[1, 1])
     return _within("mcp-sum-dominance", gap, 1e-12)
 

@@ -339,20 +339,18 @@ def _scaled_bounds(region, factor):
                       region.provenance)
 
 
-def _zero_sum_bound(region):
-    return RateRegion(tuple(replace(h, bound=0.0) if (h.coef_private, h.coef_common) == (1, 1)
-                            else h for h in region.halfspaces), region.provenance)
+def _scaled(bounds, factor):
+    return {key: bound * factor for key, bound in bounds.items()}
 
 
 # For each check: the module and name of the fast path it certifies, and a
 # mutation of that path's result (given the call's arguments too) that the
 # check must catch.
 BROKEN_FAST_PATHS = {
-    "region-reduction": (oracle, "hop1_region", lambda region, *_: _scaled_bounds(region, 1.01)),
+    "region-reduction": (oracle, "mac_bounds", lambda bounds, *_: _scaled(bounds, 1.01)),
     "vertex-a-sum": (oracle, "max_sum_rate", lambda lp, *_: replace(lp, value=lp.value + 1e-6)),
     "lp-vs-grid": (oracle, "max_sum_rate", lambda lp, *_: replace(lp, value=lp.value + 0.1)),
-    "quadrature-riemann": (oracle, "hop2_mcp_region",
-                           lambda region, *_: _scaled_bounds(region, 1.0 + 1e-9)),
+    "quadrature-riemann": (oracle, "mcp_bounds", lambda bounds, *_: _scaled(bounds, 1.0 + 1e-9)),
     "substitution-symmetry": (oracle, "hop2_rs_region",
                               lambda region, *_: _scaled_bounds(region, 1.0 + 1e-12)),
     "vsi-exact-agree": (schemes, "vsi_threshold", lambda t, *_, **__: t * (1.0 + 1e-9)),
@@ -366,15 +364,11 @@ BROKEN_FAST_PATHS = {
     "half-duplex-halving": (schemes, "single_rate",
                             lambda r, params, *_: replace(r, rate=2.0 * r.rate)
                             if params.duplex == "half" else r),
-    "mcp-sum-dominance": (oracle, "hop2_mcp_region", lambda region, *_: _zero_sum_bound(region)),
+    "mcp-sum-dominance": (oracle, "mcp_bounds", lambda bounds, *_: {**bounds, (1, 1): 0.0}),
     "power-monotonicity": (schemes, "single_rate",
                            lambda r, params, *_: replace(r, rate=1.0 / params.p1)),
     "vertex-walk": (oracle, "vertices", lambda points, *_: points[:-1]),
 }
-
-
-def _without_label(region, label):
-    return RateRegion(tuple(h for h in region.halfspaces if h.label != label), region.provenance)
 
 
 def _raise(*_):
@@ -391,10 +385,8 @@ def _patch_fast_paths(monkeypatch, fast_paths):
 
 
 class TestRegionReductionCheck:
-    """``region-reduction`` compares each region's feasible line crossings
-    with the other's lines in one array program. Its report lines equal
-    those of the vertex walk it replaced, which compared each region's
-    vertices with the other's lines."""
+    """``region-reduction`` compares each bound set's feasible line crossings
+    with the other's lines in one array program."""
 
     @pytest.mark.parametrize("seed,line", [
         (0, "PASS region-reduction           gap=8.881784e-16 tol=1.0e-09 ref=0 "
@@ -412,18 +404,18 @@ class TestRegionReductionCheck:
     # A shrunken region lies inside the full one, so only the full region's
     # crossings can catch it; a grown or cut region is caught from its own.
     @pytest.mark.parametrize("mutate,line", [
-        (lambda region: _without_label(region, "sum-3"),
+        (lambda bounds: {key: bound for key, bound in bounds.items() if key != (1, 3)},
          "FAIL region-reduction           gap=3.449930e-01 tol=1.0e-09 ref=0 fast=0.344993041011"),
-        (lambda region: _scaled_bounds(region, 1.0 - 1e-6),
+        (lambda bounds: _scaled(bounds, 1.0 - 1e-6),
          "FAIL region-reduction           gap=4.540387e-06 tol=1.0e-09 ref=0 "
          "fast=4.54038712139e-06"),
-        (lambda region: _scaled_bounds(region, 1.0 + 1e-6),
+        (lambda bounds: _scaled(bounds, 1.0 + 1e-6),
          "FAIL region-reduction           gap=4.540387e-06 tol=1.0e-09 ref=0 "
          "fast=4.5403871205e-06"),
     ], ids=["sum-3-dropped", "shrunken", "grown"])
     def test_fails_on_broken_region(self, monkeypatch, mutate, line):
-        original = oracle.hop1_region
-        monkeypatch.setattr(oracle, "hop1_region", lambda *args: mutate(original(*args)))
+        original = oracle.mac_bounds
+        monkeypatch.setattr(oracle, "mac_bounds", lambda *args: mutate(original(*args)))
         assert oracle._check_region_reduction(0).line() == line
 
     def test_walks_no_vertices(self, monkeypatch):

@@ -1,6 +1,6 @@
 import math
 import warnings
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from meshrates.regions import (
     _coop_gains,
     _corner,
     _mac_gains,
-    RateRegion,
     _hop_lines,
     coop_bounds,
     hop1_region,
@@ -185,40 +184,28 @@ class TestHop2CoopRegion:
 
 
 def coop_mac15(params, split):
-    """All fifteen subset inequalities of the cooperative second-hop MAC,
-    from the tap model: the private codeword arrives with power gamma2*P_p;
-    the own-cell common codeword, sent by three relays with P_c/3 each,
-    with (g + 2e)^2 * P_c/3, and the two adjacent cells' commons with
-    (g + e)^2 * P_c/3 each (g, e the amplitude gains). The two adjacent
-    private codewords and the two outer-cell commons that leak in stay in
-    the noise, 1 + 2*eta2*(P_p + P_c/3). No dominated inequality is removed."""
+    """The fifteen subset bounds of the cooperative second-hop MAC, in
+    ``oracle._MAC15`` order, from the tap model: the private codeword arrives
+    with power gamma2*P_p; the own-cell common codeword, sent by three relays
+    with P_c/3 each, with (g + 2e)^2 * P_c/3, and the two adjacent cells'
+    commons with (g + e)^2 * P_c/3 each (g, e the amplitude gains). The two
+    adjacent private codewords and the two outer-cell commons that leak in
+    stay in the noise, 1 + 2*eta2*(P_p + P_c/3). No dominated bound is
+    removed."""
     g, e = math.sqrt(params.gamma2), math.sqrt(params.eta2)
     p_private, p_common = split.powers(params.p2)
     per_code = p_common / 3.0
     noise = 1.0 + 2.0 * params.eta2 * (p_private + per_code)
-    users = (("p", 1, 0, params.gamma2 * p_private),
-             ("cm", 0, 1, (g + 2.0 * e) ** 2 * per_code),
-             ("cm-1", 0, 1, (g + e) ** 2 * per_code),
-             ("cm+1", 0, 1, (g + e) ** 2 * per_code))
-    halfspaces = tuple(
-        Halfspace(sum(u[1] for u in subset), sum(u[2] for u in subset),
-                  math.log2(1.0 + math.fsum(u[3] for u in subset) / noise),
-                  "+".join(u[0] for u in subset))
-        for k in range(1, 5) for subset in combinations(users, k))
-    return RateRegion(halfspaces, "coop-mac15")
-
-
-def stacked_lines(regions):
-    """(coefs, bounds) of regions that share their lines' coefficients, as
-    ``oracle._crossing_gap`` takes them: one row of bounds per region."""
-    [coefs] = {tuple((h.coef_private, h.coef_common) for h in r.halfspaces) for r in regions}
-    return coefs, np.array([[h.bound for h in r.halfspaces] for r in regions])
+    signals = (params.gamma2 * p_private, (g + 2.0 * e) ** 2 * per_code,
+               (g + e) ** 2 * per_code, (g + e) ** 2 * per_code)
+    return [math.log2(1.0 + math.fsum(signals[i] for i in subset) / noise)
+            for _, _, subset, _ in oracle._MAC15]
 
 
 class TestCoopRegionReduction:
     def test_matches_full_cooperative_mac(self):
-        # Every feasible line crossing of the five-bound region satisfies
-        # all fifteen inequalities and vice versa, in and out of the paper's
+        # Every feasible line crossing of the five coop bounds satisfies all
+        # fifteen subset bounds and vice versa, in and out of the paper's
         # regime (every other draw has eta2 > gamma2).
         rng = np.random.default_rng(17)
         fast, reference = [], []
@@ -229,9 +216,13 @@ class TestCoopRegionReduction:
             params = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=gamma2, eta2=eta2,
                                    p1=1.0, p2=p2)
             split = HopSplit(float(rng.uniform(0.0, 1.0)))
-            fast.append(hop2_coop_region(params, split))
+            bounds = coop_bounds(eta2, gamma2, *split.powers(p2))
+            fast.append(list(bounds.values()))
             reference.append(coop_mac15(params, split))
-        assert oracle._crossing_gap(stacked_lines(fast), stacked_lines(reference)) <= 1e-9
+        full_coefs = tuple(entry[:2] for entry in oracle._MAC15)
+        gap = oracle._crossing_gap((tuple(bounds), np.array(fast)),
+                                   (full_coefs, np.array(reference)))
+        assert gap <= 1e-9
 
 
 class TestHop2McpRegion:
