@@ -21,7 +21,6 @@ from .schemes import (
     coop,
     first_hop_upper_bound,
     mcp,
-    optimal_private_fraction,
     rate_splitting,
     single_rate,
     vsi_check,
@@ -49,7 +48,6 @@ __all__ = [
     "hop2_rs_region",
     "max_sum_rate",
     "mcp",
-    "optimal_private_fraction",
     "rate_splitting",
     "single_rate",
     "vertices",

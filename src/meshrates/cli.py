@@ -229,9 +229,15 @@ def _parse_range(text: str) -> list[float]:
         count = max(math.floor(span) + 1, MAX_SWEEP_POINTS + 1) if math.isfinite(span) else span
         raise UsageError(f"range {text!r} has {count} points, "
                          f"more than the cap of {MAX_SWEEP_POINTS}")
+    # Once stop is kept the range ends: every later point clips back onto it.
+    # A point equal to the one before is a step below the float spacing.
     points = []
-    while (point := start + len(points) * step) <= limit:
-        points.append(min(point, stop))
+    while (point := start + len(points) * step) <= limit and stop not in points[-1:]:
+        point = min(point, stop)
+        if point in points[-1:]:
+            raise UsageError(f"range {text!r} repeats the point {point!r}: "
+                             "its step is below the float spacing there")
+        points.append(point)
     if not points:
         raise UsageError(f"range {text!r} is empty")
     return points
@@ -380,7 +386,8 @@ def cmd_threshold(beta2, p1, method, check_alpha2, as_json) -> None:
 def cmd_optsplit(as_json, duplex, power_boost, **values) -> None:
     """Optimal private power fraction per hop under rate splitting."""
     params = _network(values, duplex, power_boost)
-    f1, f2 = schemes.optimal_private_fraction(params)
+    result = schemes.rate_splitting(params)
+    f1, f2 = result.split_hop1.f_private, result.split_hop2.f_private
     if as_json:
         print(json.dumps({"f1": f1, "f2": f2}, indent=2))
     else:

@@ -238,16 +238,6 @@ def first_hop_upper_bound(params: NetworkParams, row: _Row | None = None) -> Sch
     return _result(SCHEME_BOUND, params, hop1.lp, split_hop1=hop1.split)
 
 
-def optimal_private_fraction(params: NetworkParams) -> tuple[float, float]:
-    """Optimal private power fraction of each hop under rate splitting.
-
-    For matched gains and equal powers both fractions coincide. Boundary
-    ties resolve toward all-private (fraction 1).
-    """
-    row = _Row(params)
-    return row.hop(1).split.f_private, row.hop(2).split.f_private
-
-
 # ---------------------------------------------------------------------------
 # Joint (f1, f2) optimization for cooperative / joint-decoding second hops
 # ---------------------------------------------------------------------------

@@ -76,7 +76,8 @@ def fig3_fractions():
         for a2 in GRID:
             params = NetworkParams(alpha2=a2, beta2=1.0, gamma2=1.0, eta2=a2,
                                    p1=p, p2=p)
-            f1, f2 = schemes.optimal_private_fraction(params)
+            result = schemes.rate_splitting(params)
+            f1, f2 = result.split_hop1.f_private, result.split_hop2.f_private
             assert f1 == f2
             curve.append((a2, f1))
         curves[db] = curve

@@ -178,6 +178,24 @@ class TestSweep:
         with pytest.raises(UsageError, match=f"has {MAX_SWEEP_POINTS + 1} points"):
             _parse_range("1e300:1e300:1")
 
+    def test_range_repeats_no_point(self, capsys):
+        # steps below the float spacing of the values: 1e20 + 1 and 1e16 + 1
+        # round back onto the start, which is also stop here, so the range
+        # ends there; 1e16 + 12 clips onto the kept stop 1e16 + 10
+        assert _parse_range("1e16:1e16:1") == [1e16]
+        assert _parse_range("1e16:10000000000000010:2") == [1e16 + 2 * k for k in range(6)]
+        code, out, err = run(capsys, "sweep", "--param", "p1", "--range", "1e20:1e20:1",
+                             "--alpha2", "0.4", "--beta2", "1", "--gamma2", "1",
+                             "--eta2", "0.4", "--p2", "1", "--schemes", "single")
+        assert (code, err) == (0, "")
+        assert read_csv(out)[1] == [["1e+20", "0.637429920615", "2"]]
+        # 1e16 + 1 rounds back onto 1e16 below stop: the step cannot move it
+        text = "1e16:10000000000000010:1"
+        code, out, err = run(capsys, "sweep", *CLEAN, "--param", "alpha2", "--range", text)
+        assert code == 1 and out == ""
+        assert err == (f"error: range {text!r} repeats the point 1e+16: "
+                       "its step is below the float spacing there\n")
+
     def test_range_whose_span_overflows_is_refused(self, capsys):
         # (stop - start)/step is past the float range: the error names inf
         for text in ("-1e308:1e308:1e-300", "0:1e308:1e-300"):

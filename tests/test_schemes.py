@@ -34,7 +34,6 @@ from meshrates.schemes import (
     coop,
     first_hop_upper_bound,
     mcp,
-    optimal_private_fraction,
     rate_splitting,
     single_rate,
     vsi_check,
@@ -862,26 +861,32 @@ def test_joint_split_reaches_witness(scheme, hop2_region, params, f1, f2):
     assert scheme(params).rate >= witness - 1e-12
 
 
+def rs_fractions(params):
+    """The private fractions (f1, f2) of rate splitting's two hop splits."""
+    result = rate_splitting(params)
+    return result.split_hop1.f_private, result.split_hop2.f_private
+
+
 class TestOptimalPrivateFraction:
     def test_no_cross_gain_all_private(self):
-        assert optimal_private_fraction(CLEAN) == (1.0, 1.0)
+        assert rs_fractions(CLEAN) == (1.0, 1.0)
 
     def test_two_user_branch_stationary_point(self):
         # a = 0.5, b = 1, c = 2, P = 2, D0 = 3: the 2-user branch peaks
         # at x = ((b - 2a) D0 + b) / (2 (a c D0 + a b - b c)) = 1/3, f = 1/6.
-        f1, f2 = optimal_private_fraction(symmetric(0.5, 2.0))
+        f1, f2 = rs_fractions(symmetric(0.5, 2.0))
         assert f1 == pytest.approx(1.0 / 6.0, abs=1e-15)
         assert f2 == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_symmetric_case_matches_both_hops(self):
         for a2 in (0.2, 0.6, 0.9):
-            f1, f2 = optimal_private_fraction(symmetric(a2, 2.0))
+            f1, f2 = rs_fractions(symmetric(a2, 2.0))
             assert f1 == f2
 
     def test_threshold_shrinks_with_power(self):
         def threshold(p):
             for a2 in np.arange(0.0, 1.0001, 0.02):
-                f1, _ = optimal_private_fraction(symmetric(float(a2), p))
+                f1, _ = rs_fractions(symmetric(float(a2), p))
                 if f1 < 1.0 - 1e-9:
                     return float(a2)
             return math.inf

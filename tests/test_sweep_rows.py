@@ -1,4 +1,5 @@
-"""A sweep row and ``point --json`` serialize the same results alike."""
+"""A sweep row and ``point --json`` serialize the same results alike, and
+``optsplit --json`` prints rate splitting's splits."""
 
 import csv
 import io
@@ -40,3 +41,7 @@ def test_sweep_cells_are_point_fields(capsys, network, extra):
             if key in row:
                 expected = row[key] if key == "bottleneck" else _fmt(row[key])
                 assert cells[f"{name}_{key}"] == expected, (name, key)
+    assert main(["optsplit", *args, *extra, "--alpha2", alpha2, "--json"]) == 0
+    splits = json.loads(capsys.readouterr().out)
+    rs = results["rate_splitting"]
+    assert splits == {"f1": rs["f1"], "f2": rs["f2"]}
