@@ -221,10 +221,12 @@ def _parse_range(text: str) -> list[float]:
     if step <= 0.0:
         raise UsageError(f"range step must be positive, got {step}")
     # Point k is start + k*step, clipped to stop, while it is at most
-    # stop + step/2. Points never decrease in k, so the range is over the cap
-    # exactly when point MAX_SWEEP_POINTS is still kept.
+    # stop + step/2 and no earlier point reached stop. Points never decrease
+    # in k, so the range is over the cap exactly when point MAX_SWEEP_POINTS
+    # is still kept: within the limit, with the point before it below stop.
     limit = stop + step / 2.0
-    if start + MAX_SWEEP_POINTS * step <= limit:
+    if (start + MAX_SWEEP_POINTS * step <= limit
+            and start + (MAX_SWEEP_POINTS - 1) * step < stop):
         span = (stop - start) / step + 0.5
         count = max(math.floor(span) + 1, MAX_SWEEP_POINTS + 1) if math.isfinite(span) else span
         raise UsageError(f"range {text!r} has {count} points, "

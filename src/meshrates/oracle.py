@@ -311,17 +311,18 @@ def certified_midpoint(integrand) -> tuple[float, float, int]:
         coarse = fine
 
 
-def mcp_reference_integrands(gamma2: float, eta2: float,
+def mcp_reference_integrands(cross2: float, intra2: float,
                              p_private: float, p_common: float) -> dict:
     """Spectral integrands for the joint-decoding bounds, rebuilt from the
-    tap definitions (independent of the region builder's code).
+    tap definitions (independent of the region builder's code), with
+    ``mcp_bounds``' arguments.
 
     Each response is a symmetric FIR filter, so its transfer function is the
     real cosine series t_0 + 2 * sum_k t_k cos(2 pi k f) of its one-sided taps:
     the private codeword sees [e, g, e], the common ones [e, g+e, g+2e, g+e, e].
     """
-    g = math.sqrt(gamma2)
-    e = math.sqrt(eta2)
+    g = math.sqrt(intra2)
+    e = math.sqrt(cross2)
     per_code = p_common / 3.0
 
     def cosine_series(taps):
@@ -377,17 +378,16 @@ def vsi_exact_solve(beta2: float, p1: float) -> float:
     the gain that makes it exactly tight at the target rate; the largest
     solution over the cross-involving inequalities is the threshold. The
     equations are solved from the exact values of the float inputs in
-    60-significant-digit decimal arithmetic, so unless beta2*p1 is below
-    about 1e-40 (where the subtractions cancel more than 40 digits) the
-    result is the exact threshold rounded once. Evaluated in floats, the
-    power (1 + beta2*p1)**3 and the subtractions after it are off by up to a
-    few hundred ulps.
+    decimal arithmetic with 60 significant digits past the leading zeros of
+    beta2*p1, which the subtractions of 1 cancel, so the result is the exact
+    threshold rounded once. Evaluated in floats, the power (1 + beta2*p1)**3
+    and the subtractions after it are off by up to a few hundred ulps.
     """
     if not (beta2 > 0.0 and p1 > 0.0):
         raise ValueError("vsi_exact_solve needs positive beta2 and p1")
+    beta2_d, p1_d = decimal.Decimal(beta2), decimal.Decimal(p1)
     with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        beta2_d, p1_d = decimal.Decimal(beta2), decimal.Decimal(p1)
+        ctx.prec = 60 + max(0, -(beta2_d * p1_d).adjusted())
         target_arg = 1 + beta2_d * p1_d
         threshold = decimal.Decimal(0)
         for n_own, n_cross in ((0, 1), (1, 1), (0, 2), (1, 2)):
@@ -484,19 +484,17 @@ def _check_quadrature_riemann(seed: int) -> OracleReport:
     within 1e-12. Twelve draws in the paper's regime, then twelve at high
     inter-cell gain (eta2 up to 5) and powers from 1e-3 to 1e3."""
     rng = _rng(seed, 4)
-    cases = list(_draws(rng, 12))
+    cases = [(*params.hop(2), split) for params, split in _draws(rng, 12)]
     for _ in range(12):
         gamma2 = float(rng.uniform(0.2, 2.5))
         eta2 = float(rng.uniform(0.0, 5.0))
         p2 = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
-        params = NetworkParams(alpha2=0.0, beta2=1.0, gamma2=gamma2, eta2=eta2, p1=1.0, p2=p2)
-        cases.append((params, HopSplit(float(rng.uniform(0.0, 1.0)))))
+        cases.append((eta2, gamma2, p2, HopSplit(float(rng.uniform(0.0, 1.0)))))
     pairs = []
     ref_err = 0.0
-    for params, split in cases:
-        eta2, gamma2, p2 = params.hop(2)
+    for eta2, gamma2, p2, split in cases:
         fast_bounds = mcp_bounds(eta2, gamma2, *split.powers(p2))
-        reference_fns = mcp_reference_integrands(gamma2, eta2, *split.powers(p2))
+        reference_fns = mcp_reference_integrands(eta2, gamma2, *split.powers(p2))
         for name, key in (("private", (1, 0)), ("common", (0, 1)), ("sum", (1, 1))):
             reference, err, _ = certified_midpoint(reference_fns[name])
             ref_err = max(ref_err, err)
@@ -511,11 +509,15 @@ def _first_hop_network(cross2: float, intra2: float, power: float) -> NetworkPar
 
 
 def _check_substitution_symmetry(seed: int) -> OracleReport:
+    """The second hop's rate-splitting region against the first hop's region
+    of the drawn network with alpha2 -> eta2, beta2 -> gamma2 and p1 -> p2
+    substituted, line by line, at 100 draws out of the paper's regime."""
     rng = _rng(seed, 5)
     pairs = []
     for params, split in _draws(rng, 100, paper_regime=False):
         region_a = hop2_rs_region(params, split)
-        region_b = hop1_region(_first_hop_network(*params.hop(2)), split)
+        substituted = replace(params, alpha2=params.eta2, beta2=params.gamma2, p1=params.p2)
+        region_b = hop1_region(substituted, split)
         for ha, hb in zip(region_a.halfspaces, region_b.halfspaces):
             if (ha.coef_private, ha.coef_common, ha.label) != (hb.coef_private, hb.coef_common, hb.label):
                 return _within("substitution-symmetry", math.inf, 1e-15)

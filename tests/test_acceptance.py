@@ -171,7 +171,7 @@ def test_criterion_04_quadrature_vs_midpoint_oracle():
         bounds = {h.label: h.bound
                   for h in hop2_mcp_region(params, split).halfspaces}
         p_private, p_common = split.powers(params.p2)
-        reference_fns = oracle.mcp_reference_integrands(params.gamma2, params.eta2,
+        reference_fns = oracle.mcp_reference_integrands(params.eta2, params.gamma2,
                                                         p_private, p_common)
         for name, label in labels.items():
             reference, err, _ = certified_midpoint(reference_fns[name])

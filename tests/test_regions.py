@@ -266,7 +266,7 @@ class TestMcpBounds:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     bounds = mcp_bounds(eta2, gamma2, pp, pc)
-                reference = oracle.mcp_reference_integrands(gamma2, eta2, pp, pc)
+                reference = oracle.mcp_reference_integrands(eta2, gamma2, pp, pc)
                 for key, name in (((1, 0), "private"), ((0, 1), "common"), ((1, 1), "sum")):
                     value = float(bounds[key])
                     assert math.isfinite(value)
@@ -335,7 +335,7 @@ class TestMcpBounds:
             batch = mcp_bounds(eta2, gamma2, np.array([row[2] for row in rows]),
                                np.array([row[3] for row in rows]))
             for j, (_, _, pp, pc) in enumerate(rows):
-                reference = oracle.mcp_reference_integrands(gamma2, eta2, pp, pc)
+                reference = oracle.mcp_reference_integrands(eta2, gamma2, pp, pc)
                 for key, name in (((1, 0), "private"), ((0, 1), "common"), ((1, 1), "sum")):
                     expected, ref_err, _ = oracle.certified_midpoint(reference[name])
                     assert abs(float(batch[key][j]) - expected) + ref_err <= 1e-14, \
