@@ -331,11 +331,12 @@ def mcp_reference_integrands(cross2: float, intra2: float,
 
     h_private = cosine_series((g, e))
     h_common = cosine_series((g + 2 * e, g + e, e))
+    ln2 = math.log(2.0)  # log2(1 + x) as log1p(x)/ln 2, accurate where 1 + x rounds
     return {
-        "private": lambda f: np.log2(1.0 + p_private * h_private(f) ** 2),
-        "common": lambda f: np.log2(1.0 + per_code * h_common(f) ** 2),
-        "sum": lambda f: np.log2(1.0 + p_private * h_private(f) ** 2
-                                 + per_code * h_common(f) ** 2),
+        "private": lambda f: np.log1p(p_private * h_private(f) ** 2) / ln2,
+        "common": lambda f: np.log1p(per_code * h_common(f) ** 2) / ln2,
+        "sum": lambda f: np.log1p(p_private * h_private(f) ** 2
+                                  + per_code * h_common(f) ** 2) / ln2,
     }
 
 

@@ -5,8 +5,8 @@ both coefficients are non-zero, coef_common >= coef_private. Moving along
 (-1, +1) then never tightens a constraint faster than it raises
 R_private + R_common, so the max-sum LP has the greedy closed form of a
 polymatroid: take the largest private rate first, then the largest common
-rate. ``max_sum_rate`` states it on scalar bounds, ``_max_sum_grid`` on two
-hops' bounds over grids of their power splits, one broadcast per line.
+rate. ``_greedy`` states it once: on float bounds, and on array bounds
+broadcast over grids of two hops' power splits. ``max_sum_rate`` wraps it.
 Every region is down-closed (``regions.Halfspace``), so ``vertices`` walks
 the upper envelope of its lines from R_p = 0 instead of enumerating pairwise
 intersections (``oracle.enumerated_vertices`` still does, as the reference).
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -72,28 +72,24 @@ def max_sum_rate(*regions: RateRegion) -> LPSolution:
                       degenerate=face > 1e-9)
 
 
-def _greedy(lines) -> tuple[float, float, tuple[str, ...]]:
+def _greedy(lines) -> tuple:
     """The point of ``max_sum_rate`` on (a, b, c, label) lines, none with
-    0 < b < a (``max_sum_rate`` checks), and the labels of the lines tight there:
-    within 1e-9 of their bound, relative to it."""
-    x = min(c / a for a, b, c, _ in lines if a > 0) + 0.0  # +0.0 normalizes -0.0
-    y = max(min((c - a * x) / b for a, b, c, _ in lines if b > 0), 0.0) + 0.0
+    0 < b < a (``max_sum_rate`` checks): x = min c/a, then
+    y = max(min (c - a*x)/b, 0). The bounds c are floats, or arrays that
+    broadcast together. Floats give the point and the labels of the lines
+    tight there: within 1e-9 of their bound, relative to it. Arrays give the
+    point over the broadcast shape, and no labels."""
+    grid = isinstance(lines[0][2], np.ndarray)
+    least, clip = (partial(reduce, np.minimum), np.maximum) if grid else (min, max)
+    # c/1 is c and c - 1*x is c - x, bit for bit: a = 1 skips both operations
+    x = least([c if a == 1 else c / a for a, b, c, _ in lines if a > 0])
+    y = clip(least([(c if a == 0 else c - x if a == 1 else c - a * x) / b
+                    for a, b, c, _ in lines if b > 0]), 0.0)
+    if grid:
+        return x, y, ()
+    x, y = x + 0.0, y + 0.0  # normalizes -0.0
     return x, y, tuple(label for a, b, c, label in lines
                        if abs(a * x + b * y - c) <= _BINDING_TOL * c + _TINY)
-
-
-def _max_sum_grid(bounds1: dict, bounds2: dict) -> np.ndarray:
-    """Max-sum LP value of hop 1 at the i-th entries of ``bounds1``
-    intersected with hop 2 at the j-th entries of ``bounds2``: the greedy of
-    ``max_sum_rate`` over every line of both hops, broadcast over the grid.
-    x = min c/a, then y = max(min (c - a*x)/b, 0), so every cell is the
-    float ``max_sum_rate`` gives."""
-    lines = ([(a, b, c[:, None]) for (a, b), c in bounds1.items()]
-             + [(a, b, c[None, :]) for (a, b), c in bounds2.items()])
-    # every coef_private is 0 or 1, so c/a is c and c - a*x is c - x, bit for bit
-    x = reduce(np.minimum, [c for a, b, c in lines if a])
-    y = reduce(np.minimum, [(c - x if a else c) / b for a, b, c in lines if b > 0])
-    return x + np.maximum(y, 0.0)
 
 
 # The axes as (coef_private, coef_common, bound) lines.

@@ -12,7 +12,7 @@ tenth split of the other hop's 101-split grid, then all 101: a cell that
 reaches the cap is exact. Elsewhere it is grids: both hops on the 101-split
 grid, then three 11-split windows, each 10x narrower and centred on the
 best cell so far. Every cell is scored by the max-sum LP of its two hops
-(``polytope._max_sum_grid``), each hop's bounds evaluated once per pass.
+(``polytope._greedy``, broadcast), each hop's bounds evaluated once per pass.
 Near-ties are relative to the rate, so no split depends on the power's
 scale. Every reported rate, operating point and binding is the LP's greedy
 on scalar bounds: a rate-splitting hop's at its optimal split, the joint
@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import HopSplit, NetworkParams, RatePair, capacity, split_powers
-from .polytope import _greedy, _max_sum_grid
+from .polytope import _greedy
 from .regions import (
     _coop_gains,
     _corner,
@@ -259,22 +259,24 @@ def _joint(scheme: str, params: NetworkParams, bounds_fn, gains_fn=None,
 
     A hop's max-sum LP at any split caps every joint rate, and a ``_Hop``'s
     corner optimum is its maximum over splits: hop 1's always, hop 2's where
-    ``gains_fn`` gives its gains (coop). The caps are ``row``'s
-    hop records, whose scalar bounds are scored as one-split arrays. The
-    smaller cap's split is scored against every tenth split of the other
-    hop's 101-split grid, then all of it; a cell within 1e-12 of the cap,
-    relative, is optimal within that. Else the capped hop takes that grid
-    too, then one 11-split pass per ``_WINDOWS`` half-width is centred on
-    the best cell so far. The LP's greedy runs once more on the bounds
-    scored at the winning cell: its value bit for bit, and the point and
-    binding ``max_sum_rate`` gives on the two hops' regions, unbuilt.
+    ``gains_fn`` gives its gains (coop). The caps are ``row``'s hop records,
+    whose scalar bounds are scored as one-split arrays. The smaller cap's
+    split is scored against every tenth split of the other hop's 101-split
+    grid, then all of it; a cell within 1e-12 of the cap, relative, is
+    optimal within that. Else the capped hop takes that grid too, then one
+    11-split pass per ``_WINDOWS`` half-width is centred on the best cell so
+    far. ``_greedy`` scores a grid, hop 1 down it and hop 2 across, and runs
+    again on the bounds scored at the winning cell: its value bit for bit,
+    and the point and binding ``max_sum_rate`` gives on the regions, unbuilt.
     """
     def bounds_at(hop, fs):
         cross2, intra2, total = params.hop(hop + 1)
         return (mac_bounds, bounds_fn)[hop](cross2, intra2, *split_powers(fs, total))
 
     def best_cell():  # the best cell (i, j) of the grid ``bounds`` spans, and its value
-        values = _max_sum_grid(*bounds)
+        x, y, _ = _greedy([(a, b, c[:, None], None) for (a, b), c in bounds[0].items()]
+                          + [(a, b, c[None, :], None) for (a, b), c in bounds[1].items()])
+        values = x + y
         i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
         return i, j, values[i, j]
 

@@ -220,18 +220,17 @@ class TestMcpReferenceIntegrands:
             taps = [e, g + e, g + 2 * e, g + e, e]
             return sum(t * p for t, p in zip(taps, phases)).real
 
+        ln2 = math.log(2.0)
         return {
-            "private": lambda f: np.log2(1.0 + p_private * h_private(f) ** 2),
-            "common": lambda f: np.log2(1.0 + per_code * h_common(f) ** 2),
-            "sum": lambda f: np.log2(1.0 + p_private * h_private(f) ** 2
-                                     + per_code * h_common(f) ** 2),
+            "private": lambda f: np.log1p(p_private * h_private(f) ** 2) / ln2,
+            "common": lambda f: np.log1p(per_code * h_common(f) ** 2) / ln2,
+            "sum": lambda f: np.log1p(p_private * h_private(f) ** 2
+                                      + per_code * h_common(f) ** 2) / ln2,
         }
 
     def test_cosine_series_matches_complex_exponentials(self):
-        # 1e-14 of the integrand's largest value at the nodes, plus one ulp of
-        # 1 in log2 units: log2(1 + x) cannot resolve x below that ulp
+        # 1e-14 of the integrand's largest value at the nodes
         nodes = (np.arange(2 ** 11) + 0.5) / 2 ** 11
-        floor = np.finfo(float).eps / math.log(2.0)
         rng = np.random.default_rng(44)
         for _ in range(200):
             gamma2 = float(rng.uniform(0.2, 2.5))
@@ -242,7 +241,25 @@ class TestMcpReferenceIntegrands:
             fast, reference = mcp_reference_integrands(*args), self.complex_integrands(*args)
             for name in ("private", "common", "sum"):
                 got, want = fast[name](nodes), reference[name](nodes)
-                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max() + floor, (name, args)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (name, args)
+
+    @pytest.mark.parametrize("power", [1e-16, 1e-100, 1e-300])
+    def test_low_power_sums_meet_their_parseval_slopes(self, power):
+        # At x far below 1, log2(1 + x) is x/ln 2, and |H(f)|^2 is a cosine
+        # series whose mean over [0, 1] is the taps' energy (Parseval), which
+        # the midpoint rule sums exactly. Each integral is then its power
+        # times that energy over ln 2, within a few ulps of rounding, where
+        # forming 1 + x would round x away.
+        eta2, gamma2 = 0.3, 0.1
+        g, e = math.sqrt(gamma2), math.sqrt(eta2)
+        private = math.fsum(t * t for t in (e, g, e))
+        common = math.fsum(t * t for t in (e, g + e, g + 2 * e, g + e, e)) / 3.0
+        fns = mcp_reference_integrands(eta2, gamma2, power, power)
+        slopes = {"private": private, "common": common, "sum": private + common}
+        for name, energy in slopes.items():
+            value, _, _ = certified_midpoint(fns[name])
+            slope = power * energy / math.log(2.0)
+            assert abs(value - slope) <= 1e-15 * slope, (name, value, slope)
 
 
 class TestDenseSplitScan:

@@ -145,7 +145,7 @@ def seeded_region(rng, name):
 
 
 def test_every_bound_key_has_private_coefficient_0_or_1():
-    # polytope._max_sum_grid reads c/a as c and c - a*x as c - x
+    # polytope._greedy's a = 1 shortcut: c/1 is c and c - 1*x is c - x, bit for bit
     assert {coef_private for coef_private, _ in _LABELS} == {0, 1}
 
 

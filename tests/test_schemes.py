@@ -11,7 +11,7 @@ from meshrates import regions, schemes
 from meshrates.cli import main
 from meshrates.model import HopSplit, NetworkParams, RatePair, capacity, db_to_linear, split_powers
 from meshrates.oracle import dense_split_scan
-from meshrates.polytope import max_sum_rate, vertices
+from meshrates.polytope import _greedy, max_sum_rate, vertices
 from meshrates.regions import (
     _coop_gains,
     _corner,
@@ -28,7 +28,6 @@ from meshrates.regions import (
 from meshrates.schemes import (
     _Hop,
     _hop_split_candidates,
-    _max_sum_grid,
     _pick_last_max,
     _Row,
     coop,
@@ -406,6 +405,15 @@ def grid_bounds(params, bounds_fn, f1, f2):
             bounds_fn(cross2, intra2, *split_powers(f2, total2)))
 
 
+def grid_values(bounds1, bounds2):
+    """Max-sum LP value of hop 1 at the i-th entries of ``bounds1``
+    intersected with hop 2 at the j-th entries of ``bounds2``: the greedy on
+    hop 1's lines down the rows and hop 2's across the columns."""
+    x, y, _ = _greedy([(a, b, c[:, None], None) for (a, b), c in bounds1.items()]
+                      + [(a, b, c[None, :], None) for (a, b), c in bounds2.items()])
+    return x + y
+
+
 def four_passes(params, bounds_fn):
     """The search's fallback written out: every pass a clipped linspace
     around the best cell of the pass before, from (0.5, 0.5)."""
@@ -413,7 +421,7 @@ def four_passes(params, bounds_fn):
     for points, half_width in ((101, 0.5), (11, 1e-2), (11, 1e-3), (11, 1e-4)):
         grid1, grid2 = (np.clip(np.linspace(f - half_width, f + half_width, points), 0.0, 1.0)
                         for f in (f1, f2))
-        values = _max_sum_grid(*grid_bounds(params, bounds_fn, grid1, grid2))
+        values = grid_values(*grid_bounds(params, bounds_fn, grid1, grid2))
         i, j = divmod(_pick_last_max(values.ravel()), values.shape[1])
         f1, f2 = float(grid1[i]), float(grid2[j])
     return f1, f2
@@ -431,12 +439,12 @@ def full_row(params, bounds_fn, gains_fn):
     cap, capped = min(caps, key=lambda cap: cap[0].value)
     fs = [np.linspace(0.0, 1.0, 101)] * 2
     fs[capped] = np.array([cap.split.f_private])
-    values = _max_sum_grid(*grid_bounds(params, bounds_fn, *fs)).ravel()
+    values = grid_values(*grid_bounds(params, bounds_fn, *fs)).ravel()
     cell = float(values[_pick_last_max(values)])
     if cell >= cap.value - 1e-12 * max(cap.value, sys.float_info.min):
         return cell, capped
     f1, f2 = four_passes(params, bounds_fn)
-    values = _max_sum_grid(*grid_bounds(params, bounds_fn, np.array([f1]), np.array([f2])))
+    values = grid_values(*grid_bounds(params, bounds_fn, np.array([f1]), np.array([f2])))
     return float(values[0, 0]), None
 
 
@@ -460,7 +468,7 @@ class TestJointValues:
                      NetworkParams(alpha2=1.5, beta2=1.0, gamma2=0.7, eta2=1.2,
                                    p1=5.0, p2=0.3),
                      *seeded_networks(3, 6)):
-            values = _max_sum_grid(*grid_bounds(work, bounds_fn, fs, fs))
+            values = grid_values(*grid_bounds(work, bounds_fn, fs, fs))
             for i, f1 in enumerate(fs):
                 for j, f2 in enumerate(fs):
                     lp = max_sum_rate(hop1_region(work, HopSplit(float(f1))),
@@ -483,7 +491,7 @@ class TestJointValues:
             caps = [_Row(work).hop(1).value]
             if gains_fn:
                 caps.append(_Row(work).hop(2, gains_fn).value)
-            cell = float(_max_sum_grid(*grid_bounds(work, bounds_fn, np.array([f1]),
+            cell = float(grid_values(*grid_bounds(work, bounds_fn, np.array([f1]),
                                                     np.array([f2])))[0, 0])
             if cell < min(caps) - 1e-12 * max(min(caps), sys.float_info.min):
                 fallbacks += 1
@@ -511,7 +519,7 @@ class TestJointValues:
             hop2 = bounds_at(bounds_fn, *params.hop(2), f2)
             assert min(hop2.values()) >= 0.0, params
             bounds = grid_bounds(params, bounds_fn, np.array([f1]), np.array([f2]))
-            cell = _max_sum_grid(*bounds)[0, 0]
+            cell = grid_values(*bounds)[0, 0]
             assert cell * params.rate_scale() == result.rate, params
 
     # Rows of each bounds evaluation, in order. The smaller cap's bounds come
@@ -567,11 +575,12 @@ class TestJointValues:
         # reach the cap, those the probe settles, then the same for the draws.
         grids = []
 
-        def counting(*bounds):
-            grids.append(bounds)
-            return _max_sum_grid(*bounds)
+        def counting(lines):  # counts the scored grids, not the scalar LPs
+            if isinstance(lines[0][2], np.ndarray):
+                grids.append(lines)
+            return _greedy(lines)
 
-        monkeypatch.setattr(schemes, "_max_sum_grid", counting)
+        monkeypatch.setattr(schemes, "_greedy", counting)
         figures = [figure(p1_db, k * 0.02) for p1_db in (3.0, 10.0) for k in range(51)]
         row = np.linspace(0.0, 1.0, 101)
         counts = {"figures": [0, 0], "draws": [0, 0]}
@@ -750,11 +759,12 @@ class TestFirstHopCertificate:
         that cap, and a settled rate is the cap, at the cap's split."""
         grids = []
 
-        def counting(*bounds):
-            grids.append(bounds)
-            return _max_sum_grid(*bounds)
+        def counting(lines):  # counts the scored grids, not the scalar LPs
+            if isinstance(lines[0][2], np.ndarray):
+                grids.append(lines)
+            return _greedy(lines)
 
-        monkeypatch.setattr(schemes, "_max_sum_grid", counting)
+        monkeypatch.setattr(schemes, "_greedy", counting)
         # the 102 Fig. 4/5 networks: alpha2 = eta2 on 0:1:0.02, P2 = P1/2
         figures = [figure(p1_db, k * 0.02) for p1_db in (3.0, 10.0) for k in range(51)]
         certified = 0
