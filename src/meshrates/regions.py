@@ -21,6 +21,7 @@ Every log2(1 + SINR) term here is ``model.capacity``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -154,21 +155,64 @@ def coop_bounds(cross2, intra2, p_private, p_common):
     return _rs_bounds(_coop_gains(cross2, intra2), p_private, p_common)
 
 
-def _phi(vr, vi):
-    """log2|J/w| at v = 1/w = vr + i*vi, where J is the root of z^2 - w*z + 1
-    with |J| >= 1, in real arithmetic.
+class _Elementwise(NamedTuple):
+    """The functions the mcp closed forms apply besides +, -, *, /, abs and
+    comparisons, for one kind of operand."""
+
+    sqrt: Callable
+    hypot: Callable
+    maximum: Callable
+    select: Callable  # select(condition, if_true, if_false)
+    ldexp: Callable
+
+
+def _float_maximum(x, y):
+    """np.maximum on two floats: y on a tie (of signed zeros), NaN if either is."""
+    return x if x > y or x != x else y
+
+
+# numpy's ufuncs, for arrays and for numpy scalars
+_ARRAYS = _Elementwise(np.sqrt, np.hypot, np.maximum,
+                       lambda c, x, y: np.where(c, x, y)[()], np.ldexp)
+# Python floats: math.sqrt and the operators round correctly, as numpy's loops
+# do; hypot stays numpy's
+_FLOATS = _Elementwise(math.sqrt, lambda x, y: float(np.hypot(x, y)), _float_maximum,
+                       lambda c, x, y: x if c else y, math.ldexp)
+
+
+def _phi_z(vr, vi):
+    """z = 1 - 4v^2 at v = vr + i*vi, as (real, imaginary) parts."""
+    return 1.0 - 4.0 * (vr * vr - vi * vi), 8.0 * vr * vi
+
+
+def _phi_square(zr, zi, modulus, ops: _Elementwise):
+    """|J/w|^2 = |1 + s|^2/4 at z = zr + i*zi with |z| = ``modulus``."""
+    re2 = ops.maximum(zr, 0.0) + 0.5 * zi * (zi / (modulus + abs(zr)))
+    return 0.25 * (1.0 + modulus + 2.0 * ops.sqrt(re2))
+
+
+def _phi(roots, ops: _Elementwise):
+    """log2|J/w| at each v = 1/w = vr + i*vi of ``roots``, (vr, vi) pairs,
+    where J is the root of z^2 - w*z + 1 with |J| >= 1, in real arithmetic;
+    the roots on the first axis of an array, or a list for float roots.
 
     J/w = (1 + s)/2 with s the principal square root of z = 1 - 4v^2, and
     |1 + s|^2 = 1 + |z| + 2 Re s, where (Re s)^2 = (|z| + Re z)/2 is summed
     from two non-negative terms. phi reads v through v^2 and is even in Im v,
     so the signs of vr and vi do not matter. phi(0) = 0, and a tiny v only
     brings its own tiny absolute error.
+
+    Array roots are stacked and run as one array. Float roots run root by
+    root, but |z| and log2 still take all roots in one numpy call, so both
+    meet the same numpy loops. (Stacking float roots into arrays for the
+    array form kept only about two thirds of the scalar call's speed-up.)
     """
-    zr = 1.0 - 4.0 * (vr * vr - vi * vi)
-    zi = 8.0 * vr * vi
-    modulus = np.hypot(zr, zi)
-    re2 = np.maximum(zr, 0.0) + 0.5 * zi * (zi / (modulus + np.abs(zr)))
-    return 0.5 * np.log2(0.25 * (1.0 + modulus + 2.0 * np.sqrt(re2)))
+    if ops is _ARRAYS:
+        zr, zi = _phi_z(np.array([v[0] for v in roots]), np.array([v[1] for v in roots]))
+        return 0.5 * np.log2(_phi_square(zr, zi, np.hypot(zr, zi), ops))
+    zr, zi = zip(*[_phi_z(vr, vi) for vr, vi in roots])
+    squares = [_phi_square(*z, ops) for z in zip(zr, zi, np.hypot(zr, zi).tolist())]
+    return [0.5 * x for x in np.log2(squares).tolist()]
 
 
 def _reciprocal(scale, x, y):
@@ -178,7 +222,7 @@ def _reciprocal(scale, x, y):
     return scale * x / size, scale * y / size
 
 
-def _sum_roots(g, e, p, q):
+def _sum_roots(g, e, p, q, ops: _Elementwise):
     """One root v = 1/w of each of the two conjugate pairs of P = 1 + p*h^2 +
     q*u^2, as (real, imaginary) parts, for a cross amplitude e > 0.
 
@@ -210,20 +254,20 @@ def _sum_roots(g, e, p, q):
     delta = e - g
     a = p * (0.5 * e * e)
     q = q + (q == 0.0)
-    sq = np.sqrt(q)
+    sq = ops.sqrt(q)
     b, k = sq * e, q * (0.5 * delta * delta)
-    top = np.maximum(a, b)
+    top = ops.maximum(a, b)
     wa0, wb0 = top - a, top - b
     gap = wa0 + wb0
     d = 0.0 * k  # delta = 0: K = 0 and W = max(A, B)
     if delta != 0.0:
         ak = a + k
-        c = 1.0 + 2.0 * b / (ak + np.hypot(ak, 2.0 * b * np.sqrt(wa0 / top)))
+        c = 1.0 + 2.0 * b / (ak + ops.hypot(ak, 2.0 * b * ops.sqrt(wa0 / top)))
         # the root d >= 0 of c*d^2 + (c*gap - k)*d = k*top, as a sum of two
         # non-negative terms so that neither sign of c*gap - k cancels
         lin = c * gap - k
-        d = (2.0 * top * (k / (np.hypot(lin, 2.0 * np.sqrt(c * top) * np.sqrt(k)) + np.abs(lin)))
-             + np.maximum(-lin, 0.0) / c)
+        d = (2.0 * top * (k / (ops.hypot(lin, 2.0 * ops.sqrt(c * top) * ops.sqrt(k)) + abs(lin)))
+             + ops.maximum(-lin, 0.0) / c)
         for _ in range(2):
             # Halley on (W - A)(W^2 - B^2) - K*W^2 and its derivatives, each
             # divided by W^2
@@ -237,19 +281,19 @@ def _sum_roots(g, e, p, q):
     # returned as x/e and its y as sqrt(q)*y/e
     w = top + d
     ratio, bw, ew = (d + wa0) / w, b / w, e * e / w
-    rw = 1.0 + np.sqrt((d + wb0) / w * (1.0 + bw))  # R/W
+    rw = 1.0 + ops.sqrt((d + wb0) / w * (1.0 + bw))  # R/W
     eps = 2.0 * ew * ratio  # tau^2 - delta^2
-    tau = np.sqrt(delta * delta + eps)
+    tau = ops.sqrt(delta * delta + eps)
     if delta >= 0.0:
         x_big = 2.0 * g + tau * rw
         x_small, xe_big = (4.0 * g * e - eps) / x_big, x_big / e
     else:
         x_small = 2.0 * g + tau * bw * bw / rw
         xe_big = (4.0 * g - 2.0 * e * ratio / w) / x_small
-    y_small = np.sqrt(2.0 * (p * ew) * ew / rw + eps)  # p*ew <= 2, but 2p can overflow
+    y_small = ops.sqrt(2.0 * (p * ew) * ew / rw + eps)  # p*ew <= 2, but 2p can overflow
     # p or q/w past 2^960 overflows the big pair's squares: t = 2^-32 scales it exactly
-    t = 1.0 - np.float64(1.0 - 2.0 ** -32) * ((p > 2.0 ** 960) | (q * 2.0 ** -960 > w))
-    qy_big = np.sqrt(2.0 * (t * t * p) * rw + 2.0 * (t * t * q) * ratio / w)
+    t = 1.0 - (1.0 - 2.0 ** -32) * ((p > 2.0 ** 960) | (q * 2.0 ** -960 > w))
+    qy_big = ops.sqrt(2.0 * (t * t * p) * rw + 2.0 * (t * t * q) * ratio / w)
     return (_reciprocal(2.0 * e, x_small, y_small),
             _reciprocal(2.0 * sq * t, sq * xe_big * t, qy_big))
 
@@ -279,47 +323,75 @@ def mcp_bounds(cross2, intra2, p_private, p_common):
     private bound itself. Without a cross gain, h = g, and the common and
     sum polynomials are quadratics in 1 + w.
 
-    All arithmetic is real and elementwise: one ``_phi`` evaluation covers
-    the five roots, and a scalar call runs the same operations on float
-    scalars that a batch runs on arrays, so both round alike.
+    All arithmetic is real and elementwise, and one ``_phi`` evaluation
+    covers the five roots. A batch runs on numpy arrays. A call with two
+    scalar powers runs the same code on Python floats and returns floats:
+    +, -, *, / and ``math.sqrt`` round correctly there, as in numpy's loops,
+    and np.hypot (on float pairs, and on the five roots at once), np.log2
+    (on the five roots at once) and ``capacity``'s np.log1p stay numpy's, so
+    the call equals its one-row batch bit for bit.
+
+    Python floats raise where numpy warns of a division by 0 or an invalid
+    square root, and ``math.ldexp`` raises past the float range, but an
+    overflow is silent, and the closed forms can absorb its inf (x/inf = 0).
+    So where Python floats raise or a bound reaches 960 bits, the call runs
+    again on numpy scalars, which warn and raise as the batch does. The
+    960-bit rule is measured, not derived: over 80,000 draws of gains and
+    powers from 0 and subnormals up to 1e308, and 40,000 more at tiny gains
+    and subnormal powers, where the scaled powers are tiny, every scalar
+    call gave its one-row batch's floats or warning.
 
     Scalar gains (``cross2`` = eta^2, ``intra2`` = gamma^2); the power pair
     may be scalars or arrays, and every bound has their broadcast shape.
     Returns the bounds keyed by (coef_private, coef_common).
     """
     g, e = math.sqrt(intra2), math.sqrt(cross2)
+    scalar = isinstance(p_private, (int, float)) and isinstance(p_common, (int, float))
+    if scalar:
+        try:
+            bounds = _jensen_bounds(g, e, float(p_private), float(p_common) / 3.0, _FLOATS)
+            if all(abs(bound) < 960.0 for bound in bounds.values()):
+                return bounds
+        except (ArithmeticError, ValueError):
+            pass
     p, q = np.broadcast_arrays(np.asarray(p_private, dtype=float),
                                np.asarray(p_common, dtype=float) / 3.0)
-    p, q = p[()], q[()]
+    bounds = _jensen_bounds(g, e, p[()], q[()], _ARRAYS)
+    return {key: float(bound) for key, bound in bounds.items()} if scalar else bounds
+
+
+def _jensen_bounds(g, e, p, q, ops: _Elementwise):
+    """``mcp_bounds`` at amplitude gains g, e, private power p and power q
+    of each common codeword, with the elementwise functions ``ops``."""
     # (g, e)/4^j, (p, q)*16^j: the same P, exactly; at max(g, e)/4^j in [1, 4) no square overflows
     j = (math.frexp(max(g, e))[1] - 1) // 2 if g or e else 0
     if j:
         g, e = math.ldexp(g, -2 * j), math.ldexp(e, -2 * j)
-        p, q = np.ldexp(p, 4 * j), np.ldexp(q, 4 * j)
-    sq = np.sqrt(q)
+        p, q = ops.ldexp(p, 4 * j), ops.ldexp(q, 4 * j)
+    sq = ops.sqrt(q)
     private_gain, common_gain = 1.0 + p * (g * g), 1.0 + q * (g * g)
-    roots = [(p * (e * g) / private_gain, e * np.sqrt(p) / private_gain)]
+    roots = [(p * (e * g) / private_gain, e * ops.sqrt(p) / private_gain)]
     if e == 0.0:
         zero = 0.0 * p
         sg = sq * g
         roots += [(zero, zero), (sg * sg / common_gain, sg / common_gain),
-                  (zero, zero), _reciprocal(sg, sg, np.sqrt(private_gain))]
+                  (zero, zero), _reciprocal(sg, sg, ops.sqrt(private_gain))]
     else:
         # -b + root = q^(1/4)*(2e/m - i*(q^(1/4)*(g + e) + m)), where m is
         # -Im(root)/q^(1/4), positive for e > 0
-        quarter = np.sqrt(sq)
+        quarter = ops.sqrt(sq)
         spread = sq * ((e - g) ** 2)
-        m = np.sqrt(0.5 * (np.hypot(spread, 4.0 * e) + spread))
+        m = ops.sqrt(0.5 * (ops.hypot(spread, 4.0 * e) + spread))
         nr, ni = 2.0 * e / m, quarter * (g + e) + m
         sg, half = sq * g, quarter / (2.0 * common_gain)
         roots += [((nr - ni * sg) * half, (ni + nr * sg) * half),
-                  _reciprocal(2.0 * quarter * e, ni, nr), *_sum_roots(g, e, p, q)]
-    phis = _phi(np.array([v[0] for v in roots]), np.array([v[1] for v in roots]))
+                  _reciprocal(2.0 * quarter * e, ni, nr), *_sum_roots(g, e, p, q, ops)]
+    phis = _phi(roots, ops)
     private = capacity(p * g * g) + 2.0 * phis[0]
     total = capacity((p + q) * (g * g)) + 2.0 * (phis[3] + phis[4])
     return {(1, 0): private,
             (0, 1): capacity(q * g * g) + 2.0 * (phis[1] + phis[2]),
-            (1, 1): np.where(q == 0.0, private, total)[()]}
+            (1, 1): ops.select(q == 0.0, private, total)}
 
 
 # Label of each bound by its (coef_private, coef_common) key.

@@ -276,7 +276,7 @@ class TestMcpBounds:
     def test_array_powers_match_scalar_calls(self):
         # Every bound has the broadcast shape of the two powers, including
         # the private bound when only p_common is an array, and a scalar call
-        # gives the batch's floats bit for bit: both run the same array code.
+        # gives the batch's floats bit for bit.
         cases = [
             ([0.0, 0.5, 1.0, 3.0], [3.0, 2.5, 2.0, 0.0]),
             (1.5, [3.0, 2.5, 0.0]),
@@ -293,16 +293,68 @@ class TestMcpBounds:
                     assert np.shape(batched[key]) == pp.shape
                     assert batched[key][index] == value
 
+    @staticmethod
+    def _outcome(*args):
+        """``mcp_bounds(*args)`` as float64 bit patterns, first entries of a
+        batch, or the type of the warning or exception it raises; warnings
+        are errors."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                bounds = mcp_bounds(*args)
+            except (ArithmeticError, RuntimeWarning, ValueError) as exc:
+                return type(exc)
+        return {key: np.float64(np.ravel(bound)[0]).tobytes() for key, bound in bounds.items()}
+
+    # Gains: 0, tiny (the amplitude scaling takes the powers down, so a
+    # moderate power scales to a tiny or subnormal one), the paper's range,
+    # and 4 or more, where the power-of-4 amplitude scaling takes the powers
+    # up. Powers: 0, a wide range, subnormal, and near 1e300, where a batch
+    # may warn of an overflow.
+    GAIN_DRAWS = (lambda rng: 0.0, lambda rng: 10.0 ** rng.uniform(-320.0, -6.0),
+                  lambda rng: 10.0 ** rng.uniform(-6.0, 1.0),
+                  lambda rng: 4.0 * 10.0 ** rng.uniform(0.0, 6.0))
+    POWER_DRAWS = (lambda rng: 0.0, lambda rng: 10.0 ** rng.uniform(-3.0, 9.0),
+                   lambda rng: rng.uniform(0.0, 2.2e-308),
+                   lambda rng: 10.0 ** rng.uniform(299.0, 308.2))
+
+    # Python floats overflow silently, and each of these calls meets an
+    # overflow that the closed forms then absorb (x/inf = 0): in a, in
+    # _phi's |z| + |Re z|, in c's denominator and in sqrt(q)*g. A batch
+    # warns of it, and so must the scalar call.
+    ABSORBED_OVERFLOWS = [
+        (2.2775585516249022e+303, 0.25, 177502.5931200199, 0.0),
+        (25187220.254208695, 1.0337259650159474e-304, 0.0, 5.205508388718512e+300),
+        (1.8744122860007352e+303, 30.754204893062152, 1.0, 307965.4154192152),
+        (2.634809042928249e-16, 4351889.430014855, 1.7516491434534779e-06, 8.589677837202818e+301),
+    ]
+
     def test_scalar_call_equals_one_row_batch(self):
-        # complex arithmetic on numpy scalars rounds differently from the
-        # array loops, so a scalar call must not take a path of its own
+        # A scalar call runs on Python floats and a batch on arrays. At 300
+        # draws from the paper's range each scalar call returns Python
+        # floats equal to the batch's bit for bit. Then every pair of gain
+        # kinds meets every pair of power kinds, and the frozen overflow
+        # rows follow: each gives the batch's floats bit for bit, as Python
+        # floats, or the warning or exception the batch gives.
         rng = np.random.default_rng(19)
+        paper = []
         for _ in range(300):
             gamma2, eta2 = 10.0 ** rng.uniform(-6.0, 1.0, size=2)
             p_private, p_common = 10.0 ** rng.uniform(-3.0, 9.0, size=2)
-            scalar = mcp_bounds(eta2, gamma2, float(p_private), float(p_common))
-            row = mcp_bounds(eta2, gamma2, np.array([p_private]), np.array([p_common]))
-            assert all(scalar[key] == row[key][0] for key in scalar)
+            paper.append((float(eta2), float(gamma2), float(p_private), float(p_common)))
+        kinds = list(product(self.GAIN_DRAWS, self.GAIN_DRAWS, self.POWER_DRAWS, self.POWER_DRAWS))
+        edges = [tuple(float(draw(rng)) for draw in kind) for kind in kinds * 2]
+        rows = []
+        for args in paper + edges + self.ABSORBED_OVERFLOWS:
+            eta2, gamma2, p_private, p_common = args
+            row = self._outcome(eta2, gamma2, np.array([p_private]), np.array([p_common]))
+            assert self._outcome(*args) == row, args
+            if isinstance(row, dict):
+                assert all(type(bound) is float for bound in mcp_bounds(*args).values())
+            rows.append(row)
+        assert all(isinstance(row, dict) for row in rows[:len(paper)])
+        assert RuntimeWarning in rows[len(paper):-len(self.ABSORBED_OVERFLOWS)]
+        assert rows[-len(self.ABSORBED_OVERFLOWS):] == [RuntimeWarning] * len(self.ABSORBED_OVERFLOWS)
 
     @pytest.mark.parametrize("bounds_fn", [mac_bounds, coop_bounds])
     def test_rs_scalar_call_equals_one_row_batch(self, bounds_fn):
@@ -439,7 +491,7 @@ class TestMcpBounds:
     def test_flat_private_response(self, gamma2):
         for p in (1e-300, 1e-3, 1.0, 40.0, 1000.0):
             value = float(mcp_bounds(0.0, gamma2, p, 0.0)[(1, 0)])
-            assert value == pytest.approx(math.log1p(p * gamma2) / math.log(2.0), rel=1e-15)
+            assert value == pytest.approx(math.log1p(p * gamma2) / math.log(2.0), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("p_private", [1.5, np.linspace(0.0, 3.0, 7)])
     def test_no_linear_algebra(self, p_private, monkeypatch):
