@@ -14,14 +14,17 @@ rate is also the reference for the LP's sum at a fixed split), and
 per-inequality threshold inversions in exact decimal arithmetic. Oracles may
 be slow; they exist to certify, not to perform, and run as array expressions
 where that leaves their floats unchanged. A check reading several schemes of
-one network reads them off one ``schemes._Row``: each hop is solved once.
+one network reads them off one ``schemes._Row``: each hop is solved once. A
+check's (network, split) draws are one ``rng.random`` block, the same stream
+and floats as one scalar ``rng.uniform`` call per field, and its midpoint
+sums share one set of nodes and cosines per node count, built in the call.
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
 
@@ -147,9 +150,11 @@ def grid_max_sum(region: RateRegion, step: float) -> float:
     multiply and add round monotonically, so on each row R_p = rp[i] the test
     ``coef_private * R_p + coef_common * R_c <= bound + 1e-12`` holds on a
     prefix of the R_c column, and the row's best point is the prefix's last.
-    A bisection over all rows at once finds each prefix length in about
-    log2(columns) rounds of that same test. The result is the same float as
-    masking the whole lattice and taking the largest feasible R_p + R_c.
+    Every line's intercept on the row seeds the prefix's length, and rounds
+    of that same test over all rows at once move it to where the last
+    column passes and the next fails, in about two rounds. The result is
+    the same float as masking the whole lattice and taking the largest
+    feasible R_p + R_c.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
@@ -165,16 +170,26 @@ def grid_max_sum(region: RateRegion, step: float) -> float:
             ok &= h.coef_private * x + h.coef_common * y <= h.bound + 1e-12
         return ok
 
-    # prefix[i] points of row i are feasible; each round tries the next
-    # smaller power of two more
-    prefix = np.zeros(rp.size, dtype=np.intp)
-    bit = 1 << (rc.size.bit_length() - 1)
-    while bit:
-        probe = prefix + bit
-        fits = probe <= rc.size
-        fits[fits] = feasible(rp[fits], rc[probe[fits] - 1])
-        prefix[fits] = probe[fits]
-        bit >>= 1
+    def fits(column):  # the rows whose column index is in the lattice and feasible
+        ok = (column >= 0) & (column < rc.size)
+        ok[ok] = feasible(rp[ok], rc[column[ok]])
+        return ok
+
+    # prefix[i] points of row i are feasible. Each line's intercept seeds it
+    # (a coef_common == 0 line gives 0 or every column); the exact test then
+    # moves it, usually by a column at most, until column prefix - 1 passes
+    # and column prefix fails
+    prefix = np.full(rp.size, rc.size)
+    for h in halfspaces:
+        slack = h.bound + 1e-12 - h.coef_private * rp
+        with np.errstate(over="ignore"):  # a tiny coef_common: inf, clipped to every column
+            columns = (slack / h.coef_common / step + 1.0 if h.coef_common > 0
+                       else np.where(slack >= 0.0, np.inf, 0.0))
+        prefix = np.minimum(prefix, np.clip(columns, 0.0, rc.size).astype(np.intp))
+    while (down := (prefix > 0) & ~fits(prefix - 1)).any():
+        prefix -= down
+    while (up := fits(prefix)).any():
+        prefix += up
     rows = prefix > 0  # the last row may pass rp_max by up to half a step
     return float((rp[rows] + rc[prefix[rows] - 1]).max())
 
@@ -274,12 +289,17 @@ def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]
     return lower[:-1] + upper[:-1]
 
 
-def riemann_integral(integrand, n_nodes: int) -> float:
-    """Midpoint-rule sum of ``integrand`` over n uniform cells of [0, 1]."""
+def _midpoint_nodes(n_nodes: int) -> np.ndarray:
+    """The centres of n uniform cells of [0, 1]."""
+    return (np.arange(n_nodes) + 0.5) / n_nodes
+
+
+def riemann_integral(integrand, n_nodes: int, nodes=_midpoint_nodes) -> float:
+    """Midpoint-rule sum of ``integrand`` over n uniform cells of [0, 1];
+    ``nodes(n)`` gives the cell centres (a caller may pass its tables)."""
     if n_nodes < 2:
         raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
-    nodes = (np.arange(n_nodes) + 0.5) / n_nodes
-    return float(np.mean(integrand(nodes)))
+    return float(np.mean(integrand(nodes(n_nodes))))
 
 
 MIDPOINT_FIRST_NODES = 2 ** 10
@@ -287,7 +307,7 @@ MIDPOINT_MAX_NODES = 2 ** 20
 MIDPOINT_AGREEMENT = 1e-14
 
 
-def certified_midpoint(integrand) -> tuple[float, float, int]:
+def certified_midpoint(integrand, nodes=_midpoint_nodes) -> tuple[float, float, int]:
     """Midpoint rule over [0, 1] that doubles its node count until two
     successive sums agree.
 
@@ -298,21 +318,26 @@ def certified_midpoint(integrand) -> tuple[float, float, int]:
     sums agree or 2N reaches MIDPOINT_MAX_NODES. Returns (I(2N),
     |I(2N) - I(N)|, 2N); a non-smooth integrand reaches the cap and reports
     a difference above MIDPOINT_AGREEMENT, so callers must add it to any gap
-    they compare.
+    they compare. ``nodes`` is ``riemann_integral``'s.
     """
     n = MIDPOINT_FIRST_NODES
-    coarse = riemann_integral(integrand, n)
+    coarse = riemann_integral(integrand, n, nodes)
     while True:
         n *= 2
-        fine = riemann_integral(integrand, n)
+        fine = riemann_integral(integrand, n, nodes)
         ref_err = abs(fine - coarse)
         if ref_err <= MIDPOINT_AGREEMENT or n >= MIDPOINT_MAX_NODES:
             return fine, ref_err, n
         coarse = fine
 
 
+def _cosine(f, k: int):
+    """cos(2 pi k f) at the nodes ``f``."""
+    return np.cos(2.0 * np.pi * k * f)
+
+
 def mcp_reference_integrands(cross2: float, intra2: float,
-                             p_private: float, p_common: float) -> dict:
+                             p_private: float, p_common: float, cosine=_cosine) -> dict:
     """Spectral integrands for the joint-decoding bounds, rebuilt from the
     tap definitions (independent of the region builder's code), with
     ``mcp_bounds``' arguments.
@@ -320,14 +345,15 @@ def mcp_reference_integrands(cross2: float, intra2: float,
     Each response is a symmetric FIR filter, so its transfer function is the
     real cosine series t_0 + 2 * sum_k t_k cos(2 pi k f) of its one-sided taps:
     the private codeword sees [e, g, e], the common ones [e, g+e, g+2e, g+e, e].
+    ``cosine(f, k)`` is ``_cosine``'s value at the nodes, which a caller
+    integrating many cases on the same nodes may read from its tables.
     """
     g = math.sqrt(intra2)
     e = math.sqrt(cross2)
     per_code = p_common / 3.0
 
     def cosine_series(taps):
-        return lambda f: taps[0] + 2.0 * sum(t * np.cos(2.0 * np.pi * k * f)
-                                             for k, t in enumerate(taps[1:], 1))
+        return lambda f: taps[0] + 2.0 * sum(t * cosine(f, k) for k, t in enumerate(taps[1:], 1))
 
     h_private = cosine_series((g, e))
     h_common = cosine_series((g + 2 * e, g + e, e))
@@ -408,26 +434,42 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
+def _uniform(u, lo: float, hi: float):
+    """``rng.uniform(lo, hi)`` from the double ``u`` on [0, 1) it draws:
+    numpy's own ``lo + (hi - lo)*u``, so a block of ``rng.random`` gives the
+    floats of as many scalar calls."""
+    return lo + (hi - lo) * u
+
+
+def _networks(u: np.ndarray, paper_regime: bool) -> list[NetworkParams]:
+    """A network per row of uniforms, drawn in the order beta2, gamma2 (on
+    [0.2, 2.5]), alpha2, eta2 (on [0, beta2] and [0, gamma2], or up to
+    twice that out of the paper's regime), p1, p2 (log-uniform on
+    [0.05, 20]). The gains are Python float arithmetic, the powers one
+    ``np.exp`` call."""
+    reach = 1.0 if paper_regime else 2.0
+    powers = np.exp(_uniform(u[:, 4:6], math.log(0.05), math.log(20.0))).tolist()
+    networks = []
+    for (b, g, a, e, *_), (p1, p2) in zip(u.tolist(), powers):
+        beta2, gamma2 = _uniform(b, 0.2, 2.5), _uniform(g, 0.2, 2.5)
+        networks.append(NetworkParams(alpha2=_uniform(a, 0.0, reach * beta2), beta2=beta2,
+                                      gamma2=gamma2, eta2=_uniform(e, 0.0, reach * gamma2),
+                                      p1=p1, p2=p2))
+    return networks
+
+
 def _draw_params(rng: np.random.Generator, paper_regime: bool = True) -> NetworkParams:
-    beta2 = float(rng.uniform(0.2, 2.5))
-    gamma2 = float(rng.uniform(0.2, 2.5))
-    hi1 = beta2 if paper_regime else 2.0 * beta2
-    hi2 = gamma2 if paper_regime else 2.0 * gamma2
-    return NetworkParams(
-        alpha2=float(rng.uniform(0.0, hi1)),
-        beta2=beta2,
-        gamma2=gamma2,
-        eta2=float(rng.uniform(0.0, hi2)),
-        p1=float(np.exp(rng.uniform(math.log(0.05), math.log(20.0)))),
-        p2=float(np.exp(rng.uniform(math.log(0.05), math.log(20.0)))),
-    )
+    return _networks(rng.random((1, 6)), paper_regime)[0]
 
 
 def _draws(rng: np.random.Generator, count: int,
-           paper_regime: bool = True) -> Iterator[tuple[NetworkParams, HopSplit]]:
-    """``count`` (network, split) pairs, each network drawn before its split."""
-    for _ in range(count):
-        yield _draw_params(rng, paper_regime), HopSplit(float(rng.uniform(0.0, 1.0)))
+           paper_regime: bool = True) -> list[tuple[NetworkParams, HopSplit]]:
+    """``count`` (network, split) pairs, each network drawn before its split.
+    The draws are one ``rng.random`` block of seven uniforms per pair, the
+    same stream and floats as seven scalar ``rng.uniform`` calls; the
+    split's uniform on [0, 1) is the double itself."""
+    u = rng.random((count, 7))
+    return list(zip(_networks(u, paper_regime), map(HopSplit, u[:, 6].tolist())))
 
 
 def _worst(name: str, pairs, tol: float, ref_err: float | None = None) -> OracleReport:
@@ -491,13 +533,17 @@ def _check_quadrature_riemann(seed: int) -> OracleReport:
         eta2 = float(rng.uniform(0.0, 5.0))
         p2 = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
         cases.append((eta2, gamma2, p2, HopSplit(float(rng.uniform(0.0, 1.0)))))
+    # each node count's nodes and cosines, built once for all 72 integrals
+    nodes = functools.cache(_midpoint_nodes)
+    cosines = functools.cache(lambda n_nodes, k: _cosine(nodes(n_nodes), k))
     pairs = []
     ref_err = 0.0
     for eta2, gamma2, p2, split in cases:
         fast_bounds = mcp_bounds(eta2, gamma2, *split.powers(p2))
-        reference_fns = mcp_reference_integrands(eta2, gamma2, *split.powers(p2))
+        reference_fns = mcp_reference_integrands(eta2, gamma2, *split.powers(p2),
+                                                 lambda f, k: cosines(f.size, k))
         for name, key in (("private", (1, 0)), ("common", (0, 1)), ("sum", (1, 1))):
-            reference, err, _ = certified_midpoint(reference_fns[name])
+            reference, err, _ = certified_midpoint(reference_fns[name], nodes)
             ref_err = max(ref_err, err)
             pairs.append((reference, fast_bounds[key]))
     return _worst("quadrature-riemann", pairs, 1e-12, ref_err)

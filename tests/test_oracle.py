@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import numpy as np
@@ -126,17 +126,32 @@ class TestGridMaxSum:
 
     @pytest.mark.parametrize("paper_regime", [True, False], ids=["in-regime", "out-of-regime"])
     def test_same_float_as_mask_on_builder_regions(self, paper_regime):
+        # All four region kinds alone, and coop and mcp intersected with hop 1
+        # as one region. Each draw's splits are all-common (f = 0),
+        # all-private (f = 1) and a uniform split on each hop. A lattice whose
+        # last row lies past the private bound, so that its (1, 0) line fails
+        # there and the row's prefix is 0, must occur.
         rng = np.random.default_rng(11 if paper_regime else 12)
+        rows_past_bound = 0
         for _ in range(12):
             params = oracle._draw_params(rng, paper_regime)
-            hop1 = hop1_region(params, HopSplit(float(rng.uniform(0.0, 1.0))))
-            split2 = HopSplit(float(rng.uniform(0.0, 1.0)))
-            # coop and mcp intersected with hop 1, as one region
-            joint = [RateRegion(hop1.halfspaces + builder(params, split2).halfspaces, "joint")
-                     for builder in (hop2_coop_region, hop2_mcp_region)]
-            for region in [hop1, hop2_rs_region(params, split2), *joint]:
-                for step in (1e-3, 7e-3, 0.05, 0.5):
-                    assert grid_max_sum(region, step) == self.masked_max_sum(region, step)
+            uniform = tuple(HopSplit(float(rng.uniform(0.0, 1.0))) for _ in range(2))
+            for split1, split2 in [(HopSplit(0.0), HopSplit(0.0)), (HopSplit(1.0), HopSplit(1.0)),
+                                   (HopSplit(0.0), HopSplit(1.0)), uniform]:
+                hop1 = hop1_region(params, split1)
+                hop2 = [builder(params, split2)
+                        for builder in (hop2_rs_region, hop2_coop_region, hop2_mcp_region)]
+                joint = [RateRegion(hop1.halfspaces + region.halfspaces, "joint")
+                         for region in hop2[1:]]
+                for region in [hop1, *hop2, *joint]:
+                    rp_max = min(h.bound / h.coef_private
+                                 for h in region.halfspaces if h.coef_private > 0)
+                    for step in (1e-3, 3.7e-3, 7e-3, 1e-2, 0.05, 0.5):
+                        assert grid_max_sum(region, step) == self.masked_max_sum(region, step)
+                        last_row = np.arange(0.0, rp_max + step / 2.0, step)[-1]
+                        rows_past_bound += any(h.coef_private * last_row > h.bound + 1e-12
+                                               for h in region.halfspaces if h.coef_common == 0)
+        assert rows_past_bound > 0
 
     @pytest.mark.parametrize("lines,step,expected", [
         # every line passes through lattice points
@@ -145,7 +160,16 @@ class TestGridMaxSum:
         ([(1, 0, 1.3), (0, 1, 0.0), (1, 1, 2.0)], 0.1, 1.3),
         # the last lattice row, 1.2, lies past the private bound 1.1
         ([(1, 0, 1.1), (0, 1, 1.0), (1, 2, 2.0)], 0.4, 1.2),
-    ], ids=["through-lattice-points", "zero-common-bound", "row-past-bound"])
+        # bounds 1e-12 under lattice sums, at the test's tolerance: a line's
+        # intercept seeds one column too many on some row, which the exact
+        # test takes back, or one too few, which it adds
+        ([(1, 0, 3.9 - 1e-12), (0, 1, 3.9 - 1e-12), (3, 3, 3.9 - 1e-12)], 0.1, 1.2),
+        ([(1, 0, 2.8 - 1e-12), (0, 1, 2.8 - 1e-12), (2, 2, 2.8 - 1e-12)], 0.1, 1.4),
+        # a subnormal common coefficient: the line's intercept lies past a
+        # float, and every column of each row passes it
+        ([(1, 0, 1.0), (0, 1, 1.0), (1, 1e-320, 1.5)], 0.01, 2.0),
+    ], ids=["through-lattice-points", "zero-common-bound", "row-past-bound",
+            "seed-column-over", "seed-column-short", "subnormal-coefficient"])
     def test_same_float_as_mask_on_hand_regions(self, lines, step, expected):
         region = RateRegion(halfspaces=tuple(Halfspace(a, b, c, f"h{i}")
                                              for i, (a, b, c) in enumerate(lines)),
@@ -483,6 +507,132 @@ class TestRegionReductionCheck:
         largest = max(gap([k]) for k in range(40))
         assert largest > 1e-3  # out of regime the regions differ
         assert gap(slice(None)) == largest
+
+
+def scalar_params(rng, paper_regime=True):
+    """A network from one scalar ``rng.uniform`` call per field: the
+    reference for the batched draws."""
+    beta2 = float(rng.uniform(0.2, 2.5))
+    gamma2 = float(rng.uniform(0.2, 2.5))
+    hi1 = beta2 if paper_regime else 2.0 * beta2
+    hi2 = gamma2 if paper_regime else 2.0 * gamma2
+    return NetworkParams(
+        alpha2=float(rng.uniform(0.0, hi1)),
+        beta2=beta2,
+        gamma2=gamma2,
+        eta2=float(rng.uniform(0.0, hi2)),
+        p1=float(np.exp(rng.uniform(math.log(0.05), math.log(20.0)))),
+        p2=float(np.exp(rng.uniform(math.log(0.05), math.log(20.0)))),
+    )
+
+
+def scalar_draws(rng, count, paper_regime=True):
+    """``count`` (network, split) pairs in scalar ``rng.uniform`` calls."""
+    return [(scalar_params(rng, paper_regime), HopSplit(float(rng.uniform(0.0, 1.0))))
+            for _ in range(count)]
+
+
+def _bits(records):
+    """Every field of the records, each float as its hex form, so that the
+    comparison is bit for bit (0.0 and -0.0 differ)."""
+    return [value.hex() if isinstance(value, float) else value
+            for record in records for value in astuple(record)]
+
+
+class TestDraws:
+    """``_draws`` and ``_draw_params`` take their uniforms as one
+    ``rng.random`` block, and give the floats and the generator state of
+    the scalar calls."""
+
+    @pytest.mark.parametrize("paper_regime", [True, False], ids=["in-regime", "out-of-regime"])
+    def test_same_floats_and_stream_as_scalar_calls(self, paper_regime):
+        for seed in range(100):
+            for index in range(1, len(oracle._CHECKS) + 1):
+                block, scalar = oracle._rng(seed, index), oracle._rng(seed, index)
+                count = index % 7  # 0 to 6 pairs
+                got = oracle._draws(block, count, paper_regime)
+                want = scalar_draws(scalar, count, paper_regime)
+                assert _bits(record for pair in got for record in pair) == \
+                    _bits(record for pair in want for record in pair)
+                assert _bits([oracle._draw_params(block, paper_regime)]) == \
+                    _bits([scalar_params(scalar, paper_regime)])
+                # what a check draws after them, e.g. quadrature-riemann's
+                # high-gain networks and vertex-walk's splits, keeps its stream
+                assert block.bit_generator.state == scalar.bit_generator.state
+
+
+class TestQuadratureRiemannCheck:
+    """``quadrature-riemann`` shares each node count's nodes and cosines
+    among its 24 cases and three integrands."""
+
+    @staticmethod
+    def one_at_a_time(cross2, intra2, p_private, p_common):
+        """The certified midpoint value, error and node count of each
+        integrand, each cosine and node set evaluated in its own call."""
+        g, e = math.sqrt(intra2), math.sqrt(cross2)
+        per_code = p_common / 3.0
+
+        def cosine_series(taps):
+            return lambda f: taps[0] + 2.0 * sum(t * np.cos(2.0 * np.pi * k * f)
+                                                 for k, t in enumerate(taps[1:], 1))
+
+        def midpoint(integrand, n):
+            return float(np.mean(integrand((np.arange(n) + 0.5) / n)))
+
+        def certified(integrand):
+            n = oracle.MIDPOINT_FIRST_NODES
+            coarse = midpoint(integrand, n)
+            while True:
+                n *= 2
+                fine = midpoint(integrand, n)
+                err = abs(fine - coarse)
+                if err <= oracle.MIDPOINT_AGREEMENT or n >= oracle.MIDPOINT_MAX_NODES:
+                    return fine, err, n
+                coarse = fine
+
+        h_private = cosine_series((g, e))
+        h_common = cosine_series((g + 2 * e, g + e, e))
+        ln2 = math.log(2.0)
+        return [certified(integrand) for integrand in (
+            lambda f: np.log1p(p_private * h_private(f) ** 2) / ln2,
+            lambda f: np.log1p(per_code * h_common(f) ** 2) / ln2,
+            lambda f: np.log1p(p_private * h_private(f) ** 2 + per_code * h_common(f) ** 2) / ln2,
+        )]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+    def test_same_sums_as_one_integrand_at_a_time(self, monkeypatch, seed):
+        certified, cosines = [], []
+        original_certified, original_cosine = oracle.certified_midpoint, oracle._cosine
+
+        def recording_certified(*args):
+            certified.append(original_certified(*args))
+            return certified[-1]
+
+        def recording_cosine(f, k):
+            cosines.append((f.size, k))
+            return original_cosine(f, k)
+
+        monkeypatch.setattr(oracle, "certified_midpoint", recording_certified)
+        monkeypatch.setattr(oracle, "_cosine", recording_cosine)
+        assert oracle._check_quadrature_riemann(seed).passed
+        # the parent's cases: twelve (network, split) draws, then twelve at
+        # high inter-cell gain, in scalar calls
+        rng = oracle._rng(seed, 4)
+        cases = [(params.eta2, params.gamma2, params.p2, split)
+                 for params, split in scalar_draws(rng, 12)]
+        for _ in range(12):
+            gamma2 = float(rng.uniform(0.2, 2.5))
+            eta2 = float(rng.uniform(0.0, 5.0))
+            p2 = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
+            cases.append((eta2, gamma2, p2, HopSplit(float(rng.uniform(0.0, 1.0)))))
+        expected = [triple for eta2, gamma2, p2, split in cases
+                    for triple in self.one_at_a_time(eta2, gamma2, *split.powers(p2))]
+        assert len(certified) == 72
+        assert [(value.hex(), err.hex(), n) for value, err, n in certified] == \
+            [(value.hex(), err.hex(), n) for value, err, n in expected]
+        # each node count's two cosines, once for the whole check
+        assert sorted(cosines) == sorted(set(cosines))
+        assert {k for _, k in cosines} == {1, 2}
 
 
 class TestSubstitutionSymmetryCheck:
