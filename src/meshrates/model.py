@@ -142,9 +142,11 @@ class RatePair:
     r_common: float
 
     def __post_init__(self) -> None:
-        for name, r in (("r_private", self.r_private), ("r_common", self.r_common)):
-            if not (math.isfinite(r) and r >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {r!r}")
+        x, y = self.r_private, self.r_common
+        # one expression; math.isfinite raises on a non-number, r_private first
+        if not (math.isfinite(x) and x >= 0.0 and math.isfinite(y) and y >= 0.0):
+            name, r = ("r_common", y) if math.isfinite(x) and x >= 0.0 else ("r_private", x)
+            raise ValueError(f"{name} must be finite and non-negative, got {r!r}")
 
     @property
     def total(self) -> float:

@@ -15,9 +15,10 @@ per-inequality threshold inversions in exact decimal arithmetic. Oracles may
 be slow; they exist to certify, not to perform, and run as array expressions
 where that leaves their floats unchanged. A check reading several schemes of
 one network reads them off one ``schemes._Row``: each hop is solved once. A
-check's (network, split) draws are one ``rng.random`` block, the same stream
-and floats as one scalar ``rng.uniform`` call per field, and its midpoint
-sums share one set of nodes and cosines per node count, built in the call.
+check's draws are one ``rng.random`` block, the same stream and floats as
+one scalar ``rng.uniform`` call per field, and its midpoint sums share one
+set of nodes and cosines per node count, built in the call, and each case's
+two squared responses per node count, dropped with the case.
 """
 
 from __future__ import annotations
@@ -336,8 +337,8 @@ def _cosine(f, k: int):
     return np.cos(2.0 * np.pi * k * f)
 
 
-def mcp_reference_integrands(cross2: float, intra2: float,
-                             p_private: float, p_common: float, cosine=_cosine) -> dict:
+def mcp_reference_integrands(cross2: float, intra2: float, p_private: float, p_common: float,
+                             cosine=_cosine, shared=lambda response: response) -> dict:
     """Spectral integrands for the joint-decoding bounds, rebuilt from the
     tap definitions (independent of the region builder's code), with
     ``mcp_bounds``' arguments.
@@ -346,7 +347,10 @@ def mcp_reference_integrands(cross2: float, intra2: float,
     real cosine series t_0 + 2 * sum_k t_k cos(2 pi k f) of its one-sided taps:
     the private codeword sees [e, g, e], the common ones [e, g+e, g+2e, g+e, e].
     ``cosine(f, k)`` is ``_cosine``'s value at the nodes, which a caller
-    integrating many cases on the same nodes may read from its tables.
+    integrating many cases on the same nodes may read from its tables. The
+    "sum" integrand adds the two squared responses p_private*h_private^2 and
+    (p_common/3)*h_common^2 that the other two take; ``shared(response)``
+    wraps each, so that a caller may evaluate it once per set of nodes.
     """
     g = math.sqrt(intra2)
     e = math.sqrt(cross2)
@@ -357,12 +361,13 @@ def mcp_reference_integrands(cross2: float, intra2: float,
 
     h_private = cosine_series((g, e))
     h_common = cosine_series((g + 2 * e, g + e, e))
+    private = shared(lambda f: p_private * h_private(f) ** 2)
+    common = shared(lambda f: per_code * h_common(f) ** 2)
     ln2 = math.log(2.0)  # log2(1 + x) as log1p(x)/ln 2, accurate where 1 + x rounds
     return {
-        "private": lambda f: np.log1p(p_private * h_private(f) ** 2) / ln2,
-        "common": lambda f: np.log1p(per_code * h_common(f) ** 2) / ln2,
-        "sum": lambda f: np.log1p(p_private * h_private(f) ** 2
-                                  + per_code * h_common(f) ** 2) / ln2,
+        "private": lambda f: np.log1p(private(f)) / ln2,
+        "common": lambda f: np.log1p(common(f)) / ln2,
+        "sum": lambda f: np.log1p(private(f) + common(f)) / ln2,
     }
 
 
@@ -503,12 +508,16 @@ def _check_region_reduction(seed: int) -> OracleReport:
 
 
 def _check_vertex_a_sum(seed: int) -> OracleReport:
+    """The two-stage corner sum rate, all 150 draws in one array call, against
+    the first hop's max-sum LP at each draw's split."""
     rng = _rng(seed, 2)
-    pairs = []
-    for params, split in _draws(rng, 150):
-        corner_sum = float(_two_stage_rate(split.f_private, *params.hop(1)))
-        pairs.append((corner_sum, max_sum_rate(hop1_region(params, split)).value))
-    return _worst("vertex-a-sum", pairs, 1e-9)
+    draws = _draws(rng, 150)
+    fs = np.array([split.f_private for _, split in draws])
+    hops = np.array([params.hop(1) for params, _ in draws])
+    corner_sums = _two_stage_rate(fs, *hops.T).tolist()
+    return _worst("vertex-a-sum", [
+        (corner_sum, max_sum_rate(hop1_region(params, split)).value)
+        for corner_sum, (params, split) in zip(corner_sums, draws)], 1e-9)
 
 
 def _check_lp_vs_grid(seed: int) -> OracleReport:
@@ -521,6 +530,19 @@ def _check_lp_vs_grid(seed: int) -> OracleReport:
     return _worst("lp-vs-grid", pairs, 5 * step)
 
 
+def _draw_high_gain(rng: np.random.Generator,
+                    count: int) -> list[tuple[float, float, float, HopSplit]]:
+    """``count`` second hops at high inter-cell gain as (eta2, gamma2, p2,
+    split), drawn in the order gamma2 (on [0.2, 2.5]), eta2 (on [0, 5]), p2
+    (log-uniform on [1e-3, 1e3]) and the split: one ``rng.random`` block, the
+    same stream and floats as four scalar ``rng.uniform`` calls per hop, and
+    p2 in one ``np.exp`` call."""
+    u = rng.random((count, 4))
+    powers = np.exp(_uniform(u[:, 2], math.log(1e-3), math.log(1e3))).tolist()
+    return [(_uniform(e, 0.0, 5.0), _uniform(g, 0.2, 2.5), p2, HopSplit(f))
+            for (g, e, _, f), p2 in zip(u.tolist(), powers)]
+
+
 def _check_quadrature_riemann(seed: int) -> OracleReport:
     """``mcp_bounds`` against the certified midpoint reference: the
     check passes iff the largest gap plus the largest reference error is
@@ -528,20 +550,21 @@ def _check_quadrature_riemann(seed: int) -> OracleReport:
     inter-cell gain (eta2 up to 5) and powers from 1e-3 to 1e3."""
     rng = _rng(seed, 4)
     cases = [(*params.hop(2), split) for params, split in _draws(rng, 12)]
-    for _ in range(12):
-        gamma2 = float(rng.uniform(0.2, 2.5))
-        eta2 = float(rng.uniform(0.0, 5.0))
-        p2 = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
-        cases.append((eta2, gamma2, p2, HopSplit(float(rng.uniform(0.0, 1.0)))))
+    cases += _draw_high_gain(rng, 12)
     # each node count's nodes and cosines, built once for all 72 integrals
     nodes = functools.cache(_midpoint_nodes)
     cosines = functools.cache(lambda n_nodes, k: _cosine(nodes(n_nodes), k))
+
+    def per_node_count(response):  # a case's squared response, freed with the case
+        values = functools.cache(lambda n_nodes: response(nodes(n_nodes)))
+        return lambda f: values(f.size)
+
     pairs = []
     ref_err = 0.0
     for eta2, gamma2, p2, split in cases:
         fast_bounds = mcp_bounds(eta2, gamma2, *split.powers(p2))
         reference_fns = mcp_reference_integrands(eta2, gamma2, *split.powers(p2),
-                                                 lambda f, k: cosines(f.size, k))
+                                                 lambda f, k: cosines(f.size, k), per_node_count)
         for name, key in (("private", (1, 0)), ("common", (0, 1)), ("sum", (1, 1))):
             reference, err, _ = certified_midpoint(reference_fns[name], nodes)
             ref_err = max(ref_err, err)
@@ -572,25 +595,28 @@ def _check_substitution_symmetry(seed: int) -> OracleReport:
     return _worst("substitution-symmetry", pairs, 1e-15)
 
 
-def _draw_vsi(rng: np.random.Generator) -> tuple[float, float]:
-    return (float(rng.uniform(0.1, 3.0)),
-            float(np.exp(rng.uniform(math.log(0.01), math.log(20.0)))))
+def _draw_vsi(rng: np.random.Generator, count: int, beta2_max: float = 3.0,
+              p1_max: float = 20.0) -> list[tuple[float, float]]:
+    """``count`` (beta2, p1) pairs, beta2 uniform on [0.1, ``beta2_max``] and
+    p1 log-uniform on [0.01, ``p1_max``], drawn in that order: one
+    ``rng.random`` block, the same stream and floats as two scalar
+    ``rng.uniform`` calls per pair, and p1 in one ``np.exp`` call."""
+    u = rng.random((count, 2))
+    powers = np.exp(_uniform(u[:, 1], math.log(0.01), math.log(p1_max))).tolist()
+    return [(_uniform(b, 0.1, beta2_max), p1) for b, p1 in zip(u[:, 0].tolist(), powers)]
 
 
 def _check_vsi_exact_agree(seed: int) -> OracleReport:
     rng = _rng(seed, 6)
-    pairs = []
-    for _ in range(50):
-        beta2, p1 = _draw_vsi(rng)
-        pairs.append((vsi_exact_solve(beta2, p1), schemes.vsi_threshold(beta2, p1, method="exact")))
+    pairs = [(vsi_exact_solve(beta2, p1), schemes.vsi_threshold(beta2, p1, method="exact"))
+             for beta2, p1 in _draw_vsi(rng, 50)]
     return _worst("vsi-exact-agree", pairs, 1e-12)
 
 
 def _check_vsi_certificate(seed: int) -> OracleReport:
     rng = _rng(seed, 7)
     failures = 0
-    for _ in range(50):
-        beta2, p1 = _draw_vsi(rng)
+    for beta2, p1 in _draw_vsi(rng, 50):
         threshold = vsi_exact_solve(beta2, p1)
         ok_at, _ = schemes.vsi_check(_first_hop_network(threshold, beta2, p1))
         ok_below, _ = schemes.vsi_check(_first_hop_network(0.99 * threshold, beta2, p1))
@@ -606,9 +632,7 @@ def _check_vsi_paper_sufficient(seed: int) -> OracleReport:
     rng = _rng(seed, 8)
     gap = 0.0
     failures = 0
-    for _ in range(50):
-        beta2 = float(rng.uniform(0.1, 1.0))
-        p1 = float(np.exp(rng.uniform(math.log(0.01), math.log(2.0))))
+    for beta2, p1 in _draw_vsi(rng, 50, beta2_max=1.0, p1_max=2.0):
         exact = schemes.vsi_threshold(beta2, p1, method="exact")
         paper = schemes.vsi_threshold(beta2, p1, method="paper")
         gap = max(gap, exact - paper)
@@ -620,10 +644,11 @@ def _check_vsi_paper_sufficient(seed: int) -> OracleReport:
 
 def _check_vsi_a2_dominates_a1(seed: int) -> OracleReport:
     gap = 0.0
-    for beta2 in np.linspace(0.1, 3.0, 20):
-        for p1 in np.geomspace(0.01, 20.0, 20):
+    powers = np.geomspace(0.01, 20.0, 20).tolist()
+    for beta2 in np.linspace(0.1, 3.0, 20).tolist():
+        for p1 in powers:
             a1 = beta2 * max(p1 / 2.0 + 1.0, beta2 * p1 + 1.0)
-            a2 = schemes.vsi_threshold(float(beta2), float(p1), method="paper")
+            a2 = schemes.vsi_threshold(beta2, p1, method="paper")
             gap = max(gap, a1 - a2)
     return _within("vsi-a2-dominates-a1", gap, 1e-12)
 

@@ -10,6 +10,9 @@ broadcast over grids of two hops' power splits. ``max_sum_rate`` wraps it.
 Every region is down-closed (``regions.Halfspace``), so ``vertices`` walks
 the upper envelope of its lines from R_p = 0 instead of enumerating pairwise
 intersections (``oracle.enumerated_vertices`` still does, as the reference).
+A region has a handful of lines, so the walk is plain loops over tuples:
+key functions and a list of crossings per step would cost more than the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -103,7 +106,8 @@ def _meet(first, second) -> tuple[float, float]:
     det = a1 * b2 - a2 * b1
     x = (c1 * b2 - c2 * b1) / det
     y = (a1 * c2 - a2 * c1) / det
-    return max(x, 0.0) + 0.0, max(y, 0.0) + 0.0  # +0.0 normalizes -0.0
+    # max(x, 0.0) without the call; +0.0 normalizes -0.0
+    return (0.0 if x < 0.0 else x) + 0.0, (0.0 if y < 0.0 else y) + 0.0
 
 
 def vertices(region: RateRegion) -> list[RatePair]:
@@ -123,19 +127,29 @@ def vertices(region: RateRegion) -> list[RatePair]:
     the origin.
     """
     lines = [(h.coef_private, h.coef_common, h.bound) for h in region.halfspaces]
-    extent = min((line for line in lines if line[0] > 0), key=lambda l: l[2] / l[0])
+    extent = None  # the first line of least R_p-intercept
+    for line in lines:
+        if line[0] > 0 and (extent is None or line[2] / line[0] < reach):
+            extent, reach = line, line[2] / line[0]
     corner = _meet(extent, _AXIS_COMMON)
-    # steepest first, so that min() breaks every tie toward the steepest line
-    sloped = sorted((line for line in lines if line[1] > 0), key=lambda l: -l[0] / l[1])
-    line = min(sloped, key=lambda l: l[2] / l[1])
+    # steepest first (a stable sort on -a/b), so that each strict < below
+    # breaks every tie toward the steepest line
+    sloped = [line for _, _, line in sorted([(-line[0] / line[1], i, line)
+                                             for i, line in enumerate(lines) if line[1] > 0])]
+    line = sloped[0]  # of least R_c-intercept
+    for other in sloped:
+        if other[2] / other[1] < line[2] / line[1]:
+            line = other
     top = [_meet(line, _AXIS_PRIVATE)]  # the upper boundary, left to right
     while True:
-        crossings = [(_meet(line, other), other) for other in sloped
-                     if other[0] * line[1] > line[0] * other[1]]
-        if not crossings:
-            break
-        point, successor = min(crossings, key=lambda m: m[0][0])
-        if point[0] >= corner[0]:
+        a, b, _ = line
+        point = None  # the crossing of least R_p by a steeper line
+        for other in sloped:
+            if other[0] * b > a * other[1]:
+                crossing = _meet(line, other)
+                if point is None or crossing[0] < point[0]:
+                    point, successor = crossing, other
+        if point is None or point[0] >= corner[0]:
             break
         top.append(point)
         line = successor

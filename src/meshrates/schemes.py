@@ -5,7 +5,9 @@ supports; the hops are stated in ``regions``, and this module only
 optimizes their power splits. A rate-splitting hop's own split (both hops
 of rate splitting, hop 1 of every scheme, coop's hop 2) is optimized in
 closed form from its ``regions._RsGains``: the corner sum rate peaks at one
-of a few candidate fractions, whose corners are evaluated once. Each such
+of a few candidate fractions, whose corners are evaluated once, on Python
+floats: numpy's per-call cost outweighs the work on two to five candidates,
+and the floats are those of the array form. Each such
 optimum caps the joint (f1, f2) rate of coop and mcp, so their search, all
 of it in ``_joint``, first scores the smaller cap's split against every
 tenth split of the other hop's 101-split grid, then all 101: a cell that
@@ -122,17 +124,22 @@ def single_rate(params: NetworkParams, row: _Row | None = None) -> SchemeResult:
 # Per-hop split optimization (1-D)
 # ---------------------------------------------------------------------------
 
-def _pick_last_max(values: np.ndarray, tie_tol: float = 1e-12) -> int:
-    """Index of the maximum, resolving near-ties toward the last (largest f).
-    A tie is within ``tie_tol`` relative to the maximum, with a floor at the
-    smallest normal float, so it does not depend on the power's scale."""
-    top = float(values.max())
-    if math.isnan(top):
+def _pick_last_max(values, tie_tol: float = 1e-12) -> int:
+    """Index of the maximum of a numpy array or a list of floats, resolving
+    near-ties toward the last (largest f). A tie is within ``tie_tol``
+    relative to the maximum, with a floor at the smallest normal float, so it
+    does not depend on the power's scale."""
+    grid = isinstance(values, np.ndarray)
+    top = float(values.max()) if grid else max(values)
+    if math.isnan(top) or not grid and any(map(math.isnan, values)):
         raise ValueError("a scored rate is NaN, so no maximum can be picked")
-    return int(np.nonzero(values >= top - tie_tol * max(top, sys.float_info.min))[0][-1])
+    floor = top - tie_tol * max(top, sys.float_info.min)
+    if grid:
+        return int(np.nonzero(values >= floor)[0][-1])
+    return max(i for i, value in enumerate(values) if value >= floor)
 
 
-def _hop_split_candidates(gains: _RsGains, total: float) -> np.ndarray:
+def _hop_split_candidates(gains: _RsGains, total: float) -> list[float]:
     """Private power fractions, ascending, among which the hop's corner sum
     rate attains its maximum.
 
@@ -171,7 +178,7 @@ def _hop_split_candidates(gains: _RsGains, total: float) -> np.ndarray:
     disc = b * b - 4.0 * a * c
     q = -0.5 * (b + math.copysign(math.sqrt(disc), b)) if disc >= 0.0 else math.nan
     xs.append(total - (1.0 + (n_p + g_p) * total) * (c / q if q else math.nan))
-    return np.array([0.0, *sorted(f for f in (x / total for x in xs) if 0.0 < f < 1.0), 1.0])
+    return [0.0, *sorted(f for f in (x / total for x in xs) if 0.0 < f < 1.0), 1.0]
 
 
 class _Hop:
@@ -184,12 +191,14 @@ class _Hop:
     def __init__(self, gains: _RsGains, total: float) -> None:
         self.gains, self.total = gains, total
         fs = _hop_split_candidates(gains, total)
-        r_private, rc_two, rc_three = _corner(gains, *split_powers(fs, total))
-        values = r_private + np.minimum(rc_two, rc_three)
+        values = []
+        for f in fs:  # Python floats: 2 to 5 candidates cost less than numpy's calls
+            r_private, rc_two, rc_three = _corner(gains, *split_powers(f, total))
+            values.append(r_private + min(rc_two, rc_three))
         # ties only at rounding level: an interior optimum a few ulps up wins
         idx = _pick_last_max(values, tie_tol=1e-15)
-        self.split = HopSplit(float(fs[idx]))
-        self.value = float(values[idx])
+        self.split = HopSplit(fs[idx])
+        self.value = values[idx]
 
     @cached_property
     def bounds(self) -> dict:

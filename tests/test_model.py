@@ -179,3 +179,34 @@ class TestRatePair:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             RatePair(-0.1, 0.0)
+
+    @staticmethod
+    def per_coordinate(r_private, r_common):
+        """The check in its former form, one coordinate at a time, kept as a
+        reference: the exception it raises, as (type, message), or None."""
+        try:
+            for name, r in (("r_private", r_private), ("r_common", r_common)):
+                if not (math.isfinite(r) and r >= 0.0):
+                    raise ValueError(f"{name} must be finite and non-negative, got {r!r}")
+        except Exception as exc:  # noqa: BLE001 - the type is what is compared
+            return type(exc), str(exc)
+        return None
+
+    def test_same_exception_as_per_coordinate_check(self):
+        # every pair of good and bad values, in either coordinate: the first
+        # bad coordinate names the error, and a non-number raises TypeError
+        # (a str) or OverflowError (an int past the float range) from
+        # math.isfinite, as before
+        values = [0.0, -0.0, 5e-324, 1.5, 10 ** 300, math.nan, math.inf, -math.inf, -1e-300,
+                  -2, 10 ** 400, -(10 ** 400), "0.5"]
+        for r_private in values:
+            for r_common in values:
+                want = self.per_coordinate(r_private, r_common)
+                try:
+                    RatePair(r_private, r_common)
+                    got = None
+                except Exception as exc:  # noqa: BLE001
+                    got = type(exc), str(exc)
+                assert got == want, (r_private, r_common)
+        assert {kind for kind, _ in filter(None, (self.per_coordinate(v, 0.0) for v in values))} \
+            == {ValueError, TypeError, OverflowError}

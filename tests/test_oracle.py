@@ -561,6 +561,52 @@ class TestDraws:
                 assert block.bit_generator.state == scalar.bit_generator.state
 
 
+    @staticmethod
+    def scalar_vsi(rng, count, beta2_max=3.0, p1_max=20.0):
+        """(beta2, p1) pairs in scalar ``rng.uniform`` calls, as
+        vsi-exact-agree, vsi-certificate and vsi-paper-sufficient drew them."""
+        return [(float(rng.uniform(0.1, beta2_max)),
+                 float(np.exp(rng.uniform(math.log(0.01), math.log(p1_max)))))
+                for _ in range(count)]
+
+    @staticmethod
+    def scalar_high_gain(rng, count):
+        """quadrature-riemann's high-gain hops in scalar ``rng.uniform`` calls."""
+        cases = []
+        for _ in range(count):
+            gamma2 = float(rng.uniform(0.2, 2.5))
+            eta2 = float(rng.uniform(0.0, 5.0))
+            p2 = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
+            cases.append((eta2, gamma2, p2, HopSplit(float(rng.uniform(0.0, 1.0)))))
+        return cases
+
+    @pytest.mark.parametrize("limits", [(3.0, 20.0), (1.0, 2.0)], ids=["vsi", "vsi-paper"])
+    def test_vsi_draws_same_floats_and_stream_as_scalar_calls(self, limits):
+        for seed in range(100):
+            for index in (6, 7, 8):
+                block, scalar = oracle._rng(seed, index), oracle._rng(seed, index)
+                count = 50 if seed % 10 == 0 else seed % 7
+                got = oracle._draw_vsi(block, count, *limits)
+                want = self.scalar_vsi(scalar, count, *limits)
+                assert [(b.hex(), p.hex()) for b, p in got] == \
+                    [(b.hex(), p.hex()) for b, p in want]
+                assert all(type(b) is float and type(p) is float for b, p in got)
+                assert block.bit_generator.state == scalar.bit_generator.state
+
+    def test_high_gain_draws_same_floats_and_stream_as_scalar_calls(self):
+        for seed in range(100):
+            block, scalar = oracle._rng(seed, 4), oracle._rng(seed, 4)
+            # after the twelve network draws, as in the check
+            oracle._draws(block, 12)
+            scalar_draws(scalar, 12)
+            count = 12 if seed % 10 == 0 else seed % 7
+            got = oracle._draw_high_gain(block, count)
+            want = self.scalar_high_gain(scalar, count)
+            assert [(*map(float.hex, case[:3]), case[3].f_private.hex()) for case in got] == \
+                [(*map(float.hex, case[:3]), case[3].f_private.hex()) for case in want]
+            assert block.bit_generator.state == scalar.bit_generator.state
+
+
 class TestQuadratureRiemannCheck:
     """``quadrature-riemann`` shares each node count's nodes and cosines
     among its 24 cases and three integrands."""
@@ -612,19 +658,29 @@ class TestQuadratureRiemannCheck:
             cosines.append((f.size, k))
             return original_cosine(f, k)
 
+        # every cosine series evaluated calls its ``cosine`` once at k = 1
+        series = []
+        original_integrands = oracle.mcp_reference_integrands
+
+        def recording_integrands(*args, **kwargs):
+            *head, cosine, shared = args
+
+            def counting_cosine(f, k):
+                if k == 1:
+                    series.append(f.size)
+                return cosine(f, k)
+            return original_integrands(*head, counting_cosine, shared, **kwargs)
+
         monkeypatch.setattr(oracle, "certified_midpoint", recording_certified)
         monkeypatch.setattr(oracle, "_cosine", recording_cosine)
+        monkeypatch.setattr(oracle, "mcp_reference_integrands", recording_integrands)
         assert oracle._check_quadrature_riemann(seed).passed
         # the parent's cases: twelve (network, split) draws, then twelve at
         # high inter-cell gain, in scalar calls
         rng = oracle._rng(seed, 4)
         cases = [(params.eta2, params.gamma2, params.p2, split)
                  for params, split in scalar_draws(rng, 12)]
-        for _ in range(12):
-            gamma2 = float(rng.uniform(0.2, 2.5))
-            eta2 = float(rng.uniform(0.0, 5.0))
-            p2 = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
-            cases.append((eta2, gamma2, p2, HopSplit(float(rng.uniform(0.0, 1.0)))))
+        cases += TestDraws.scalar_high_gain(rng, 12)
         expected = [triple for eta2, gamma2, p2, split in cases
                     for triple in self.one_at_a_time(eta2, gamma2, *split.powers(p2))]
         assert len(certified) == 72
@@ -633,6 +689,50 @@ class TestQuadratureRiemannCheck:
         # each node count's two cosines, once for the whole check
         assert sorted(cosines) == sorted(set(cosines))
         assert {k for _, k in cosines} == {1, 2}
+        # each case's two squared responses, once per node count that one of
+        # its integrands visits: the sum reads the other two's
+        def levels(n):  # how many node counts a certified sum ending at n visits
+            return round(math.log2(n / oracle.MIDPOINT_FIRST_NODES)) + 1
+        shared = one_each = 0
+        for case in range(24):
+            n_private, n_common, n_sum = (n for _, _, n in certified[3 * case:3 * case + 3])
+            shared += levels(max(n_private, n_sum)) + levels(max(n_common, n_sum))
+            one_each += levels(n_private) + levels(n_common) + 2 * levels(n_sum)
+        assert len(series) == shared < one_each
+
+
+class TestBatchedReferences:
+    """vertex-a-sum takes its 150 corner sums in one array call, and
+    vsi-a2-dominates-a1 iterates Python floats: the same floats as the
+    per-draw numpy calls they replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+    def test_vertex_a_sum_same_pairs_as_per_draw_calls(self, monkeypatch, seed):
+        reported = []
+        original_worst = oracle._worst
+
+        def recording_worst(name, pairs, *args):
+            reported.extend(pairs)
+            return original_worst(name, reported, *args)
+
+        monkeypatch.setattr(oracle, "_worst", recording_worst)
+        assert oracle._check_vertex_a_sum(seed).passed
+        want = [(float(oracle._two_stage_rate(split.f_private, *params.hop(1))),
+                 max_sum_rate(hop1_region(params, split)).value)
+                for params, split in scalar_draws(oracle._rng(seed, 2), 150)]
+        assert [(a.hex(), b.hex()) for a, b in reported] == [(a.hex(), b.hex()) for a, b in want]
+
+    def test_vsi_a2_dominates_a1_same_report_as_numpy_scalars(self):
+        gap = 0.0
+        for beta2 in np.linspace(0.1, 3.0, 20):
+            for p1 in np.geomspace(0.01, 20.0, 20):
+                a1 = beta2 * max(p1 / 2.0 + 1.0, beta2 * p1 + 1.0)
+                a2 = schemes.vsi_threshold(float(beta2), float(p1), method="paper")
+                gap = max(gap, a1 - a2)
+        report = oracle._check_vsi_a2_dominates_a1(0)
+        assert type(report.gap) is float
+        assert report.gap.hex() == float(gap).hex()
+        assert report.line() == oracle._within("vsi-a2-dominates-a1", gap, 1e-12).line()
 
 
 class TestSubstitutionSymmetryCheck:

@@ -302,7 +302,111 @@ class TestContains:
         assert not contains(region, RatePair(bound + 0.01, 0.0), tol=1e-12)
 
 
+def key_lambda_vertices(region):
+    """``vertices`` in its former form, kept as a reference: key lambdas, a
+    list of crossings per step and max() clipping."""
+    def meet(first, second):
+        (a1, b1, c1), (a2, b2, c2) = first, second
+        det = a1 * b2 - a2 * b1
+        x = (c1 * b2 - c2 * b1) / det
+        y = (a1 * c2 - a2 * c1) / det
+        return max(x, 0.0) + 0.0, max(y, 0.0) + 0.0
+
+    lines = [(h.coef_private, h.coef_common, h.bound) for h in region.halfspaces]
+    extent = min((line for line in lines if line[0] > 0), key=lambda l: l[2] / l[0])
+    corner = meet(extent, (0.0, 1.0, 0.0))
+    sloped = sorted((line for line in lines if line[1] > 0), key=lambda l: -l[0] / l[1])
+    line = min(sloped, key=lambda l: l[2] / l[1])
+    top = [meet(line, (1.0, 0.0, 0.0))]
+    while True:
+        crossings = [(meet(line, other), other) for other in sloped
+                     if other[0] * line[1] > line[0] * other[1]]
+        if not crossings:
+            break
+        point, successor = min(crossings, key=lambda m: m[0][0])
+        if point[0] >= corner[0]:
+            break
+        top.append(point)
+        line = successor
+    if extent[1] == 0:
+        top.append(meet(line, extent))
+    points = [(0.0, 0.0), corner] + top[::-1]
+    kept = []
+    for i in sorted(range(len(points)), key=points.__getitem__):
+        x, y = points[i]
+        for j in kept:
+            if abs(x - points[j][0]) <= _DEDUP_TOL and abs(y - points[j][1]) <= _DEDUP_TOL:
+                break
+        else:
+            kept.append(i)
+    return [RatePair(*points[i]) for i in sorted(kept)]
+
+
+def hex_points(points):
+    return [(v.r_private.hex(), v.r_common.hex()) for v in points]
+
+
 class TestVertices:
+    def test_same_points_as_key_lambda_walk_on_builder_regions(self):
+        # All four builders at f = 0, f = 1 and a uniform split, on 150
+        # seeded networks, every other one out of the paper's regime
+        rng = np.random.default_rng(41)
+        for k in range(150):
+            beta2, gamma2 = (float(g) for g in rng.uniform(0.2, 2.5, size=2))
+            reach = 1.0 if k % 2 else 2.0
+            params = NetworkParams(alpha2=float(rng.uniform(0.0, reach * beta2)), beta2=beta2,
+                                   gamma2=gamma2, eta2=float(rng.uniform(0.0, reach * gamma2)),
+                                   p1=float(np.exp(rng.uniform(np.log(0.05), np.log(20.0)))),
+                                   p2=float(np.exp(rng.uniform(np.log(0.05), np.log(20.0)))))
+            for f in (0.0, 1.0, float(rng.uniform(0.0, 1.0))):
+                for builder in BUILDERS[:4]:
+                    region = builder(params, HopSplit(f))
+                    assert hex_points(vertices(region)) == \
+                        hex_points(key_lambda_vertices(region)), (builder, params, f)
+
+    def test_same_points_as_key_lambda_walk_on_narrow_and_tied_regions(self):
+        # Lines with coefficients 0..3, so that intercepts and slopes tie,
+        # and bounds of 0, a few times the 1e-10 merge tolerance, or up to 5;
+        # then coop's hop 2 at private powers that make it narrower than the
+        # merge tolerance
+        rng = np.random.default_rng(43)
+        scales = (0.0, 3e-10, 5.0)
+        narrow = 0
+        for _ in range(3000):
+            def bound():
+                return float(rng.uniform(0.0, scales[rng.integers(3)]))
+            spec = [(int(rng.integers(1, 4)), 0, bound(), "private"),
+                    (0, int(rng.integers(1, 4)), bound(), "common")]
+            for i in range(int(rng.integers(0, 6))):
+                a, b = (int(c) for c in rng.integers(0, 4, size=2))
+                if a or b:
+                    spec.append((a, b, bound(), f"line{i}"))
+            region = make_region(*(spec[i] for i in rng.permutation(len(spec))))
+            points = vertices(region)
+            assert hex_points(points) == hex_points(key_lambda_vertices(region)), region
+            narrow += 1 < len(points) and max(v.total for v in points) < 1e-9
+        for p_private in (0.0, 1e-300, 2e-10, 1e-9, 3e-9):
+            region = make_region(*_hop_lines(coop_bounds(0.0, 1.0, p_private, 1.0)))
+            assert hex_points(vertices(region)) == hex_points(key_lambda_vertices(region))
+        assert narrow > 100
+
+    def test_same_points_as_key_lambda_walk_on_concurrent_lines(self):
+        # Three sloped lines through one point of the R_c = y0 line, so that
+        # crossings tie in R_p: stepping to the last of them instead of the
+        # steepest reaches the point through another pair of lines, which
+        # can round it an ulp away
+        rng = np.random.default_rng(47)
+        slopes = [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3), (3, 2), (2, 3)]
+        for _ in range(2000):
+            x0, y0 = (float(v) for v in rng.uniform(0.1, 3.0, size=2))
+            spec = [(1, 0, x0 + float(rng.uniform(0.0, 2.0)), "private"), (0, 1, y0, "common"),
+                    (0, 2, 2.0 * y0 + float(rng.uniform(0.0, 1.0)), "common-2")]
+            for i in rng.choice(len(slopes), size=3, replace=False):
+                a, b = slopes[i]
+                spec.append((a, b, a * x0 + b * y0, f"through-{a}{b}"))
+            region = make_region(*spec)
+            assert hex_points(vertices(region)) == hex_points(key_lambda_vertices(region)), region
+
     @given(st.one_of(builder_regions(), coefficient_regions()))
     @example(make_region((1, 0, 1.0, "private"), (0, 3, 1.0, "common"),
                          (1, 2, 1.0, "sum-2"), (3, 1, 1.5, "steep")))

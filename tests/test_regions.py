@@ -11,10 +11,12 @@ from meshrates.model import HopSplit, NetworkParams, RatePair, split_powers
 from meshrates.polytope import contains, max_sum_rate, vertices
 from meshrates.regions import (
     Halfspace,
+    _FLOATS,
     _coop_gains,
     _corner,
     _mac_gains,
     _hop_lines,
+    _rs_bounds,
     coop_bounds,
     hop1_region,
     hop2_coop_region,
@@ -505,6 +507,54 @@ class TestMcpBounds:
         for eta2 in (0.0, 0.4, 1.0, 4.0):
             bounds = mcp_bounds(eta2, 1.0, p_private, 3.0 - p_private)
             assert all(np.all(np.isfinite(bound)) for bound in bounds.values())
+
+
+class TestNumpyRouting:
+    """A scalar call reaches numpy's np.hypot, np.log2 and np.log1p where a
+    batch's rounding must be matched: each is counted here with the size of
+    its first operand, so a swap to ``math.hypot``, ``math.log2`` or
+    ``math.log1p`` fails."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = {"hypot": [], "log2": [], "log1p": []}
+        for name, sizes in calls.items():
+            def counted(*args, _original=getattr(np, name), _sizes=sizes, **kwargs):
+                _sizes.append(np.size(args[0]))
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("eta2,gamma2,calls", [
+        # the common root's hypot, two in the resolvent cubic's start, and
+        # |z| of the five roots at once; log2 of the five; log1p in three
+        # ``capacity`` calls
+        (0.4, 1.0, {"hypot": [1, 1, 1, 5], "log2": [5], "log1p": [1, 1, 1]}),
+        # eta2 = gamma2: delta = 0 skips the cubic's start
+        (1.0, 1.0, {"hypot": [1, 5], "log2": [5], "log1p": [1, 1, 1]}),
+        # no cross gain: the quadratic roots need no hypot
+        (0.0, 1.0, {"hypot": [5], "log2": [5], "log1p": [1, 1, 1]}),
+    ])
+    def test_scalar_mcp_bounds(self, monkeypatch, eta2, gamma2, calls):
+        counted = self.counting(monkeypatch)
+        bounds = mcp_bounds(eta2, gamma2, 1.0, 2.0)
+        assert all(type(bound) is float for bound in bounds.values())
+        assert counted == calls
+
+    @pytest.mark.parametrize("gains_fn", [_mac_gains, _coop_gains])
+    def test_scalar_rs_bounds(self, monkeypatch, gains_fn):
+        counted = self.counting(monkeypatch)
+        bounds = _rs_bounds(gains_fn(0.4, 1.0), 0.7, 1.3)
+        assert all(type(bound) is float for bound in bounds.values())
+        # one scalar ``capacity`` call per bound
+        assert counted == {"hypot": [], "log2": [], "log1p": [1, 1, 1, 1, 1]}
+
+    def test_float_maximum_is_numpys(self):
+        # the float path's maximum returns np.maximum's bits where Python's
+        # max() differs: the second of two signed zeros, and NaN in either place
+        values = [-0.0, 0.0, -1.5, 2.0, math.inf, -math.inf, math.nan]
+        for x, y in product(values, values):
+            assert _FLOATS.maximum(x, y).hex() == float(np.maximum(x, y)).hex(), (x, y)
 
 
 class TestHopConvention:

@@ -269,6 +269,54 @@ class TestHopSplitOptimum:
                 assert rates.max() <= best + 1e-14 * max(1.0, abs(best)), (gains, p)
 
     @staticmethod
+    def array_scored(gains, total):
+        """A hop's split and value with its candidates scored as one numpy
+        array, picked by the array tie rule: the form ``_Hop`` had before it
+        scored on Python floats."""
+        fs = np.array(_hop_split_candidates(gains, total))
+        r_private, rc_two, rc_three = _corner(gains, *split_powers(fs, total))
+        values = r_private + np.minimum(rc_two, rc_three)
+        top = float(values.max())
+        idx = int(np.nonzero(values >= top - 1e-15 * max(top, sys.float_info.min))[0][-1])
+        return float(fs[idx]), float(values[idx])
+
+    def test_float_scoring_equals_array_scoring(self):
+        # 3,000 seeded (cross2, intra2, power) draws, each a MAC hop and a
+        # coop hop. Half are in and out of the paper's regime at powers from
+        # 1e-3 to 1e3; the others meet every pair of gain kinds (0,
+        # subnormal, tiny, moderate, large) at powers from 1e-300 to 1e300,
+        # large gains stopping where gain times power would leave a float,
+        # which a network refuses. The split and value are the array form's
+        # to the bit, and Python floats.
+        rng = np.random.default_rng(49)
+        kinds = (lambda cap: 0.0, lambda cap: rng.uniform(0.0, 2.2e-308),
+                 lambda cap: 10.0 ** rng.uniform(-320.0, -6.0),
+                 lambda cap: 10.0 ** rng.uniform(-6.0, 1.0),
+                 lambda cap: 10.0 ** rng.uniform(1.0, min(max(1.0, cap), 300.0)))
+        interior = 0
+        for k in range(3000):
+            if k % 2:
+                total = 10.0 ** rng.uniform(-3.0, 3.0)
+                intra2 = float(rng.uniform(0.05, 5.0))
+                cross2 = float(rng.uniform(0.0, intra2 if k % 4 == 1 else 2.0 * intra2))
+            else:
+                total = 10.0 ** rng.uniform(-300.0, 300.0)
+                cap = 299.0 - math.log10(total)
+                cross2 = float(kinds[k // 2 % 5](cap))
+                intra2 = float(kinds[k // 10 % 5](cap))
+            for gains_fn in (_mac_gains, _coop_gains):
+                gains = gains_fn(cross2, intra2)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    hop = _Hop(gains, total)
+                    f, value = self.array_scored(gains, total)
+                assert type(hop.split.f_private) is float and type(hop.value) is float
+                assert (hop.split.f_private.hex(), hop.value.hex()) == (f.hex(), value.hex()), \
+                    (gains, total)
+                interior += 0.0 < f < 1.0
+        assert interior > 500
+
+    @staticmethod
     def draws(seed, n):
         """``n`` seeded networks: every fourth out of the paper's regime,
         every third half duplex, every sixth with power boost."""
@@ -615,6 +663,13 @@ class TestJointValues:
         # one NaN makes the maximum NaN, which no value reaches
         with pytest.raises(ValueError, match="NaN"):
             _pick_last_max(np.array([1.0, math.nan, 0.5]))
+
+    @pytest.mark.parametrize("values", [[1.0, math.nan, 0.5], [math.nan, 1.0], [1.0, 0.5, math.nan]])
+    def test_nan_in_a_list_is_refused(self, values):
+        # a hop's candidates are a list: Python's max() skips a NaN after
+        # the first value, so the list is searched for one
+        with pytest.raises(ValueError, match="NaN"):
+            _pick_last_max(values)
 
     def test_nan_bound_is_refused(self):
         # a NaN common bound at the last split makes those cells NaN
