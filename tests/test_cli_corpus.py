@@ -279,6 +279,9 @@ CORPUS = {
     "optsplit-schemes": ["optsplit", *NET, "--schemes", "all"],
     # verify
     "verify-help": ["verify", "--help"],
+    # the full suite's stdout, which must stay byte-identical
+    "verify-seed0": ["verify", "--seed", "0"],
+    "verify-seed7": ["verify", "--seed", "7"],
     "verify-vsi": ["verify", "--seed", "7", "--filter", "vsi"],
     "verify-ordering": ["verify", "--filter", "scheme-ordering"],
     "verify-negative-seed": ["verify", "--seed", "-1"],
