@@ -234,10 +234,10 @@ def enumerated_vertices(region: RateRegion) -> list[RatePair]:
     non-negativity check, not a <= constraint. The reference for
     ``polytope.vertices``, which walks the upper envelope instead.
     """
-    lines = [(h.coef_private, h.coef_common, h.bound) for h in region.halfspaces]
-    axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    lines = region.halfspaces
+    axes = ((1.0, 0.0, 0.0, "R_p = 0"), (0.0, 1.0, 0.0, "R_c = 0"))
     points = [(0.0, 0.0)]
-    for (a1, b1, c1), (a2, b2, c2) in combinations(lines + axes, 2):
+    for (a1, b1, c1, _), (a2, b2, c2, _) in combinations((*lines, *axes), 2):
         det = a1 * b2 - a2 * b1
         if abs(det) < 1e-15:
             continue
@@ -247,7 +247,7 @@ def enumerated_vertices(region: RateRegion) -> list[RatePair]:
             continue
         x = max(x, 0.0) + 0.0  # +0.0 normalizes -0.0
         y = max(y, 0.0) + 0.0
-        if all(a * x + b * y <= c + 1e-12 for a, b, c in lines):
+        if all(a * x + b * y <= c + 1e-12 for a, b, c, _ in lines):
             points.append((x, y))
     points.sort()
     unique: list[tuple[float, float]] = []

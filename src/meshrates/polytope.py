@@ -10,9 +10,9 @@ broadcast over grids of two hops' power splits. ``max_sum_rate`` wraps it.
 Every region is down-closed (``regions.Halfspace``), so ``vertices`` walks
 the upper envelope of its lines from R_p = 0 instead of enumerating pairwise
 intersections (``oracle.enumerated_vertices`` still does, as the reference).
-A region has a handful of lines, so the walk is plain loops over tuples:
-key functions and a list of crossings per step would cost more than the
-arithmetic.
+A region has a handful of lines, so the walk is plain loops over its
+``Halfspace`` tuples and the axes, lines of the same shape: key functions and
+a list of crossings per step would cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ class LPSolution:
 
 def contains(region: RateRegion, point: RatePair, tol: float = FEAS_TOL) -> bool:
     """True iff every halfspace of ``region`` is satisfied within ``tol``."""
-    return all(h.slack(point) >= -tol for h in region.halfspaces)
+    x, y = point.r_private, point.r_common
+    return all(c - (a * x + b * y) >= -tol for a, b, c, _ in region.halfspaces)
 
 
 def max_sum_rate(*regions: RateRegion) -> LPSolution:
@@ -63,12 +64,11 @@ def max_sum_rate(*regions: RateRegion) -> LPSolution:
     lines = []
     for region in regions:
         prefix = f"{region.short_name}:" if len(regions) > 1 else ""
-        for h in region.halfspaces:
-            a, b = h.coef_private, h.coef_common
+        for a, b, c, label in region.halfspaces:
             if 0 < b < a:
                 raise ValueError(
                     f"greedy max-sum LP needs coef_common >= coef_private, got ({a:g}, {b:g})")
-            lines.append((a, b, float(h.bound), prefix + h.label))
+            lines.append((a, b, float(c), prefix + label))
     x, y, binding = _greedy(lines)
     face = min([x] + [(c - a * x - b * y) / (b - a) for a, b, c, _ in lines if b > a])
     return LPSolution(value=x + y, point=RatePair(x, y), binding=binding,
@@ -78,10 +78,11 @@ def max_sum_rate(*regions: RateRegion) -> LPSolution:
 def _greedy(lines) -> tuple:
     """The point of ``max_sum_rate`` on (a, b, c, label) lines, none with
     0 < b < a (``max_sum_rate`` checks): x = min c/a, then
-    y = max(min (c - a*x)/b, 0). The bounds c are floats, or arrays that
-    broadcast together. Floats give the point and the labels of the lines
-    tight there: within 1e-9 of their bound, relative to it. Arrays give the
-    point over the broadcast shape, and no labels."""
+    y = max(min (c - a*x)/b, 0). The lines are ``Halfspace``s or tuples of
+    their shape with float bounds, or the joint grid's tuples whose bounds
+    are arrays that broadcast together. Floats give the point and the labels
+    of the lines tight there: within 1e-9 of their bound, relative to it.
+    Arrays give the point over the broadcast shape, and no labels."""
     grid = isinstance(lines[0][2], np.ndarray)
     least, clip = (partial(reduce, np.minimum), np.maximum) if grid else (min, max)
     # c/1 is c and c - 1*x is c - x, bit for bit: a = 1 skips both operations
@@ -95,14 +96,14 @@ def _greedy(lines) -> tuple:
                        if abs(a * x + b * y - c) <= _BINDING_TOL * c + _TINY)
 
 
-# The axes as (coef_private, coef_common, bound) lines.
-_AXIS_PRIVATE = (1.0, 0.0, 0.0)  # R_p = 0
-_AXIS_COMMON = (0.0, 1.0, 0.0)  # R_c = 0
+# The axes as (coef_private, coef_common, bound, label) lines.
+_AXIS_PRIVATE = (1.0, 0.0, 0.0, "R_p = 0")
+_AXIS_COMMON = (0.0, 1.0, 0.0, "R_c = 0")
 
 
 def _meet(first, second) -> tuple[float, float]:
     """Crossing of two non-parallel lines, clipped at 0."""
-    (a1, b1, c1), (a2, b2, c2) = first, second
+    (a1, b1, c1, _), (a2, b2, c2, _) = first, second
     det = a1 * b2 - a2 * b1
     x = (c1 * b2 - c2 * b1) / det
     y = (a1 * c2 - a2 * c1) / det
@@ -126,7 +127,7 @@ def vertices(region: RateRegion) -> list[RatePair]:
     smallest, so a region narrower than that collapses to a segment or to
     the origin.
     """
-    lines = [(h.coef_private, h.coef_common, h.bound) for h in region.halfspaces]
+    lines = region.halfspaces
     extent = None  # the first line of least R_p-intercept
     for line in lines:
         if line[0] > 0 and (extent is None or line[2] / line[0] < reach):
@@ -142,7 +143,7 @@ def vertices(region: RateRegion) -> list[RatePair]:
             line = other
     top = [_meet(line, _AXIS_PRIVATE)]  # the upper boundary, left to right
     while True:
-        a, b, _ = line
+        a, b, _, _ = line
         point = None  # the crossing of least R_p by a steeper line
         for other in sloped:
             if other[0] * b > a * other[1]:

@@ -3,7 +3,8 @@
 Each receiver sees a small Gaussian multiple-access channel once the decoding
 strategy fixes which interfering codebooks are decoded and which are treated
 as noise. Every builder here emits the reduced constraint set of that MAC as
-labeled halfspaces ``coef_private*R_p + coef_common*R_c <= bound``.
+``Halfspace`` lines ``coef_private*R_p + coef_common*R_c <= bound``: checked
+(coef_private, coef_common, bound, label) tuples that every reader unpacks.
 
 Every rate-splitting hop is one MAC of a private and a common codebook,
 stated once: five gains per unit of power (``_RsGains``), the bounds
@@ -21,36 +22,36 @@ Every log2(1 + SINR) term here is ``model.capacity``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import HopSplit, NetworkParams, RatePair, capacity
+from .model import HopSplit, NetworkParams, capacity
 
-@dataclass(frozen=True)
-class Halfspace:
-    """One constraint coef_private*R_p + coef_common*R_c <= bound. Finite,
-    non-negative coefficients, not both 0, make every region down-closed."""
+class Halfspace(namedtuple("Halfspace", "coef_private coef_common bound label")):
+    """One constraint coef_private*R_p + coef_common*R_c <= bound, as a tuple.
+    Finite, non-negative coefficients, not both 0, make every region
+    down-closed; the bound is finite and >= 0, checked on every build."""
 
-    coef_private: int
-    coef_common: int
-    bound: float
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        a, b = self.coef_private, self.coef_common
-        if not (0 <= a < math.inf and 0 <= b < math.inf):
-            raise ValueError(f"halfspace coefficients must be finite and non-negative: {(a, b)!r}")
-        if a == 0 and b == 0:
-            raise ValueError("halfspace needs at least one non-zero coefficient")
-        if not (math.isfinite(self.bound) and self.bound >= 0.0):
-            raise ValueError(f"halfspace bound must be finite and >= 0, got {self.bound!r}")
+    def __new__(cls, coef_private, coef_common, bound, label):
+        a, b = coef_private, coef_common
+        # one expression on the accepted path, then the first failure named
+        if not (0 <= a < math.inf and 0 <= b < math.inf and (a or b) and 0.0 <= bound < math.inf):
+            if not (0 <= a < math.inf and 0 <= b < math.inf):
+                raise ValueError(f"halfspace coefficients must be finite and non-negative: {(a, b)!r}")
+            if a == 0 and b == 0:
+                raise ValueError("halfspace needs at least one non-zero coefficient")
+            raise ValueError(f"halfspace bound must be finite and >= 0, got {bound!r}")
+        return tuple.__new__(cls, (a, b, bound, label))
 
-    def slack(self, point: RatePair) -> float:
-        return self.bound - (self.coef_private * point.r_private
-                             + self.coef_common * point.r_common)
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's skips __new__; _replace calls this one
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class RateRegion:
 # Bound formulas. Each takes (cross2, intra2, p_private, p_common), a hop's
 # gains as ``NetworkParams.hop`` gives them and its power pair, the powers as
 # scalars or numpy arrays so the split optimizers can sweep many splits in
-# one call. ``_hop_region`` wraps scalar bounds into labeled halfspaces, and
+# one call. ``_hop_lines`` turns scalar bounds into ``Halfspace`` lines, and
 # each public region builder is the bounds at its split passed to it.
 # ---------------------------------------------------------------------------
 
@@ -406,28 +407,24 @@ _LABELS = {
 }
 
 
-def _hop_lines(bounds: dict) -> list[tuple]:
-    """A scalar ``*_bounds`` output as (coef_private, coef_common, bound,
-    label) lines, in its order, each bound clamped at 0: one that is 0 in
-    exact arithmetic can round below it (mcp's are sums of logarithms). A
-    bound that is not finite raises ValueError, as in a ``Halfspace``."""
-    lines = [(*key, max(float(bound), 0.0), _LABELS[key]) for key, bound in bounds.items()]
-    if not all(math.isfinite(line[2]) for line in lines):
-        raise ValueError(f"hop bounds must be finite, got {bounds!r}")
-    return lines
+def _hop_lines(bounds: dict) -> tuple[Halfspace, ...]:
+    """A scalar ``*_bounds`` output as ``Halfspace`` lines, in its order, each
+    bound clamped at 0: one that is 0 in exact arithmetic can round below it
+    (mcp's are sums of logarithms)."""
+    return tuple([Halfspace(*key, max(float(bound), 0.0), _LABELS[key])
+                  for key, bound in bounds.items()])
 
 
 def _hop_region(name: str, hop: int, bounds_fn, params: NetworkParams,
                 split: HopSplit) -> RateRegion:
     """Region ``name`` (``hop1``, ``hop2-rs``, ``hop2-coop`` or ``hop2-mcp``)
-    of hop ``hop``'s ``bounds_fn`` bounds at ``split``: one halfspace per
-    line of ``_hop_lines``."""
+    of hop ``hop``'s ``bounds_fn`` bounds at ``split``: the lines of
+    ``_hop_lines``."""
     cross2, intra2, total = params.hop(hop)
     p_private, p_common = split.powers(total)
     gains = (f"alpha2={cross2:g}, beta2={intra2:g}" if hop == 1
              else f"eta2={cross2:g}, gamma2={intra2:g}")
-    lines = _hop_lines(bounds_fn(cross2, intra2, p_private, p_common))
-    return RateRegion(tuple([Halfspace(*line) for line in lines]),
+    return RateRegion(_hop_lines(bounds_fn(cross2, intra2, p_private, p_common)),
                       f"{name}({gains}, p_private={p_private:g}, p_common={p_common:g})")
 
 

@@ -103,10 +103,11 @@ def test_criterion_01_region_reduction():
         split = HopSplit(float(rng.uniform(0.0, 1.0)))
         reduced = hop1_region(params, split)
         full = full_mac_region_hop1(params, split)
-        for v in vertices(reduced):
-            worst = max(worst, max(0.0, -min(h.slack(v) for h in full.halfspaces)))
-        for v in vertices(full):
-            worst = max(worst, max(0.0, -min(h.slack(v) for h in reduced.halfspaces)))
+        for region, other in ((reduced, full), (full, reduced)):
+            for v in vertices(region):
+                slack = min(c - (a * v.r_private + b * v.r_common)
+                            for a, b, c, _ in other.halfspaces)
+                worst = max(worst, max(0.0, -slack))
         reduced_regions.append(reduced)
         full_regions.append(full)
     elapsed = time.perf_counter() - start

@@ -397,7 +397,7 @@ class TestVsiExactSolve:
 
 
 def _scaled_bounds(region, factor):
-    return RateRegion(tuple(replace(h, bound=h.bound * factor) for h in region.halfspaces),
+    return RateRegion(tuple(h._replace(bound=h.bound * factor) for h in region.halfspaces),
                       region.provenance)
 
 

@@ -56,22 +56,52 @@ def networks(draw, paper_regime=True):
                          p1=draw(powers), p2=draw(powers))
 
 
+VALID = Halfspace(1, 1, 1.0, "valid")
+
+# the three ways to build a line, each given all four fields; the tests loop
+# over them, so that each keeps its one test id
+BUILDS = {
+    "constructor": Halfspace,
+    "make": lambda *line: Halfspace._make(line),
+    "replace": lambda *line: VALID._replace(**dict(zip(Halfspace._fields, line))),
+}
+
+
 class TestHalfspace:
     def test_needs_a_coefficient(self):
-        with pytest.raises(ValueError, match="at least one non-zero coefficient"):
-            Halfspace(0, 0, 1.0, "none")
+        for build in BUILDS.values():
+            with pytest.raises(ValueError, match="at least one non-zero coefficient"):
+                build(0, 0, 1.0, "none")
 
     # (1, -1) <= 0.2 with (1, 0) <= 1 and (0, 1) <= 1 is not down-closed:
     # the greedy LP gave 1.2 at (0.2, 1) on it while (1, 1) was feasible
     @pytest.mark.parametrize("coefs", [(1, -1), (-1, 1), (math.nan, 1), (1, math.inf)])
     def test_coefficients_finite_and_non_negative(self, coefs):
-        with pytest.raises(ValueError, match="non-negative"):
-            Halfspace(*coefs, 0.2, "tilt")
+        for build in BUILDS.values():
+            with pytest.raises(ValueError, match="non-negative"):
+                build(*coefs, 0.2, "tilt")
 
     @pytest.mark.parametrize("bound", [-1e-300, math.nan, math.inf])
     def test_bound_finite_and_non_negative(self, bound):
-        with pytest.raises(ValueError, match="must be finite and >= 0"):
-            Halfspace(1, 0, bound, "p")
+        for build in BUILDS.values():
+            with pytest.raises(ValueError, match="must be finite and >= 0"):
+                build(1, 0, bound, "p")
+
+    @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+    def test_a_valid_line_is_the_tuple_it_unpacks_as(self, build):
+        line = build(1, 2, 0.5, "sum-2")
+        assert type(line) is Halfspace and isinstance(line, tuple)
+        a, b, c, label = line
+        assert (a, b, c, label) == (line.coef_private, line.coef_common, line.bound,
+                                    line.label) == (1, 2, 0.5, "sum-2")
+        assert repr(line) == "Halfspace(coef_private=1, coef_common=2, bound=0.5, label='sum-2')"
+        with pytest.raises(AttributeError):
+            line.bound = 1.0
+
+    def test_hop_lines_are_halfspaces(self):
+        lines = _hop_lines(mac_bounds(0.4, 1.0, 1.0, 1.0))
+        assert [type(line) for line in lines] == [Halfspace] * 5
+        assert [line[:2] for line in lines] == list(mac_bounds(0.4, 1.0, 1.0, 1.0))
 
     @pytest.mark.parametrize("bound", [math.nan, math.inf])
     def test_hop_lines_refuse_a_non_finite_bound(self, bound):
