@@ -306,6 +306,8 @@ def riemann_integral(integrand, n_nodes: int, nodes=_midpoint_nodes) -> float:
 MIDPOINT_FIRST_NODES = 2 ** 10
 MIDPOINT_MAX_NODES = 2 ** 20
 MIDPOINT_AGREEMENT = 1e-14
+# The references take log2(1 + x) as log1p(x)/ln 2, accurate where 1 + x rounds.
+_LN2 = math.log(2.0)
 
 
 def certified_midpoint(integrand, nodes=_midpoint_nodes) -> tuple[float, float, int]:
@@ -363,11 +365,10 @@ def mcp_reference_integrands(cross2: float, intra2: float, p_private: float, p_c
     h_common = cosine_series((g + 2 * e, g + e, e))
     private = shared(lambda f: p_private * h_private(f) ** 2)
     common = shared(lambda f: per_code * h_common(f) ** 2)
-    ln2 = math.log(2.0)  # log2(1 + x) as log1p(x)/ln 2, accurate where 1 + x rounds
     return {
-        "private": lambda f: np.log1p(private(f)) / ln2,
-        "common": lambda f: np.log1p(common(f)) / ln2,
-        "sum": lambda f: np.log1p(private(f) + common(f)) / ln2,
+        "private": lambda f: np.log1p(private(f)) / _LN2,
+        "common": lambda f: np.log1p(common(f)) / _LN2,
+        "sum": lambda f: np.log1p(private(f) + common(f)) / _LN2,
     }
 
 
@@ -381,10 +382,10 @@ def _two_stage_rate(f, cross2: float, intra2: float, total: float):
     private_noise = 1.0 + 2.0 * cross2 * pp
     common_noise = private_noise + intra2 * pp
     stage1 = np.minimum(
-        np.log2(1.0 + 2.0 * cross2 * pc / common_noise) / 2.0,
-        np.log2(1.0 + (2.0 * cross2 + intra2) * pc / common_noise) / 3.0,
+        np.log1p(2.0 * cross2 * pc / common_noise) / _LN2 / 2.0,
+        np.log1p((2.0 * cross2 + intra2) * pc / common_noise) / _LN2 / 3.0,
     )
-    stage2 = np.log2(1.0 + intra2 * pp / private_noise)
+    stage2 = np.log1p(intra2 * pp / private_noise) / _LN2
     return stage1 + stage2
 
 

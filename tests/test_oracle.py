@@ -299,13 +299,14 @@ class TestDenseSplitScan:
 
     @staticmethod
     def loop_scan(params, hop, step):
-        """One fraction at a time, in scalar ``np.log2`` calls, keeping the
+        """One fraction at a time, in scalar ``np.log1p`` calls, keeping the
         last maximum: the reference for the array scan."""
         if hop == 1:
             cross2, intra2, total = params.alpha2, params.beta2, params.p1
         else:
             cross2, intra2, total = params.eta2, params.gamma2, params.p2
         best_f, best_v = 0.0, -math.inf
+        ln2 = math.log(2.0)
         n = round(1.0 / step)
         for i in range(n + 1):
             f = i / n
@@ -314,10 +315,10 @@ class TestDenseSplitScan:
             private_noise = 1.0 + 2.0 * cross2 * pp
             common_noise = private_noise + intra2 * pp
             stage1 = min(
-                np.log2(1.0 + 2.0 * cross2 * pc / common_noise) / 2.0,
-                np.log2(1.0 + (2.0 * cross2 + intra2) * pc / common_noise) / 3.0,
+                np.log1p(2.0 * cross2 * pc / common_noise) / ln2 / 2.0,
+                np.log1p((2.0 * cross2 + intra2) * pc / common_noise) / ln2 / 3.0,
             )
-            stage2 = np.log2(1.0 + intra2 * pp / private_noise)
+            stage2 = np.log1p(intra2 * pp / private_noise) / ln2
             v = stage1 + stage2
             if v >= best_v:
                 best_f, best_v = f, v
@@ -330,6 +331,13 @@ class TestDenseSplitScan:
             params = oracle._draw_params(np.random.default_rng([seed, 99]), paper_regime)
             for hop in (1, 2):
                 assert dense_split_scan(params, hop, step) == self.loop_scan(params, hop, step)
+
+    @pytest.mark.parametrize("power", [1e-10, 1e-16, 1e-100])
+    def test_low_power_hop_rate_equals_the_hop_optimum(self, power):
+        # log2(1 + x) read 0.0 at P <= 1e-16 here, where the optimum is 1.4427*P
+        params = NetworkParams(alpha2=0.3, beta2=1.0, gamma2=0.1, eta2=0.3, p1=power, p2=power)
+        _, rate = dense_split_scan(params, hop=1)
+        assert rate == pytest.approx(schemes._Row(params).hop(1).value, rel=1e-12, abs=0.0)
 
     def test_tied_maximum_resolves_to_largest_fraction(self):
         # no gain on hop 1: every fraction gives rate 0
