@@ -230,6 +230,12 @@ CORPUS = {
     "region-fig2-2mcp-json": ["region", "--hop", "2mcp", *FIG2, "--json"],
     "region-2rs": ["region", "--hop", "2rs", *FIG2, "--f", "0.25"],
     "region-2mcp": ["region", "--hop", "2mcp", *FIG2, "--f", "1"],
+    # mcp's scalar path without a cross gain, and with the power-of-4
+    # amplitude scaling on (gamma2 = 20, eta2 = 12)
+    "region-2mcp-eta0-json": ["region", "--hop", "2mcp", "--json", *FIG2[:6], "--eta2", "0",
+                              *FIG2[8:]],
+    "region-2mcp-scaled-json": ["region", "--hop", "2mcp", "--json", *FIG2[:4], "--gamma2", "20",
+                                "--eta2", "12", *FIG2[8:]],
     "region-boost": ["region", "--hop", "1", *FIG2, "--duplex", "half", "--power-boost"],
     "region-config": ["region", "--config", "{dir}/region.cfg", "--json"],
     "region-config-override": ["region", "--config", "{dir}/region.cfg", "--hop", "1",
