@@ -13,9 +13,10 @@ split candidates in ``schemes``. Its two-message min-type common bounds
 are emitted as two halfspaces (2-user and 3-user) so linear programs can
 report binding constraints faithfully. The joint-decoding (MCP) bounds
 are spectral integrals, evaluated by Jensen's formula over one root of each
-conjugate pair in one ``_phi`` evaluation, all in closed form and in real
-arithmetic: the private response's linear factor, the common response's
-quadratic, and the two real quadratics the sum bound's quartic factors into.
+conjugate pair, all in closed form and in real arithmetic: the private
+response's linear factor, the common response's quadratic, and the two real
+quadratics the sum bound's quartic factors into. One ``_phi`` takes the
+five roots as one numpy array, for a scalar call and a batch alike.
 Every log2(1 + SINR) term here is ``model.capacity``.
 """
 
@@ -158,7 +159,7 @@ def coop_bounds(cross2, intra2, p_private, p_common):
 
 class _Elementwise(NamedTuple):
     """The functions the mcp closed forms apply besides +, -, *, /, abs and
-    comparisons, for one kind of operand."""
+    comparisons, for one kind of operand; ``_phi`` takes numpy's for both."""
 
     sqrt: Callable
     hypot: Callable
@@ -181,39 +182,24 @@ _FLOATS = _Elementwise(math.sqrt, lambda x, y: float(np.hypot(x, y)), _float_max
                        lambda c, x, y: x if c else y, math.ldexp)
 
 
-def _phi_z(vr, vi):
-    """z = 1 - 4v^2 at v = vr + i*vi, as (real, imaginary) parts."""
-    return 1.0 - 4.0 * (vr * vr - vi * vi), 8.0 * vr * vi
-
-
-def _phi_square(zr, zi, modulus, ops: _Elementwise):
-    """|J/w|^2 = |1 + s|^2/4 at z = zr + i*zi with |z| = ``modulus``."""
-    re2 = ops.maximum(zr, 0.0) + 0.5 * zi * (zi / (modulus + abs(zr)))
-    return 0.25 * (1.0 + modulus + 2.0 * ops.sqrt(re2))
-
-
-def _phi(roots, ops: _Elementwise):
+def _phi(roots):
     """log2|J/w| at each v = 1/w = vr + i*vi of ``roots``, (vr, vi) pairs,
-    where J is the root of z^2 - w*z + 1 with |J| >= 1, in real arithmetic;
-    the roots on the first axis of an array, or a list for float roots.
+    where J is the root of z^2 - w*z + 1 with |J| >= 1, in real arithmetic.
+    The pairs are stacked into one array, (n_roots,) for float roots and
+    (n_roots, n) for a batch, so a scalar call and its batch meet the same
+    numpy loops.
 
     J/w = (1 + s)/2 with s the principal square root of z = 1 - 4v^2, and
     |1 + s|^2 = 1 + |z| + 2 Re s, where (Re s)^2 = (|z| + Re z)/2 is summed
     from two non-negative terms. phi reads v through v^2 and is even in Im v,
     so the signs of vr and vi do not matter. phi(0) = 0, and a tiny v only
     brings its own tiny absolute error.
-
-    Array roots are stacked and run as one array. Float roots run root by
-    root, but |z| and log2 still take all roots in one numpy call, so both
-    meet the same numpy loops. (Stacking float roots into arrays for the
-    array form kept only about two thirds of the scalar call's speed-up.)
     """
-    if ops is _ARRAYS:
-        zr, zi = _phi_z(np.array([v[0] for v in roots]), np.array([v[1] for v in roots]))
-        return 0.5 * np.log2(_phi_square(zr, zi, np.hypot(zr, zi), ops))
-    zr, zi = zip(*[_phi_z(vr, vi) for vr, vi in roots])
-    squares = [_phi_square(*z, ops) for z in zip(zr, zi, np.hypot(zr, zi).tolist())]
-    return [0.5 * x for x in np.log2(squares).tolist()]
+    vr, vi = np.array([v[0] for v in roots]), np.array([v[1] for v in roots])
+    zr, zi = 1.0 - 4.0 * (vr * vr - vi * vi), 8.0 * vr * vi
+    modulus = np.hypot(zr, zi)
+    re2 = np.maximum(zr, 0.0) + 0.5 * zi * (zi / (modulus + abs(zr)))
+    return 0.5 * np.log2(0.25 * (1.0 + modulus + 2.0 * np.sqrt(re2)))
 
 
 def _reciprocal(scale, x, y):
@@ -326,21 +312,22 @@ def mcp_bounds(cross2, intra2, p_private, p_common):
 
     All arithmetic is real and elementwise, and one ``_phi`` evaluation
     covers the five roots. A batch runs on numpy arrays. A call with two
-    scalar powers runs the same code on Python floats and returns floats:
-    +, -, *, / and ``math.sqrt`` round correctly there, as in numpy's loops,
-    and np.hypot (on float pairs, and on the five roots at once), np.log2
-    (on the five roots at once) and ``capacity``'s np.log1p stay numpy's, so
-    the call equals its one-row batch bit for bit.
+    scalar powers runs the same code on Python floats up to the five roots
+    and returns floats: +, -, *, / and ``math.sqrt`` round correctly there,
+    as in numpy's loops, np.hypot on float pairs and ``capacity``'s np.log1p
+    stay numpy's, and ``_phi`` stacks the five roots into one numpy array,
+    as it does a batch's, so the call equals its one-row batch bit for bit.
 
     Python floats raise where numpy warns of a division by 0 or an invalid
     square root, and ``math.ldexp`` raises past the float range, but an
     overflow is silent, and the closed forms can absorb its inf (x/inf = 0).
-    So where Python floats raise or a bound reaches 960 bits, the call runs
-    again on numpy scalars, which warn and raise as the batch does. The
-    960-bit rule is measured, not derived: over 80,000 draws of gains and
-    powers from 0 and subnormals up to 1e308, and 40,000 more at tiny gains
-    and subnormal powers, where the scaled powers are tiny, every scalar
-    call gave its one-row batch's floats or warning.
+    So where Python floats raise or a bound is NaN or reaches 960 bits, the
+    call runs again on numpy scalars, which warn and raise as the batch does
+    (``_phi`` is numpy's on both runs). The 960-bit rule is measured, not
+    derived: over 80,000 draws of gains and powers from 0 and subnormals up
+    to 1e308, and 40,000 more at tiny gains and subnormal powers, where the
+    scaled powers are tiny, every scalar call gave its one-row batch's
+    floats or warning.
 
     Scalar gains (``cross2`` = eta^2, ``intra2`` = gamma^2); the power pair
     may be scalars or arrays, and every bound has their broadcast shape.
@@ -352,7 +339,7 @@ def mcp_bounds(cross2, intra2, p_private, p_common):
         try:
             bounds = _jensen_bounds(g, e, float(p_private), float(p_common) / 3.0, _FLOATS)
             if all(abs(bound) < 960.0 for bound in bounds.values()):
-                return bounds
+                return {key: float(bound) for key, bound in bounds.items()}
         except (ArithmeticError, ValueError):
             pass
     p, q = np.broadcast_arrays(np.asarray(p_private, dtype=float),
@@ -387,7 +374,7 @@ def _jensen_bounds(g, e, p, q, ops: _Elementwise):
         sg, half = sq * g, quarter / (2.0 * common_gain)
         roots += [((nr - ni * sg) * half, (ni + nr * sg) * half),
                   _reciprocal(2.0 * quarter * e, ni, nr), *_sum_roots(g, e, p, q, ops)]
-    phis = _phi(roots, ops)
+    phis = _phi(roots)
     private = capacity(p * g * g) + 2.0 * phis[0]
     total = capacity((p + q) * (g * g)) + 2.0 * (phis[3] + phis[4])
     return {(1, 0): private,
