@@ -70,7 +70,10 @@ class SchemeResult:
     Fields that do not apply to a scheme stay at their defaults (no splits
     for single-rate, no second-hop split for the first-hop bound, ...).
     Rates and operating points are end-to-end values, i.e. already scaled
-    for half duplex; split fractions are not scaled.
+    for half duplex; split fractions are not scaled. ``binding`` is what the
+    max-sum LP finds tight at the reported splits. For coop and mcp that is
+    the split pair the joint search returns, not a function of the rate:
+    another pair of the same rate can bind other lines.
     """
 
     scheme: str

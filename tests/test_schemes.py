@@ -648,6 +648,25 @@ class TestJointValues:
             assert result.rate == reference * params.rate_scale(), params
         assert (*counts["figures"], *counts["draws"]) == certified
 
+    @pytest.mark.parametrize("scheme,bounds_fn", [
+        pytest.param(coop, coop_bounds, id="coop"), pytest.param(mcp, mcp_bounds, id="mcp"),
+    ])
+    def test_binding_is_the_returned_split_pairs(self, scheme, bounds_fn):
+        # coop's and mcp's binding belongs to the split pair the search
+        # returns, not to the rate: another pair of the same rate can bind
+        # other lines. It is the greedy's labels on both hops' lines, each
+        # hop's bounds rebuilt at its reported split.
+        figures = [figure(p1_db, k * 0.02) for p1_db in (3.0, 10.0) for k in range(51)]
+        for params in figures + seeded_networks(5, 100, variants=True):
+            result = scheme(params)
+            lines = []
+            for k, name, fn, split in ((1, "hop1", mac_bounds, result.split_hop1),
+                                       (2, f"hop2-{result.scheme}", bounds_fn, result.split_hop2)):
+                cross2, intra2, total = params.hop(k)
+                lines += [(a, b, c, f"{name}:{label}") for a, b, c, label
+                          in regions._hop_lines(fn(cross2, intra2, *split.powers(total)))]
+            assert result.binding == _greedy(lines)[2], params
+
 
     def test_non_finite_bound_is_refused(self):
         # An infinite common bound never binds, so every cell is finite; the
