@@ -1,24 +1,24 @@
 """Brute-force reference implementations and the verification suite.
 
 Almost everything here recomputes results from first principles, sharing no
-formula code with the fast paths it checks: the full subset-enumerated MAC
-region, the fixed-decoding-order corner candidates, pairwise line crossings
-instead of the envelope walk (the vertex enumeration solves one pair at a
-time and hulls the feasible crossings; the region-reduction check builds
-every row's crossings at once as arrays and tests them against the other
-region's lines, one line at a time), lattice maximization and the vertex
-enumeration instead of the exact LP, self-certifying midpoint sums of the
-responses' cosine series instead of the closed-form joint-decoding bounds, a
-split scan instead of the closed-form split optimum (its two-stage corner
-rate is also the reference for the LP's sum at a fixed split), and
-per-inequality threshold inversions in exact decimal arithmetic. Oracles may
-be slow; they exist to certify, not to perform, and run as array expressions
-where that leaves their floats unchanged. A check reading several schemes of
-one network reads them off one ``schemes._Row``: each hop is solved once. A
-check's draws are one ``rng.random`` block, the same stream and floats as
-one scalar ``rng.uniform`` call per field, and its midpoint sums share one
-set of nodes and cosines per node count, built in the call, and each case's
-two squared responses per node count, dropped with the case.
+formula code with the fast paths it checks: the subset bounds of each
+decoder's four-user MAC from one tap model (``subset_bounds``: taps (e, g, e)
+and transmit weights, every subset's bound over a whole batch at once), the
+fixed-decoding-order corner candidates, pairwise line crossings instead of
+the envelope walk (``region-reduction`` builds every draw's crossings at once
+as arrays), lattice maximization and the vertex enumeration instead of the
+exact LP, self-certifying midpoint sums of the responses' cosine series (the
+same tap model's amplitudes) instead of the closed-form joint-decoding
+bounds, a split scan instead of the closed-form split optimum (its two-stage
+corner rate is also the reference for the LP's sum at a fixed split), and
+per-inequality threshold inversions in exact decimal arithmetic. Every
+log2(1 + x) is log1p(x)/ln 2. Oracles may be slow; they exist to certify, not
+to perform, and run as array expressions where that leaves their floats
+unchanged. A check reading several schemes of one network reads them off one
+``schemes._Row``: each hop is solved once. A check's draws are one
+``rng.random`` block, the same floats as one scalar ``rng.uniform`` call per
+field, and its midpoint sums share one set of nodes and cosines per node
+count, and each case's two squared responses per node count.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
 
@@ -70,43 +71,48 @@ class OracleReport:
 # Reference constructions
 # ---------------------------------------------------------------------------
 
-# The fifteen subset inequalities of the first-hop four-user MAC, in
-# ``combinations`` order of its decoded signals (the private codeword, then
-# the own and the two adjacent common codewords): (coef_private, coef_common,
-# the subset's signal indices, label).
-_MAC15_USERS = (("p", 1, 0), ("cm", 0, 1), ("cm-1", 0, 1), ("cm+1", 0, 1))
-_MAC15 = tuple(
-    (sum(_MAC15_USERS[i][1] for i in subset), sum(_MAC15_USERS[i][2] for i in subset), subset,
-     "mac:" + "+".join(_MAC15_USERS[i][0] for i in subset))
-    for k in range(1, 5) for subset in combinations(range(4), k))
+_LN2 = math.log(2.0)
 
 
-def _mac15_bounds(alpha2: float, beta2: float, p_private: float, p_common: float) -> list[float]:
-    """The bounds of ``_MAC15``, in its order: log2(1 + subset power/noise),
-    the private codeword at beta2*p_private, the common ones at beta2*p_common,
-    alpha2*p_common and alpha2*p_common, and the two adjacent private
-    codewords in the noise, 1 + 2*alpha2*p_private."""
-    noise = 1.0 + 2.0 * alpha2 * p_private
-    signals = (beta2 * p_private, beta2 * p_common, alpha2 * p_common, alpha2 * p_common)
-    return [math.log2(1.0 + math.fsum(signals[i] for i in subset) / noise)
-            for _, _, subset, _ in _MAC15]
+def _amplitudes(g, e, weights):
+    """A codeword's received amplitudes at cell offsets 0, 1 and 2: the taps
+    (e, g, e) convolved with its symmetric transmit weights, (w0,) or (w0, w1)."""
+    w0, w1 = (*weights, 0.0)[:2]
+    return w0 * g + 2.0 * (w1 * e), w0 * e + w1 * g, w1 * e
+
+
+def subset_bounds(cross2, intra2, p_private, p_common, weights):
+    """Every subset bound of the four-user MAC a relay or base station decodes
+    (its own private, its own and both adjacent common codewords), in
+    ``combinations`` order: (coef_private, coef_common) pairs, ``mac:`` labels
+    and log1p(power/noise)/ln 2 along the last axis of one array over any
+    broadcast batch. Taps (e, g, e) = sqrt((cross2, intra2, cross2)); weights
+    (1,) for private codewords and ``weights`` for common ones, at p_common
+    per unit of squared weight; every undecoded codeword is noise."""
+    g, e = np.sqrt(intra2), np.sqrt(cross2)
+
+    def received(sent, power):  # at offsets 0, 1 and 2; a square first, unless subnormal
+        share = sent[0] ** 2 + 2 * sum(w * w for w in sent[1:])
+        return [np.where(a * a >= sys.float_info.min, a * a * power, a * (a * power)) / share
+                for a in _amplitudes(g, e, sent)]
+
+    private, common = received((1,), p_private), received(weights, p_common)
+    noise = 1.0 + 2.0 * (private[1] + private[2] + common[2])
+    signals = (private[0], common[0], common[1], common[1])
+    subsets = [subset for k in range(1, 5) for subset in combinations(range(4), k)]
+    return (tuple((int(0 in s), len(s) - (0 in s)) for s in subsets),
+            tuple("mac:" + "+".join(("p", "cm", "cm-1", "cm+1")[i] for i in s) for s in subsets),
+            np.stack([np.log1p(sum(signals[i] for i in s) / noise) / _LN2 for s in subsets], -1))
 
 
 def full_mac_region_hop1(params: NetworkParams, split: HopSplit) -> RateRegion:
     """All fifteen subset inequalities of the first-hop four-user MAC
-    (``_MAC15``).
-
-    Decoded signals: the private codeword (power beta2*P1p) and the three
-    common codewords (powers beta2*P1c, alpha2*P1c, alpha2*P1c); the two
-    adjacent private codewords stay in the noise floor. No dominated
-    inequality is removed.
-    """
+    (``subset_bounds`` with weights (1,)), no dominated one removed."""
     alpha2, beta2, p1 = params.hop(1)
     p_private, p_common = split.powers(p1)
-    bounds = _mac15_bounds(alpha2, beta2, p_private, p_common)
+    coefs, labels, bounds = subset_bounds(alpha2, beta2, p_private, p_common, (1,))
     return RateRegion(
-        halfspaces=tuple(Halfspace(coef_p, coef_c, bound, label)
-                         for (coef_p, coef_c, _, label), bound in zip(_MAC15, bounds)),
+        halfspaces=tuple(map(Halfspace, *zip(*coefs), bounds.tolist(), labels)),
         provenance=f"mac15(alpha2={alpha2:g}, beta2={beta2:g}, "
                    f"p_private={p_private:g}, p_common={p_common:g})",
     )
@@ -306,8 +312,6 @@ def riemann_integral(integrand, n_nodes: int, nodes=_midpoint_nodes) -> float:
 MIDPOINT_FIRST_NODES = 2 ** 10
 MIDPOINT_MAX_NODES = 2 ** 20
 MIDPOINT_AGREEMENT = 1e-14
-# The references take log2(1 + x) as log1p(x)/ln 2, accurate where 1 + x rounds.
-_LN2 = math.log(2.0)
 
 
 def certified_midpoint(integrand, nodes=_midpoint_nodes) -> tuple[float, float, int]:
@@ -347,22 +351,21 @@ def mcp_reference_integrands(cross2: float, intra2: float, p_private: float, p_c
 
     Each response is a symmetric FIR filter, so its transfer function is the
     real cosine series t_0 + 2 * sum_k t_k cos(2 pi k f) of its one-sided taps:
-    the private codeword sees [e, g, e], the common ones [e, g+e, g+2e, g+e, e].
+    ``_amplitudes`` at weights (1,) for the private codeword, (1, 1) for the common.
     ``cosine(f, k)`` is ``_cosine``'s value at the nodes, which a caller
     integrating many cases on the same nodes may read from its tables. The
     "sum" integrand adds the two squared responses p_private*h_private^2 and
     (p_common/3)*h_common^2 that the other two take; ``shared(response)``
     wraps each, so that a caller may evaluate it once per set of nodes.
     """
-    g = math.sqrt(intra2)
-    e = math.sqrt(cross2)
+    g, e = math.sqrt(intra2), math.sqrt(cross2)
     per_code = p_common / 3.0
 
     def cosine_series(taps):
         return lambda f: taps[0] + 2.0 * sum(t * cosine(f, k) for k, t in enumerate(taps[1:], 1))
 
-    h_private = cosine_series((g, e))
-    h_common = cosine_series((g + 2 * e, g + e, e))
+    h_private = cosine_series(_amplitudes(g, e, (1,)))
+    h_common = cosine_series(_amplitudes(g, e, (1, 1)))
     private = shared(lambda f: p_private * h_private(f) ** 2)
     common = shared(lambda f: per_code * h_common(f) ** 2)
     return {
@@ -496,15 +499,12 @@ def _check_region_reduction(seed: int) -> OracleReport:
     in the paper's regime: the largest violation of either's lines at a
     feasible crossing of the other's, all draws at once (``_crossing_gap``)."""
     rng = _rng(seed, 1)
-    fast_rows, full_rows = [], []
-    for params, split in _draws(rng, 150):
-        alpha2, beta2, p1 = params.hop(1)
-        bounds = mac_bounds(alpha2, beta2, *split.powers(p1))
-        # rows as arrays: 150 draws of Python float lists raised peak RSS by ~0.2 MB
-        fast_rows.append(np.array(list(bounds.values())))
-        full_rows.append(np.array(_mac15_bounds(alpha2, beta2, *split.powers(p1))))
-    full_coefs = tuple(entry[:2] for entry in _MAC15)
-    gap = _crossing_gap((tuple(bounds), np.array(fast_rows)), (full_coefs, np.array(full_rows)))
+    hops = [(*params.hop(1)[:2], *split.powers(params.hop(1)[2]))
+            for params, split in _draws(rng, 150)]
+    fast = [mac_bounds(*hop) for hop in hops]
+    fast_rows = np.array([list(bounds.values()) for bounds in fast])
+    full_coefs, _, full_rows = subset_bounds(*np.array(hops).T, (1,))
+    gap = _crossing_gap((tuple(fast[0]), fast_rows), (full_coefs, full_rows))
     return _within("region-reduction", gap, 1e-9)
 
 

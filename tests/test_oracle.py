@@ -1,7 +1,10 @@
 import math
+import sys
 from dataclasses import astuple, replace
 from fractions import Fraction
+from itertools import combinations, product
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from meshrates.oracle import (
     mcp_reference_integrands,
     riemann_integral,
     run_suite,
+    subset_bounds,
     vsi_exact_solve,
 )
 from meshrates.polytope import contains, max_sum_rate, vertices
@@ -25,6 +29,7 @@ from meshrates.regions import (
     hop2_coop_region,
     hop2_mcp_region,
     hop2_rs_region,
+    mac_bounds,
 )
 
 FIG2 = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=1.0, eta2=0.4, p1=2.0, p2=2.0)
@@ -76,6 +81,79 @@ class TestFullMacRegion:
         fast = hop1_region(params, HALF)
         reference = full_mac_region_hop1(params, HALF)
         assert any(not contains(reference, v, tol=1e-9) for v in vertices(fast))
+
+
+# Each weight set of ``subset_bounds`` with the number of codewords, and so
+# of shares of its common power, that each sender transmits.
+WEIGHTS = {"own": ((1,), 1), "coop": ((1, 1), 3)}
+
+
+def _domain():
+    """(cross2, intra2, p_private, p_common) columns over every gain pair of
+    {0, 5e-324, 1e-310, 1e-300, 0.3, 2, 1e100}, power in {5e-324, 1e-300,
+    1e-20, 1e-10, 1, 1e100, 1e200} and split f in {0, 0.3, 1}. Each row is a
+    network that ``NetworkParams`` accepts, with both hops alike."""
+    gains = (0.0, 5e-324, 1e-310, 1e-300, 0.3, 2.0, 1e100)
+    powers = (5e-324, 1e-300, 1e-20, 1e-10, 1.0, 1e100, 1e200)
+    rows = []
+    for cross2, intra2, power, f in product(gains, gains, powers, (0.0, 0.3, 1.0)):
+        params = NetworkParams(alpha2=cross2, beta2=intra2, gamma2=intra2, eta2=cross2,
+                               p1=power, p2=power)
+        cross2, intra2, total = params.hop(1)
+        rows.append((cross2, intra2, *HopSplit(f).powers(total)))
+    return np.array(rows).T
+
+
+def _mp_subset_bounds(cross2, intra2, p_private, p_common, weights, shares):
+    """``subset_bounds``' fifteen bounds at 40 digits, from the exact values
+    of the float inputs: log1p, since log(1 + x) loses an x below 1e-40."""
+    with mpmath.workdps(40):
+        g, e = mpmath.sqrt(intra2), mpmath.sqrt(cross2)
+        private, common = oracle._amplitudes(g, e, (1,)), oracle._amplitudes(g, e, weights)
+        p_private, p_common = mpmath.mpf(p_private), mpmath.mpf(p_common)
+        noise = 1 + 2 * (private[1] ** 2 * p_private + common[2] ** 2 * p_common / shares)
+        signals = (private[0] ** 2 * p_private, common[0] ** 2 * p_common / shares,
+                   common[1] ** 2 * p_common / shares, common[1] ** 2 * p_common / shares)
+        subsets = [s for k in range(1, 5) for s in combinations(range(4), k)]
+        return [float(mpmath.log1p(mpmath.fsum(signals[i] for i in s) / noise) / mpmath.ln(2))
+                for s in subsets]
+
+
+def _relative_errors(got, want):
+    """|got - want| relative to want, floored at the smallest normal float."""
+    return np.abs(got - want) / np.maximum(np.abs(want), sys.float_info.min)
+
+
+class TestSubsetBounds:
+    """``subset_bounds`` over gains and powers from 0 and subnormals to 1e100
+    and 1e200: within 1e-15 relative of a 40-digit evaluation, and its five
+    reduced hop-1 subsets equal ``mac_bounds``."""
+
+    @pytest.mark.parametrize("name", WEIGHTS)
+    def test_within_1e_15_of_40_digits(self, name):
+        weights, shares = WEIGHTS[name]
+        columns = _domain()
+        _, _, bounds = subset_bounds(*columns, weights)
+        exact = np.array([_mp_subset_bounds(*row, weights, shares) for row in columns.T.tolist()])
+        assert _relative_errors(bounds, exact).max() <= 1e-15
+
+    def test_hop1_reduction_equals_mac_bounds(self):
+        columns = _domain()
+        _, labels, bounds = subset_bounds(*columns, (1,))
+        reduced = {(1, 0): "mac:p", (0, 2): "mac:cm-1+cm+1", (0, 3): "mac:cm+cm-1+cm+1",
+                   (1, 2): "mac:p+cm-1+cm+1", (1, 3): "mac:p+cm+cm-1+cm+1"}
+        fast = mac_bounds(*columns)
+        assert fast.keys() == reduced.keys()
+        for key, label in reduced.items():
+            assert _relative_errors(bounds[:, labels.index(label)], fast[key]).max() <= 1e-15
+
+    def test_one_row_per_batch_row(self):
+        columns = _domain()[:, ::37]
+        for weights, _ in WEIGHTS.values():
+            coefs, labels, batch = subset_bounds(*columns, weights)
+            assert batch.shape == (columns.shape[1], 15) == (columns.shape[1], len(coefs))
+            for row, bounds in zip(columns.T.tolist(), batch):
+                assert subset_bounds(*row, weights)[2].tolist() == bounds.tolist()
 
 
 class TestGridMaxSum:
@@ -465,8 +543,8 @@ class TestRegionReductionCheck:
             "fast=8.881784197e-16"),
         (2, "PASS region-reduction           gap=4.440892e-16 tol=1.0e-09 ref=0 "
             "fast=4.4408920985e-16"),
-        (3, "PASS region-reduction           gap=8.881784e-16 tol=1.0e-09 ref=0 "
-            "fast=8.881784197e-16"),
+        (3, "PASS region-reduction           gap=1.332268e-15 tol=1.0e-09 ref=0 "
+            "fast=1.33226762955e-15"),
     ])
     def test_report_line(self, seed, line):
         assert oracle._check_region_reduction(seed).line() == line
@@ -478,10 +556,10 @@ class TestRegionReductionCheck:
          "FAIL region-reduction           gap=3.449930e-01 tol=1.0e-09 ref=0 fast=0.344993041011"),
         (lambda bounds: _scaled(bounds, 1.0 - 1e-6),
          "FAIL region-reduction           gap=4.540387e-06 tol=1.0e-09 ref=0 "
-         "fast=4.54038712139e-06"),
+         "fast=4.54038712228e-06"),
         (lambda bounds: _scaled(bounds, 1.0 + 1e-6),
          "FAIL region-reduction           gap=4.540387e-06 tol=1.0e-09 ref=0 "
-         "fast=4.5403871205e-06"),
+         "fast=4.54038711961e-06"),
     ], ids=["sum-3-dropped", "shrunken", "grown"])
     def test_fails_on_broken_region(self, monkeypatch, mutate, line):
         original = oracle.mac_bounds
@@ -496,8 +574,7 @@ class TestRegionReductionCheck:
         # 40 draws of the fifteen-line MAC against their five-bound regions;
         # f = 0 and f = 1 make zero bounds, alpha2 = 0 parallel crossings
         rng = np.random.default_rng(3)
-        full_coefs = tuple(entry[:2] for entry in oracle._MAC15)
-        fast_rows, full_rows = [], []
+        fast_rows, hops = [], []
         for k in range(40):
             params = oracle._draw_params(rng, k % 2 == 0)
             if k % 5 == 0:
@@ -505,12 +582,14 @@ class TestRegionReductionCheck:
             split = HopSplit((0.0, 1.0, float(rng.uniform(0.0, 1.0)))[k % 3])
             fast = hop1_region(params, split)
             fast_rows.append([h.bound for h in fast.halfspaces])
-            full_rows.append([h.bound for h in full_mac_region_hop1(params, split).halfspaces])
+            alpha2, beta2, p1 = params.hop(1)
+            hops.append((alpha2, beta2, *split.powers(p1)))
         fast_coefs = tuple((h.coef_private, h.coef_common) for h in fast.halfspaces)
+        full_coefs, _, full_rows = subset_bounds(*np.array(hops).T, (1,))
 
         def gap(rows):
             return oracle._crossing_gap((fast_coefs, np.array(fast_rows)[rows]),
-                                        (full_coefs, np.array(full_rows)[rows]))
+                                        (full_coefs, full_rows[rows]))
 
         largest = max(gap([k]) for k in range(40))
         assert largest > 1e-3  # out of regime the regions differ
@@ -792,6 +871,13 @@ class TestReferencesSkipTheirFastPaths:
     def test_dense_split_scan(self, monkeypatch, hop):
         _patch_fast_paths(monkeypatch, [(schemes, "_hop_split_candidates"), (regions, "_corner")])
         assert dense_split_scan(FIG2, hop)[1] > 0.0
+
+    def test_subset_bounds(self, monkeypatch):
+        _patch_fast_paths(monkeypatch, [(regions, name) for name in (
+            "mac_bounds", "coop_bounds", "_rs_bounds", "_mac_gains", "_coop_gains", "_corner")])
+        p_private, p_common = HALF.powers(FIG2.p2)
+        for weights, _ in WEIGHTS.values():
+            assert (subset_bounds(FIG2.eta2, FIG2.gamma2, p_private, p_common, weights)[2] > 0.0).all()
 
     def test_certified_midpoint(self, monkeypatch):
         _patch_fast_paths(monkeypatch, [(regions, "mcp_bounds")])

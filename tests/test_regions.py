@@ -220,45 +220,24 @@ class TestHop2CoopRegion:
             assert coop[label] > rs[label]
 
 
-def coop_mac15(params, split):
-    """The fifteen subset bounds of the cooperative second-hop MAC, in
-    ``oracle._MAC15`` order, from the tap model: the private codeword arrives
-    with power gamma2*P_p; the own-cell common codeword, sent by three relays
-    with P_c/3 each, with (g + 2e)^2 * P_c/3, and the two adjacent cells'
-    commons with (g + e)^2 * P_c/3 each (g, e the amplitude gains). The two
-    adjacent private codewords and the two outer-cell commons that leak in
-    stay in the noise, 1 + 2*eta2*(P_p + P_c/3). No dominated bound is
-    removed."""
-    g, e = math.sqrt(params.gamma2), math.sqrt(params.eta2)
-    p_private, p_common = split.powers(params.p2)
-    per_code = p_common / 3.0
-    noise = 1.0 + 2.0 * params.eta2 * (p_private + per_code)
-    signals = (params.gamma2 * p_private, (g + 2.0 * e) ** 2 * per_code,
-               (g + e) ** 2 * per_code, (g + e) ** 2 * per_code)
-    return [math.log2(1.0 + math.fsum(signals[i] for i in subset) / noise)
-            for _, _, subset, _ in oracle._MAC15]
-
-
 class TestCoopRegionReduction:
     def test_matches_full_cooperative_mac(self):
         # Every feasible line crossing of the five coop bounds satisfies all
-        # fifteen subset bounds and vice versa, in and out of the paper's
-        # regime (every other draw has eta2 > gamma2).
+        # fifteen subset bounds of the cooperative MAC (``oracle.subset_bounds``
+        # with the three relays' weights (1, 1)) and vice versa, in and out of
+        # the paper's regime (every other draw has eta2 > gamma2).
         rng = np.random.default_rng(17)
-        fast, reference = [], []
+        hops = []
         for k in range(2000):
             gamma2 = float(rng.uniform(0.2, 2.5))
             eta2 = float(rng.uniform(0.0, gamma2) if k % 2 else rng.uniform(gamma2, 3.0 * gamma2))
             p2 = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e2))))
-            params = NetworkParams(alpha2=0.4, beta2=1.0, gamma2=gamma2, eta2=eta2,
-                                   p1=1.0, p2=p2)
             split = HopSplit(float(rng.uniform(0.0, 1.0)))
-            bounds = coop_bounds(eta2, gamma2, *split.powers(p2))
-            fast.append(list(bounds.values()))
-            reference.append(coop_mac15(params, split))
-        full_coefs = tuple(entry[:2] for entry in oracle._MAC15)
-        gap = oracle._crossing_gap((tuple(bounds), np.array(fast)),
-                                   (full_coefs, np.array(reference)))
+            hops.append((eta2, gamma2, *split.powers(p2)))
+        fast = [coop_bounds(*hop) for hop in hops]
+        full_coefs, _, reference = oracle.subset_bounds(*np.array(hops).T, (1, 1))
+        gap = oracle._crossing_gap((tuple(fast[0]), np.array([list(b.values()) for b in fast])),
+                                   (full_coefs, reference))
         assert gap <= 1e-9
 
 
