@@ -6,12 +6,12 @@ decoder's four-user MAC from one tap model (``subset_bounds``: taps (e, g, e)
 and transmit weights, every subset's bound over a whole batch at once), the
 fixed-decoding-order corner candidates, pairwise line crossings instead of
 the envelope walk (``region-reduction`` builds every draw's crossings at once
-as arrays), lattice maximization and the vertex enumeration instead of the
-exact LP, self-certifying midpoint sums of the responses' cosine series (the
-same tap model's amplitudes) instead of the closed-form joint-decoding
-bounds, a split scan instead of the closed-form split optimum (its two-stage
-corner rate is also the reference for the LP's sum at a fixed split), and
-per-inequality threshold inversions in exact decimal arithmetic. Every
+as arrays), lattice maximization instead of the exact LP (only tests read
+``grid_max_sum``), self-certifying midpoint sums of the responses' cosine
+series (the same tap model's amplitudes) instead of the closed-form
+joint-decoding bounds, a split scan instead of the closed-form split optimum
+(its two-stage corner rate is also ``vertex-a-sum``'s reference for the LP),
+and per-inequality threshold inversions in exact decimal arithmetic. Every
 log2(1 + x) is log1p(x)/ln 2. Oracles may be slow; they exist to certify, not
 to perform, and run as array expressions where that leaves their floats
 unchanged. A check reading several schemes of one network reads them off one
@@ -521,16 +521,6 @@ def _check_vertex_a_sum(seed: int) -> OracleReport:
         for corner_sum, (params, split) in zip(corner_sums, draws)], 1e-9)
 
 
-def _check_lp_vs_grid(seed: int) -> OracleReport:
-    rng = _rng(seed, 3)
-    step = 1e-3
-    pairs = []
-    for params, split in _draws(rng, 25):
-        region = hop1_region(params, split)
-        pairs.append((grid_max_sum(region, step), max_sum_rate(region).value))
-    return _worst("lp-vs-grid", pairs, 5 * step)
-
-
 def _draw_high_gain(rng: np.random.Generator,
                     count: int) -> list[tuple[float, float, float, HopSplit]]:
     """``count`` second hops at high inter-cell gain as (eta2, gamma2, p2,
@@ -762,7 +752,6 @@ def _check_vertex_walk(seed: int) -> OracleReport:
 _CHECKS = (
     _check_region_reduction,
     _check_vertex_a_sum,
-    _check_lp_vs_grid,
     _check_quadrature_riemann,
     _check_substitution_symmetry,
     _check_vsi_exact_agree,

@@ -596,7 +596,7 @@ MUTANTS = {
         "vertex-a-sum"),
     "max_sum_rate +0.1": Mutant(
         polytope, "max_sum_rate", _on_result(lambda lp, *_: replace(lp, value=lp.value + 0.1)),
-        "vertex-a-sum lp-vs-grid"),
+        "vertex-a-sum"),
     "mcp_bounds x(1 + 1e-9)": Mutant(
         regions, "mcp_bounds", _on_result(lambda bounds, *_: _scaled(bounds, 1.0 + 1e-9)),
         "quadrature-riemann"),
@@ -673,13 +673,13 @@ MUTANTS = {
         "vertex-a-sum"),
     "max_sum_rate x1.01": Mutant(
         polytope, "max_sum_rate", _on_result(lambda lp, *_: replace(lp, value=lp.value * 1.01)),
-        "vertex-a-sum lp-vs-grid"),
+        "vertex-a-sum"),
     "max_sum_rate -0.01": Mutant(
         polytope, "max_sum_rate", _on_result(lambda lp, *_: replace(lp, value=lp.value - 0.01)),
-        "vertex-a-sum lp-vs-grid"),
+        "vertex-a-sum"),
     "_greedy x +0.01": Mutant(
         polytope, "_greedy", _on_result(lambda point, *_: (point[0] + 0.01, *point[1:])),
-        "vertex-a-sum lp-vs-grid rs-dense-grid"),
+        "vertex-a-sum rs-dense-grid"),
     # mcp_bounds' results
     "mcp_bounds common x1.001": Mutant(
         regions, "mcp_bounds",
@@ -893,7 +893,7 @@ class TestDraws:
     @pytest.mark.parametrize("paper_regime", [True, False], ids=["in-regime", "out-of-regime"])
     def test_same_floats_and_stream_as_scalar_calls(self, paper_regime):
         for seed in range(100):
-            for index in range(1, len(oracle._CHECKS) + 1):
+            for index in range(1, 16):  # every stream index a check has drawn from
                 block, scalar = oracle._rng(seed, index), oracle._rng(seed, index)
                 count = index % 7  # 0 to 6 pairs
                 got = oracle._draws(block, count, paper_regime)
