@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from meshrates import model, oracle, polytope, regions, schemes
+from meshrates import oracle, polytope, regions, schemes
 from meshrates.model import HopSplit, NetworkParams
 from meshrates.oracle import (
     certified_midpoint,
@@ -503,7 +503,7 @@ def _patch(monkeypatch, home, name, value):
     ``schemes.SCHEMES`` entry (the ones ``schemes.evaluate`` calls), that
     holds the same object."""
     original = getattr(home, name)
-    for target in (home, model, polytope, regions, schemes, oracle):
+    for target in (home, polytope, regions, schemes, oracle):
         if getattr(target, name, None) is original:
             monkeypatch.setattr(target, name, value)
     for scheme, fn in list(schemes.SCHEMES.items()):
@@ -583,11 +583,9 @@ def _without_boost(original):
     return hop
 
 
-SWAPPED = {1: 2, 2: 1}
-
 # The coverage table: each verify check is worth the mutants it catches.
 MUTANTS = {
-    # one per check, the wrong result of the fast path it certifies
+    # one per check as first written: the wrong result of the fast path it certifies
     "mac_bounds x1.01": Mutant(
         regions, "mac_bounds", _on_result(lambda bounds, *_: _scaled(bounds, 1.01)),
         "region-reduction vertex-a-sum"),
@@ -756,8 +754,8 @@ MUTANTS = {
         "", "no check has an optimum for coop off the cap; Tier-1: the coop witness rows"),
     "single_rate bottleneck swapped": Mutant(
         schemes, "single_rate",
-        _on_result(lambda r, *_: replace(r, bottleneck_hop=SWAPPED.get(r.bottleneck_hop,
-                                                                       r.bottleneck_hop))),
+        _on_result(lambda r, *_: replace(r, bottleneck_hop={1: 2, 2: 1}.get(r.bottleneck_hop,
+                                                                            r.bottleneck_hop))),
         "", "no check reads a bottleneck; Tier-1: test_bottleneck_relative_at_any_power"),
     "NetworkParams.hop(2) without boost": Mutant(
         NetworkParams, "hop", _without_boost, "",
