@@ -151,54 +151,20 @@ def vertices_bc(params: NetworkParams, split: HopSplit) -> dict[str, RatePair]:
 
 
 def grid_max_sum(region: RateRegion, step: float) -> float:
-    """Max of R_p + R_c over the feasible lattice of spacing ``step``.
-
-    The coefficients are in ``regions.Halfspace``'s domain and float
-    multiply and add round monotonically, so on each row R_p = rp[i] the test
-    ``coef_private * R_p + coef_common * R_c <= bound + 1e-12`` holds on a
-    prefix of the R_c column, and the row's best point is the prefix's last.
-    Every line's intercept on the row seeds the prefix's length, and rounds
-    of that same test over all rows at once move it to where the last
-    column passes and the next fails, in about two rounds. The result is
-    the same float as masking the whole lattice and taking the largest
-    feasible R_p + R_c.
-    """
+    """Max of R_p + R_c over the lattice of spacing ``step`` from 0 to each
+    axis' smallest intercept, plus up to half a step: every line tested at
+    every point with 1e-12 slack, the largest feasible sum taken."""
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
     halfspaces = region.halfspaces
     rp_max = min(h.bound / h.coef_private for h in halfspaces if h.coef_private > 0)
     rc_max = min(h.bound / h.coef_common for h in halfspaces if h.coef_common > 0)
-    rp = np.arange(0.0, rp_max + step / 2.0, step)
-    rc = np.arange(0.0, rc_max + step / 2.0, step)
-
-    def feasible(x, y):
-        ok = np.ones(x.shape, dtype=bool)
-        for h in halfspaces:
-            ok &= h.coef_private * x + h.coef_common * y <= h.bound + 1e-12
-        return ok
-
-    def fits(column):  # the rows whose column index is in the lattice and feasible
-        ok = (column >= 0) & (column < rc.size)
-        ok[ok] = feasible(rp[ok], rc[column[ok]])
-        return ok
-
-    # prefix[i] points of row i are feasible. Each line's intercept seeds it
-    # (a coef_common == 0 line gives 0 or every column); the exact test then
-    # moves it, usually by a column at most, until column prefix - 1 passes
-    # and column prefix fails
-    prefix = np.full(rp.size, rc.size)
+    x = np.arange(0.0, rp_max + step / 2.0, step)[:, None]
+    y = np.arange(0.0, rc_max + step / 2.0, step)[None, :]
+    feasible = np.ones((x.size, y.size), dtype=bool)
     for h in halfspaces:
-        slack = h.bound + 1e-12 - h.coef_private * rp
-        with np.errstate(over="ignore"):  # a tiny coef_common: inf, clipped to every column
-            columns = (slack / h.coef_common / step + 1.0 if h.coef_common > 0
-                       else np.where(slack >= 0.0, np.inf, 0.0))
-        prefix = np.minimum(prefix, np.clip(columns, 0.0, rc.size).astype(np.intp))
-    while (down := (prefix > 0) & ~fits(prefix - 1)).any():
-        prefix -= down
-    while (up := fits(prefix)).any():
-        prefix += up
-    rows = prefix > 0  # the last row may pass rp_max by up to half a step
-    return float((rp[rows] + rc[prefix[rows] - 1]).max())
+        feasible &= h.coef_private * x + h.coef_common * y <= h.bound + 1e-12
+    return float(np.where(feasible, x + y, -np.inf).max())
 
 
 def _crossing_gap(first, second) -> float:

@@ -396,10 +396,13 @@ def vsi_check(params: NetworkParams) -> tuple[bool, str]:
 
     With all first-hop power on the common codebook, every subset bound of
     the three-user MAC seen at a relay must support the per-user rate
-    C(beta2*p1) within 1e-12 of it, so the verdict holds at any power.
-    Returns the verdict and the tightest bound.
+    C(beta2*p1) within 1e-12 of it, so the verdict holds at any power where
+    beta2*p1 is a normal float; below, products lose their relative precision
+    and a ValueError refuses the network. Returns the verdict and the tightest bound.
     """
     alpha2, beta2, p1 = params.hop(1)
+    if not beta2 * p1 >= sys.float_info.min:
+        raise ValueError(f"vsi check: beta2*p1 = {beta2!r}*{p1!r} is below {sys.float_info.min:g}")
     target = capacity(beta2 * p1)
     worst, binding = math.inf, ""
     for n_own, n_cross, label in _VSI_PATTERNS:
@@ -408,4 +411,4 @@ def vsi_check(params: NetworkParams) -> tuple[bool, str]:
         slack = capacity(power) / users - target
         if slack < worst:
             worst, binding = slack, label
-    return worst >= -1e-12 * max(target, sys.float_info.min), binding
+    return worst >= -1e-12 * target, binding

@@ -274,6 +274,9 @@ CORPUS = {
     "threshold-bad-alpha2": ["threshold", "--beta2", "1", "--p1", "1", "--alpha2", "x"],
     "threshold-check-tiny-power": ["threshold", "--beta2", "1", "--p1", "1e-15",
                                    "--alpha2", "0"],
+    # beta2 * p1 below the smallest normal float: the check is refused
+    "threshold-check-subnormal-target": ["threshold", "--beta2", "1", "--p1", "1e-321",
+                                         "--alpha2", "0"],
     # optsplit
     "optsplit-help": ["optsplit", "--help"],
     "optsplit-text": ["optsplit", *NET],

@@ -30,7 +30,6 @@ from meshrates.regions import (
     RateRegion,
     hop1_region,
     hop2_coop_region,
-    hop2_mcp_region,
     hop2_rs_region,
     mac_bounds,
 )
@@ -190,50 +189,6 @@ class TestGridMaxSum:
         with pytest.raises(ValueError):
             grid_max_sum(hop1_region(FIG2, HALF), step=0.0)
 
-    @staticmethod
-    def masked_max_sum(region, step):
-        """The whole-lattice mask: every halfspace tested at every lattice
-        point, the largest feasible sum taken. The reference for the row
-        bisection."""
-        halfspaces = region.halfspaces
-        rp_max = min(h.bound / h.coef_private for h in halfspaces if h.coef_private > 0)
-        rc_max = min(h.bound / h.coef_common for h in halfspaces if h.coef_common > 0)
-        x = np.arange(0.0, rp_max + step / 2.0, step)[:, None]
-        y = np.arange(0.0, rc_max + step / 2.0, step)[None, :]
-        feasible = np.ones((x.size, y.size), dtype=bool)
-        for h in halfspaces:
-            feasible &= h.coef_private * x + h.coef_common * y <= h.bound + 1e-12
-        return float(np.where(feasible, x + y, -np.inf).max())
-
-    @pytest.mark.parametrize("paper_regime", [True, False], ids=["in-regime", "out-of-regime"])
-    def test_same_float_as_mask_on_builder_regions(self, paper_regime):
-        # All four region kinds alone, and coop and mcp intersected with hop 1
-        # as one region. Each draw's splits are all-common (f = 0),
-        # all-private (f = 1) and a uniform split on each hop. A lattice whose
-        # last row lies past the private bound, so that its (1, 0) line fails
-        # there and the row's prefix is 0, must occur.
-        rng = np.random.default_rng(11 if paper_regime else 12)
-        rows_past_bound = 0
-        for _ in range(12):
-            params = oracle._draw_params(rng, paper_regime)
-            uniform = tuple(HopSplit(float(rng.uniform(0.0, 1.0))) for _ in range(2))
-            for split1, split2 in [(HopSplit(0.0), HopSplit(0.0)), (HopSplit(1.0), HopSplit(1.0)),
-                                   (HopSplit(0.0), HopSplit(1.0)), uniform]:
-                hop1 = hop1_region(params, split1)
-                hop2 = [builder(params, split2)
-                        for builder in (hop2_rs_region, hop2_coop_region, hop2_mcp_region)]
-                joint = [RateRegion(hop1.halfspaces + region.halfspaces, "joint")
-                         for region in hop2[1:]]
-                for region in [hop1, *hop2, *joint]:
-                    rp_max = min(h.bound / h.coef_private
-                                 for h in region.halfspaces if h.coef_private > 0)
-                    for step in (1e-3, 3.7e-3, 7e-3, 1e-2, 0.05, 0.5):
-                        assert grid_max_sum(region, step) == self.masked_max_sum(region, step)
-                        last_row = np.arange(0.0, rp_max + step / 2.0, step)[-1]
-                        rows_past_bound += any(h.coef_private * last_row > h.bound + 1e-12
-                                               for h in region.halfspaces if h.coef_common == 0)
-        assert rows_past_bound > 0
-
     @pytest.mark.parametrize("lines,step,expected", [
         # every line passes through lattice points
         ([(1, 0, 1.0), (0, 1, 0.75), (1, 1, 1.5), (1, 2, 2.0)], 0.25, 1.5),
@@ -241,13 +196,12 @@ class TestGridMaxSum:
         ([(1, 0, 1.3), (0, 1, 0.0), (1, 1, 2.0)], 0.1, 1.3),
         # the last lattice row, 1.2, lies past the private bound 1.1
         ([(1, 0, 1.1), (0, 1, 1.0), (1, 2, 2.0)], 0.4, 1.2),
-        # bounds 1e-12 under lattice sums, at the test's tolerance: a line's
-        # intercept seeds one column too many on some row, which the exact
-        # test takes back, or one too few, which it adds
+        # bounds 1e-12 under lattice sums: with the test's 1e-12 slack, a
+        # point on the line passes or fails by rounding alone
         ([(1, 0, 3.9 - 1e-12), (0, 1, 3.9 - 1e-12), (3, 3, 3.9 - 1e-12)], 0.1, 1.2),
         ([(1, 0, 2.8 - 1e-12), (0, 1, 2.8 - 1e-12), (2, 2, 2.8 - 1e-12)], 0.1, 1.4),
-        # a subnormal common coefficient: the line's intercept lies past a
-        # float, and every column of each row passes it
+        # a subnormal common coefficient: the line's intercept lies past the
+        # float range, and every lattice point passes it
         ([(1, 0, 1.0), (0, 1, 1.0), (1, 1e-320, 1.5)], 0.01, 2.0),
     ], ids=["through-lattice-points", "zero-common-bound", "row-past-bound",
             "seed-column-over", "seed-column-short", "subnormal-coefficient"])
@@ -255,12 +209,11 @@ class TestGridMaxSum:
         region = RateRegion(halfspaces=tuple(Halfspace(a, b, c, f"h{i}")
                                              for i, (a, b, c) in enumerate(lines)),
                             provenance="custom()")
-        assert grid_max_sum(region, step) == self.masked_max_sum(region, step)
         assert grid_max_sum(region, step) == pytest.approx(expected, abs=1e-12)
 
     def test_negative_coefficient_is_refused(self):
-        # the lattice's prefix bisection needs down-closed regions, and a
-        # halfspace outside that domain cannot be built
+        # the lattice spans the axes' smallest intercepts, which bound only a
+        # down-closed region, and a halfspace outside that domain cannot be built
         with pytest.raises(ValueError, match="non-negative"):
             Halfspace(1, -1, 0.5, "tilt")
 
@@ -769,7 +722,7 @@ MUTANTS = {
         "", "still above the exact root and a1 where the checks draw; Tier-1: test_printed_form"),
     "rate_splitting tie to hop 2": Mutant(
         schemes, "rate_splitting", _tie_to_hop2, "",
-        "maybe equivalent: a tie needs bit-equal hop values, and equal hops share one record"),
+        "equivalent: tied hops in two records hold bit-equal LPs; Tier-1: TestRateSplittingTie"),
     "_greedy grid unclipped": Mutant(
         polytope, "_greedy", _unclipped, "",
         "equivalent: every sum bound is at least the private bound, so y >= 0 unclipped"),
@@ -787,6 +740,26 @@ class TestCoverageTable:
         failed = [report.name for report in run_suite(seed=0) if not report.passed]
         assert failed == mutant.fails.split()
         assert bool(failed) != bool(mutant.unseen)
+
+
+class TestRateSplittingTie:
+    """Hops that tie in value, held in two ``_Hop`` records: with
+    eta2 = 2 alpha2, gamma2 = 2 beta2 and p2 = p1/2 every gain-times-power
+    product of hop 2 is hop 1's, bit for bit, but the records' keys differ."""
+
+    def test_tie_to_hop2_is_equivalent(self):
+        rng = np.random.default_rng(54)
+        for k in range(2000):
+            drawn = oracle._draw_params(rng, k % 2 == 0)
+            params = replace(drawn, gamma2=2.0 * drawn.beta2, eta2=2.0 * drawn.alpha2,
+                             p2=drawn.p1 / 2.0, duplex=("full", "half")[k % 3 == 0],
+                             power_boost=k % 6 == 0)
+            row = schemes._Row(params)
+            hop1, hop2 = row.hop(1), row.hop(2)
+            assert hop1 is not hop2
+            assert ((hop1.value, hop1.split, hop1.bounds, hop1.lp)
+                    == (hop2.value, hop2.split, hop2.bounds, hop2.lp)), params
+            assert _tie_to_hop2(schemes.rate_splitting)(params) == schemes.rate_splitting(params)
 
 
 class TestRegionReductionCheck:

@@ -1055,9 +1055,10 @@ class TestVsiClosedForms:
     def test_match_max_over_roots_forms_on_seeded_draws(self):
         # half the draws uniform, half log-uniform over 1e-300..1e150 (where
         # thresholds and gain-times-power sums overflow); vsi_check at, one
-        # ulp below and one ulp above each threshold
+        # ulp below and one ulp above each threshold, refused where
+        # beta2 * p1 is below the smallest normal float
         rng = np.random.default_rng(24)
-        checked = 0
+        checked = refused = 0
         for k in range(10000):
             if k % 2:
                 beta2, p1 = (float(10.0 ** rng.uniform(-300.0, 150.0)) for _ in range(2))
@@ -1075,9 +1076,14 @@ class TestVsiClosedForms:
                                                eta2=0.0, p1=p1, p2=1.0)
                     except ValueError:
                         continue
+                    if beta2 * p1 < sys.float_info.min:
+                        with pytest.raises(ValueError, match="vsi check: beta2"):
+                            vsi_check(params)
+                        refused += 1
+                        continue
                     assert vsi_check(params) == own_pattern_vsi_check(params), params
                     checked += 1
-        assert checked > 30000
+        assert checked > 30000 and refused > 0
 
 
 class TestVsiCheck:
@@ -1096,7 +1102,7 @@ class TestVsiCheck:
                                         eta2=0.0, p1=1.0, p2=1.0))
         assert not ok
 
-    @pytest.mark.parametrize("p1", [1.0, 1e-15, 1e-100, 1e-300])
+    @pytest.mark.parametrize("p1", [1.0, 1e-15, 1e-100, 1e-300, sys.float_info.min])
     def test_verdict_relative_to_target_at_any_power(self, p1):
         # the verdict is relative to the target rate C(beta2 * p1), so it
         # holds also where that rate is far below 1e-12
@@ -1106,6 +1112,17 @@ class TestVsiCheck:
             params = NetworkParams(alpha2=alpha2, beta2=1.0, gamma2=1.0, eta2=0.0,
                                    p1=p1, p2=1.0)
             assert vsi_check(params)[0] is want, (p1, alpha2)
+
+    @pytest.mark.parametrize("beta2,p1", [(1.0, 1e-321), (1.0, 1e-323), (1e-200, 1e-200),
+                                          (1.0, math.nextafter(sys.float_info.min, 0.0))])
+    def test_subnormal_target_is_refused(self, beta2, p1):
+        # below the smallest normal float the products lose their relative
+        # precision: at beta2 = 1 and p1 = 1e-323, 0.99 * p1 rounds to p1
+        for alpha2 in (0.0, 0.99 * beta2, 1e300):
+            params = NetworkParams(alpha2=alpha2, beta2=beta2, gamma2=1.0, eta2=0.0,
+                                   p1=p1, p2=1.0)
+            with pytest.raises(ValueError, match="is below 2.22507e-308"):
+                vsi_check(params)
 
 
 class TestHalfDuplex:
