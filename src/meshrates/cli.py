@@ -367,9 +367,7 @@ def cmd_threshold(beta2, p1, method, check_alpha2, as_json) -> None:
     if method in ("exact", "both"):
         payload["exact"] = schemes.vsi_threshold(beta2, p1, method="exact")
     if check_alpha2 is not None:
-        params = NetworkParams(alpha2=check_alpha2, beta2=beta2, gamma2=1.0, eta2=0.0,
-                               p1=p1, p2=1.0)
-        ok, binding = schemes.vsi_check(params)
+        ok, binding = schemes.vsi_check(check_alpha2, beta2, p1)
         payload["check"] = {"alpha2": check_alpha2, "achieves_single_user": ok, "binding": binding}
 
     if as_json:

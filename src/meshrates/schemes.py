@@ -27,10 +27,12 @@ and the first-hop bound read the LP, the cap of coop and mcp reads the
 value and the bounds, so each is evaluated once per row. A scheme called
 alone builds a row of its own, so its result is the same.
 
-Half duplex scales every final rate by 1/2: ``_result`` scales each reported
-operating point and its total alike, and ``single_rate``, which reports no
-point, scales its own rate. The optional power boost doubles both transmit
-powers first.
+Single rate is rate splitting at f = 1: each hop's rate is its ``_corner``
+private rate. It reports no point and scales its own rate by the half-duplex
+1/2; ``_result`` scales every other reported point and its total alike. The
+optional power boost doubles both transmit powers first. The
+very-strong-interference threshold and check take the first hop's numbers,
+(beta2, p1) and (alpha2, beta2, p1), not a network.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import HopSplit, NetworkParams, RatePair, capacity, split_powers
+from .model import HopSplit, NetworkParams, RatePair, _check_gain, capacity, split_powers
 from .polytope import _greedy
 from .regions import (
     _coop_gains,
@@ -96,8 +98,8 @@ def _result(scheme: str, params: NetworkParams, lp, **fields) -> SchemeResult:
 
 
 def _bottleneck(rate1: float, rate2: float):
-    # relative, so that hops of unequal rate differ at any power
-    if abs(rate1 - rate2) <= 1e-12 * max(rate1, rate2, sys.float_info.min):
+    # relative, so that hops of unequal rate differ at any power, subnormal too
+    if abs(rate1 - rate2) <= 1e-12 * max(rate1, rate2):
         return "balanced"
     return 1 if rate1 < rate2 else 2
 
@@ -107,20 +109,12 @@ def _bottleneck(rate1: float, rate2: float):
 # ---------------------------------------------------------------------------
 
 def single_rate(params: NetworkParams, row: _Row | None = None) -> SchemeResult:
-    """Plain decode-and-forward with single-user decoding in both hops; it
-    shares nothing with a ``row``."""
-    def sinr(hop):  # the reduced MAC at f = 1: all power private
-        cross2, intra2, total = params.hop(hop)
-        gains = _mac_gains(cross2, intra2)
-        return gains.private * total / (1.0 + gains.noise_private * total)
-
-    sinr1, sinr2 = sinr(1), sinr(2)
-    rate = capacity(min(sinr1, sinr2)) * params.rate_scale()
-    return SchemeResult(
-        scheme=SCHEME_SINGLE,
-        rate=rate,
-        bottleneck_hop=_bottleneck(sinr1, sinr2),
-    )
+    """Plain decode-and-forward with single-user decoding in both hops: rate splitting
+    at f = 1, each hop's ``_corner`` private rate. It shares nothing with a ``row``."""
+    rates = [_corner(_mac_gains(cross2, intra2), total, 0.0)[0]
+             for cross2, intra2, total in map(params.hop, (1, 2))]
+    return SchemeResult(scheme=SCHEME_SINGLE, rate=min(rates) * params.rate_scale(),
+                        bottleneck_hop=_bottleneck(*rates))
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +385,23 @@ def vsi_threshold(beta2: float, p1: float, method: str = "exact") -> float:
     return threshold
 
 
-def vsi_check(params: NetworkParams) -> tuple[bool, str]:
-    """Directly test the cross-involving common-message MAC inequalities.
+def vsi_check(alpha2: float, beta2: float, p1: float) -> tuple[bool, str]:
+    """Directly test the cross-involving common-message MAC inequalities of
+    a first hop (alpha2, beta2, p1), as ``NetworkParams.hop(1)`` gives it.
 
     With all first-hop power on the common codebook, every subset bound of
     the three-user MAC seen at a relay must support the per-user rate
     C(beta2*p1) within 1e-12 of it, so the verdict holds at any power where
-    beta2*p1 is a normal float; below, products lose their relative precision
-    and a ValueError refuses the network. Returns the verdict and the tightest bound.
+    beta2*p1 is a normal float. A ValueError refuses a negative or non-finite
+    input, a (beta2 + 2*alpha2)*p1 past a float and a beta2*p1 below the
+    smallest normal float, zero included, where products lose their relative
+    precision. Returns the verdict and the tightest bound.
     """
-    alpha2, beta2, p1 = params.hop(1)
+    for name, value in (("alpha2", alpha2), ("beta2", beta2), ("p1", p1)):
+        _check_gain(name, value)
+    if not math.isfinite((beta2 + 2.0 * alpha2) * p1):
+        raise ValueError(f"vsi check: (beta2 + 2*alpha2)*p1 overflows a float at "
+                         f"alpha2={alpha2!r}, beta2={beta2!r}, p1={p1!r}")
     if not beta2 * p1 >= sys.float_info.min:
         raise ValueError(f"vsi check: beta2*p1 = {beta2!r}*{p1!r} is below {sys.float_info.min:g}")
     target = capacity(beta2 * p1)

@@ -255,11 +255,9 @@ def test_criterion_07_figure_gap_claims(fig_sweeps):
 def test_criterion_08_very_strong_interference():
     exact = schemes.vsi_threshold(1.0, 1.0, method="exact")
     paper = schemes.vsi_threshold(1.0, 1.0, method="paper")
-    mk = lambda a2: NetworkParams(alpha2=a2, beta2=1.0, gamma2=1.0, eta2=0.0,
-                                  p1=1.0, p2=1.0)
-    ok_at_exact, _ = schemes.vsi_check(mk(3.0))
-    ok_below, _ = schemes.vsi_check(mk(2.97))
-    ok_at_paper, _ = schemes.vsi_check(mk(paper))
+    ok_at_exact, _ = schemes.vsi_check(3.0, 1.0, 1.0)
+    ok_below, _ = schemes.vsi_check(2.97, 1.0, 1.0)
+    ok_at_paper, _ = schemes.vsi_check(paper, 1.0, 1.0)
 
     a2_dominates = True
     for beta2 in np.linspace(0.1, 3.0, 20):

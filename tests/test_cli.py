@@ -634,6 +634,14 @@ class TestThreshold:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("alpha2", ["-1", "nan", "inf", "1e308"])
+    def test_invalid_check_gain_is_usage_error(self, capsys, alpha2):
+        # vsi_check refuses the gain itself; 1e308 overflows (beta2 + 2*alpha2)*p1
+        code, out, err = run(capsys, "threshold", "--beta2", "1", "--p1", "1",
+                             "--alpha2", alpha2)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "alpha2" in err, err
+
 
 class TestOptsplit:
     def test_symmetric_fractions(self, capsys):

@@ -104,6 +104,10 @@ CORPUS = {
     "point-tiny-power-ties": ["point", "--alpha2", "0.3", "--beta2", "1", "--gamma2", "0.1",
                               "--eta2", "0.3", "--p1", "1e-15", "--p2", "1e-15",
                               "--schemes", "rs,coop", "--json"],
+    # both hop rates subnormal: hop 1's is the smaller, not a tie
+    "point-subnormal-power-bottleneck": ["point", "--alpha2", "0.3", "--beta2", "1",
+                                         "--gamma2", "2", "--eta2", "0.3", "--p1", "1e-321",
+                                         "--p2", "1e-321", "--schemes", "single,rs", "--json"],
     "point-value-missing": ["point", *NET[:10], "--p2"],
     "point-help-after-bad-value": ["point", "--p1", "4000dB", "--help"],
     "point-help-after-bad-choice": ["point", "--duplex", "x", "--help"],

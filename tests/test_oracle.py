@@ -405,10 +405,8 @@ class TestVsiExactSolve:
             beta2 = float(rng.uniform(0.1, 3.0))
             p1 = float(rng.uniform(0.01, 20.0))
             threshold = vsi_exact_solve(beta2, p1)
-            mk = lambda a2: NetworkParams(alpha2=a2, beta2=beta2, gamma2=1.0,
-                                          eta2=0.0, p1=p1, p2=1.0)
-            assert schemes.vsi_check(mk(threshold))[0]
-            assert not schemes.vsi_check(mk(0.99 * threshold))[0]
+            assert schemes.vsi_check(threshold, beta2, p1)[0]
+            assert not schemes.vsi_check(0.99 * threshold, beta2, p1)[0]
 
     @staticmethod
     def fraction_threshold(beta2, p1):

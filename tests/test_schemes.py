@@ -111,10 +111,10 @@ class TestSingleRate:
         assert single_rate(params).rate == pytest.approx(1.0, abs=1e-5)
 
 
-@pytest.mark.parametrize("p1", [1.0, 1e-12, 1e-15, 1e-100, 1e-300])
+@pytest.mark.parametrize("p1", [1.0, 1e-12, 1e-15, 1e-100, 1e-300, 1e-318, 1e-321])
 def test_bottleneck_relative_at_any_power(p1):
     # hop 2 has twice hop 1's power and SINR at every scale, so hop 1 is the
-    # bottleneck also where both rates are far below 1e-12
+    # bottleneck also where both rates are far below 1e-12, subnormal included
     params = symmetric(0.3, p1, p2=2.0 * p1)
     assert single_rate(params).bottleneck_hop == 1
     assert rate_splitting(params).bottleneck_hop == 1
@@ -128,10 +128,20 @@ class TestRateSplitting:
         assert result.split_hop2.f_private == 1.0
 
     def test_below_threshold_gain_stays_single_rate(self):
+        # single rate is rate splitting with all power private: wherever both
+        # optimal splits are f = 1, the rates and bottlenecks are equal bit for
+        # bit; the draws lie in and out of the regime, with half duplex and boost
         params = symmetric(0.1, 1.0)
-        result = rate_splitting(params)
-        assert result.split_hop1.f_private == 1.0
-        assert result.rate == pytest.approx(single_rate(params).rate, abs=1e-12)
+        assert rate_splitting(params).split_hop1.f_private == 1.0
+        matched = set()
+        for params in [params, *seeded_networks(5, 1000, variants=True)]:
+            result = rate_splitting(params)
+            if (result.split_hop1.f_private, result.split_hop2.f_private) != (1.0, 1.0):
+                continue
+            single = single_rate(params)
+            assert (result.rate, result.bottleneck_hop) == (single.rate, single.bottleneck_hop)
+            matched.add((params.duplex, params.power_boost))
+        assert matched == {("full", False), ("half", True)}
 
     def test_dense_grid_pin_strong_interference(self):
         # beta2=gamma2=1, alpha2=eta2=0.8, P1=P2=2; pinned by the 1e-3 f-scan
@@ -1027,10 +1037,9 @@ def max_over_roots_vsi_threshold(beta2, p1, method):
     return threshold
 
 
-def own_pattern_vsi_check(params):
+def own_pattern_vsi_check(alpha2, beta2, p1):
     """``vsi_check`` in its former form, kept as a reference: it also tests
     the own-codeword bound and reports only cross-involving ones."""
-    alpha2, beta2, p1 = params.hop(1)
     target = capacity(beta2 * p1)
     ok, binding, worst = True, "", math.inf
     for n_own, n_cross, label in ((1, 0, "common-1user-own"), (0, 1, "common-1user-cross"),
@@ -1055,8 +1064,8 @@ class TestVsiClosedForms:
     def test_match_max_over_roots_forms_on_seeded_draws(self):
         # half the draws uniform, half log-uniform over 1e-300..1e150 (where
         # thresholds and gain-times-power sums overflow); vsi_check at, one
-        # ulp below and one ulp above each threshold, refused where
-        # beta2 * p1 is below the smallest normal float
+        # ulp below and one ulp above each threshold, refused where the
+        # three-user sum overflows or beta2 * p1 is below the smallest normal float
         rng = np.random.default_rng(24)
         checked = refused = 0
         for k in range(10000):
@@ -1071,35 +1080,32 @@ class TestVsiClosedForms:
                     continue
                 t = float(want)
                 for alpha2 in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)):
-                    try:
-                        params = NetworkParams(alpha2=alpha2, beta2=beta2, gamma2=1.0,
-                                               eta2=0.0, p1=p1, p2=1.0)
-                    except ValueError:
+                    if not math.isfinite((2.0 * alpha2 + beta2) * p1):
+                        with pytest.raises(ValueError, match="alpha2"):
+                            vsi_check(alpha2, beta2, p1)
                         continue
                     if beta2 * p1 < sys.float_info.min:
                         with pytest.raises(ValueError, match="vsi check: beta2"):
-                            vsi_check(params)
+                            vsi_check(alpha2, beta2, p1)
                         refused += 1
                         continue
-                    assert vsi_check(params) == own_pattern_vsi_check(params), params
+                    hop = (alpha2, beta2, p1)
+                    assert vsi_check(*hop) == own_pattern_vsi_check(*hop), hop
                     checked += 1
         assert checked > 30000 and refused > 0
 
 
 class TestVsiCheck:
     def test_tight_at_exact_threshold(self):
-        ok, binding = vsi_check(NetworkParams(alpha2=3.0, beta2=1.0, gamma2=1.0,
-                                              eta2=0.0, p1=1.0, p2=1.0))
+        ok, binding = vsi_check(3.0, 1.0, 1.0)
         assert ok and binding == "common-3user"
 
     def test_fails_just_below(self):
-        ok, binding = vsi_check(NetworkParams(alpha2=2.9, beta2=1.0, gamma2=1.0,
-                                              eta2=0.0, p1=1.0, p2=1.0))
+        ok, binding = vsi_check(2.9, 1.0, 1.0)
         assert not ok and binding == "common-3user"
 
     def test_fails_without_cross_gain(self):
-        ok, _ = vsi_check(NetworkParams(alpha2=0.0, beta2=1.0, gamma2=1.0,
-                                        eta2=0.0, p1=1.0, p2=1.0))
+        ok, _ = vsi_check(0.0, 1.0, 1.0)
         assert not ok
 
     @pytest.mark.parametrize("p1", [1.0, 1e-15, 1e-100, 1e-300, sys.float_info.min])
@@ -1109,9 +1115,7 @@ class TestVsiCheck:
         t = vsi_threshold(1.0, p1, method="exact")
         for alpha2, want in ((0.0, False), (0.5 * t, False), (0.99 * t, False),
                              (t, True), (t * (1.0 + 1e-12), True)):
-            params = NetworkParams(alpha2=alpha2, beta2=1.0, gamma2=1.0, eta2=0.0,
-                                   p1=p1, p2=1.0)
-            assert vsi_check(params)[0] is want, (p1, alpha2)
+            assert vsi_check(alpha2, 1.0, p1)[0] is want, (p1, alpha2)
 
     @pytest.mark.parametrize("beta2,p1", [(1.0, 1e-321), (1.0, 1e-323), (1e-200, 1e-200),
                                           (1.0, math.nextafter(sys.float_info.min, 0.0))])
@@ -1119,10 +1123,25 @@ class TestVsiCheck:
         # below the smallest normal float the products lose their relative
         # precision: at beta2 = 1 and p1 = 1e-323, 0.99 * p1 rounds to p1
         for alpha2 in (0.0, 0.99 * beta2, 1e300):
-            params = NetworkParams(alpha2=alpha2, beta2=beta2, gamma2=1.0, eta2=0.0,
-                                   p1=p1, p2=1.0)
             with pytest.raises(ValueError, match="is below 2.22507e-308"):
-                vsi_check(params)
+                vsi_check(alpha2, beta2, p1)
+
+    @pytest.mark.parametrize("alpha2,beta2,p1,match", [
+        (-1.0, 1.0, 1.0, "alpha2 must be"), (math.nan, 1.0, 1.0, "alpha2 must be"),
+        (math.inf, 1.0, 1.0, "alpha2 must be"), (1.0, 0.0, 1.0, r"beta2\*p1 = 0.0\*1.0 is below"),
+        (1.0, -1.0, 1.0, "beta2 must be"), (1.0, math.inf, 1.0, "beta2 must be"),
+        (1.0, 1.0, 0.0, r"beta2\*p1 = 1.0\*0.0 is below"), (1.0, 1.0, -1.0, "p1 must be"),
+        (1.0, 1.0, math.nan, "p1 must be"), (1.0, -1.0, -1.0, "beta2 must be"),
+        (1e308, 1.0, 1.0, r"overflows a float at alpha2=1e\+308"),
+        (0.0, 1e308, 10.0, r"overflows a float at alpha2=0.0, beta2=1e\+308")],
+        ids=["alpha2-negative", "alpha2-nan", "alpha2-inf", "beta2-zero", "beta2-negative",
+             "beta2-inf", "p1-zero", "p1-negative", "p1-nan", "both-negative",
+             "sum-overflow-alpha2", "sum-overflow-beta2"])
+    def test_invalid_hop_is_refused(self, alpha2, beta2, p1, match):
+        # the refusals a network made for vsi_check; with both negative the
+        # product beta2 * p1 = 1 would pass the subnormal-target check
+        with pytest.raises(ValueError, match=match):
+            vsi_check(alpha2, beta2, p1)
 
 
 class TestHalfDuplex:
